@@ -1,8 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts (one bench
-// per table and figure of Section VI, as indexed in DESIGN.md) plus the
-// kernel-level benches the hardware comparison needs (software BSW
-// tiles/second is the local stand-in for the paper's Parasail rate) and
-// ablations over the design knobs.
+// per table and figure of Section VI, as indexed in DESIGN.md) and
+// ablations over the design knobs. Kernel and end-to-end performance
+// is measured by the repo benchmark (bench/, BENCHMARK.json), not here.
 //
 // Run everything:
 //
@@ -14,22 +13,16 @@
 package darwinwga_test
 
 import (
-	"context"
 	"io"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"darwinwga"
 	"darwinwga/internal/align"
 	"darwinwga/internal/core"
-	"darwinwga/internal/dsoft"
 	"darwinwga/internal/evolve"
 	"darwinwga/internal/experiments"
 	"darwinwga/internal/gact"
-	"darwinwga/internal/genome"
-	"darwinwga/internal/indexstore"
-	"darwinwga/internal/seed"
 )
 
 func randSeq(rng *rand.Rand, n int) []byte {
@@ -51,199 +44,6 @@ func benchPair(b *testing.B, name string, scale float64) *evolve.Pair {
 		b.Fatal(err)
 	}
 	return p
-}
-
-// --- Kernel benchmarks -------------------------------------------------
-
-// BenchmarkBSWFilterTile measures software gapped-filter throughput in
-// tiles/second — the local equivalent of the paper's Parasail 225K
-// tiles/s baseline (Section V-B). Table V's iso-sensitive software
-// column divides the recorded filter-tile workload by this rate.
-func BenchmarkBSWFilterTile(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	target := randSeq(rng, 100_000)
-	query := randSeq(rng, 100_000)
-	copy(query[40_000:60_000], target[40_000:60_000])
-	ba := align.NewBandedAligner(align.DefaultScoring(), 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pos := 40_000 + (i*331)%20_000
-		ba.FilterTile(target, query, pos, pos, 320)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tiles/s")
-}
-
-// BenchmarkUngappedFilterTile measures the LASTZ-style ungapped filter
-// on the false-positive anchors that dominate the filter workload (the
-// vast majority of seed hits are junk and terminate within a few dozen
-// bases). This is the regime behind the paper's "ungapped filtering is
-// 200x faster than gapped alignment in software" — compare against
-// BenchmarkBSWFilterTile, whose banded tile costs the same whether the
-// anchor is real or junk.
-func BenchmarkUngappedFilterTile(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	target := randSeq(rng, 100_000)
-	query := randSeq(rng, 100_000) // unrelated: every anchor is junk
-	ue := align.NewUngappedExtender(align.DefaultScoring(), 340)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pos := 40_000 + (i*331)%20_000
-		ue.Extend(target, query, pos, pos, 19)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tiles/s")
-}
-
-// BenchmarkGACTXExtension measures extension throughput in aligned
-// bases per second over a realistic diverged pair.
-func BenchmarkGACTXExtension(b *testing.B) {
-	p := benchPair(b, "dm6-droYak2", 0.0005)
-	ext, err := gact.NewExtender(align.DefaultScoring(), gact.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	anchor := len(p.TargetSeq()) / 2
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		a := ext.Extend(p.TargetSeq(), p.QuerySeq(), anchor, anchor, nil)
-		total += a.TSpan()
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "bp/s")
-}
-
-// BenchmarkSeedIndexBuild measures position-table construction.
-func BenchmarkSeedIndexBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	target := randSeq(rng, 500_000)
-	shape := seed.DefaultShape()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := seed.BuildIndex(target, shape, seed.IndexOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(target))*float64(b.N)/b.Elapsed().Seconds(), "bp/s")
-}
-
-// BenchmarkIndexBuild and BenchmarkIndexLoad are the index-lifecycle
-// pair: the same 500 kb target's D-SOFT index built from bases versus
-// deserialized from its indexstore file. The ratio is the startup
-// speedup `serve -index-dir` buys per target.
-func BenchmarkIndexBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	target := randSeq(rng, 500_000)
-	shape := seed.DefaultShape()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := seed.BuildIndex(target, shape, seed.IndexOptions{MaxFreq: 30}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(target))*float64(b.N)/b.Elapsed().Seconds(), "bp/s")
-}
-
-func BenchmarkIndexLoad(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	target := randSeq(rng, 500_000)
-	ix, err := seed.BuildIndex(target, seed.DefaultShape(), seed.IndexOptions{MaxFreq: 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "bench.dwx")
-	if err := indexstore.Write(path, ix, indexstore.FingerprintBases(target)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := indexstore.Load(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(target))*float64(b.N)/b.Elapsed().Seconds(), "bp/s")
-}
-
-// BenchmarkDSoftSeeding measures the seeding stage alone.
-func BenchmarkDSoftSeeding(b *testing.B) {
-	p := benchPair(b, "dm6-droYak2", 0.001)
-	ix, err := seed.BuildIndex(p.TargetSeq(), seed.DefaultShape(), seed.IndexOptions{MaxFreq: 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := dsoft.NewSeeder(ix, dsoft.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	scratch := dsoft.NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var st dsoft.Stats
-		s.Collect(p.QuerySeq(), 0, len(p.QuerySeq()), nil, &st, scratch)
-	}
-	b.ReportMetric(float64(len(p.QuerySeq()))*float64(b.N)/b.Elapsed().Seconds(), "bp/s")
-}
-
-// BenchmarkSmithWaterman measures the exact-DP oracle on exon-sized
-// problems (the TBLASTX-substitute workload).
-func BenchmarkSmithWaterman(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	target := randSeq(rng, 200)
-	query := randSeq(rng, 400)
-	copy(query[100:300], target)
-	sc := align.DefaultScoring()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.SmithWaterman(sc, target, query)
-	}
-	b.ReportMetric(float64(len(target)*len(query))*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-}
-
-// BenchmarkShardScatterGather measures the cluster's scatter/gather
-// round-trip in-process: decompose a both-strand query into shard work
-// units, execute every unit (extension runs un-absorbed by design),
-// and deterministically merge the frames. Against BenchmarkGACTXExtension
-// and the one-shot pipeline this tracks the wasted-work overhead a
-// -shard-dispatch job pays for its failover/hedging granularity.
-func BenchmarkShardScatterGather(b *testing.B) {
-	pair, err := evolve.Generate(evolve.Config{
-		Name: "shard-bench", TargetName: "tgt", QueryName: "qry",
-		Length: 8_000, SubRate: 0.12, IndelRate: 0.015, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.BothStrands = true
-	a, err := core.NewAligner(pair.TargetSeq(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	query := pair.QuerySeq()
-	rc := genome.ReverseComplement(query)
-	plan := core.PlanShards(&cfg, len(query), 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frames := map[byte][]core.ShardFrame{}
-		for _, u := range plan {
-			q := query
-			if u.Strand == '-' {
-				q = rc
-			}
-			fr, _, err := a.AlignShardUnit(context.Background(), q, u)
-			if err != nil {
-				b.Fatal(err)
-			}
-			frames[u.Strand] = append(frames[u.Strand], fr...)
-		}
-		kept := 0
-		for _, s := range []byte{'+', '-'} {
-			keep, _ := core.MergeShardFrames(frames[s], cfg.AbsorbBand)
-			kept += len(keep)
-		}
-		if kept == 0 {
-			b.Fatal("merge kept no frames")
-		}
-	}
-	b.ReportMetric(float64(len(plan)*b.N)/b.Elapsed().Seconds(), "units/s")
 }
 
 // --- Table / figure benchmarks -----------------------------------------

@@ -54,7 +54,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -691,7 +690,7 @@ func run(ctx context.Context, opts options) error {
 	}
 
 	if opts.outPath != "" {
-		if err := writeMAFAtomic(rep, opts.outPath); err != nil {
+		if err := checkpoint.WriteFileAtomic(opts.outPath, nil, rep.WriteMAF); err != nil {
 			return err
 		}
 	} else if err := rep.WriteMAF(os.Stdout); err != nil {
@@ -751,35 +750,6 @@ func writeHeapProfile(path string) error {
 		err = cerr
 	}
 	return err
-}
-
-// writeMAFAtomic writes the report's MAF to path via a temp file in the
-// same directory, fsyncs it, and renames it into place, so a crash at
-// any point leaves either the previous file or the complete new one —
-// never a torn mixture.
-func writeMAFAtomic(rep *darwinwga.Report, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = rep.WriteMAF(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	// Close errors matter: on a full or failing filesystem the data may
-	// only be rejected at close time.
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("closing %s: %w", tmp, cerr)
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return checkpoint.SyncDir(filepath.Dir(path))
 }
 
 // crashFaultsFromEnv builds the deterministic I/O fault plan the

@@ -252,36 +252,18 @@ func (j *Journal) rotate() error {
 	return j.openSegment()
 }
 
-// openSegment creates segment j.seq via temp-file + rename + directory
-// fsync, leaving j.f open on the renamed file.
+// openSegment publishes segment j.seq (the magic, atomically) and
+// leaves j.f open on it, positioned for the first record.
 func (j *Journal) openSegment() error {
-	name := segName(j.seq)
-	tmp := filepath.Join(j.dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	path := filepath.Join(j.dir, segName(j.seq))
+	if err := WriteBytesAtomic(path, j.opts.Faults, []byte(magic)); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
-	if _, err := j.opts.Faults.Write(f, []byte(magic)); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := j.opts.Faults.Check(faultinject.OpRename); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, name)); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := SyncDir(j.dir); err != nil {
+	if _, err := f.Seek(int64(len(magic)), io.SeekStart); err != nil {
 		f.Close()
 		return err
 	}
@@ -405,6 +387,59 @@ func Remove(dir string) error {
 	}
 	return SyncDir(dir)
 }
+
+// WriteFileAtomic publishes a file at path so that a crash or error at
+// any point leaves either the previous file or the complete new one,
+// never a torn mixture: body streams into <path>.tmp, which is fsynced,
+// renamed over path, and made durable by a directory fsync. On any
+// failure the temp file is removed and path is untouched. It is the
+// only temp + fsync + rename + dirsync sequence in the tree. flt is the
+// fault seam threaded through the write, sync and rename steps (nil =
+// none): an injected fault surfaces as an error, never as a torn file.
+func WriteFileAtomic(path string, flt *faultinject.IOFaults, body func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = body(faultWriter{f, flt})
+	if err == nil {
+		if err = flt.Check(faultinject.OpSync); err == nil {
+			err = f.Sync()
+		}
+	}
+	// Close errors matter: on a full or failing filesystem the data may
+	// only be rejected at close time.
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("closing %s: %w", tmp, cerr)
+	}
+	if err == nil {
+		if err = flt.Check(faultinject.OpRename); err == nil {
+			err = os.Rename(tmp, path)
+		}
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck
+		return err
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// WriteBytesAtomic is WriteFileAtomic for a payload already in memory.
+func WriteBytesAtomic(path string, flt *faultinject.IOFaults, data []byte) error {
+	return WriteFileAtomic(path, flt, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// faultWriter routes every write through the (possibly nil) fault set.
+type faultWriter struct {
+	f   *os.File
+	flt *faultinject.IOFaults
+}
+
+func (w faultWriter) Write(p []byte) (int, error) { return w.flt.Write(w.f, p) }
 
 // SyncDir fsyncs a directory so a preceding create/rename in it is
 // durable — the step that makes rename-based publication atomic across

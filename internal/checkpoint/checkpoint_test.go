@@ -357,3 +357,56 @@ func TestRemove(t *testing.T) {
 		t.Fatalf("Remove(missing dir): %v", err)
 	}
 }
+
+// TestWriteFileAtomicFaults: a fault at any step of the publish — a
+// torn write, a failed fsync, a failed rename — leaves the final path
+// absent (or still holding the previous content) and no temp file
+// behind; the next, unfaulted publish then lands whole.
+func TestWriteFileAtomicFaults(t *testing.T) {
+	rules := []faultinject.IORule{
+		{Op: faultinject.OpWrite, Hit: 1, Action: faultinject.IOShortWrite, Short: 3},
+		{Op: faultinject.OpSync, Hit: 1, Action: faultinject.IOErr},
+		{Op: faultinject.OpRename, Hit: 1, Action: faultinject.IOErr},
+	}
+	for _, rule := range rules {
+		for _, old := range []string{"", "previous content"} {
+			t.Run(fmt.Sprintf("%s/old=%t", rule.Op, old != ""), func(t *testing.T) {
+				dir := t.TempDir()
+				path := filepath.Join(dir, "seg-00000001.wal")
+				if old != "" {
+					if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				flt := faultinject.NewIO(rule)
+				err := WriteBytesAtomic(path, flt, []byte("the new content"))
+				if !errors.Is(err, faultinject.ErrInjected) {
+					t.Fatalf("err = %v, want the injected fault", err)
+				}
+				got, rerr := os.ReadFile(path)
+				switch {
+				case old == "" && !errors.Is(rerr, os.ErrNotExist):
+					t.Fatalf("final path exists after a failed publish: %q (%v)", got, rerr)
+				case old != "" && string(got) != old:
+					t.Fatalf("final path = %q (%v), want the previous content", got, rerr)
+				}
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range ents {
+					if strings.Contains(e.Name(), ".tmp") {
+						t.Fatalf("stray temp %s after a failed publish", e.Name())
+					}
+				}
+				// The rule fired once; the retry publishes whole.
+				if err := WriteBytesAtomic(path, flt, []byte("the new content")); err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := os.ReadFile(path); string(got) != "the new content" {
+					t.Fatalf("after retry path = %q", got)
+				}
+			})
+		}
+	}
+}

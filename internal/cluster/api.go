@@ -481,7 +481,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	fresh := c.ms.register(req.WorkerID, strings.TrimSuffix(req.Addr, "/"), targets, serialized)
-	c.brk.forget(req.WorkerID)
+	c.brk.Forget(req.WorkerID)
 	c.c.registrations.Inc()
 	if fresh {
 		c.log.Info("worker registered", "worker", req.WorkerID, "addr", req.Addr, "targets", len(targets))
@@ -628,7 +628,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		out = append(out, entry{
 			ID: m.ID, Addr: m.Addr, Targets: names,
 			SerializedTargets: serialized,
-			Breaker:           c.brk.state(m.ID),
+			Breaker:           c.brk.State(m.ID),
 			RegisteredAt:      m.RegisteredAt, ExpiresAt: m.ExpiresAt,
 		})
 	}

@@ -431,7 +431,7 @@ func TestChaosRetryExhaustionOpensBreakerThenPark(t *testing.T) {
 		cc.heartbeat(t, "w1")
 	}, func() bool {
 		st := cc.jobStatus(t, id)
-		return cc.coord.brk.state("w1") == "open" && st.Parked
+		return cc.coord.brk.State("w1") == "open" && st.Parked
 	})
 	if got := w1.submitCount(); got != 0 {
 		t.Errorf("resets should never reach the worker; it saw %d submissions", got)

@@ -183,13 +183,13 @@ func (c *Coordinator) dispatchTo(j *coordJob, m *Member) (string, error) {
 		req.Header.Set(TraceHeader, j.TraceID)
 		resp, rerr := c.doRequest(req, j.cancelCh)
 		if rerr != nil {
-			c.brk.failure(m.ID)
+			c.brk.Failure(m.ID)
 			c.c.dispatchErrors.Inc()
 			lastErr = rerr
 			continue
 		}
 		// The transport worked regardless of the status code.
-		c.brk.success(m.ID)
+		c.brk.Success(m.ID)
 		if resp.StatusCode == http.StatusAccepted {
 			var st workerStatus
 			derr := json.NewDecoder(resp.Body).Decode(&st)

@@ -15,6 +15,7 @@ import (
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/obs"
+	"darwinwga/internal/server"
 )
 
 // Job states as the coordinator tracks them. They intentionally mirror
@@ -357,7 +358,7 @@ func (c Config) withDefaults() Config {
 type Coordinator struct {
 	cfg     Config
 	ms      *membership
-	brk     *workerBreakers
+	brk     *server.Breaker
 	wal     *coordJournal
 	hub     *replicationHub
 	epoch   uint64 // fencing token, fixed at New; promotions build a new Coordinator
@@ -426,7 +427,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		ms:      newMembership(cfg.Clock, cfg.LeaseTTL),
-		brk:     newWorkerBreakers(cfg.Clock, cfg.BreakerThreshold, cfg.BreakerCooldown),
+		brk:     server.NewBreaker(cfg.Clock, cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
 		metrics: obs.NewRegistry(),
 		client:  &http.Client{Transport: cfg.Transport},
 		log:     cfg.Log,
@@ -498,7 +499,7 @@ func (c *Coordinator) registerMetrics() {
 	reg.GaugeFunc("darwinwga_cluster_workers_live", "workers with a current lease",
 		func() float64 { return float64(c.ms.size()) })
 	reg.GaugeFunc("darwinwga_cluster_breakers_open", "workers with an open circuit breaker",
-		func() float64 { return float64(c.brk.openCount()) })
+		func() float64 { return float64(c.brk.OpenCount()) })
 	reg.GaugeFunc("darwinwga_cluster_jobs_parked", "jobs waiting for a replica to appear",
 		func() float64 { return float64(c.parkedCount()) })
 	reg.GaugeFunc("darwinwga_cluster_jobs_active", "non-terminal jobs",
@@ -606,7 +607,7 @@ func (c *Coordinator) sweeper() {
 		dead := c.ms.sweep(c.cfg.Clock.Now())
 		for _, id := range dead {
 			c.c.expirations.Inc()
-			c.brk.forget(id)
+			c.brk.Forget(id)
 			c.log.Warn("worker lease expired", "worker", id, "ttl", c.cfg.LeaseTTL)
 		}
 	}
@@ -996,7 +997,7 @@ func (c *Coordinator) dispatch(j *coordJob) (assignment, bool) {
 		replicas = reordered
 	}
 	for _, m := range replicas {
-		if !c.brk.allow(m.ID) {
+		if _, ok := c.brk.Allow(m.ID); !ok {
 			continue
 		}
 		wid, err := c.dispatchTo(j, m)
@@ -1059,7 +1060,7 @@ func (c *Coordinator) watch(j *coordJob, a assignment) watchOutcome {
 		st, err := c.workerJobStatus(j, a)
 		if err != nil {
 			failures++
-			c.brk.failure(a.WorkerID)
+			c.brk.Failure(a.WorkerID)
 			c.c.dispatchErrors.Inc()
 			if failures >= c.cfg.Retry.Attempts() {
 				return watchLost
@@ -1075,7 +1076,7 @@ func (c *Coordinator) watch(j *coordJob, a assignment) watchOutcome {
 			continue
 		}
 		failures = 0
-		c.brk.success(a.WorkerID)
+		c.brk.Success(a.WorkerID)
 		c.pollSpans(j, a, sink)
 		if terminalState(string(st.State)) {
 			c.finalize(j, string(st.State), st.Error)

@@ -484,22 +484,24 @@ func TestHAShippedSegmentsFollowFailover(t *testing.T) {
 		t.Fatalf("downloaded segment = %q, want the shipped bytes", got)
 	}
 
-	// Completion drops the store; late shippers are refused.
+	// Completion drops the store; late shippers are refused. The
+	// coordinator publishes the terminal state before it journals it
+	// and drops the store, so wait for the store itself to empty.
 	survivor.finishAll()
-	cc.pump(t, "job done on the survivor", func() {
+	cc.pump(t, "job done on the survivor and its shipped store dropped", func() {
 		cc.heartbeat(t, survivorID)
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		if cc.jobStatus(t, id).State != StateDone {
+			return false
+		}
+		resp, err := http.Get(shipURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listing.Segments = nil
+		json.NewDecoder(resp.Body).Decode(&listing) //nolint:errcheck
+		resp.Body.Close()                           //nolint:errcheck
+		return len(listing.Segments) == 0
 	})
-	resp, err = http.Get(shipURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	listing.Segments = nil
-	json.NewDecoder(resp.Body).Decode(&listing) //nolint:errcheck
-	resp.Body.Close()                           //nolint:errcheck
-	if len(listing.Segments) != 0 {
-		t.Errorf("terminal job still lists %d shipped segments, want 0", len(listing.Segments))
-	}
 	putSeg(http.StatusConflict)
 }

@@ -390,7 +390,7 @@ func (cj *coordJournal) queryPath(id string) string {
 // order is the crash-safety invariant: a submitted record implies a
 // readable query.
 func (cj *coordJournal) saveQuery(id, fasta string) error {
-	return writeFileAtomicFaults(cj.queryPath(id), []byte(fasta), cj.io)
+	return checkpoint.WriteBytesAtomic(cj.queryPath(id), cj.io, []byte(fasta))
 }
 
 // loadQuery reads back a spilled query as FASTA text for dispatch.
@@ -471,7 +471,7 @@ func (cj *coordJournal) saveShardFrames(id string, seq int, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeFileAtomicFaults(filepath.Join(dir, fmt.Sprintf("%d.json", seq)), data, cj.io)
+	return checkpoint.WriteBytesAtomic(filepath.Join(dir, fmt.Sprintf("%d.json", seq)), cj.io, data)
 }
 
 func (cj *coordJournal) loadShardFrames(id string, seq int) ([]byte, error) {
@@ -482,7 +482,7 @@ func (cj *coordJournal) saveShardMAF(id string, data []byte) error {
 	if err := os.MkdirAll(cj.shardDir(id), 0o755); err != nil {
 		return err
 	}
-	return writeFileAtomicFaults(filepath.Join(cj.shardDir(id), "result.maf"), data, cj.io)
+	return checkpoint.WriteBytesAtomic(filepath.Join(cj.shardDir(id), "result.maf"), cj.io, data)
 }
 
 func (cj *coordJournal) loadShardMAF(id string) ([]byte, error) {
@@ -523,7 +523,7 @@ func (cj *coordJournal) saveShipped(id, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeFileAtomicFaults(filepath.Join(dir, name), data, cj.io)
+	return checkpoint.WriteBytesAtomic(filepath.Join(dir, name), cj.io, data)
 }
 
 func (cj *coordJournal) listShipped(id string) ([]checkpoint.SegmentInfo, error) {
@@ -550,42 +550,4 @@ func (cj *coordJournal) close() {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	cj.j.Close() //nolint:errcheck // shutdown path
-}
-
-// writeFileAtomicCluster writes data to path via temp + fsync + rename
-// + dirsync, so a crash leaves either the old file or the new one.
-func writeFileAtomicCluster(path string, data []byte) error {
-	return writeFileAtomicFaults(path, data, nil)
-}
-
-// writeFileAtomicFaults is writeFileAtomicCluster with an IO fault seam
-// threaded through write/sync/rename: an injected ENOSPC or short write
-// surfaces as an error with the temp file removed — never a corrupt or
-// truncated artifact at the final path. A nil fault set is a plain
-// atomic write.
-func writeFileAtomicFaults(path string, data []byte, flt *faultinject.IOFaults) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = flt.Write(f, data)
-	if err == nil {
-		if err = flt.Check(faultinject.OpSync); err == nil {
-			err = f.Sync()
-		}
-	}
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err == nil {
-		if err = flt.Check(faultinject.OpRename); err == nil {
-			err = os.Rename(tmp, path)
-		}
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	return checkpoint.SyncDir(filepath.Dir(path))
 }

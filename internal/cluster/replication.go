@@ -555,7 +555,7 @@ func (s *Standby) applyRecord(f repFrame) error {
 		if err := json.Unmarshal(f.Payload, &sub); err != nil {
 			return fmt.Errorf("shipped submitted record: %w", err)
 		}
-		if err := writeFileAtomicCluster(filepath.Join(s.dir, "queries", sub.ID+".fa"), f.Query); err != nil {
+		if err := checkpoint.WriteBytesAtomic(filepath.Join(s.dir, "queries", sub.ID+".fa"), nil, f.Query); err != nil {
 			return fmt.Errorf("spilling shipped query: %w", err)
 		}
 	}

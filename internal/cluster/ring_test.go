@@ -162,58 +162,6 @@ func TestMembershipReplicasFor(t *testing.T) {
 	}
 }
 
-// TestWorkerBreakerLifecycle: closed → open at threshold → half-open
-// after cooldown admitting one probe → closed on success.
-func TestWorkerBreakerLifecycle(t *testing.T) {
-	clock := faultinject.NewManualClock(time.Unix(0, 0))
-	b := newWorkerBreakers(clock, 3, 15*time.Second)
-
-	for i := 0; i < 2; i++ {
-		b.failure("w1")
-	}
-	if st := b.state("w1"); st != "closed" {
-		t.Fatalf("state after 2 failures = %q, want closed", st)
-	}
-	b.failure("w1")
-	if st := b.state("w1"); st != "open" {
-		t.Fatalf("state after 3 failures = %q, want open", st)
-	}
-	if b.allow("w1") {
-		t.Fatal("open breaker allowed a dispatch")
-	}
-
-	clock.Advance(15 * time.Second)
-	if st := b.state("w1"); st != "half-open" {
-		t.Fatalf("state after cooldown = %q, want half-open", st)
-	}
-	if !b.allow("w1") {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.allow("w1") {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.success("w1")
-	if st := b.state("w1"); st != "closed" {
-		t.Fatalf("state after probe success = %q, want closed", st)
-	}
-	if !b.allow("w1") {
-		t.Fatal("closed breaker refused a dispatch")
-	}
-
-	// A failed probe re-opens for a fresh cooldown.
-	b.failure("w1")
-	b.failure("w1")
-	b.failure("w1")
-	clock.Advance(15 * time.Second)
-	if !b.allow("w1") {
-		t.Fatal("half-open refused probe")
-	}
-	b.failure("w1")
-	if st := b.state("w1"); st != "open" {
-		t.Fatalf("state after failed probe = %q, want open", st)
-	}
-}
-
 // TestCoordJournalRoundTrip folds submitted/assigned/finished records
 // back after a reopen.
 func TestCoordJournalRoundTrip(t *testing.T) {

@@ -545,12 +545,14 @@ func (c *Coordinator) pickShardWorker(target string, seq, attempt int, avoid str
 	off := (seq + attempt - 1) % len(replicas)
 	for i := 0; i < len(replicas); i++ {
 		m := replicas[(off+i)%len(replicas)]
-		if c.brk.allow(m.ID) {
+		if _, ok := c.brk.Allow(m.ID); ok {
 			return m
 		}
 	}
-	if demoted != nil && c.brk.allow(demoted.ID) {
-		return demoted
+	if demoted != nil {
+		if _, ok := c.brk.Allow(demoted.ID); ok {
+			return demoted
+		}
 	}
 	return nil
 }
@@ -585,11 +587,11 @@ func (c *Coordinator) dispatchShardTo(j *coordJob, m *Member, u core.ShardUnit, 
 	req.Header.Set(TraceHeader, j.TraceID)
 	resp, err := c.doRequestTimeout(req, stop, c.cfg.ShardLease)
 	if err != nil {
-		c.brk.failure(m.ID)
+		c.brk.Failure(m.ID)
 		c.c.dispatchErrors.Inc()
 		return nil, err
 	}
-	c.brk.success(m.ID)
+	c.brk.Success(m.ID)
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		drainClose(resp)

@@ -119,9 +119,9 @@ type Config struct {
 	// safe for concurrent use (events arrive from every worker
 	// goroutine). Nil — the default — is free: the instrumentation
 	// sites are branch-guarded, take no timestamps, and add zero
-	// allocations (pinned by BenchmarkRecorderOverhead). Like FaultHook
-	// and HSPHook it observes the run and cannot change it, so it is
-	// excluded from the checkpoint fingerprint.
+	// allocations (pinned by TestRecorderAllocOverheadConstant). Like
+	// FaultHook and HSPHook it observes the run and cannot change it, so
+	// it is excluded from the checkpoint fingerprint.
 	Recorder obs.Recorder
 
 	// TraceID and JobID carry the distributed-trace identity assigned

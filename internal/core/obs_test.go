@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"darwinwga/internal/evolve"
 	"darwinwga/internal/genome"
 	"darwinwga/internal/obs"
 )
@@ -224,49 +223,5 @@ func TestRecorderAllocOverheadConstant(t *testing.T) {
 	}
 	if deltaSmall > 128 {
 		t.Errorf("recorder alloc overhead per call too high: %.0f allocs", deltaSmall)
-	}
-}
-
-// BenchmarkRecorderOverhead compares the full pipeline with no
-// recorder, a lock-free aggregate, and a live metrics registry. The
-// nil case is the baseline: its allocs/op must match a build without
-// instrumentation (the sites are branch-guarded), and the registry
-// case bounds the serving-mode overhead.
-func BenchmarkRecorderOverhead(b *testing.B) {
-	p, err := evolve.Generate(evolve.Config{
-		Name: "bench", TargetName: "tgt", QueryName: "qry",
-		Length: 24000, SubRate: 0.08, IndelRate: 0.01,
-		Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tBases, _ := genome.Concat(p.Target.Seqs)
-	qBases, _ := genome.Concat(p.Query.Seqs)
-
-	variants := []struct {
-		name string
-		rec  obs.Recorder
-	}{
-		{"nil", nil},
-		{"aggregate", &obs.Aggregate{}},
-		{"registry", obs.NewPipelineMetrics(obs.NewRegistry())},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := obsTestConfig()
-			cfg.Recorder = v.rec
-			a, err := NewAligner(tBases, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Align(qBases); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -250,15 +250,10 @@ func (a *Aligner) Anchors(query []byte) ([]ExtensionAnchor, error) {
 	}
 	r := a.newRun(context.Background())
 	defer r.stopTimer()
-	anchors, _ := a.runSeeding(r, query, '+')
-	if err := r.err(); err != nil {
+	passed, _, err := a.seedFilter(r, query, '+', 0, len(query), new(Timings))
+	if err != nil {
 		return nil, err
 	}
-	passed, _, _ := a.runFilter(r, query, anchors, '+')
-	if err := r.err(); err != nil {
-		return nil, err
-	}
-	sortAnchors(passed)
 	out := make([]ExtensionAnchor, len(passed))
 	for i, p := range passed {
 		out[i] = ExtensionAnchor{TPos: p.tPos, QPos: p.qPos, Score: p.score}
@@ -292,42 +287,11 @@ func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) er
 			r.truncate(s.truncated)
 		}
 	} else {
-		// Stage 1: D-SOFT seeding over query shards.
-		if r.rec != nil {
-			r.rec.StageBegin(strand, obs.StageSeeding)
-		}
-		t0 := time.Now()
-		anchors, seedStats := a.runSeeding(r, query, strand)
-		res.Timings.Seeding += time.Since(t0)
-		if r.rec != nil {
-			r.rec.StageEnd(strand, obs.StageSeeding)
-		}
-		if err := r.err(); err != nil {
+		var wl Workload
+		var err error
+		passed, wl, err = a.seedFilter(r, query, strand, 0, len(query), &res.Timings)
+		if err != nil {
 			return err
-		}
-
-		// Stage 2: filtering (gapped BSW or ungapped X-drop).
-		if r.rec != nil {
-			r.rec.StageBegin(strand, obs.StageFilter)
-		}
-		t1 := time.Now()
-		var filterTiles, filterCells int64
-		passed, filterTiles, filterCells = a.runFilter(r, query, anchors, strand)
-		res.Timings.Filtering += time.Since(t1)
-		if r.rec != nil {
-			r.rec.StageEnd(strand, obs.StageFilter)
-		}
-		if err := r.err(); err != nil {
-			return err
-		}
-		sortAnchors(passed)
-
-		wl := Workload{
-			SeedHits:     int64(seedStats.SeedHits),
-			Candidates:   int64(seedStats.Candidates),
-			FilterTiles:  filterTiles,
-			FilterCells:  filterCells,
-			PassedFilter: int64(len(passed)),
 		}
 		addWorkload(&res.Workload, wl)
 		// Journal the strand's anchor set — unless the run is stopping,
@@ -356,6 +320,48 @@ func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) er
 	err := a.runExtension(r, query, strand, passed, res)
 	res.Timings.Extension += time.Since(t2)
 	return err
+}
+
+// seedFilter is the strand front-end, the one copy every entry point
+// (alignStrand, Anchors, AlignShardUnit) runs: D-SOFT seeding over the
+// strand-oriented query range [qs, qe), filtering (gapped BSW or
+// ungapped X-drop), and the canonical sort of the survivors. It owns
+// the seeding and filter StageBegin/StageEnd sites, adds the two stage
+// walls to tm, and returns the range's seed/filter workload.
+func (a *Aligner) seedFilter(r *run, query []byte, strand byte, qs, qe int, tm *Timings) ([]passedAnchor, Workload, error) {
+	if r.rec != nil {
+		r.rec.StageBegin(strand, obs.StageSeeding)
+	}
+	t0 := time.Now()
+	anchors, seedStats := a.runSeeding(r, query, strand, qs, qe)
+	tm.Seeding += time.Since(t0)
+	if r.rec != nil {
+		r.rec.StageEnd(strand, obs.StageSeeding)
+	}
+	if err := r.err(); err != nil {
+		return nil, Workload{}, err
+	}
+
+	if r.rec != nil {
+		r.rec.StageBegin(strand, obs.StageFilter)
+	}
+	t1 := time.Now()
+	passed, filterTiles, filterCells := a.runFilter(r, query, anchors, strand)
+	tm.Filtering += time.Since(t1)
+	if r.rec != nil {
+		r.rec.StageEnd(strand, obs.StageFilter)
+	}
+	if err := r.err(); err != nil {
+		return nil, Workload{}, err
+	}
+	sortAnchors(passed)
+	return passed, Workload{
+		SeedHits:     int64(seedStats.SeedHits),
+		Candidates:   int64(seedStats.Candidates),
+		FilterTiles:  filterTiles,
+		FilterCells:  filterCells,
+		PassedFilter: int64(len(passed)),
+	}, nil
 }
 
 // addWorkload accumulates the seed/filter counters of one strand.
@@ -521,11 +527,15 @@ func replayAnchor(r *run, strand byte, rec *ckptAnchorRec, absorb *absorber, res
 	}
 }
 
-// runSeeding shards the query across workers and concatenates their
-// D-SOFT candidates. Workers poll cancellation and the candidate budget
-// every seedBlockChunks chunks; a worker panic is contained and
-// recorded on the run.
-func (a *Aligner) runSeeding(r *run, query []byte, strand byte) ([]dsoft.Anchor, dsoft.Stats) {
+// runSeeding collects the D-SOFT candidates whose query chunks lie in
+// [qs, qe) — the whole query is [0, len(query)); a shard unit passes
+// its chunk-aligned range — sharding the range across workers and
+// concatenating their candidates. D-SOFT band counting never straddles
+// a chunk boundary, so the candidates of a chunk-aligned range are the
+// corresponding slice of a whole-query run. Workers poll cancellation
+// and the candidate budget every seedBlockChunks chunks; a worker
+// panic is contained and recorded on the run.
+func (a *Aligner) runSeeding(r *run, query []byte, strand byte, qs, qe int) ([]dsoft.Anchor, dsoft.Stats) {
 	seeder, err := dsoft.NewSeeder(a.index, a.cfg.DSoft)
 	if err != nil {
 		// Params were validated in NewAligner; unreachable.
@@ -535,7 +545,7 @@ func (a *Aligner) runSeeding(r *run, query []byte, strand byte) ([]dsoft.Anchor,
 	chunk := a.cfg.DSoft.ChunkSize
 	// Shard boundaries land on chunk boundaries so band counting within
 	// a chunk never straddles workers.
-	shard := (len(query)/workers/chunk + 1) * chunk
+	shard := ((qe-qs)/workers/chunk + 1) * chunk
 	block := seedBlockChunks * chunk
 
 	type part struct {
@@ -545,11 +555,11 @@ func (a *Aligner) runSeeding(r *run, query []byte, strand byte) ([]dsoft.Anchor,
 	parts := make([]part, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		start := w * shard
-		if start >= len(query) {
+		start := qs + w*shard
+		if start >= qe {
 			break
 		}
-		end := min(start+shard, len(query))
+		end := min(start+shard, qe)
 		wg.Add(1)
 		go func(w, start, end int) {
 			defer wg.Done()
@@ -630,51 +640,46 @@ func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand
 				if r.hook != nil {
 					r.hook(StageFilter, w)
 				}
-				rec := r.rec
-				var t0 time.Time
-				p := &parts[w]
+				// tile scores one candidate with the configured filter
+				// and returns the extension anchor it would become: BSW's
+				// Vmax position, or the ungapped segment's end (its
+				// equivalent).
+				var tile func(an dsoft.Anchor) (passedAnchor, int)
 				switch a.cfg.Filter {
 				case FilterGapped:
 					ba := align.NewBandedAligner(a.sc, a.cfg.FilterBand)
-					for _, an := range anchors {
-						if r.stop() || !r.takeFilterTile() {
-							return
-						}
-						if rec != nil {
-							t0 = time.Now()
-						}
+					tile = func(an dsoft.Anchor) (passedAnchor, int) {
 						res := ba.FilterTile(a.target, query, an.TPos, an.QPos, a.cfg.FilterTileSize)
-						p.tiles++
-						p.cells += int64(res.Cells)
-						pass := res.Score >= a.cfg.FilterThreshold
-						if rec != nil {
-							rec.FilterTile(strand, w, pass, int64(res.Cells), t0, time.Since(t0))
-						}
-						if pass {
-							p.passed = append(p.passed, passedAnchor{tPos: res.TPos, qPos: res.QPos, score: res.Score})
-						}
+						return passedAnchor{tPos: res.TPos, qPos: res.QPos, score: res.Score}, res.Cells
 					}
 				case FilterUngapped:
 					ue := align.NewUngappedExtender(a.sc, a.cfg.UngappedXDrop)
-					for _, an := range anchors {
-						if r.stop() || !r.takeFilterTile() {
-							return
-						}
-						if rec != nil {
-							t0 = time.Now()
-						}
+					tile = func(an dsoft.Anchor) (passedAnchor, int) {
 						res := ue.Extend(a.target, query, an.TPos, an.QPos, a.shape.Span)
-						p.tiles++
-						p.cells += int64(res.Cells)
-						pass := res.Score >= a.cfg.FilterThreshold
-						if rec != nil {
-							rec.FilterTile(strand, w, pass, int64(res.Cells), t0, time.Since(t0))
-						}
-						if pass {
-							// Anchor extension starts at the segment's end
-							// (the equivalent of BSW's Vmax position).
-							p.passed = append(p.passed, passedAnchor{tPos: res.TEnd, qPos: res.QEnd, score: res.Score})
-						}
+						return passedAnchor{tPos: res.TEnd, qPos: res.QEnd, score: res.Score}, res.Cells
+					}
+				default:
+					return
+				}
+				rec := r.rec
+				var t0 time.Time
+				p := &parts[w]
+				for _, an := range anchors {
+					if r.stop() || !r.takeFilterTile() {
+						return
+					}
+					if rec != nil {
+						t0 = time.Now()
+					}
+					pa, cells := tile(an)
+					p.tiles++
+					p.cells += int64(cells)
+					pass := pa.score >= a.cfg.FilterThreshold
+					if rec != nil {
+						rec.FilterTile(strand, w, pass, int64(cells), t0, time.Since(t0))
+					}
+					if pass {
+						p.passed = append(p.passed, pa)
 					}
 				}
 			}

@@ -6,9 +6,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"darwinwga/internal/align"
-	"darwinwga/internal/dsoft"
 	"darwinwga/internal/gact"
 )
 
@@ -16,9 +16,10 @@ import (
 // scatter/gather plane. A ShardUnit is one independently dispatchable
 // slice of a whole-query alignment: one strand crossed with one
 // chunk-aligned query range. A worker executes the unit with
-// AlignShardUnit — seeding and filtering restricted to the range,
-// then extension of every filter survivor WITHOUT the anchor-absorption
-// walk — and returns one ShardFrame per above-threshold alignment.
+// AlignShardUnit — the shared strand front-end (seedFilter) restricted
+// to the range, then extension of every filter survivor WITHOUT the
+// anchor-absorption walk — and returns one ShardFrame per
+// above-threshold alignment.
 // The gather side reassembles a strand's frames with MergeShardFrames,
 // which re-runs the absorption walk over the canonically sorted union,
 // reproducing exactly the alignment set and emission order a one-shot
@@ -172,7 +173,7 @@ func MergeShardFrames(frames []ShardFrame, absorbBand int) (keep []int, absorbed
 // unit would poison the deterministic merge. The dispatching layer
 // enforces this by refusing to shard budgeted jobs; this function
 // double-checks and errors out.
-func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit) ([]ShardFrame, []HSP, error) {
+func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit) (frames []ShardFrame, hsps []HSP, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -187,16 +188,16 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 	}
 	r := a.newRun(ctx)
 	defer r.stopTimer()
+	if r.rec != nil {
+		t0 := time.Now()
+		r.rec.AlignBegin(u.QEnd - u.QStart)
+		defer func() { r.rec.AlignEnd(len(frames), time.Since(t0)) }()
+	}
 
-	anchors, _ := a.seedRange(r, query, u.QStart, u.QEnd)
-	if err := r.err(); err != nil {
+	passed, _, err := a.seedFilter(r, query, u.Strand, u.QStart, u.QEnd, new(Timings))
+	if err != nil {
 		return nil, nil, err
 	}
-	passed, _, _ := a.runFilter(r, query, anchors, u.Strand)
-	if err := r.err(); err != nil {
-		return nil, nil, err
-	}
-	sortAnchors(passed)
 
 	// Unlike runExtension, there is no absorber here — every extension
 	// is a pure function of its anchor — so the loop that must stay
@@ -204,11 +205,20 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 	// parallel in a unit. That matters: a unit extends anchors the
 	// one-shot walk would have absorbed, so serial extension would make
 	// units far slower than their share of a one-shot run.
-	ecfg := a.cfg.Extension
-	ecfg.Stop = r.stop
 	workers := min(a.cfg.workers(), len(passed))
 	exts := make([]*gact.Extender, workers)
+	// cur[w] is the anchor worker w is extending; its TileHook runs inside
+	// its own Extend call, so each slot has one reader/writer. Anchor spans
+	// of different workers overlap: a unit's Recorder must tolerate that.
+	cur := make([]int, workers)
 	for w := range exts {
+		ecfg := a.cfg.Extension
+		ecfg.Stop = r.stop
+		if r.rec != nil {
+			ecfg.TileHook = func(cells int, start time.Time, dur time.Duration) {
+				r.rec.ExtensionTile(u.Strand, cur[w], int64(cells), start, dur)
+			}
+		}
 		ext, err := gact.NewExtender(a.sc, ecfg)
 		if err != nil {
 			return nil, nil, err
@@ -224,7 +234,7 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(ext *gact.Extender) {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -232,21 +242,32 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 					return
 				}
 				p := passed[i]
+				if r.rec != nil {
+					r.rec.AnchorBegin(u.Strand, i)
+					cur[w] = i
+				}
+				var st gact.Stats
 				var aln align.Alignment
 				ok := r.runShard(StageExtension, i, func() {
+					st = gact.Stats{}
 					if r.hook != nil {
 						r.hook(StageExtension, i)
 					}
-					var st gact.Stats
-					aln = ext.Extend(a.target, query, p.tPos, p.qPos, &st)
+					aln = exts[w].Extend(a.target, query, p.tPos, p.qPos, &st)
 				}, nil)
 				if !ok {
+					if r.rec != nil {
+						r.rec.AnchorEnd(u.Strand, i, 0, 0, false)
+					}
 					failedIdx.CompareAndSwap(0, int64(i)+1)
 					return
 				}
+				if r.rec != nil {
+					r.rec.AnchorEnd(u.Strand, i, int64(st.Tiles), int64(st.Cells), aln.Score >= a.cfg.ExtensionThreshold)
+				}
 				outs[i] = extOut{done: true, aln: aln}
 			}
-		}(exts[w])
+		}(w)
 	}
 	wg.Wait()
 	if err := r.err(); err != nil {
@@ -258,8 +279,6 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 		// unit elsewhere.
 		return nil, nil, fmt.Errorf("core: shard unit %s: extension anchor %d failed after retries", u, fi-1)
 	}
-	var frames []ShardFrame
-	var hsps []HSP
 	for i, p := range passed {
 		aln := outs[i].aln
 		if !outs[i].done || aln.Score < a.cfg.ExtensionThreshold {
@@ -292,66 +311,4 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 		return nil, nil, fmt.Errorf("core: shard unit %s stopped early (%s)", u, r.truncation())
 	}
 	return frames, hsps, nil
-}
-
-// seedRange collects the D-SOFT candidates whose query chunks lie in
-// [qs, qe), sharding the range across the configured workers on chunk
-// boundaries — the same boundary rule runSeeding uses, so the
-// candidate multiset is identical to the corresponding slice of a
-// whole-query run.
-func (a *Aligner) seedRange(r *run, query []byte, qs, qe int) ([]dsoft.Anchor, dsoft.Stats) {
-	seeder, err := dsoft.NewSeeder(a.index, a.cfg.DSoft)
-	if err != nil {
-		// Params were validated in NewAligner; unreachable.
-		panic(err)
-	}
-	workers := a.cfg.workers()
-	chunk := a.cfg.DSoft.ChunkSize
-	span := ((qe-qs)/workers/chunk + 1) * chunk
-	block := seedBlockChunks * chunk
-
-	type part struct {
-		anchors []dsoft.Anchor
-		stats   dsoft.Stats
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start := qs + w*span
-		if start >= qe {
-			break
-		}
-		end := min(start+span, qe)
-		wg.Add(1)
-		go func(w, start, end int) {
-			defer wg.Done()
-			body := func() {
-				if r.hook != nil {
-					r.hook(StageSeeding, w)
-				}
-				scratch := dsoft.NewScratch()
-				p := &parts[w]
-				for bs := start; bs < end; bs += block {
-					if r.seedingStopped() {
-						return
-					}
-					be := min(bs+block, end)
-					p.anchors = seeder.Collect(query, bs, be, p.anchors, &p.stats, scratch)
-				}
-			}
-			reset := func() { parts[w] = part{} }
-			r.runShard(StageSeeding, w, body, reset)
-		}(w, start, end)
-	}
-	wg.Wait()
-	var anchors []dsoft.Anchor
-	var stats dsoft.Stats
-	for w := range parts {
-		anchors = append(anchors, parts[w].anchors...)
-		stats.QueryPositions += parts[w].stats.QueryPositions
-		stats.Lookups += parts[w].stats.Lookups
-		stats.SeedHits += parts[w].stats.SeedHits
-		stats.Candidates += parts[w].stats.Candidates
-	}
-	return anchors, stats
 }

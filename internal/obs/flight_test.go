@@ -181,26 +181,3 @@ func TestDisabledInstrumentationAllocs(t *testing.T) {
 		t.Errorf("nil FlightRecorder.Total allocates %g per op, want 0", n)
 	}
 }
-
-// BenchmarkFlightRecorderDisabled is the allocation guard the
-// FlightRecorder doc comment points at: the nil (disabled) recorder
-// must stay free on the serving hot path.
-func BenchmarkFlightRecorderDisabled(b *testing.B) {
-	var f *FlightRecorder
-	ev := FlightEvent{Type: FlightStarted, Job: "j", Worker: "w"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Record(ev)
-	}
-}
-
-// BenchmarkFlightRecorderEnabled measures the live ring for contrast —
-// steady state after the ring fills, so no growth allocations.
-func BenchmarkFlightRecorderEnabled(b *testing.B) {
-	f := NewFlightRecorder(64)
-	ev := FlightEvent{Type: FlightStarted, Job: "j", Worker: "w"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Record(ev)
-	}
-}

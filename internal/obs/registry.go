@@ -10,7 +10,7 @@
 // Figs. 9-10) — so every stage reports the same quantities through one
 // Recorder. A nil Recorder is the contract for "no telemetry": the
 // instrumented hot paths are branch-guarded and add zero allocations
-// (pinned by BenchmarkRecorderOverhead in internal/core).
+// (pinned by TestRecorderAllocOverheadConstant in internal/core).
 //
 // Metric names follow the convention
 //

@@ -147,7 +147,6 @@ func (s *Server) buildHandler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /varz", s.handleVarz)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -593,10 +592,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // lists the broken targets in the body.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	targets := s.reg.List()
-	breakers := s.jobs.brk.states()
+	breakers := s.jobs.brk.States()
 	openTargets := 0
 	for _, t := range targets {
-		if s.jobs.brk.openFor(t.Name) {
+		if breakers[t.Name] == BreakerOpen {
 			openTargets++
 		}
 	}
@@ -627,50 +626,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the server's registry in the Prometheus text
-// exposition format. Every counter /varz reports — plus the per-stage
-// pipeline histograms — comes from the same registry.
+// exposition format: the job counters and the per-stage pipeline
+// histograms come from the same registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w) //nolint:errcheck // response already committed
-}
-
-// handleVarz is the deprecated predecessor of GET /metrics, kept so
-// existing probes don't break. The legacy keys are served unchanged —
-// read from the same registry-backed counters /metrics exposes — and
-// the full expvar-style JSON view of the registry rides along under
-// "metrics".
-func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
-	states := map[JobState]int{}
-	s.jobs.mu.Lock()
-	for _, j := range s.jobs.jobs {
-		states[j.State()]++
-	}
-	s.jobs.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"deprecated":  "use /metrics",
-		"uptime_ms":   time.Since(s.started).Milliseconds(),
-		"draining":    s.jobs.Draining(),
-		"queue_depth": s.jobs.QueueDepth(),
-		"queue_cap":   cap(s.jobs.queue),
-		"running":     int64(s.jobs.Running.Value()),
-		"jobs":        states,
-		"targets":     s.reg.Len(),
-		"counters": map[string]int64{
-			"accepted":              s.jobs.Accepted.Value(),
-			"rejected_queue_full":   s.jobs.RejectedQueueFull.Value(),
-			"rejected_client_limit": s.jobs.RejectedClientLimit.Value(),
-			"rejected_oversize":     s.jobs.RejectedOversize.Value(),
-			"rejected_draining":     s.jobs.RejectedDraining.Value(),
-			"rejected_memory":       s.jobs.RejectedMemory.Value(),
-			"rejected_breaker_open": s.jobs.RejectedBreaker.Value(),
-			"completed":             s.jobs.Completed.Value(),
-			"failed":                s.jobs.Failed.Value(),
-			"cancelled":             s.jobs.Cancelled.Value(),
-			"hsps_streamed":         s.jobs.HSPsStreamed.Value(),
-			"stalled":               s.jobs.Stalled.Value(),
-			"retried":               s.jobs.Retried.Value(),
-			"recovered":             s.jobs.Recovered.Value(),
-		},
-		"metrics": json.RawMessage(s.metrics.String()),
-	})
 }

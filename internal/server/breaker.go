@@ -1,261 +1,217 @@
 package server
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"darwinwga/internal/faultinject"
-	"darwinwga/internal/obs"
 )
 
-// breaker is the per-target circuit breaker: a target whose jobs fail
-// repeatedly (including watchdog-detected stalls, which surface as
-// failures once retries are exhausted) stops admitting work for a
-// cooldown, then lets one probe job through. The states are the
-// classic three:
+// Breaker is the keyed circuit breaker, the only one in the tree. The
+// job manager keys it by target (a target whose jobs keep failing —
+// including watchdog stalls once retries are exhausted — stops
+// admitting work); the cluster coordinator keys it by worker id (a
+// worker whose transport keeps failing stops receiving dispatches even
+// while its lease is current). Per key the states are the classic
+// three:
 //
 //	closed    admitting; consecutive failures counted
 //	open      rejecting until cooldown elapses
-//	half-open one probe job in flight; success closes, failure reopens
+//	half-open one probe in flight; success closes, failure reopens
 //
-// Cancellations are the client's doing and count as neither. Breaker
-// state is visible in /readyz (per-target) and /metrics
-// (darwinwga_breaker_open gauges, darwinwga_breaker_trips_total).
+// A failure reported while a key is fully open is ignored: it comes
+// from work admitted before the trip and says nothing new, so it does
+// not extend the cooldown.
 //
-// A nil *breaker admits everything and records nothing — the disabled
+// A nil *Breaker admits everything and records nothing — the disabled
 // mode, threaded unconditionally like the job store.
-type breaker struct {
+type Breaker struct {
 	clock     faultinject.Clock
 	threshold int
 	cooldown  time.Duration
-	metrics   *obs.Registry
-	trips     *obs.Counter
+	onNew     func(key string)
 
-	mu      sync.Mutex
-	targets map[string]*targetBreaker
+	mu   sync.Mutex
+	keys map[string]*breakerEntry
 }
 
-type breakerState int
-
+// The three values State and States report.
 const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
+	BreakerClosed   = "closed"
+	BreakerOpen     = "open"
+	BreakerHalfOpen = "half-open"
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// gaugeValue is the /metrics encoding of a state: 0 closed, 1 open,
-// 0.5 half-open.
-func (s breakerState) gaugeValue() float64 {
-	switch s {
-	case breakerOpen:
-		return 1
-	case breakerHalfOpen:
-		return 0.5
-	default:
-		return 0
-	}
-}
-
-type targetBreaker struct {
-	state    breakerState
+type breakerEntry struct {
 	fails    int       // consecutive failures while closed
+	open     bool      // tripped; open or half-open by the clock
 	openedAt time.Time // when the breaker last tripped
-	probing  bool      // half-open: a probe job is in flight
+	probing  bool      // half-open: a probe is in flight
 }
 
-// newBreaker builds a breaker; threshold <= 0 disables it (returns nil).
-func newBreaker(clock faultinject.Clock, threshold int, cooldown time.Duration, metrics *obs.Registry) *breaker {
+// NewBreaker builds a breaker; threshold <= 0 disables it (returns
+// nil). onNew, when non-nil, runs once per key on first sight, under
+// the breaker's lock — the server registers the key's state gauge
+// there.
+func NewBreaker(clock faultinject.Clock, threshold int, cooldown time.Duration, onNew func(key string)) *Breaker {
 	if threshold <= 0 {
 		return nil
 	}
-	return &breaker{
+	return &Breaker{
 		clock:     clock,
 		threshold: threshold,
 		cooldown:  cooldown,
-		metrics:   metrics,
-		trips:     metrics.Counter("darwinwga_breaker_trips_total", "circuit breaker open transitions"),
-		targets:   make(map[string]*targetBreaker),
+		onNew:     onNew,
+		keys:      make(map[string]*breakerEntry),
 	}
 }
 
-// forTarget returns (creating and registering a state gauge on first
-// sight) the per-target state. Requires b.mu.
-func (b *breaker) forTarget(target string) *targetBreaker {
-	tb, ok := b.targets[target]
+// entry returns key's state, creating it on first sight. Requires b.mu.
+func (b *Breaker) entry(key string) *breakerEntry {
+	e, ok := b.keys[key]
 	if !ok {
-		tb = &targetBreaker{}
-		b.targets[target] = tb
-		name := fmt.Sprintf(`darwinwga_breaker_open{target="%s"}`, metricLabelSafe(target))
-		b.metrics.GaugeFunc(name, "circuit breaker state: 0 closed, 0.5 half-open, 1 open",
-			func() float64 {
-				b.mu.Lock()
-				defer b.mu.Unlock()
-				return b.currentLocked(tb).gaugeValue()
-			})
+		e = &breakerEntry{}
+		b.keys[key] = e
+		if b.onNew != nil {
+			b.onNew(key)
+		}
 	}
-	return tb
+	return e
 }
 
-// currentLocked resolves the effective state, applying the open →
-// half-open transition lazily once the cooldown has elapsed. Requires
-// b.mu.
-func (b *breaker) currentLocked(tb *targetBreaker) breakerState {
-	if tb.state == breakerOpen && b.clock.Now().Sub(tb.openedAt) >= b.cooldown {
-		tb.state = breakerHalfOpen
-		tb.probing = false
+// stateOf resolves the effective state: open decays to half-open once
+// the cooldown has elapsed. Requires b.mu.
+func (b *Breaker) stateOf(e *breakerEntry) string {
+	switch {
+	case e == nil || !e.open:
+		return BreakerClosed
+	case b.clock.Now().Sub(e.openedAt) < b.cooldown:
+		return BreakerOpen
+	default:
+		return BreakerHalfOpen
 	}
-	return tb.state
 }
 
-// allow decides admission for one job against target. ok=false comes
-// with the remaining cooldown as a Retry-After hint. In half-open
-// state the first allowed job is marked as the probe; callers that
-// admit a job and then fail to enqueue it must releaseProbe so the
+// Allow decides admission for one unit of work against key. ok=false
+// comes with the remaining cooldown as a Retry-After hint. In
+// half-open state the first allowed caller is the probe; a caller that
+// is admitted and then never runs the work must Release so the
 // half-open state does not wedge.
-func (b *breaker) allow(target string) (retryAfter time.Duration, ok bool) {
+func (b *Breaker) Allow(key string) (retryAfter time.Duration, ok bool) {
 	if b == nil {
 		return 0, true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	tb := b.forTarget(target)
-	switch b.currentLocked(tb) {
-	case breakerOpen:
-		return b.cooldown - b.clock.Now().Sub(tb.openedAt), false
-	case breakerHalfOpen:
-		if tb.probing {
+	e := b.entry(key)
+	switch b.stateOf(e) {
+	case BreakerOpen:
+		return b.cooldown - b.clock.Now().Sub(e.openedAt), false
+	case BreakerHalfOpen:
+		if e.probing {
 			return b.cooldown, false // a probe is already in flight
 		}
-		tb.probing = true
-		return 0, true
-	default:
-		return 0, true
+		e.probing = true
 	}
+	return 0, true
 }
 
-// releaseProbe undoes allow's probe claim when the admitted job never
-// made it into the queue (or was cancelled before it could prove
-// anything).
-func (b *breaker) releaseProbe(target string) {
+// Success records a working outcome: the breaker closes and the
+// failure streak resets.
+func (b *Breaker) Success(key string) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if tb, ok := b.targets[target]; ok && tb.state == breakerHalfOpen {
-		tb.probing = false
-	}
+	*b.entry(key) = breakerEntry{}
 }
 
-// record feeds one terminal job state back: done closes (or keeps
-// closed) the breaker, failed counts toward tripping it, cancelled is
-// neutral but releases a probe slot. It reports whether this exact
-// outcome tripped the breaker open, so the caller can log and record
-// the trip against the job that caused it.
-func (b *breaker) record(target string, state JobState) (tripped bool) {
+// Failure records a failed outcome and reports whether this exact
+// failure tripped the breaker open: the streak reaching threshold
+// while closed, or any failure while half-open (the probe failed:
+// reopen for a fresh cooldown).
+func (b *Breaker) Failure(key string) (tripped bool) {
 	if b == nil {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	tb := b.forTarget(target)
-	cur := b.currentLocked(tb)
-	switch state {
-	case JobDone:
-		tb.state = breakerClosed
-		tb.fails = 0
-		tb.probing = false
-	case JobFailed:
-		switch cur {
-		case breakerHalfOpen:
-			// The probe failed: reopen for another cooldown.
-			tb.state = breakerOpen
-			tb.openedAt = b.clock.Now()
-			tb.probing = false
-			b.trips.Inc()
-			tripped = true
-		case breakerClosed:
-			tb.fails++
-			if tb.fails >= b.threshold {
-				tb.state = breakerOpen
-				tb.openedAt = b.clock.Now()
-				tb.fails = 0
-				b.trips.Inc()
-				tripped = true
-			}
+	e := b.entry(key)
+	switch b.stateOf(e) {
+	case BreakerOpen:
+		return false
+	case BreakerClosed:
+		if e.fails++; e.fails < b.threshold {
+			return false
 		}
-	case JobCancelled:
-		tb.probing = false
 	}
-	return tripped
+	*e = breakerEntry{open: true, openedAt: b.clock.Now()}
+	return true
 }
 
-// states snapshots every target's effective breaker state, for /readyz.
-func (b *breaker) states() map[string]string {
+// Release frees the half-open probe slot without judging the key: the
+// admitted work never ran, or was cancelled before it could prove
+// anything.
+func (b *Breaker) Release(key string) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if e, ok := b.keys[key]; ok {
+		e.probing = false
+	}
+}
+
+// Forget drops a key's state (a worker deregistered or died; a
+// re-registration starts clean).
+func (b *Breaker) Forget(key string) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.keys, key)
+}
+
+// State reports key's effective state; a key never seen is closed.
+func (b *Breaker) State(key string) string {
+	if b == nil {
+		return BreakerClosed
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stateOf(b.keys[key])
+}
+
+// States snapshots every known key's effective state, for /readyz.
+func (b *Breaker) States() map[string]string {
 	if b == nil {
 		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[string]string, len(b.targets))
-	for name, tb := range b.targets {
-		out[name] = b.currentLocked(tb).String()
+	out := make(map[string]string, len(b.keys))
+	for key, e := range b.keys {
+		out[key] = b.stateOf(e)
 	}
 	return out
 }
 
-// openCount reports how many targets' breakers are fully open, for the
-// heartbeat-piggybacked worker snapshot.
-func (b *breaker) openCount() int {
+// OpenCount reports how many keys are fully open (half-open admits
+// probes, so it does not count).
+func (b *Breaker) OpenCount() int {
 	if b == nil {
 		return 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0
-	for _, tb := range b.targets {
-		if b.currentLocked(tb) == breakerOpen {
+	for _, e := range b.keys {
+		if b.stateOf(e) == BreakerOpen {
 			n++
 		}
 	}
 	return n
-}
-
-// openFor reports whether target is currently rejecting (fully open;
-// half-open admits probes, so it does not count).
-func (b *breaker) openFor(target string) bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	tb, ok := b.targets[target]
-	return ok && b.currentLocked(tb) == breakerOpen
-}
-
-// metricLabelSafe maps an arbitrary target name into the registry's
-// label-value alphabet.
-func metricLabelSafe(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '-', r == '.', r == ':', r == '/':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

@@ -293,7 +293,7 @@ func (j *Job) queryRef() *genome.Assembly {
 
 // counters are the manager's load-shedding and throughput counters.
 // They live in the server's metrics registry (darwinwga_jobs_*), so
-// one set of values backs /metrics, /varz, and the admission logic.
+// one set of values backs /metrics and the admission logic.
 type counters struct {
 	Accepted            *obs.Counter
 	RejectedQueueFull   *obs.Counter
@@ -302,6 +302,7 @@ type counters struct {
 	RejectedDraining    *obs.Counter
 	RejectedMemory      *obs.Counter
 	RejectedBreaker     *obs.Counter
+	BreakerTrips        *obs.Counter
 	Completed           *obs.Counter
 	Failed              *obs.Counter
 	Cancelled           *obs.Counter
@@ -326,6 +327,7 @@ func newCounters(reg *obs.Registry) counters {
 		RejectedDraining:    reg.Counter(`darwinwga_jobs_rejected_total{reason="draining"}`, "submissions rejected by admission control"),
 		RejectedMemory:      reg.Counter(`darwinwga_jobs_rejected_total{reason="memory"}`, "submissions rejected by admission control"),
 		RejectedBreaker:     reg.Counter(`darwinwga_jobs_rejected_total{reason="breaker_open"}`, "submissions rejected by admission control"),
+		BreakerTrips:        reg.Counter("darwinwga_breaker_trips_total", "circuit breaker open transitions"),
 		Completed:           reg.Counter(`darwinwga_jobs_finished_total{state="done"}`, "jobs reaching a terminal state"),
 		Failed:              reg.Counter(`darwinwga_jobs_finished_total{state="failed"}`, "jobs reaching a terminal state"),
 		Cancelled:           reg.Counter(`darwinwga_jobs_finished_total{state="cancelled"}`, "jobs reaching a terminal state"),
@@ -359,7 +361,7 @@ type Manager struct {
 	log            *slog.Logger
 
 	store        *jobStore
-	brk          *breaker
+	brk          *Breaker
 	clock        faultinject.Clock
 	stallWindow  time.Duration
 	stallTick    time.Duration
@@ -415,7 +417,7 @@ type Manager struct {
 // non-terminal job on top of cfg.QueueDepth — restart must never shed
 // jobs the journal promised, and the reservation keeps every internal
 // queue send non-blocking (new submissions shed at queueLimit).
-func newManager(reg *Registry, metrics *obs.Registry, cfg Config, store *jobStore, brk *breaker, recovered []recoveredJob) *Manager {
+func newManager(reg *Registry, metrics *obs.Registry, cfg Config, store *jobStore, brk *Breaker, recovered []recoveredJob) *Manager {
 	nonTerminal := 0
 	for i := range recovered {
 		if recovered[i].fin == nil {
@@ -808,7 +810,7 @@ func (m *Manager) Submit(params JobParams, query *genome.Assembly, client string
 		m.log.Warn("job rejected", "reason", "queue_full", "client", client)
 		return nil, ErrQueueFull
 	}
-	if retryAfter, ok := m.brk.allow(params.Target); !ok {
+	if retryAfter, ok := m.brk.Allow(params.Target); !ok {
 		m.RejectedBreaker.Inc()
 		m.log.Warn("job rejected", "reason", "breaker_open", "client", client,
 			"target", params.Target, "retry_after", retryAfter)
@@ -820,24 +822,26 @@ func (m *Manager) Submit(params JobParams, query *genome.Assembly, client string
 	// which recovery relies on.
 	if m.store != nil {
 		if _, err := m.store.saveQuery(j.ID, query); err != nil {
-			m.brk.releaseProbe(params.Target)
+			m.brk.Release(params.Target)
 			m.log.Error("job rejected", "reason", "journal", "client", client, "error", err)
 			return nil, fmt.Errorf("server: persisting query: %w", err)
 		}
 		if err := m.store.submitted(j); err != nil {
-			m.brk.releaseProbe(params.Target)
+			m.brk.Release(params.Target)
 			m.store.removeArtifacts(j.ID)
 			m.log.Error("job rejected", "reason", "journal", "client", client, "error", err)
 			return nil, err
 		}
 	}
+	// Recorded before the enqueue: a worker may pick the job up (and
+	// record "started") the instant it is in the queue.
+	j.flight.Record(obs.FlightEvent{At: j.created, Type: obs.FlightAdmitted, Source: "worker",
+		Job: j.ID, Detail: "target " + params.Target})
 	m.queue <- j
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.perClient[client]++
 	m.Accepted.Inc()
-	j.flight.Record(obs.FlightEvent{At: j.created, Type: obs.FlightAdmitted, Source: "worker",
-		Job: j.ID, Detail: "target " + params.Target})
 	m.log.Info("job queued", "job_id", j.ID, "client", client,
 		"target", params.Target, "query", j.QueryName, "query_bases", query.TotalLen())
 	m.evictLocked()
@@ -985,7 +989,7 @@ func (m *Manager) settleCancelledQueued(j *Job, why string) {
 	if err := m.store.finished(j, JobCancelled, "", "", 0, nil, m.clock.Now()); err != nil {
 		m.log.Error("journaling job terminal state", "job_id", j.ID, "error", err)
 	}
-	m.brk.record(j.Params.Target, JobCancelled)
+	m.brk.Release(j.Params.Target)
 	m.releaseClient(j)
 }
 
@@ -993,7 +997,7 @@ func (m *Manager) settleCancelledQueued(j *Job, why string) {
 func (m *Manager) QueueDepth() int { return len(m.queue) }
 
 // countState returns the number of retained jobs currently in state st
-// (computed at scrape time for the per-state gauges and /varz).
+// (computed at scrape time for the per-state gauges).
 func (m *Manager) countState(st JobState) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1310,10 +1314,20 @@ func (m *Manager) finalize(j *Job, state JobState, res *core.Result, msg string)
 	}
 	j.flight.Record(obs.FlightEvent{At: now, Type: obs.FlightFinished, Source: "worker",
 		Job: j.ID, Detail: detail})
-	if m.brk.record(j.Params.Target, state) {
-		j.flight.Record(obs.FlightEvent{At: now, Type: obs.FlightBreakerTrip, Source: "worker",
-			Job: j.ID, Detail: "target " + j.Params.Target})
-		m.log.Warn("circuit breaker tripped", "job_id", j.ID, "target", j.Params.Target)
+	// Cancellations are the client's doing: they free a probe slot but
+	// count as neither success nor failure.
+	switch state {
+	case JobDone:
+		m.brk.Success(j.Params.Target)
+	case JobCancelled:
+		m.brk.Release(j.Params.Target)
+	default:
+		if m.brk.Failure(j.Params.Target) {
+			m.BreakerTrips.Inc()
+			j.flight.Record(obs.FlightEvent{At: now, Type: obs.FlightBreakerTrip, Source: "worker",
+				Job: j.ID, Detail: "target " + j.Params.Target})
+			m.log.Warn("circuit breaker tripped", "job_id", j.ID, "target", j.Params.Target)
+		}
 	}
 	m.releaseClient(j)
 }

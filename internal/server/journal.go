@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -231,12 +231,11 @@ func (s *jobStore) append(kind uint8, v any) error {
 // them — which is what keeps a recovered job's pipeline-checkpoint
 // fingerprint valid.
 func (s *jobStore) saveQuery(id string, query *genome.Assembly) (string, error) {
-	var buf bytes.Buffer
-	if err := genome.WriteFASTA(&buf, query.Seqs, 0); err != nil {
-		return "", err
-	}
 	path := s.queryPath(id)
-	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+	err := checkpoint.WriteFileAtomic(path, nil, func(w io.Writer) error {
+		return genome.WriteFASTA(w, query.Seqs, 0)
+	})
+	if err != nil {
 		return "", err
 	}
 	return path, nil
@@ -276,7 +275,7 @@ func (s *jobStore) finished(j *Job, state JobState, errMsg, truncated string, hs
 	if s == nil {
 		return nil
 	}
-	if err := writeFileAtomic(s.mafPath(j.ID), mafBytes); err != nil {
+	if err := checkpoint.WriteBytesAtomic(s.mafPath(j.ID), nil, mafBytes); err != nil {
 		return fmt.Errorf("server: spilling job MAF: %w", err)
 	}
 	return s.append(jsKindFinished, jsFinished{
@@ -326,30 +325,4 @@ func (s *jobStore) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.j.Close() //nolint:errcheck // shutdown path; records are already fsynced
-}
-
-// writeFileAtomic publishes data at path via temp + fsync + rename +
-// directory fsync, so a crash leaves either the old file or the whole
-// new one.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	return checkpoint.SyncDir(filepath.Dir(path))
 }

@@ -159,56 +159,6 @@ func TestJobStatsBlock(t *testing.T) {
 	}
 }
 
-// TestVarzCompatibility pins the deprecated /varz surface: the legacy
-// counter shape still parses, and the payload now points at /metrics
-// and embeds the registry's JSON view.
-func TestVarzCompatibility(t *testing.T) {
-	pair := testPair(t, "dm6-droSim1", 0.0004)
-	srv, ts := newTestServer(t, server.Config{}, nil)
-	if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
-		t.Fatal(err)
-	}
-	runOneJob(t, ts.URL, pair.Target.Name, fastaText(t, pair.Query), pair.Query.Name)
-
-	resp, body := get(t, ts.URL+"/varz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/varz: HTTP %d", resp.StatusCode)
-	}
-	var varz struct {
-		QueueCap   int              `json:"queue_cap"`
-		Targets    int              `json:"targets"`
-		Counters   map[string]int64 `json:"counters"`
-		Deprecated string           `json:"deprecated"`
-		Metrics    json.RawMessage  `json:"metrics"`
-	}
-	if err := json.Unmarshal(body, &varz); err != nil {
-		t.Fatalf("/varz is not valid JSON: %v", err)
-	}
-	if varz.Targets != 1 || varz.QueueCap <= 0 {
-		t.Errorf("varz basics: %+v", varz)
-	}
-	for _, key := range []string{
-		"completed", "cancelled", "rejected_queue_full", "rejected_client_limit", "rejected_oversize",
-	} {
-		if _, ok := varz.Counters[key]; !ok {
-			t.Errorf("legacy counter %q missing from /varz", key)
-		}
-	}
-	if varz.Counters["completed"] != 1 {
-		t.Errorf("completed = %d, want 1", varz.Counters["completed"])
-	}
-	if !strings.Contains(varz.Deprecated, "/metrics") {
-		t.Errorf("deprecation notice = %q", varz.Deprecated)
-	}
-	var view map[string]any
-	if err := json.Unmarshal(varz.Metrics, &view); err != nil {
-		t.Fatalf("embedded metrics view is not JSON: %v", err)
-	}
-	if view["darwinwga_jobs_accepted_total"] != float64(1) {
-		t.Errorf("metrics view accepted = %v", view["darwinwga_jobs_accepted_total"])
-	}
-}
-
 // TestPprofGating: the profiling endpoints exist only when enabled.
 func TestPprofGating(t *testing.T) {
 	_, tsOff := newTestServer(t, server.Config{}, nil)

@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -311,7 +313,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	brk := newBreaker(cfg.Clock, cfg.BreakerThreshold, cfg.BreakerCooldown, metrics)
+	var brk *Breaker
+	brk = NewBreaker(cfg.Clock, cfg.BreakerThreshold, cfg.BreakerCooldown, func(target string) {
+		name := fmt.Sprintf(`darwinwga_breaker_open{target="%s"}`, metricLabelSafe(target))
+		metrics.GaugeFunc(name, "circuit breaker state: 0 closed, 0.5 half-open, 1 open",
+			func() float64 { return breakerGauge[brk.State(target)] })
+	})
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
@@ -426,7 +433,7 @@ func (s *Server) Snapshot() obs.WorkerSnapshot {
 	return obs.WorkerSnapshot{
 		QueueDepth:           s.jobs.QueueDepth(),
 		Running:              int(s.jobs.Running.Value()),
-		BreakersOpen:         s.jobs.brk.openCount(),
+		BreakersOpen:         s.jobs.brk.OpenCount(),
 		IndexResidentBytes:   s.reg.ResidentIndexBytes(),
 		IndexResidentTargets: s.reg.ResidentTargets(),
 		IndexEvictions:       s.reg.metrics.evictions.Value(),
@@ -520,4 +527,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// the store can seal its segment.
 	s.jobs.store.close()
 	return drainErr
+}
+
+// breakerGauge is the /metrics encoding of a breaker state (closed = 0).
+var breakerGauge = map[string]float64{BreakerOpen: 1, BreakerHalfOpen: 0.5}
+
+// metricLabelSafe maps an arbitrary target name into the registry's
+// label-value alphabet.
+func metricLabelSafe(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '_', r == '-', r == '.', r == ':', r == '/':
+			return r
+		default:
+			return '_'
+		}
+	}, s)
 }

@@ -18,6 +18,7 @@ import (
 	"darwinwga/internal/evolve"
 	"darwinwga/internal/genome"
 	"darwinwga/internal/maf"
+	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
 )
 
@@ -426,16 +427,15 @@ func TestAdmissionControl(t *testing.T) {
 		t.Errorf("gated job MAF: complete=%v err=%v", complete, err)
 	}
 
-	_, varz := get(t, ts.URL+"/varz")
-	var v struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(varz, &v); err != nil {
-		t.Fatalf("decoding varz: %v", err)
-	}
-	for _, key := range []string{"rejected_client_limit", "rejected_queue_full", "cancelled", "completed"} {
-		if v.Counters[key] < 1 {
-			t.Errorf("varz counter %s = %d, want >= 1", key, v.Counters[key])
+	jobs := srv.Jobs()
+	for name, c := range map[string]*obs.Counter{
+		"rejected_client_limit": jobs.RejectedClientLimit,
+		"rejected_queue_full":   jobs.RejectedQueueFull,
+		"cancelled":             jobs.Cancelled,
+		"completed":             jobs.Completed,
+	} {
+		if c.Value() < 1 {
+			t.Errorf("counter %s = %d, want >= 1", name, c.Value())
 		}
 	}
 }
@@ -632,7 +632,7 @@ func TestBudgetPartialTruncated(t *testing.T) {
 // duplicate), request validation, and the up-front oversize rejection.
 func TestHTTPValidationAndRegistration(t *testing.T) {
 	pair := testPair(t, "dm6-droSim1", 0.0004)
-	_, ts := newTestServer(t, server.Config{MaxQueryBases: 1000}, nil)
+	srv, ts := newTestServer(t, server.Config{MaxQueryBases: 1000}, nil)
 
 	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: HTTP %d", resp.StatusCode)
@@ -710,21 +710,8 @@ func TestHTTPValidationAndRegistration(t *testing.T) {
 		}
 	}
 
-	// varz is well-formed JSON with the counters map.
-	_, varz := get(t, ts.URL+"/varz")
-	var v struct {
-		QueueCap int              `json:"queue_cap"`
-		Targets  int              `json:"targets"`
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(varz, &v); err != nil {
-		t.Fatalf("decoding varz: %v", err)
-	}
-	if v.QueueCap == 0 || v.Targets != 1 || v.Counters == nil {
-		t.Errorf("varz = %+v", v)
-	}
-	if v.Counters["rejected_oversize"] < 1 {
-		t.Errorf("rejected_oversize = %d, want >= 1", v.Counters["rejected_oversize"])
+	if n := srv.Jobs().RejectedOversize.Value(); n < 1 {
+		t.Errorf("rejected_oversize = %d, want >= 1", n)
 	}
 }
 

@@ -92,18 +92,10 @@ func (m *Manager) downloadSegment(j *Job, dir, name string) error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck
 		return errHTTPStatus(resp.StatusCode)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, checkpoint.DefaultSegmentBytes*4))
-	if err != nil {
+	return checkpoint.WriteFileAtomic(filepath.Join(dir, name), nil, func(w io.Writer) error {
+		_, err := io.Copy(w, io.LimitReader(resp.Body, checkpoint.DefaultSegmentBytes*4))
 		return err
-	}
-	tmp := filepath.Join(dir, name+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return checkpoint.SyncDir(dir)
+	})
 }
 
 type errHTTPStatus int

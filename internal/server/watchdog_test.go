@@ -191,7 +191,7 @@ func TestWatchdogExhaustedRetriesTripBreaker(t *testing.T) {
 	if st := probe.State(); st != JobDone {
 		t.Fatalf("probe state = %q, want done", st)
 	}
-	if srv.Jobs().brk.openFor("tgt") {
+	if srv.Jobs().brk.State("tgt") == BreakerOpen {
 		t.Fatal("breaker still open after a successful probe")
 	}
 	rr = httptest.NewRecorder()
