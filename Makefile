@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
+.PHONY: all build vet check-once test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
 
 all: build
 
@@ -9,6 +9,22 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Declared-once guard (shell only): the job contract and the worker
+# client each exist once, and this keeps the copies from growing back.
+# Fails if the job-parameter JSON tags are declared in more than one
+# non-test Go file outside bench/ (core.JobSpec is the one), if a deleted
+# copy reappears under its old name, or if internal/cluster grows a timed
+# select beside Coordinator.wait (8 Clock.After sites remain: wait,
+# doRequestTimeout, sweeper, Agent.sleep, the hedge tick, and three in
+# replication.go).
+check-once:
+	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
+	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude-dir=bench 'func cWriteJSON|type (clusterSubmit|workerSubmit|jobSpec) ' .; then \
+		echo "check-once: a deleted copy of the job contract is back"; exit 1; fi
+	@n=$$(ls internal/cluster/*.go | grep -v _test.go | xargs cat | grep -o 'Clock\.After(' | wc -l); \
+	if [ "$$n" -gt 8 ]; then echo "check-once: $$n Clock.After sites in internal/cluster, want <= 8 (use Coordinator.wait)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -170,4 +186,4 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzIndexLoad -fuzztime 10s ./internal/indexstore/
 
-ci: build vet test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench
+ci: build vet check-once test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench

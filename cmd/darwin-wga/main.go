@@ -65,6 +65,7 @@ import (
 	"darwinwga"
 	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/cluster"
+	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/obs"
 	"darwinwga/internal/stats"
@@ -276,21 +277,20 @@ func serveMain(args []string) int {
 	switch *role {
 	case "standalone", "worker":
 	case "coordinator":
-		return coordinatorMain(coordinatorOptions{
-			addr:          *addr,
-			shardDispatch: splitURLList(*shardTgts),
-			shardUnits:    *shardUnits,
-			replication:   *replication,
-			leaseTTL:      *leaseTTL,
-			poll:          *pollEvery,
-			dispatchTO:    *dispatchTO,
-			maxQuery:      *maxQueryMB << 20,
-			journalDir:    *journalDir,
-			standbyOf:     strings.TrimSuffix(*standbyOf, "/"),
-			standbys:      splitURLList(*standbyURLs),
-			advertise:     strings.TrimSuffix(*advURL, "/"),
-			log:           logger,
-		})
+		return coordinatorMain(cluster.Config{
+			Addr:              *addr,
+			AdvertiseURL:      strings.TrimSuffix(*advURL, "/"),
+			ShardDispatch:     splitURLList(*shardTgts),
+			ShardUnits:        *shardUnits,
+			Standbys:          splitURLList(*standbyURLs),
+			ReplicationFactor: *replication,
+			LeaseTTL:          *leaseTTL,
+			PollInterval:      *pollEvery,
+			DispatchTimeout:   *dispatchTO,
+			MaxQueryBases:     *maxQueryMB << 20,
+			JournalDir:        *journalDir,
+			Log:               logger,
+		}, strings.TrimSuffix(*standbyOf, "/"))
 	default:
 		fmt.Fprintf(os.Stderr, "darwin-wga serve: -role must be standalone, coordinator, or worker, got %q\n", *role)
 		return 2
@@ -423,23 +423,6 @@ func serveMain(args []string) int {
 	return 0
 }
 
-// coordinatorOptions is the flag subset the coordinator role consumes.
-type coordinatorOptions struct {
-	addr          string
-	shardDispatch []string
-	shardUnits    int
-	replication   int
-	leaseTTL      time.Duration
-	poll          time.Duration
-	dispatchTO    time.Duration
-	maxQuery      int
-	journalDir    string
-	standbyOf     string
-	standbys      []string
-	advertise     string
-	log           *slog.Logger
-}
-
 // splitURLList parses a comma-separated URL list flag, dropping empties
 // and trailing slashes.
 func splitURLList(s string) []string {
@@ -453,25 +436,6 @@ func splitURLList(s string) []string {
 	return out
 }
 
-// clusterConfig builds the coordinator configuration shared by the
-// leader path and the standby's promotion path.
-func (opts coordinatorOptions) clusterConfig() cluster.Config {
-	return cluster.Config{
-		Addr:              opts.addr,
-		AdvertiseURL:      opts.advertise,
-		ShardDispatch:     opts.shardDispatch,
-		ShardUnits:        opts.shardUnits,
-		Standbys:          opts.standbys,
-		ReplicationFactor: opts.replication,
-		LeaseTTL:          opts.leaseTTL,
-		PollInterval:      opts.poll,
-		DispatchTimeout:   opts.dispatchTO,
-		MaxQueryBases:     opts.maxQuery,
-		JournalDir:        opts.journalDir,
-		Log:               opts.log,
-	}
-}
-
 // coordinatorMain runs the cluster coordinator until SIGINT/SIGTERM.
 // Shutdown is crash-only: in-flight jobs are not failed, they are
 // journaled and resume on the next start exactly as after a crash.
@@ -480,16 +444,16 @@ func (opts coordinatorOptions) clusterConfig() cluster.Config {
 // replication stream goes silent past the lease TTL, then promotes
 // itself to a full coordinator on the same address with a higher
 // fencing epoch.
-func coordinatorMain(opts coordinatorOptions) int {
-	if opts.standbyOf != "" {
-		return standbyMain(opts)
+func coordinatorMain(cfg cluster.Config, standbyOf string) int {
+	if standbyOf != "" {
+		return standbyMain(cfg, standbyOf)
 	}
-	coord, err := cluster.New(opts.clusterConfig())
+	coord, err := cluster.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", opts.addr)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
@@ -497,7 +461,7 @@ func coordinatorMain(opts coordinatorOptions) int {
 	// Same load-bearing line as the server roles: with -addr :0 this is
 	// how callers discover the bound port.
 	fmt.Fprintf(os.Stderr, "darwin-wga serve: listening on %s\n", ln.Addr())
-	opts.log.Info("serving", "addr", ln.Addr().String(), "role", "coordinator",
+	cfg.Log.Info("serving", "addr", ln.Addr().String(), "role", "coordinator",
 		"version", obs.BuildVersion())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -505,7 +469,7 @@ func coordinatorMain(opts coordinatorOptions) int {
 	drained := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		opts.log.Info("signal received, stopping coordinator")
+		cfg.Log.Info("signal received, stopping coordinator")
 		drained <- coord.Shutdown(context.Background())
 	}()
 	if err := coord.Serve(ln); err != nil {
@@ -516,50 +480,50 @@ func coordinatorMain(opts coordinatorOptions) int {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve: shutdown:", err)
 		return 1
 	}
-	opts.log.Info("coordinator stopped, exiting")
+	cfg.Log.Info("coordinator stopped, exiting")
 	return 0
 }
 
 // standbyMain runs the warm-standby coordinator: tail the leader's
 // journal, promote on silence, keep serving on the same listener
 // throughout (503 before promotion, the full coordinator API after).
-func standbyMain(opts coordinatorOptions) int {
-	if opts.journalDir == "" {
+func standbyMain(cfg cluster.Config, leaderURL string) int {
+	if cfg.JournalDir == "" {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve: -standby-of requires -journal-dir")
 		return 2
 	}
 	sb, err := cluster.NewStandby(cluster.StandbyConfig{
-		LeaderURL:   opts.standbyOf,
-		JournalDir:  opts.journalDir,
-		Coordinator: opts.clusterConfig(),
-		Log:         opts.log,
+		LeaderURL:   leaderURL,
+		JournalDir:  cfg.JournalDir,
+		Coordinator: cfg,
+		Log:         cfg.Log,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", opts.addr)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "darwin-wga serve: listening on %s\n", ln.Addr())
-	opts.log.Info("serving", "addr", ln.Addr().String(), "role", "standby",
+	cfg.Log.Info("serving", "addr", ln.Addr().String(), "role", "standby",
 		"version", obs.BuildVersion())
-	opts.log.Info("standby replicating", "leader", opts.standbyOf)
+	cfg.Log.Info("standby replicating", "leader", leaderURL)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
 		if err := sb.Run(ctx); err != nil && ctx.Err() == nil {
-			opts.log.Error("standby replication loop", "err", err)
+			cfg.Log.Error("standby replication loop", "err", err)
 		}
 	}()
 	httpSrv := &http.Server{Handler: sb.Handler()}
 	drained := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		opts.log.Info("signal received, stopping standby")
+		cfg.Log.Info("signal received, stopping standby")
 		err := sb.Shutdown(context.Background())
 		if cerr := httpSrv.Close(); err == nil {
 			err = cerr
@@ -574,8 +538,25 @@ func standbyMain(opts coordinatorOptions) int {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve: shutdown:", err)
 		return 1
 	}
-	opts.log.Info("standby stopped, exiting")
+	cfg.Log.Info("standby stopped, exiting")
 	return 0
+}
+
+// pipelineConfig maps the alignment flags onto the pipeline
+// configuration through core.JobSpec.Apply — the mapping a served job's
+// parameters go through, which is what keeps the two byte-identical.
+// -timeout is set as a duration (a JobSpec deadline has millisecond
+// resolution).
+func pipelineConfig(opts options) darwinwga.Config {
+	cfg := core.JobSpec{
+		Ungapped:    opts.ungapped,
+		ForwardOnly: opts.oneStrand,
+		Hf:          opts.hf,
+		He:          opts.he,
+	}.Apply(darwinwga.DefaultConfig())
+	cfg.Workers = opts.workers
+	cfg.Deadline = opts.timeout
+	return cfg
 }
 
 func run(ctx context.Context, opts options) error {
@@ -643,19 +624,7 @@ func run(ctx context.Context, opts options) error {
 		return fmt.Errorf("need either -pair or both -target and -query")
 	}
 
-	cfg := darwinwga.DefaultConfig()
-	if opts.ungapped {
-		cfg = darwinwga.LASTZBaselineConfig()
-	}
-	if opts.hf != 0 {
-		cfg.FilterThreshold = opts.hf
-	}
-	if opts.he != 0 {
-		cfg.ExtensionThreshold = opts.he
-	}
-	cfg.Workers = opts.workers
-	cfg.BothStrands = !opts.oneStrand
-	cfg.Deadline = opts.timeout
+	cfg := pipelineConfig(opts)
 	cfg.CheckpointDir = opts.checkpointDir
 	if opts.retries > 0 {
 		cfg.Retry = darwinwga.RetryPolicy{

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"darwinwga"
+	"darwinwga/internal/core"
 	"darwinwga/internal/evolve"
 )
 
@@ -121,5 +122,33 @@ func TestRunCancelledContextWritesPartialOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "##maf") {
 		t.Errorf("partial output is not MAF: %q", string(data[:min(len(data), 40)]))
+	}
+}
+
+// TestPipelineConfigAppliesSpec: the flag→Config path is
+// core.JobSpec.Apply of the equivalent spec — the mapping a served job
+// goes through (internal/server's TestJobConfigAppliesSpec), so equal
+// Fingerprints here are what keeps CLI and served MAF byte-identical.
+func TestPipelineConfigAppliesSpec(t *testing.T) {
+	cases := []struct {
+		opts options
+		spec core.JobSpec
+	}{
+		{options{}, core.JobSpec{}},
+		{options{hf: 2500, he: 2600}, core.JobSpec{Hf: 2500, He: 2600}},
+		{options{ungapped: true}, core.JobSpec{Ungapped: true}},
+		{options{ungapped: true, hf: 2500, he: 2600}, core.JobSpec{Ungapped: true, Hf: 2500, He: 2600}},
+		{options{oneStrand: true}, core.JobSpec{ForwardOnly: true}},
+		{options{timeout: 90 * time.Millisecond, workers: 3}, core.JobSpec{DeadlineMS: 90}},
+	}
+	for _, tc := range cases {
+		got, want := pipelineConfig(tc.opts), tc.spec.Apply(core.DefaultConfig())
+		if got.Fingerprint() != want.Fingerprint() || got.Deadline != want.Deadline {
+			t.Errorf("pipelineConfig(%+v) = %+v, want %+v", tc.opts, got, want)
+		}
+	}
+	got, lastz := pipelineConfig(options{ungapped: true}), darwinwga.LASTZBaselineConfig()
+	if got.Fingerprint() != lastz.Fingerprint() {
+		t.Errorf("-ungapped is not the LASTZ baseline: %+v", got)
 	}
 }

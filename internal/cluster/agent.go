@@ -15,7 +15,6 @@ import (
 
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
-	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
 )
 
@@ -248,73 +247,62 @@ func (a *Agent) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// post sends one JSON request to the current coordinator and returns
+// the HTTP status plus, on 200, the lease it granted — whose epoch and
+// standby set are fed back into the worker: the epoch arms the server's
+// stale-epoch gate, and advertised standbys extend the failover list.
+func (a *Agent) post(ctx context.Context, path string, body any) (int, leaseGrant, error) {
+	var grant leaseGrant
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return 0, grant, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.coordinator()+path, bytes.NewReader(payload))
+	if err != nil {
+		return 0, grant, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := a.client.Do(req)
+	if err != nil {
+		return 0, grant, err
+	}
+	defer drainClose(resp)
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, grant, nil
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&grant); err != nil {
+		return resp.StatusCode, grant, err
+	}
+	if grant.Epoch > 0 {
+		a.cfg.Server.ObserveClusterEpoch(grant.Epoch)
+	}
+	a.mergeCoordinators(grant.Coordinators)
+	return resp.StatusCode, grant, nil
+}
+
 // register advertises the worker's targets and returns the granted
 // lease TTL.
 func (a *Agent) register(ctx context.Context) (time.Duration, error) {
-	type targetEntry struct {
-		Name        string `json:"name"`
-		Fingerprint string `json:"fingerprint"`
-		// Serialized advertises that this worker holds the target as a
-		// serialized index file, so its post-eviction (or post-restart)
-		// reloads are near-instant loads rather than index rebuilds —
-		// placement-relevant capacity information for the coordinator.
-		Serialized bool `json:"serialized_index,omitempty"`
-	}
-	body := struct {
-		WorkerID string        `json:"worker_id"`
-		Addr     string        `json:"addr"`
-		Targets  []targetEntry `json:"targets"`
-	}{WorkerID: a.cfg.WorkerID, Addr: a.cfg.Advertise}
+	body := registerBody{WorkerID: a.cfg.WorkerID, Addr: a.cfg.Advertise}
 	for _, t := range a.cfg.Server.Registry().List() {
-		body.Targets = append(body.Targets, targetEntry{
+		body.Targets = append(body.Targets, registerTarget{
 			Name:        t.Name,
 			Fingerprint: t.Fingerprint,
 			Serialized:  t.SerializedIndex(),
 		})
 	}
-	payload, err := json.Marshal(body)
+	code, grant, err := a.post(ctx, "/cluster/v1/register", body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.coordinator()+"/cluster/v1/register", bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
+	if code != http.StatusOK {
+		return 0, fmt.Errorf("cluster: register HTTP %d", code)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck
-		return 0, fmt.Errorf("cluster: register HTTP %d", resp.StatusCode)
-	}
-	var granted struct {
-		LeaseTTLMS   int64    `json:"lease_ttl_ms"`
-		Epoch        uint64   `json:"epoch"`
-		Coordinators []string `json:"coordinators"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&granted); err != nil {
-		return 0, err
-	}
-	a.observeLease(granted.Epoch, granted.Coordinators)
-	ttl := time.Duration(granted.LeaseTTLMS) * time.Millisecond
+	ttl := time.Duration(grant.LeaseTTLMS) * time.Millisecond
 	if ttl <= 0 {
 		ttl = 10 * time.Second
 	}
 	return ttl, nil
-}
-
-// observeLease feeds what a lease response taught us back into the
-// worker: the coordinator's fencing epoch arms the server's stale-epoch
-// gate, and advertised standbys extend the failover list.
-func (a *Agent) observeLease(epoch uint64, coordinators []string) {
-	if epoch > 0 {
-		a.cfg.Server.ObserveClusterEpoch(epoch)
-	}
-	a.mergeCoordinators(coordinators)
 }
 
 // heartbeat renews the lease once, returning the HTTP status. Each
@@ -322,36 +310,12 @@ func (a *Agent) observeLease(epoch uint64, coordinators []string) {
 // depth, breaker states, cache residency and effectiveness — which is
 // the entire fleet-federation transport: no extra scrape endpoint, no
 // extra connection, just a few dozen bytes on a request that already
-// flows at ttl/3.
+// flows at ttl/3. An undecodable 200 still renewed the lease.
 func (a *Agent) heartbeat(ctx context.Context) (int, error) {
 	snap := a.cfg.Server.Snapshot()
-	payload, err := json.Marshal(struct {
-		WorkerID string              `json:"worker_id"`
-		Snapshot *obs.WorkerSnapshot `json:"snapshot,omitempty"`
-	}{WorkerID: a.cfg.WorkerID, Snapshot: &snap})
-	if err != nil {
-		return 0, err
+	code, _, err := a.post(ctx, "/cluster/v1/heartbeat", heartbeatBody{WorkerID: a.cfg.WorkerID, Snapshot: &snap})
+	if code == http.StatusOK {
+		err = nil
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.coordinator()+"/cluster/v1/heartbeat", bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode == http.StatusOK {
-		var granted struct {
-			Epoch        uint64   `json:"epoch"`
-			Coordinators []string `json:"coordinators"`
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&granted); err == nil {
-			a.observeLease(granted.Epoch, granted.Coordinators)
-		}
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck
-	return resp.StatusCode, nil
+	return code, err
 }

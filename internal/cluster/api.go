@@ -16,49 +16,26 @@ import (
 	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/genome"
 	"darwinwga/internal/obs"
+	"darwinwga/internal/server"
 )
-
-// clusterSubmit is the coordinator's POST /v1/jobs body: the worker
-// submitRequest shape, inline FASTA only (a server-local query_path is
-// meaningless across machines).
-type clusterSubmit struct {
-	Target     string `json:"target"`
-	QueryFASTA string `json:"query_fasta"`
-	QueryPath  string `json:"query_path,omitempty"` // rejected; here to diagnose
-	QueryName  string `json:"query_name,omitempty"`
-	Client     string `json:"client,omitempty"`
-	// TraceID lets a client thread its own distributed trace id through
-	// the job; the X-Darwinwga-Trace header wins over the body, and an
-	// absent id is minted at admission.
-	TraceID string `json:"trace_id,omitempty"`
-
-	Ungapped          bool  `json:"ungapped,omitempty"`
-	ForwardOnly       bool  `json:"forward_only,omitempty"`
-	Hf                int32 `json:"hf,omitempty"`
-	He                int32 `json:"he,omitempty"`
-	MaxCandidates     int64 `json:"max_candidates,omitempty"`
-	MaxFilterTiles    int64 `json:"max_filter_tiles,omitempty"`
-	MaxExtensionCells int64 `json:"max_extension_cells,omitempty"`
-	DeadlineMS        int64 `json:"deadline_ms,omitempty"`
-}
 
 // clusterJobStatus is the coordinator's job view: routing history plus
 // the client-facing state. Assignments expose which worker holds the
 // job — the failover e2e reads it to know whom to kill.
 type clusterJobStatus struct {
-	ID          string       `json:"id"`
-	Target      string       `json:"target"`
-	QueryName   string       `json:"query_name,omitempty"`
-	Client      string       `json:"client,omitempty"`
-	State       string       `json:"state"`
-	Error       string       `json:"error,omitempty"`
-	Created     time.Time    `json:"created"`
-	Finished    *time.Time   `json:"finished,omitempty"`
-	Dispatches  int          `json:"dispatches"`
-	Parked      bool         `json:"parked,omitempty"`
-	Assignments []assignment `json:"assignments,omitempty"`
-	Worker      *assignment  `json:"worker,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
+	ID          string          `json:"id"`
+	Target      string          `json:"target"`
+	QueryName   string          `json:"query_name,omitempty"`
+	Client      string          `json:"client,omitempty"`
+	State       server.JobState `json:"state"`
+	Error       string          `json:"error,omitempty"`
+	Created     time.Time       `json:"created"`
+	Finished    *time.Time      `json:"finished,omitempty"`
+	Dispatches  int             `json:"dispatches"`
+	Parked      bool            `json:"parked,omitempty"`
+	Assignments []assignment    `json:"assignments,omitempty"`
+	Worker      *assignment     `json:"worker,omitempty"`
+	TraceID     string          `json:"trace_id,omitempty"`
 	// Sharded jobs expose the work-unit map and the partial-result
 	// contract: Truncated/FailedShards name the units that exhausted
 	// retries; the MAF endpoint answers 206 when any did.
@@ -72,15 +49,22 @@ type clusterJobStatus struct {
 	EventsURL    string           `json:"events_url"`
 }
 
-// registerBody is POST /cluster/v1/register.
+// registerBody is POST /cluster/v1/register, as the agent sends it and
+// the coordinator reads it.
 type registerBody struct {
-	WorkerID string `json:"worker_id"`
-	Addr     string `json:"addr"`
-	Targets  []struct {
-		Name        string `json:"name"`
-		Fingerprint string `json:"fingerprint"`
-		Serialized  bool   `json:"serialized_index"`
-	} `json:"targets"`
+	WorkerID string           `json:"worker_id"`
+	Addr     string           `json:"addr"`
+	Targets  []registerTarget `json:"targets"`
+}
+
+type registerTarget struct {
+	Name        string `json:"name"`
+	Fingerprint string `json:"fingerprint"`
+	// Serialized advertises that the worker holds the target as a
+	// serialized index file, so its post-eviction (or post-restart)
+	// reloads are near-instant loads rather than index rebuilds —
+	// placement-relevant capacity information for the coordinator.
+	Serialized bool `json:"serialized_index,omitempty"`
 }
 
 // heartbeatBody is POST /cluster/v1/heartbeat. Snapshot is the
@@ -89,6 +73,15 @@ type registerBody struct {
 type heartbeatBody struct {
 	WorkerID string              `json:"worker_id"`
 	Snapshot *obs.WorkerSnapshot `json:"snapshot,omitempty"`
+}
+
+// leaseGrant is the register/heartbeat reply: the coordinator's fencing
+// epoch (workers gate stale leaders on it), the advertised standby set
+// (where agents fail over to), and the lease to keep.
+type leaseGrant struct {
+	Coordinators []string `json:"coordinators"`
+	Epoch        uint64   `json:"epoch"`
+	LeaseTTLMS   int64    `json:"lease_ttl_ms"`
 }
 
 func (c *Coordinator) buildHandler() http.Handler {
@@ -114,135 +107,68 @@ func (c *Coordinator) buildHandler() http.Handler {
 	return mux
 }
 
-func cWriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // response committed
-}
-
-func cWriteError(w http.ResponseWriter, code int, format string, args ...any) {
-	cWriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
+// handleSubmit admits a job through the worker API's own front door
+// (server.DecodeSubmit, inline FASTA only), so the coordinator refuses
+// exactly what its workers would.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	limit := int64(c.cfg.MaxQueryBases) + int64(c.cfg.MaxQueryBases)/8 + 1<<20
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	var req clusterSubmit
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		cWriteError(w, http.StatusBadRequest, "decoding request: %v", err)
+	req, query, code := server.DecodeSubmit(w, r, c.cfg.MaxQueryBases, true)
+	if code != 0 {
 		return
 	}
-	if req.Target == "" {
-		cWriteError(w, http.StatusBadRequest, "missing target")
-		return
-	}
-	if req.QueryPath != "" {
-		cWriteError(w, http.StatusBadRequest,
-			"query_path is not supported by the coordinator; inline the query as query_fasta")
-		return
-	}
-	if req.QueryFASTA == "" {
-		cWriteError(w, http.StatusBadRequest, "missing query_fasta")
-		return
-	}
-	seqs, err := genome.ReadFASTA(strings.NewReader(req.QueryFASTA))
-	if err != nil {
-		cWriteError(w, http.StatusBadRequest, "query: %v", err)
-		return
-	}
-	queryName := req.QueryName
-	if queryName == "" {
-		queryName = "query"
-	}
-	asm := &genome.Assembly{Name: queryName, Seqs: seqs}
-	if n := asm.TotalLen(); n > c.cfg.MaxQueryBases {
-		cWriteError(w, http.StatusRequestEntityTooLarge,
-			"query is %d bases; this coordinator accepts at most %d", n, c.cfg.MaxQueryBases)
-		return
-	}
-
 	fp, known := c.ms.targetKnown(req.Target)
 	if !known {
-		cWriteError(w, http.StatusNotFound, "unknown target %q: no worker has ever advertised it", req.Target)
+		server.WriteError(w, http.StatusNotFound, "unknown target %q: no worker has ever advertised it", req.Target)
 		return
 	}
 	if len(c.ms.replicasFor(req.Target, c.cfg.ReplicationFactor)) == 0 {
+		// Graceful degradation: the target is known to the cluster but
+		// every worker holding it is dead right now.
 		c.c.noReplica503.Inc()
-		c.writeNoReplica(w, req.Target)
+		c.writeUnavailable(w, fmt.Sprintf("target %q currently has no live replica", req.Target))
 		return
 	}
 
 	// Normalize the query once; the same bytes are spilled, dispatched,
 	// and re-dispatched, so every attempt aligns identical input.
 	var buf bytes.Buffer
-	if err := genome.WriteFASTA(&buf, asm.Seqs, 80); err != nil {
-		cWriteError(w, http.StatusInternalServerError, "normalizing query: %v", err)
+	if err := genome.WriteFASTA(&buf, query.Seqs, 80); err != nil {
+		server.WriteError(w, http.StatusInternalServerError, "normalizing query: %v", err)
 		return
 	}
-	spec := jobSpec{
-		Ungapped:          req.Ungapped,
-		ForwardOnly:       req.ForwardOnly,
-		Hf:                req.Hf,
-		He:                req.He,
-		MaxCandidates:     req.MaxCandidates,
-		MaxFilterTiles:    req.MaxFilterTiles,
-		MaxExtensionCells: req.MaxExtensionCells,
-		DeadlineMS:        req.DeadlineMS,
-	}
-	client := req.Client
-	if client == "" {
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			client = host
-		} else {
-			client = r.RemoteAddr
-		}
-	}
-	traceID := req.TraceID
-	if h := r.Header.Get(TraceHeader); h != "" {
-		traceID = h
-	}
-	j, err := c.submit(req.Target, fp, client, queryName, traceID, buf.String(), spec)
+	j, err := c.submit(ckSubmitted{
+		Target: req.Target, Fingerprint: fp, Client: req.Client,
+		QueryName: query.Name, TraceID: req.TraceID, Spec: req.JobSpec,
+	}, buf.String())
 	if err != nil {
 		if errors.Is(err, errArtifactStore) {
 			c.writeStoreUnavailable(w, err)
 			return
 		}
-		cWriteError(w, http.StatusInternalServerError, "%v", err)
+		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	cWriteJSON(w, http.StatusAccepted, c.statusOf(j))
+	server.WriteJSON(w, http.StatusAccepted, c.statusOf(j))
 }
 
-// writeStoreUnavailable answers 503 + Retry-After for artifact-store
-// write failures (disk full): the atomic writer left no partial state,
-// so the request is safely retryable once space frees up.
+// writeUnavailable answers 503 with Retry-After one lease TTL out —
+// the horizon on which the cluster's capacity changes.
+func (c *Coordinator) writeUnavailable(w http.ResponseWriter, msg string) {
+	secs := int(c.cfg.LeaseTTL / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
+		"error":            msg,
+		"retry_after_secs": secs,
+	})
+}
+
+// writeStoreUnavailable degrades an artifact-store write failure (disk
+// full) to a retryable 503: the atomic writer left no partial state.
 func (c *Coordinator) writeStoreUnavailable(w http.ResponseWriter, err error) {
 	c.c.store503.Inc()
-	secs := int(c.cfg.LeaseTTL / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	cWriteJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":            fmt.Sprintf("artifact store unavailable: %v", err),
-		"retry_after_secs": secs,
-	})
-}
-
-// writeNoReplica answers graceful degradation: the target is known to
-// the cluster but every worker holding it is dead right now.
-func (c *Coordinator) writeNoReplica(w http.ResponseWriter, target string) {
-	secs := int(c.cfg.LeaseTTL / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	cWriteJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":            fmt.Sprintf("target %q currently has no live replica", target),
-		"retry_after_secs": secs,
-	})
+	c.writeUnavailable(w, fmt.Sprintf("artifact store unavailable: %v", err))
 }
 
 func (c *Coordinator) statusOf(j *coordJob) clusterJobStatus {
@@ -255,7 +181,7 @@ func (c *Coordinator) statusOf(j *coordJob) clusterJobStatus {
 		Client:     j.Client,
 		State:      j.state,
 		Error:      j.errMsg,
-		Created:    j.Created,
+		Created:    time.Unix(0, j.CreatedNS),
 		Dispatches: len(j.assignments),
 		Parked:     j.parked,
 		TraceID:    j.TraceID,
@@ -285,19 +211,19 @@ func (c *Coordinator) statusOf(j *coordJob) clusterJobStatus {
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.getJob(r.PathValue("id"))
 	if !ok {
-		cWriteError(w, http.StatusNotFound, "unknown job")
+		server.WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	cWriteJSON(w, http.StatusOK, c.statusOf(j))
+	server.WriteJSON(w, http.StatusOK, c.statusOf(j))
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	state, ok := c.cancelJob(r.PathValue("id"))
 	if !ok {
-		cWriteError(w, http.StatusNotFound, "unknown job")
+		server.WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	cWriteJSON(w, http.StatusOK, map[string]any{"state": state})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"state": state})
 }
 
 // handleMAF proxies a job's MAF stream from its worker. Failover makes
@@ -308,7 +234,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleMAF(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.getJob(r.PathValue("id"))
 	if !ok {
-		cWriteError(w, http.StatusNotFound, "unknown job")
+		server.WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	if j.sharded {
@@ -328,18 +254,15 @@ func (c *Coordinator) handleMAF(w http.ResponseWriter, r *http.Request) {
 		state, _ := j.snapshotState()
 		a, assigned := j.lastAssignment()
 		if !assigned {
-			if terminalState(state) {
+			if state.Terminal() {
 				// Failed/cancelled before any dispatch: nothing to stream.
 				if !headerWritten {
-					cWriteError(w, http.StatusGone, "job %s: no MAF (state %s)", j.ID, state)
+					server.WriteError(w, http.StatusGone, "job %s: no MAF (state %s)", j.ID, state)
 				}
 				return
 			}
 			// Parked: wait for an assignment or terminal state.
-			select {
-			case <-j.doneCh:
-			case <-c.cfg.Clock.After(c.cfg.PollInterval):
-			case <-r.Context().Done():
+			if woke := c.wait(c.cfg.PollInterval, r.Context().Done(), j.doneCh); woke == wokeCancelled || woke == wokeShutdown {
 				return
 			}
 			continue
@@ -361,32 +284,28 @@ func (c *Coordinator) handleMAF(w http.ResponseWriter, r *http.Request) {
 				// otherwise a failover superseded the stream we just
 				// drained — loop and splice from the new assignment.
 				state, _ = j.snapshotState()
-				if cur, _ := j.lastAssignment(); terminalState(state) && cur.WorkerJobID == a.WorkerJobID {
+				if cur, _ := j.lastAssignment(); state.Terminal() && cur.WorkerJobID == a.WorkerJobID {
 					return
 				}
 			}
 		}
 		state, _ = j.snapshotState()
-		if terminalState(state) {
+		if state.Terminal() {
 			terminalTries++
 			if terminalTries >= c.cfg.Retry.Attempts() {
 				if !headerWritten {
-					cWriteError(w, http.StatusBadGateway,
+					server.WriteError(w, http.StatusBadGateway,
 						"job %s finished but its MAF is unreachable on %s", j.ID, a.WorkerAddr)
 				}
 				return
 			}
 		}
-		select {
-		case <-j.doneCh:
-			// Fall through and re-check; doneCh is closed permanently.
-			select {
-			case <-c.cfg.Clock.After(c.cfg.PollInterval):
-			case <-r.Context().Done():
-				return
-			}
-		case <-c.cfg.Clock.After(c.cfg.PollInterval):
-		case <-r.Context().Done():
+		woke := c.wait(c.cfg.PollInterval, r.Context().Done(), j.doneCh)
+		if woke == wokeSignal {
+			// doneCh is closed permanently: pace the re-check.
+			woke = c.wait(c.cfg.PollInterval, r.Context().Done(), nil)
+		}
+		if woke != wokeTimer {
 			return
 		}
 	}
@@ -450,24 +369,24 @@ func (c *Coordinator) handleTargets(w http.ResponseWriter, r *http.Request) {
 			Replicas: counts[name], Degraded: counts[name] == 0,
 		})
 	}
-	cWriteJSON(w, http.StatusOK, map[string]any{"targets": out})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"targets": out})
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		cWriteError(w, http.StatusBadRequest, "decoding request: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if req.WorkerID == "" || req.Addr == "" {
-		cWriteError(w, http.StatusBadRequest, "worker_id and addr are required")
+		server.WriteError(w, http.StatusBadRequest, "worker_id and addr are required")
 		return
 	}
 	targets := make(map[string]string, len(req.Targets))
 	serialized := make(map[string]bool, len(req.Targets))
 	for _, t := range req.Targets {
 		if t.Name == "" {
-			cWriteError(w, http.StatusBadRequest, "target with empty name")
+			server.WriteError(w, http.StatusBadRequest, "target with empty name")
 			return
 		}
 		if known, ok := c.ms.targetKnown(t.Name); ok && t.Fingerprint != "" && known != "" && known != t.Fingerprint {
@@ -486,33 +405,26 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if fresh {
 		c.log.Info("worker registered", "worker", req.WorkerID, "addr", req.Addr, "targets", len(targets))
 	}
-	cWriteJSON(w, http.StatusOK, c.leaseResponse())
+	server.WriteJSON(w, http.StatusOK, c.leaseResponse())
 }
 
-// leaseResponse is the register/heartbeat reply: the lease to keep, the
-// coordinator's fencing epoch (workers gate stale leaders on it), and
-// the advertised standby set (where agents fail over to).
-func (c *Coordinator) leaseResponse() map[string]any {
-	return map[string]any{
-		"lease_ttl_ms": c.cfg.LeaseTTL.Milliseconds(),
-		"epoch":        c.epoch,
-		"coordinators": c.cfg.Standbys,
-	}
+func (c *Coordinator) leaseResponse() leaseGrant {
+	return leaseGrant{Coordinators: c.cfg.Standbys, Epoch: c.epoch, LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds()}
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		cWriteError(w, http.StatusBadRequest, "decoding request: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if !c.ms.heartbeat(req.WorkerID, req.Snapshot) {
 		// Unknown lease: the worker must re-register (coordinator
 		// restarted, or the lease expired).
-		cWriteError(w, http.StatusNotFound, "unknown worker %q: re-register", req.WorkerID)
+		server.WriteError(w, http.StatusNotFound, "unknown worker %q: re-register", req.WorkerID)
 		return
 	}
-	cWriteJSON(w, http.StatusOK, c.leaseResponse())
+	server.WriteJSON(w, http.StatusOK, c.leaseResponse())
 }
 
 // The shipped-journal endpoints back checkpoint shipping: a worker PUTs
@@ -522,13 +434,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) shippedJob(w http.ResponseWriter, r *http.Request) (*coordJob, string, bool) {
 	if c.wal == nil {
-		cWriteError(w, http.StatusServiceUnavailable, "checkpoint shipping requires -journal-dir")
+		server.WriteError(w, http.StatusServiceUnavailable, "checkpoint shipping requires -journal-dir")
 		return nil, "", false
 	}
 	id := r.PathValue("id")
 	j, ok := c.getJob(id)
 	if !ok {
-		cWriteError(w, http.StatusNotFound, "unknown job %q", id)
+		server.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return nil, "", false
 	}
 	return j, id, true
@@ -541,13 +453,13 @@ func (c *Coordinator) handleShippedList(w http.ResponseWriter, r *http.Request) 
 	}
 	segs, err := c.wal.listShipped(id)
 	if err != nil {
-		cWriteError(w, http.StatusInternalServerError, "listing shipped segments: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "listing shipped segments: %v", err)
 		return
 	}
 	if segs == nil {
 		segs = []checkpoint.SegmentInfo{}
 	}
-	cWriteJSON(w, http.StatusOK, map[string]any{"segments": segs})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"segments": segs})
 }
 
 func (c *Coordinator) handleShippedGet(w http.ResponseWriter, r *http.Request) {
@@ -557,12 +469,12 @@ func (c *Coordinator) handleShippedGet(w http.ResponseWriter, r *http.Request) {
 	}
 	seg := r.PathValue("seg")
 	if !checkpoint.IsSegmentName(seg) {
-		cWriteError(w, http.StatusBadRequest, "bad segment name %q", seg)
+		server.WriteError(w, http.StatusBadRequest, "bad segment name %q", seg)
 		return
 	}
 	data, err := c.wal.loadShipped(id, seg)
 	if err != nil {
-		cWriteError(w, http.StatusNotFound, "segment %q: %v", seg, err)
+		server.WriteError(w, http.StatusNotFound, "segment %q: %v", seg, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -576,17 +488,17 @@ func (c *Coordinator) handleShippedPut(w http.ResponseWriter, r *http.Request) {
 	}
 	seg := r.PathValue("seg")
 	if !checkpoint.IsSegmentName(seg) {
-		cWriteError(w, http.StatusBadRequest, "bad segment name %q", seg)
+		server.WriteError(w, http.StatusBadRequest, "bad segment name %q", seg)
 		return
 	}
-	if st, _ := j.snapshotState(); terminalState(st) {
+	if st, _ := j.snapshotState(); st.Terminal() {
 		// Nothing will resume a terminal job; don't re-accumulate.
-		cWriteError(w, http.StatusConflict, "job %q is %s", id, st)
+		server.WriteError(w, http.StatusConflict, "job %q is %s", id, st)
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, checkpoint.DefaultSegmentBytes*2))
 	if err != nil {
-		cWriteError(w, http.StatusRequestEntityTooLarge, "reading segment: %v", err)
+		server.WriteError(w, http.StatusRequestEntityTooLarge, "reading segment: %v", err)
 		return
 	}
 	if err := c.wal.saveShipped(id, seg, data); err != nil {
@@ -632,11 +544,11 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 			RegisteredAt:      m.RegisteredAt, ExpiresAt: m.ExpiresAt,
 		})
 	}
-	cWriteJSON(w, http.StatusOK, map[string]any{"workers": out})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"workers": out})
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	cWriteJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ms": time.Since(c.started).Milliseconds(),
 	})
@@ -666,19 +578,19 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case c.fenced.Load():
 		body["status"] = "fenced"
-		cWriteJSON(w, http.StatusServiceUnavailable, body)
+		server.WriteJSON(w, http.StatusServiceUnavailable, body)
 	case workers == 0:
 		body["status"] = "unavailable"
-		cWriteJSON(w, http.StatusServiceUnavailable, body)
+		server.WriteJSON(w, http.StatusServiceUnavailable, body)
 	case len(counts) > 0 && served == 0:
 		body["status"] = "unavailable"
-		cWriteJSON(w, http.StatusServiceUnavailable, body)
+		server.WriteJSON(w, http.StatusServiceUnavailable, body)
 	case len(degraded) > 0:
 		body["status"] = "degraded"
-		cWriteJSON(w, http.StatusOK, body)
+		server.WriteJSON(w, http.StatusOK, body)
 	default:
 		body["status"] = "ok"
-		cWriteJSON(w, http.StatusOK, body)
+		server.WriteJSON(w, http.StatusOK, body)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/obs"
+	"darwinwga/internal/server"
 )
 
 const (
@@ -398,7 +399,7 @@ func TestChaosLeaseExpiryFailover(t *testing.T) {
 	cc.pump(t, "job done after failover", func() {
 		cc.heartbeat(t, survivorID)
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 
 	st := cc.jobStatus(t, id)
@@ -452,7 +453,7 @@ func TestChaosRetryExhaustionOpensBreakerThenPark(t *testing.T) {
 		cc.heartbeat(t, "w1")
 		cc.heartbeat(t, "w2")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 }
 
@@ -501,7 +502,7 @@ func TestChaosPartitionFailover(t *testing.T) {
 		cc.heartbeat(t, firstID)
 		cc.heartbeat(t, otherID)
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 	st := cc.jobStatus(t, id)
 	if st.Worker.WorkerID != otherID {
@@ -576,7 +577,7 @@ func TestChaosAllReplicasDownDegradation(t *testing.T) {
 		// Drain the job so shutdown is clean.
 		cc.pump(t, "post-recovery job done", func() { cc.heartbeat(t, "w1") }, func() bool {
 			w1.finishAll()
-			return cc.jobStatus(t, id).State == StateDone
+			return cc.jobStatus(t, id).State == server.JobDone
 		})
 	}
 }
@@ -607,14 +608,14 @@ func TestChaosCoordinatorRestartReattach(t *testing.T) {
 	cc2.register(t, "w1", w1)
 	cc2.pump(t, "reattach after restart", func() { cc2.heartbeat(t, "w1") }, func() bool {
 		st := cc2.jobStatus(t, id)
-		return st.State == StateRunning
+		return st.State == server.JobRunning
 	})
 	if got := cc2.coord.c.recovReattach.Value(); got != 1 {
 		t.Errorf("reattached counter = %d, want 1", got)
 	}
 	w1.finishAll()
 	cc2.pump(t, "job done after restart", func() { cc2.heartbeat(t, "w1") }, func() bool {
-		return cc2.jobStatus(t, id).State == StateDone
+		return cc2.jobStatus(t, id).State == server.JobDone
 	})
 	if w1.submitCount() != 1 {
 		t.Errorf("worker saw %d submissions, want 1 (reattach must not re-dispatch)", w1.submitCount())
@@ -628,7 +629,7 @@ func TestChaosCoordinatorRestartReattach(t *testing.T) {
 	cancel2()
 	cc3 := newChaosCluster(t, func(cfg *Config) { cfg.JournalDir = dir })
 	st := cc3.jobStatus(t, id)
-	if st.State != StateDone {
+	if st.State != server.JobDone {
 		t.Errorf("restored job state = %q, want done", st.State)
 	}
 	if got := cc3.coord.c.recovRestored.Value(); got != 1 {

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
 )
 
@@ -25,44 +25,8 @@ const EpochHeader = server.ClusterEpochHeader
 // dispatches (and is honored on client→coordinator submissions).
 const TraceHeader = server.TraceHeader
 
-// workerSubmit is the body dispatched to a worker's POST /v1/jobs — the
-// server's submitRequest shape with the query inlined from the
-// coordinator's spill.
-type workerSubmit struct {
-	Target     string `json:"target"`
-	QueryFASTA string `json:"query_fasta"`
-	QueryName  string `json:"query_name,omitempty"`
-	Client     string `json:"client,omitempty"`
-	// TraceID propagates the cluster-wide distributed trace id so every
-	// attempt's spans — on whichever worker — tag into one trace.
-	TraceID string `json:"trace_id,omitempty"`
-	// JournalShip is the coordinator artifact-store base URL the worker
-	// ships this job's pipeline-journal segments to (and downloads them
-	// from when resuming after a failover).
-	JournalShip string `json:"journal_ship,omitempty"`
-
-	Ungapped          bool  `json:"ungapped,omitempty"`
-	ForwardOnly       bool  `json:"forward_only,omitempty"`
-	Hf                int32 `json:"hf,omitempty"`
-	He                int32 `json:"he,omitempty"`
-	MaxCandidates     int64 `json:"max_candidates,omitempty"`
-	MaxFilterTiles    int64 `json:"max_filter_tiles,omitempty"`
-	MaxExtensionCells int64 `json:"max_extension_cells,omitempty"`
-	DeadlineMS        int64 `json:"deadline_ms,omitempty"`
-}
-
-// workerStatus is the subset of a worker's job status the coordinator
-// reads.
-type workerStatus struct {
-	ID       string `json:"id"`
-	State    string `json:"state"`
-	Error    string `json:"error,omitempty"`
-	HSPs     int64  `json:"hsps"`
-	MAFBytes int    `json:"maf_bytes"`
-}
-
 // cancelOnClose ties a request's context cancel to the response body's
-// lifetime so doRequest's watchdog goroutine can always be released.
+// lifetime so doRequestTimeout's watchdog goroutine can always be released.
 type cancelOnClose struct {
 	io.ReadCloser
 	cancel context.CancelFunc
@@ -74,18 +38,17 @@ func (b *cancelOnClose) Close() error {
 	return err
 }
 
-// doRequest performs one HTTP request against a worker with the
-// per-request timeout driven by the coordinator's Clock — not a context
-// deadline — so ManualClock chaos tests control exactly when a slow
-// worker "times out". cancelCh (may be nil) aborts the request early.
-func (c *Coordinator) doRequest(req *http.Request, cancelCh <-chan struct{}) (*http.Response, error) {
-	return c.doRequestTimeout(req, cancelCh, c.cfg.DispatchTimeout)
-}
+// errAborted marks a request the coordinator itself gave up on (job
+// cancelled, unit settled elsewhere, shutdown) — not the worker's fault.
+var errAborted = errors.New("aborted")
 
-// doRequestTimeout is doRequest with an explicit timeout — shard work
-// units run under their own lease (cfg.ShardLease), much longer than
-// the control-plane DispatchTimeout, because the in-flight request is
-// the unit's execution.
+// doRequestTimeout performs one HTTP request against a worker with the
+// timeout driven by the coordinator's Clock — not a context deadline —
+// so ManualClock chaos tests control exactly when a slow worker "times
+// out". Control-plane calls run under cfg.DispatchTimeout; a shard work
+// unit runs under its own, much longer lease (cfg.ShardLease), because
+// the in-flight request is the unit's execution. cancelCh (may be nil)
+// aborts the request early.
 func (c *Coordinator) doRequestTimeout(req *http.Request, cancelCh <-chan struct{}, timeout time.Duration) (*http.Response, error) {
 	ctx, cancel := context.WithCancel(req.Context())
 	req = req.WithContext(ctx)
@@ -124,11 +87,11 @@ func (c *Coordinator) doRequestTimeout(req *http.Request, cancelCh <-chan struct
 	case <-cancelCh:
 		cancel()
 		<-ch
-		return nil, fmt.Errorf("cluster: request to %s aborted: job cancelled", req.URL.Host)
+		return nil, fmt.Errorf("cluster: request to %s %w: job cancelled", req.URL.Host, errAborted)
 	case <-c.ctx.Done():
 		cancel()
 		<-ch
-		return nil, fmt.Errorf("cluster: request to %s aborted: coordinator shutting down", req.URL.Host)
+		return nil, fmt.Errorf("cluster: request to %s %w: coordinator shutting down", req.URL.Host, errAborted)
 	}
 }
 
@@ -139,157 +102,145 @@ func drainClose(resp *http.Response) {
 	resp.Body.Close()                                     //nolint:errcheck
 }
 
+// workerReq describes one JSON round-trip to a worker.
+type workerReq struct {
+	worker  string // worker id: breaker key and error label
+	method  string
+	url     string
+	body    any             // request body: nil = none, []byte = JSON already encoded, else encoded here
+	traceID string          // X-Darwinwga-Trace, when set
+	cancel  <-chan struct{} // aborts the request early; nil never fires
+	timeout time.Duration   // 0 = cfg.DispatchTimeout
+	want    int             // the success status
+}
+
+// workerHTTPError is a worker's answer with a status other than the
+// one the call wanted.
+type workerHTTPError struct {
+	worker string
+	code   int
+	body   string
+}
+
+func (e *workerHTTPError) Error() string {
+	return fmt.Sprintf("cluster: worker %s: HTTP %d: %s", e.worker, e.code, e.body)
+}
+
+// refused reports a client error that is the worker's verdict on the
+// request itself: no retry and no later attempt will change it. (404,
+// 409, 429 and 503 are about the worker's state, not the request.)
+func (e *workerHTTPError) refused() bool {
+	return e.code == http.StatusBadRequest || e.code == http.StatusRequestEntityTooLarge ||
+		e.code == http.StatusUnprocessableEntity
+}
+
+// workerCall is the one coordinator→worker round-trip: build the
+// request, send it under the epoch header and the Clock-driven timeout
+// (doRequestTimeout, which also latches fencing on a worker's 409),
+// charge the worker's breaker — a transport failure or timeout counts
+// against it, any HTTP answer counts for it because the transport
+// worked, a request the coordinator aborted counts for nothing — check
+// the status and decode the JSON body into T.
+func workerCall[T any](c *Coordinator, rq workerReq) (out T, err error) {
+	var body io.Reader
+	if rq.body != nil {
+		payload, encoded := rq.body.([]byte)
+		if !encoded {
+			if payload, err = json.Marshal(rq.body); err != nil {
+				return out, err
+			}
+		}
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequest(rq.method, rq.url, body)
+	if err != nil {
+		return out, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if rq.traceID != "" {
+		req.Header.Set(TraceHeader, rq.traceID)
+	}
+	timeout := rq.timeout
+	if timeout == 0 {
+		timeout = c.cfg.DispatchTimeout
+	}
+	resp, err := c.doRequestTimeout(req, rq.cancel, timeout)
+	if err != nil {
+		if !errors.Is(err, errAborted) {
+			c.brk.Failure(rq.worker)
+			c.c.dispatchErrors.Inc()
+		}
+		return out, err
+	}
+	c.brk.Success(rq.worker)
+	if resp.StatusCode != rq.want {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		drainClose(resp)
+		return out, &workerHTTPError{worker: rq.worker, code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close() //nolint:errcheck
+	if err != nil {
+		return out, fmt.Errorf("cluster: worker %s: decoding %s %s response: %w",
+			rq.worker, rq.method, req.URL.Path, err)
+	}
+	return out, nil
+}
+
+// jobCall is workerCall against one assignment's worker-side job:
+// GET "" is its status, GET "/trace?after=N" its span delta, GET
+// "/events" its flight ring, DELETE "" its cancellation.
+func jobCall[T any](c *Coordinator, a assignment, cancel <-chan struct{}, method, suffix string) (T, error) {
+	return workerCall[T](c, workerReq{
+		worker: a.WorkerID, method: method, url: a.WorkerAddr + "/v1/jobs/" + a.WorkerJobID + suffix,
+		cancel: cancel, want: http.StatusOK,
+	})
+}
+
 // dispatchTo places the job on one worker, retrying per the retry
-// policy with exponential backoff and jitter. Transport failures are
-// charged to the worker's breaker; HTTP-level rejections are not (the
-// transport worked). Returns the worker-side job id.
+// policy with exponential backoff and jitter while the worker's
+// admission pushes back (429/503) or the transport fails. Returns the
+// worker-side job id; any other status is final for this worker.
 func (c *Coordinator) dispatchTo(j *coordJob, m *Member) (string, error) {
-	payload, err := json.Marshal(workerSubmit{
-		Target:            j.Target,
-		QueryFASTA:        j.queryFASTA,
-		QueryName:         j.QueryName,
-		Client:            "coord/" + j.Client,
-		TraceID:           j.TraceID,
-		JournalShip:       c.shipURLFor(j.ID),
-		Ungapped:          j.Spec.Ungapped,
-		ForwardOnly:       j.Spec.ForwardOnly,
-		Hf:                j.Spec.Hf,
-		He:                j.Spec.He,
-		MaxCandidates:     j.Spec.MaxCandidates,
-		MaxFilterTiles:    j.Spec.MaxFilterTiles,
-		MaxExtensionCells: j.Spec.MaxExtensionCells,
-		DeadlineMS:        j.Spec.DeadlineMS,
+	// Encoded once: every retry re-sends the same (possibly large) bytes.
+	sub, err := json.Marshal(server.SubmitRequest{
+		Target:      j.Target,
+		QueryFASTA:  j.queryFASTA,
+		QueryName:   j.QueryName,
+		Client:      "coord/" + j.Client,
+		TraceID:     j.TraceID,
+		JournalShip: c.shipURLFor(j.ID),
+		JobSpec:     j.Spec,
 	})
 	if err != nil {
 		return "", err
 	}
-	attempts := c.cfg.Retry.Attempts()
 	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			select {
-			case <-c.cfg.Clock.After(c.cfg.Retry.Backoff(attempt-1, hash64(j.ID+m.ID))):
-			case <-j.cancelCh:
-				return "", fmt.Errorf("cluster: dispatch aborted: job cancelled")
-			case <-c.ctx.Done():
-				return "", fmt.Errorf("cluster: dispatch aborted: shutting down")
-			}
+	for attempt := 1; attempt <= c.cfg.Retry.Attempts(); attempt++ {
+		if attempt > 1 && c.wait(c.cfg.Retry.Backoff(attempt-1, hash64(j.ID+m.ID)), j.cancelCh, nil) != wokeTimer {
+			return "", fmt.Errorf("cluster: dispatch %w: job cancelled or coordinator shutting down", errAborted)
 		}
-		req, rerr := http.NewRequest(http.MethodPost, m.Addr+"/v1/jobs", bytes.NewReader(payload))
-		if rerr != nil {
-			return "", rerr
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(TraceHeader, j.TraceID)
-		resp, rerr := c.doRequest(req, j.cancelCh)
-		if rerr != nil {
-			c.brk.Failure(m.ID)
-			c.c.dispatchErrors.Inc()
-			lastErr = rerr
-			continue
-		}
-		// The transport worked regardless of the status code.
-		c.brk.Success(m.ID)
-		if resp.StatusCode == http.StatusAccepted {
-			var st workerStatus
-			derr := json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close() //nolint:errcheck
-			if derr != nil {
-				lastErr = fmt.Errorf("cluster: decoding worker accept: %w", derr)
-				continue
-			}
-			if st.ID == "" {
-				lastErr = fmt.Errorf("cluster: worker accepted without a job id")
-				continue
-			}
+		st, err := workerCall[server.JobStatus](c, workerReq{
+			worker: m.ID, method: http.MethodPost, url: m.Addr + "/v1/jobs",
+			body: sub, traceID: j.TraceID, cancel: j.cancelCh, want: http.StatusAccepted,
+		})
+		var herr *workerHTTPError
+		switch {
+		case err == nil && st.ID != "":
 			return st.ID, nil
+		case err == nil:
+			lastErr = fmt.Errorf("cluster: worker accepted without a job id")
+		case errors.As(err, &herr) && herr.code != http.StatusTooManyRequests && herr.code != http.StatusServiceUnavailable:
+			// Anything but admission push-back (404 unknown target, 4xx)
+			// will not get better by retrying against this worker.
+			return "", err
+		default:
+			lastErr = err
 		}
-		code := resp.StatusCode
-		drainClose(resp)
-		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-			// Worker admission pushed back; backoff and retry.
-			lastErr = fmt.Errorf("cluster: worker %s busy (%d)", m.ID, code)
-			continue
-		}
-		// Anything else (404 unknown target, 4xx) will not get better
-		// by retrying against this worker.
-		return "", fmt.Errorf("cluster: worker %s rejected dispatch: HTTP %d", m.ID, code)
 	}
 	return "", lastErr
-}
-
-// workerTrace fetches the incremental span buffer an assignment's
-// worker holds for its job — events past cursor `after`, plus the
-// worker's identity and drop count. Best-effort by contract: callers
-// treat every error as "no new spans this poll".
-func (c *Coordinator) workerTrace(j *coordJob, a assignment, after int) (*obs.TraceExport, error) {
-	req, err := http.NewRequest(http.MethodGet,
-		a.WorkerAddr+"/v1/jobs/"+a.WorkerJobID+"/trace?after="+strconv.Itoa(after), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.doRequest(req, j.cancelCh)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		drainClose(resp)
-		return nil, fmt.Errorf("cluster: worker %s: trace HTTP %d", a.WorkerID, resp.StatusCode)
-	}
-	var ex obs.TraceExport
-	if err := json.NewDecoder(resp.Body).Decode(&ex); err != nil {
-		return nil, fmt.Errorf("cluster: decoding worker trace: %w", err)
-	}
-	return &ex, nil
-}
-
-// workerEvents fetches an assignment's worker-side flight-recorder
-// events, for merging into the coordinator's GET /v1/jobs/{id}/events.
-func (c *Coordinator) workerEvents(j *coordJob, a assignment) ([]obs.FlightEvent, error) {
-	req, err := http.NewRequest(http.MethodGet,
-		a.WorkerAddr+"/v1/jobs/"+a.WorkerJobID+"/events", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.doRequest(req, j.cancelCh)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		drainClose(resp)
-		return nil, fmt.Errorf("cluster: worker %s: events HTTP %d", a.WorkerID, resp.StatusCode)
-	}
-	var body struct {
-		Events []obs.FlightEvent `json:"events"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("cluster: decoding worker events: %w", err)
-	}
-	return body.Events, nil
-}
-
-// workerJobStatus polls one assignment's status on its worker.
-func (c *Coordinator) workerJobStatus(j *coordJob, a assignment) (*workerStatus, error) {
-	req, err := http.NewRequest(http.MethodGet, a.WorkerAddr+"/v1/jobs/"+a.WorkerJobID, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.doRequest(req, j.cancelCh)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		drainClose(resp)
-		return nil, fmt.Errorf("cluster: worker %s: status HTTP %d", a.WorkerID, resp.StatusCode)
-	}
-	var st workerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("cluster: decoding worker status: %w", err)
-	}
-	return &st, nil
 }
 
 // openMAFStream opens a streaming GET of an assignment's MAF. The

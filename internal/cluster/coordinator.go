@@ -4,10 +4,12 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,36 +19,6 @@ import (
 	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
 )
-
-// Job states as the coordinator tracks them. They intentionally mirror
-// the worker-side server.JobState strings so clients see one vocabulary
-// whether they talk to a standalone server or a coordinator.
-const (
-	StateQueued    = "queued"    // accepted; parked or between dispatches
-	StateRunning   = "running"   // assigned to a worker and being watched
-	StateDone      = "done"      // worker completed it
-	StateFailed    = "failed"    // worker reported failure, or failover budget exhausted
-	StateCancelled = "cancelled" // client cancelled
-)
-
-func terminalState(s string) bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
-// jobSpec is the pipeline parameter set a job carries through routing:
-// the submitRequest knobs minus the query itself, preserved verbatim so
-// a re-dispatched job runs with identical parameters (which is what
-// makes its MAF byte-identical).
-type jobSpec struct {
-	Ungapped          bool  `json:"ungapped,omitempty"`
-	ForwardOnly       bool  `json:"forward_only,omitempty"`
-	Hf                int32 `json:"hf,omitempty"`
-	He                int32 `json:"he,omitempty"`
-	MaxCandidates     int64 `json:"max_candidates,omitempty"`
-	MaxFilterTiles    int64 `json:"max_filter_tiles,omitempty"`
-	MaxExtensionCells int64 `json:"max_extension_cells,omitempty"`
-	DeadlineMS        int64 `json:"deadline_ms,omitempty"`
-}
 
 // assignment is one routing decision: this job ran (or is running) on
 // this worker under this worker-side job id.
@@ -59,14 +31,11 @@ type assignment struct {
 
 // coordJob is one job the coordinator is routing.
 type coordJob struct {
-	ID          string
-	Target      string
-	Fingerprint string
-	Client      string
-	QueryName   string
-	TraceID     string
-	Spec        jobSpec
-	Created     time.Time
+	// ckSubmitted is the job as it was admitted and journaled: identity,
+	// target, and the core.JobSpec, preserved verbatim so a re-dispatched
+	// job runs with identical parameters (which is what makes its MAF
+	// byte-identical).
+	ckSubmitted
 
 	// queryFASTA holds the normalized query text for dispatch. With a
 	// journal it is backed by the spilled queries/<id>.fa; without one
@@ -86,7 +55,7 @@ type coordJob struct {
 	spans  []*workerSpans
 
 	mu          sync.Mutex
-	state       string
+	state       server.JobState
 	errMsg      string
 	assignments []assignment
 	finishedAt  time.Time
@@ -109,6 +78,17 @@ type coordJob struct {
 	cancelOnce sync.Once
 	cancelCh   chan struct{} // closed by Cancel
 	doneCh     chan struct{} // closed on terminal state
+}
+
+// newCoordJob builds the in-memory shell around an admitted (or
+// recovered) submission.
+func newCoordJob(sub ckSubmitted) *coordJob {
+	return &coordJob{
+		ckSubmitted: sub,
+		flight:      obs.NewFlightRecorder(coordFlightRingCap),
+		cancelCh:    make(chan struct{}),
+		doneCh:      make(chan struct{}),
+	}
 }
 
 // workerSpans is one assignment's collected trace buffer: the events
@@ -163,7 +143,7 @@ func (j *coordJob) spanSnapshot() []workerSpans {
 	return out
 }
 
-func (j *coordJob) snapshotState() (state, errMsg string) {
+func (j *coordJob) snapshotState() (state server.JobState, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.errMsg
@@ -182,15 +162,6 @@ func (j *coordJob) dispatchCount() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.assignments)
-}
-
-func (j *coordJob) cancelled() bool {
-	select {
-	case <-j.cancelCh:
-		return true
-	default:
-		return false
-	}
 }
 
 // Config parameterizes a Coordinator. The zero value is usable.
@@ -525,8 +496,7 @@ func (c *Coordinator) activeCount() int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, j := range c.jobs {
-		st, _ := j.snapshotState()
-		if !terminalState(st) {
+		if st, _ := j.snapshotState(); !st.Terminal() {
 			n++
 		}
 	}
@@ -630,20 +600,8 @@ func (c *Coordinator) recover(recs []recoveredRouting) {
 		if !r.finished && !sharded && len(r.assigns) == 0 {
 			sharded = c.shardEnabled(r.sub.Target, r.sub.Spec)
 		}
-		j := &coordJob{
-			ID:          r.sub.ID,
-			Target:      r.sub.Target,
-			Fingerprint: r.sub.Fingerprint,
-			Client:      r.sub.Client,
-			QueryName:   r.sub.QueryName,
-			TraceID:     r.sub.TraceID,
-			Spec:        r.sub.Spec,
-			Created:     time.Unix(0, r.sub.CreatedNS),
-			flight:      obs.NewFlightRecorder(coordFlightRingCap),
-			sharded:     sharded,
-			cancelCh:    make(chan struct{}),
-			doneCh:      make(chan struct{}),
-		}
+		j := newCoordJob(r.sub)
+		j.sharded = sharded
 		if j.TraceID == "" {
 			// Journals written before trace propagation: keep the job
 			// traceable under its own id.
@@ -670,7 +628,7 @@ func (c *Coordinator) recover(recs []recoveredRouting) {
 			j.state = r.finalState
 			j.errMsg = r.finalErr
 			j.finishedAt = r.finishedAt
-			if sharded && r.finalState == StateDone {
+			if sharded && r.finalState == server.JobDone {
 				// Reconstruct the partial-result view from the journal:
 				// planned units without a done record are the ones that
 				// exhausted retries. The merged MAF itself lazy-loads
@@ -700,11 +658,11 @@ func (c *Coordinator) recover(recs []recoveredRouting) {
 			if fasta, err := c.wal.loadQuery(j.ID); err == nil {
 				j.queryFASTA = fasta
 			} else {
-				c.finalize(j, StateFailed, fmt.Sprintf("recovery: query artifact lost: %v", err))
+				c.finalize(j, server.JobFailed, fmt.Sprintf("recovery: query artifact lost: %v", err))
 				continue
 			}
 		}
-		j.state = StateQueued
+		j.state = server.JobQueued
 		if j.sharded {
 			// The shard runner adopts journaled unit completions and
 			// re-dispatches only the rest — the shard-level analogue of
@@ -729,31 +687,20 @@ func (c *Coordinator) recover(recs []recoveredRouting) {
 		"restored", restored, "reattach_candidates", reattach, "requeued", requeued)
 }
 
-// Submit accepts a parsed job, journals it, and starts its runner. The
-// caller (the HTTP layer) has already validated the query and checked
-// replica availability for the fast-path rejection. traceID is the
-// client-supplied distributed trace id; empty mints one at admission.
-func (c *Coordinator) submit(target, fingerprint, client, queryName, traceID, fasta string, spec jobSpec) (*coordJob, error) {
-	if traceID == "" {
-		traceID = newTraceID()
+// submit admits a validated submission — the HTTP layer filled in
+// everything but the id, the admission time and, when the client sent
+// none, the trace id — journals it, and starts its runner.
+func (c *Coordinator) submit(sub ckSubmitted, fasta string) (*coordJob, error) {
+	sub.ID = newCoordJobID()
+	sub.CreatedNS = c.cfg.Clock.Now().UnixNano()
+	if sub.TraceID == "" {
+		sub.TraceID = newTraceID()
 	}
-	j := &coordJob{
-		ID:          newCoordJobID(),
-		Target:      target,
-		Fingerprint: fingerprint,
-		Client:      client,
-		QueryName:   queryName,
-		TraceID:     traceID,
-		Spec:        spec,
-		Created:     c.cfg.Clock.Now(),
-		queryFASTA:  fasta,
-		flight:      obs.NewFlightRecorder(coordFlightRingCap),
-		state:       StateQueued,
-		sharded:     c.shardEnabled(target, spec),
-		cancelCh:    make(chan struct{}),
-		doneCh:      make(chan struct{}),
-	}
-	c.recordFlight(j, obs.FlightAdmitted, "", "target "+target)
+	j := newCoordJob(sub)
+	j.queryFASTA = fasta
+	j.state = server.JobQueued
+	j.sharded = c.shardEnabled(sub.Target, sub.Spec)
+	c.recordFlight(j, obs.FlightAdmitted, "", "target "+sub.Target)
 	if c.wal != nil {
 		// Spill-before-journal: the submitted record must imply a
 		// readable query artifact. Store failures (disk full) are marked
@@ -790,8 +737,7 @@ func (c *Coordinator) evictLocked() {
 	kept := c.order[:0]
 	for _, id := range c.order {
 		j := c.jobs[id]
-		st, _ := j.snapshotState()
-		if over > 0 && terminalState(st) {
+		if st, _ := j.snapshotState(); over > 0 && st.Terminal() {
 			delete(c.jobs, id)
 			c.wal.removeShipped(id)
 			c.wal.removeShards(id)
@@ -813,24 +759,23 @@ func (c *Coordinator) getJob(id string) (*coordJob, bool) {
 
 // Cancel requests cancellation. The runner forwards it to the current
 // worker and finalizes; a parked job settles immediately.
-func (c *Coordinator) cancelJob(id string) (string, bool) {
+func (c *Coordinator) cancelJob(id string) (server.JobState, bool) {
 	j, ok := c.getJob(id)
 	if !ok {
 		return "", false
 	}
-	st, _ := j.snapshotState()
-	if terminalState(st) {
+	if st, _ := j.snapshotState(); st.Terminal() {
 		return st, true
 	}
 	j.cancelOnce.Do(func() { close(j.cancelCh) })
-	return StateCancelled, true
+	return server.JobCancelled, true
 }
 
 // finalize records a terminal outcome exactly once.
-func (c *Coordinator) finalize(j *coordJob, state, errMsg string) {
+func (c *Coordinator) finalize(j *coordJob, state server.JobState, errMsg string) {
 	now := c.cfg.Clock.Now()
 	j.mu.Lock()
-	if terminalState(j.state) {
+	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
@@ -845,7 +790,7 @@ func (c *Coordinator) finalize(j *coordJob, state, errMsg string) {
 	c.wal.removeShipped(j.ID)
 	c.wal.removeShardFrames(j.ID)
 	c.clearShipStamp(j.ID)
-	detail := state
+	detail := string(state)
 	if errMsg != "" {
 		detail += ": " + errMsg
 	}
@@ -867,8 +812,10 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 		case <-c.ctx.Done():
 			return // shutting down; the journal carries the job forward
 		case <-j.cancelCh:
-			c.forwardCancel(j)
-			c.finalize(j, StateCancelled, "cancelled by client")
+			if a, ok := j.lastAssignment(); ok {
+				c.forwardCancelTo(a)
+			}
+			c.finalize(j, server.JobCancelled, "cancelled by client")
 			return
 		default:
 		}
@@ -879,13 +826,13 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 			tryReattach = false
 			a, ok = j.lastAssignment()
 			if ok {
-				if st, err := c.workerJobStatus(j, a); err == nil && st.ID == a.WorkerJobID {
+				if st, err := jobCall[server.JobStatus](c, a, j.cancelCh, http.MethodGet, ""); err == nil && st.ID == a.WorkerJobID {
 					c.c.recovReattach.Inc()
 					c.log.Info("reattached to worker after restart",
 						"job_id", j.ID, "worker", a.WorkerID, "worker_job", a.WorkerJobID)
 					c.recordFlight(j, obs.FlightDispatched, a.WorkerID, "reattached after coordinator restart")
 					j.mu.Lock()
-					j.state = StateRunning
+					j.state = server.JobRunning
 					j.mu.Unlock()
 					ok = true
 				} else {
@@ -900,12 +847,20 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 			}
 		} else {
 			if j.dispatchCount() >= c.cfg.MaxDispatches {
-				c.finalize(j, StateFailed, fmt.Sprintf(
+				c.finalize(j, server.JobFailed, fmt.Sprintf(
 					"failover budget exhausted after %d dispatches", j.dispatchCount()))
 				return
 			}
-			a, ok = c.dispatch(j)
-			if !ok {
+			var err error
+			a, err = c.dispatch(j)
+			var refused *workerHTTPError
+			if errors.As(err, &refused) {
+				// Every replica refused the job itself; parking would
+				// re-offer a request no worker will ever accept.
+				c.finalize(j, server.JobFailed, "every replica refused the job: "+refused.Error())
+				return
+			}
+			if err != nil {
 				// No replica reachable right now: park until membership
 				// changes (or cancellation/shutdown), then try again.
 				if !c.park(j) {
@@ -920,7 +875,7 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 			return
 		case watchCancelled:
 			c.forwardCancelTo(a)
-			c.finalize(j, StateCancelled, "cancelled by client")
+			c.finalize(j, server.JobCancelled, "cancelled by client")
 			return
 		case watchShutdown:
 			return
@@ -941,7 +896,7 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 func (c *Coordinator) park(j *coordJob) bool {
 	j.mu.Lock()
 	j.parked = true
-	j.state = StateQueued
+	j.state = server.JobQueued
 	j.mu.Unlock()
 	defer func() {
 		j.mu.Lock()
@@ -950,52 +905,77 @@ func (c *Coordinator) park(j *coordJob) bool {
 	}()
 	c.log.Info("job parked: no live replica", "job_id", j.ID, "target", j.Target)
 	c.recordFlight(j, obs.FlightParked, "", "no live replica for target "+j.Target)
+	// The timer re-evaluates periodically even without a membership
+	// event — breakers may have cooled down.
+	switch c.wait(c.cfg.LeaseTTL, j.cancelCh, c.ms.changedCh()) {
+	case wokeCancelled:
+		c.finalize(j, server.JobCancelled, "cancelled while parked")
+		return false
+	case wokeShutdown:
+		return false
+	}
+	return true
+}
+
+// wakeup says why Coordinator.wait returned.
+type wakeup int
+
+const (
+	wokeTimer     wakeup = iota // the duration elapsed on the coordinator's clock
+	wokeSignal                  // the wake channel fired
+	wokeCancelled               // the cancel channel fired
+	wokeShutdown                // the coordinator is shutting down
+)
+
+// noTimer makes wait block until a channel fires.
+const noTimer = time.Duration(-1)
+
+// wait is the one place a job's goroutines block: for d on the
+// coordinator's Clock (so ManualClock tests own every pause), or until
+// wake fires (a membership change, a job's doneCh, a semaphore token),
+// cancel fires (the job's cancelCh, a unit's stop, a request context),
+// or the coordinator shuts down. A nil channel never fires. Callers map
+// the wakeup onto their own outcome.
+func (c *Coordinator) wait(d time.Duration, cancel, wake <-chan struct{}) wakeup {
+	var timer <-chan time.Time
+	if d != noTimer {
+		timer = c.cfg.Clock.After(d)
+	}
 	select {
-	case <-c.ms.changedCh():
-		return true
-	case <-c.cfg.Clock.After(c.cfg.LeaseTTL):
-		// Re-evaluate periodically even without a membership event —
-		// breakers may have cooled down.
-		return true
-	case <-j.cancelCh:
-		c.finalize(j, StateCancelled, "cancelled while parked")
-		return false
+	case <-timer:
+		return wokeTimer
+	case <-wake:
+		return wokeSignal
+	case <-cancel:
+		return wokeCancelled
 	case <-c.ctx.Done():
-		return false
+		return wokeShutdown
 	}
 }
 
-// dispatch walks the replica preference list and tries to place the job
-// on the first worker that accepts it. Returns false if no replica
-// accepted.
-func (c *Coordinator) dispatch(j *coordJob) (assignment, bool) {
+// errNoReplica is dispatch's "nothing to place the job on right now".
+var errNoReplica = errors.New("cluster: no replica accepted the job")
+
+// dispatch walks the replica preference list — the worker the job was
+// last on demoted to the back, so a failover prefers a different replica
+// but the lost worker stays eligible if it is the only one left — and
+// places the job on the first worker that accepts it. When every
+// replica was asked and each refused the job itself (400/413/422), the
+// last refusal is returned: the job can never run. Any other miss is
+// errNoReplica.
+func (c *Coordinator) dispatch(j *coordJob) (assignment, error) {
 	if c.fenced.Load() {
 		// A newer leader owns the cluster; dispatching would split-brain.
 		// The job parks here and completes under the new leader, which
 		// replicated the same journal.
 		c.recordFlight(j, obs.FlightEpochFence, "",
 			fmt.Sprintf("coordinator fenced at epoch %d; not dispatching", c.epoch))
-		return assignment{}, false
+		return assignment{}, errNoReplica
 	}
-	replicas := c.ms.replicasFor(j.Target, c.cfg.ReplicationFactor)
-	// Demote (not drop) the worker the job was last on: after a
-	// failover we prefer a different replica, but if the lost worker is
-	// the only one left alive it stays eligible at the back.
-	if prev, ok := j.lastAssignment(); ok && len(replicas) > 1 {
-		reordered := make([]*Member, 0, len(replicas))
-		var demoted *Member
-		for _, m := range replicas {
-			if m.ID == prev.WorkerID {
-				demoted = m
-				continue
-			}
-			reordered = append(reordered, m)
-		}
-		if demoted != nil {
-			reordered = append(reordered, demoted)
-		}
-		replicas = reordered
-	}
+	prev, _ := j.lastAssignment()
+	replicas := c.ms.preference(j.Target, c.cfg.ReplicationFactor, 0, prev.WorkerID)
+	var refused *workerHTTPError
+	refusals := 0
 	for _, m := range replicas {
 		if _, ok := c.brk.Allow(m.ID); !ok {
 			continue
@@ -1003,12 +983,15 @@ func (c *Coordinator) dispatch(j *coordJob) (assignment, bool) {
 		wid, err := c.dispatchTo(j, m)
 		if err != nil {
 			c.log.Warn("dispatch failed", "job_id", j.ID, "worker", m.ID, "err", err)
+			if errors.As(err, &refused) && refused.refused() {
+				refusals++
+			}
 			continue
 		}
 		a := assignment{WorkerID: m.ID, WorkerAddr: m.Addr, WorkerJobID: wid, At: c.cfg.Clock.Now()}
 		j.mu.Lock()
 		j.assignments = append(j.assignments, a)
-		j.state = StateRunning
+		j.state = server.JobRunning
 		j.mu.Unlock()
 		if err := c.wal.assigned(j, a); err != nil {
 			c.log.Error("journaling assignment failed", "job_id", j.ID, "err", err)
@@ -1017,9 +1000,12 @@ func (c *Coordinator) dispatch(j *coordJob) (assignment, bool) {
 		c.log.Info("job routed", "job_id", j.ID, "worker", m.ID, "worker_job", wid,
 			"attempt", j.dispatchCount())
 		c.recordFlight(j, obs.FlightDispatched, m.ID, "worker job "+wid)
-		return a, true
+		return a, nil
 	}
-	return assignment{}, false
+	if refusals > 0 && refusals == len(replicas) {
+		return assignment{}, refused
+	}
+	return assignment{}, errNoReplica
 }
 
 type watchOutcome int
@@ -1045,41 +1031,36 @@ func (c *Coordinator) watch(j *coordJob, a assignment) watchOutcome {
 	failures := 0
 	sink := j.spanSink(a)
 	for {
-		select {
-		case <-j.cancelCh:
+		switch c.wait(c.cfg.PollInterval, j.cancelCh, nil) {
+		case wokeCancelled:
 			return watchCancelled
-		case <-c.ctx.Done():
+		case wokeShutdown:
 			return watchShutdown
-		case <-c.cfg.Clock.After(c.cfg.PollInterval):
 		}
 		if _, live := c.ms.alive(a.WorkerID); !live {
 			c.log.Warn("worker lease gone while watching", "job_id", j.ID, "worker", a.WorkerID)
 			c.recordFlight(j, obs.FlightLeaseExpired, a.WorkerID, "lease expired mid-watch")
 			return watchLost
 		}
-		st, err := c.workerJobStatus(j, a)
+		st, err := jobCall[server.JobStatus](c, a, j.cancelCh, http.MethodGet, "")
 		if err != nil {
 			failures++
-			c.brk.Failure(a.WorkerID)
-			c.c.dispatchErrors.Inc()
 			if failures >= c.cfg.Retry.Attempts() {
 				return watchLost
 			}
 			// Exponential backoff with jitter on top of the poll cadence.
-			select {
-			case <-c.cfg.Clock.After(c.cfg.Retry.Backoff(failures, hash64(j.ID))):
-			case <-j.cancelCh:
+			switch c.wait(c.cfg.Retry.Backoff(failures, hash64(j.ID)), j.cancelCh, nil) {
+			case wokeCancelled:
 				return watchCancelled
-			case <-c.ctx.Done():
+			case wokeShutdown:
 				return watchShutdown
 			}
 			continue
 		}
 		failures = 0
-		c.brk.Success(a.WorkerID)
 		c.pollSpans(j, a, sink)
-		if terminalState(string(st.State)) {
-			c.finalize(j, string(st.State), st.Error)
+		if st.State.Terminal() {
+			c.finalize(j, st.State, st.Error)
 			return watchDone
 		}
 	}
@@ -1092,11 +1073,11 @@ func (c *Coordinator) pollSpans(j *coordJob, a assignment, sink *workerSpans) {
 	j.spanMu.Lock()
 	after := len(sink.Events)
 	j.spanMu.Unlock()
-	ex, err := c.workerTrace(j, a, after)
-	if err != nil || ex == nil {
+	ex, err := jobCall[obs.TraceExport](c, a, j.cancelCh, http.MethodGet, "/trace?after="+strconv.Itoa(after))
+	if err != nil {
 		return
 	}
-	j.absorbSpans(sink, *ex)
+	j.absorbSpans(sink, ex)
 }
 
 // stampShip records that a worker just shipped a checkpoint segment
@@ -1127,25 +1108,9 @@ func (c *Coordinator) shipLags() map[string]time.Duration {
 	return out
 }
 
-// forwardCancel forwards a cancellation to the job's current worker.
-func (c *Coordinator) forwardCancel(j *coordJob) {
-	if a, ok := j.lastAssignment(); ok {
-		c.forwardCancelTo(a)
-	}
-}
-
+// forwardCancelTo cancels an assignment's worker-side job, best-effort.
 func (c *Coordinator) forwardCancelTo(a assignment) {
-	req, err := http.NewRequest(http.MethodDelete,
-		a.WorkerAddr+"/v1/jobs/"+a.WorkerJobID, nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.doRequest(req, nil)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort
-	resp.Body.Close()              //nolint:errcheck
+	jobCall[struct{}](c, a, nil, http.MethodDelete, "") //nolint:errcheck // the job is cancelled here either way
 }
 
 // Shutdown stops the HTTP server and the routing goroutines. In-flight

@@ -22,6 +22,7 @@ import (
 
 	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/faultinject"
+	"darwinwga/internal/server"
 )
 
 // pumpClock advances a manual clock in steps until cond holds, failing
@@ -193,11 +194,11 @@ func TestHAStandbyPromotionCompletesJob(t *testing.T) {
 	cc2 := &chaosCluster{coord: promoted, clock: sbClock, front: front2}
 	cc2.register(t, "w1", w1)
 	cc2.pump(t, "reattach on the promoted leader", func() { cc2.heartbeat(t, "w1") }, func() bool {
-		return cc2.jobStatus(t, id).State == StateRunning
+		return cc2.jobStatus(t, id).State == server.JobRunning
 	})
 	w1.finishAll()
 	cc2.pump(t, "job done under the original id", func() { cc2.heartbeat(t, "w1") }, func() bool {
-		return cc2.jobStatus(t, id).State == StateDone
+		return cc2.jobStatus(t, id).State == server.JobDone
 	})
 	if got := w1.submitCount(); got != 1 {
 		t.Errorf("worker saw %d submissions, want 1 (failover must reattach, not re-dispatch)", got)
@@ -263,7 +264,7 @@ func TestHAFencingRejectsStaleLeader(t *testing.T) {
 	})
 	w.finishAll()
 	ccA.pump(t, "A's job completes before B exists", func() { ccA.heartbeat(t, "w") }, func() bool {
-		return ccA.jobStatus(t, idA).State == StateDone
+		return ccA.jobStatus(t, idA).State == server.JobDone
 	})
 
 	// Leader B reopens its own journal once first, so its epoch exceeds
@@ -316,7 +317,7 @@ func TestHAFencingRejectsStaleLeader(t *testing.T) {
 	// B remains healthy and finishes its job.
 	w.finishAll()
 	ccB.pump(t, "B's job completes despite A", func() { ccB.heartbeat(t, "w") }, func() bool {
-		return ccB.jobStatus(t, idB).State == StateDone
+		return ccB.jobStatus(t, idB).State == server.JobDone
 	})
 }
 
@@ -343,12 +344,12 @@ func TestHASnapshotCompactionBoundsReplay(t *testing.T) {
 			t.Fatalf("cycle %d: recovered %d jobs, want %d", cycle, len(st.recovered), total)
 		}
 		for i := 0; i < perCycle; i++ {
-			j := &coordJob{ID: fmt.Sprintf("cj-%d-%d", cycle, i), Target: testTarget,
-				Fingerprint: testFP, Client: "snap", Created: time.Unix(int64(cycle), 0)}
+			j := &coordJob{ckSubmitted: ckSubmitted{ID: fmt.Sprintf("cj-%d-%d", cycle, i), Target: testTarget,
+				Fingerprint: testFP, Client: "snap", CreatedNS: time.Unix(int64(cycle), 0).UnixNano()}}
 			if err := cj.submitted(j); err != nil {
 				t.Fatalf("submitted: %v", err)
 			}
-			if err := cj.finished(j, StateDone, "", time.Unix(int64(cycle), 1)); err != nil {
+			if err := cj.finished(j, server.JobDone, "", time.Unix(int64(cycle), 1)); err != nil {
 				t.Fatalf("finished: %v", err)
 			}
 		}
@@ -366,7 +367,7 @@ func TestHASnapshotCompactionBoundsReplay(t *testing.T) {
 		t.Fatalf("final recovered = %d jobs, want %d", len(st.recovered), total)
 	}
 	for _, r := range st.recovered {
-		if !r.finished || r.finalState != StateDone {
+		if !r.finished || r.finalState != server.JobDone {
 			t.Fatalf("job %s lost its terminal state through compaction", r.sub.ID)
 		}
 	}
@@ -491,7 +492,7 @@ func TestHAShippedSegmentsFollowFailover(t *testing.T) {
 	cc.pump(t, "job done on the survivor and its shipped store dropped", func() {
 		cc.heartbeat(t, survivorID)
 	}, func() bool {
-		if cc.jobStatus(t, id).State != StateDone {
+		if cc.jobStatus(t, id).State != server.JobDone {
 			return false
 		}
 		resp, err := http.Get(shipURL)

@@ -12,6 +12,7 @@ import (
 	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
+	"darwinwga/internal/server"
 )
 
 // The coordinator's WAL journals every routing decision so a restart is
@@ -68,14 +69,14 @@ type ckHeader struct {
 }
 
 type ckSubmitted struct {
-	ID          string  `json:"id"`
-	Target      string  `json:"target"`
-	Fingerprint string  `json:"fingerprint,omitempty"`
-	Client      string  `json:"client,omitempty"`
-	QueryName   string  `json:"query_name,omitempty"`
-	TraceID     string  `json:"trace_id,omitempty"`
-	Spec        jobSpec `json:"spec"`
-	CreatedNS   int64   `json:"created_ns"`
+	ID          string       `json:"id"`
+	Target      string       `json:"target"`
+	Fingerprint string       `json:"fingerprint,omitempty"`
+	Client      string       `json:"client,omitempty"`
+	QueryName   string       `json:"query_name,omitempty"`
+	TraceID     string       `json:"trace_id,omitempty"`
+	Spec        core.JobSpec `json:"spec"`
+	CreatedNS   int64        `json:"created_ns"`
 }
 
 type ckAssigned struct {
@@ -87,10 +88,10 @@ type ckAssigned struct {
 }
 
 type ckFinished struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
-	AtNS  int64  `json:"at_ns"`
+	ID    string          `json:"id"`
+	State server.JobState `json:"state"`
+	Error string          `json:"error,omitempty"`
+	AtNS  int64           `json:"at_ns"`
 }
 
 type ckEpoch struct {
@@ -128,7 +129,7 @@ type recoveredRouting struct {
 	sub        ckSubmitted
 	assigns    []ckAssigned
 	finished   bool
-	finalState string
+	finalState server.JobState
 	finalErr   string
 	finishedAt time.Time
 	shardPlan  []core.ShardUnit
@@ -406,16 +407,7 @@ func (cj *coordJournal) submitted(j *coordJob) error {
 	if cj == nil {
 		return nil
 	}
-	return cj.append(ckKindSubmitted, ckSubmitted{
-		ID:          j.ID,
-		Target:      j.Target,
-		Fingerprint: j.Fingerprint,
-		Client:      j.Client,
-		QueryName:   j.QueryName,
-		TraceID:     j.TraceID,
-		Spec:        j.Spec,
-		CreatedNS:   j.Created.UnixNano(),
-	})
+	return cj.append(ckKindSubmitted, j.ckSubmitted)
 }
 
 func (cj *coordJournal) assigned(j *coordJob, a assignment) error {
@@ -431,7 +423,7 @@ func (cj *coordJournal) assigned(j *coordJob, a assignment) error {
 	})
 }
 
-func (cj *coordJournal) finished(j *coordJob, state, errMsg string, at time.Time) error {
+func (cj *coordJournal) finished(j *coordJob, state server.JobState, errMsg string, at time.Time) error {
 	if cj == nil {
 		return nil
 	}

@@ -279,6 +279,35 @@ func (ms *membership) replicasFor(target string, rf int) []*Member {
 	return out
 }
 
+// preference orders target's replicas for one placement decision: ring
+// order limited to rf (0 = every holder), with avoid — the worker a
+// failover, retry or hedge is moving away from — taken out and the rest
+// rotated by rotate (how shard units spread across the fleet and retries
+// move on), then avoid appended last: it stays eligible only when
+// nothing else is. The rotation runs over the non-avoided replicas only,
+// or an offset landing on the demoted tail would re-pick the very worker
+// being escaped. Callers take the first entry their breaker allows.
+func (ms *membership) preference(target string, rf, rotate int, avoid string) []*Member {
+	replicas := ms.replicasFor(target, rf)
+	var kept []*Member
+	var demoted *Member
+	for _, m := range replicas {
+		if m.ID == avoid {
+			demoted = m
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	out := replicas[:0]
+	for i := range kept {
+		out = append(out, kept[(rotate+i)%len(kept)])
+	}
+	if demoted != nil {
+		out = append(out, demoted)
+	}
+	return out
+}
+
 // replicaCount returns how many live workers hold each known target.
 func (ms *membership) replicaCount() map[string]int {
 	ms.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"darwinwga/internal/obs"
+	"darwinwga/internal/server"
 )
 
 // Cluster-wide observability endpoints: the merged distributed trace
@@ -31,7 +32,7 @@ import (
 func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.getJob(r.PathValue("id"))
 	if !ok {
-		cWriteError(w, http.StatusNotFound, "unknown job")
+		server.WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	// Drain the live assignment's tail first, so a fetch immediately
@@ -41,7 +42,7 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		c.pollSpans(j, a, j.spanSink(a))
 	}
 	events := c.mergedTrace(j)
-	cWriteJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"traceEvents":     events,
 		"displayTimeUnit": "ms",
 		"otherData": map[string]any{
@@ -109,17 +110,20 @@ func (c *Coordinator) mergedTrace(j *coordJob) []obs.Event {
 func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.getJob(r.PathValue("id"))
 	if !ok {
-		cWriteError(w, http.StatusNotFound, "unknown job")
+		server.WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	events := j.flight.Events()
 	if a, assigned := j.lastAssignment(); assigned {
-		if wev, err := c.workerEvents(j, a); err == nil {
-			events = append(events, wev...)
+		wev, err := jobCall[struct {
+			Events []obs.FlightEvent `json:"events"`
+		}](c, a, j.cancelCh, http.MethodGet, "/events")
+		if err == nil {
+			events = append(events, wev.Events...)
 		}
 	}
 	sort.SliceStable(events, func(i, k int) bool { return events[i].At.Before(events[k].At) })
-	cWriteJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"job_id":   j.ID,
 		"trace_id": j.TraceID,
 		"total":    j.flight.Total(),

@@ -17,6 +17,7 @@ import (
 
 	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/obs"
+	"darwinwga/internal/server"
 )
 
 // heartbeatSnap renews id's lease with a piggybacked metrics snapshot.
@@ -124,7 +125,7 @@ func TestClusterTraceMergeAcrossFailover(t *testing.T) {
 	cc.pump(t, "job done after failover", func() {
 		cc.heartbeat(t, survivorID)
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 
 	// Both workers saw the same trace header.

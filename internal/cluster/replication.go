@@ -20,6 +20,7 @@ import (
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/obs"
+	"darwinwga/internal/server"
 )
 
 // Journal shipping: a warm standby tails the leader's routing WAL over
@@ -170,14 +171,14 @@ func (h *replicationHub) total() uint64 {
 // serveReplicate streams the routing WAL to one follower.
 func (c *Coordinator) serveReplicate(w http.ResponseWriter, r *http.Request) {
 	if c.hub == nil {
-		cWriteError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
+		server.WriteError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
 		return
 	}
 	var after uint64
 	if s := r.URL.Query().Get("after"); s != "" {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			cWriteError(w, http.StatusBadRequest, "bad after offset %q", s)
+			server.WriteError(w, http.StatusBadRequest, "bad after offset %q", s)
 			return
 		}
 		after = v
@@ -191,7 +192,7 @@ func (c *Coordinator) serveReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		cWriteError(w, http.StatusInternalServerError, "streaming unsupported")
+		server.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -390,7 +391,7 @@ func (s *Standby) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		cWriteError(w, http.StatusServiceUnavailable, "standby for %s: not leader", s.cfg.LeaderURL)
+		server.WriteError(w, http.StatusServiceUnavailable, "standby for %s: not leader", s.cfg.LeaderURL)
 	})
 }
 

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"darwinwga/internal/faultinject"
+	"darwinwga/internal/server"
 )
 
 // TestRingOrderDeterministic: the preference order for a key is a pure
@@ -162,6 +164,41 @@ func TestMembershipReplicasFor(t *testing.T) {
 	}
 }
 
+// TestMembershipPreference: the one replica ordering behind whole-job
+// dispatch and shard-unit placement — ring order, rotated over the
+// non-avoided replicas only, the avoided worker last but still present.
+func TestMembershipPreference(t *testing.T) {
+	ms := newMembership(faultinject.NewManualClock(time.Unix(0, 0)), time.Minute)
+	for _, id := range []string{"w1", "w2", "w3"} {
+		ms.register(id, "http://"+id, map[string]string{"tgt": "fp"}, nil)
+	}
+	ids := func(ms []*Member) (out []string) {
+		for _, m := range ms {
+			out = append(out, m.ID)
+		}
+		return out
+	}
+	ring := ids(ms.replicasFor("tgt", 0))
+	if got := ids(ms.preference("tgt", 0, 0, "")); !reflect.DeepEqual(got, ring) {
+		t.Errorf("no rotation, no avoid = %v, want ring order %v", got, ring)
+	}
+	if got, want := ids(ms.preference("tgt", 0, 4, "")), []string{ring[1], ring[2], ring[0]}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rotate 4 = %v, want %v", got, want)
+	}
+	for rotate := 0; rotate < 4; rotate++ {
+		got := ids(ms.preference("tgt", 0, rotate, ring[0]))
+		if len(got) != 3 || got[2] != ring[0] {
+			t.Errorf("rotate %d avoiding %s = %v, want it last", rotate, ring[0], got)
+		}
+	}
+	if got := ids(ms.preference("tgt", 1, 0, ring[0])); !reflect.DeepEqual(got, ring[:1]) {
+		t.Errorf("sole replica avoided = %v, want it to stay eligible", got)
+	}
+	if got := ms.preference("nobody", 0, 3, "w1"); len(got) != 0 {
+		t.Errorf("unknown target = %v, want none", ids(got))
+	}
+}
+
 // TestCoordJournalRoundTrip folds submitted/assigned/finished records
 // back after a reopen.
 func TestCoordJournalRoundTrip(t *testing.T) {
@@ -173,10 +210,10 @@ func TestCoordJournalRoundTrip(t *testing.T) {
 	if len(state.recovered) != 0 {
 		t.Fatalf("fresh journal recovered %d", len(state.recovered))
 	}
-	j1 := &coordJob{ID: "cj-1", Target: "tgt", Fingerprint: "fp", Client: "alice",
-		QueryName: "q", Created: time.Unix(100, 0)}
-	j2 := &coordJob{ID: "cj-2", Target: "tgt", Fingerprint: "fp", Client: "bob",
-		QueryName: "q2", Created: time.Unix(101, 0)}
+	j1 := &coordJob{ckSubmitted: ckSubmitted{ID: "cj-1", Target: "tgt", Fingerprint: "fp", Client: "alice",
+		QueryName: "q", CreatedNS: time.Unix(100, 0).UnixNano()}}
+	j2 := &coordJob{ckSubmitted: ckSubmitted{ID: "cj-2", Target: "tgt", Fingerprint: "fp", Client: "bob",
+		QueryName: "q2", CreatedNS: time.Unix(101, 0).UnixNano()}}
 	if err := cj.saveQuery(j1.ID, ">chr1\nACGT\n"); err != nil {
 		t.Fatalf("saveQuery: %v", err)
 	}
@@ -190,7 +227,7 @@ func TestCoordJournalRoundTrip(t *testing.T) {
 	if err := cj.assigned(j1, a); err != nil {
 		t.Fatalf("assigned: %v", err)
 	}
-	if err := cj.finished(j1, StateDone, "", time.Unix(103, 0)); err != nil {
+	if err := cj.finished(j1, server.JobDone, "", time.Unix(103, 0)); err != nil {
 		t.Fatalf("finished: %v", err)
 	}
 	cj.close()
@@ -208,7 +245,7 @@ func TestCoordJournalRoundTrip(t *testing.T) {
 	if r1.sub.ID != "cj-1" || r2.sub.ID != "cj-2" {
 		t.Fatalf("submission order lost: %s, %s", r1.sub.ID, r2.sub.ID)
 	}
-	if !r1.finished || r1.finalState != StateDone {
+	if !r1.finished || r1.finalState != server.JobDone {
 		t.Fatalf("j1 not restored terminal: %+v", r1)
 	}
 	if len(r1.assigns) != 1 || r1.assigns[0].WorkerJobID != "wj-9" {

@@ -262,7 +262,7 @@ func TestShardScatterGatherHappyPath(t *testing.T) {
 		cc.heartbeat(t, "w1")
 		cc.heartbeat(t, "w2")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 
 	st := cc.jobStatus(t, id)
@@ -313,7 +313,7 @@ func TestShardBudgetedJobKeepsWholeJob(t *testing.T) {
 	cc.pump(t, "whole job done", func() {
 		cc.heartbeat(t, "w1")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 	st := cc.jobStatus(t, id)
 	if st.Sharded || st.Shards != nil {
@@ -361,7 +361,7 @@ func TestShardWorkerDeathFailover(t *testing.T) {
 	cc.pump(t, "units fail over to the survivor", func() {
 		cc.heartbeat(t, "w2")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 	release()
 
@@ -418,7 +418,7 @@ func TestShardHedgedStraggler(t *testing.T) {
 		cc.heartbeat(t, "w1")
 		cc.heartbeat(t, "w2")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 	release()
 
@@ -466,7 +466,7 @@ func TestShardRetryExhaustionPartialResult(t *testing.T) {
 	cc.pump(t, "partial completion", func() {
 		cc.heartbeat(t, "w1")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 
 	plan := shardTestPlan(2)
@@ -518,7 +518,7 @@ func TestShardTruncatedBodyRetry(t *testing.T) {
 	cc.pump(t, "job survives the truncated body", func() {
 		cc.heartbeat(t, "w1")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 
 	if got := cc.coord.c.shardRetried.Value(); got < 1 {
@@ -581,7 +581,7 @@ func TestShardJournalRestartRedispatchOnlyUnfinished(t *testing.T) {
 	cc2.pump(t, "job done after restart", func() {
 		cc2.heartbeat(t, "w1")
 	}, func() bool {
-		return cc2.jobStatus(t, id).State == StateDone
+		return cc2.jobStatus(t, id).State == server.JobDone
 	})
 
 	if got := cc2.coord.c.shardRecovered.Value(); got != 2 {
@@ -665,7 +665,7 @@ func TestShardArtifactStoreENOSPCSubmit(t *testing.T) {
 	cc.pump(t, "job done after disk recovered", func() {
 		cc.heartbeat(t, "w1")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 }
 
@@ -725,6 +725,6 @@ func TestShardArtifactStoreENOSPCShippedPut(t *testing.T) {
 	cc.pump(t, "whole job done", func() {
 		cc.heartbeat(t, "w1")
 	}, func() bool {
-		return cc.jobStatus(t, id).State == StateDone
+		return cc.jobStatus(t, id).State == server.JobDone
 	})
 }

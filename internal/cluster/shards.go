@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -38,13 +37,10 @@ import (
 const shardTruncatedReason = "shard-failures"
 
 // shardEnabled reports whether a job against target takes the
-// scatter/gather path. Budgeted or deadlined jobs always keep whole-job
-// routing: a work unit is all-or-nothing (mid-unit truncation would
-// break the deterministic merge), so those budgets can only be
-// accounted job-wide.
-func (c *Coordinator) shardEnabled(target string, spec jobSpec) bool {
-	if spec.MaxCandidates != 0 || spec.MaxFilterTiles != 0 ||
-		spec.MaxExtensionCells != 0 || spec.DeadlineMS != 0 {
+// scatter/gather path. Budgeted jobs always keep whole-job routing (see
+// core.JobSpec.Budgeted): those budgets can only be accounted job-wide.
+func (c *Coordinator) shardEnabled(target string, spec core.JobSpec) bool {
+	if spec.Budgeted() {
 		return false
 	}
 	for _, t := range c.cfg.ShardDispatch {
@@ -238,7 +234,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 
 	queryLen, err := fastaBaseCount(j.queryFASTA)
 	if err != nil {
-		c.finalize(j, StateFailed, fmt.Sprintf("shard planning: %v", err))
+		c.finalize(j, server.JobFailed, fmt.Sprintf("shard planning: %v", err))
 		return
 	}
 	var plan []core.ShardUnit
@@ -259,13 +255,13 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		}
 	}
 	if len(plan) == 0 {
-		c.finalize(j, StateFailed, "shard planning produced no units")
+		c.finalize(j, server.JobFailed, "shard planning produced no units")
 		return
 	}
 	prog := newShardProgress(plan)
 	j.mu.Lock()
 	j.shard = prog
-	j.state = StateRunning
+	j.state = server.JobRunning
 	j.mu.Unlock()
 
 	unitBySeq := make(map[int]core.ShardUnit, len(plan))
@@ -308,7 +304,12 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 	// two runners (primary + hedge), so the channel can never block a
 	// sender even after the gather loop exits.
 	resultCh := make(chan shardOutcome, 2*len(plan))
+	// sem holds one token per allowed in-flight unit: a runner takes one
+	// (through wait, so the take is interruptible) and puts it back.
 	sem := make(chan struct{}, c.cfg.ShardParallel)
+	for i := 0; i < cap(sem); i++ {
+		sem <- struct{}{}
+	}
 	stops := make(map[int]chan struct{}, len(plan))
 	stopped := make(map[int]bool, len(plan))
 	runners := make(map[int]int, len(plan))
@@ -399,7 +400,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 			}
 		case <-j.cancelCh:
 			stopAll()
-			c.finalize(j, StateCancelled, "cancelled by client")
+			c.finalize(j, server.JobCancelled, "cancelled by client")
 			return
 		case <-c.ctx.Done():
 			stopAll()
@@ -425,16 +426,8 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 	var lastErr error
 	var lastWorker string
 	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			select {
-			case <-c.cfg.Clock.After(c.cfg.Retry.Backoff(attempt-1, hash64(seed))):
-			case <-stop:
-				return
-			case <-j.cancelCh:
-				return
-			case <-c.ctx.Done():
-				return
-			}
+		if attempt > 1 && c.wait(c.cfg.Retry.Backoff(attempt-1, hash64(seed)), stop, nil) != wokeTimer {
+			return
 		}
 		if c.fenced.Load() {
 			out <- shardOutcome{seq: u.Seq, hedge: hedge,
@@ -458,14 +451,7 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 			lastErr = fmt.Errorf("no live replica holds target %q", j.Target)
 			deadline := c.cfg.Clock.Now().Add(c.cfg.LeaseTTL + c.cfg.BreakerCooldown)
 			for m == nil && c.cfg.Clock.Now().Before(deadline) {
-				select {
-				case <-c.ms.changedCh():
-				case <-c.cfg.Clock.After(c.cfg.PollInterval):
-				case <-stop:
-					return
-				case <-j.cancelCh:
-					return
-				case <-c.ctx.Done():
+				if woke := c.wait(c.cfg.PollInterval, stop, c.ms.changedCh()); woke == wokeCancelled || woke == wokeShutdown {
 					return
 				}
 				m = c.pickShardWorker(j.Target, u.Seq, attempt, avoid)
@@ -489,20 +475,14 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 					fmt.Sprintf("unit %s attempt %d", u, attempt))
 			}
 		}
-		select {
-		case sem <- struct{}{}:
-		case <-stop:
-			return
-		case <-j.cancelCh:
-			return
-		case <-c.ctx.Done():
+		if c.wait(noTimer, stop, sem) != wokeSignal {
 			return
 		}
 		prog.markRunning(u.Seq, m.ID, c.cfg.Clock.Now())
 		start := c.cfg.Clock.Now()
 		frames, err := c.dispatchShardTo(j, m, u, stop)
 		dur := c.cfg.Clock.Now().Sub(start)
-		<-sem
+		sem <- struct{}{}
 		lastWorker = m.ID
 		if err == nil {
 			out <- shardOutcome{seq: u.Seq, hedge: hedge, worker: m.ID, dur: dur, frames: frames}
@@ -515,43 +495,16 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 	out <- shardOutcome{seq: u.Seq, hedge: hedge, worker: lastWorker, err: lastErr}
 }
 
-// pickShardWorker chooses a worker for one unit attempt: the full
-// replica list for the target (every worker advertising it), rotated by
-// unit seq — spreading a job's units across the fleet — and by attempt,
-// so retries move to the next replica. avoid is demoted to last: a
-// hedge lands on a different worker than the straggler when one exists,
-// and a retry leaves the worker that just failed, unless it is the only
-// one left.
+// pickShardWorker chooses a worker for one unit attempt: every worker
+// advertising the target, rotated by unit seq — spreading a job's units
+// across the fleet — and by attempt, so retries move to the next
+// replica, with avoid last (a hedge lands on a different worker than the
+// straggler, a retry leaves the worker that just failed, unless it is
+// the only one left); the first the breaker allows wins.
 func (c *Coordinator) pickShardWorker(target string, seq, attempt int, avoid string) *Member {
-	replicas := c.ms.replicasFor(target, 0)
-	if len(replicas) == 0 {
-		return nil
-	}
-	var demoted *Member
-	if avoid != "" && len(replicas) > 1 {
-		kept := make([]*Member, 0, len(replicas))
-		for _, m := range replicas {
-			if m.ID == avoid {
-				demoted = m
-				continue
-			}
-			kept = append(kept, m)
-		}
-		replicas = kept
-	}
-	// The rotation runs over the non-avoided replicas only — otherwise
-	// an offset landing on the demoted tail would defeat the demotion
-	// and re-pick the very worker a hedge or retry is escaping.
-	off := (seq + attempt - 1) % len(replicas)
-	for i := 0; i < len(replicas); i++ {
-		m := replicas[(off+i)%len(replicas)]
+	for _, m := range c.ms.preference(target, 0, seq+attempt-1, avoid) {
 		if _, ok := c.brk.Allow(m.ID); ok {
 			return m
-		}
-	}
-	if demoted != nil {
-		if _, ok := c.brk.Allow(demoted.ID); ok {
-			return demoted
 		}
 	}
 	return nil
@@ -560,49 +513,26 @@ func (c *Coordinator) pickShardWorker(target string, seq, attempt int, avoid str
 // dispatchShardTo executes one work unit on one worker synchronously.
 // The in-flight request is the unit's lease: ShardLease bounds it on
 // the coordinator's clock, and stop (hedge twin won, job over) aborts
-// it early. Transport failures charge the worker's breaker; a 200 whose
-// body dies mid-frame (connection cut, injected truncation) is a
-// decode error — the unit is idempotent, so the caller just retries.
+// it early. A 200 whose body dies mid-frame (connection cut, injected
+// truncation) is a decode error — the unit is idempotent, so the caller
+// just retries.
 func (c *Coordinator) dispatchShardTo(j *coordJob, m *Member, u core.ShardUnit, stop <-chan struct{}) ([]server.ShardResultFrame, error) {
-	payload, err := json.Marshal(server.ShardRequest{
-		Target:      j.Target,
-		Fingerprint: j.Fingerprint,
-		QueryFASTA:  j.queryFASTA,
-		QueryName:   j.QueryName,
-		Ungapped:    j.Spec.Ungapped,
-		Hf:          j.Spec.Hf,
-		He:          j.Spec.He,
-		JobID:       j.ID,
-		TraceID:     j.TraceID,
-		Unit:        u,
+	sr, err := workerCall[server.ShardResponse](c, workerReq{
+		worker: m.ID, method: http.MethodPost, url: m.Addr + "/v1/shards",
+		body: server.ShardRequest{
+			Target:      j.Target,
+			Fingerprint: j.Fingerprint,
+			QueryFASTA:  j.queryFASTA,
+			QueryName:   j.QueryName,
+			JobSpec:     j.Spec,
+			JobID:       j.ID,
+			TraceID:     j.TraceID,
+			Unit:        u,
+		},
+		traceID: j.TraceID, cancel: stop, timeout: c.cfg.ShardLease, want: http.StatusOK,
 	})
 	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, m.Addr+"/v1/shards", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(TraceHeader, j.TraceID)
-	resp, err := c.doRequestTimeout(req, stop, c.cfg.ShardLease)
-	if err != nil {
-		c.brk.Failure(m.ID)
-		c.c.dispatchErrors.Inc()
-		return nil, err
-	}
-	c.brk.Success(m.ID)
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		drainClose(resp)
-		return nil, fmt.Errorf("cluster: worker %s: unit %s: HTTP %d: %s",
-			m.ID, u, resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var sr server.ShardResponse
-	derr := json.NewDecoder(resp.Body).Decode(&sr)
-	resp.Body.Close() //nolint:errcheck
-	if derr != nil {
-		return nil, fmt.Errorf("cluster: worker %s: unit %s: decoding frames: %w", m.ID, u, derr)
+		return nil, fmt.Errorf("unit %s: %w", u, err)
 	}
 	return sr.Frames, nil
 }
@@ -617,7 +547,7 @@ func (c *Coordinator) dispatchShardTo(j *coordJob, m *Member, u core.ShardUnit, 
 func (c *Coordinator) finishShardJob(j *coordJob, plan []core.ShardUnit,
 	results map[int][]server.ShardResultFrame, failed []core.ShardUnit) {
 	if len(failed) == len(plan) {
-		c.finalize(j, StateFailed, fmt.Sprintf("all %d shard units failed", len(plan)))
+		c.finalize(j, server.JobFailed, fmt.Sprintf("all %d shard units failed", len(plan)))
 		return
 	}
 	var buf bytes.Buffer
@@ -638,13 +568,13 @@ func (c *Coordinator) finishShardJob(j *coordJob, plan []core.ShardUnit,
 		keep, _ := core.MergeShardFrames(frames, absorbBand)
 		for _, i := range keep {
 			if err := mw.Write(blocks[i]); err != nil {
-				c.finalize(j, StateFailed, fmt.Sprintf("rendering merged MAF: %v", err))
+				c.finalize(j, server.JobFailed, fmt.Sprintf("rendering merged MAF: %v", err))
 				return
 			}
 		}
 	}
 	if err := mw.Close(); err != nil {
-		c.finalize(j, StateFailed, fmt.Sprintf("rendering merged MAF: %v", err))
+		c.finalize(j, server.JobFailed, fmt.Sprintf("rendering merged MAF: %v", err))
 		return
 	}
 
@@ -671,7 +601,7 @@ func (c *Coordinator) finishShardJob(j *coordJob, plan []core.ShardUnit,
 		errMsg = fmt.Sprintf("partial result: %d/%d shard units failed (%s)",
 			len(failedNames), len(plan), strings.Join(failedNames, ", "))
 	}
-	c.finalize(j, StateDone, errMsg)
+	c.finalize(j, server.JobDone, errMsg)
 }
 
 // serveShardMAF serves a sharded job's coordinator-merged MAF: wait for
@@ -684,8 +614,8 @@ func (c *Coordinator) serveShardMAF(w http.ResponseWriter, r *http.Request, j *c
 		return
 	}
 	state, errMsg := j.snapshotState()
-	if state != StateDone {
-		cWriteError(w, http.StatusGone, "job %s: no MAF (state %s: %s)", j.ID, state, errMsg)
+	if state != server.JobDone {
+		server.WriteError(w, http.StatusGone, "job %s: no MAF (state %s: %s)", j.ID, state, errMsg)
 		return
 	}
 	j.mu.Lock()
@@ -695,12 +625,12 @@ func (c *Coordinator) serveShardMAF(w http.ResponseWriter, r *http.Request, j *c
 	j.mu.Unlock()
 	if data == nil {
 		if c.wal == nil {
-			cWriteError(w, http.StatusGone, "job %s: merged MAF not retained", j.ID)
+			server.WriteError(w, http.StatusGone, "job %s: merged MAF not retained", j.ID)
 			return
 		}
 		loaded, err := c.wal.loadShardMAF(j.ID)
 		if err != nil {
-			cWriteError(w, http.StatusBadGateway, "job %s: merged MAF artifact unreadable: %v", j.ID, err)
+			server.WriteError(w, http.StatusBadGateway, "job %s: merged MAF artifact unreadable: %v", j.ID, err)
 			return
 		}
 		data = loaded

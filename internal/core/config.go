@@ -280,6 +280,69 @@ func LASTZConfig() Config {
 	return cfg
 }
 
+// JobSpec is the per-job parameter set, as every surface carries it: the
+// CLI's flags, a POST /v1/jobs or /v1/shards body, the worker's job
+// journal and the coordinator's routing WAL. It is declared once so a
+// job runs with the same knobs wherever it lands; zero values inherit
+// the base configuration it is applied to.
+type JobSpec struct {
+	// Ungapped switches to the LASTZ baseline: the ungapped filter and
+	// LASTZConfig's thresholds (the CLI's -ungapped).
+	Ungapped bool `json:"ungapped,omitempty"`
+	// ForwardOnly skips the reverse-complement strand.
+	ForwardOnly bool `json:"forward_only,omitempty"`
+	// Hf and He override the filter and extension thresholds (0 = keep).
+	Hf int32 `json:"hf,omitempty"`
+	He int32 `json:"he,omitempty"`
+	// Resource budgets (0 = the base's); exhaustion yields a partial
+	// result tagged with its truncation reason, not an error.
+	MaxCandidates     int64 `json:"max_candidates,omitempty"`
+	MaxFilterTiles    int64 `json:"max_filter_tiles,omitempty"`
+	MaxExtensionCells int64 `json:"max_extension_cells,omitempty"`
+	// DeadlineMS is the soft wall-clock budget in milliseconds (0 = none).
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+}
+
+// Budgeted reports whether the spec carries a resource budget or a
+// deadline. A shard work unit is all-or-nothing (mid-unit truncation
+// would break the deterministic merge), so a budgeted job is never
+// sharded and a unit request carrying a budget is refused.
+func (s JobSpec) Budgeted() bool {
+	return s.MaxCandidates != 0 || s.MaxFilterTiles != 0 ||
+		s.MaxExtensionCells != 0 || s.DeadlineMS != 0
+}
+
+// Apply maps the spec onto base. It is the only flag→Config mapping, so
+// a served job and a one-shot CLI run with matching parameters produce
+// byte-identical MAF.
+func (s JobSpec) Apply(base Config) Config {
+	cfg := base
+	if s.Ungapped {
+		lastz := LASTZConfig()
+		cfg.Filter = lastz.Filter
+		cfg.FilterThreshold = lastz.FilterThreshold
+		cfg.ExtensionThreshold = lastz.ExtensionThreshold
+	}
+	if s.Hf != 0 {
+		cfg.FilterThreshold = s.Hf
+	}
+	if s.He != 0 {
+		cfg.ExtensionThreshold = s.He
+	}
+	cfg.BothStrands = !s.ForwardOnly
+	if s.MaxCandidates != 0 {
+		cfg.MaxCandidates = s.MaxCandidates
+	}
+	if s.MaxFilterTiles != 0 {
+		cfg.MaxFilterTiles = s.MaxFilterTiles
+	}
+	if s.MaxExtensionCells != 0 {
+		cfg.MaxExtensionCells = s.MaxExtensionCells
+	}
+	cfg.Deadline = time.Duration(s.DeadlineMS) * time.Millisecond
+	return cfg
+}
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if _, err := seed.ParseShape(c.SeedPattern); err != nil {

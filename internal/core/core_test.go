@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"darwinwga/internal/align"
 	"darwinwga/internal/evolve"
@@ -362,5 +364,48 @@ func TestWorkersProduceSameHSPCount(t *testing.T) {
 	}
 	if counts[1] != counts[3] {
 		t.Errorf("worker count changed results: %v", counts)
+	}
+}
+
+// TestJobSpecApply pins the one flag→Config mapping against configs
+// built by hand from the paper's two configurations: the -ungapped
+// baseline must be LASTZConfig field for field, hf/he override either
+// base, and every other knob lands on exactly its own field.
+func TestJobSpecApply(t *testing.T) {
+	if got, want := (JobSpec{Ungapped: true}).Apply(DefaultConfig()), LASTZConfig(); !reflect.DeepEqual(got, want) {
+		t.Errorf("JobSpec{Ungapped}.Apply(DefaultConfig()) = %+v, want LASTZConfig() %+v", got, want)
+	}
+	if got, want := (JobSpec{}).Apply(DefaultConfig()), DefaultConfig(); !reflect.DeepEqual(got, want) {
+		t.Errorf("zero JobSpec changed the base: %+v", got)
+	}
+	cases := []struct {
+		name string
+		spec JobSpec
+		want func(*Config)
+		base Config
+	}{
+		{"gapped hf/he", JobSpec{Hf: 2500, He: 2600}, func(c *Config) { c.FilterThreshold, c.ExtensionThreshold = 2500, 2600 }, DefaultConfig()},
+		{"ungapped hf/he", JobSpec{Ungapped: true, Hf: 2500, He: 2600}, func(c *Config) { c.FilterThreshold, c.ExtensionThreshold = 2500, 2600 }, LASTZConfig()},
+		{"forward only", JobSpec{ForwardOnly: true}, func(c *Config) { c.BothStrands = false }, DefaultConfig()},
+		{"max candidates", JobSpec{MaxCandidates: 11}, func(c *Config) { c.MaxCandidates = 11 }, DefaultConfig()},
+		{"max filter tiles", JobSpec{MaxFilterTiles: 22}, func(c *Config) { c.MaxFilterTiles = 22 }, DefaultConfig()},
+		{"max extension cells", JobSpec{MaxExtensionCells: 33}, func(c *Config) { c.MaxExtensionCells = 33 }, DefaultConfig()},
+		{"deadline", JobSpec{DeadlineMS: 90}, func(c *Config) { c.Deadline = 90 * time.Millisecond }, DefaultConfig()},
+	}
+	for _, tc := range cases {
+		want := tc.base
+		tc.want(&want)
+		if got := tc.spec.Apply(DefaultConfig()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Apply = %+v, want %+v", tc.name, got, want)
+		}
+		if tc.spec.Budgeted() != (tc.spec.MaxCandidates+tc.spec.MaxFilterTiles+tc.spec.MaxExtensionCells+tc.spec.DeadlineMS != 0) {
+			t.Errorf("%s: Budgeted() = %v", tc.name, tc.spec.Budgeted())
+		}
+	}
+	// Zero budgets inherit the base's, they do not clear them.
+	base := DefaultConfig()
+	base.MaxFilterTiles = 99
+	if got := (JobSpec{}).Apply(base).MaxFilterTiles; got != 99 {
+		t.Errorf("zero budget cleared the base's: MaxFilterTiles = %d, want 99", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"darwinwga/internal/align"
 	"darwinwga/internal/genome"
 )
 
@@ -32,6 +33,23 @@ func NewSeqMap(assembly string, names []string, starts []int) (*SeqMap, error) {
 		return nil, fmt.Errorf("maf: SeqMap with no sequences")
 	}
 	return &SeqMap{Assembly: assembly, Names: names, Starts: starts}, nil
+}
+
+// ConcatAssembly lays an assembly out in the pipeline's coordinate
+// space: the concatenated bases (genome.Concat) plus the SeqMap that
+// maps positions in them back to the named member sequences. Every MAF
+// producer builds its target and query views here.
+func ConcatAssembly(name string, seqs []*genome.Sequence) ([]byte, *SeqMap, error) {
+	bases, starts := genome.Concat(seqs)
+	names := make([]string, len(seqs))
+	for i, s := range seqs {
+		names[i] = s.Name
+	}
+	m, err := NewSeqMap(name, names, starts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return bases, m, nil
 }
 
 // Total returns the concatenated length.
@@ -82,6 +100,18 @@ type BlockRenderer struct {
 func (br *BlockRenderer) rcQuery() []byte {
 	br.rcOnce.Do(func() { br.rc = genome.ReverseComplement(br.Query) })
 	return br.rc
+}
+
+// RenderAlignment builds the MAF block for one pipeline alignment on the
+// given query strand. The one-shot writer, the worker's stream and the
+// shard handler all render through it, which is what keeps their
+// outputs byte-identical.
+func (br *BlockRenderer) RenderAlignment(a *align.Alignment, strand byte) (*Block, error) {
+	ops := make([]byte, len(a.Ops))
+	for k, op := range a.Ops {
+		ops[k] = byte(op)
+	}
+	return br.Render(int64(a.Score), strand, a.TStart, a.QStart, ops)
 }
 
 // Render builds the MAF block for one alignment. ops is the edit

@@ -17,33 +17,29 @@ import (
 	"darwinwga/internal/obs"
 )
 
-// submitRequest is the POST /v1/jobs body. Exactly one of QueryFASTA
-// (inline FASTA text) and QueryPath (server-local file) must be set.
-type submitRequest struct {
+// SubmitRequest is the POST /v1/jobs body, on a worker and on a
+// coordinator alike (a coordinator decodes it inbound and sends the
+// same shape outbound when it dispatches). Exactly one of QueryFASTA
+// (inline FASTA text) and QueryPath (server-local file) must be set; a
+// coordinator accepts only QueryFASTA.
+type SubmitRequest struct {
 	Target     string `json:"target"`
 	QueryFASTA string `json:"query_fasta,omitempty"`
 	QueryPath  string `json:"query_path,omitempty"`
 	QueryName  string `json:"query_name,omitempty"`
 	Client     string `json:"client,omitempty"`
-
-	Ungapped          bool  `json:"ungapped,omitempty"`
-	ForwardOnly       bool  `json:"forward_only,omitempty"`
-	Hf                int32 `json:"hf,omitempty"`
-	He                int32 `json:"he,omitempty"`
-	MaxCandidates     int64 `json:"max_candidates,omitempty"`
-	MaxFilterTiles    int64 `json:"max_filter_tiles,omitempty"`
-	MaxExtensionCells int64 `json:"max_extension_cells,omitempty"`
-	DeadlineMS        int64 `json:"deadline_ms,omitempty"`
-	// JournalShip is set by a dispatching coordinator: the artifact-store
-	// URL this job's pipeline-journal segments ship to (and resume from).
-	JournalShip string `json:"journal_ship,omitempty"`
 	// TraceID carries the distributed trace id; the X-Darwinwga-Trace
 	// header carries the same value and wins when both are set.
 	TraceID string `json:"trace_id,omitempty"`
+	// JournalShip is set by a dispatching coordinator: the artifact-store
+	// URL this job's pipeline-journal segments ship to (and resume from).
+	JournalShip string `json:"journal_ship,omitempty"`
+	core.JobSpec
 }
 
-// jobStatus is the GET /v1/jobs/{id} response.
-type jobStatus struct {
+// JobStatus is the GET /v1/jobs/{id} response. It is exported for the
+// coordinator, which polls it (and reads ID, State and Error).
+type JobStatus struct {
 	ID        string     `json:"id"`
 	Target    string     `json:"target"`
 	QueryName string     `json:"query_name,omitempty"`
@@ -157,8 +153,9 @@ func (s *Server) buildHandler() http.Handler {
 	return mux
 }
 
-// writeJSON writes v as a JSON response with status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response with status code. Both roles'
+// handlers answer through it.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -166,9 +163,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // response already committed
 }
 
-// writeError writes a JSON error body.
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError writes a JSON error body.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // retryAfterSecs derives the Retry-After hint from observed load: the
@@ -199,7 +196,7 @@ func (s *Server) retryAfterSecs() int {
 func (s *Server) writeBusy(w http.ResponseWriter, why string) {
 	secs := s.retryAfterSecs()
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, map[string]any{
+	WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 		"error":            why,
 		"retry_after_secs": secs,
 	})
@@ -224,96 +221,117 @@ func clientID(r *http.Request, explicit string) string {
 
 // bodyLimit bounds a request body holding FASTA for at most maxBases
 // bases: headers, newlines, and slack are a small multiple on top.
-func (s *Server) bodyLimit() int64 {
-	return int64(s.cfg.MaxQueryBases) + int64(s.cfg.MaxQueryBases)/8 + 1<<20
+func bodyLimit(maxBases int) int64 {
+	return int64(maxBases) + int64(maxBases)/8 + 1<<20
 }
 
-// parseQuery loads the job's query assembly from an inline FASTA
-// payload or a server-local path.
-func parseQuery(req *submitRequest) (*genome.Assembly, error) {
+// decodeBody reads a JSON request body of at most limit bytes into v.
+// On failure it has answered — 413 for a body over the limit, 400 for
+// anything else — and returns that status; 0 means v is filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) int {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return 0
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+		return http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
+	return http.StatusBadRequest
+}
+
+// readAssembly loads an assembly from exactly one of inline FASTA text
+// and a server-local file, labelled name. An unnamed inline assembly is
+// "query"; an unnamed file keeps the name its path gives it.
+func readAssembly(fasta, path, name string) (*genome.Assembly, error) {
 	switch {
-	case req.QueryFASTA != "" && req.QueryPath != "":
-		return nil, fmt.Errorf("set exactly one of query_fasta and query_path")
-	case req.QueryFASTA != "":
-		seqs, err := genome.ReadFASTA(strings.NewReader(req.QueryFASTA))
+	case fasta != "" && path != "":
+		return nil, fmt.Errorf("set exactly one of the inline FASTA and the path")
+	case fasta != "":
+		seqs, err := genome.ReadFASTA(strings.NewReader(fasta))
 		if err != nil {
 			return nil, err
 		}
-		name := req.QueryName
 		if name == "" {
 			name = "query"
 		}
 		return &genome.Assembly{Name: name, Seqs: seqs}, nil
-	case req.QueryPath != "":
-		asm, err := genome.ReadFASTAFile(req.QueryPath)
+	case path != "":
+		asm, err := genome.ReadFASTAFile(path)
 		if err != nil {
 			return nil, err
 		}
-		if req.QueryName != "" {
-			asm.Name = req.QueryName
+		if name != "" {
+			asm.Name = name
 		}
 		return asm, nil
 	default:
-		return nil, fmt.Errorf("set one of query_fasta and query_path")
+		return nil, fmt.Errorf("set one of the inline FASTA and the path")
 	}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.bodyLimit())
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.jobs.RejectedOversize.Inc()
-			s.log.Warn("job rejected", "reason", "oversize_body", "limit_bytes", tooBig.Limit)
-			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
+// DecodeSubmit reads and validates a POST /v1/jobs request — the one
+// admission front door of both roles, so a worker and a coordinator
+// refuse the same requests with the same statuses: a body over the cap
+// for maxQueryBases or a query over maxQueryBases → 413; an undecodable
+// body, a missing target, a negative deadline_ms or an unusable query →
+// 400. inlineOnly (the coordinator: a server-local path means nothing
+// across machines) additionally refuses query_path. The returned request
+// is normalized: Client resolved (body, X-Client-ID, remote host) and
+// TraceID overridden by the trace header; the assembly carries the
+// resolved query name. On failure the response has been written and the
+// returned status is non-zero.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request, maxQueryBases int, inlineOnly bool) (*SubmitRequest, *genome.Assembly, int) {
+	var req SubmitRequest
+	if code := decodeBody(w, r, bodyLimit(maxQueryBases), &req); code != 0 {
+		return nil, nil, code
 	}
-	if req.Target == "" {
-		writeError(w, http.StatusBadRequest, "missing target")
-		return
+	fail := func(code int, format string, args ...any) (*SubmitRequest, *genome.Assembly, int) {
+		WriteError(w, code, format, args...)
+		return nil, nil, code
 	}
-	if req.DeadlineMS < 0 {
-		writeError(w, http.StatusBadRequest, "negative deadline_ms")
-		return
+	switch {
+	case req.Target == "":
+		return fail(http.StatusBadRequest, "missing target")
+	case req.DeadlineMS < 0:
+		return fail(http.StatusBadRequest, "negative deadline_ms")
+	case inlineOnly && req.QueryPath != "":
+		return fail(http.StatusBadRequest,
+			"query_path is not supported by the coordinator; inline the query as query_fasta")
 	}
-	query, err := parseQuery(&req)
+	query, err := readAssembly(req.QueryFASTA, req.QueryPath, req.QueryName)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "query: %v", err)
-		return
+		return fail(http.StatusBadRequest, "query: %v", err)
 	}
-	if n := query.TotalLen(); n > s.cfg.MaxQueryBases {
-		s.jobs.RejectedOversize.Inc()
-		s.log.Warn("job rejected", "reason", "oversize_query", "query_bases", n)
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"query is %d bases; this server accepts at most %d", n, s.cfg.MaxQueryBases)
-		return
+	if n := query.TotalLen(); n > maxQueryBases {
+		return fail(http.StatusRequestEntityTooLarge,
+			"query is %d bases; this server accepts at most %d", n, maxQueryBases)
 	}
-	params := JobParams{
-		Target:             req.Target,
-		Ungapped:           req.Ungapped,
-		ForwardOnly:        req.ForwardOnly,
-		FilterThreshold:    req.Hf,
-		ExtensionThreshold: req.He,
-		MaxCandidates:      req.MaxCandidates,
-		MaxFilterTiles:     req.MaxFilterTiles,
-		MaxExtensionCells:  req.MaxExtensionCells,
-		Deadline:           time.Duration(req.DeadlineMS) * time.Millisecond,
-		JournalShip:        req.JournalShip,
-		TraceID:            req.TraceID,
-	}
+	req.Client = clientID(r, req.Client)
 	if h := r.Header.Get(TraceHeader); h != "" {
-		params.TraceID = h
+		req.TraceID = h
 	}
-	job, err := s.jobs.Submit(params, query, clientID(r, req.Client))
+	return &req, query, 0
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, query, code := DecodeSubmit(w, r, s.cfg.MaxQueryBases, false)
+	if code != 0 {
+		if code == http.StatusRequestEntityTooLarge {
+			s.jobs.RejectedOversize.Inc()
+			s.log.Warn("job rejected", "reason", "oversize")
+		}
+		return
+	}
+	params := JobParams{Target: req.Target, JobSpec: req.JobSpec, JournalShip: req.JournalShip, TraceID: req.TraceID}
+	job, err := s.jobs.Submit(params, query, req.Client)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, s.statusOf(job))
+		WriteJSON(w, http.StatusAccepted, s.statusOf(job))
 	case errors.Is(err, ErrUnknownTarget):
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, ErrQueueFull):
 		s.writeBusy(w, "submission queue is full")
 	case errors.Is(err, ErrClientBusy):
@@ -321,7 +339,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrMemoryPressure):
 		s.writeBusy(w, "server memory high-watermark reached")
 	case errors.Is(err, ErrJobTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			"query alone would exceed the server's memory high-watermark")
 	case errors.Is(err, ErrBreakerOpen):
 		var bo *breakerOpenError
@@ -332,19 +350,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
 // statusOf snapshots one job for JSON.
-func (s *Server) statusOf(j *Job) jobStatus {
+func (s *Server) statusOf(j *Job) JobStatus {
 	j.mu.Lock()
 	sp, agg := j.spool, j.agg
-	st := jobStatus{
+	st := JobStatus{
 		ID:        j.ID,
 		Target:    j.Params.Target,
 		QueryName: j.QueryName,
@@ -369,7 +387,7 @@ func (s *Server) statusOf(j *Job) jobStatus {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		wl := j.workload
 		st.Workload = &wl
 		if j.replayed != (core.Workload{}) {
@@ -399,19 +417,19 @@ func (s *Server) statusOf(j *Job) jobStatus {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statusOf(j))
+	WriteJSON(w, http.StatusOK, s.statusOf(j))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	state, ok := s.jobs.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"state": state})
+	WriteJSON(w, http.StatusOK, map[string]any{"state": state})
 }
 
 // handleMAF chunk-streams a job's MAF: bytes are flushed to the client
@@ -422,7 +440,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMAF(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -465,13 +483,13 @@ func (s *Server) handleMAF(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	if j.tracer == nil {
 		// Tracing disabled (or a pre-tracing job shell): an empty export
 		// still identifies the job, so pollers need no special case.
-		writeJSON(w, http.StatusOK, obs.TraceExport{
+		WriteJSON(w, http.StatusOK, obs.TraceExport{
 			TraceID: j.Params.TraceID, JobID: j.ID, Events: []obs.Event{},
 		})
 		return
@@ -485,7 +503,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad after cursor %q", v)
+			WriteError(w, http.StatusBadRequest, "bad after cursor %q", v)
 			return
 		}
 		after = n
@@ -494,7 +512,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if ex.Events == nil {
 		ex.Events = []obs.Event{}
 	}
-	writeJSON(w, http.StatusOK, ex)
+	WriteJSON(w, http.StatusOK, ex)
 }
 
 // handleJobEvents serves the job's flight-recorder ring: the structured
@@ -505,14 +523,14 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	evs := j.flight.Events()
 	if evs == nil {
 		evs = []obs.FlightEvent{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"job_id":   j.ID,
 		"trace_id": j.Params.TraceID,
 		"total":    j.flight.Total(),
@@ -526,45 +544,21 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 	for i, t := range list {
 		out[i] = targetInfoOf(t)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"targets": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"targets": out})
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.bodyLimit())
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if decodeBody(w, r, bodyLimit(s.cfg.MaxQueryBases), &req) != 0 {
 		return
 	}
 	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "missing name")
+		WriteError(w, http.StatusBadRequest, "missing name")
 		return
 	}
-	var asm *genome.Assembly
-	switch {
-	case req.FASTA != "" && req.Path != "":
-		writeError(w, http.StatusBadRequest, "set exactly one of fasta and path")
-		return
-	case req.FASTA != "":
-		seqs, err := genome.ReadFASTA(strings.NewReader(req.FASTA))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "fasta: %v", err)
-			return
-		}
-		asm = &genome.Assembly{Name: req.Name, Seqs: seqs}
-	case req.Path != "":
-		var err error
-		if asm, err = genome.ReadFASTAFile(req.Path); err != nil {
-			writeError(w, http.StatusBadRequest, "path: %v", err)
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "set one of fasta and path")
+	asm, err := readAssembly(req.FASTA, req.Path, req.Name)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "target: %v", err)
 		return
 	}
 	t, err := s.reg.Register(req.Name, asm, s.cfg.Pipeline)
@@ -573,11 +567,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "already registered") {
 			code = http.StatusConflict
 		}
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
 	s.jobs.TargetRegistered(t.Name)
-	writeJSON(w, http.StatusCreated, targetInfoOf(t))
+	WriteJSON(w, http.StatusCreated, targetInfoOf(t))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -618,11 +612,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if reason != "" {
 		body["ready"] = false
 		body["reason"] = reason
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
 	body["ready"] = true
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // handleMetrics serves the server's registry in the Prometheus text

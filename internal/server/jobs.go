@@ -23,7 +23,9 @@ import (
 	"darwinwga/internal/obs"
 )
 
-// JobState is the lifecycle state of one alignment job.
+// JobState is the lifecycle state of one alignment job — the one state
+// vocabulary of both roles: a coordinator tracks its routed jobs in the
+// same terms its workers report.
 type JobState string
 
 const (
@@ -34,8 +36,8 @@ const (
 	JobCancelled JobState = "cancelled"
 )
 
-// terminal reports whether a state is final.
-func (s JobState) terminal() bool {
+// Terminal reports whether a state is final.
+func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
@@ -65,30 +67,16 @@ func (e *breakerOpenError) Error() string {
 
 func (e *breakerOpenError) Is(err error) bool { return err == ErrBreakerOpen }
 
-// JobParams are the per-job pipeline knobs a request may set; zero
-// values inherit the server's base configuration. They map onto the
-// same core.Config fields the CLI flags do, so a job and a one-shot
-// CLI run with matching parameters produce byte-identical MAF.
+// JobParams is what the manager keeps (and journals) of a submission:
+// the target, the core.JobSpec knobs — the same ones the CLI flags set,
+// so a job and a one-shot CLI run with matching parameters produce
+// byte-identical MAF — and the cluster routing extras. The spec's
+// deadline is clamped to the server's MaxDeadline, and defaults to it
+// when zero.
 type JobParams struct {
 	// Target names a registered target assembly.
 	Target string `json:"target"`
-	// Ungapped switches to the LASTZ-baseline ungapped filter (and its
-	// lower default thresholds), like the CLI's -ungapped.
-	Ungapped bool `json:"ungapped,omitempty"`
-	// ForwardOnly skips the reverse-complement strand.
-	ForwardOnly bool `json:"forward_only,omitempty"`
-	// FilterThreshold / ExtensionThreshold override Hf / He (0 = keep).
-	FilterThreshold    int32 `json:"hf,omitempty"`
-	ExtensionThreshold int32 `json:"he,omitempty"`
-	// Per-job resource budgets (0 = server default); exhaustion yields
-	// a partial result tagged with its truncation reason, not an error.
-	MaxCandidates     int64 `json:"max_candidates,omitempty"`
-	MaxFilterTiles    int64 `json:"max_filter_tiles,omitempty"`
-	MaxExtensionCells int64 `json:"max_extension_cells,omitempty"`
-	// Deadline is the job's soft wall-clock budget; it is clamped to
-	// the server's MaxDeadline, and defaults to it when zero. It is
-	// journaled separately (as milliseconds) by the job store.
-	Deadline time.Duration `json:"-"`
+	core.JobSpec
 	// JournalShip is a coordinator artifact-store base URL. When set
 	// (and the server runs with a checkpoint root), the job's pipeline
 	// WAL segments are shipped there while it runs, and — after a
@@ -518,20 +506,12 @@ func (m *Manager) recover(recovered []recoveredJob) {
 // (all zero for an in-memory server).
 func (m *Manager) RecoverySummary() RecoverySummary { return m.recovery }
 
-// recoverParams rebuilds JobParams (Deadline is journaled separately
-// because it does not round-trip through JSON).
-func recoverParams(sub *jsSubmitted) JobParams {
-	p := sub.Params
-	p.Deadline = time.Duration(sub.DeadlineMS) * time.Millisecond
-	return p
-}
-
 // newRecoveredJob builds the common shell of a restored job.
 func newRecoveredJob(r *recoveredJob) *Job {
 	j := &Job{
 		ID:        r.sub.ID,
 		Client:    r.sub.Client,
-		Params:    recoverParams(&r.sub),
+		Params:    r.sub.Params,
 		QueryName: r.sub.QueryName,
 		spool:     newSpool(),
 		agg:       &obs.Aggregate{},
@@ -553,7 +533,7 @@ func (m *Manager) recoverTerminal(r *recoveredJob) {
 		return // evicted before the crash
 	}
 	state := JobState(r.fin.State)
-	if !state.terminal() {
+	if !state.Terminal() {
 		m.log.Warn("job journal: ignoring finished record with non-terminal state",
 			"job_id", r.sub.ID, "state", r.fin.State)
 		m.recovery.Dropped++
@@ -774,21 +754,8 @@ func (m *Manager) Submit(params JobParams, query *genome.Assembly, client string
 			return nil, ErrMemoryPressure
 		}
 	}
-	j := &Job{
-		ID:        newJobID(),
-		Client:    client,
-		Params:    params,
-		QueryName: query.Name,
-		spool:     newSpool(),
-		agg:       &obs.Aggregate{},
-		state:     JobQueued,
-		created:   m.clock.Now(),
-		query:     query,
-		cacheKey:  ckey,
-	}
-	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.progress.Store(j.created.UnixNano())
-	m.initObservability(j)
+	j := m.newJob(params, query, client)
+	j.cacheKey = ckey
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -816,22 +783,9 @@ func (m *Manager) Submit(params JobParams, query *genome.Assembly, client string
 			"target", params.Target, "retry_after", retryAfter)
 		return nil, &breakerOpenError{target: params.Target, retryAfter: retryAfter}
 	}
-	// Durable admission: spill the query and journal the submission
-	// before acknowledging. Serializing the two fsyncs under m.mu is
-	// deliberate — admission order in the journal is submission order,
-	// which recovery relies on.
-	if m.store != nil {
-		if _, err := m.store.saveQuery(j.ID, query); err != nil {
-			m.brk.Release(params.Target)
-			m.log.Error("job rejected", "reason", "journal", "client", client, "error", err)
-			return nil, fmt.Errorf("server: persisting query: %w", err)
-		}
-		if err := m.store.submitted(j); err != nil {
-			m.brk.Release(params.Target)
-			m.store.removeArtifacts(j.ID)
-			m.log.Error("job rejected", "reason", "journal", "client", client, "error", err)
-			return nil, err
-		}
+	if err := m.journalAdmission(j); err != nil {
+		m.brk.Release(params.Target)
+		return nil, err
 	}
 	// Recorded before the enqueue: a worker may pick the job up (and
 	// record "started") the instant it is in the queue.
@@ -848,13 +802,9 @@ func (m *Manager) Submit(params JobParams, query *genome.Assembly, client string
 	return j, nil
 }
 
-// submitCached admits a job whose finished MAF is already in the
-// result cache. The job is journaled and accounted exactly like an
-// admitted job (durable admission, per-client accounting, retention),
-// but it finishes immediately with the cached artifact — the queue, the
-// worker pool, the memory watermark, and the breaker are never
-// involved. Recovery replays it like any other terminal job.
-func (m *Manager) submitCached(params JobParams, query *genome.Assembly, client string, mafData []byte, hsps int) (*Job, error) {
+// newJob builds a queued job around an admitted submission (the manager
+// owns query from here).
+func (m *Manager) newJob(params JobParams, query *genome.Assembly, client string) *Job {
 	j := &Job{
 		ID:        newJobID(),
 		Client:    client,
@@ -869,6 +819,38 @@ func (m *Manager) submitCached(params JobParams, query *genome.Assembly, client 
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.progress.Store(j.created.UnixNano())
 	m.initObservability(j)
+	return j
+}
+
+// journalAdmission makes an admission durable before it is
+// acknowledged: spill the query, then journal the submission (a
+// submitted record promises the query artifact exists). Callers hold
+// m.mu — serializing the two fsyncs under it is deliberate: admission
+// order in the journal is submission order, which recovery relies on.
+func (m *Manager) journalAdmission(j *Job) error {
+	if m.store == nil {
+		return nil
+	}
+	_, err := m.store.saveQuery(j.ID, j.query)
+	if err != nil {
+		err = fmt.Errorf("server: persisting query: %w", err)
+	} else if err = m.store.submitted(j); err != nil {
+		m.store.removeArtifacts(j.ID)
+	}
+	if err != nil {
+		m.log.Error("job rejected", "reason", "journal", "client", j.Client, "error", err)
+	}
+	return err
+}
+
+// submitCached admits a job whose finished MAF is already in the
+// result cache. The job is journaled and accounted exactly like an
+// admitted job (durable admission, per-client accounting, retention),
+// but it finishes immediately with the cached artifact — the queue, the
+// worker pool, the memory watermark, and the breaker are never
+// involved. Recovery replays it like any other terminal job.
+func (m *Manager) submitCached(params JobParams, query *genome.Assembly, client string, mafData []byte, hsps int) (*Job, error) {
+	j := m.newJob(params, query, client)
 
 	m.mu.Lock()
 	if m.draining {
@@ -877,18 +859,9 @@ func (m *Manager) submitCached(params JobParams, query *genome.Assembly, client 
 		m.log.Warn("job rejected", "reason", "draining", "client", client)
 		return nil, ErrDraining
 	}
-	if m.store != nil {
-		if _, err := m.store.saveQuery(j.ID, query); err != nil {
-			m.mu.Unlock()
-			m.log.Error("job rejected", "reason", "journal", "client", client, "error", err)
-			return nil, fmt.Errorf("server: persisting query: %w", err)
-		}
-		if err := m.store.submitted(j); err != nil {
-			m.store.removeArtifacts(j.ID)
-			m.mu.Unlock()
-			m.log.Error("job rejected", "reason", "journal", "client", client, "error", err)
-			return nil, err
-		}
+	if err := m.journalAdmission(j); err != nil {
+		m.mu.Unlock()
+		return nil, err
 	}
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
@@ -1011,32 +984,10 @@ func (m *Manager) countState(st JobState) int {
 }
 
 // jobConfig maps one job's parameters onto the server's base pipeline
-// configuration — the same mapping the CLI applies to its flags, which
-// is what keeps a job's streamed MAF byte-identical to a CLI run.
+// configuration (core.JobSpec.Apply, the mapping the CLI uses too) and
+// clamps the deadline to the server's MaxDeadline.
 func (m *Manager) jobConfig(p JobParams) core.Config {
-	cfg := m.base
-	if p.Ungapped {
-		cfg.Filter = core.FilterUngapped
-		cfg.FilterThreshold = 3000
-		cfg.ExtensionThreshold = 3000
-	}
-	if p.FilterThreshold != 0 {
-		cfg.FilterThreshold = p.FilterThreshold
-	}
-	if p.ExtensionThreshold != 0 {
-		cfg.ExtensionThreshold = p.ExtensionThreshold
-	}
-	cfg.BothStrands = !p.ForwardOnly
-	if p.MaxCandidates != 0 {
-		cfg.MaxCandidates = p.MaxCandidates
-	}
-	if p.MaxFilterTiles != 0 {
-		cfg.MaxFilterTiles = p.MaxFilterTiles
-	}
-	if p.MaxExtensionCells != 0 {
-		cfg.MaxExtensionCells = p.MaxExtensionCells
-	}
-	cfg.Deadline = p.Deadline
+	cfg := p.Apply(m.base)
 	if m.maxDeadline > 0 && (cfg.Deadline <= 0 || cfg.Deadline > m.maxDeadline) {
 		cfg.Deadline = m.maxDeadline
 	}
@@ -1137,12 +1088,7 @@ func (m *Manager) runAttempt(j *Job) bool {
 		m.finalize(j, JobFailed, nil, "job lost its query")
 		return true
 	}
-	qBases, qStarts := genome.Concat(query.Seqs)
-	names := make([]string, len(query.Seqs))
-	for i, s := range query.Seqs {
-		names[i] = s.Name
-	}
-	qMap, err := maf.NewSeqMap(query.Name, names, qStarts)
+	qBases, qMap, err := maf.ConcatAssembly(query.Name, query.Seqs)
 	if err != nil {
 		m.finalize(j, JobFailed, nil, err.Error())
 		return true
@@ -1193,11 +1139,7 @@ func (m *Manager) runAttempt(j *Job) bool {
 		if streamErr != nil {
 			return
 		}
-		ops := make([]byte, len(h.Ops))
-		for k, op := range h.Ops {
-			ops[k] = byte(op)
-		}
-		block, err := br.Render(int64(h.Score), h.Strand, h.TStart, h.QStart, ops)
+		block, err := br.RenderAlignment(&h.Alignment, h.Strand)
 		if err == nil {
 			err = sw.Write(block)
 		}
@@ -1355,7 +1297,7 @@ func (m *Manager) evictLocked() {
 	}
 	terminal := 0
 	for _, id := range m.order {
-		if m.jobs[id].State().terminal() {
+		if m.jobs[id].State().Terminal() {
 			terminal++
 		}
 	}
@@ -1364,7 +1306,7 @@ func (m *Manager) evictLocked() {
 	}
 	kept := m.order[:0]
 	for _, id := range m.order {
-		if terminal > m.retain && m.jobs[id].State().terminal() {
+		if terminal > m.retain && m.jobs[id].State().Terminal() {
 			delete(m.jobs, id)
 			m.store.removeArtifacts(id)
 			terminal--

@@ -60,12 +60,14 @@ type jsHeader struct {
 // and re-run it. The query itself lives in the spilled FASTA file, not
 // the record, so a frame stays small regardless of query size.
 type jsSubmitted struct {
-	ID         string    `json:"id"`
-	Client     string    `json:"client,omitempty"`
-	QueryName  string    `json:"query_name,omitempty"`
-	Params     JobParams `json:"params"`
-	DeadlineMS int64     `json:"deadline_ms,omitempty"`
-	CreatedNS  int64     `json:"created_ns"`
+	ID        string    `json:"id"`
+	Client    string    `json:"client,omitempty"`
+	QueryName string    `json:"query_name,omitempty"`
+	Params    JobParams `json:"params"`
+	// DeadlineMS is where journals written before Params carried its
+	// own deadline_ms kept the deadline; read, never written.
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	CreatedNS  int64 `json:"created_ns"`
 }
 
 type jsStarted struct {
@@ -153,6 +155,9 @@ func (s *jobStore) fold(recs []checkpoint.Record) ([]recoveredJob, error) {
 			var sub jsSubmitted
 			if json.Unmarshal(rec.Payload, &sub) != nil || sub.ID == "" {
 				return s.collect(byID, order), nil
+			}
+			if sub.Params.DeadlineMS == 0 {
+				sub.Params.DeadlineMS = sub.DeadlineMS
 			}
 			if _, dup := byID[sub.ID]; dup {
 				continue // defensive; submit journals each id once
@@ -248,12 +253,11 @@ func (s *jobStore) submitted(j *Job) error {
 		return nil
 	}
 	return s.append(jsKindSubmitted, jsSubmitted{
-		ID:         j.ID,
-		Client:     j.Client,
-		QueryName:  j.QueryName,
-		Params:     j.Params,
-		DeadlineMS: j.Params.Deadline.Milliseconds(),
-		CreatedNS:  j.created.UnixNano(),
+		ID:        j.ID,
+		Client:    j.Client,
+		QueryName: j.QueryName,
+		Params:    j.Params,
+		CreatedNS: j.created.UnixNano(),
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"darwinwga/internal/core"
 	"darwinwga/internal/evolve"
 	"darwinwga/internal/genome"
 )
@@ -45,7 +46,7 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	}
 
 	now := time.Unix(1700000000, 0)
-	params := JobParams{Target: "tgt", ForwardOnly: true, Deadline: 90 * time.Millisecond}
+	params := JobParams{Target: "tgt", JobSpec: core.JobSpec{ForwardOnly: true, DeadlineMS: 90}}
 	mafBody := []byte("##maf version=1\n\na score=1\n")
 
 	jobs := []*Job{
@@ -95,7 +96,7 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	if queued.started || queued.fin != nil {
 		t.Errorf("job-queued: started=%v fin=%v, want neither", queued.started, queued.fin)
 	}
-	if p := recoverParams(&queued.sub); p != params {
+	if p := queued.sub.Params; p != params {
 		t.Errorf("job-queued params round-trip = %+v, want %+v", p, params)
 	}
 	if queued.sub.Client != "alice" || queued.sub.QueryName != "q-job-queued" {
@@ -222,7 +223,7 @@ func waitJobTerminal(t *testing.T, m *Manager, id string) JobState {
 		if !ok {
 			t.Fatalf("job %s disappeared", id)
 		}
-		if st := j.State(); st.terminal() {
+		if st := j.State(); st.Terminal() {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -248,7 +249,7 @@ func shutdownServer(t *testing.T, s *Server) {
 // byte-identical to the same submission on an uninterrupted server.
 func TestRestartRecoversQueuedJobByteIdentical(t *testing.T) {
 	pair := recoveryPair(t)
-	params := JobParams{Target: "tgt", ForwardOnly: true}
+	params := JobParams{Target: "tgt", JobSpec: core.JobSpec{ForwardOnly: true}}
 
 	// Reference: an uninterrupted server aligning the same pair.
 	ref, err := New(Config{})

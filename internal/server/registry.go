@@ -166,12 +166,7 @@ func (r *Registry) Register(name string, asm *genome.Assembly, cfg core.Config) 
 	if asm == nil || len(asm.Seqs) == 0 {
 		return nil, fmt.Errorf("server: target %q has no sequences", name)
 	}
-	bases, starts := genome.Concat(asm.Seqs)
-	names := make([]string, len(asm.Seqs))
-	for i, s := range asm.Seqs {
-		names[i] = s.Name
-	}
-	m, err := maf.NewSeqMap(name, names, starts)
+	bases, m, err := maf.ConcatAssembly(name, asm.Seqs)
 	if err != nil {
 		return nil, err
 	}

@@ -361,7 +361,7 @@ func (s *Server) epochGate(next http.Handler) http.Handler {
 		if v := r.Header.Get(ClusterEpochHeader); v != "" {
 			e, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad %s header %q", ClusterEpochHeader, v)
+				WriteError(w, http.StatusBadRequest, "bad %s header %q", ClusterEpochHeader, v)
 				return
 			}
 			if cur := s.clusterEpoch.Load(); e < cur {
@@ -369,7 +369,7 @@ func (s *Server) epochGate(next http.Handler) http.Handler {
 				s.log.Warn("rejecting request from fenced coordinator",
 					"request_epoch", e, "cluster_epoch", cur, "path", r.URL.Path)
 				w.Header().Set(ClusterEpochHeader, strconv.FormatUint(cur, 10))
-				writeError(w, http.StatusConflict, "stale cluster epoch %d (current %d)", e, cur)
+				WriteError(w, http.StatusConflict, "stale cluster epoch %d (current %d)", e, cur)
 				return
 			}
 			s.ObserveClusterEpoch(e)

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
-	"strings"
 
 	"darwinwga/internal/core"
 	"darwinwga/internal/genome"
@@ -28,15 +25,15 @@ type ShardRequest struct {
 	// Fingerprint, when set, must match the registered target's content
 	// fingerprint — a mismatched worker answers 409 so the coordinator
 	// reroutes instead of merging frames from a different index.
-	Fingerprint string         `json:"fingerprint,omitempty"`
-	QueryFASTA  string         `json:"query_fasta"`
-	QueryName   string         `json:"query_name,omitempty"`
-	Ungapped    bool           `json:"ungapped,omitempty"`
-	Hf          int32          `json:"hf,omitempty"`
-	He          int32          `json:"he,omitempty"`
-	JobID       string         `json:"job_id,omitempty"`
-	TraceID     string         `json:"trace_id,omitempty"`
-	Unit        core.ShardUnit `json:"unit"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	QueryFASTA  string `json:"query_fasta"`
+	QueryName   string `json:"query_name,omitempty"`
+	// JobSpec is the job's parameter set; a unit is all-or-nothing, so
+	// one that is Budgeted is refused.
+	core.JobSpec
+	JobID   string         `json:"job_id,omitempty"`
+	TraceID string         `json:"trace_id,omitempty"`
+	Unit    core.ShardUnit `json:"unit"`
 }
 
 // ShardResultFrame is one above-threshold alignment from a work unit:
@@ -59,69 +56,52 @@ type ShardResponse struct {
 // Failures are plain 5xx: the coordinator owns retry policy, so the
 // worker never retries internally.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.bodyLimit())
 	var req ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if decodeBody(w, r, bodyLimit(s.cfg.MaxQueryBases), &req) != 0 {
 		return
 	}
 	if req.Target == "" {
-		writeError(w, http.StatusBadRequest, "missing target")
+		WriteError(w, http.StatusBadRequest, "missing target")
+		return
+	}
+	if req.Budgeted() {
+		WriteError(w, http.StatusBadRequest, "a shard unit takes no budget or deadline")
 		return
 	}
 	if err := s.cfg.ShardFaults.Check(req.Unit.Seq, req.Unit.Strand); err != nil {
 		s.shardUnitsFailed.Inc()
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	tgt, shared, releaseIndex, err := s.reg.Acquire(req.Target)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	defer releaseIndex()
 	if req.Fingerprint != "" && req.Fingerprint != tgt.Fingerprint {
-		writeError(w, http.StatusConflict, "target %q fingerprint %s does not match requested %s",
+		WriteError(w, http.StatusConflict, "target %q fingerprint %s does not match requested %s",
 			req.Target, tgt.Fingerprint, req.Fingerprint)
 		return
 	}
-	seqs, err := genome.ReadFASTA(strings.NewReader(req.QueryFASTA))
+	query, err := readAssembly(req.QueryFASTA, "", req.QueryName)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "query: %v", err)
+		WriteError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
-	queryName := req.QueryName
-	if queryName == "" {
-		queryName = "query"
-	}
-	qBases, qStarts := genome.Concat(seqs)
-	names := make([]string, len(seqs))
-	for i, sq := range seqs {
-		names[i] = sq.Name
-	}
-	qMap, err := maf.NewSeqMap(queryName, names, qStarts)
+	qBases, qMap, err := maf.ConcatAssembly(query.Name, query.Seqs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "query: %v", err)
+		WriteError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
 
-	// The same flag→config mapping job submission uses, minus budgets
-	// and deadline: a unit is all-or-nothing, so mid-unit truncation
-	// would break the determinism the merge depends on. A slow unit is
-	// the coordinator's problem (hedging), not the worker's.
-	cfg := s.jobs.jobConfig(JobParams{
-		Target:             req.Target,
-		Ungapped:           req.Ungapped,
-		FilterThreshold:    req.Hf,
-		ExtensionThreshold: req.He,
-	})
+	// The same spec→config mapping job submission uses, minus the
+	// server's own default budgets and the MaxDeadline clamp (the spec
+	// carries no deadline): a unit is all-or-nothing, so mid-unit
+	// truncation would break the determinism the merge depends on. A slow
+	// unit is the coordinator's problem (hedging), not the worker's.
+	cfg := req.Apply(s.jobs.base)
 	cfg.MaxCandidates, cfg.MaxFilterTiles, cfg.MaxExtensionCells = 0, 0, 0
-	cfg.Deadline = 0
 	cfg.CheckpointDir = ""
 	cfg.HSPHook = nil
 	cfg.Recorder = s.jobs.pipe
@@ -130,7 +110,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	aligner, err := shared.WithConfig(cfg)
 	if err != nil {
 		s.shardUnitsFailed.Inc()
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	q := qBases
@@ -140,25 +120,20 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	frames, hsps, err := aligner.AlignShardUnit(r.Context(), q, req.Unit)
 	if err != nil {
 		s.shardUnitsFailed.Inc()
-		writeError(w, http.StatusInternalServerError, "unit %v: %v", req.Unit, err)
+		WriteError(w, http.StatusInternalServerError, "unit %v: %v", req.Unit, err)
 		return
 	}
 	br := &maf.BlockRenderer{TMap: tgt.Map, QMap: qMap, Target: tgt.Bases, Query: qBases}
 	out := make([]ShardResultFrame, len(frames))
 	for i, fr := range frames {
-		h := hsps[i]
-		ops := make([]byte, len(h.Ops))
-		for k, op := range h.Ops {
-			ops[k] = byte(op)
-		}
-		block, err := br.Render(int64(h.Score), h.Strand, h.TStart, h.QStart, ops)
+		block, err := br.RenderAlignment(&hsps[i].Alignment, hsps[i].Strand)
 		if err != nil {
 			s.shardUnitsFailed.Inc()
-			writeError(w, http.StatusInternalServerError, "rendering unit %v frame %d: %v", req.Unit, i, err)
+			WriteError(w, http.StatusInternalServerError, "rendering unit %v frame %d: %v", req.Unit, i, err)
 			return
 		}
 		out[i] = ShardResultFrame{ShardFrame: fr, Block: block}
 	}
 	s.shardUnitsServed.Inc()
-	writeJSON(w, http.StatusOK, ShardResponse{Unit: req.Unit, Frames: out})
+	WriteJSON(w, http.StatusOK, ShardResponse{Unit: req.Unit, Frames: out})
 }

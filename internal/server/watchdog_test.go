@@ -97,7 +97,7 @@ func TestWatchdogStallRetrySucceeds(t *testing.T) {
 	// Unwedge: attempt 1 returns cancelled+stalled, the worker retries
 	// on the spot, and attempt 2 (gate already tripped) runs through.
 	release()
-	waitUntil(t, "the retried job to finish", func() bool { return j.State().terminal() })
+	waitUntil(t, "the retried job to finish", func() bool { return j.State().Terminal() })
 	if st := j.State(); st != JobDone {
 		j.mu.Lock()
 		msg := j.errMsg
@@ -159,7 +159,7 @@ func TestWatchdogExhaustedRetriesTripBreaker(t *testing.T) {
 	mc.Advance(time.Minute)
 	waitUntil(t, "the watchdog to flag the stall", func() bool { return j.stalled.Load() })
 	release()
-	waitUntil(t, "the stalled job to fail", func() bool { return j.State().terminal() })
+	waitUntil(t, "the stalled job to fail", func() bool { return j.State().Terminal() })
 	if st := j.State(); st != JobFailed {
 		t.Fatalf("job state = %q, want failed (no retry budget)", st)
 	}
@@ -187,7 +187,7 @@ func TestWatchdogExhaustedRetriesTripBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe submit after cooldown: %v", err)
 	}
-	waitUntil(t, "the probe job to finish", func() bool { return probe.State().terminal() })
+	waitUntil(t, "the probe job to finish", func() bool { return probe.State().Terminal() })
 	if st := probe.State(); st != JobDone {
 		t.Fatalf("probe state = %q, want done", st)
 	}

@@ -67,19 +67,12 @@ func AlignAssemblies(target, query *Assembly, cfg Config) (*Report, error) {
 // A caller-provided cfg.HSPHook still fires (after the report's own
 // bookkeeping) for each alignment as it is produced.
 func AlignAssembliesContext(ctx context.Context, target, query *Assembly, cfg Config) (*Report, error) {
-	tBases, tStarts := genome.Concat(target.Seqs)
-	qBases, qStarts := genome.Concat(query.Seqs)
-	rep := &Report{
-		TargetName: target.Name,
-		QueryName:  query.Name,
-		target:     tBases,
-		query:      qBases,
-	}
+	rep := &Report{TargetName: target.Name, QueryName: query.Name}
 	var err error
-	if rep.tMap, err = maf.NewSeqMap(target.Name, seqNames(target), tStarts); err != nil {
+	if rep.target, rep.tMap, err = maf.ConcatAssembly(target.Name, target.Seqs); err != nil {
 		return nil, err
 	}
-	if rep.qMap, err = maf.NewSeqMap(query.Name, seqNames(query), qStarts); err != nil {
+	if rep.query, rep.qMap, err = maf.ConcatAssembly(query.Name, query.Seqs); err != nil {
 		return nil, err
 	}
 	// Capture the deterministic emission order for WriteMAF, forwarding
@@ -91,11 +84,11 @@ func AlignAssembliesContext(ctx context.Context, target, query *Assembly, cfg Co
 			userHook(h)
 		}
 	}
-	aligner, err := core.NewAligner(tBases, cfg)
+	aligner, err := core.NewAligner(rep.target, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, alignErr := aligner.AlignContext(ctx, qBases)
+	res, alignErr := aligner.AlignContext(ctx, rep.query)
 	if res == nil {
 		return nil, alignErr
 	}
@@ -106,15 +99,6 @@ func AlignAssembliesContext(ctx context.Context, target, query *Assembly, cfg Co
 	rep.FailedShards = res.FailedShards
 	rep.Chains = BuildChains(res.HSPs, rep.target, rep.query, chain.DefaultOptions())
 	return rep, alignErr
-}
-
-// seqNames lists an assembly's sequence names in concatenation order.
-func seqNames(a *Assembly) []string {
-	names := make([]string, len(a.Seqs))
-	for i, s := range a.Seqs {
-		names[i] = s.Name
-	}
-	return names
 }
 
 // BuildChains chains HSPs per query strand and returns all chains
@@ -188,7 +172,7 @@ func (r *Report) WriteMAF(w io.Writer) error {
 	mw := maf.NewWriter(w)
 	br := r.renderer()
 	for i, h := range r.mafOrder() {
-		block, err := renderHSP(br, &h)
+		block, err := br.RenderAlignment(&h.Alignment, h.Strand)
 		if err != nil {
 			return fmt.Errorf("darwinwga: rendering MAF block %d: %w", i, err)
 		}
@@ -199,13 +183,4 @@ func (r *Report) WriteMAF(w io.Writer) error {
 	// Close (not Flush) appends the maf.Trailer marker so downstream
 	// consumers can tell a complete file from one cut short by a crash.
 	return mw.Close()
-}
-
-// renderHSP converts one pipeline HSP into a MAF block.
-func renderHSP(br *maf.BlockRenderer, h *HSP) (*maf.Block, error) {
-	ops := make([]byte, len(h.Ops))
-	for k, op := range h.Ops {
-		ops[k] = byte(op)
-	}
-	return br.Render(int64(h.Score), h.Strand, h.TStart, h.QStart, ops)
 }
