@@ -18,6 +18,11 @@ vet:
 # select beside Coordinator.wait (8 Clock.After sites remain: wait,
 # doRequestTimeout, sweeper, Agent.sleep, the hedge tick, and three in
 # replication.go).
+# The same for the extension path in internal/core: one anchor extender
+# (one NewExtender, one runShard(StageExtension, one AnchorBegin /
+# ExtensionTile site, AnchorEnd at most twice in it), one footprint
+# computation, and no second copy of the commit or the canonical order
+# under their old names.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -25,6 +30,15 @@ check-once:
 		echo "check-once: a deleted copy of the job contract is back"; exit 1; fi
 	@n=$$(ls internal/cluster/*.go | grep -v _test.go | xargs cat | grep -o 'Clock\.After(' | wc -l); \
 	if [ "$$n" -gt 8 ]; then echo "check-once: $$n Clock.After sites in internal/cluster, want <= 8 (use Coordinator.wait)"; exit 1; fi
+	@src=$$(ls internal/core/*.go | grep -v _test.go); \
+	for pat in '\.AnchorBegin(' '\.ExtensionTile(' 'gact\.NewExtender(' 'runShard(StageExtension' 'pathDiagRange('; do \
+		n=$$(cat $$src | grep -v '^func ' | grep -c "$$pat"); \
+		if [ "$$n" -ne 1 ]; then echo "check-once: $$pat on $$n lines of internal/core, want 1 (anchorExtender)"; exit 1; fi; \
+	done; \
+	n=$$(cat $$src | grep -c '\.AnchorEnd('); \
+	if [ "$$n" -gt 2 ]; then echo "check-once: .AnchorEnd( on $$n lines of internal/core, want <= 2 (anchorExtender.extend)"; exit 1; fi; \
+	if grep -nE 'func (replayAnchor|sortFrameIndex)' $$src; then \
+		echo "check-once: a deleted copy of the commit or the canonical order is back"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -44,7 +58,7 @@ test-race:
 test-resume:
 	$(GO) test -timeout 15m -run 'TestCrashResume|TestRetry' ./cmd/darwin-wga/
 	$(GO) test -timeout 15m ./internal/checkpoint/
-	$(GO) test -timeout 15m -run 'TestResume|TestRetry|TestFailureAggregation' ./internal/core/
+	$(GO) test -timeout 15m -run 'TestResume|TestRetry|TestFailureAggregation|TestCompatCheckpoint' ./internal/core/
 
 # Serving suite: the in-process HTTP job-server lifecycle tests under
 # the race detector (shared-aligner concurrency, admission control,
@@ -178,12 +192,16 @@ lint:
 # Fuzz smoke: ten seconds per parser on the three crash-recovery
 # attack surfaces — FASTA queries (the spill the job store replays),
 # MAF streams (the recovered artifacts), and WAL segments (arbitrary
-# torn tails must recover and stay appendable). Corpus misses fail the
-# build; longer runs are `go test -fuzz=<name> -fuzztime=10m`.
+# torn tails must recover and stay appendable) — and ten per kernel
+# differential (BSW vs masked Smith-Waterman, unbounded X-drop vs the
+# prefix maximum). Corpus misses fail the build; longer runs are
+# `go test -fuzz=<name> -fuzztime=10m`.
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFASTA -fuzztime 10s ./internal/genome/
 	$(GO) test -run '^$$' -fuzz FuzzReadMAF -fuzztime 10s ./internal/maf/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzIndexLoad -fuzztime 10s ./internal/indexstore/
+	$(GO) test -run '^$$' -fuzz FuzzBandedVsMaskedSW -fuzztime 10s ./internal/align/
+	$(GO) test -run '^$$' -fuzz FuzzXDropUnboundedVsPrefixMax -fuzztime 10s ./internal/align/
 
 ci: build vet check-once test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench

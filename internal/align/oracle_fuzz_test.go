@@ -1,0 +1,173 @@
+package align
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// Differential oracles for the two DP kernels the pipeline runs in its
+// hot loops. Each oracle is a textbook full-matrix recurrence written
+// here, in int64 with its own -infinity and its own max, sharing no code
+// with banded.go or xdrop.go: a kernel rewrite must keep agreeing with
+// these, cell for cell. If one disagrees, the kernel is what is wrong.
+
+const (
+	oracleNegInf = int64(-1) << 40
+	oracleMaxLen = 96
+)
+
+func oracleMax(v int64, rest ...int64) int64 {
+	for _, r := range rest {
+		if r > v {
+			v = r
+		}
+	}
+	return v
+}
+
+// fuzzBases maps arbitrary fuzz bytes onto the kernels' alphabet, capped
+// at oracleMaxLen bases.
+func fuzzBases(raw []byte) []byte {
+	if len(raw) > oracleMaxLen {
+		raw = raw[:oracleMaxLen]
+	}
+	out := make([]byte, len(raw))
+	for i, b := range raw {
+		out[i] = "ACGTN"[int(b)%5]
+	}
+	return out
+}
+
+// fuzzRaw is the inverse of fuzzBases, for seeding the corpus.
+func fuzzRaw(seq []byte) []byte {
+	out := make([]byte, len(seq))
+	for i, b := range seq {
+		out[i] = byte(bytes.IndexByte([]byte("ACGTN"), b))
+	}
+	return out
+}
+
+// addOracleSeeds seeds a (target, query, knob) fuzz target with related
+// pairs — a noisy copy is what exercises gaps and the band edge — so a
+// plain `go test` already runs a few hundred differential cases.
+func addOracleSeeds(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint8(0))
+	f.Add(fuzzRaw([]byte("ACGTACGTNACGT")), fuzzRaw([]byte("ACGTCGTNAACGT")), uint8(3))
+	rng := rand.New(rand.NewSource(41))
+	for k := 0; k < 300; k++ {
+		target := randSeq(rng, rng.Intn(oracleMaxLen+1))
+		query := mutate(rng, target, 0.2*rng.Float64(), 0.15*rng.Float64())
+		if rng.Intn(4) == 0 {
+			query = randSeq(rng, rng.Intn(oracleMaxLen+1))
+		}
+		f.Add(fuzzRaw(target), fuzzRaw(query), uint8(rng.Intn(256)))
+	}
+}
+
+// maskedSmithWaterman is affine-gap local alignment over the whole
+// (n+1)x(m+1) matrix in which every cell outside |i-j| <= band — and the
+// zeroth row and column — reads V=0, D=I=-inf. It returns the maximum V
+// and the first cell, in row-major order, that attains it.
+func maskedSmithWaterman(sc *Scoring, target, query []byte, band int) (best int64, bi, bj int) {
+	n, m := len(target), len(query)
+	open, ext := int64(sc.GapOpen), int64(sc.GapExtend)
+	V := make([][]int64, n+1)
+	D := make([][]int64, n+1)
+	I := make([][]int64, n+1)
+	for i := range V {
+		V[i], D[i], I[i] = make([]int64, m+1), make([]int64, m+1), make([]int64, m+1)
+		for j := 0; j <= m; j++ {
+			if i == 0 || j == 0 || i-j > band || j-i > band {
+				D[i][j], I[i][j] = oracleNegInf, oracleNegInf
+				continue
+			}
+			D[i][j] = oracleMax(V[i-1][j]-open, D[i-1][j]-ext)
+			I[i][j] = oracleMax(V[i][j-1]-open, I[i][j-1]-ext)
+			sub := int64(sc.Score(target[i-1], query[j-1]))
+			V[i][j] = oracleMax(0, V[i-1][j-1]+sub, D[i][j], I[i][j])
+			if V[i][j] > best {
+				best, bi, bj = V[i][j], i, j
+			}
+		}
+	}
+	return best, bi, bj
+}
+
+// FuzzBandedVsMaskedSW: inside its band the BSW filter kernel is exactly
+// Smith-Waterman — same Vmax, same first-maximum position — not merely
+// bounded by it.
+func FuzzBandedVsMaskedSW(f *testing.F) {
+	addOracleSeeds(f)
+	sc := DefaultScoring()
+	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, rawBand uint8) {
+		target, query := fuzzBases(rawT), fuzzBases(rawQ)
+		band := 1 + int(rawBand)%40
+		got := NewBandedAligner(sc, band).Align(target, query)
+		score, ti, qi := maskedSmithWaterman(sc, target, query, band)
+		if int64(got.Score) != score || got.TPos != ti || got.QPos != qi {
+			t.Fatalf("band %d target %s query %s:\nbanded kernel %d at (%d,%d)\nmasked SW     %d at (%d,%d)",
+				band, target, query, got.Score, got.TPos, got.QPos, score, ti, qi)
+		}
+	})
+}
+
+// prefixMax is global-from-origin affine alignment over the whole matrix
+// (leading gaps are charged), returning the maximum V over all cells:
+// the score of the best path from (0,0) to anywhere.
+func prefixMax(sc *Scoring, target, query []byte) int64 {
+	n, m := len(target), len(query)
+	open, ext := int64(sc.GapOpen), int64(sc.GapExtend)
+	V := make([][]int64, n+1)
+	D := make([][]int64, n+1)
+	I := make([][]int64, n+1)
+	best := int64(0)
+	for i := range V {
+		V[i], D[i], I[i] = make([]int64, m+1), make([]int64, m+1), make([]int64, m+1)
+		for j := 0; j <= m; j++ {
+			D[i][j], I[i][j] = oracleNegInf, oracleNegInf
+			if i > 0 {
+				D[i][j] = oracleMax(V[i-1][j]-open, D[i-1][j]-ext)
+			}
+			if j > 0 {
+				I[i][j] = oracleMax(V[i][j-1]-open, I[i][j-1]-ext)
+			}
+			V[i][j] = oracleMax(D[i][j], I[i][j])
+			switch {
+			case i == 0 && j == 0:
+				V[i][j] = 0
+			case i > 0 && j > 0:
+				sub := int64(sc.Score(target[i-1], query[j-1]))
+				V[i][j] = oracleMax(V[i][j], V[i-1][j-1]+sub)
+			}
+			best = oracleMax(best, V[i][j])
+		}
+	}
+	return best
+}
+
+// FuzzXDropUnboundedVsPrefixMax: with a drop threshold nothing can reach,
+// the X-drop kernel prunes nothing and is exact — it visits every cell,
+// its score is the global-from-origin prefix maximum, and its transcript
+// rescores to that score.
+func FuzzXDropUnboundedVsPrefixMax(f *testing.F) {
+	addOracleSeeds(f)
+	sc := DefaultScoring()
+	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, _ uint8) {
+		target, query := fuzzBases(rawT), fuzzBases(rawQ)
+		res := NewXDropAligner(sc, 1<<28).Align(target, query)
+		if want := prefixMax(sc, target, query); int64(res.Score) != want {
+			t.Fatalf("target %s query %s: xdrop score %d, prefix maximum %d", target, query, res.Score, want)
+		}
+		aln := Alignment{Score: res.Score, TEnd: res.TEnd, QEnd: res.QEnd, Ops: res.Ops}
+		if err := aln.CheckConsistency(len(target), len(query)); err != nil {
+			t.Fatalf("target %s query %s: %v", target, query, err)
+		}
+		if got := aln.Rescore(sc, target, query); got != res.Score {
+			t.Fatalf("target %s query %s: Rescore %d, Score %d (%s)", target, query, got, res.Score, aln.CIGAR())
+		}
+		if want := (len(target) + 1) * (len(query) + 1); res.Cells != want {
+			t.Fatalf("target %s query %s: %d cells, want the full matrix %d", target, query, res.Cells, want)
+		}
+	})
+}

@@ -154,18 +154,6 @@ func (ms *membership) heartbeat(id string, snap *obs.WorkerSnapshot) bool {
 	return true
 }
 
-// remove drops a worker immediately (explicit deregistration).
-func (ms *membership) remove(id string) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if _, ok := ms.members[id]; !ok {
-		return
-	}
-	delete(ms.members, id)
-	ms.rebuildLocked()
-	ms.broadcastLocked()
-}
-
 // sweep expires every lease older than now and returns the IDs of the
 // workers it declared dead.
 func (ms *membership) sweep(now time.Time) []string {

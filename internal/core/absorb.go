@@ -16,6 +16,13 @@ type tspan struct {
 	start, end int
 }
 
+// footprint is what one kept alignment covers: its target span and the
+// minimum and maximum diagonal its path touches. It is the one shape the
+// live walk, checkpoint replay and the shard merge hand to cover.
+type footprint struct {
+	tStart, tEnd, dMin, dMax int
+}
+
 func newAbsorber(band int) *absorber {
 	if band <= 0 {
 		return &absorber{band: 0}
@@ -40,19 +47,19 @@ func (ab *absorber) covered(tPos, qPos int) bool {
 	return false
 }
 
-// add records an alignment's footprint: every diagonal bin between the
+// cover records an alignment's footprint: every diagonal bin between the
 // path's minimum and maximum diagonal (padded one bin each side) covers
 // the target span. The path's diagonal can wander far outside the range
 // spanned by its corner diagonals when insertions and deletions balance,
-// so callers must pass the true min/max diagonal along the path.
-func (ab *absorber) add(tStart, tEnd, dMin, dMax int) {
+// so the footprint must carry the true min/max diagonal along the path.
+func (ab *absorber) cover(f footprint) {
 	if ab.band == 0 {
 		return
 	}
-	d0 := diagBin(dMin, ab.band) - 1
-	d1 := diagBin(dMax, ab.band) + 1
+	d0 := diagBin(f.dMin, ab.band) - 1
+	d1 := diagBin(f.dMax, ab.band) + 1
 	for bin := d0; bin <= d1; bin++ {
-		ab.bins[bin] = append(ab.bins[bin], tspan{start: tStart, end: tEnd})
+		ab.bins[bin] = append(ab.bins[bin], tspan{start: f.tStart, end: f.tEnd})
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"darwinwga/internal/align"
 	"darwinwga/internal/checkpoint"
@@ -19,7 +18,7 @@ import (
 // extension anchor is an independent unit journaled as it finishes.
 // Records are written before the in-memory Result is mutated, so a
 // crash between the two is invisible: replaying the record reproduces
-// the mutation exactly.
+// the mutation exactly (live and replayed outcomes share run.commit).
 const (
 	ckKindHeader uint8 = 1
 	ckKindStrand uint8 = 2
@@ -82,17 +81,22 @@ type ckptHSP struct {
 	FilterScore int32  `json:"filterScore"`
 }
 
-func (c *ckptHSP) toHSP(strand byte) HSP {
-	ops := make([]align.EditOp, len(c.Ops))
-	for i := 0; i < len(c.Ops); i++ {
-		ops[i] = align.EditOp(c.Ops[i])
+// outcome decodes a record into the outcome it was journaled from.
+func (rec *ckptAnchorRec) outcome() anchorOutcome {
+	o := anchorOutcome{absorbed: rec.Absorbed, failed: rec.Failed, tiles: rec.Tiles, cells: rec.Cells}
+	if rec.HSP != nil {
+		o.keep(rec.HSP.toHSP(rec.Strand[0]))
 	}
+	return o
+}
+
+func (c *ckptHSP) toHSP(strand byte) HSP {
 	return HSP{
 		Alignment: align.Alignment{
 			Score:  c.Score,
 			TStart: c.TStart, TEnd: c.TEnd,
 			QStart: c.QStart, QEnd: c.QEnd,
-			Ops: ops,
+			Ops: []align.EditOp(c.Ops),
 		},
 		Strand:      strand,
 		Matches:     c.Matches,
@@ -101,15 +105,11 @@ func (c *ckptHSP) toHSP(strand byte) HSP {
 }
 
 func hspToCkpt(h *HSP) *ckptHSP {
-	ops := make([]byte, len(h.Ops))
-	for i, op := range h.Ops {
-		ops[i] = byte(op)
-	}
 	return &ckptHSP{
 		Score:  h.Score,
 		TStart: h.TStart, TEnd: h.TEnd,
 		QStart: h.QStart, QEnd: h.QEnd,
-		Ops:         string(ops),
+		Ops:         string(h.Ops),
 		Matches:     h.Matches,
 		FilterScore: h.FilterScore,
 	}
@@ -120,7 +120,7 @@ type ckptStrand struct {
 	anchors   []passedAnchor
 	workload  Workload
 	truncated TruncationReason
-	outcomes  []ckptAnchorRec // outcome i belongs to anchors[i]
+	outcomes  []anchorOutcome // outcome i belongs to anchors[i]
 }
 
 // ckptWriter owns the open journal plus the state replayed from it.
@@ -128,7 +128,7 @@ type ckptStrand struct {
 // never from workers, so it needs no locking.
 type ckptWriter struct {
 	j       *checkpoint.Journal
-	retry   RetryPolicy
+	run     *run // its retry policy and backoff govern append
 	strands map[byte]*ckptStrand
 }
 
@@ -136,7 +136,7 @@ type ckptWriter struct {
 // target, query) triple and replays its records into resume state. A
 // journal whose header names a different triple is refused with
 // ErrCheckpointMismatch.
-func openCheckpoint(cfg *Config, target, query []byte) (*ckptWriter, error) {
+func openCheckpoint(r *run, cfg *Config, target, query []byte) (*ckptWriter, error) {
 	j, recs, err := checkpoint.Open(cfg.CheckpointDir, checkpoint.Options{
 		NoSync: cfg.CheckpointNoSync,
 		Faults: cfg.CheckpointFaults,
@@ -144,7 +144,7 @@ func openCheckpoint(cfg *Config, target, query []byte) (*ckptWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: opening checkpoint journal: %w", err)
 	}
-	w := &ckptWriter{j: j, retry: cfg.Retry, strands: make(map[byte]*ckptStrand)}
+	w := &ckptWriter{j: j, run: r, strands: make(map[byte]*ckptStrand)}
 	want := ckptHeader{
 		Version: ckVersion,
 		Config:  cfg.fingerprint(),
@@ -201,7 +201,7 @@ func (w *ckptWriter) replay(recs []checkpoint.Record) {
 			if s == nil || ar.Index != len(s.outcomes) || ar.Index >= len(s.anchors) {
 				return
 			}
-			s.outcomes = append(s.outcomes, ar)
+			s.outcomes = append(s.outcomes, ar.outcome())
 		default:
 			// Unknown kinds from a newer writer would have bumped
 			// ckVersion and failed the header check; anything else is
@@ -238,34 +238,40 @@ func (w *ckptWriter) recordStrand(strand byte, passed []passedAnchor, wl Workloa
 	return w.append(ckKindStrand, sr)
 }
 
-// recordAnchor journals one extension anchor's outcome. A nil receiver
-// is a no-op.
-func (w *ckptWriter) recordAnchor(rec ckptAnchorRec) error {
+// recordAnchor journals the outcome of anchor i of a strand. A nil
+// receiver is a no-op.
+func (w *ckptWriter) recordAnchor(strand byte, i int, o *anchorOutcome) error {
 	if w == nil {
 		return nil
+	}
+	rec := ckptAnchorRec{
+		Strand: string(strand), Index: i,
+		Absorbed: o.absorbed, Failed: o.failed,
+		Tiles: o.tiles, Cells: o.cells,
+	}
+	if o.hsp != nil {
+		rec.HSP = hspToCkpt(o.hsp)
 	}
 	return w.append(ckKindAnchor, rec)
 }
 
 // append marshals and appends one record, retrying transient I/O
 // failures under the run's retry policy (the journal truncates a torn
-// frame before each retry, so a retried append never duplicates).
+// frame before each retry, so a retried append never duplicates) and
+// its backoff: a stopped run returns the append error at once.
 func (w *ckptWriter) append(kind uint8, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("core: encoding checkpoint record: %w", err)
 	}
-	attempts := w.retry.attempts()
+	attempts := w.run.retry.attempts()
 	for attempt := 1; ; attempt++ {
 		err = w.j.Append(kind, payload)
 		if err == nil {
 			return nil
 		}
-		if attempt >= attempts {
+		if attempt >= attempts || !w.run.backoff("checkpoint", int(kind), attempt) {
 			return fmt.Errorf("core: checkpoint append failed after %d attempt(s): %w", attempt, err)
-		}
-		if d := w.retry.delay(attempt, backoffSeed("checkpoint", int(kind), attempt)); d > 0 {
-			time.Sleep(d)
 		}
 	}
 }

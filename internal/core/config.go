@@ -128,9 +128,9 @@ type Config struct {
 	// at job admission (cluster mode propagates it coordinator → worker
 	// on the X-Darwinwga-Trace header). When TraceID is non-empty and
 	// the Recorder implements obs.TraceIdentifier (the Tracer does,
-	// including through obs.Multi), AlignContext hands the identity to
-	// the recorder once at call start, so the recorded span tree is
-	// taggable back to the cluster-wide trace. Observe-only: like
+	// including through obs.Multi), AlignContext and AlignShardUnit hand
+	// the identity to the recorder once at call start, so the recorded
+	// span tree is taggable back to the cluster-wide trace. Observe-only: like
 	// Recorder itself, both are excluded from the checkpoint
 	// fingerprint, so a resumed job keeps its journal regardless of
 	// trace identity.
@@ -238,17 +238,8 @@ func (p RetryPolicy) delay(attempt int, seed uint64) time.Duration {
 	}
 	// Jitter to [0.5d, 1.5d): splitmix64 keeps placement stable across
 	// Go releases, so retry schedules are reproducible in tests.
-	frac := float64(mix64(seed)>>11) / float64(1<<53)
+	frac := float64(faultinject.SplitMix64(seed)>>11) / float64(1<<53)
 	return time.Duration((0.5 + frac) * float64(d))
-}
-
-// mix64 is Vigna's SplitMix64 finalizer (same as internal/faultinject's;
-// duplicated to keep the dependency one-directional).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // DefaultConfig returns Darwin-WGA's default parameters (Table II plus
@@ -308,8 +299,15 @@ type JobSpec struct {
 // would break the deterministic merge), so a budgeted job is never
 // sharded and a unit request carrying a budget is refused.
 func (s JobSpec) Budgeted() bool {
-	return s.MaxCandidates != 0 || s.MaxFilterTiles != 0 ||
-		s.MaxExtensionCells != 0 || s.DeadlineMS != 0
+	cfg := s.Apply(Config{})
+	return cfg.budgeted()
+}
+
+// budgeted is the one "carries a resource budget or a deadline"
+// predicate; a spec is budgeted iff it makes an unbudgeted base so.
+func (c *Config) budgeted() bool {
+	return c.MaxCandidates != 0 || c.MaxFilterTiles != 0 ||
+		c.MaxExtensionCells != 0 || c.Deadline != 0
 }
 
 // Apply maps the spec onto base. It is the only flag→Config mapping, so

@@ -310,7 +310,7 @@ func TestFilterThresholdControlsPassRate(t *testing.T) {
 func TestAbsorberUnit(t *testing.T) {
 	ab := newAbsorber(256)
 	// Alignment over T[1000,2000) whose path wanders diagonals -150..+80.
-	ab.add(1000, 2000, -150, 80)
+	ab.cover(footprint{tStart: 1000, tEnd: 2000, dMin: -150, dMax: 80})
 	if !ab.covered(1500, 1600) { // diag -100, inside range
 		t.Error("anchor inside footprint not absorbed")
 	}
@@ -324,7 +324,7 @@ func TestAbsorberUnit(t *testing.T) {
 		t.Error("same target, far diagonal absorbed")
 	}
 	off := newAbsorber(0)
-	off.add(0, 100, 0, 0)
+	off.cover(footprint{tEnd: 100})
 	if off.covered(50, 50) {
 		t.Error("disabled absorber absorbed")
 	}
@@ -407,5 +407,43 @@ func TestJobSpecApply(t *testing.T) {
 	base.MaxFilterTiles = 99
 	if got := (JobSpec{}).Apply(base).MaxFilterTiles; got != 99 {
 		t.Errorf("zero budget cleared the base's: MaxFilterTiles = %d, want 99", got)
+	}
+}
+
+// TestStrandSymmetry: the two strands run one pipeline. Aligning the
+// reverse complement of a query on '+' must produce exactly the
+// alignments that aligning the query itself produces on '-', field for
+// field apart from the Strand byte.
+func TestStrandSymmetry(t *testing.T) {
+	p := testPair(t, 15000, 0.08, 0.005)
+	// An inverted block gives the '-' strand real work on a pair evolved
+	// without inversions.
+	q := append([]byte(nil), p.QuerySeq()...)
+	copy(q[4000:9000], genome.ReverseComplement(q[4000:9000]))
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	a := newAligner(t, p.TargetSeq(), cfg)
+
+	strandHSPs := func(query []byte, strand byte) []HSP {
+		res, err := a.Align(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []HSP
+		for _, h := range res.HSPs {
+			if h.Strand == strand {
+				h.Strand = 0
+				out = append(out, h)
+			}
+		}
+		return out
+	}
+	minus := strandHSPs(q, '-')
+	plusOfRC := strandHSPs(genome.ReverseComplement(q), '+')
+	if len(minus) == 0 {
+		t.Fatal("no '-' strand alignments: the test exercises nothing")
+	}
+	if !reflect.DeepEqual(plusOfRC, minus) {
+		t.Errorf("'+' of rc(q) gave %d alignments, '-' of q gave %d (or they differ)", len(plusOfRC), len(minus))
 	}
 }

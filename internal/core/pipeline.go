@@ -9,7 +9,6 @@ import (
 
 	"darwinwga/internal/align"
 	"darwinwga/internal/dsoft"
-	"darwinwga/internal/gact"
 	"darwinwga/internal/genome"
 	"darwinwga/internal/obs"
 	"darwinwga/internal/seed"
@@ -136,27 +135,15 @@ func (a *Aligner) Align(query []byte) (*Result, error) {
 // canonical order (target start, query start, score), independent of
 // worker count, scheduling, and resume history.
 func (a *Aligner) AlignContext(ctx context.Context, query []byte) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	r, err := a.newRun(ctx, query)
+	if err != nil {
+		return nil, err
 	}
-	if len(query) < a.shape.Span {
-		return nil, fmt.Errorf("core: query shorter than the seed span (%d < %d)", len(query), a.shape.Span)
-	}
-	r := a.newRun(ctx)
-	defer r.stopTimer()
 	res := &Result{}
-	if r.rec != nil {
-		if a.cfg.TraceID != "" {
-			if ti, ok := r.rec.(obs.TraceIdentifier); ok {
-				ti.Identify(a.cfg.TraceID, a.cfg.JobID)
-			}
-		}
-		t0 := time.Now()
-		r.rec.AlignBegin(len(query))
-		defer func() { r.rec.AlignEnd(len(res.HSPs), time.Since(t0)) }()
-	}
+	r.span(&a.cfg, len(query))
+	defer func() { r.end(len(res.HSPs)) }()
 	if a.cfg.CheckpointDir != "" {
-		ck, err := openCheckpoint(&a.cfg, a.target, query)
+		ck, err := openCheckpoint(r, &a.cfg, a.target, query)
 		if err != nil {
 			return nil, err
 		}
@@ -208,31 +195,6 @@ func sortHSPs(hsps []HSP) {
 	})
 }
 
-// sortAnchors orders filter survivors into the canonical extension
-// order: best filter score first (strong alignments absorb their
-// shadows), ties broken by coordinates so the order — and therefore
-// absorption, and therefore the final alignment set — is independent
-// of worker count and goroutine scheduling.
-func sortAnchors(passed []passedAnchor) {
-	sort.Slice(passed, func(i, j int) bool {
-		a, b := passed[i], passed[j]
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		if a.tPos != b.tPos {
-			return a.tPos < b.tPos
-		}
-		return a.qPos < b.qPos
-	})
-}
-
-// passedAnchor is a filter-stage survivor: the Vmax position becomes the
-// extension anchor.
-type passedAnchor struct {
-	tPos, qPos int
-	score      int32
-}
-
 // ExtensionAnchor is a filter-stage survivor, exported for experiment
 // harnesses that want to drive the extension stage directly (e.g. the
 // paper's Figure 10 feeds the same anchors to GACT and GACT-X).
@@ -245,11 +207,11 @@ type ExtensionAnchor struct {
 // strand and returns the surviving anchors sorted by descending filter
 // score.
 func (a *Aligner) Anchors(query []byte) ([]ExtensionAnchor, error) {
-	if len(query) < a.shape.Span {
-		return nil, fmt.Errorf("core: query shorter than the seed span (%d < %d)", len(query), a.shape.Span)
+	r, err := a.newRun(context.Background(), query)
+	if err != nil {
+		return nil, err
 	}
-	r := a.newRun(context.Background())
-	defer r.stopTimer()
+	defer r.end(0)
 	passed, _, err := a.seedFilter(r, query, '+', 0, len(query), new(Timings))
 	if err != nil {
 		return nil, err
@@ -371,160 +333,6 @@ func addWorkload(dst *Workload, d Workload) {
 	dst.FilterTiles += d.FilterTiles
 	dst.FilterCells += d.FilterCells
 	dst.PassedFilter += d.PassedFilter
-}
-
-// runExtension extends the surviving anchors serially, in the
-// canonical order passed arrives in (sortAnchors: best filter score
-// first). Cancellation and the cell budget are polled at GACT-X tile
-// granularity through the extender's Stop hook; a panic while
-// extending one anchor is contained as a *StageError for that anchor,
-// retried under Config.Retry, and journaled per anchor when
-// checkpointing is on. Anchors whose outcome the journal already holds
-// are replayed instead of recomputed.
-func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []passedAnchor, res *Result) error {
-	// cellsDone/inFlight let the Stop hook see the cumulative cell
-	// count mid-Extend; extension is single-goroutine so plain reads
-	// are safe.
-	cellsDone := res.Workload.ExtensionCells
-	var inFlight *gact.Stats
-	ecfg := a.cfg.Extension
-	ecfg.Stop = func() bool {
-		cells := cellsDone
-		if inFlight != nil {
-			cells += int64(inFlight.Cells)
-		}
-		return r.stopSlow() || r.extCellsExceeded(cells)
-	}
-	// With a Recorder set, every GACT-X tile DP reports one
-	// ExtensionTile event; curAnchor tracks which anchor the extender is
-	// working on (extension is single-goroutine, so a plain variable
-	// suffices). nil Recorder leaves TileHook nil: the extender's hot
-	// loop takes no timestamps.
-	curAnchor := -1
-	if r.rec != nil {
-		ecfg.TileHook = func(cells int, start time.Time, dur time.Duration) {
-			r.rec.ExtensionTile(strand, curAnchor, int64(cells), start, dur)
-		}
-	}
-	ext, err := gact.NewExtender(a.sc, ecfg)
-	if err != nil {
-		return err
-	}
-	absorb := newAbsorber(a.cfg.AbsorbBand)
-	var replayed []ckptAnchorRec
-	if s := r.ck.strand(strand); s != nil {
-		replayed = s.outcomes
-	}
-	for i, p := range passed {
-		if i < len(replayed) {
-			replayAnchor(r, strand, &replayed[i], absorb, res, &cellsDone)
-			continue
-		}
-		if r.extensionStopped() {
-			break
-		}
-		if absorb.covered(p.tPos, p.qPos) {
-			res.Workload.Absorbed++
-			if r.rec != nil {
-				r.rec.AnchorSkipped(strand, i)
-			}
-			if err := r.ck.recordAnchor(ckptAnchorRec{Strand: string(strand), Index: i, Absorbed: true}); err != nil {
-				return err
-			}
-			continue
-		}
-		if r.rec != nil {
-			r.rec.AnchorBegin(strand, i)
-			curAnchor = i
-		}
-		var st gact.Stats
-		var aln align.Alignment
-		ok := r.runShard(StageExtension, i, func() {
-			st = gact.Stats{}
-			inFlight = &st
-			if r.hook != nil {
-				r.hook(StageExtension, i)
-			}
-			aln = ext.Extend(a.target, query, p.tPos, p.qPos, &st)
-		}, func() {
-			inFlight = nil
-		})
-		inFlight = nil
-		if !ok {
-			if r.rec != nil {
-				r.rec.AnchorEnd(strand, i, 0, 0, false)
-			}
-			if err := r.err(); err != nil {
-				// No retry policy: the contained failure fails the call.
-				return err
-			}
-			// Retry exhausted: the anchor is dropped, the run degrades
-			// (recorded by runShard) and continues. Journal the drop so
-			// a resumed run reproduces the same partial result.
-			if err := r.ck.recordAnchor(ckptAnchorRec{Strand: string(strand), Index: i, Failed: true}); err != nil {
-				return err
-			}
-			continue
-		}
-		// A stop (cancellation, deadline, cell budget) that landed inside
-		// Extend cut the alignment short: it is fine as part of this
-		// call's partial Result but must not be journaled — a resumed run
-		// recomputes this anchor in full instead of replaying the stub.
-		stopped := r.extensionStopped()
-		cellsDone += int64(st.Cells)
-		res.Workload.ExtensionTiles += int64(st.Tiles)
-		res.Workload.ExtensionCells += int64(st.Cells)
-		rec := ckptAnchorRec{Strand: string(strand), Index: i, Tiles: int64(st.Tiles), Cells: int64(st.Cells)}
-		if aln.Score >= a.cfg.ExtensionThreshold {
-			matches, _, _ := aln.Counts(a.target, query)
-			h := HSP{
-				Alignment:   aln,
-				Strand:      strand,
-				Matches:     matches,
-				FilterScore: p.score,
-			}
-			rec.HSP = hspToCkpt(&h)
-			res.HSPs = append(res.HSPs, h)
-			r.emit(h)
-			dMin, dMax := pathDiagRange(aln.TStart, aln.QStart, aln.Ops)
-			absorb.add(aln.TStart, aln.TEnd, dMin, dMax)
-		}
-		if r.rec != nil {
-			r.rec.AnchorEnd(strand, i, int64(st.Tiles), int64(st.Cells), aln.Score >= a.cfg.ExtensionThreshold)
-		}
-		if stopped {
-			break
-		}
-		if err := r.ck.recordAnchor(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayAnchor folds one journaled anchor outcome into the result and
-// the absorber, reproducing exactly the state the original run had
-// after extending it — including the duplicate-absorption coverage
-// later anchors are checked against.
-func replayAnchor(r *run, strand byte, rec *ckptAnchorRec, absorb *absorber, res *Result, cellsDone *int64) {
-	res.Workload.ExtensionTiles += rec.Tiles
-	res.Workload.ExtensionCells += rec.Cells
-	res.Replayed.ExtensionTiles += rec.Tiles
-	res.Replayed.ExtensionCells += rec.Cells
-	*cellsDone += rec.Cells
-	switch {
-	case rec.Absorbed:
-		res.Workload.Absorbed++
-		res.Replayed.Absorbed++
-	case rec.Failed:
-		r.degrade(&StageError{Stage: StageExtension, Shard: rec.Index, Err: errReplayedShardFailure})
-	case rec.HSP != nil:
-		h := rec.HSP.toHSP(strand)
-		res.HSPs = append(res.HSPs, h)
-		r.emit(h)
-		dMin, dMax := pathDiagRange(h.TStart, h.QStart, h.Ops)
-		absorb.add(h.TStart, h.TEnd, dMin, dMax)
-	}
 }
 
 // runSeeding collects the D-SOFT candidates whose query chunks lie in

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"darwinwga/internal/evolve"
 	"darwinwga/internal/faultinject"
 )
 
@@ -51,25 +55,15 @@ func wantSameOutcome(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestResumeMidExtension kills a run (via injected cancellation) partway
-// through the extension stage, resumes it from the journal, and checks
-// the combined outcome is identical to an uninterrupted run.
-func TestResumeMidExtension(t *testing.T) {
-	p := testPair(t, 15000, 0.08, 0.005)
-	dir := t.TempDir()
-
-	clean := mustAlign(t, p.TargetSeq(), p.QuerySeq(), resumeConfig(t.TempDir()))
-	if len(clean.HSPs) < 3 {
-		t.Fatalf("test pair too easy: only %d HSPs", len(clean.HSPs))
-	}
-
-	// Interrupted run: cancel lands exactly when the 3rd extension
-	// anchor starts.
-	cfg := resumeConfig(dir)
+// interruptAt runs the pair under cfg with a cancellation landing exactly
+// when the hit-th extension anchor (counted across both strands) starts,
+// and checks the call reports the interruption.
+func interruptAt(t *testing.T, p *evolve.Pair, cfg Config, hit int) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inj := faultinject.New(faultinject.Rule{
-		Stage: StageExtension, Shard: -1, Hit: 3,
+		Stage: StageExtension, Shard: -1, Hit: hit,
 		Action: faultinject.Cancel, Cancel: cancel,
 	})
 	cfg.FaultHook = inj.Hook()
@@ -84,24 +78,152 @@ func TestResumeMidExtension(t *testing.T) {
 	if inj.FiredCount() != 1 {
 		t.Fatalf("injector fired %d times, want 1", inj.FiredCount())
 	}
+}
 
-	// Resumed run: same config, target, query, and journal directory.
-	resumed := mustAlign(t, p.TargetSeq(), p.QuerySeq(), resumeConfig(dir))
-	wantSameOutcome(t, resumed, clean)
-	checkWorkloadInvariants(t, resumed)
+// emitted installs an HSPHook on cfg that appends to the returned slice,
+// capturing the emission order.
+func emitted(cfg *Config) *[]HSP {
+	var got []HSP
+	cfg.HSPHook = func(h HSP) { got = append(got, h) }
+	return &got
+}
 
-	// Replayed accounting: the fresh run restored nothing; the resumed
-	// run restored a non-empty strict subset of its workload — the
-	// resume-not-recompute evidence failover tests key on.
+// TestResumeMidExtension kills a run (via injected cancellation) at every
+// extension anchor in turn, resumes it from the journal, and checks the
+// combined outcome — alignments, workload, and the order the HSPHook saw
+// them in — is identical to an uninterrupted run.
+func TestResumeMidExtension(t *testing.T) {
+	p := testPair(t, 15000, 0.08, 0.005)
+
+	cleanCfg := resumeConfig(t.TempDir())
+	cleanOrder := emitted(&cleanCfg)
+	var extended atomic.Int64
+	cleanCfg.FaultHook = func(stage string, _ int) {
+		if stage == StageExtension {
+			extended.Add(1)
+		}
+	}
+	clean := mustAlign(t, p.TargetSeq(), p.QuerySeq(), cleanCfg)
+	if len(clean.HSPs) < 3 {
+		t.Fatalf("test pair too easy: only %d HSPs", len(clean.HSPs))
+	}
+	// Replayed accounting: a fresh run restored nothing.
 	if clean.Replayed != (Workload{}) {
 		t.Errorf("fresh run Replayed = %+v, want zero", clean.Replayed)
 	}
-	if resumed.Replayed == (Workload{}) {
-		t.Error("resumed run Replayed is zero, want restored work accounted")
+
+	for hit := 1; hit <= int(extended.Load()); hit++ {
+		t.Run(fmt.Sprintf("anchor%d", hit), func(t *testing.T) {
+			dir := t.TempDir()
+			interruptAt(t, p, resumeConfig(dir), hit)
+
+			// Resumed run: same config, target, query, and journal directory.
+			cfg := resumeConfig(dir)
+			order := emitted(&cfg)
+			resumed := mustAlign(t, p.TargetSeq(), p.QuerySeq(), cfg)
+			wantSameOutcome(t, resumed, clean)
+			checkWorkloadInvariants(t, resumed)
+			if !reflect.DeepEqual(*order, *cleanOrder) {
+				t.Errorf("HSPHook saw %d alignments in a different order than the uninterrupted run's %d", len(*order), len(*cleanOrder))
+			}
+
+			// The resumed run restored a non-empty strict subset of its
+			// workload — the resume-not-recompute evidence failover tests
+			// key on. Only an interruption at the very first anchor has no
+			// extension work to restore.
+			if resumed.Replayed == (Workload{}) {
+				t.Error("resumed run Replayed is zero, want restored work accounted")
+			}
+			if got := resumed.Replayed.ExtensionCells; got >= resumed.Workload.ExtensionCells || (got <= 0) != (hit == 1) {
+				t.Errorf("resumed Replayed.ExtensionCells = %d of %d after interrupting anchor %d",
+					got, resumed.Workload.ExtensionCells, hit)
+			}
+		})
 	}
-	if resumed.Replayed.ExtensionCells <= 0 || resumed.Replayed.ExtensionCells >= resumed.Workload.ExtensionCells {
-		t.Errorf("resumed Replayed.ExtensionCells = %d, want in (0, %d): interruption landed mid-extension",
-			resumed.Replayed.ExtensionCells, resumed.Workload.ExtensionCells)
+}
+
+// journalFiles reads every file of a journal directory, by name.
+func journalFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
+// TestCompatCheckpointResume pins journal compatibility across the
+// extension-path rewrite. testdata/compat holds the journal the tree at
+// PR 18 wrote for the toy pair under resumeConfig, cancelled at the 3rd
+// extension anchor. The current code must write that journal byte for
+// byte for the same interrupted run, and must resume the old one to the
+// same Result — and the same Replayed accounting — as its own.
+func TestCompatCheckpointResume(t *testing.T) {
+	p := testPair(t, 15000, 0.08, 0.005)
+	clean := mustAlign(t, p.TargetSeq(), p.QuerySeq(), resumeConfig(t.TempDir()))
+
+	fixture := journalFiles(t, filepath.Join("testdata", "compat"))
+	if len(fixture) == 0 {
+		t.Fatal("testdata/compat holds no journal")
+	}
+	ownDir := t.TempDir()
+	interruptAt(t, p, resumeConfig(ownDir), 3)
+	if own := journalFiles(t, ownDir); !reflect.DeepEqual(own, fixture) {
+		t.Errorf("journal of the interrupted run differs from the checked-in fixture (%d vs %d files)", len(own), len(fixture))
+	}
+
+	oldDir := t.TempDir()
+	for name, b := range fixture {
+		if err := os.WriteFile(filepath.Join(oldDir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fromOld := mustAlign(t, p.TargetSeq(), p.QuerySeq(), resumeConfig(oldDir))
+	fromOwn := mustAlign(t, p.TargetSeq(), p.QuerySeq(), resumeConfig(ownDir))
+	wantSameOutcome(t, fromOld, clean)
+	wantSameOutcome(t, fromOld, fromOwn)
+	if fromOld.Replayed != fromOwn.Replayed || fromOld.Replayed.ExtensionCells == 0 {
+		t.Errorf("Replayed differs or is empty: old journal %+v, own journal %+v", fromOld.Replayed, fromOwn.Replayed)
+	}
+}
+
+// TestRetryCheckpointAppendHonoursCancel: a journal append that keeps
+// failing backs off under the retry policy, but a cancelled run must not
+// sleep through that schedule — the append error comes back at once.
+func TestRetryCheckpointAppendHonoursCancel(t *testing.T) {
+	p := testPair(t, 15000, 0.08, 0.005)
+	cfg := resumeConfig(t.TempDir())
+	cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Second}
+	cfg.CheckpointFaults = faultinject.NewIO(faultinject.IORule{Op: faultinject.OpWrite, Action: faultinject.IOErr})
+	a := newAligner(t, p.TargetSeq(), cfg)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		// Cancel as soon as the first append has failed.
+		for len(cfg.CheckpointFaults.FiredIO()) == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	t0 := time.Now()
+	_, err := a.AlignContext(ctx, p.QuerySeq())
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want the injected append failure", err)
+	}
+	if n := len(cfg.CheckpointFaults.FiredIO()); n != 1 {
+		t.Errorf("%d appends attempted after cancellation, want only the first", n)
+	}
+	if d := time.Since(t0); d > cfg.Retry.BaseDelay/2 {
+		t.Errorf("cancelled run took %v to give up on the journal, want well under the %v base delay", d, cfg.Retry.BaseDelay)
 	}
 }
 

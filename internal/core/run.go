@@ -33,6 +33,7 @@ type run struct {
 	rec       obs.Recorder // nil = telemetry off (the zero-cost path)
 	retry     RetryPolicy
 	ck        *ckptWriter // nil when checkpointing is off
+	spanStart time.Time   // when span opened the Recorder's align span; zero = none
 
 	maxCandidates  int64
 	maxFilterTiles int64
@@ -60,7 +61,38 @@ type run struct {
 // cap is far above what a debuggable report needs.
 const maxRecordedFailures = 16
 
-func (a *Aligner) newRun(ctx context.Context) *run {
+// span opens the Recorder's top-level align span over bases query bases,
+// handing the recorder the call's trace identity first; end closes it.
+func (r *run) span(cfg *Config, bases int) {
+	if r.rec == nil {
+		return
+	}
+	if ti, ok := r.rec.(obs.TraceIdentifier); ok && cfg.TraceID != "" {
+		ti.Identify(cfg.TraceID, cfg.JobID)
+	}
+	r.spanStart = time.Now()
+	r.rec.AlignBegin(bases)
+}
+
+// end closes the align span, if one was opened, with the number of
+// alignments produced, and releases the context watcher and timer.
+func (r *run) end(alignments int) {
+	if !r.spanStart.IsZero() {
+		r.rec.AlignEnd(alignments, time.Since(r.spanStart))
+	}
+	r.stopTimer()
+}
+
+// newRun is the preamble of every entry point (AlignContext, Anchors,
+// AlignShardUnit): default a nil context, refuse a query shorter than
+// the seed span, start the run. The caller defers r.end.
+func (a *Aligner) newRun(ctx context.Context, query []byte) (*run, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if len(query) < a.shape.Span {
+		return nil, fmt.Errorf("core: query shorter than the seed span (%d < %d)", len(query), a.shape.Span)
+	}
 	r := &run{
 		ctx:            ctx,
 		soft:           ctx,
@@ -84,7 +116,7 @@ func (a *Aligner) newRun(ctx context.Context) *run {
 	// misrecorded as a truncation.
 	watch := context.AfterFunc(r.soft, r.observeStop)
 	r.stopTimer = func() { watch(); cancelTimer() }
-	return r
+	return r, nil
 }
 
 // observeStop records why the soft context ended and halts all work.
@@ -202,15 +234,6 @@ func (r *run) extCellsExceeded(cells int64) bool {
 	r.truncate(TruncatedMaxExtensionCells)
 	r.extExhausted.Store(true)
 	return true
-}
-
-// emit delivers one final HSP to the streaming hook. Extension (and
-// checkpoint replay) is single-goroutine, so emission order is the
-// deterministic order the HSPs were appended to the Result in.
-func (r *run) emit(h HSP) {
-	if r.hspHook != nil {
-		r.hspHook(h)
-	}
 }
 
 // toStageError converts a recovered panic value into a *StageError.

@@ -6,10 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"darwinwga/internal/align"
-	"darwinwga/internal/gact"
 )
 
 // This file is the work-unit extraction behind the cluster's per-shard
@@ -93,7 +89,7 @@ func PlanShards(cfg *Config, queryLen, unitsPerStrand int) []ShardUnit {
 // ShardFrame is the wire framing of one above-threshold alignment
 // produced by a shard unit: the sort keys that place it in the
 // canonical extension order (filter score desc, anchor target pos,
-// anchor query pos — sortAnchors' comparator), plus the absorption
+// anchor query pos — anchorLess), plus the absorption
 // footprint (target span and path diagonal range) the merge needs to
 // re-run the duplicate-suppression walk. The rendered MAF block rides
 // alongside in the cluster layer; the merge itself never needs the
@@ -115,46 +111,44 @@ type ShardFrame struct {
 	DMax   int `json:"d_max"`
 }
 
-// sortFrameIndex orders frame indices by the canonical extension order
-// — the exact comparator of sortAnchors, keyed on the anchor the
-// extension started from.
-func sortFrameIndex(frames []ShardFrame) []int {
-	idx := make([]int, len(frames))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := &frames[idx[i]], &frames[idx[j]]
-		if a.FilterScore != b.FilterScore {
-			return a.FilterScore > b.FilterScore
-		}
-		if a.AnchorT != b.AnchorT {
-			return a.AnchorT < b.AnchorT
-		}
-		return a.AnchorQ < b.AnchorQ
-	})
-	return idx
+// anchor is the filter survivor the extension started from: the frame's
+// key in the canonical order and the point the absorption walk probes.
+func (f *ShardFrame) anchor() passedAnchor {
+	return passedAnchor{tPos: f.AnchorT, qPos: f.AnchorQ, score: f.FilterScore}
+}
+
+// footprint is what the frame's alignment covers once kept.
+func (f *ShardFrame) footprint() footprint {
+	return footprint{tStart: f.TStart, tEnd: f.TEnd, dMin: f.DMin, dMax: f.DMax}
 }
 
 // MergeShardFrames reassembles ONE strand's frames (from any number of
 // units, in any arrival order) into the pipeline's deterministic
-// emission order: it sorts by the canonical extension order and re-runs
-// the anchor-absorption walk of runExtension, dropping every frame
-// whose anchor lands inside an already-kept alignment's footprint.
+// emission order: it sorts by the canonical extension order (anchorLess)
+// and re-runs runExtension's absorption walk with the same absorber,
+// dropping every frame whose anchor lands inside an already-kept
+// alignment's footprint.
 // It returns the indices of the kept frames, in emission order, plus
 // the number absorbed. Equal-key frames are interchangeable (extension
 // is a pure function of the anchor), so the output block sequence is
 // independent of arrival order — the property the merge tests pin.
 func MergeShardFrames(frames []ShardFrame, absorbBand int) (keep []int, absorbed int) {
+	order := make([]int, len(frames))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		return anchorLess(frames[order[i]].anchor(), frames[order[j]].anchor())
+	})
 	absorb := newAbsorber(absorbBand)
-	for _, i := range sortFrameIndex(frames) {
+	for _, i := range order {
 		f := &frames[i]
-		if absorb.covered(f.AnchorT, f.AnchorQ) {
+		if p := f.anchor(); absorb.covered(p.tPos, p.qPos) {
 			absorbed++
 			continue
 		}
 		keep = append(keep, i)
-		absorb.add(f.TStart, f.TEnd, f.DMin, f.DMax)
+		absorb.cover(f.footprint())
 	}
 	return keep, absorbed
 }
@@ -174,25 +168,18 @@ func MergeShardFrames(frames []ShardFrame, absorbBand int) (keep []int, absorbed
 // enforces this by refusing to shard budgeted jobs; this function
 // double-checks and errors out.
 func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit) (frames []ShardFrame, hsps []HSP, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if a.cfg.MaxCandidates != 0 || a.cfg.MaxFilterTiles != 0 || a.cfg.MaxExtensionCells != 0 || a.cfg.Deadline != 0 {
+	if a.cfg.budgeted() {
 		return nil, nil, fmt.Errorf("core: shard units cannot run under resource budgets or a deadline")
 	}
 	if u.QStart < 0 || u.QEnd > len(query) || u.QStart >= u.QEnd {
 		return nil, nil, fmt.Errorf("core: shard unit range [%d:%d) outside query of %d bases", u.QStart, u.QEnd, len(query))
 	}
-	if len(query) < a.shape.Span {
-		return nil, nil, fmt.Errorf("core: query shorter than the seed span (%d < %d)", len(query), a.shape.Span)
+	r, err := a.newRun(ctx, query)
+	if err != nil {
+		return nil, nil, err
 	}
-	r := a.newRun(ctx)
-	defer r.stopTimer()
-	if r.rec != nil {
-		t0 := time.Now()
-		r.rec.AlignBegin(u.QEnd - u.QStart)
-		defer func() { r.rec.AlignEnd(len(frames), time.Since(t0)) }()
-	}
+	r.span(&a.cfg, u.QEnd-u.QStart)
+	defer func() { r.end(len(frames)) }()
 
 	passed, _, err := a.seedFilter(r, query, u.Strand, u.QStart, u.QEnd, new(Timings))
 	if err != nil {
@@ -204,70 +191,32 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 	// single-goroutine in the whole-query pipeline is embarrassingly
 	// parallel in a unit. That matters: a unit extends anchors the
 	// one-shot walk would have absorbed, so serial extension would make
-	// units far slower than their share of a one-shot run.
-	workers := min(a.cfg.workers(), len(passed))
-	exts := make([]*gact.Extender, workers)
-	// cur[w] is the anchor worker w is extending; its TileHook runs inside
-	// its own Extend call, so each slot has one reader/writer. Anchor spans
+	// units far slower than their share of a one-shot run. Anchor spans
 	// of different workers overlap: a unit's Recorder must tolerate that.
-	cur := make([]int, workers)
+	exts := make([]*anchorExtender, min(a.cfg.workers(), len(passed)))
 	for w := range exts {
-		ecfg := a.cfg.Extension
-		ecfg.Stop = r.stop
-		if r.rec != nil {
-			ecfg.TileHook = func(cells int, start time.Time, dur time.Duration) {
-				r.rec.ExtensionTile(u.Strand, cur[w], int64(cells), start, dur)
-			}
-		}
-		ext, err := gact.NewExtender(a.sc, ecfg)
-		if err != nil {
+		if exts[w], err = a.newAnchorExtender(r, query, u.Strand, r.stop); err != nil {
 			return nil, nil, err
 		}
-		exts[w] = ext
 	}
-	type extOut struct {
-		done bool
-		aln  align.Alignment
-	}
-	outs := make([]extOut, len(passed))
+	outs := make([]anchorOutcome, len(passed))
 	var next, failedIdx atomic.Int64 // failedIdx holds index+1; 0 = none
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, x := range exts {
 		wg.Add(1)
-		go func(w int) {
+		go func(x *anchorExtender) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(passed) || failedIdx.Load() != 0 || r.stopSlow() {
 					return
 				}
-				p := passed[i]
-				if r.rec != nil {
-					r.rec.AnchorBegin(u.Strand, i)
-					cur[w] = i
-				}
-				var st gact.Stats
-				var aln align.Alignment
-				ok := r.runShard(StageExtension, i, func() {
-					st = gact.Stats{}
-					if r.hook != nil {
-						r.hook(StageExtension, i)
-					}
-					aln = exts[w].Extend(a.target, query, p.tPos, p.qPos, &st)
-				}, nil)
-				if !ok {
-					if r.rec != nil {
-						r.rec.AnchorEnd(u.Strand, i, 0, 0, false)
-					}
+				if outs[i] = x.extend(i, passed[i]); outs[i].failed {
 					failedIdx.CompareAndSwap(0, int64(i)+1)
 					return
 				}
-				if r.rec != nil {
-					r.rec.AnchorEnd(u.Strand, i, int64(st.Tiles), int64(st.Cells), aln.Score >= a.cfg.ExtensionThreshold)
-				}
-				outs[i] = extOut{done: true, aln: aln}
 			}
-		}(w)
+		}(x)
 	}
 	wg.Wait()
 	if err := r.err(); err != nil {
@@ -279,36 +228,24 @@ func (a *Aligner) AlignShardUnit(ctx context.Context, query []byte, u ShardUnit)
 		// unit elsewhere.
 		return nil, nil, fmt.Errorf("core: shard unit %s: extension anchor %d failed after retries", u, fi-1)
 	}
-	for i, p := range passed {
-		aln := outs[i].aln
-		if !outs[i].done || aln.Score < a.cfg.ExtensionThreshold {
-			continue
-		}
-		matches, _, _ := aln.Counts(a.target, query)
-		dMin, dMax := pathDiagRange(aln.TStart, aln.QStart, aln.Ops)
-		frames = append(frames, ShardFrame{
-			AnchorT:     p.tPos,
-			AnchorQ:     p.qPos,
-			FilterScore: p.score,
-			Score:       aln.Score,
-			TStart:      aln.TStart,
-			TEnd:        aln.TEnd,
-			DMin:        dMin,
-			DMax:        dMax,
-		})
-		hsps = append(hsps, HSP{
-			Alignment:   aln,
-			Strand:      u.Strand,
-			Matches:     matches,
-			FilterScore: p.score,
-		})
-	}
 	// A cancelled or deadline-stopped unit is incomplete, never partial.
 	if r.stopSlow() || r.truncation() != "" {
 		if ctxErr := r.ctx.Err(); ctxErr != nil {
 			return nil, nil, ctxErr
 		}
 		return nil, nil, fmt.Errorf("core: shard unit %s stopped early (%s)", u, r.truncation())
+	}
+	for i, p := range passed {
+		o := &outs[i]
+		if o.hsp == nil {
+			continue
+		}
+		frames = append(frames, ShardFrame{
+			AnchorT: p.tPos, AnchorQ: p.qPos, FilterScore: p.score,
+			Score:  o.hsp.Score,
+			TStart: o.foot.tStart, TEnd: o.foot.tEnd, DMin: o.foot.dMin, DMax: o.foot.dMax,
+		})
+		hsps = append(hsps, *o.hsp)
 	}
 	return frames, hsps, nil
 }

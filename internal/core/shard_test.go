@@ -222,7 +222,12 @@ func TestFrontEndSharedByAllEntryPoints(t *testing.T) {
 			if _, err := ac.Align(q); err != nil {
 				t.Fatal(err)
 			}
-			ck, err := openCheckpoint(&ckCfg, p.TargetSeq(), q)
+			r, err := ac.newRun(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.end(0)
+			ck, err := openCheckpoint(r, &ckCfg, p.TargetSeq(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

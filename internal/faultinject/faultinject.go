@@ -100,7 +100,7 @@ func Seeded(seed int64, stage string, horizon int, rule Rule) *Injector {
 	}
 	rule.Stage = stage
 	rule.Shard = -1
-	rule.Hit = int(splitmix64(uint64(seed))%uint64(horizon)) + 1
+	rule.Hit = int(SplitMix64(uint64(seed))%uint64(horizon)) + 1
 	return New(rule)
 }
 
@@ -159,10 +159,11 @@ func (in *Injector) FiredCount() int {
 	return len(in.fired)
 }
 
-// splitmix64 is a tiny, stable mixing function (Vigna's SplitMix64);
-// used instead of math/rand so seed placement never shifts between Go
+// SplitMix64 is the finalizer of Vigna's SplitMix64, a tiny, stable
+// mixing function used instead of math/rand so seeded placement (fault
+// hits here, retry jitter in internal/core) never shifts between Go
 // releases.
-func splitmix64(x uint64) uint64 {
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

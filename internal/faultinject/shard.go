@@ -40,7 +40,6 @@ type ShardFaults struct {
 	mu    sync.Mutex
 	rules []ShardRule
 	seen  []int
-	fired int
 }
 
 // NewShard builds a shard fault set from rules. Rules are tried in
@@ -68,21 +67,10 @@ func (f *ShardFaults) Check(seq int, strand byte) error {
 		}
 		f.seen[i]++
 		if r.Hit == 0 || f.seen[i] == r.Hit {
-			f.fired++
 			return fmt.Errorf("unit %d/%c: %w", seq, strand, ErrInjectedShard)
 		}
 	}
 	return nil
-}
-
-// FiredShard returns how many shard faults have fired.
-func (f *ShardFaults) FiredShard() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fired
 }
 
 // ParseShardFaults builds a fault set from a compact spec, the form a

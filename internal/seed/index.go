@@ -72,14 +72,8 @@ func BuildIndex(target []byte, shape *Shape, opts IndexOptions) (*Index, error) 
 			ix.positions[counts[key]] = uint32(pos)
 		}
 	}
-	// counts[k] (== starts[k+1] before filling) has been decremented down
-	// to the bucket start; shift the starts array back into place.
-	// After the fill, starts[k+1] holds bucket k's START. Rebuild ends.
-	// Simplest correct fix: recompute via a second prefix pass.
-	// (starts[0] = 0 is bucket 0's start, which equals counts[-1]; the
-	// array currently holds starts, we need [start_0, start_1, ...,
-	// total]. counts[k] = start of bucket k, so starts = [0-shifted].)
-	// Move every entry down one slot and append the total.
+	// After the backward fill starts[k+1] holds bucket k's start, so shift
+	// every entry down one slot and set starts[size] = nPos.
 	copy(ix.starts[0:], ix.starts[1:])
 	ix.starts[size] = uint32(nPos)
 	return ix, nil
