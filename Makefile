@@ -15,9 +15,11 @@ vet:
 # Fails if the job-parameter JSON tags are declared in more than one
 # non-test Go file outside bench/ (core.JobSpec is the one), if a deleted
 # copy reappears under its old name, or if internal/cluster grows a timed
-# select beside Coordinator.wait (8 Clock.After sites remain: wait,
-# doRequestTimeout, sweeper, Agent.sleep, the hedge tick, and three in
-# replication.go).
+# select beside Coordinator.wait (6 Clock.After sites remain: wait,
+# doRequestTimeout, sweeper, and three in replication.go).
+# The poll loops stay deleted: no PollInterval / -poll-interval in any Go
+# file outside bench/, and the worker's blocking status read (?wait=) is
+# parsed in exactly one place.
 # The same for the extension path in internal/core: one anchor extender
 # (one NewExtender, one runShard(StageExtension, one AnchorBegin /
 # ExtensionTile site, AnchorEnd at most twice in it), one footprint
@@ -29,7 +31,11 @@ check-once:
 	@if grep -rnE --include='*.go' --exclude-dir=bench 'func cWriteJSON|type (clusterSubmit|workerSubmit|jobSpec) ' .; then \
 		echo "check-once: a deleted copy of the job contract is back"; exit 1; fi
 	@n=$$(ls internal/cluster/*.go | grep -v _test.go | xargs cat | grep -o 'Clock\.After(' | wc -l); \
-	if [ "$$n" -gt 8 ]; then echo "check-once: $$n Clock.After sites in internal/cluster, want <= 8 (use Coordinator.wait)"; exit 1; fi
+	if [ "$$n" -gt 6 ]; then echo "check-once: $$n Clock.After sites in internal/cluster, want <= 6 (use Coordinator.wait)"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude-dir=bench 'PollInterval|poll-interval|pollEvery' .; then \
+		echo "check-once: the coordinator's status poll is back (a job ends when its worker says so: hold GET ?wait=)"; exit 1; fi
+	@n=$$(ls internal/server/*.go | grep -v _test.go | xargs cat | grep -c 'Query().Get("wait")'); \
+	if [ "$$n" -ne 1 ]; then echo "check-once: ?wait= parsed on $$n non-test lines of internal/server, want 1 (handleStatus)"; exit 1; fi
 	@src=$$(ls internal/core/*.go | grep -v _test.go); \
 	for pat in '\.AnchorBegin(' '\.ExtensionTile(' 'gact\.NewExtender(' 'runShard(StageExtension' 'pathDiagRange('; do \
 		n=$$(cat $$src | grep -v '^func ' | grep -c "$$pat"); \

@@ -75,17 +75,16 @@ func TestClusterFailoverE2E(t *testing.T) {
 		t.Fatalf("reference MAF unusable (blocks=%d complete=%v err=%v)", len(blocks), complete, err)
 	}
 
-	// A long -poll-interval holds the coordinator's first status poll
-	// back, which is the deterministic "mid-job" window: the worker is
-	// killed after the routing decision but before the coordinator can
-	// observe any outcome from it.
+	// The "mid-job" window is the job itself: it aligns for seconds, and
+	// each victim is killed within a few polls of its assignment (and, in
+	// phase 1, of its first drained span) — long before the worker could
+	// report an outcome.
 	journalDir := filepath.Join(dir, "coord-journal")
 	coordArgs := func(addr string) []string {
 		return []string{
 			"serve", "-role=coordinator", "-addr", addr,
 			"-replication", "2",
 			"-lease-ttl", "3s",
-			"-poll-interval", "2s",
 			"-journal-dir", journalDir,
 		}
 	}
@@ -99,6 +98,9 @@ func TestClusterFailoverE2E(t *testing.T) {
 			"-worker-id", id,
 			"-register", pair.Target.Name + "=" + tPath,
 			"-job-workers", "1",
+			// Phase 2 resubmits phase 1's query; it must align again, not
+			// finish as a cache hit before the coordinator is killed.
+			"-result-cache-mb", "0",
 		}
 	}
 	w1Cmd, w1Base, w1Log := spawnServe(t, workerArgs("w1"))

@@ -34,10 +34,14 @@ func freePort(t *testing.T) string {
 }
 
 // haTestPair writes the standard e2e pair to dir and produces the
-// one-shot reference MAF every HA outcome must match byte for byte.
+// one-shot reference MAF every HA outcome must match byte for byte. The
+// pair is sized so the job aligns for several seconds: that is the
+// window in which the tests kill a leader or a worker "mid-job" — the
+// shipped-checkpoint test needs a first HSP plus a few ship intervals to
+// fit well inside it.
 func haTestPair(t *testing.T, dir string) (pair *evolve.Pair, tPath, queryFASTA string, ref []byte) {
 	t.Helper()
-	cfg, ok := evolve.StandardPair("dm6-droSim1", 0.0004)
+	cfg, ok := evolve.StandardPair("dm6-droSim1", 0.0008)
 	if !ok {
 		t.Fatal("unknown pair dm6-droSim1")
 	}
@@ -100,7 +104,6 @@ func TestHALeaderFailoverE2E(t *testing.T) {
 		"serve", "-role=coordinator", "-addr", leaderAddr,
 		"-replication", "1",
 		"-lease-ttl", "3s",
-		"-poll-interval", "2s",
 		"-journal-dir", filepath.Join(dir, "leader-journal"),
 		"-standbys", standbyBase,
 	})
@@ -113,7 +116,6 @@ func TestHALeaderFailoverE2E(t *testing.T) {
 		"serve", "-role=coordinator", "-addr", standbyAddr,
 		"-standby-of", leaderBase,
 		"-lease-ttl", "3s",
-		"-poll-interval", "2s",
 		"-journal-dir", filepath.Join(dir, "standby-journal"),
 	})
 	if standbyGot != standbyBase {
@@ -241,7 +243,6 @@ func TestHAWorkerFailoverResumesFromShippedE2E(t *testing.T) {
 		"serve", "-role=coordinator", "-addr", coordAddr,
 		"-replication", "2",
 		"-lease-ttl", "3s",
-		"-poll-interval", "2s",
 		"-journal-dir", coordJournal,
 	})
 	if coordGot != coordBase {

@@ -226,7 +226,6 @@ func serveMain(args []string) int {
 		shardUnits  = fs.Int("shard-units", 0, "work units per strand a sharded job decomposes into (coordinator role; 0 = default)")
 		replication = fs.Int("replication", 2, "replicas considered per target (coordinator role)")
 		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "worker lease lifetime without a heartbeat (coordinator role)")
-		pollEvery   = fs.Duration("poll-interval", 500*time.Millisecond, "worker status poll cadence per routed job (coordinator role)")
 		dispatchTO  = fs.Duration("dispatch-timeout", 10*time.Second, "per-request timeout talking to workers (coordinator role)")
 		addr        = fs.String("addr", "127.0.0.1:8053", "listen address (host:port, port 0 picks a free port)")
 		jobWorkers  = fs.Int("job-workers", 2, "jobs aligned concurrently")
@@ -285,7 +284,6 @@ func serveMain(args []string) int {
 			Standbys:          splitURLList(*standbyURLs),
 			ReplicationFactor: *replication,
 			LeaseTTL:          *leaseTTL,
-			PollInterval:      *pollEvery,
 			DispatchTimeout:   *dispatchTO,
 			MaxQueryBases:     *maxQueryMB << 20,
 			JournalDir:        *journalDir,

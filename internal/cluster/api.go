@@ -248,64 +248,52 @@ func (c *Coordinator) handleMAF(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	terminalTries := 0
 	for {
-		if r.Context().Err() != nil {
+		state, a, assigned, changed := j.view()
+		if assigned {
+			if resp, err := c.openMAFStream(r.Context(), a); err == nil {
+				if !headerWritten {
+					w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+					w.Header().Set("X-Job-ID", j.ID)
+					w.WriteHeader(http.StatusOK)
+					headerWritten = true
+				}
+				var streamErr error
+				sent, streamErr = c.relayMAF(w, rc, resp, sent)
+				if streamErr == nil {
+					// Clean end of the worker's stream. If the job is
+					// terminal and still on this assignment, we are done;
+					// otherwise a failover superseded the stream we just
+					// drained — loop and splice from the new assignment.
+					if now, cur, _, _ := j.view(); now.Terminal() && cur.WorkerJobID == a.WorkerJobID {
+						return
+					}
+				}
+			}
+		} else if state.Terminal() {
+			// Failed/cancelled before any dispatch: nothing to stream.
+			if !headerWritten {
+				server.WriteError(w, http.StatusGone, "job %s: no MAF (state %s)", j.ID, state)
+			}
 			return
 		}
-		state, _ := j.snapshotState()
-		a, assigned := j.lastAssignment()
-		if !assigned {
-			if state.Terminal() {
-				// Failed/cancelled before any dispatch: nothing to stream.
-				if !headerWritten {
-					server.WriteError(w, http.StatusGone, "job %s: no MAF (state %s)", j.ID, state)
-				}
-				return
-			}
-			// Parked: wait for an assignment or terminal state.
-			if woke := c.wait(c.cfg.PollInterval, r.Context().Done(), j.doneCh); woke == wokeCancelled || woke == wokeShutdown {
+		if !state.Terminal() {
+			// Parked, or the stream broke (or ended) under a live job: an
+			// assignment, a reassignment or the verdict closes changed.
+			if c.wait(noTimer, r.Context().Done(), changed) != wokeSignal {
 				return
 			}
 			continue
 		}
-
-		resp, err := c.openMAFStream(r.Context(), a)
-		if err == nil {
+		// The job was already over: its finished MAF is unreachable.
+		terminalTries++
+		if terminalTries >= c.cfg.Retry.Attempts() {
 			if !headerWritten {
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				w.Header().Set("X-Job-ID", j.ID)
-				w.WriteHeader(http.StatusOK)
-				headerWritten = true
+				server.WriteError(w, http.StatusBadGateway,
+					"job %s finished but its MAF is unreachable on %s", j.ID, a.WorkerAddr)
 			}
-			var streamErr error
-			sent, streamErr = c.relayMAF(w, rc, resp, sent)
-			if streamErr == nil {
-				// Clean end of the worker's stream. If the job is
-				// terminal and still on this assignment, we are done;
-				// otherwise a failover superseded the stream we just
-				// drained — loop and splice from the new assignment.
-				state, _ = j.snapshotState()
-				if cur, _ := j.lastAssignment(); state.Terminal() && cur.WorkerJobID == a.WorkerJobID {
-					return
-				}
-			}
+			return
 		}
-		state, _ = j.snapshotState()
-		if state.Terminal() {
-			terminalTries++
-			if terminalTries >= c.cfg.Retry.Attempts() {
-				if !headerWritten {
-					server.WriteError(w, http.StatusBadGateway,
-						"job %s finished but its MAF is unreachable on %s", j.ID, a.WorkerAddr)
-				}
-				return
-			}
-		}
-		woke := c.wait(c.cfg.PollInterval, r.Context().Done(), j.doneCh)
-		if woke == wokeSignal {
-			// doneCh is closed permanently: pace the re-check.
-			woke = c.wait(c.cfg.PollInterval, r.Context().Done(), nil)
-		}
-		if woke != wokeTimer {
+		if c.wait(c.cfg.Retry.Backoff(terminalTries, hash64(j.ID)), r.Context().Done(), nil) != wokeTimer {
 			return
 		}
 	}

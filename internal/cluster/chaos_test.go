@@ -2,7 +2,7 @@ package cluster
 
 // The chaos suite pins the failover paths deterministically: fake
 // workers with scripted job lifecycles, a ManualClock driving leases,
-// polls, timeouts, and backoff, and the faultinject flaky transport
+// timeouts, and backoff, and the faultinject flaky transport
 // injecting resets and partitions on the coordinator→worker path. Run
 // under -race.
 
@@ -36,16 +36,26 @@ const (
 // fakeWorker is a scripted worker: it accepts jobs, holds them
 // "running" until the test finishes them, and serves a fixed MAF. Every
 // fake worker serves the same MAF bytes, mirroring the determinism of
-// the real pipeline.
+// the real pipeline. Like the real worker it honours ?wait= on a status
+// read: the answer is held until the job leaves "running" or the wait
+// elapses on the clock of the cluster it registered with.
 type fakeWorker struct {
 	srv *httptest.Server
 
-	mu       sync.Mutex
-	jobs     map[string]string // worker job id -> state
-	nextID   int
-	submits  int
-	shipURLs []string // journal_ship from each accepted dispatch, in order
-	traceIDs []string // X-Darwinwga-Trace header from each dispatch
+	mu         sync.Mutex
+	jobs       map[string]string // worker job id -> state
+	changed    chan struct{}     // closed and replaced whenever a job changes state
+	clock      faultinject.Clock // times held reads; set by chaosCluster.register
+	nextID     int
+	submits    int
+	statusGets int
+	shipURLs   []string // journal_ship from each accepted dispatch, in order
+	traceIDs   []string // X-Darwinwga-Trace header from each dispatch
+
+	// Script knobs, set before the worker sees traffic.
+	ignoreWait bool          // answer status reads at once, as a worker predating ?wait= would
+	bornDone   bool          // accepted jobs are terminal from the start: a result-cache hit
+	submitGate chan struct{} // when set, POST /v1/jobs blocks until it closes
 
 	// Scripted observability surfaces: the span buffer served at
 	// GET /v1/jobs/{id}/trace (honoring ?after) and the flight ring
@@ -64,7 +74,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 // way the real worker server does.
 func newFakeWorkerWrapped(t *testing.T, wrap func(http.Handler) http.Handler) *fakeWorker {
 	t.Helper()
-	w := &fakeWorker{jobs: make(map[string]string)}
+	w := &fakeWorker{jobs: make(map[string]string), changed: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(rw http.ResponseWriter, r *http.Request) {
 		var sub struct {
@@ -72,28 +82,53 @@ func newFakeWorkerWrapped(t *testing.T, wrap func(http.Handler) http.Handler) *f
 		}
 		json.NewDecoder(r.Body).Decode(&sub) //nolint:errcheck
 		io.Copy(io.Discard, r.Body)          //nolint:errcheck
+		if w.submitGate != nil {
+			<-w.submitGate
+		}
+		state := "running"
+		if w.bornDone {
+			state = "done"
+		}
 		w.mu.Lock()
 		w.nextID++
 		w.submits++
 		w.shipURLs = append(w.shipURLs, sub.JournalShip)
 		w.traceIDs = append(w.traceIDs, r.Header.Get(TraceHeader))
 		id := fmt.Sprintf("wj-%d", w.nextID)
-		w.jobs[id] = "running"
+		w.jobs[id] = state
 		w.mu.Unlock()
 		rw.Header().Set("Content-Type", "application/json")
 		rw.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(rw).Encode(map[string]any{"id": id, "state": "running"}) //nolint:errcheck
+		json.NewEncoder(rw).Encode(map[string]any{"id": id, "state": state}) //nolint:errcheck
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(rw http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
 		w.mu.Lock()
-		state, ok := w.jobs[r.PathValue("id")]
+		w.statusGets++
+		state, ok := w.jobs[id]
+		changed, clock := w.changed, w.clock
 		w.mu.Unlock()
 		if !ok {
 			rw.WriteHeader(http.StatusNotFound)
 			return
 		}
+		if wait, err := time.ParseDuration(r.URL.Query().Get("wait")); err == nil && !w.ignoreWait {
+			elapsed := clock.After(wait)
+			for held := true; held && state == "running"; {
+				select {
+				case <-changed:
+				case <-elapsed:
+					held = false
+				case <-r.Context().Done():
+					return
+				}
+				w.mu.Lock()
+				state, changed = w.jobs[id], w.changed
+				w.mu.Unlock()
+			}
+		}
 		json.NewEncoder(rw).Encode(map[string]any{ //nolint:errcheck
-			"id": r.PathValue("id"), "state": state, "maf_bytes": len(testMAF),
+			"id": id, "state": state, "maf_bytes": len(testMAF),
 		})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/maf", func(rw http.ResponseWriter, r *http.Request) {
@@ -138,6 +173,7 @@ func newFakeWorkerWrapped(t *testing.T, wrap func(http.Handler) http.Handler) *f
 		w.mu.Lock()
 		if _, ok := w.jobs[r.PathValue("id")]; ok {
 			w.jobs[r.PathValue("id")] = "cancelled"
+			w.broadcastLocked()
 		}
 		w.mu.Unlock()
 		json.NewEncoder(rw).Encode(map[string]any{"state": "cancelled"}) //nolint:errcheck
@@ -147,7 +183,12 @@ func newFakeWorkerWrapped(t *testing.T, wrap func(http.Handler) http.Handler) *f
 		h = wrap(h)
 	}
 	w.srv = httptest.NewServer(h)
-	t.Cleanup(w.srv.Close)
+	t.Cleanup(func() {
+		// Close waits for running handlers; a status read still held for
+		// a live coordinator only ends when its connection does.
+		w.srv.CloseClientConnections()
+		w.srv.Close()
+	})
 	return w
 }
 
@@ -195,6 +236,12 @@ func mustHost(raw string) string {
 	return u.Host
 }
 
+// broadcastLocked releases every held status read to re-check its job.
+func (w *fakeWorker) broadcastLocked() {
+	close(w.changed)
+	w.changed = make(chan struct{})
+}
+
 // finishAll flips every running job to done.
 func (w *fakeWorker) finishAll() {
 	w.mu.Lock()
@@ -204,12 +251,20 @@ func (w *fakeWorker) finishAll() {
 			w.jobs[id] = "done"
 		}
 	}
+	w.broadcastLocked()
 }
 
 func (w *fakeWorker) submitCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.submits
+}
+
+// statusGetCount is how many GET /v1/jobs/{id} requests arrived.
+func (w *fakeWorker) statusGetCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.statusGets
 }
 
 // chaosCluster bundles a coordinator on a ManualClock with its flaky
@@ -228,7 +283,6 @@ func newChaosCluster(t *testing.T, mutate func(*Config)) *chaosCluster {
 	cfg := Config{
 		LeaseTTL:         10 * time.Second,
 		SweepInterval:    2 * time.Second,
-		PollInterval:     time.Second,
 		DispatchTimeout:  5 * time.Second,
 		BreakerThreshold: 3,
 		BreakerCooldown:  30 * time.Second,
@@ -258,6 +312,9 @@ func (cc *chaosCluster) register(t *testing.T, id string, w *fakeWorker, targets
 	if len(targets) == 0 {
 		targets = []string{testTarget}
 	}
+	w.mu.Lock()
+	w.clock = cc.clock
+	w.mu.Unlock()
 	entries := make([]map[string]string, 0, len(targets))
 	for _, name := range targets {
 		entries = append(entries, map[string]string{"name": name, "fingerprint": testFP})
@@ -394,11 +451,9 @@ func TestChaosLeaseExpiryFailover(t *testing.T) {
 		t.Errorf("first worker saw %d submissions, want 1", first.submitCount())
 	}
 
-	// Finish on the survivor; the coordinator's poll picks it up.
+	// Finish on the survivor; the held status read answers, no tick needed.
 	survivor.finishAll()
-	cc.pump(t, "job done after failover", func() {
-		cc.heartbeat(t, survivorID)
-	}, func() bool {
+	waitReal(t, "job done after failover", func() bool {
 		return cc.jobStatus(t, id).State == server.JobDone
 	})
 
@@ -449,10 +504,7 @@ func TestChaosRetryExhaustionOpensBreakerThenPark(t *testing.T) {
 		return w2.submitCount() > 0
 	})
 	w2.finishAll()
-	cc.pump(t, "job done on healthy replica", func() {
-		cc.heartbeat(t, "w1")
-		cc.heartbeat(t, "w2")
-	}, func() bool {
+	waitReal(t, "job done on healthy replica", func() bool {
 		return cc.jobStatus(t, id).State == server.JobDone
 	})
 }
@@ -498,10 +550,7 @@ func TestChaosPartitionFailover(t *testing.T) {
 		return otherW.submitCount() > 0
 	})
 	otherW.finishAll()
-	cc.pump(t, "job done on the reachable worker", func() {
-		cc.heartbeat(t, firstID)
-		cc.heartbeat(t, otherID)
-	}, func() bool {
+	waitReal(t, "job done on the reachable worker", func() bool {
 		return cc.jobStatus(t, id).State == server.JobDone
 	})
 	st := cc.jobStatus(t, id)
@@ -573,9 +622,8 @@ func TestChaosAllReplicasDownDegradation(t *testing.T) {
 	if id, code, body := cc.trySubmit(t); code != http.StatusAccepted {
 		t.Errorf("submit after re-register: HTTP %d (%s)", code, body)
 	} else {
-		w1.finishAll()
 		// Drain the job so shutdown is clean.
-		cc.pump(t, "post-recovery job done", func() { cc.heartbeat(t, "w1") }, func() bool {
+		waitReal(t, "post-recovery job done", func() bool {
 			w1.finishAll()
 			return cc.jobStatus(t, id).State == server.JobDone
 		})
@@ -614,7 +662,7 @@ func TestChaosCoordinatorRestartReattach(t *testing.T) {
 		t.Errorf("reattached counter = %d, want 1", got)
 	}
 	w1.finishAll()
-	cc2.pump(t, "job done after restart", func() { cc2.heartbeat(t, "w1") }, func() bool {
+	waitReal(t, "job done after restart", func() bool {
 		return cc2.jobStatus(t, id).State == server.JobDone
 	})
 	if w1.submitCount() != 1 {
@@ -635,4 +683,157 @@ func TestChaosCoordinatorRestartReattach(t *testing.T) {
 	if got := cc3.coord.c.recovRestored.Value(); got != 1 {
 		t.Errorf("restored counter = %d, want 1", got)
 	}
+}
+
+// TestChaosFrozenClockVerdicts: no timer stands between the worker's
+// verdict and the coordinator's. The manual clock is never advanced, so
+// anything that waited on a poll tick would wait forever: a finished
+// worker job, a result-cache hit, and a client MAF stream opened before
+// the dispatch landed all settle on events alone.
+func TestChaosFrozenClockVerdicts(t *testing.T) {
+	done := func(cc *chaosCluster, id string) func() bool {
+		return func() bool { return cc.jobStatus(t, id).State == server.JobDone }
+	}
+
+	t.Run("worker finishes", func(t *testing.T) {
+		cc := newChaosCluster(t, nil)
+		w := newFakeWorker(t)
+		cc.register(t, "w1", w)
+		id := cc.submit(t)
+		waitReal(t, "dispatch", func() bool { return w.submitCount() == 1 })
+		w.finishAll()
+		waitReal(t, "job done with the clock standing still", done(cc, id))
+	})
+
+	t.Run("result-cache hit", func(t *testing.T) {
+		cc := newChaosCluster(t, nil)
+		w := newFakeWorker(t)
+		w.bornDone = true
+		cc.register(t, "w1", w)
+		id := cc.submit(t)
+		waitReal(t, "cache-hit job done with the clock standing still", done(cc, id))
+	})
+
+	t.Run("MAF opened before dispatch", func(t *testing.T) {
+		cc := newChaosCluster(t, nil)
+		w := newFakeWorker(t)
+		w.submitGate = make(chan struct{})
+		cc.register(t, "w1", w)
+		id := cc.submit(t) // the dispatch is now stuck in the worker's POST
+
+		first, rest := make(chan []byte, 1), make(chan []byte, 1)
+		go func() {
+			resp, err := http.Get(cc.front.URL + "/v1/jobs/" + id + "/maf")
+			if err != nil {
+				close(first)
+				return
+			}
+			defer resp.Body.Close() //nolint:errcheck
+			head := make([]byte, len(testMAF))
+			io.ReadFull(resp.Body, head) //nolint:errcheck
+			first <- head
+			tail, _ := io.ReadAll(resp.Body)
+			rest <- tail
+		}()
+		// Give the proxy time to park on the unassigned job; the test
+		// passes either way, this only makes the parked path the one taken.
+		time.Sleep(20 * time.Millisecond)
+		close(w.submitGate)
+
+		select {
+		case head := <-first:
+			if string(head) != testMAF {
+				t.Fatalf("streamed head = %q, want the worker's MAF", head)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("MAF stream never started after the assignment landed")
+		}
+		// The job still runs; its stream ends when the job does.
+		w.finishAll()
+		select {
+		case tail := <-rest:
+			if len(tail) != 0 {
+				t.Errorf("stream carried %d bytes past the MAF: %q", len(tail), tail)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("MAF stream never ended after the job did")
+		}
+		if !done(cc, id)() {
+			t.Error("stream ended before the job was done")
+		}
+	})
+}
+
+// TestChaosWorkerIgnoringWaitIsPaced: a worker that answers the held
+// read at once (it predates ?wait=, or a proxy cuts it short) must not
+// turn the watch into a busy loop: the coordinator sits out the rest of
+// the window on its own clock, so requests are bounded by elapsed time.
+func TestChaosWorkerIgnoringWaitIsPaced(t *testing.T) {
+	cc := newChaosCluster(t, nil)
+	w := newFakeWorker(t)
+	w.ignoreWait = true
+	cc.register(t, "w1", w)
+	id := cc.submit(t)
+	waitReal(t, "first status read", func() bool { return w.statusGetCount() == 1 })
+	time.Sleep(50 * time.Millisecond)
+	if got := w.statusGetCount(); got != 1 {
+		t.Fatalf("%d status reads with the clock standing still, want 1", got)
+	}
+	for reads := 2; reads <= 4; reads++ {
+		cc.clock.Advance(cc.coord.holdFor())
+		waitReal(t, "one more read per window", func() bool { return w.statusGetCount() == reads })
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := w.statusGetCount(); got != 4 {
+		t.Errorf("%d status reads after 3 windows, want 4", got)
+	}
+	w.finishAll()
+	cc.clock.Advance(cc.coord.holdFor())
+	waitReal(t, "job done on the next read", func() bool {
+		return cc.jobStatus(t, id).State == server.JobDone
+	})
+}
+
+// TestChaosCancel: a client's DELETE settles the job at once, with the
+// clock standing still — a running job's held status read gives way and
+// the cancel is forwarded to its worker; a parked job just ends.
+func TestChaosCancel(t *testing.T) {
+	cancel := func(cc *chaosCluster, id string) {
+		req, _ := http.NewRequest(http.MethodDelete, cc.front.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck
+		waitReal(t, "job cancelled", func() bool { return cc.jobStatus(t, id).State == server.JobCancelled })
+	}
+
+	t.Run("running", func(t *testing.T) {
+		cc := newChaosCluster(t, nil)
+		w := newFakeWorker(t)
+		cc.register(t, "w1", w)
+		id := cc.submit(t)
+		waitReal(t, "held read in flight", func() bool { return w.statusGetCount() == 1 })
+		cancel(cc, id)
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if got := w.jobs["wj-1"]; got != "cancelled" {
+			t.Errorf("worker job state = %q, want the forwarded cancel", got)
+		}
+	})
+
+	t.Run("parked", func(t *testing.T) {
+		cc := newChaosCluster(t, nil)
+		w := newFakeWorker(t)
+		cc.tr.AddRule(faultinject.TransportRule{Host: w.host(), Action: faultinject.TransportReset})
+		cc.register(t, "w1", w)
+		id := cc.submit(t)
+		cc.pump(t, "job parks behind the open breaker", func() { cc.heartbeat(t, "w1") }, func() bool {
+			return cc.jobStatus(t, id).Parked
+		})
+		cancel(cc, id)
+		if st := cc.jobStatus(t, id); st.Parked {
+			t.Error("cancelled job still reads parked")
+		}
+	})
 }

@@ -39,7 +39,7 @@ func (b *cancelOnClose) Close() error {
 }
 
 // errAborted marks a request the coordinator itself gave up on (job
-// cancelled, unit settled elsewhere, shutdown) — not the worker's fault.
+// cancelled, unit settled or held read superseded, shutdown) — not the worker's fault.
 var errAborted = errors.New("aborted")
 
 // doRequestTimeout performs one HTTP request against a worker with the
@@ -47,9 +47,9 @@ var errAborted = errors.New("aborted")
 // so ManualClock chaos tests control exactly when a slow worker "times
 // out". Control-plane calls run under cfg.DispatchTimeout; a shard work
 // unit runs under its own, much longer lease (cfg.ShardLease), because
-// the in-flight request is the unit's execution. cancelCh (may be nil)
-// aborts the request early.
-func (c *Coordinator) doRequestTimeout(req *http.Request, cancelCh <-chan struct{}, timeout time.Duration) (*http.Response, error) {
+// the in-flight request is the unit's execution. cancelCh and wake (either
+// may be nil) abort the request early.
+func (c *Coordinator) doRequestTimeout(req *http.Request, cancelCh, wake <-chan struct{}, timeout time.Duration) (*http.Response, error) {
 	ctx, cancel := context.WithCancel(req.Context())
 	req = req.WithContext(ctx)
 	req.Header.Set(EpochHeader, strconv.FormatUint(c.epoch, 10))
@@ -62,6 +62,7 @@ func (c *Coordinator) doRequestTimeout(req *http.Request, cancelCh <-chan struct
 		resp, err := c.client.Do(req)
 		ch <- result{resp, err}
 	}()
+	var why string // the coordinator's own reason for giving up
 	select {
 	case r := <-ch:
 		if r.err != nil {
@@ -85,14 +86,15 @@ func (c *Coordinator) doRequestTimeout(req *http.Request, cancelCh <-chan struct
 		return nil, fmt.Errorf("cluster: request to %s timed out after %v",
 			req.URL.Host, timeout)
 	case <-cancelCh:
-		cancel()
-		<-ch
-		return nil, fmt.Errorf("cluster: request to %s %w: job cancelled", req.URL.Host, errAborted)
+		why = "job cancelled"
+	case <-wake:
+		why = "superseded"
 	case <-c.ctx.Done():
-		cancel()
-		<-ch
-		return nil, fmt.Errorf("cluster: request to %s %w: coordinator shutting down", req.URL.Host, errAborted)
+		why = "coordinator shutting down"
 	}
+	cancel()
+	<-ch
+	return nil, fmt.Errorf("cluster: request to %s %w: %s", req.URL.Host, errAborted, why)
 }
 
 // drainClose discards and closes a response body so the transport's
@@ -110,6 +112,7 @@ type workerReq struct {
 	body    any             // request body: nil = none, []byte = JSON already encoded, else encoded here
 	traceID string          // X-Darwinwga-Trace, when set
 	cancel  <-chan struct{} // aborts the request early; nil never fires
+	wake    <-chan struct{} // likewise: what a held read gives way to
 	timeout time.Duration   // 0 = cfg.DispatchTimeout
 	want    int             // the success status
 }
@@ -166,7 +169,7 @@ func workerCall[T any](c *Coordinator, rq workerReq) (out T, err error) {
 	if timeout == 0 {
 		timeout = c.cfg.DispatchTimeout
 	}
-	resp, err := c.doRequestTimeout(req, rq.cancel, timeout)
+	resp, err := c.doRequestTimeout(req, rq.cancel, rq.wake, timeout)
 	if err != nil {
 		if !errors.Is(err, errAborted) {
 			c.brk.Failure(rq.worker)
@@ -190,12 +193,13 @@ func workerCall[T any](c *Coordinator, rq workerReq) (out T, err error) {
 }
 
 // jobCall is workerCall against one assignment's worker-side job:
-// GET "" is its status, GET "/trace?after=N" its span delta, GET
-// "/events" its flight ring, DELETE "" its cancellation.
-func jobCall[T any](c *Coordinator, a assignment, cancel <-chan struct{}, method, suffix string) (T, error) {
+// GET "" is its status (GET "?wait=D" the same, held until the job is
+// terminal or D elapses, and giving way to wake), GET "/trace?after=N"
+// its span delta, GET "/events" its flight ring, DELETE "" its cancellation.
+func jobCall[T any](c *Coordinator, a assignment, cancel, wake <-chan struct{}, method, suffix string) (T, error) {
 	return workerCall[T](c, workerReq{
 		worker: a.WorkerID, method: method, url: a.WorkerAddr + "/v1/jobs/" + a.WorkerJobID + suffix,
-		cancel: cancel, want: http.StatusOK,
+		cancel: cancel, wake: wake, want: http.StatusOK,
 	})
 }
 

@@ -77,7 +77,7 @@ type coordJob struct {
 
 	cancelOnce sync.Once
 	cancelCh   chan struct{} // closed by Cancel
-	doneCh     chan struct{} // closed on terminal state
+	changed    chan struct{} // closed and replaced (under mu) on each assignment and on the terminal state
 }
 
 // newCoordJob builds the in-memory shell around an admitted (or
@@ -87,8 +87,26 @@ func newCoordJob(sub ckSubmitted) *coordJob {
 		ckSubmitted: sub,
 		flight:      obs.NewFlightRecorder(coordFlightRingCap),
 		cancelCh:    make(chan struct{}),
-		doneCh:      make(chan struct{}),
+		changed:     make(chan struct{}),
 	}
+}
+
+// view is what a MAF proxy acts on, read under one lock: the state, the
+// last assignment if any, and a channel closed the next time either
+// changes (the membership.changedCh pattern).
+func (j *coordJob) view() (state server.JobState, a assignment, assigned bool, changed <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if n := len(j.assignments); n > 0 {
+		a, assigned = j.assignments[n-1], true
+	}
+	return j.state, a, assigned, j.changed
+}
+
+// broadcastLocked wakes everyone waiting on view's channel.
+func (j *coordJob) broadcastLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
 // workerSpans is one assignment's collected trace buffer: the events
@@ -117,19 +135,6 @@ func (j *coordJob) spanSink(a assignment) *workerSpans {
 	return ws
 }
 
-// absorbSpans folds one trace delta from a worker into the job's
-// per-assignment buffer. The worker's cursor contract (Export(after))
-// makes this append-only: ex.Events starts exactly where the previous
-// poll left off.
-func (j *coordJob) absorbSpans(ws *workerSpans, ex obs.TraceExport) {
-	j.spanMu.Lock()
-	ws.Events = append(ws.Events, ex.Events...)
-	if ex.Dropped > ws.Dropped {
-		ws.Dropped = ex.Dropped
-	}
-	j.spanMu.Unlock()
-}
-
 // spanSnapshot returns a copy of the collected buffers for merging.
 func (j *coordJob) spanSnapshot() []workerSpans {
 	j.spanMu.Lock()
@@ -150,12 +155,8 @@ func (j *coordJob) snapshotState() (state server.JobState, errMsg string) {
 }
 
 func (j *coordJob) lastAssignment() (assignment, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.assignments) == 0 {
-		return assignment{}, false
-	}
-	return j.assignments[len(j.assignments)-1], true
+	_, a, assigned, _ := j.view()
+	return a, assigned
 }
 
 func (j *coordJob) dispatchCount() int {
@@ -178,9 +179,6 @@ type Config struct {
 	// SweepInterval is how often expired leases are collected
 	// (default LeaseTTL/4).
 	SweepInterval time.Duration
-	// PollInterval is how often a job's worker is polled for status
-	// (default 500ms).
-	PollInterval time.Duration
 	// DispatchTimeout bounds each HTTP request to a worker
 	// (default 10s). Driven by Clock, so chaos tests control it.
 	DispatchTimeout time.Duration
@@ -245,8 +243,7 @@ type Config struct {
 	// http.DefaultTransport). The chaos tests install a
 	// faultinject.Transport here.
 	Transport http.RoundTripper
-	// Clock drives leases, polls, timeouts, and backoff (default wall
-	// clock).
+	// Clock drives leases, timeouts, and backoff (default wall clock).
 	Clock faultinject.Clock
 	// Log receives structured operational messages (default discard).
 	Log *slog.Logger
@@ -264,9 +261,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = c.LeaseTTL / 4
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 500 * time.Millisecond
 	}
 	if c.DispatchTimeout <= 0 {
 		c.DispatchTimeout = 10 * time.Second
@@ -564,8 +558,8 @@ func (c *Coordinator) recordFlight(j *coordJob, typ, worker, detail string) {
 }
 
 // sweeper expires leases on a clock-driven cadence. Dead workers wake
-// parked runners through the membership broadcast; watch loops notice
-// on their next poll tick.
+// parked runners and abort watch loops' held reads through the
+// membership broadcast.
 func (c *Coordinator) sweeper() {
 	defer c.wg.Done()
 	for {
@@ -646,7 +640,6 @@ func (c *Coordinator) recover(recs []recoveredRouting) {
 					j.truncated = shardTruncatedReason
 				}
 			}
-			close(j.doneCh)
 			c.c.recovRestored.Inc()
 			restored++
 			continue
@@ -783,6 +776,7 @@ func (c *Coordinator) finalize(j *coordJob, state server.JobState, errMsg string
 	j.errMsg = errMsg
 	j.finishedAt = now
 	j.parked = false
+	j.broadcastLocked()
 	j.mu.Unlock()
 	if err := c.wal.finished(j, state, errMsg, now); err != nil {
 		c.log.Error("journaling terminal state failed", "job_id", j.ID, "err", err)
@@ -795,7 +789,6 @@ func (c *Coordinator) finalize(j *coordJob, state server.JobState, errMsg string
 		detail += ": " + errMsg
 	}
 	c.recordFlight(j, obs.FlightFinished, "", detail)
-	close(j.doneCh)
 	c.log.Info("job finished", "job_id", j.ID, "state", state, "err", errMsg,
 		"dispatches", j.dispatchCount())
 }
@@ -826,7 +819,7 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 			tryReattach = false
 			a, ok = j.lastAssignment()
 			if ok {
-				if st, err := jobCall[server.JobStatus](c, a, j.cancelCh, http.MethodGet, ""); err == nil && st.ID == a.WorkerJobID {
+				if st, err := jobCall[server.JobStatus](c, a, j.cancelCh, nil, http.MethodGet, ""); err == nil && st.ID == a.WorkerJobID {
 					c.c.recovReattach.Inc()
 					c.log.Info("reattached to worker after restart",
 						"job_id", j.ID, "worker", a.WorkerID, "worker_job", a.WorkerJobID)
@@ -863,37 +856,23 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 			if err != nil {
 				// No replica reachable right now: park until membership
 				// changes (or cancellation/shutdown), then try again.
-				if !c.park(j) {
-					return
-				}
+				c.park(j)
 				continue
 			}
 		}
 
-		switch c.watch(j, a) {
-		case watchDone:
+		if c.watch(j, a) {
 			return
-		case watchCancelled:
-			c.forwardCancelTo(a)
-			c.finalize(j, server.JobCancelled, "cancelled by client")
-			return
-		case watchShutdown:
-			return
-		case watchLost:
-			c.c.failovers.Inc()
-			c.log.Warn("worker lost mid-job; failing over",
-				"job_id", j.ID, "worker", a.WorkerID, "dispatches", j.dispatchCount())
-			c.recordFlight(j, obs.FlightFailover, a.WorkerID,
-				fmt.Sprintf("worker lost after %d dispatches; re-routing", j.dispatchCount()))
-			// Loop: pick the next surviving replica. The deterministic
-			// pipeline makes the re-run byte-identical.
 		}
+		// Loop: the top acts on a cancel or a shutdown; otherwise pick the
+		// next surviving replica. The deterministic pipeline makes the
+		// re-run byte-identical.
 	}
 }
 
-// park blocks until membership changes. False means the job terminated
-// (cancel/shutdown) and the runner must return.
-func (c *Coordinator) park(j *coordJob) bool {
+// park blocks until membership changes, the job is cancelled or the
+// coordinator shuts down; runJob's loop acts on the latter two.
+func (c *Coordinator) park(j *coordJob) {
 	j.mu.Lock()
 	j.parked = true
 	j.state = server.JobQueued
@@ -907,14 +886,7 @@ func (c *Coordinator) park(j *coordJob) bool {
 	c.recordFlight(j, obs.FlightParked, "", "no live replica for target "+j.Target)
 	// The timer re-evaluates periodically even without a membership
 	// event — breakers may have cooled down.
-	switch c.wait(c.cfg.LeaseTTL, j.cancelCh, c.ms.changedCh()) {
-	case wokeCancelled:
-		c.finalize(j, server.JobCancelled, "cancelled while parked")
-		return false
-	case wokeShutdown:
-		return false
-	}
-	return true
+	c.wait(c.cfg.LeaseTTL, j.cancelCh, c.ms.changedCh())
 }
 
 // wakeup says why Coordinator.wait returned.
@@ -932,10 +904,10 @@ const noTimer = time.Duration(-1)
 
 // wait is the one place a job's goroutines block: for d on the
 // coordinator's Clock (so ManualClock tests own every pause), or until
-// wake fires (a membership change, a job's doneCh, a semaphore token),
-// cancel fires (the job's cancelCh, a unit's stop, a request context),
-// or the coordinator shuts down. A nil channel never fires. Callers map
-// the wakeup onto their own outcome.
+// wake fires (a membership or job change, a unit outcome, a semaphore
+// token), cancel fires (the job's cancelCh, a unit's stop, a
+// request context), or the coordinator shuts down. A nil channel never
+// fires. Callers map the wakeup onto their own outcome.
 func (c *Coordinator) wait(d time.Duration, cancel, wake <-chan struct{}) wakeup {
 	var timer <-chan time.Time
 	if d != noTimer {
@@ -992,6 +964,7 @@ func (c *Coordinator) dispatch(j *coordJob) (assignment, error) {
 		j.mu.Lock()
 		j.assignments = append(j.assignments, a)
 		j.state = server.JobRunning
+		j.broadcastLocked()
 		j.mu.Unlock()
 		if err := c.wal.assigned(j, a); err != nil {
 			c.log.Error("journaling assignment failed", "job_id", j.ID, "err", err)
@@ -1008,76 +981,94 @@ func (c *Coordinator) dispatch(j *coordJob) (assignment, error) {
 	return assignment{}, errNoReplica
 }
 
-type watchOutcome int
+// holdFor is how long one held status read stays open: the heartbeat
+// cadence, and short enough of DispatchTimeout that the worker's own
+// timer answers before the coordinator would call the silence a failure.
+func (c *Coordinator) holdFor() time.Duration {
+	return min(c.cfg.LeaseTTL/3, c.cfg.DispatchTimeout/2)
+}
 
-const (
-	watchDone watchOutcome = iota
-	watchLost
-	watchCancelled
-	watchShutdown
-)
-
-// watch polls the assignment until the worker reports a terminal state
-// (watchDone: the worker's verdict is the job's verdict) or the worker
-// is lost — lease expired, or status polls failing past the retry
-// budget (watchLost: fail over).
+// watch follows the assignment until its worker reports a terminal
+// state (true: the worker's verdict is the job's, finalized here) or it
+// gives up (false): the worker is lost — lease expired, or status reads
+// failing past the retry budget — and runJob fails over; or a cancel or
+// a shutdown, which runJob acts on. It holds one blocking status read
+// (GET ?wait=) on the worker, which answers the moment the job ends: no
+// timer stands between the worker's verdict and the coordinator's.
 //
-// Each status poll also drains the worker's trace buffer into the
+// Every answered read also drains the worker's trace buffer into the
 // job's span collection (cursor-incremental, so the transfer is only
-// what's new). That continuous drain is the failover-trace guarantee:
-// when a worker is SIGKILLed mid-job, every span captured up to the
-// last poll is already coordinator-side.
-func (c *Coordinator) watch(j *coordJob, a assignment) watchOutcome {
+// what's new). That drain, at least every holdFor, is the
+// failover-trace guarantee: when a worker is SIGKILLed mid-job, every
+// span captured up to the last drain is already coordinator-side.
+func (c *Coordinator) watch(j *coordJob, a assignment) bool {
 	failures := 0
 	sink := j.spanSink(a)
+	hold := c.holdFor()
+watching:
 	for {
-		switch c.wait(c.cfg.PollInterval, j.cancelCh, nil) {
-		case wokeCancelled:
-			return watchCancelled
-		case wokeShutdown:
-			return watchShutdown
+		members := c.ms.changedCh()
+		asked := c.cfg.Clock.Now()
+		st, err := jobCall[server.JobStatus](c, a, j.cancelCh, members, http.MethodGet, "?wait="+hold.String())
+		if err == nil {
+			failures = 0
+			c.pollSpans(j, a, sink)
+			if st.State.Terminal() {
+				c.finalize(j, st.State, st.Error)
+				return true
+			}
 		}
 		if _, live := c.ms.alive(a.WorkerID); !live {
 			c.log.Warn("worker lease gone while watching", "job_id", j.ID, "worker", a.WorkerID)
 			c.recordFlight(j, obs.FlightLeaseExpired, a.WorkerID, "lease expired mid-watch")
-			return watchLost
+			break
 		}
-		st, err := jobCall[server.JobStatus](c, a, j.cancelCh, http.MethodGet, "")
-		if err != nil {
-			failures++
-			if failures >= c.cfg.Retry.Attempts() {
-				return watchLost
+		// An answer that came back early (a worker that ignores wait) is
+		// paced by the rest of the window: the loop cannot spin.
+		pause := max(hold-c.cfg.Clock.Now().Sub(asked), 0)
+		switch {
+		case errors.Is(err, errAborted):
+			// A cancel, a shutdown or a membership change (which re-checks
+			// the lease) cut the read short; the wait reports it at once.
+			pause = noTimer
+		case err != nil:
+			if failures++; failures >= c.cfg.Retry.Attempts() {
+				break watching
 			}
-			// Exponential backoff with jitter on top of the poll cadence.
-			switch c.wait(c.cfg.Retry.Backoff(failures, hash64(j.ID)), j.cancelCh, nil) {
-			case wokeCancelled:
-				return watchCancelled
-			case wokeShutdown:
-				return watchShutdown
-			}
-			continue
+			pause = c.cfg.Retry.Backoff(failures, hash64(j.ID))
 		}
-		failures = 0
-		c.pollSpans(j, a, sink)
-		if st.State.Terminal() {
-			c.finalize(j, st.State, st.Error)
-			return watchDone
+		if woke := c.wait(pause, j.cancelCh, members); woke == wokeCancelled || woke == wokeShutdown {
+			return false
 		}
 	}
+	c.c.failovers.Inc()
+	c.log.Warn("worker lost mid-job; failing over",
+		"job_id", j.ID, "worker", a.WorkerID, "dispatches", j.dispatchCount())
+	c.recordFlight(j, obs.FlightFailover, a.WorkerID,
+		fmt.Sprintf("worker lost after %d dispatches; re-routing", j.dispatchCount()))
+	return false
 }
 
 // pollSpans fetches one incremental trace delta from the assignment's
 // worker into the job's span buffer. Best-effort: a failed fetch costs
-// nothing but the spans that poll would have captured.
+// nothing but the spans that poll would have captured. The delta starts
+// at the cursor the fetch asked with (the worker's Export(after)
+// contract); a concurrent drain may have absorbed part of it since, so
+// only the events past the buffer's current end are appended.
 func (c *Coordinator) pollSpans(j *coordJob, a assignment, sink *workerSpans) {
 	j.spanMu.Lock()
 	after := len(sink.Events)
 	j.spanMu.Unlock()
-	ex, err := jobCall[obs.TraceExport](c, a, j.cancelCh, http.MethodGet, "/trace?after="+strconv.Itoa(after))
+	ex, err := jobCall[obs.TraceExport](c, a, j.cancelCh, nil, http.MethodGet, "/trace?after="+strconv.Itoa(after))
 	if err != nil {
 		return
 	}
-	j.absorbSpans(sink, ex)
+	j.spanMu.Lock()
+	defer j.spanMu.Unlock()
+	if have := len(sink.Events) - after; have < len(ex.Events) {
+		sink.Events = append(sink.Events, ex.Events[have:]...)
+	}
+	sink.Dropped = max(sink.Dropped, ex.Dropped)
 }
 
 // stampShip records that a worker just shipped a checkpoint segment
@@ -1110,7 +1101,7 @@ func (c *Coordinator) shipLags() map[string]time.Duration {
 
 // forwardCancelTo cancels an assignment's worker-side job, best-effort.
 func (c *Coordinator) forwardCancelTo(a assignment) {
-	jobCall[struct{}](c, a, nil, http.MethodDelete, "") //nolint:errcheck // the job is cancelled here either way
+	jobCall[struct{}](c, a, nil, nil, http.MethodDelete, "") //nolint:errcheck // the job is cancelled here either way
 }
 
 // Shutdown stops the HTTP server and the routing goroutines. In-flight

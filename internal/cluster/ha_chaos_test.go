@@ -73,7 +73,6 @@ func newStandbyFor(t *testing.T, cc *chaosCluster, dir string, promoteAfter time
 		Coordinator: Config{
 			LeaseTTL:         10 * time.Second,
 			SweepInterval:    2 * time.Second,
-			PollInterval:     time.Second,
 			DispatchTimeout:  5 * time.Second,
 			BreakerThreshold: 3,
 			BreakerCooldown:  30 * time.Second,
@@ -197,7 +196,7 @@ func TestHAStandbyPromotionCompletesJob(t *testing.T) {
 		return cc2.jobStatus(t, id).State == server.JobRunning
 	})
 	w1.finishAll()
-	cc2.pump(t, "job done under the original id", func() { cc2.heartbeat(t, "w1") }, func() bool {
+	waitReal(t, "job done under the original id", func() bool {
 		return cc2.jobStatus(t, id).State == server.JobDone
 	})
 	if got := w1.submitCount(); got != 1 {
@@ -263,7 +262,7 @@ func TestHAFencingRejectsStaleLeader(t *testing.T) {
 		return w.submitCount() == 1
 	})
 	w.finishAll()
-	ccA.pump(t, "A's job completes before B exists", func() { ccA.heartbeat(t, "w") }, func() bool {
+	waitReal(t, "A's job completes before B exists", func() bool {
 		return ccA.jobStatus(t, idA).State == server.JobDone
 	})
 
@@ -316,7 +315,7 @@ func TestHAFencingRejectsStaleLeader(t *testing.T) {
 
 	// B remains healthy and finishes its job.
 	w.finishAll()
-	ccB.pump(t, "B's job completes despite A", func() { ccB.heartbeat(t, "w") }, func() bool {
+	waitReal(t, "B's job completes despite A", func() bool {
 		return ccB.jobStatus(t, idB).State == server.JobDone
 	})
 }
@@ -489,9 +488,7 @@ func TestHAShippedSegmentsFollowFailover(t *testing.T) {
 	// coordinator publishes the terminal state before it journals it
 	// and drops the store, so wait for the store itself to empty.
 	survivor.finishAll()
-	cc.pump(t, "job done on the survivor and its shipped store dropped", func() {
-		cc.heartbeat(t, survivorID)
-	}, func() bool {
+	waitReal(t, "job done on the survivor and its shipped store dropped", func() bool {
 		if cc.jobStatus(t, id).State != server.JobDone {
 			return false
 		}

@@ -19,7 +19,7 @@ import (
 // The trace merge is the part failover makes interesting. The
 // coordinator drains each worker's span buffer incrementally while it
 // watches the job (see Coordinator.watch), so by the time a worker is
-// SIGKILLed its spans up to the last poll already live coordinator-side.
+// SIGKILLed its spans up to the last drain already live coordinator-side.
 // The merge lays each assignment out as its own Chrome-trace process
 // (pid 1, 2, …) under the one trace id, names the processes after the
 // workers, and marks every assignment after the first as replayed —
@@ -35,9 +35,9 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	// Drain the live assignment's tail first, so a fetch immediately
-	// after completion does not miss the spans emitted since the last
-	// watch poll. Best-effort: a dead worker just yields nothing new.
+	// Drain the live assignment's tail first, so a fetch does not miss
+	// the spans emitted since the watch's last drain. Best-effort: a dead
+	// worker just yields nothing new.
 	if a, assigned := j.lastAssignment(); assigned {
 		c.pollSpans(j, a, j.spanSink(a))
 	}
@@ -117,7 +117,7 @@ func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if a, assigned := j.lastAssignment(); assigned {
 		wev, err := jobCall[struct {
 			Events []obs.FlightEvent `json:"events"`
-		}](c, a, j.cancelCh, http.MethodGet, "/events")
+		}](c, a, j.cancelCh, nil, http.MethodGet, "/events")
 		if err == nil {
 			events = append(events, wev.Events...)
 		}

@@ -11,7 +11,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,8 +107,9 @@ func TestClusterTraceMergeAcrossFailover(t *testing.T) {
 	if traceID == "" {
 		t.Fatal("job has no trace id")
 	}
-	// Give the watch loop at least one status poll so the first worker's
-	// spans are drained coordinator-side before it dies.
+	// Let one held status read run its window out: every answered read
+	// drains the worker's spans coordinator-side, and that must have
+	// happened before the worker dies.
 	cc.pump(t, "first worker spans drained", func() {
 		cc.heartbeat(t, firstID)
 		cc.heartbeat(t, survivorID)
@@ -122,9 +126,7 @@ func TestClusterTraceMergeAcrossFailover(t *testing.T) {
 		return survivor.submitCount() > 0
 	})
 	survivor.finishAll()
-	cc.pump(t, "job done after failover", func() {
-		cc.heartbeat(t, survivorID)
-	}, func() bool {
+	waitReal(t, "job done after failover", func() bool {
 		return cc.jobStatus(t, id).State == server.JobDone
 	})
 
@@ -221,6 +223,48 @@ func TestClusterTraceMergeAcrossFailover(t *testing.T) {
 		if events.Events[i].At.Before(events.Events[i-1].At) {
 			t.Errorf("flight events out of order at %d", i)
 			break
+		}
+	}
+}
+
+// TestPollSpansConcurrentDrainsAbsorbOnce: the watch loop and an
+// on-demand trace GET (or two of those) can drain the same assignment
+// at once. Both fetches ask from the same cursor and get the same delta;
+// the sink must end up holding each event exactly once.
+func TestPollSpansConcurrentDrainsAbsorbOnce(t *testing.T) {
+	cc := newChaosCluster(t, nil)
+	events := []obs.Event{{Name: "a", Ph: "i", Ts: 1}, {Name: "b", Ph: "i", Ts: 2}, {Name: "c", Ph: "i", Ts: 3}}
+	// The stub answers only once both drains have issued their request.
+	var bothAsked sync.WaitGroup
+	bothAsked.Add(2)
+	stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		bothAsked.Done()
+		bothAsked.Wait()
+		after, _ := strconv.Atoi(r.URL.Query().Get("after"))
+		json.NewEncoder(rw).Encode(obs.TraceExport{Total: len(events), Events: events[after:]}) //nolint:errcheck
+	}))
+	defer stub.Close()
+
+	j := newCoordJob(ckSubmitted{ID: "cj-spans"})
+	a := assignment{WorkerID: "w1", WorkerAddr: stub.URL, WorkerJobID: "wj-1"}
+	sink := j.spanSink(a)
+	var drains sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		drains.Add(1)
+		go func() {
+			defer drains.Done()
+			cc.coord.pollSpans(j, a, sink)
+		}()
+	}
+	drains.Wait()
+
+	got := j.spanSnapshot()[0].Events
+	if len(got) != len(events) {
+		t.Fatalf("sink holds %d events after two concurrent drains, want %d: %+v", len(got), len(events), got)
+	}
+	for i, e := range got {
+		if e.Name != events[i].Name {
+			t.Errorf("sink event %d = %q, want %q", i, e.Name, events[i].Name)
 		}
 	}
 }

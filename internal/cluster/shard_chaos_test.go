@@ -2,7 +2,7 @@ package cluster
 
 // Chaos tests for the per-shard scatter/gather plane: scripted shard
 // workers, the ManualClock driving unit leases, retry backoff, and the
-// hedge tick, and the faultinject transport/IO seams injecting the
+// hedge threshold, and the faultinject transport/IO seams injecting the
 // failure modes the design doc's matrix names — worker death mid-unit,
 // straggler hedging, retry exhaustion into partial results, truncated
 // response bodies, disk-full artifact stores, and coordinator restart
@@ -310,9 +310,7 @@ func TestShardBudgetedJobKeepsWholeJob(t *testing.T) {
 		return w1.submitCount() > 0
 	})
 	w1.finishAll()
-	cc.pump(t, "whole job done", func() {
-		cc.heartbeat(t, "w1")
-	}, func() bool {
+	waitReal(t, "whole job done", func() bool {
 		return cc.jobStatus(t, id).State == server.JobDone
 	})
 	st := cc.jobStatus(t, id)
@@ -444,6 +442,75 @@ func TestShardHedgedStraggler(t *testing.T) {
 	}
 	if want := expectedShardMAF(t, shardTestPlan(2), nil); body != want {
 		t.Errorf("hedged MAF not byte-identical:\ngot:\n%s\nwant:\n%s", body, want)
+	}
+}
+
+// TestShardHedgeNotStarvedByCompletions: the first unit to reach the
+// worker hangs while the others complete one by one, 300ms of manual
+// time each — a steady stream in which the gather loop is never idle for
+// long. Hedging is evaluated on every completion, so once three units
+// have set the p90 (threshold 600ms) the straggler, by then 900ms old,
+// is hedged at once; a check that only runs after a quiet interval would
+// wait for the stream to dry up.
+func TestShardHedgeNotStarvedByCompletions(t *testing.T) {
+	cc := newChaosCluster(t, shardChaosConfig(func(cfg *Config) {
+		cfg.ShardUnits = 4    // 8 units
+		cfg.ShardParallel = 2 // the straggler holds one slot, the rest queue through the other
+	}))
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	step := make(chan struct{})
+	rec := &shardRecorder{}
+	var mu sync.Mutex
+	straggler := -1
+	w1 := newShardWorker(t, "w1", rec, func(req server.ShardRequest) (server.ShardResponse, bool) {
+		mu.Lock()
+		first := straggler < 0
+		if first {
+			straggler = req.Unit.Seq
+		}
+		twin := !first && req.Unit.Seq == straggler
+		mu.Unlock()
+		switch {
+		case first:
+			<-gate // the straggler's first attempt never returns
+			return server.ShardResponse{}, false
+		case twin:
+			return cannedShardResponse(req.Unit), true
+		}
+		select {
+		case <-step:
+		case <-gate:
+		}
+		return cannedShardResponse(req.Unit), true
+	})
+	t.Cleanup(release)
+	cc.register(t, "w1", w1)
+	id := cc.submitFASTA(t, shardTestFASTA, nil)
+
+	doneUnits := func() int {
+		if st := cc.jobStatus(t, id); st.Shards != nil {
+			return st.Shards.Done
+		}
+		return 0
+	}
+	for n := 1; n <= 3; n++ {
+		// In flight at the worker, so its start is already stamped.
+		waitReal(t, "straggler and one more unit in flight", func() bool { return rec.count() == n+1 })
+		cc.clock.Advance(300 * time.Millisecond)
+		step <- struct{}{}
+		waitReal(t, "unit completion gathered", func() bool { return doneUnits() == n })
+	}
+	// Three completions of 300ms each, a 900ms-old straggler, and units
+	// still to come: the hedge must already have been decided.
+	waitReal(t, "straggler hedged while completions keep arriving", func() bool {
+		return cc.coord.c.shardHedged.Value() == 1
+	})
+
+	release()
+	waitReal(t, "sharded job done", func() bool { return cc.jobStatus(t, id).State == server.JobDone })
+	if st := cc.jobStatus(t, id); st.Shards == nil || st.Shards.Done != 8 || st.Shards.Hedged != 1 {
+		t.Errorf("shard map = %+v, want 8 done with 1 hedged", st.Shards)
 	}
 }
 
@@ -722,9 +789,7 @@ func TestShardArtifactStoreENOSPCShippedPut(t *testing.T) {
 		t.Errorf("retried shipped PUT: HTTP %d, want 204", code)
 	}
 	w1.finishAll()
-	cc.pump(t, "whole job done", func() {
-		cc.heartbeat(t, "w1")
-	}, func() bool {
+	waitReal(t, "whole job done", func() bool {
 		return cc.jobStatus(t, id).State == server.JobDone
 	})
 }

@@ -151,34 +151,36 @@ func (p *shardProgress) currentWorker(seq int) string {
 	return ""
 }
 
-// hedgeCandidates returns running, not-yet-hedged units whose age
-// exceeds factor × p90 of completed unit durations. No threshold exists
-// until minDone units have completed — hedging needs evidence of what
+// stragglers returns the running, not-yet-hedged units whose age has
+// reached factor × p90 of completed unit durations, and how long until
+// the next one's does (noTimer: none will). No threshold exists until
+// minDone units have completed — hedging needs evidence of what
 // "normal" looks like before calling anything a straggler.
-func (p *shardProgress) hedgeCandidates(now time.Time, minDone int, factor float64) []int {
+func (p *shardProgress) stragglers(now time.Time, minDone int, factor float64) (due []int, next time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	next = noTimer
 	if len(p.durs) < minDone {
-		return nil
+		return nil, next
 	}
 	d := append([]time.Duration(nil), p.durs...)
 	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	idx := len(d) * 9 / 10
-	if idx >= len(d) {
-		idx = len(d) - 1
-	}
-	thr := time.Duration(factor * float64(d[idx]))
+	thr := time.Duration(factor * float64(d[len(d)*9/10]))
 	if thr <= 0 {
-		return nil
+		return nil, next
 	}
-	var out []int
 	for seq, u := range p.units {
-		if u.State == "running" && !u.Hedged && !u.startedAt.IsZero() && now.Sub(u.startedAt) > thr {
-			out = append(out, seq)
+		if u.State != "running" || u.Hedged || u.startedAt.IsZero() {
+			continue
+		}
+		if left := thr - now.Sub(u.startedAt); left <= 0 {
+			due = append(due, seq)
+		} else if next == noTimer || left < next {
+			next = left
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(due)
+	return due, next
 }
 
 func (p *shardProgress) snapshot() *shardStatusView {
@@ -300,10 +302,15 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		}
 	}
 
-	// Every runner sends at most one outcome and each unit has at most
-	// two runners (primary + hedge), so the channel can never block a
-	// sender even after the gather loop exits.
+	// Every runner reports at most one outcome (then a token the gather
+	// loop can wait on) and each unit has at most two runners (primary +
+	// hedge), so neither send blocks, even after the gather loop exits.
 	resultCh := make(chan shardOutcome, 2*len(plan))
+	arrived := make(chan struct{}, 2*len(plan))
+	report := func(o shardOutcome) {
+		resultCh <- o
+		arrived <- struct{}{}
+	}
 	// sem holds one token per allowed in-flight unit: a runner takes one
 	// (through wait, so the take is interruptible) and puts it back.
 	sem := make(chan struct{}, c.cfg.ShardParallel)
@@ -322,7 +329,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		stops[u.Seq] = make(chan struct{})
 		runners[u.Seq] = 1
 		c.wg.Add(1)
-		go c.runShardUnit(j, prog, u, false, sem, stops[u.Seq], resultCh)
+		go c.runShardUnit(j, prog, u, false, sem, stops[u.Seq], report)
 	}
 	stopAll := func() {
 		for seq, ch := range stops {
@@ -333,78 +340,81 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		}
 	}
 
+	// Stragglers are looked for on every unit outcome and at the instant
+	// the next one is due: a stream of completions cannot starve the hedge.
 	var failed []core.ShardUnit
 	for pending > 0 {
-		select {
-		case out := <-resultCh:
-			runners[out.seq]--
-			if out.err != nil {
-				if _, done := results[out.seq]; !done && runners[out.seq] <= 0 {
-					// Every runner for this unit is out of retries: the
-					// unit degrades the job to a partial result instead
-					// of failing it.
-					pending--
-					prog.markFailed(out.seq)
-					c.c.shardFailed.Inc()
-					failed = append(failed, unitBySeq[out.seq])
-					c.recordFlight(j, obs.FlightShardFailed, out.worker,
-						fmt.Sprintf("unit %s exhausted retries: %v", unitBySeq[out.seq], out.err))
-					c.log.Warn("shard unit failed permanently",
-						"job_id", j.ID, "unit", unitBySeq[out.seq].String(), "err", out.err)
-				}
+		due, next := prog.stragglers(c.cfg.Clock.Now(), c.cfg.ShardHedgeMinDone, c.cfg.ShardHedgeFactor)
+		for _, seq := range due {
+			if stopped[seq] || runners[seq] > 1 {
 				continue
 			}
-			if _, dup := results[out.seq]; dup {
-				// The hedge twin finished second: first result won.
-				c.c.shardDuplicate.Inc()
-				continue
-			}
-			results[out.seq] = out.frames
-			pending--
-			if !stopped[out.seq] {
-				stopped[out.seq] = true
-				close(stops[out.seq])
-			}
-			prog.markDone(out.seq, out.worker, out.dur)
-			c.c.shardMerged.Inc()
-			c.recordFlight(j, obs.FlightShardMerged, out.worker,
-				fmt.Sprintf("unit %s: %d frames", unitBySeq[out.seq], len(out.frames)))
-			// Spill-before-journal, same invariant as the query
-			// artifact: a done record implies readable frames. A failed
-			// spill (disk full) skips the record — the in-memory result
-			// still merges; only a restart would redo the unit.
-			if c.wal != nil {
-				if data, merr := json.Marshal(out.frames); merr == nil {
-					if err := c.wal.saveShardFrames(j.ID, out.seq, data); err != nil {
-						c.log.Warn("spilling shard frames failed; a restart re-dispatches this unit",
-							"job_id", j.ID, "seq", out.seq, "err", err)
-					} else if err := c.wal.shardDone(j, out.seq, out.worker, c.cfg.Clock.Now()); err != nil {
-						c.log.Error("journaling shard completion failed",
-							"job_id", j.ID, "seq", out.seq, "err", err)
-					}
-				}
-			}
-		case <-c.cfg.Clock.After(c.cfg.PollInterval):
-			now := c.cfg.Clock.Now()
-			for _, seq := range prog.hedgeCandidates(now, c.cfg.ShardHedgeMinDone, c.cfg.ShardHedgeFactor) {
-				if stopped[seq] || runners[seq] > 1 {
-					continue
-				}
-				runners[seq]++
-				prog.markHedged(seq)
-				c.c.shardHedged.Inc()
-				c.recordFlight(j, obs.FlightShardHedged, prog.currentWorker(seq),
-					fmt.Sprintf("unit %s past straggler threshold; speculative re-dispatch", unitBySeq[seq]))
-				c.wg.Add(1)
-				go c.runShardUnit(j, prog, unitBySeq[seq], true, sem, stops[seq], resultCh)
-			}
-		case <-j.cancelCh:
+			runners[seq]++
+			prog.markHedged(seq)
+			c.c.shardHedged.Inc()
+			c.recordFlight(j, obs.FlightShardHedged, prog.currentWorker(seq),
+				fmt.Sprintf("unit %s past straggler threshold; speculative re-dispatch", unitBySeq[seq]))
+			c.wg.Add(1)
+			go c.runShardUnit(j, prog, unitBySeq[seq], true, sem, stops[seq], report)
+		}
+		switch c.wait(next, j.cancelCh, arrived) {
+		case wokeTimer:
+			continue
+		case wokeCancelled:
 			stopAll()
 			c.finalize(j, server.JobCancelled, "cancelled by client")
 			return
-		case <-c.ctx.Done():
+		case wokeShutdown:
 			stopAll()
 			return // journal carries the job into the next incarnation
+		}
+		out := <-resultCh
+		runners[out.seq]--
+		if out.err != nil {
+			if _, done := results[out.seq]; !done && runners[out.seq] <= 0 {
+				// Every runner for this unit is out of retries: the
+				// unit degrades the job to a partial result instead
+				// of failing it.
+				pending--
+				prog.markFailed(out.seq)
+				c.c.shardFailed.Inc()
+				failed = append(failed, unitBySeq[out.seq])
+				c.recordFlight(j, obs.FlightShardFailed, out.worker,
+					fmt.Sprintf("unit %s exhausted retries: %v", unitBySeq[out.seq], out.err))
+				c.log.Warn("shard unit failed permanently",
+					"job_id", j.ID, "unit", unitBySeq[out.seq].String(), "err", out.err)
+			}
+			continue
+		}
+		if _, dup := results[out.seq]; dup {
+			// The hedge twin finished second: first result won.
+			c.c.shardDuplicate.Inc()
+			continue
+		}
+		results[out.seq] = out.frames
+		pending--
+		if !stopped[out.seq] {
+			stopped[out.seq] = true
+			close(stops[out.seq])
+		}
+		prog.markDone(out.seq, out.worker, out.dur)
+		c.c.shardMerged.Inc()
+		c.recordFlight(j, obs.FlightShardMerged, out.worker,
+			fmt.Sprintf("unit %s: %d frames", unitBySeq[out.seq], len(out.frames)))
+		// Spill-before-journal, same invariant as the query
+		// artifact: a done record implies readable frames. A failed
+		// spill (disk full) skips the record — the in-memory result
+		// still merges; only a restart would redo the unit.
+		if c.wal != nil {
+			if data, merr := json.Marshal(out.frames); merr == nil {
+				if err := c.wal.saveShardFrames(j.ID, out.seq, data); err != nil {
+					c.log.Warn("spilling shard frames failed; a restart re-dispatches this unit",
+						"job_id", j.ID, "seq", out.seq, "err", err)
+				} else if err := c.wal.shardDone(j, out.seq, out.worker, c.cfg.Clock.Now()); err != nil {
+					c.log.Error("journaling shard completion failed",
+						"job_id", j.ID, "seq", out.seq, "err", err)
+				}
+			}
 		}
 	}
 	stopAll()
@@ -416,7 +426,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 // replica on failure. Exactly one outcome is sent unless the unit was
 // settled elsewhere (stop) or the job ended.
 func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.ShardUnit, hedge bool,
-	sem chan struct{}, stop <-chan struct{}, out chan<- shardOutcome) {
+	sem chan struct{}, stop <-chan struct{}, report func(shardOutcome)) {
 	defer c.wg.Done()
 	attempts := c.cfg.Retry.Attempts()
 	seed := j.ID + "/" + strconv.Itoa(u.Seq)
@@ -430,30 +440,33 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 			return
 		}
 		if c.fenced.Load() {
-			out <- shardOutcome{seq: u.Seq, hedge: hedge,
-				err: fmt.Errorf("coordinator fenced at epoch %d", c.epoch)}
+			report(shardOutcome{seq: u.Seq, hedge: hedge,
+				err: fmt.Errorf("coordinator fenced at epoch %d", c.epoch)})
 			return
 		}
 		avoid := lastWorker
 		if avoid == "" && hedge {
 			avoid = prog.currentWorker(u.Seq)
 		}
+		changed := c.ms.changedCh() // before the pick it guards: no change is missed
 		m := c.pickShardWorker(j.Target, u.Seq, attempt, avoid)
 		if m == nil {
 			// No eligible replica right now: park WITHOUT charging the
 			// attempt — a breaker cool-down or a membership change
 			// (re-register, lease handoff) can rescue the unit, and
 			// burning the retry budget on parks would fail units whose
-			// only worker is merely briefly breaker-open. The park is
-			// bounded by one lease plus one breaker cool-down so a
-			// target nobody holds still consumes an attempt and the
-			// unit eventually fails.
+			// only worker is merely briefly breaker-open. Like a parked
+			// whole job it re-checks on a membership change or after a
+			// lease. The park is bounded by one lease plus one breaker
+			// cool-down so a target nobody holds still consumes an
+			// attempt and the unit eventually fails.
 			lastErr = fmt.Errorf("no live replica holds target %q", j.Target)
 			deadline := c.cfg.Clock.Now().Add(c.cfg.LeaseTTL + c.cfg.BreakerCooldown)
 			for m == nil && c.cfg.Clock.Now().Before(deadline) {
-				if woke := c.wait(c.cfg.PollInterval, stop, c.ms.changedCh()); woke == wokeCancelled || woke == wokeShutdown {
+				if woke := c.wait(c.cfg.LeaseTTL, stop, changed); woke == wokeCancelled || woke == wokeShutdown {
 					return
 				}
+				changed = c.ms.changedCh()
 				m = c.pickShardWorker(j.Target, u.Seq, attempt, avoid)
 			}
 			if m == nil {
@@ -485,14 +498,14 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 		sem <- struct{}{}
 		lastWorker = m.ID
 		if err == nil {
-			out <- shardOutcome{seq: u.Seq, hedge: hedge, worker: m.ID, dur: dur, frames: frames}
+			report(shardOutcome{seq: u.Seq, hedge: hedge, worker: m.ID, dur: dur, frames: frames})
 			return
 		}
 		lastErr = err
 		c.log.Warn("shard unit attempt failed", "job_id", j.ID, "unit", u.String(),
 			"worker", m.ID, "attempt", attempt, "err", err)
 	}
-	out <- shardOutcome{seq: u.Seq, hedge: hedge, worker: lastWorker, err: lastErr}
+	report(shardOutcome{seq: u.Seq, hedge: hedge, worker: lastWorker, err: lastErr})
 }
 
 // pickShardWorker chooses a worker for one unit attempt: every worker
@@ -608,10 +621,10 @@ func (c *Coordinator) finishShardJob(j *coordJob, plan []core.ShardUnit,
 // the merge (there is no partial stream — determinism needs every
 // frame), then the whole artifact, 206 when shards were dropped.
 func (c *Coordinator) serveShardMAF(w http.ResponseWriter, r *http.Request, j *coordJob) {
-	select {
-	case <-j.doneCh:
-	case <-r.Context().Done():
-		return
+	for st, _, _, changed := j.view(); !st.Terminal(); st, _, _, changed = j.view() {
+		if c.wait(noTimer, r.Context().Done(), changed) != wokeSignal {
+			return
+		}
 	}
 	state, errMsg := j.snapshotState()
 	if state != server.JobDone {

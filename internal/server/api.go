@@ -400,10 +400,11 @@ func (s *Server) statusOf(j *Job) JobStatus {
 			QueueWaitMS: j.started.Sub(j.created).Milliseconds(),
 			Stages:      agg.Snapshot(),
 		}
-		// A still-running job reports its run time so far.
+		// A still-running job reports its run time so far, on the clock
+		// that stamped started.
 		end := j.finished
 		if end.IsZero() {
-			end = time.Now()
+			end = s.jobs.clock.Now()
 		}
 		stats.RunMS = end.Sub(j.started).Milliseconds()
 		st.Stats = stats
@@ -414,11 +415,33 @@ func (s *Server) statusOf(j *Job) JobStatus {
 	return st
 }
 
+// maxStatusWait caps ?wait= on a status read: the value arrives from
+// outside, and a held request pins a connection and a goroutine.
+const maxStatusWait = time.Minute
+
+// handleStatus serves a job's status. With ?wait=<duration> the answer
+// is held until the job is terminal or the wait elapses on the server's
+// clock, whichever is first — how a coordinator learns a job's verdict
+// the moment it exists instead of polling for it. A request whose
+// context ends while held is dropped.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job")
 		return
+	}
+	if raw := r.URL.Query().Get("wait"); raw != "" {
+		wait, err := time.ParseDuration(raw)
+		if err != nil || wait < 0 {
+			WriteError(w, http.StatusBadRequest, "wait must be a non-negative duration, got %q", raw)
+			return
+		}
+		select {
+		case <-j.done:
+		case <-s.jobs.clock.After(min(wait, maxStatusWait)):
+		case <-r.Context().Done():
+			return
+		}
 	}
 	WriteJSON(w, http.StatusOK, s.statusOf(j))
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"darwinwga/internal/core"
+	"darwinwga/internal/faultinject"
 	"darwinwga/internal/obs"
 )
 
@@ -121,12 +122,12 @@ func TestCompatJournalReplay(t *testing.T) {
 // TestCompatStatusGolden pins the bytes of GET /v1/jobs/{id} for a fixed
 // finished job against the body the parent commit served.
 func TestCompatStatusGolden(t *testing.T) {
-	srv, err := New(Config{})
+	created := time.Unix(1700000000, 0).UTC()
+	srv, err := New(Config{Clock: faultinject.NewManualClock(created.Add(2 * time.Second))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background()) //nolint:errcheck
-	created := time.Unix(1700000000, 0).UTC()
 	j := &Job{ID: "job-golden", Client: "alice", Params: fullParams, QueryName: "q",
 		spool: newSpool(), agg: &obs.Aggregate{},
 		state: JobDone, created: created, started: created.Add(250 * time.Millisecond),
@@ -151,5 +152,14 @@ func TestCompatStatusGolden(t *testing.T) {
 	}
 	if rr.Code != http.StatusOK || !bytes.Equal(rr.Body.Bytes(), want) {
 		t.Errorf("GET /v1/jobs/job-golden = %d\n%s\nwant the parent's bytes:\n%s", rr.Code, rr.Body.Bytes(), want)
+	}
+
+	// While the job runs, run_ms is measured on the clock that stamped
+	// started — the injected one, here 2s past created — not the wall.
+	j.mu.Lock()
+	j.state, j.finished = JobRunning, time.Time{}
+	j.mu.Unlock()
+	if got := srv.statusOf(j).Stats.RunMS; got != 1750 {
+		t.Errorf("running job's run_ms = %d, want 1750 on the server's clock", got)
 	}
 }

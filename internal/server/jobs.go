@@ -149,6 +149,10 @@ type Job struct {
 	errMsg    string
 	cached    bool             // served directly from the result cache
 	query     *genome.Assembly // released once the job reaches a terminal state
+	// done is closed when the job turns terminal — the spool's wake-up
+	// shape, fired once — so a blocking status read (GET ?wait=) answers
+	// the instant the verdict exists.
+	done chan struct{}
 
 	// cacheKey is the job's result-cache key, set once at submission
 	// when the cache is enabled (nil otherwise) and immutable after.
@@ -253,6 +257,7 @@ func (j *Job) tryCancelQueued(now time.Time) bool {
 	j.query = nil
 	j.cancel()
 	j.spool.close()
+	close(j.done)
 	return true
 }
 
@@ -260,6 +265,9 @@ func (j *Job) tryCancelQueued(now time.Time) bool {
 func (j *Job) finish(state JobState, res *core.Result, errMsg string, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if !j.state.Terminal() { // a drain may have cancelled a cache-hit job a moment before
+		close(j.done)
+	}
 	j.state = state
 	j.finished = now
 	j.errMsg = errMsg
@@ -516,6 +524,7 @@ func newRecoveredJob(r *recoveredJob) *Job {
 		spool:     newSpool(),
 		agg:       &obs.Aggregate{},
 		created:   time.Unix(0, r.sub.CreatedNS),
+		done:      make(chan struct{}),
 	}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	if r.started {
@@ -558,6 +567,7 @@ func (m *Manager) recoverTerminal(r *recoveredJob) {
 	}
 	j.spool.close()
 	j.cancel()
+	close(j.done)
 	m.mu.Lock()
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
@@ -582,6 +592,7 @@ func (m *Manager) recoverQueued(r *recoveredJob) {
 		j.errMsg = fmt.Sprintf("query artifact lost in crash: %v", err)
 		j.spool.close()
 		j.cancel()
+		close(j.done)
 		m.mu.Lock()
 		m.jobs[j.ID] = j
 		m.order = append(m.order, j.ID)
@@ -815,6 +826,7 @@ func (m *Manager) newJob(params JobParams, query *genome.Assembly, client string
 		state:     JobQueued,
 		created:   m.clock.Now(),
 		query:     query,
+		done:      make(chan struct{}),
 	}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.progress.Store(j.created.UnixNano())

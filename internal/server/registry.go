@@ -386,6 +386,18 @@ func (r *Registry) maybeEvict(keep *Target) {
 	}
 }
 
+// releaseIdle drops every resident index no job has pinned — eviction
+// without a budget. An index dropped here reloads on the next Acquire.
+func (r *Registry) releaseIdle() {
+	for _, t := range r.List() {
+		t.mu.Lock()
+		if t.pins == 0 {
+			t.aligner = nil
+		}
+		t.mu.Unlock()
+	}
+}
+
 // Get returns the target registered under name.
 func (r *Registry) Get(name string) (*Target, bool) {
 	r.mu.RLock()

@@ -526,6 +526,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// The drain has finished every worker, so no more journal appends:
 	// the store can seal its segment.
 	s.jobs.store.close()
+	// Nor does anything need an index any more. Whatever still holds this
+	// server (an embedder, a handler mounted on someone else's listener)
+	// must not keep 64 MiB and up per target resident with it.
+	s.reg.releaseIdle()
 	return drainErr
 }
 

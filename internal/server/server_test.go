@@ -594,6 +594,10 @@ func TestDrainKeepsCompletedJobs(t *testing.T) {
 	if err != nil || !complete || int64(len(blocks)) != final.HSPs {
 		t.Errorf("drained job MAF: %d blocks complete=%v err=%v (want %d)", len(blocks), complete, err, final.HSPs)
 	}
+	// A drained server keeps its finished jobs, not its indexes.
+	if n := srv.Registry().ResidentTargets(); n != 0 {
+		t.Errorf("%d target indexes still resident after Shutdown, want 0", n)
+	}
 }
 
 // TestBudgetPartialTruncated submits a job with an unsatisfiable cell
