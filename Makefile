@@ -25,6 +25,10 @@ vet:
 # ExtensionTile site, AnchorEnd at most twice in it), one footprint
 # computation, and no second copy of the commit or the canonical order
 # under their old names.
+# And for the GACT-X tile kernel: XDropAligner is declared in one non-test
+# file (replaced, not forked), and what the rewrite deleted — the per-row
+# direction slices, the per-row closures, the saturating subtract — stays
+# out of every non-test file of internal/align.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -45,6 +49,10 @@ check-once:
 	if [ "$$n" -gt 2 ]; then echo "check-once: .AnchorEnd( on $$n lines of internal/core, want <= 2 (anchorExtender.extend)"; exit 1; fi; \
 	if grep -nE 'func (replayAnchor|sortFrameIndex)' $$src; then \
 		echo "check-once: a deleted copy of the commit or the canonical order is back"; exit 1; fi
+	@src=$$(ls internal/align/*.go | grep -v _test.go); \
+	n=$$(grep -l 'type XDropAligner ' $$src | wc -l); \
+	if [ "$$n" -ne 1 ] || grep -nE 'saturSub|rowDirs +\[\]\[\]byte|\.rowDirs|prevV :=|prevD :=' $$src; then \
+		echo "check-once: want one X-drop kernel (XDropAligner declared in $$n files) without per-row slices, closures or saturSub"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -199,9 +207,10 @@ lint:
 # attack surfaces — FASTA queries (the spill the job store replays),
 # MAF streams (the recovered artifacts), and WAL segments (arbitrary
 # torn tails must recover and stay appendable) — and ten per kernel
-# differential (BSW vs masked Smith-Waterman, unbounded X-drop vs the
-# prefix maximum). Corpus misses fail the build; longer runs are
-# `go test -fuzz=<name> -fuzztime=10m`.
+# differential (BSW vs masked Smith-Waterman; X-drop vs the prefix
+# maximum, unbounded and with a drop threshold that prunes; the X-drop
+# kernel vs the frozen seed kernel in xdrop_seed_test.go). Corpus misses
+# fail the build; longer runs are `go test -fuzz=<name> -fuzztime=10m`.
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFASTA -fuzztime 10s ./internal/genome/
 	$(GO) test -run '^$$' -fuzz FuzzReadMAF -fuzztime 10s ./internal/maf/
@@ -209,5 +218,7 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIndexLoad -fuzztime 10s ./internal/indexstore/
 	$(GO) test -run '^$$' -fuzz FuzzBandedVsMaskedSW -fuzztime 10s ./internal/align/
 	$(GO) test -run '^$$' -fuzz FuzzXDropUnboundedVsPrefixMax -fuzztime 10s ./internal/align/
+	$(GO) test -run '^$$' -fuzz FuzzXDropBoundedVsPrefixMax -fuzztime 10s ./internal/align/
+	$(GO) test -run '^$$' -fuzz FuzzXDropVsSeedKernel -fuzztime 10s ./internal/align/
 
 ci: build vet check-once test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench

@@ -521,3 +521,23 @@ func TestAlignmentCounts(t *testing.T) {
 		t.Errorf("identity = %v, want 0.8", id)
 	}
 }
+
+// TestXDropAlignAllocFree pins the kernel's allocation contract: DP rows,
+// coded query, traceback arena and transcript all belong to the aligner,
+// so a warm aligner allocates nothing — on a pruned tile and on a
+// full-matrix one alike. (XDropResult.Ops is valid until the next Align.)
+func TestXDropAlignAllocFree(t *testing.T) {
+	sc := DefaultScoring()
+	rng := rand.New(rand.NewSource(43))
+	target := randSeq(rng, 1200)
+	query := mutate(rng, target, 0.1, 0.02)
+	for _, y := range []int32{9430, 1 << 28} {
+		xa := NewXDropAligner(sc, y)
+		if res := xa.Align(target, query); res.Score <= 0 || len(res.Ops) == 0 {
+			t.Fatalf("Y %d: warm-up tile found nothing: %+v", y, res)
+		}
+		if n := testing.AllocsPerRun(5, func() { xa.Align(target, query) }); n != 0 {
+			t.Errorf("Y %d: warm Align allocates %.0f times per call, want 0", y, n)
+		}
+	}
+}

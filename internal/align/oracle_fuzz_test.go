@@ -113,15 +113,15 @@ func FuzzBandedVsMaskedSW(f *testing.F) {
 }
 
 // prefixMax is global-from-origin affine alignment over the whole matrix
-// (leading gaps are charged), returning the maximum V over all cells:
-// the score of the best path from (0,0) to anywhere.
-func prefixMax(sc *Scoring, target, query []byte) int64 {
+// (leading gaps are charged), returning the maximum V over all cells —
+// the score of the best path from (0,0) to anywhere — and the first
+// cell, in row-major order, that attains it.
+func prefixMax(sc *Scoring, target, query []byte) (best int64, bi, bj int) {
 	n, m := len(target), len(query)
 	open, ext := int64(sc.GapOpen), int64(sc.GapExtend)
 	V := make([][]int64, n+1)
 	D := make([][]int64, n+1)
 	I := make([][]int64, n+1)
-	best := int64(0)
 	for i := range V {
 		V[i], D[i], I[i] = make([]int64, m+1), make([]int64, m+1), make([]int64, m+1)
 		for j := 0; j <= m; j++ {
@@ -140,34 +140,70 @@ func prefixMax(sc *Scoring, target, query []byte) int64 {
 				sub := int64(sc.Score(target[i-1], query[j-1]))
 				V[i][j] = oracleMax(V[i][j], V[i-1][j-1]+sub)
 			}
-			best = oracleMax(best, V[i][j])
+			if V[i][j] > best {
+				best, bi, bj = V[i][j], i, j
+			}
 		}
 	}
-	return best
+	return best, bi, bj
+}
+
+// checkXDropVsPrefixMax holds one X-drop tile at drop threshold y to
+// everything the int64 matrix can say about it without knowing which
+// cells the kernel pruned: the transcript is consistent and rescores to
+// the reported score; no pruning can beat the exact prefix maximum; and
+// a tile that computed every cell pruned nothing, so it is exact — the
+// prefix maximum, ending at the first cell in row-major order to attain
+// it.
+func checkXDropVsPrefixMax(t *testing.T, sc *Scoring, target, query []byte, y int32) XDropResult {
+	t.Helper()
+	res := NewXDropAligner(sc, y).Align(target, query)
+	aln := Alignment{Score: res.Score, TEnd: res.TEnd, QEnd: res.QEnd, Ops: res.Ops}
+	if err := aln.CheckConsistency(len(target), len(query)); err != nil {
+		t.Fatalf("Y %d target %s query %s: %v", y, target, query, err)
+	}
+	if got := aln.Rescore(sc, target, query); got != res.Score {
+		t.Fatalf("Y %d target %s query %s: Rescore %d, Score %d (%s)", y, target, query, got, res.Score, aln.CIGAR())
+	}
+	want, wi, wj := prefixMax(sc, target, query)
+	if int64(res.Score) > want {
+		t.Fatalf("Y %d target %s query %s: xdrop score %d beats the prefix maximum %d", y, target, query, res.Score, want)
+	}
+	if res.Cells == (len(target)+1)*(len(query)+1) && (int64(res.Score) != want || res.TEnd != wi || res.QEnd != wj) {
+		t.Fatalf("Y %d target %s query %s: every cell computed, yet xdrop %d at (%d,%d), prefix maximum %d first at (%d,%d)",
+			y, target, query, res.Score, res.TEnd, res.QEnd, want, wi, wj)
+	}
+	return res
 }
 
 // FuzzXDropUnboundedVsPrefixMax: with a drop threshold nothing can reach,
 // the X-drop kernel prunes nothing and is exact — it visits every cell,
-// its score is the global-from-origin prefix maximum, and its transcript
-// rescores to that score.
+// its score is the global-from-origin prefix maximum at that maximum's
+// first position, and its transcript rescores to that score.
 func FuzzXDropUnboundedVsPrefixMax(f *testing.F) {
 	addOracleSeeds(f)
 	sc := DefaultScoring()
 	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, _ uint8) {
 		target, query := fuzzBases(rawT), fuzzBases(rawQ)
-		res := NewXDropAligner(sc, 1<<28).Align(target, query)
-		if want := prefixMax(sc, target, query); int64(res.Score) != want {
-			t.Fatalf("target %s query %s: xdrop score %d, prefix maximum %d", target, query, res.Score, want)
-		}
-		aln := Alignment{Score: res.Score, TEnd: res.TEnd, QEnd: res.QEnd, Ops: res.Ops}
-		if err := aln.CheckConsistency(len(target), len(query)); err != nil {
-			t.Fatalf("target %s query %s: %v", target, query, err)
-		}
-		if got := aln.Rescore(sc, target, query); got != res.Score {
-			t.Fatalf("target %s query %s: Rescore %d, Score %d (%s)", target, query, got, res.Score, aln.CIGAR())
-		}
+		res := checkXDropVsPrefixMax(t, sc, target, query, 1<<28)
 		if want := (len(target) + 1) * (len(query) + 1); res.Cells != want {
 			t.Fatalf("target %s query %s: %d cells, want the full matrix %d", target, query, res.Cells, want)
 		}
+	})
+}
+
+// FuzzXDropBoundedVsPrefixMax is the same oracle under a drop threshold
+// that bites: the row-window logic (row start, row end, the running-Vmax
+// alive test) runs, and whatever it prunes, the result must stay a real
+// path no better than the exact maximum — and exact whenever nothing was
+// pruned. Y is driven from the fuzz knob (50..2090) rather than raising
+// oracleMaxLen: one mismatch after a match already falls 190 below Vmax,
+// so pruning happens well inside 96 bases and the int64 matrices stay
+// small.
+func FuzzXDropBoundedVsPrefixMax(f *testing.F) {
+	addOracleSeeds(f)
+	sc := DefaultScoring()
+	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, knob uint8) {
+		checkXDropVsPrefixMax(t, sc, fuzzBases(rawT), fuzzBases(rawQ), 50+8*int32(knob))
 	})
 }

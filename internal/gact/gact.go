@@ -89,6 +89,7 @@ type Extender struct {
 	cfg Config
 	xa  *align.XDropAligner
 
+	// revT and revQ hold the current tile of a left extension, reversed.
 	revT, revQ []byte
 }
 
@@ -102,7 +103,10 @@ func NewExtender(sc *align.Scoring, cfg Config) (*Extender, error) {
 	if y <= 0 {
 		y = 1 << 28 // unbounded: every in-tile cell stays alive
 	}
-	return &Extender{sc: sc, cfg: cfg, xa: align.NewXDropAligner(sc, y)}, nil
+	return &Extender{
+		sc: sc, cfg: cfg, xa: align.NewXDropAligner(sc, y),
+		revT: make([]byte, 0, cfg.TileSize), revQ: make([]byte, 0, cfg.TileSize),
+	}, nil
 }
 
 // Config returns the extender's configuration.
@@ -118,13 +122,9 @@ func (e *Extender) Extend(target, query []byte, tAnchor, qAnchor int, stats *Sta
 	if stats == nil {
 		stats = &Stats{}
 	}
-	// Right extension on forward sequences.
-	rightOps, rdT, rdQ := e.extendDir(target[tAnchor:], query[qAnchor:], stats)
-
-	// Left extension on reversed prefixes.
-	e.revT = reverseInto(e.revT[:0], target[:tAnchor])
-	e.revQ = reverseInto(e.revQ[:0], query[:qAnchor])
-	leftOps, ldT, ldQ := e.extendDir(e.revT, e.revQ, stats)
+	rightOps, rdT, rdQ := e.extendDir(target[tAnchor:], query[qAnchor:], false, stats)
+	// The left extension reads the two prefixes backwards from the anchor.
+	leftOps, ldT, ldQ := e.extendDir(target[:tAnchor], query[:qAnchor], true, stats)
 	align.ReverseOps(leftOps)
 
 	a := align.Alignment{
@@ -138,10 +138,13 @@ func (e *Extender) Extend(target, query []byte, tAnchor, qAnchor int, stats *Sta
 	return a
 }
 
-// extendDir runs the tiled extension toward increasing coordinates of
-// the given (possibly reversed) sequences, starting at their origin. It
-// returns the committed transcript and the distances advanced.
-func (e *Extender) extendDir(target, query []byte, stats *Stats) (ops []align.EditOp, dT, dQ int) {
+// extendDir runs the tiled extension over target and query from their
+// origin toward increasing coordinates or, when reversed, from their end
+// toward decreasing ones: each tile is then reversed into the extender's
+// two tile-sized buffers, so the left extension costs what it reads and
+// not the length of the prefix. It returns the committed transcript (in
+// reading direction) and the distances advanced.
+func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) (ops []align.EditOp, dT, dQ int) {
 	ti, qi := 0, 0
 	for ti < len(target) || qi < len(query) {
 		if e.cfg.Stop != nil && e.cfg.Stop() {
@@ -152,11 +155,17 @@ func (e *Extender) extendDir(target, query []byte, stats *Stats) (ops []align.Ed
 		if tileT == 0 && tileQ == 0 {
 			break
 		}
+		tT, tQ := target[ti:ti+tileT], query[qi:qi+tileQ]
+		if reversed {
+			e.revT = reverseInto(e.revT[:0], target[len(target)-ti-tileT:len(target)-ti])
+			e.revQ = reverseInto(e.revQ[:0], query[len(query)-qi-tileQ:len(query)-qi])
+			tT, tQ = e.revT, e.revQ
+		}
 		var t0 time.Time
 		if e.cfg.TileHook != nil {
 			t0 = time.Now()
 		}
-		res := e.xa.Align(target[ti:ti+tileT], query[qi:qi+tileQ])
+		res := e.xa.Align(tT, tQ)
 		if e.cfg.TileHook != nil {
 			e.cfg.TileHook(res.Cells, t0, time.Since(t0))
 		}

@@ -274,3 +274,56 @@ func TestExtenderReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestExtendAllocsScaleWithTilesNotCells pins the extender's allocation
+// contract on a warm extender: what is left per Extend is transcript
+// growth, a few allocations per tile, whether a tile computes the
+// X-drop band (about 0.9 M cells) or the whole 1920x1920 matrix.
+func TestExtendAllocsScaleWithTilesNotCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	target := randSeq(rng, 20000)
+	query := mutate(rng, target, 0.10, 0.01)
+	qpos := 10000 - approxShift(target, query, 10000)
+	for _, cfg := range []Config{DefaultConfig(), {TileSize: 1920, Overlap: 128, Y: 0}} {
+		e := newExtender(t, cfg)
+		var st Stats
+		e.Extend(target, query, 10000, qpos, &st) // warm the buffers
+		if st.Tiles < 8 {
+			t.Fatalf("Y %d: only %d tiles, want a multi-tile extension", cfg.Y, st.Tiles)
+		}
+		allocs := testing.AllocsPerRun(3, func() { e.Extend(target, query, 10000, qpos, nil) })
+		if limit := float64(4*st.Tiles + 8); allocs > limit {
+			t.Errorf("Y %d: %.0f allocations per Extend over %d tiles (%d cells), want <= %.0f",
+				cfg.Y, allocs, st.Tiles, st.Cells, limit)
+		}
+	}
+}
+
+// TestExtendLeftCostsWhatItReads: the left extension reverses one tile
+// at a time, not the whole prefix. An anchor near the end of a 2 Mbp
+// target whose only homology is a 4 kbp island must leave the reversal
+// buffers tile-sized (they used to grow to the anchor's position, and
+// every anchor paid a copy of its whole prefix).
+func TestExtendLeftCostsWhatItReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	target := randSeq(rng, 2_000_000)
+	islandAt := len(target) - 6000
+	island := target[islandAt : islandAt+4000]
+	query := append(randSeq(rng, 3000), mutate(rng, island, 0.05, 0.005)...)
+	query = append(query, randSeq(rng, 1000)...)
+
+	e := newExtender(t, DefaultConfig())
+	tAnchor := islandAt + 3000
+	qAnchor := 3000 + 3000 - approxShift(island, query[3000:], 3000)
+	a := e.Extend(target, query, tAnchor, qAnchor, nil)
+	if a.TSpan() < 3000 || a.TStart > islandAt+500 {
+		t.Fatalf("island not recovered: T[%d,%d) for an island at [%d,%d)", a.TStart, a.TEnd, islandAt, islandAt+4000)
+	}
+	if err := a.CheckConsistency(len(target), len(query)); err != nil {
+		t.Fatal(err)
+	}
+	if ts := e.cfg.TileSize; cap(e.revT) > ts || cap(e.revQ) > ts {
+		t.Errorf("reversal buffers hold %d / %d bytes after a left extension from %d, want at most one tile (%d)",
+			cap(e.revT), cap(e.revQ), tAnchor, ts)
+	}
+}
