@@ -25,6 +25,9 @@ vet:
 # ExtensionTile site, AnchorEnd at most twice in it), one footprint
 # computation, and no second copy of the commit or the canonical order
 # under their old names.
+# The shard plane extends a strand once, behind the real absorber: the
+# frame merge (MergeShardFrames, ShardFrame) and the absorber-free unit
+# extension (AlignShardUnit) stay deleted from every non-test file.
 # And for the GACT-X tile kernel: XDropAligner is declared in one non-test
 # file (replaced, not forked), and what the rewrite deleted — the per-row
 # direction slices, the per-row closures, the saturating subtract — stays
@@ -49,6 +52,8 @@ check-once:
 	if [ "$$n" -gt 2 ]; then echo "check-once: .AnchorEnd( on $$n lines of internal/core, want <= 2 (anchorExtender.extend)"; exit 1; fi; \
 	if grep -nE 'func (replayAnchor|sortFrameIndex)' $$src; then \
 		echo "check-once: a deleted copy of the commit or the canonical order is back"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'MergeShardFrames|type ShardFrame |AlignShardUnit' .; then \
+		echo "check-once: the frame merge or the un-absorbed unit extension is back (a strand is extended once: core.ExtendAnchors)"; exit 1; fi
 	@src=$$(ls internal/align/*.go | grep -v _test.go); \
 	n=$$(grep -l 'type XDropAligner ' $$src | wc -l); \
 	if [ "$$n" -ne 1 ] || grep -nE 'saturSub|rowDirs +\[\]\[\]byte|\.rowDirs|prevV :=|prevD :=' $$src; then \
@@ -165,24 +170,35 @@ test-index:
 	$(GO) test -race -timeout 15m -run 'TestIndex|TestResultCache|TestTargetsExpose' ./internal/server/
 	$(GO) test -timeout 15m -run 'TestIndexLifecycleE2E' ./cmd/darwin-wga/
 
-# Shard scatter/gather suite: the core decomposition/merge property
-# tests (any unit count, arrival order, and hedged duplicates must
-# reproduce the one-shot HSP stream byte-exactly) plus a fuzz smoke of
-# the merge's permutation invariance, the in-process chaos tests of the
-# coordinator's shard plane under the race detector (worker-death
-# failover, hedged stragglers, retry-exhaustion partial results,
-# truncated-body retries, journal restart re-dispatching only
-# unfinished units, ENOSPC 503s from the artifact store), and the
+# Shard scatter/gather suite: the core two-phase property tests (for any
+# unit count, arrival order and hedged duplicate, the filter units'
+# anchors are the one-shot survivors and the strand extension over them
+# is the one-shot HSP stream, to the cell) plus a fuzz smoke of the same
+# path's partition/permutation invariance, the worker's POST /v1/shards
+# driven through both phases against the one-shot MAF, the in-process
+# chaos tests of the coordinator's shard plane under the race detector
+# (worker-death failover, hedged stragglers judged against their own
+# kind, retry-exhaustion partial results, truncated-body retries,
+# journal restart re-dispatching only unfinished units and refusing
+# foreign spills, ENOSPC 503s from the artifact store), and the
 # subprocess e2e pair: SIGKILL one of two workers mid-job under
 # -shard-dispatch (byte-identical MAF, recovery metrics), and a
 # fault-injected worker exhausting one unit's retries into a 206
 # partial result. Not -short: the e2e re-execs the test binary as
-# coordinator and workers. Every line carries an explicit -timeout.
+# coordinator and workers. Every line carries an explicit -timeout, and
+# goes through named-test: go test exits 0 when a -run or -fuzz pattern
+# matches nothing, so a renamed test would silently leave the suite.
+named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
+	if [ $$st -ne 0 ]; then exit $$st; fi; \
+	if echo "$$out" | grep -qE 'no tests to run|no fuzz tests to fuzz'; then \
+		echo "named-test: a pattern matched nothing: go test $(1)"; exit 1; fi
+
 test-shard:
-	$(GO) test -race -timeout 15m -run 'TestPlanShards|TestAlignShardUnit|TestShardMergeMatchesOneShot' ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/core/
-	$(GO) test -race -timeout 15m -run 'TestShard' ./internal/cluster/
-	$(GO) test -timeout 20m -run 'TestShardDispatchFailoverE2E|TestShardPartialResultE2E' ./cmd/darwin-wga/
+	$(call named-test,-race -timeout 15m -run 'TestPlanShards|TestAlignShardUnit|TestFilterShardUnit|TestShardMergeMatchesOneShot|TestShardUnitsReportToRecorder|TestFrontEndSharedByAllEntryPoints' ./internal/core/)
+	$(call named-test,-run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/core/)
+	$(call named-test,-race -timeout 15m -run 'TestShardUnitsTwoPhaseMatchOneShot' ./internal/server/)
+	$(call named-test,-race -timeout 15m -run 'TestShard' ./internal/cluster/)
+	$(call named-test,-timeout 20m -run 'TestShardDispatchFailoverE2E|TestShardPartialResultE2E' ./cmd/darwin-wga/)
 
 # Benchmark self-tests: bench/ is a module of its own (it imports
 # internal/... through a replace directive), so `go test ./...` never

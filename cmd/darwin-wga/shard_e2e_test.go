@@ -155,11 +155,12 @@ func TestShardDispatchFailoverE2E(t *testing.T) {
 		t.Skip("subprocess shard e2e is not -short")
 	}
 	dir := t.TempDir()
-	// Scale 0.0002 keeps every work unit's un-absorbed extension pass
-	// to seconds even on a single-core CI box where the post-SIGKILL
-	// pile-up (failed-over units plus hedges) shares one CPU — each
-	// unit must finish far inside the 2m shard lease.
-	tPath, _, queryFASTA, targetName, queryName, ref := shardPairFiles(t, dir, 0.0002)
+	// Scale 0.001 makes a unit long enough (a filter unit ~0.1 s, a
+	// strand's extension most of a second) that the SIGKILL below lands
+	// while w1 still holds one, and keeps every unit far inside the 2m
+	// shard lease even on a single-core CI box where the post-SIGKILL
+	// pile-up (failed-over units plus hedges) shares one CPU.
+	tPath, _, queryFASTA, targetName, queryName, ref := shardPairFiles(t, dir, 0.001)
 
 	journalDir := filepath.Join(dir, "coord-journal")
 	_, coordBase, coordLog := spawnServe(t, []string{

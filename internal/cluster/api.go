@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"darwinwga/internal/checkpoint"
+	"darwinwga/internal/core"
 	"darwinwga/internal/genome"
 	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
@@ -36,13 +37,14 @@ type clusterJobStatus struct {
 	Assignments []assignment    `json:"assignments,omitempty"`
 	Worker      *assignment     `json:"worker,omitempty"`
 	TraceID     string          `json:"trace_id,omitempty"`
-	// Sharded jobs expose the work-unit map and the partial-result
-	// contract: Truncated/FailedShards name the units that exhausted
-	// retries; the MAF endpoint answers 206 when any did.
+	// Sharded jobs expose the work-unit map, the partial-result contract
+	// (Truncated/FailedShards name the units that exhausted retries; the
+	// MAF endpoint answers 206 when any did) and the units' summed Workload.
 	Sharded      bool             `json:"sharded,omitempty"`
 	Truncated    string           `json:"truncated,omitempty"`
 	FailedShards []string         `json:"failed_shards,omitempty"`
 	Shards       *shardStatusView `json:"shards,omitempty"`
+	Workload     *core.Workload   `json:"workload,omitempty"`
 	StatusURL    string           `json:"status_url"`
 	MAFURL       string           `json:"maf_url"`
 	TraceURL     string           `json:"trace_url"`
@@ -197,6 +199,7 @@ func (c *Coordinator) statusOf(j *coordJob) clusterJobStatus {
 	st.Sharded = j.sharded
 	st.Truncated = j.truncated
 	st.FailedShards = append([]string(nil), j.failedShards...)
+	st.Workload = j.workload
 	if j.shard != nil {
 		st.Shards = j.shard.snapshot()
 	}

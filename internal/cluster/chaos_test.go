@@ -185,7 +185,11 @@ func newFakeWorkerWrapped(t *testing.T, wrap func(http.Handler) http.Handler) *f
 	w.srv = httptest.NewServer(h)
 	t.Cleanup(func() {
 		// Close waits for running handlers; a status read still held for
-		// a live coordinator only ends when its connection does.
+		// a live coordinator only ends when its connection does. The
+		// listener goes first: the coordinator re-dials at once, and a
+		// read accepted after the connections were cut would be held for
+		// good (the manual clock has stopped).
+		w.srv.Listener.Close() //nolint:errcheck // Close closes it again
 		w.srv.CloseClientConnections()
 		w.srv.Close()
 	})

@@ -261,7 +261,8 @@ func TestCompatWireGolden(t *testing.T) {
 	checkGolden(t, "status_coord.golden.json", []byte(norm.Replace(string(status))))
 
 	// The shard plane: ungapped + thresholds only (a budgeted job is
-	// never sharded), one unit per strand; unit 0 is the pinned body.
+	// never sharded), one filter unit per strand; unit 0 — a phase-1
+	// request — is the pinned body.
 	scc := newChaosCluster(t, func(cfg *Config) { utc(cfg); cfg.ShardDispatch = []string{"*"}; cfg.ShardUnits = 1 })
 	sw, shardBodies := captureWorker(t, "/v1/shards", func(rw http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(rw, http.StatusOK, server.ShardResponse{})

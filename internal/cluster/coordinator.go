@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -66,12 +67,13 @@ type coordJob struct {
 	// before the job is published, and immutable after.
 	sharded bool
 	// shard tracks per-unit lifecycle for status; mafData is the
-	// coordinator-merged MAF once terminal (lazy-loaded from the shard
-	// artifact store after a restart). truncated/failedShards carry the
-	// partial-result contract: units that exhausted retries degrade the
-	// job, they do not fail it.
+	// coordinator-assembled MAF once terminal (lazy-loaded from the shard
+	// artifact store after a restart) and workload the sum of the units'.
+	// truncated/failedShards carry the partial-result contract: units
+	// that exhausted retries degrade the job, they do not fail it.
 	shard        *shardProgress
 	mafData      []byte
+	workload     *core.Workload
 	truncated    string
 	failedShards []string
 
@@ -622,23 +624,19 @@ func (c *Coordinator) recover(recs []recoveredRouting) {
 			j.state = r.finalState
 			j.errMsg = r.finalErr
 			j.finishedAt = r.finishedAt
-			if sharded && r.finalState == server.JobDone {
-				// Reconstruct the partial-result view from the journal:
-				// planned units without a done record are the ones that
-				// exhausted retries. The merged MAF itself lazy-loads
+			if sharded && r.finalState == server.JobDone && r.finalErr != "" {
+				// Reconstruct the partial-result view from the journal: a
+				// job that ended clean has no final error (and, written
+				// before the two-phase plan, no extension records to miss);
+				// otherwise units without a done record are the ones that
+				// exhausted retries. The assembled MAF itself lazy-loads
 				// from the shard artifact store on first request.
-				done := make(map[int]bool, len(r.shardDone))
-				for _, seq := range r.shardDone {
-					done[seq] = true
-				}
-				for _, u := range r.shardPlan {
-					if !done[u.Seq] {
+				for _, u := range slices.Concat(r.shardPlan, core.ExtensionUnits(r.shardPlan)) {
+					if !slices.Contains(r.shardDone, u.Seq) {
 						j.failedShards = append(j.failedShards, u.String())
 					}
 				}
-				if len(j.failedShards) > 0 {
-					j.truncated = shardTruncatedReason
-				}
+				j.truncated = shardTruncatedReason
 			}
 			c.c.recovRestored.Inc()
 			restored++
@@ -782,7 +780,7 @@ func (c *Coordinator) finalize(j *coordJob, state server.JobState, errMsg string
 		c.log.Error("journaling terminal state failed", "job_id", j.ID, "err", err)
 	}
 	c.wal.removeShipped(j.ID)
-	c.wal.removeShardFrames(j.ID)
+	c.wal.removeShardUnits(j.ID)
 	c.clearShipStamp(j.ID)
 	detail := string(state)
 	if errMsg != "" {

@@ -36,9 +36,10 @@ import (
 //	              segment truncation safe
 //	7 shardplan — a sharded job's work-unit decomposition, journaled
 //	              before any unit dispatch so a restart reuses the
-//	              identical plan (unit seqs keep meaning the same ranges)
-//	8 sharddone — one work unit completed; its frames have already been
-//	              spilled to shards/<id>/frames/<seq>.json (spill before
+//	              identical plan (unit seqs keep meaning the same ranges;
+//	              the extension units' seqs follow from it)
+//	8 sharddone — one work unit completed; its result has already been
+//	              spilled to shards/<id>/units/<seq>.json (spill before
 //	              record, like queries), so a restart re-dispatches only
 //	              units without a done record
 const (
@@ -449,25 +450,31 @@ func (cj *coordJournal) shardDone(j *coordJob, seq int, worker string, at time.T
 	return cj.append(ckKindShardDone, ckShardDone{ID: j.ID, Seq: seq, WorkerID: worker, AtNS: at.UnixNano()})
 }
 
-// The shard artifact store holds each sharded job's gathered unit
-// frames (shards/<id>/frames/<seq>.json, removed once the job is
-// terminal) and its merged MAF (shards/<id>/result.maf, retained so a
-// restarted coordinator can still serve the result).
+// The shard artifact store holds each sharded job's settled unit
+// results (shards/<id>/units/<seq>.json, removed once the job is
+// terminal) and its assembled MAF (shards/<id>/result.maf, retained so a
+// restarted coordinator can still serve the result). Journals older than
+// the two-phase plan kept frames/<seq>.json instead: nothing reads that
+// name, so such a unit is re-dispatched (eviction removes the directory).
 
 func (cj *coordJournal) shardDir(id string) string {
 	return filepath.Join(cj.dir, "shards", id)
 }
 
-func (cj *coordJournal) saveShardFrames(id string, seq int, data []byte) error {
-	dir := filepath.Join(cj.shardDir(id), "frames")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return checkpoint.WriteBytesAtomic(filepath.Join(dir, fmt.Sprintf("%d.json", seq)), cj.io, data)
+func (cj *coordJournal) shardUnitPath(id string, seq int) string {
+	return filepath.Join(cj.shardDir(id), "units", fmt.Sprintf("%d.json", seq))
 }
 
-func (cj *coordJournal) loadShardFrames(id string, seq int) ([]byte, error) {
-	return os.ReadFile(filepath.Join(cj.shardDir(id), "frames", fmt.Sprintf("%d.json", seq)))
+func (cj *coordJournal) saveShardUnit(id string, seq int, data []byte) error {
+	path := cj.shardUnitPath(id, seq)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return checkpoint.WriteBytesAtomic(path, cj.io, data)
+}
+
+func (cj *coordJournal) loadShardUnit(id string, seq int) ([]byte, error) {
+	return os.ReadFile(cj.shardUnitPath(id, seq))
 }
 
 func (cj *coordJournal) saveShardMAF(id string, data []byte) error {
@@ -481,13 +488,13 @@ func (cj *coordJournal) loadShardMAF(id string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(cj.shardDir(id), "result.maf"))
 }
 
-// removeShardFrames drops a terminal job's per-unit frame spills; the
-// merged result.maf stays serveable.
-func (cj *coordJournal) removeShardFrames(id string) {
+// removeShardUnits drops a terminal job's per-unit spills; the
+// assembled result.maf stays serveable.
+func (cj *coordJournal) removeShardUnits(id string) {
 	if cj == nil {
 		return
 	}
-	os.RemoveAll(filepath.Join(cj.shardDir(id), "frames")) //nolint:errcheck // best effort cleanup
+	os.RemoveAll(filepath.Join(cj.shardDir(id), "units")) //nolint:errcheck // best effort cleanup
 }
 
 // removeShards drops everything a sharded job spilled, merged MAF

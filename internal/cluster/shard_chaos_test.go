@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -27,12 +28,14 @@ import (
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/maf"
+	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
 )
 
 // shardQueryBases sizes the test query so PlanShards with 2 units per
-// strand yields 4 units: 0:'+'[0:128) 1:'+'[128:200) 2:'-'[0:128)
-// 3:'-'[128:200) (chunk size 64, span 128).
+// strand yields 4 filter units: 0:'+'[0:128) 1:'+'[128:200) 2:'-'[0:128)
+// 3:'-'[128:200) (chunk size 64, span 128); the extension units are then
+// 4:'+' and 5:'-'.
 const shardQueryBases = 200
 
 var shardTestFASTA = ">q\n" + strings.Repeat("ACGTACGTAC", shardQueryBases/10) + "\n"
@@ -45,33 +48,45 @@ func shardTestPlan(unitsPerStrand int) []core.ShardUnit {
 	return core.PlanShards(&cfg, shardQueryBases, unitsPerStrand)
 }
 
-// cannedShardFrame fabricates one deterministic frame per unit. Anchor
-// positions grow with the unit seq and sit far apart (1000 > absorb
-// band), so the merge keeps every frame and its canonical order equals
-// plan order within each strand — making the merged MAF predictable.
-func cannedShardFrame(u core.ShardUnit) server.ShardResultFrame {
-	at := 10_000 + u.Seq*1000
-	diag := at - u.QStart
-	return server.ShardResultFrame{
-		ShardFrame: core.ShardFrame{
-			AnchorT: at, AnchorQ: u.QStart, FilterScore: 100, Score: 80,
-			TStart: at, TEnd: at + 8, DMin: diag, DMax: diag,
-		},
-		Block: &maf.Block{
-			Score: 80, TName: "tgt.chr1", TStart: at, TSize: 8, TSrc: 50_000,
-			TText: "ACGTACGT", QName: "q", QStart: u.QStart, QSize: 8,
-			QSrc: shardQueryBases, QStrand: u.Strand, QText: "ACGTACGT",
-		},
+// cannedShardAnchor fabricates one deterministic filter survivor per
+// filter unit: target positions grow with the unit seq, so a strand's
+// blocks come out in plan order.
+func cannedShardAnchor(u core.ShardUnit) core.ExtensionAnchor {
+	return core.ExtensionAnchor{TPos: 10_000 + u.Seq*1000, QPos: u.QStart, Score: 100}
+}
+
+// cannedShardBlock is the alignment the scripted extension "finds" at an
+// anchor.
+func cannedShardBlock(an core.ExtensionAnchor, strand byte) *maf.Block {
+	return &maf.Block{
+		Score: 80, TName: "tgt.chr1", TStart: an.TPos, TSize: 8, TSrc: 50_000,
+		TText: "ACGTACGT", QName: "q", QStart: an.QPos, QSize: 8,
+		QSrc: shardQueryBases, QStrand: strand, QText: "ACGTACGT",
 	}
 }
 
-func cannedShardResponse(u core.ShardUnit) server.ShardResponse {
-	return server.ShardResponse{Unit: u, Frames: []server.ShardResultFrame{cannedShardFrame(u)}}
+// cannedShardResponse is a scripted worker's success: a filter unit
+// passes its one canned anchor, an extension unit keeps every anchor it
+// is handed, by target position. Each unit reports one tile of work.
+func cannedShardResponse(req server.ShardRequest) server.ShardResponse {
+	u := req.Unit
+	if !u.Extend {
+		return server.ShardResponse{Unit: u, Anchors: []core.ExtensionAnchor{cannedShardAnchor(u)},
+			Workload: core.Workload{FilterTiles: 1, PassedFilter: 1}}
+	}
+	resp := server.ShardResponse{Unit: u, Workload: core.Workload{ExtensionTiles: int64(len(req.Anchors))}}
+	anchors := append([]core.ExtensionAnchor(nil), req.Anchors...)
+	sort.Slice(anchors, func(i, j int) bool { return anchors[i].TPos < anchors[j].TPos })
+	for _, an := range anchors {
+		resp.Blocks = append(resp.Blocks, cannedShardBlock(an, u.Strand))
+	}
+	return resp
 }
 
 // expectedShardMAF renders the MAF the coordinator must produce for the
-// canned frames: '+' blocks then '-' blocks, plan order within each
-// strand, skipping the given seqs (failed units in the partial tests).
+// canned units: '+' blocks then '-' blocks, plan order within each
+// strand, skipping the given filter-unit seqs (failed units in the
+// partial tests).
 func expectedShardMAF(t *testing.T, plan []core.ShardUnit, skip map[int]bool) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -81,7 +96,7 @@ func expectedShardMAF(t *testing.T, plan []core.ShardUnit, skip map[int]bool) st
 			if u.Strand != strand || skip[u.Seq] {
 				continue
 			}
-			if err := mw.Write(cannedShardFrame(u).Block); err != nil {
+			if err := mw.Write(cannedShardBlock(cannedShardAnchor(u), strand)); err != nil {
 				t.Fatalf("rendering expected MAF: %v", err)
 			}
 		}
@@ -164,8 +179,7 @@ func (r *shardRecorder) seqsSince(from int) []int {
 type shardFn func(req server.ShardRequest) (server.ShardResponse, bool)
 
 // newShardWorker is a fakeWorker whose handler additionally serves
-// POST /v1/shards from fn (nil = always the canned single-frame
-// success), recording every dispatch in rec under label.
+// POST /v1/shards from fn (nil = always the canned success), recording every dispatch in rec under label.
 func newShardWorker(t *testing.T, label string, rec *shardRecorder, fn shardFn) *fakeWorker {
 	t.Helper()
 	return newFakeWorkerWrapped(t, func(next http.Handler) http.Handler {
@@ -187,7 +201,7 @@ func newShardWorker(t *testing.T, label string, rec *shardRecorder, fn shardFn) 
 			if fn != nil {
 				resp, ok = fn(req)
 			} else {
-				resp = cannedShardResponse(req.Unit)
+				resp = cannedShardResponse(req)
 			}
 			if !ok {
 				rw.Header().Set("Content-Type", "application/json")
@@ -246,14 +260,22 @@ func shardChaosConfig(mutate func(*Config)) func(*Config) {
 }
 
 // TestShardScatterGatherHappyPath: with two workers holding the target,
-// a sharded job scatters its 4 units across both, gathers every frame,
-// and serves the deterministic merge — plan order per strand, '+'
-// before '-' — with a clean 200 and a full shard map in status.
+// a sharded job scatters its 4 filter units across both, extends each
+// strand's gathered anchors once — the two extension units on different
+// workers — and serves the blocks '+' before '-', with a clean 200, a
+// full shard map and the units' summed workload in status.
 func TestShardScatterGatherHappyPath(t *testing.T) {
 	cc := newChaosCluster(t, shardChaosConfig(nil))
 	rec := &shardRecorder{}
-	w1 := newShardWorker(t, "w1", rec, nil)
-	w2 := newShardWorker(t, "w2", rec, nil)
+	slow := func(req server.ShardRequest) (server.ShardResponse, bool) {
+		// Every unit takes 1s of manual time, so the phase walls exist.
+		for from := cc.clock.Now(); cc.clock.Now().Sub(from) < time.Second; {
+			time.Sleep(time.Millisecond)
+		}
+		return cannedShardResponse(req), true
+	}
+	w1 := newShardWorker(t, "w1", rec, slow)
+	w2 := newShardWorker(t, "w2", rec, slow)
 	cc.register(t, "w1", w1)
 	cc.register(t, "w2", w2)
 
@@ -269,28 +291,49 @@ func TestShardScatterGatherHappyPath(t *testing.T) {
 	if !st.Sharded {
 		t.Error("status not marked sharded")
 	}
-	if st.Shards == nil || st.Shards.Total != 4 || st.Shards.Done != 4 || st.Shards.Failed != 0 {
-		t.Errorf("shard map = %+v, want 4/4 done", st.Shards)
+	if st.Shards == nil || st.Shards.Total != 6 || st.Shards.Done != 6 || st.Shards.Failed != 0 {
+		t.Errorf("shard map = %+v, want 6/6 done", st.Shards)
+	}
+	if st.Shards != nil && (st.Shards.FilterMS < 1000 || st.Shards.ExtendMS < 1000) {
+		t.Errorf("phase walls filter_ms=%d extend_ms=%d, want >= 1000 each", st.Shards.FilterMS, st.Shards.ExtendMS)
 	}
 	if len(st.FailedShards) != 0 || st.Truncated != "" {
 		t.Errorf("clean run reported partial: truncated=%q failed=%v", st.Truncated, st.FailedShards)
 	}
-	if got := cc.coord.c.shardDispatched.Value(); got != 4 {
-		t.Errorf("dispatched counter = %d, want 4", got)
+	if want := (core.Workload{FilterTiles: 4, PassedFilter: 4, ExtensionTiles: 4}); st.Workload == nil || *st.Workload != want {
+		t.Errorf("status workload = %+v, want the units' sum %+v", st.Workload, want)
 	}
-	if got := cc.coord.c.shardMerged.Value(); got != 4 {
-		t.Errorf("merged counter = %d, want 4", got)
+	if got := cc.coord.c.shardDispatched.Value(); got != 6 {
+		t.Errorf("dispatched counter = %d, want 6", got)
 	}
-	// The units spread across the fleet, not a single worker.
+	if got := cc.coord.c.shardMerged.Value(); got != 6 {
+		t.Errorf("merged counter = %d, want 6", got)
+	}
+	// The units spread across the fleet, not a single worker — and the two
+	// heavy ones, the strands' extensions, do not share one.
 	if rec.countFor("w1") == 0 || rec.countFor("w2") == 0 {
 		t.Errorf("units did not scatter: w1=%d w2=%d", rec.countFor("w1"), rec.countFor("w2"))
+	}
+	if plus, minus := rec.workersFor(4), rec.workersFor(5); len(plus) != 1 || len(minus) != 1 || plus[0] == minus[0] {
+		t.Errorf("extension units served by %v and %v, want one dispatch each on different workers", plus, minus)
+	}
+	var kinds []string
+	j, _ := cc.coord.getJob(id)
+	for _, e := range j.flight.Events() {
+		if e.Type == obs.FlightShardDispatched {
+			kinds = append(kinds, strings.Fields(e.Detail)[0])
+		}
+	}
+	sort.Strings(kinds)
+	if want := []string{"extension", "extension", "filter", "filter", "filter", "filter"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("dispatch flight events name kinds %v, want %v", kinds, want)
 	}
 	code, _, body := cc.fetchMAF(t, id)
 	if code != http.StatusOK {
 		t.Fatalf("maf: HTTP %d, want 200", code)
 	}
 	if want := expectedShardMAF(t, shardTestPlan(2), nil); body != want {
-		t.Errorf("merged MAF differs from canonical order:\ngot:\n%s\nwant:\n%s", body, want)
+		t.Errorf("MAF differs from canonical order:\ngot:\n%s\nwant:\n%s", body, want)
 	}
 }
 
@@ -364,8 +407,8 @@ func TestShardWorkerDeathFailover(t *testing.T) {
 	release()
 
 	st := cc.jobStatus(t, id)
-	if st.Shards == nil || st.Shards.Done != 4 || st.Shards.Failed != 0 {
-		t.Fatalf("shard map = %+v, want 4/4 done with none failed", st.Shards)
+	if st.Shards == nil || st.Shards.Done != 6 || st.Shards.Failed != 0 {
+		t.Fatalf("shard map = %+v, want 6/6 done with none failed", st.Shards)
 	}
 	if len(st.FailedShards) != 0 {
 		t.Errorf("failover must not drop units: failed=%v", st.FailedShards)
@@ -382,8 +425,8 @@ func TestShardWorkerDeathFailover(t *testing.T) {
 	}
 }
 
-// TestShardHedgedStraggler: three units finish in ~1s of manual time,
-// establishing the p90; the fourth hangs. Past factor×p90 the gather
+// TestShardHedgedStraggler: three filter units finish in ~1s of manual
+// time, establishing the p90; the fourth hangs. Past factor×p90 the gather
 // loop speculatively re-dispatches it — to the other worker — and the
 // hedge's result completes the job (first result wins).
 func TestShardHedgedStraggler(t *testing.T) {
@@ -403,7 +446,7 @@ func TestShardHedgedStraggler(t *testing.T) {
 		for cc.clock.Now().Sub(from) < time.Second {
 			time.Sleep(time.Millisecond)
 		}
-		return cannedShardResponse(req.Unit), true
+		return cannedShardResponse(req), true
 	}
 	w1 := newShardWorker(t, "w1", rec, fn)
 	w2 := newShardWorker(t, "w2", rec, fn)
@@ -424,8 +467,8 @@ func TestShardHedgedStraggler(t *testing.T) {
 		t.Errorf("hedged counter = %d, want 1", got)
 	}
 	st := cc.jobStatus(t, id)
-	if st.Shards == nil || st.Shards.Done != 4 || st.Shards.Hedged != 1 {
-		t.Fatalf("shard map = %+v, want 4 done with 1 hedged", st.Shards)
+	if st.Shards == nil || st.Shards.Done != 6 || st.Shards.Hedged != 1 {
+		t.Fatalf("shard map = %+v, want 6 done with 1 hedged", st.Shards)
 	}
 	// The hedge avoided the straggler's worker.
 	servers := rec.workersFor(3)
@@ -433,8 +476,8 @@ func TestShardHedgedStraggler(t *testing.T) {
 		t.Errorf("hedge did not move workers: unit 3 served by %v", servers)
 	}
 	// First result won: exactly one result per unit merged.
-	if got := cc.coord.c.shardMerged.Value(); got != 4 {
-		t.Errorf("merged counter = %d, want 4", got)
+	if got := cc.coord.c.shardMerged.Value(); got != 6 {
+		t.Errorf("merged counter = %d, want 6", got)
 	}
 	code, _, body := cc.fetchMAF(t, id)
 	if code != http.StatusOK {
@@ -454,7 +497,7 @@ func TestShardHedgedStraggler(t *testing.T) {
 // wait for the stream to dry up.
 func TestShardHedgeNotStarvedByCompletions(t *testing.T) {
 	cc := newChaosCluster(t, shardChaosConfig(func(cfg *Config) {
-		cfg.ShardUnits = 4    // 8 units
+		cfg.ShardUnits = 4    // 8 filter units
 		cfg.ShardParallel = 2 // the straggler holds one slot, the rest queue through the other
 	}))
 	gate := make(chan struct{})
@@ -476,13 +519,13 @@ func TestShardHedgeNotStarvedByCompletions(t *testing.T) {
 			<-gate // the straggler's first attempt never returns
 			return server.ShardResponse{}, false
 		case twin:
-			return cannedShardResponse(req.Unit), true
+			return cannedShardResponse(req), true
 		}
 		select {
 		case <-step:
 		case <-gate:
 		}
-		return cannedShardResponse(req.Unit), true
+		return cannedShardResponse(req), true
 	})
 	t.Cleanup(release)
 	cc.register(t, "w1", w1)
@@ -509,8 +552,8 @@ func TestShardHedgeNotStarvedByCompletions(t *testing.T) {
 
 	release()
 	waitReal(t, "sharded job done", func() bool { return cc.jobStatus(t, id).State == server.JobDone })
-	if st := cc.jobStatus(t, id); st.Shards == nil || st.Shards.Done != 8 || st.Shards.Hedged != 1 {
-		t.Errorf("shard map = %+v, want 8 done with 1 hedged", st.Shards)
+	if st := cc.jobStatus(t, id); st.Shards == nil || st.Shards.Done != 10 || st.Shards.Hedged != 1 {
+		t.Errorf("shard map = %+v, want 10 done with 1 hedged", st.Shards)
 	}
 }
 
@@ -525,7 +568,7 @@ func TestShardRetryExhaustionPartialResult(t *testing.T) {
 		if req.Unit.Seq == 1 {
 			return server.ShardResponse{}, false
 		}
-		return cannedShardResponse(req.Unit), true
+		return cannedShardResponse(req), true
 	})
 	cc.register(t, "w1", w1)
 
@@ -544,8 +587,8 @@ func TestShardRetryExhaustionPartialResult(t *testing.T) {
 	if want := []string{plan[1].String()}; len(st.FailedShards) != 1 || st.FailedShards[0] != want[0] {
 		t.Errorf("failed_shards = %v, want %v", st.FailedShards, want)
 	}
-	if st.Shards == nil || st.Shards.Done != 3 || st.Shards.Failed != 1 {
-		t.Errorf("shard map = %+v, want 3 done / 1 failed", st.Shards)
+	if st.Shards == nil || st.Shards.Done != 5 || st.Shards.Failed != 1 {
+		t.Errorf("shard map = %+v, want 5 done / 1 failed", st.Shards)
 	}
 	if !strings.Contains(st.Error, "partial result") {
 		t.Errorf("status error = %q, want a partial-result note", st.Error)
@@ -592,8 +635,8 @@ func TestShardTruncatedBodyRetry(t *testing.T) {
 		t.Errorf("retried counter = %d, want >= 1", got)
 	}
 	st := cc.jobStatus(t, id)
-	if st.Shards == nil || st.Shards.Done != 4 || st.Shards.Failed != 0 {
-		t.Fatalf("shard map = %+v, want 4/4 done", st.Shards)
+	if st.Shards == nil || st.Shards.Done != 6 || st.Shards.Failed != 0 {
+		t.Fatalf("shard map = %+v, want 6/6 done", st.Shards)
 	}
 	code, _, body := cc.fetchMAF(t, id)
 	if code != http.StatusOK {
@@ -606,8 +649,9 @@ func TestShardTruncatedBodyRetry(t *testing.T) {
 
 // TestShardJournalRestartRedispatchOnlyUnfinished: two units complete
 // and journal before the coordinator dies mid-job. The restarted
-// coordinator adopts their spilled frames (recovered counter) and
-// re-dispatches only the other two; the final MAF is still complete.
+// coordinator adopts their spilled results (recovered counter) and
+// re-dispatches only the rest — the other strand's filter units and both
+// extension units; the final MAF is still complete.
 func TestShardJournalRestartRedispatchOnlyUnfinished(t *testing.T) {
 	dir := t.TempDir()
 	rec := &shardRecorder{}
@@ -620,7 +664,7 @@ func TestShardJournalRestartRedispatchOnlyUnfinished(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		}
-		return cannedShardResponse(req.Unit), true
+		return cannedShardResponse(req), true
 	}
 	w1 := newShardWorker(t, "w1", rec, fn)
 	t.Cleanup(func() { allowAll.Store(true) })
@@ -654,8 +698,8 @@ func TestShardJournalRestartRedispatchOnlyUnfinished(t *testing.T) {
 	if got := cc2.coord.c.shardRecovered.Value(); got != 2 {
 		t.Errorf("recovered counter = %d, want 2 (adopted journaled units)", got)
 	}
-	if got := cc2.coord.c.shardMerged.Value(); got != 2 {
-		t.Errorf("merged counter after restart = %d, want 2 (only unfinished units re-ran)", got)
+	if got := cc2.coord.c.shardMerged.Value(); got != 4 {
+		t.Errorf("merged counter after restart = %d, want 4 (only unfinished units re-ran)", got)
 	}
 	redispatched := rec.seqsSince(preRestart)
 	for _, seq := range redispatched {
@@ -667,8 +711,8 @@ func TestShardJournalRestartRedispatchOnlyUnfinished(t *testing.T) {
 		t.Error("no units re-dispatched after restart")
 	}
 	st := cc2.jobStatus(t, id)
-	if !st.Sharded || st.Shards == nil || st.Shards.Done != 4 {
-		t.Fatalf("post-restart shard map = %+v, want 4 done", st.Shards)
+	if !st.Sharded || st.Shards == nil || st.Shards.Done != 6 {
+		t.Fatalf("post-restart shard map = %+v, want 6 done", st.Shards)
 	}
 	code, _, body := cc2.fetchMAF(t, id)
 	if code != http.StatusOK {
@@ -676,6 +720,133 @@ func TestShardJournalRestartRedispatchOnlyUnfinished(t *testing.T) {
 	}
 	if want := expectedShardMAF(t, shardTestPlan(2), nil); body != want {
 		t.Errorf("post-restart MAF not byte-identical:\ngot:\n%s\nwant:\n%s", body, want)
+	}
+}
+
+// TestShardRestartRejectsForeignSpills: a done record only counts with a
+// spill that is this unit's result. Unit 0's spill is a frame array under
+// frames/0.json, as a coordinator predating the two-phase plan wrote it;
+// unit 1's holds another unit's result. Neither may be adopted — least
+// of all as "zero anchors": both are re-dispatched and the MAF is whole.
+func TestShardRestartRejectsForeignSpills(t *testing.T) {
+	dir := t.TempDir()
+	rec := &shardRecorder{}
+	var allowAll atomic.Bool
+	w1 := newShardWorker(t, "w1", rec, func(req server.ShardRequest) (server.ShardResponse, bool) {
+		for req.Unit.Seq >= 2 && !allowAll.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		return cannedShardResponse(req), true
+	})
+	t.Cleanup(func() { allowAll.Store(true) })
+
+	cc := newChaosCluster(t, shardChaosConfig(func(cfg *Config) { cfg.JournalDir = dir }))
+	cc.register(t, "w1", w1)
+	id := cc.submitFASTA(t, shardTestFASTA, nil)
+	cc.pump(t, "two units journaled before the crash", func() {
+		cc.heartbeat(t, "w1")
+	}, func() bool {
+		st := cc.jobStatus(t, id)
+		return st.Shards != nil && st.Shards.Done == 2
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	if err := cc.coord.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	cancel()
+	cc.front.Close()
+	allowAll.Store(true)
+	preRestart := rec.count()
+
+	shards := filepath.Join(dir, "shards", id)
+	unit1, err := os.ReadFile(filepath.Join(shards, "units", "1.json"))
+	if err != nil {
+		t.Fatalf("unit 1 was journaled done without a spill: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(shards, "units", "1.json"), bytes.Replace(unit1, []byte(`"seq":1`), []byte(`"seq":0`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(shards, "units", "0.json")); err != nil {
+		t.Fatal(err)
+	}
+	parentFrames := `[{"at":10000,"aq":0,"fs":100,"score":80,"t_start":10000,"t_end":10008,"d_min":10000,"d_max":10000,"block":null}]`
+	if err := os.MkdirAll(filepath.Join(shards, "frames"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shards, "frames", "0.json"), []byte(parentFrames), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cc2 := newChaosCluster(t, shardChaosConfig(func(cfg *Config) { cfg.JournalDir = dir }))
+	cc2.register(t, "w1", w1)
+	cc2.pump(t, "job done after restart", func() {
+		cc2.heartbeat(t, "w1")
+	}, func() bool {
+		return cc2.jobStatus(t, id).State == server.JobDone
+	})
+	if got := cc2.coord.c.shardRecovered.Value(); got != 0 {
+		t.Errorf("recovered counter = %d, want 0 (neither spill is its unit's result)", got)
+	}
+	if got := rec.seqsSince(preRestart); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
+		t.Errorf("units dispatched after restart = %v, want all six", got)
+	}
+	if st := cc2.jobStatus(t, id); st.Shards == nil || st.Shards.Done != 6 || len(st.FailedShards) != 0 {
+		t.Errorf("post-restart status: shards %+v failed %v, want 6 done", st.Shards, st.FailedShards)
+	}
+	code, _, body := cc2.fetchMAF(t, id)
+	if code != http.StatusOK {
+		t.Fatalf("maf: HTTP %d, want 200", code)
+	}
+	if want := expectedShardMAF(t, shardTestPlan(2), nil); body != want {
+		t.Errorf("post-restart MAF not byte-identical:\ngot:\n%s\nwant:\n%s", body, want)
+	}
+	// finalize publishes the state first and cleans up after.
+	waitReal(t, "terminal job drops its unit spills", func() bool {
+		_, err := os.Stat(filepath.Join(shards, "units"))
+		return os.IsNotExist(err)
+	})
+}
+
+// TestShardHedgeComparesSameKind: the four filter units finish in 1s of
+// manual time each, which sets the filter threshold at 2s; the extension
+// units then take 6s each — normal for them, three times the filter
+// threshold. A unit is only a straggler against its own kind, and two
+// extension units never make a p90: none is hedged (a hedged extension
+// would compute the strand's cells twice), lease and retry cover them.
+func TestShardHedgeComparesSameKind(t *testing.T) {
+	cc := newChaosCluster(t, shardChaosConfig(nil))
+	rec := &shardRecorder{}
+	var over atomic.Bool // the clock stops with the test; a hedge twin must not spin on it
+	fn := func(req server.ShardRequest) (server.ShardResponse, bool) {
+		takes := time.Second
+		if req.Unit.Extend {
+			takes = 6 * time.Second
+		}
+		for from := cc.clock.Now(); cc.clock.Now().Sub(from) < takes && !over.Load(); {
+			time.Sleep(time.Millisecond)
+		}
+		return cannedShardResponse(req), true
+	}
+	cc.register(t, "w1", newShardWorker(t, "w1", rec, fn))
+	cc.register(t, "w2", newShardWorker(t, "w2", rec, fn))
+	t.Cleanup(func() { over.Store(true) })
+
+	id := cc.submitFASTA(t, shardTestFASTA, nil)
+	cc.pump(t, "sharded job done", func() {
+		cc.heartbeat(t, "w1")
+		cc.heartbeat(t, "w2")
+	}, func() bool {
+		return cc.jobStatus(t, id).State == server.JobDone
+	})
+	st := cc.jobStatus(t, id)
+	if st.Shards == nil || st.Shards.Done != 6 || st.Shards.ExtendMS < 6000 {
+		t.Fatalf("shard map = %+v, want 6 done and an extension phase of >= 6s", st.Shards)
+	}
+	if got := cc.coord.c.shardHedged.Value(); got != 0 || st.Shards.Hedged != 0 {
+		t.Errorf("hedged = %d (status %d), want 0: an extension unit was judged by filter units", got, st.Shards.Hedged)
+	}
+	if got := rec.count(); got != 6 {
+		t.Errorf("workers served %d unit requests, want 6", got)
 	}
 }
 

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,20 +21,24 @@ import (
 )
 
 // The per-shard scatter/gather plane. For targets in cfg.ShardDispatch
-// the coordinator does not route a job to one worker: it decomposes the
-// query into strand/seed-shard work units (core.PlanShards), scatters
-// them across every worker advertising the target, and gathers the
-// per-unit HSP frames back through a deterministic reorder/merge so the
-// final MAF is byte-identical to a one-shot run. Each unit has its own
-// lease (the in-flight HTTP request, bounded by ShardLease), its own
-// retry/failover loop, a straggler hedge past a p90-based threshold
-// with first-result-wins dedup (units are idempotent: pure functions of
-// fingerprint + query + range), and a journaled completion record so a
+// the coordinator does not route a job to one worker: it runs it in two
+// phases over one unit-dispatch machinery. Phase 1 scatters the filter:
+// strand × chunk-aligned-range units (core.PlanShards) across every
+// worker advertising the target, each returning its range's filter
+// survivors. As soon as a strand's filter units have all settled, phase
+// 2 sends the strand's gathered anchors to one worker as one extension
+// unit, which extends them once behind the real absorber and returns the
+// committed alignments as MAF blocks in commit order. The MAF is the '+'
+// blocks then the '-' blocks: byte-identical to a one-shot run because
+// phase 2 *is* the one-shot extension stage over the same anchors. A
+// unit of either kind has its own lease (the in-flight HTTP request,
+// bounded by ShardLease), retry/failover loop, straggler hedge with
+// first-result-wins dedup (units are idempotent: pure functions of
+// fingerprint + query + unit) and journaled completion record, so a
 // coordinator restart re-dispatches only unfinished units. Units that
-// exhaust retries degrade the job into a partial result instead of
-// failing it.
+// exhaust retries degrade the job into a partial result, not a failure.
 
-// shardTruncatedReason marks a partial result in job status: the merge
+// shardTruncatedReason marks a partial result in job status: the job
 // completed but FailedShards exhausted their retry budget.
 const shardTruncatedReason = "shard-failures"
 
@@ -53,42 +59,45 @@ func (c *Coordinator) shardEnabled(target string, spec core.JobSpec) bool {
 
 // shardUnitStatus is one unit's client-visible lifecycle state.
 type shardUnitStatus struct {
-	Unit     core.ShardUnit `json:"unit"`
-	State    string         `json:"state"` // pending | running | done | failed
-	Worker   string         `json:"worker,omitempty"`
-	Attempts int            `json:"attempts,omitempty"`
-	Hedged   bool           `json:"hedged,omitempty"`
+	Unit      core.ShardUnit `json:"unit"`
+	State     string         `json:"state"` // pending | running | done | failed
+	Worker    string         `json:"worker,omitempty"`
+	Attempts  int            `json:"attempts,omitempty"`
+	Hedged    bool           `json:"hedged,omitempty"`
+	startedAt time.Time      // first dispatch, the straggler clock
 }
 
-// shardStatusView is the shard map exposed on job status.
+// shardStatusView is the shard map exposed on job status. FilterMS and
+// ExtendMS are the phases' walls: first dispatch to last settle.
 type shardStatusView struct {
-	Total  int               `json:"total"`
-	Done   int               `json:"done"`
-	Failed int               `json:"failed"`
-	Hedged int               `json:"hedged"`
-	Units  []shardUnitStatus `json:"units"`
+	Total    int               `json:"total"`
+	Done     int               `json:"done"`
+	Failed   int               `json:"failed"`
+	Hedged   int               `json:"hedged"`
+	FilterMS int64             `json:"filter_ms"`
+	ExtendMS int64             `json:"extend_ms"`
+	Units    []shardUnitStatus `json:"units"`
 }
 
-type shardUnitInfo struct {
-	shardUnitStatus
-	startedAt time.Time // first dispatch, the straggler clock
+// shardPhase is what the units of one kind have shown so far.
+type shardPhase struct {
+	durs        []time.Duration // completed unit wall times; p90 hedge input
+	first, last time.Time       // first dispatch, last settle
 }
 
-// shardProgress tracks per-unit state for status reporting and hedge
-// decisions. Its lock nests inside coordJob.mu (statusOf holds j.mu
-// then takes prog.mu); nothing takes j.mu while holding prog.mu.
+// shardProgress tracks per-unit state (indexed by the dense unit seq) for
+// status reporting and hedge decisions. Its lock nests inside coordJob.mu
+// (statusOf holds j.mu then takes prog.mu), never the other way round.
 type shardProgress struct {
-	mu    sync.Mutex
-	units map[int]*shardUnitInfo
-	order []int
-	durs  []time.Duration // completed unit wall times; p90 hedge input
+	mu     sync.Mutex
+	units  []shardUnitStatus
+	phases map[bool]*shardPhase // by ShardUnit.Extend
 }
 
-func newShardProgress(plan []core.ShardUnit) *shardProgress {
-	p := &shardProgress{units: make(map[int]*shardUnitInfo, len(plan))}
-	for _, u := range plan {
-		p.units[u.Seq] = &shardUnitInfo{shardUnitStatus: shardUnitStatus{Unit: u, State: "pending"}}
-		p.order = append(p.order, u.Seq)
+func newShardProgress(units []core.ShardUnit) *shardProgress {
+	p := &shardProgress{phases: map[bool]*shardPhase{false: {}, true: {}}}
+	for _, u := range units {
+		p.units = append(p.units, shardUnitStatus{Unit: u, State: "pending"})
 	}
 	return p
 }
@@ -96,8 +105,8 @@ func newShardProgress(plan []core.ShardUnit) *shardProgress {
 func (p *shardProgress) markRunning(seq int, worker string, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	u := p.units[seq]
-	if u == nil || u.State == "done" {
+	u := &p.units[seq]
+	if u.State == "done" {
 		return
 	}
 	u.State = "running"
@@ -106,38 +115,31 @@ func (p *shardProgress) markRunning(seq int, worker string, now time.Time) {
 	if u.startedAt.IsZero() {
 		u.startedAt = now
 	}
+	if ph := p.phases[u.Unit.Extend]; ph.first.IsZero() {
+		ph.first = now
+	}
 }
 
-func (p *shardProgress) markDone(seq int, worker string, dur time.Duration) {
+// markSettled closes a unit's account as done or failed.
+func (p *shardProgress) markSettled(seq int, state, worker string, dur time.Duration, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	u := p.units[seq]
-	if u == nil {
-		return
-	}
-	u.State = "done"
+	u := &p.units[seq]
+	u.State = state
 	if worker != "" {
 		u.Worker = worker
 	}
+	ph := p.phases[u.Unit.Extend]
+	ph.last = now
 	if dur > 0 {
-		p.durs = append(p.durs, dur)
-	}
-}
-
-func (p *shardProgress) markFailed(seq int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if u := p.units[seq]; u != nil && u.State != "done" {
-		u.State = "failed"
+		ph.durs = append(ph.durs, dur)
 	}
 }
 
 func (p *shardProgress) markHedged(seq int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if u := p.units[seq]; u != nil {
-		u.Hedged = true
-	}
+	p.units[seq].Hedged = true
 }
 
 // currentWorker is the worker a unit is (or was last) running on — the
@@ -145,51 +147,52 @@ func (p *shardProgress) markHedged(seq int) {
 func (p *shardProgress) currentWorker(seq int) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if u := p.units[seq]; u != nil {
-		return u.Worker
-	}
-	return ""
+	return p.units[seq].Worker
 }
 
 // stragglers returns the running, not-yet-hedged units whose age has
-// reached factor × p90 of completed unit durations, and how long until
-// the next one's does (noTimer: none will). No threshold exists until
-// minDone units have completed — hedging needs evidence of what
-// "normal" looks like before calling anything a straggler.
+// reached factor × p90 of the completed durations of units of their own
+// kind, and how long until the next one's does (noTimer: none will). A
+// kind has no threshold until minDone of its units have completed:
+// hedging needs evidence of what "normal" looks like, and a cheap filter
+// unit is no evidence about an extension unit.
 func (p *shardProgress) stragglers(now time.Time, minDone int, factor float64) (due []int, next time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	next = noTimer
-	if len(p.durs) < minDone {
-		return nil, next
-	}
-	d := append([]time.Duration(nil), p.durs...)
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	thr := time.Duration(factor * float64(d[len(d)*9/10]))
-	if thr <= 0 {
-		return nil, next
+	thr := map[bool]time.Duration{}
+	for kind, ph := range p.phases {
+		if len(ph.durs) >= minDone {
+			d := slices.Clone(ph.durs)
+			slices.Sort(d)
+			thr[kind] = time.Duration(factor * float64(d[len(d)*9/10]))
+		}
 	}
 	for seq, u := range p.units {
-		if u.State != "running" || u.Hedged || u.startedAt.IsZero() {
+		if u.State != "running" || u.Hedged || u.startedAt.IsZero() || thr[u.Unit.Extend] <= 0 {
 			continue
 		}
-		if left := thr - now.Sub(u.startedAt); left <= 0 {
+		if left := thr[u.Unit.Extend] - now.Sub(u.startedAt); left <= 0 {
 			due = append(due, seq)
 		} else if next == noTimer || left < next {
 			next = left
 		}
 	}
-	sort.Ints(due)
 	return due, next
 }
 
 func (p *shardProgress) snapshot() *shardStatusView {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v := &shardStatusView{Total: len(p.order)}
-	for _, seq := range p.order {
-		u := p.units[seq]
-		v.Units = append(v.Units, u.shardUnitStatus)
+	wall := func(ph *shardPhase) int64 {
+		if ph.first.IsZero() { // nothing dispatched: every unit adopted from the journal
+			return 0
+		}
+		return max(0, ph.last.Sub(ph.first).Milliseconds())
+	}
+	v := &shardStatusView{Total: len(p.units), FilterMS: wall(p.phases[false]), ExtendMS: wall(p.phases[true]),
+		Units: slices.Clone(p.units)}
+	for _, u := range p.units {
 		switch u.State {
 		case "done":
 			v.Done++
@@ -206,10 +209,9 @@ func (p *shardProgress) snapshot() *shardStatusView {
 // shardOutcome is one runner's verdict on one unit attempt chain.
 type shardOutcome struct {
 	seq    int
-	hedge  bool
 	worker string
 	dur    time.Duration
-	frames []server.ShardResultFrame
+	res    *server.ShardResponse
 	err    error
 }
 
@@ -227,10 +229,10 @@ func fastaBaseCount(fasta string) (int, error) {
 	return n, nil
 }
 
-// runShardJob is the scatter/gather state machine for one job: plan (or
-// adopt the journaled plan), adopt units a previous incarnation already
-// completed, scatter the rest as independent runners, gather
-// first-result-wins, hedge stragglers, then merge deterministically.
+// runShardJob is the two-phase state machine for one job: plan the
+// filter units (or adopt the journaled plan), derive the extension units,
+// adopt units a previous incarnation completed, scatter the rest, gather
+// first-result-wins, hedge stragglers, then concatenate the blocks.
 func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 	defer c.wg.Done()
 
@@ -245,10 +247,9 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 	} else {
 		// The plan is journaled before any dispatch so a restarted
 		// coordinator reuses the identical decomposition — unit seq
-		// numbers must mean the same ranges across incarnations.
-		// Planning uses the default seeding geometry; shard dispatch
-		// assumes workers run the same (chunk-aligned ranges only
-		// partition the candidate space when the chunk size matches).
+		// numbers must mean the same units across incarnations. It uses
+		// the default seeding geometry; a worker whose chunk size
+		// differs refuses the unit (422).
 		pcfg := core.DefaultConfig()
 		pcfg.BothStrands = !j.Spec.ForwardOnly
 		plan = core.PlanShards(&pcfg, queryLen, c.cfg.ShardUnits)
@@ -260,53 +261,31 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		c.finalize(j, server.JobFailed, "shard planning produced no units")
 		return
 	}
-	prog := newShardProgress(plan)
+	ext := core.ExtensionUnits(plan)
+	units := slices.Concat(plan, ext)
+	prog := newShardProgress(units)
 	j.mu.Lock()
 	j.shard = prog
 	j.state = server.JobRunning
 	j.mu.Unlock()
 
-	unitBySeq := make(map[int]core.ShardUnit, len(plan))
-	for _, u := range plan {
-		unitBySeq[u.Seq] = u
-	}
-
-	// Adopt results a previous incarnation journaled: a done record
-	// implies readable frames (spill-before-journal), but an unreadable
-	// spill degrades to re-dispatch rather than failure.
-	results := make(map[int][]server.ShardResultFrame, len(plan))
-	if rec != nil {
-		for _, seq := range rec.shardDone {
-			if _, ok := unitBySeq[seq]; !ok {
-				continue
+	// Everything per unit is indexed by its seq: units is dense in it.
+	results := make([]*server.ShardResponse, len(units))
+	// strandAnchors gathers what a strand's settled filter units passed.
+	strandAnchors := func(strand byte) (anchors []core.ExtensionAnchor, arrived bool) {
+		for _, u := range plan {
+			if r := results[u.Seq]; r != nil && u.Strand == strand {
+				anchors, arrived = append(anchors, r.Anchors...), true
 			}
-			data, err := c.wal.loadShardFrames(j.ID, seq)
-			if err != nil {
-				c.log.Warn("spilled shard frames unreadable; re-dispatching unit",
-					"job_id", j.ID, "seq", seq, "err", err)
-				continue
-			}
-			var frames []server.ShardResultFrame
-			if err := json.Unmarshal(data, &frames); err != nil {
-				c.log.Warn("spilled shard frames corrupt; re-dispatching unit",
-					"job_id", j.ID, "seq", seq, "err", err)
-				continue
-			}
-			results[seq] = frames
-			prog.markDone(seq, "", 0)
-			c.c.shardRecovered.Inc()
 		}
-		if len(results) > 0 {
-			c.log.Info("recovered shard results from journal",
-				"job_id", j.ID, "done", len(results), "total", len(plan))
-		}
+		return anchors, arrived
 	}
 
 	// Every runner reports at most one outcome (then a token the gather
 	// loop can wait on) and each unit has at most two runners (primary +
 	// hedge), so neither send blocks, even after the gather loop exits.
-	resultCh := make(chan shardOutcome, 2*len(plan))
-	arrived := make(chan struct{}, 2*len(plan))
+	resultCh := make(chan shardOutcome, 2*len(units))
+	arrived := make(chan struct{}, 2*len(units))
 	report := func(o shardOutcome) {
 		resultCh <- o
 		arrived <- struct{}{}
@@ -317,98 +296,158 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 	for i := 0; i < cap(sem); i++ {
 		sem <- struct{}{}
 	}
-	stops := make(map[int]chan struct{}, len(plan))
-	stopped := make(map[int]bool, len(plan))
-	runners := make(map[int]int, len(plan))
-	pending := 0
-	for _, u := range plan {
-		if _, done := results[u.Seq]; done {
-			continue
+	stops := make([]chan struct{}, len(units)) // closed once the unit is settled, or the job over
+	stopped := make([]bool, len(units))
+	runners := make([]int, len(units))
+	stop := func(seq int) {
+		if !stopped[seq] {
+			stopped[seq] = true
+			close(stops[seq])
 		}
-		pending++
-		stops[u.Seq] = make(chan struct{})
-		runners[u.Seq] = 1
-		c.wg.Add(1)
-		go c.runShardUnit(j, prog, u, false, sem, stops[u.Seq], report)
 	}
-	stopAll := func() {
-		for seq, ch := range stops {
-			if !stopped[seq] {
-				stopped[seq] = true
-				close(ch)
+	launch := func(u core.ShardUnit, hedge bool) {
+		var anchors []core.ExtensionAnchor
+		if u.Extend {
+			anchors, _ = strandAnchors(u.Strand)
+		}
+		runners[u.Seq]++
+		c.wg.Add(1)
+		go c.runShardUnit(j, prog, u, anchors, hedge, sem, stops[u.Seq], report)
+	}
+
+	// Adopt results a previous incarnation journaled, launch the rest: a
+	// done record implies a readable spill (spill-before-journal), but one
+	// that is unreadable or not this unit's (journals older than the
+	// two-phase plan kept frames under another name) degrades to
+	// re-dispatch. An extension result counts only with all of its
+	// strand's filter results — one of them may have been failed then, and
+	// is retried now — and an extension unit starts here only if they were
+	// all adopted.
+	pending := len(units)         // units not yet settled
+	openFilters := map[byte]int{} // of them, filter units, per strand
+	for _, u := range units {
+		stops[u.Seq] = make(chan struct{})
+		if rec != nil && slices.Contains(rec.shardDone, u.Seq) && !(u.Extend && openFilters[u.Strand] > 0) {
+			var res server.ShardResponse
+			data, err := c.wal.loadShardUnit(j.ID, u.Seq)
+			if err == nil {
+				err = json.Unmarshal(data, &res)
+			}
+			if err == nil && res.Unit != u {
+				err = fmt.Errorf("spill holds unit %s", res.Unit)
+			}
+			if err == nil {
+				results[u.Seq] = &res
+				pending--
+				stop(u.Seq)
+				prog.markSettled(u.Seq, "done", "", 0, c.cfg.Clock.Now())
+				c.c.shardRecovered.Inc()
+				continue
+			}
+			c.log.Warn("spilled shard result unusable; re-dispatching unit",
+				"job_id", j.ID, "unit", u.String(), "err", err)
+		}
+		if !u.Extend {
+			openFilters[u.Strand]++
+		}
+		if !u.Extend || openFilters[u.Strand] == 0 {
+			launch(u, false)
+		}
+	}
+	if pending < len(units) {
+		c.log.Info("recovered shard results from journal",
+			"job_id", j.ID, "done", len(units)-pending, "total", len(units))
+	}
+
+	// settle closes unit u's account; err is set when every runner for it
+	// is out of retries — the unit then degrades the job to a partial
+	// result. A strand's last filter unit to settle starts the strand's
+	// extension on the anchors that arrived, without waiting for the other
+	// strand; if none arrived the extension unit fails with them.
+	var failed []core.ShardUnit
+	var settle func(u core.ShardUnit, worker string, err error)
+	settle = func(u core.ShardUnit, worker string, err error) {
+		pending--
+		stop(u.Seq)
+		if err != nil {
+			prog.markSettled(u.Seq, "failed", "", 0, c.cfg.Clock.Now())
+			c.c.shardFailed.Inc()
+			failed = append(failed, u)
+			c.recordFlight(j, obs.FlightShardFailed, worker,
+				fmt.Sprintf("%s unit %s exhausted retries: %v", u.Kind(), u, err))
+			c.log.Warn("shard unit failed permanently", "job_id", j.ID, "unit", u.String(), "err", err)
+		}
+		if !u.Extend {
+			openFilters[u.Strand]--
+		}
+		if u.Extend || openFilters[u.Strand] > 0 {
+			return
+		}
+		for _, x := range ext {
+			if x.Strand != u.Strand || results[x.Seq] != nil {
+				continue
+			}
+			if _, ok := strandAnchors(x.Strand); ok {
+				launch(x, false)
+			} else {
+				settle(x, "", errors.New("every filter unit of the strand failed"))
 			}
 		}
 	}
 
 	// Stragglers are looked for on every unit outcome and at the instant
 	// the next one is due: a stream of completions cannot starve the hedge.
-	var failed []core.ShardUnit
 	for pending > 0 {
 		due, next := prog.stragglers(c.cfg.Clock.Now(), c.cfg.ShardHedgeMinDone, c.cfg.ShardHedgeFactor)
 		for _, seq := range due {
 			if stopped[seq] || runners[seq] > 1 {
 				continue
 			}
-			runners[seq]++
 			prog.markHedged(seq)
 			c.c.shardHedged.Inc()
 			c.recordFlight(j, obs.FlightShardHedged, prog.currentWorker(seq),
-				fmt.Sprintf("unit %s past straggler threshold; speculative re-dispatch", unitBySeq[seq]))
-			c.wg.Add(1)
-			go c.runShardUnit(j, prog, unitBySeq[seq], true, sem, stops[seq], report)
+				fmt.Sprintf("%s unit %s past straggler threshold; speculative re-dispatch", units[seq].Kind(), units[seq]))
+			launch(units[seq], true)
 		}
 		switch c.wait(next, j.cancelCh, arrived) {
 		case wokeTimer:
 			continue
 		case wokeCancelled:
-			stopAll()
 			c.finalize(j, server.JobCancelled, "cancelled by client")
+			fallthrough
+		case wokeShutdown: // the journal carries an unfinished job into the next incarnation
+			for seq := range stops {
+				stop(seq)
+			}
 			return
-		case wokeShutdown:
-			stopAll()
-			return // journal carries the job into the next incarnation
 		}
 		out := <-resultCh
+		u := units[out.seq]
 		runners[out.seq]--
-		if out.err != nil {
-			if _, done := results[out.seq]; !done && runners[out.seq] <= 0 {
-				// Every runner for this unit is out of retries: the
-				// unit degrades the job to a partial result instead
-				// of failing it.
-				pending--
-				prog.markFailed(out.seq)
-				c.c.shardFailed.Inc()
-				failed = append(failed, unitBySeq[out.seq])
-				c.recordFlight(j, obs.FlightShardFailed, out.worker,
-					fmt.Sprintf("unit %s exhausted retries: %v", unitBySeq[out.seq], out.err))
-				c.log.Warn("shard unit failed permanently",
-					"job_id", j.ID, "unit", unitBySeq[out.seq].String(), "err", out.err)
+		switch {
+		case out.err != nil:
+			if results[out.seq] == nil && runners[out.seq] <= 0 {
+				settle(u, out.worker, out.err)
 			}
 			continue
-		}
-		if _, dup := results[out.seq]; dup {
+		case results[out.seq] != nil:
 			// The hedge twin finished second: first result won.
 			c.c.shardDuplicate.Inc()
 			continue
 		}
-		results[out.seq] = out.frames
-		pending--
-		if !stopped[out.seq] {
-			stopped[out.seq] = true
-			close(stops[out.seq])
-		}
-		prog.markDone(out.seq, out.worker, out.dur)
+		results[out.seq] = out.res
+		prog.markSettled(out.seq, "done", out.worker, out.dur, c.cfg.Clock.Now())
 		c.c.shardMerged.Inc()
 		c.recordFlight(j, obs.FlightShardMerged, out.worker,
-			fmt.Sprintf("unit %s: %d frames", unitBySeq[out.seq], len(out.frames)))
-		// Spill-before-journal, same invariant as the query
-		// artifact: a done record implies readable frames. A failed
-		// spill (disk full) skips the record — the in-memory result
-		// still merges; only a restart would redo the unit.
+			fmt.Sprintf("%s unit %s: %d anchors, %d blocks", u.Kind(), u, len(out.res.Anchors), len(out.res.Blocks)))
+		// Spill-before-journal, same invariant as the query artifact: a
+		// done record implies a readable result. A failed spill (disk
+		// full) skips the record — the in-memory result still counts;
+		// only a restart would redo the unit.
 		if c.wal != nil {
-			if data, merr := json.Marshal(out.frames); merr == nil {
-				if err := c.wal.saveShardFrames(j.ID, out.seq, data); err != nil {
-					c.log.Warn("spilling shard frames failed; a restart re-dispatches this unit",
+			if data, merr := json.Marshal(out.res); merr == nil {
+				if err := c.wal.saveShardUnit(j.ID, out.seq, data); err != nil {
+					c.log.Warn("spilling shard result failed; a restart re-dispatches this unit",
 						"job_id", j.ID, "seq", out.seq, "err", err)
 				} else if err := c.wal.shardDone(j, out.seq, out.worker, c.cfg.Clock.Now()); err != nil {
 					c.log.Error("journaling shard completion failed",
@@ -416,23 +455,25 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 				}
 			}
 		}
+		settle(u, out.worker, nil)
 	}
-	stopAll()
-	c.finishShardJob(j, plan, results, failed)
+	c.finishShardJob(j, units, results, failed)
 }
 
 // runShardUnit owns one unit's retry chain: pick a worker, execute the
 // unit synchronously under its lease, back off and move to the next
-// replica on failure. Exactly one outcome is sent unless the unit was
-// settled elsewhere (stop) or the job ended.
-func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.ShardUnit, hedge bool,
-	sem chan struct{}, stop <-chan struct{}, report func(shardOutcome)) {
+// replica on failure (a 422 refusal is one more failed attempt). Exactly
+// one outcome is sent unless the unit was settled elsewhere (stop) or the
+// job ended.
+func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.ShardUnit, anchors []core.ExtensionAnchor,
+	hedge bool, sem chan struct{}, stop <-chan struct{}, report func(shardOutcome)) {
 	defer c.wg.Done()
 	attempts := c.cfg.Retry.Attempts()
 	seed := j.ID + "/" + strconv.Itoa(u.Seq)
 	if hedge {
 		seed += "/hedge"
 	}
+	name := u.Kind() + " unit " + u.String()
 	var lastErr error
 	var lastWorker string
 	for attempt := 1; attempt <= attempts; attempt++ {
@@ -440,8 +481,7 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 			return
 		}
 		if c.fenced.Load() {
-			report(shardOutcome{seq: u.Seq, hedge: hedge,
-				err: fmt.Errorf("coordinator fenced at epoch %d", c.epoch)})
+			report(shardOutcome{seq: u.Seq, err: fmt.Errorf("coordinator fenced at epoch %d", c.epoch)})
 			return
 		}
 		avoid := lastWorker
@@ -476,16 +516,16 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 		switch {
 		case attempt == 1 && !hedge:
 			c.c.shardDispatched.Inc()
-			c.recordFlight(j, obs.FlightShardDispatched, m.ID, "unit "+u.String())
+			c.recordFlight(j, obs.FlightShardDispatched, m.ID, name)
 		case attempt > 1:
 			if _, live := c.ms.alive(lastWorker); lastWorker != "" && !live && m.ID != lastWorker {
 				c.c.shardFailedOver.Inc()
 				c.recordFlight(j, obs.FlightShardFailedOver, m.ID,
-					fmt.Sprintf("unit %s: worker %s lost; attempt %d", u, lastWorker, attempt))
+					fmt.Sprintf("%s: worker %s lost; attempt %d", name, lastWorker, attempt))
 			} else {
 				c.c.shardRetried.Inc()
 				c.recordFlight(j, obs.FlightShardRetried, m.ID,
-					fmt.Sprintf("unit %s attempt %d", u, attempt))
+					fmt.Sprintf("%s attempt %d", name, attempt))
 			}
 		}
 		if c.wait(noTimer, stop, sem) != wokeSignal {
@@ -493,19 +533,19 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 		}
 		prog.markRunning(u.Seq, m.ID, c.cfg.Clock.Now())
 		start := c.cfg.Clock.Now()
-		frames, err := c.dispatchShardTo(j, m, u, stop)
+		res, err := c.dispatchShardTo(j, m, u, anchors, stop)
 		dur := c.cfg.Clock.Now().Sub(start)
 		sem <- struct{}{}
 		lastWorker = m.ID
 		if err == nil {
-			report(shardOutcome{seq: u.Seq, hedge: hedge, worker: m.ID, dur: dur, frames: frames})
+			report(shardOutcome{seq: u.Seq, worker: m.ID, dur: dur, res: res})
 			return
 		}
 		lastErr = err
 		c.log.Warn("shard unit attempt failed", "job_id", j.ID, "unit", u.String(),
 			"worker", m.ID, "attempt", attempt, "err", err)
 	}
-	report(shardOutcome{seq: u.Seq, hedge: hedge, worker: lastWorker, err: lastErr})
+	report(shardOutcome{seq: u.Seq, worker: lastWorker, err: lastErr})
 }
 
 // pickShardWorker chooses a worker for one unit attempt: every worker
@@ -526,10 +566,11 @@ func (c *Coordinator) pickShardWorker(target string, seq, attempt int, avoid str
 // dispatchShardTo executes one work unit on one worker synchronously.
 // The in-flight request is the unit's lease: ShardLease bounds it on
 // the coordinator's clock, and stop (hedge twin won, job over) aborts
-// it early. A 200 whose body dies mid-frame (connection cut, injected
-// truncation) is a decode error — the unit is idempotent, so the caller
-// just retries.
-func (c *Coordinator) dispatchShardTo(j *coordJob, m *Member, u core.ShardUnit, stop <-chan struct{}) ([]server.ShardResultFrame, error) {
+// it early. A 200 whose body dies mid-way is a decode error — the unit
+// is idempotent, so the caller just retries. The result is stamped with
+// the unit asked for: the tag its spill is recognised by after a restart.
+func (c *Coordinator) dispatchShardTo(j *coordJob, m *Member, u core.ShardUnit, anchors []core.ExtensionAnchor,
+	stop <-chan struct{}) (*server.ShardResponse, error) {
 	sr, err := workerCall[server.ShardResponse](c, workerReq{
 		worker: m.ID, method: http.MethodPost, url: m.Addr + "/v1/shards",
 		body: server.ShardRequest{
@@ -541,53 +582,42 @@ func (c *Coordinator) dispatchShardTo(j *coordJob, m *Member, u core.ShardUnit, 
 			JobID:       j.ID,
 			TraceID:     j.TraceID,
 			Unit:        u,
+			Anchors:     anchors,
 		},
 		traceID: j.TraceID, cancel: stop, timeout: c.cfg.ShardLease, want: http.StatusOK,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("unit %s: %w", u, err)
 	}
-	return sr.Frames, nil
+	sr.Unit = u
+	return &sr, nil
 }
 
-// finishShardJob runs the deterministic merge and finalizes. Per
-// strand, frames concatenate in plan order (= canonical emission
-// order), then MergeShardFrames re-runs the whole-strand absorption
-// walk the one-shot pipeline would have run, and the kept blocks render
-// strand-major '+' then '-' — byte-identical to a single-worker MAF.
+// finishShardJob assembles the result and finalizes: the extension
+// units' blocks, already in commit order, strand-major '+' then '-' —
+// the one-shot MAF — and the units' workloads summed into the job's.
 // Failed units make the result partial (206-style status), not an
 // error, unless nothing at all succeeded.
-func (c *Coordinator) finishShardJob(j *coordJob, plan []core.ShardUnit,
-	results map[int][]server.ShardResultFrame, failed []core.ShardUnit) {
-	if len(failed) == len(plan) {
-		c.finalize(j, server.JobFailed, fmt.Sprintf("all %d shard units failed", len(plan)))
+func (c *Coordinator) finishShardJob(j *coordJob, units []core.ShardUnit,
+	results []*server.ShardResponse, failed []core.ShardUnit) {
+	if len(failed) == len(units) {
+		c.finalize(j, server.JobFailed, fmt.Sprintf("all %d shard units failed", len(units)))
 		return
 	}
 	var buf bytes.Buffer
+	var wl core.Workload
 	mw := maf.NewWriter(&buf)
-	absorbBand := core.DefaultConfig().AbsorbBand
-	for _, strand := range []byte{'+', '-'} {
-		var frames []core.ShardFrame
-		var blocks []*maf.Block
-		for _, u := range plan {
-			if u.Strand != strand {
-				continue
-			}
-			for _, f := range results[u.Seq] {
-				frames = append(frames, f.ShardFrame)
-				blocks = append(blocks, f.Block)
-			}
-		}
-		keep, _ := core.MergeShardFrames(frames, absorbBand)
-		for _, i := range keep {
-			if err := mw.Write(blocks[i]); err != nil {
-				c.finalize(j, server.JobFailed, fmt.Sprintf("rendering merged MAF: %v", err))
-				return
+	var err error
+	for _, u := range units { // filter units carry no blocks; extension units follow in strand order
+		if r := results[u.Seq]; r != nil {
+			wl.Add(r.Workload)
+			for _, b := range r.Blocks {
+				err = errors.Join(err, mw.Write(b))
 			}
 		}
 	}
-	if err := mw.Close(); err != nil {
-		c.finalize(j, server.JobFailed, fmt.Sprintf("rendering merged MAF: %v", err))
+	if err = errors.Join(err, mw.Close()); err != nil {
+		c.finalize(j, server.JobFailed, fmt.Sprintf("rendering MAF: %v", err))
 		return
 	}
 
@@ -598,6 +628,7 @@ func (c *Coordinator) finishShardJob(j *coordJob, plan []core.ShardUnit,
 	}
 	j.mu.Lock()
 	j.mafData = buf.Bytes()
+	j.workload = &wl
 	j.failedShards = failedNames
 	if len(failedNames) > 0 {
 		j.truncated = shardTruncatedReason
@@ -612,14 +643,14 @@ func (c *Coordinator) finishShardJob(j *coordJob, plan []core.ShardUnit,
 	errMsg := ""
 	if len(failedNames) > 0 {
 		errMsg = fmt.Sprintf("partial result: %d/%d shard units failed (%s)",
-			len(failedNames), len(plan), strings.Join(failedNames, ", "))
+			len(failedNames), len(units), strings.Join(failedNames, ", "))
 	}
 	c.finalize(j, server.JobDone, errMsg)
 }
 
-// serveShardMAF serves a sharded job's coordinator-merged MAF: wait for
-// the merge (there is no partial stream — determinism needs every
-// frame), then the whole artifact, 206 when shards were dropped.
+// serveShardMAF serves a sharded job's coordinator-assembled MAF: wait
+// for the job (there is no partial stream — the '-' blocks follow all
+// the '+' blocks), then the whole artifact, 206 when shards were dropped.
 func (c *Coordinator) serveShardMAF(w http.ResponseWriter, r *http.Request, j *coordJob) {
 	for st, _, _, changed := j.view(); !st.Terminal(); st, _, _, changed = j.view() {
 		if c.wait(noTimer, r.Context().Done(), changed) != wokeSignal {

@@ -18,7 +18,7 @@ type tspan struct {
 
 // footprint is what one kept alignment covers: its target span and the
 // minimum and maximum diagonal its path touches. It is the one shape the
-// live walk, checkpoint replay and the shard merge hand to cover.
+// live walk and checkpoint replay hand to cover.
 type footprint struct {
 	tStart, tEnd, dMin, dMax int
 }

@@ -39,21 +39,14 @@ type ckptHeader struct {
 	Query   uint64 `json:"query"`
 }
 
-// ckptAnchorPos is one filter survivor in canonical extension order.
-type ckptAnchorPos struct {
-	T int   `json:"t"`
-	Q int   `json:"q"`
-	S int32 `json:"s"`
-}
-
 // ckptStrandRec journals the completed seeding+filtering of one strand:
-// the sorted extension anchors, the workload those stages performed,
-// and any budget truncation that shaped the anchor set.
+// the filter survivors in canonical extension order, the workload those
+// stages performed, and any budget truncation that shaped the anchor set.
 type ckptStrandRec struct {
-	Strand    string          `json:"strand"`
-	Anchors   []ckptAnchorPos `json:"anchors"`
-	Workload  Workload        `json:"workload"`
-	Truncated string          `json:"truncated,omitempty"`
+	Strand    string            `json:"strand"`
+	Anchors   []ExtensionAnchor `json:"anchors"`
+	Workload  Workload          `json:"workload"`
+	Truncated string            `json:"truncated,omitempty"`
 }
 
 // ckptAnchorRec journals the outcome of one extension anchor: an HSP,
@@ -117,7 +110,7 @@ func hspToCkpt(h *HSP) *ckptHSP {
 
 // ckptStrand is the replayed state of one strand.
 type ckptStrand struct {
-	anchors   []passedAnchor
+	anchors   []ExtensionAnchor
 	workload  Workload
 	truncated TruncationReason
 	outcomes  []anchorOutcome // outcome i belongs to anchors[i]
@@ -183,15 +176,11 @@ func (w *ckptWriter) replay(recs []checkpoint.Record) {
 			if json.Unmarshal(rec.Payload, &sr) != nil || len(sr.Strand) != 1 {
 				return
 			}
-			s := &ckptStrand{
+			w.strands[sr.Strand[0]] = &ckptStrand{
 				workload:  sr.Workload,
 				truncated: TruncationReason(sr.Truncated),
-				anchors:   make([]passedAnchor, len(sr.Anchors)),
+				anchors:   sr.Anchors,
 			}
-			for i, a := range sr.Anchors {
-				s.anchors[i] = passedAnchor{tPos: a.T, qPos: a.Q, score: a.S}
-			}
-			w.strands[sr.Strand[0]] = s
 		case ckKindAnchor:
 			var ar ckptAnchorRec
 			if json.Unmarshal(rec.Payload, &ar) != nil || len(ar.Strand) != 1 {
@@ -222,20 +211,16 @@ func (w *ckptWriter) strand(b byte) *ckptStrand {
 
 // recordStrand journals the completed seeding+filtering of a strand. A
 // nil receiver is a no-op.
-func (w *ckptWriter) recordStrand(strand byte, passed []passedAnchor, wl Workload, trunc TruncationReason) error {
+func (w *ckptWriter) recordStrand(strand byte, passed []ExtensionAnchor, wl Workload, trunc TruncationReason) error {
 	if w == nil {
 		return nil
 	}
-	sr := ckptStrandRec{
+	return w.append(ckKindStrand, ckptStrandRec{
 		Strand:    string(strand),
 		Workload:  wl,
 		Truncated: string(trunc),
-		Anchors:   make([]ckptAnchorPos, len(passed)),
-	}
-	for i, p := range passed {
-		sr.Anchors[i] = ckptAnchorPos{T: p.tPos, Q: p.qPos, S: p.score}
-	}
-	return w.append(ckKindStrand, sr)
+		Anchors:   passed,
+	})
 }
 
 // recordAnchor journals the outcome of anchor i of a strand. A nil

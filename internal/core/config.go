@@ -128,7 +128,7 @@ type Config struct {
 	// at job admission (cluster mode propagates it coordinator → worker
 	// on the X-Darwinwga-Trace header). When TraceID is non-empty and
 	// the Recorder implements obs.TraceIdentifier (the Tracer does,
-	// including through obs.Multi), AlignContext and AlignShardUnit hand
+	// including through obs.Multi), AlignContext and the shard-unit entry points hand
 	// the identity to the recorder once at call start, so the recorded
 	// span tree is taggable back to the cluster-wide trace. Observe-only: like
 	// Recorder itself, both are excluded from the checkpoint
@@ -296,7 +296,7 @@ type JobSpec struct {
 
 // Budgeted reports whether the spec carries a resource budget or a
 // deadline. A shard work unit is all-or-nothing (mid-unit truncation
-// would break the deterministic merge), so a budgeted job is never
+// would silently change the job's alignment set), so a budgeted job is never
 // sharded and a unit request carrying a budget is refused.
 func (s JobSpec) Budgeted() bool {
 	cfg := s.Apply(Config{})

@@ -6,13 +6,17 @@ import (
 
 	"darwinwga/internal/align"
 	"darwinwga/internal/gact"
+	"darwinwga/internal/obs"
 )
 
-// passedAnchor is a filter-stage survivor: the Vmax position becomes the
-// extension anchor.
-type passedAnchor struct {
-	tPos, qPos int
-	score      int32
+// ExtensionAnchor is a filter-stage survivor: the Vmax position becomes
+// the extension anchor. Exported for harnesses that drive the extension
+// stage directly (the paper's Figure 10 feeds the same anchors to GACT and
+// GACT-X) and as the wire form a sharded job's phases exchange.
+type ExtensionAnchor struct {
+	TPos  int   `json:"t"`
+	QPos  int   `json:"q"`
+	Score int32 `json:"s"`
 }
 
 // anchorLess is the canonical extension order: best filter score first
@@ -20,23 +24,23 @@ type passedAnchor struct {
 // so the order — and therefore absorption, and therefore the final
 // alignment set — is independent of worker count, goroutine scheduling
 // and how the query was sharded.
-func anchorLess(a, b passedAnchor) bool {
-	if a.score != b.score {
-		return a.score > b.score
+func anchorLess(a, b ExtensionAnchor) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	if a.tPos != b.tPos {
-		return a.tPos < b.tPos
+	if a.TPos != b.TPos {
+		return a.TPos < b.TPos
 	}
-	return a.qPos < b.qPos
+	return a.QPos < b.QPos
 }
 
 // sortAnchors orders filter survivors into the canonical extension order.
-func sortAnchors(passed []passedAnchor) {
+func sortAnchors(passed []ExtensionAnchor) {
 	sort.Slice(passed, func(i, j int) bool { return anchorLess(passed[i], passed[j]) })
 }
 
 // anchorOutcome is what became of one extension anchor: the one shape
-// the live loop commits, the journal replays and a shard unit frames.
+// the live loop commits and the journal replays.
 // The zero value is a sub-threshold discard that did no work.
 type anchorOutcome struct {
 	absorbed     bool  // skipped by the absorption walk, never extended
@@ -91,7 +95,7 @@ func (a *Aligner) newAnchorExtender(r *run, query []byte, strand byte, stop func
 // extend runs anchor i of the strand's canonical order to its outcome.
 // failed means runShard gave up on it: the run then carries a fatal
 // error or, under a retry policy, a degradation.
-func (x *anchorExtender) extend(i int, p passedAnchor) anchorOutcome {
+func (x *anchorExtender) extend(i int, p ExtensionAnchor) anchorOutcome {
 	r, a := x.r, x.a
 	if r.rec != nil {
 		r.rec.AnchorBegin(x.strand, i)
@@ -103,14 +107,14 @@ func (x *anchorExtender) extend(i int, p passedAnchor) anchorOutcome {
 		if r.hook != nil {
 			r.hook(StageExtension, i)
 		}
-		aln = x.ext.Extend(a.target, x.query, p.tPos, p.qPos, &x.st)
+		aln = x.ext.Extend(a.target, x.query, p.TPos, p.QPos, &x.st)
 	}, nil)
 	o := anchorOutcome{failed: !ok}
 	if ok {
 		o.tiles, o.cells = int64(x.st.Tiles), int64(x.st.Cells)
 		if aln.Score >= a.cfg.ExtensionThreshold {
 			matches, _, _ := aln.Counts(a.target, x.query)
-			o.keep(HSP{Alignment: aln, Strand: x.strand, Matches: matches, FilterScore: p.score})
+			o.keep(HSP{Alignment: aln, Strand: x.strand, Matches: matches, FilterScore: p.Score})
 		}
 	}
 	if r.rec != nil {
@@ -119,12 +123,19 @@ func (x *anchorExtender) extend(i int, p passedAnchor) anchorOutcome {
 	return o
 }
 
-// runExtension extends the surviving anchors serially behind the
-// absorber, in the canonical order passed arrives in, polling
-// cancellation and the cell budget per GACT-X tile. Every outcome is
-// journaled (when checkpointing is on) and then committed; an anchor
+// runExtension is stage 3: it extends the surviving anchors serially
+// behind the absorber, in the canonical order passed arrives in — best
+// filter score first, so strong alignments absorb their shadows —
+// polling cancellation and the cell budget per GACT-X tile. Every outcome
+// is journaled (when checkpointing is on) and then committed; an anchor
 // whose outcome the journal already holds is committed from it instead.
-func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []passedAnchor, res *Result) error {
+// It owns the extension StageBegin/StageEnd site and Timings.Extension.
+func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []ExtensionAnchor, res *Result) error {
+	if r.rec != nil {
+		r.rec.StageBegin(strand, obs.StageExtension)
+		defer r.rec.StageEnd(strand, obs.StageExtension)
+	}
+	defer func(t0 time.Time) { res.Timings.Extension += time.Since(t0) }(time.Now())
 	var x *anchorExtender
 	x, err := a.newAnchorExtender(r, query, strand, func() bool {
 		// The budget counts committed cells plus the anchor in flight.
@@ -148,7 +159,7 @@ func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []passe
 		}
 		var o anchorOutcome
 		stopped := false
-		if absorb.covered(p.tPos, p.qPos) {
+		if absorb.covered(p.TPos, p.QPos) {
 			o.absorbed = true
 			if r.rec != nil {
 				r.rec.AnchorSkipped(strand, i)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -195,14 +196,6 @@ func sortHSPs(hsps []HSP) {
 	})
 }
 
-// ExtensionAnchor is a filter-stage survivor, exported for experiment
-// harnesses that want to drive the extension stage directly (e.g. the
-// paper's Figure 10 feeds the same anchors to GACT and GACT-X).
-type ExtensionAnchor struct {
-	TPos, QPos int
-	Score      int32
-}
-
 // Anchors runs only the seeding and filtering stages on the forward
 // strand and returns the surviving anchors sorted by descending filter
 // score.
@@ -216,11 +209,46 @@ func (a *Aligner) Anchors(query []byte) ([]ExtensionAnchor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ExtensionAnchor, len(passed))
-	for i, p := range passed {
-		out[i] = ExtensionAnchor{TPos: p.tPos, QPos: p.qPos, Score: p.score}
+	return passed, nil
+}
+
+// ExtendAnchors runs only the extension stage: it sorts one strand's
+// filter survivors — in any order, from any number of FilterShardUnit
+// calls — into the canonical order and extends them serially behind the
+// absorber, exactly as AlignContext does after its own filter stage.
+// query must already be oriented for strand. Result.HSPs are in commit
+// order (the order MAF serializes); Result.Workload holds the extension
+// counters only. Like a filter unit the call is all-or-nothing and takes
+// no budget.
+func (a *Aligner) ExtendAnchors(ctx context.Context, query []byte, strand byte, anchors []ExtensionAnchor) (*Result, error) {
+	if a.cfg.budgeted() {
+		return nil, errBudgetedUnit
 	}
-	return out, nil
+	for _, an := range anchors {
+		if an.TPos < 0 || an.TPos > len(a.target) || an.QPos < 0 || an.QPos > len(query) {
+			return nil, fmt.Errorf("%w: anchor (%d, %d) outside target of %d and query of %d bases",
+				ErrShardUnitRefused, an.TPos, an.QPos, len(a.target), len(query))
+		}
+	}
+	passed := slices.Clone(anchors)
+	sortAnchors(passed)
+	r, err := a.newRun(ctx, query)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	kept := 0 // a failed call reports no alignments
+	r.span(&a.cfg, len(query))
+	defer func() { r.end(kept) }()
+	err = a.runExtension(r, query, strand, passed, res)
+	if err == nil {
+		err = r.unitComplete(fmt.Sprintf("strand %c extension", strand))
+	}
+	if err != nil {
+		return nil, err
+	}
+	kept = len(res.HSPs)
+	return res, nil
 }
 
 func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) error {
@@ -235,14 +263,14 @@ func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) er
 		defer r.rec.StrandEnd(strand)
 	}
 
-	var passed []passedAnchor
+	var passed []ExtensionAnchor
 	if s := r.ck.strand(strand); s != nil {
 		// Resume: this strand's seeding+filtering completed in a
 		// previous run; replay its anchors and workload instead of
 		// recomputing.
 		passed = s.anchors
-		addWorkload(&res.Workload, s.workload)
-		addWorkload(&res.Replayed, s.workload)
+		res.Workload.Add(s.workload)
+		res.Replayed.Add(s.workload)
 		r.candidates.Add(s.workload.Candidates)
 		r.filterTiles.Add(s.workload.FilterTiles)
 		if s.truncated != "" {
@@ -255,7 +283,7 @@ func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) er
 		if err != nil {
 			return err
 		}
-		addWorkload(&res.Workload, wl)
+		res.Workload.Add(wl)
 		// Journal the strand's anchor set — unless the run is stopping,
 		// in which case the set is incomplete and must be recomputed on
 		// resume. Budget truncation is journaled with it: the truncated
@@ -272,25 +300,16 @@ func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) er
 		}
 	}
 
-	// Stage 3: extension with anchor absorption, best filter score
-	// first so strong alignments absorb their shadows.
-	if r.rec != nil {
-		r.rec.StageBegin(strand, obs.StageExtension)
-		defer r.rec.StageEnd(strand, obs.StageExtension)
-	}
-	t2 := time.Now()
-	err := a.runExtension(r, query, strand, passed, res)
-	res.Timings.Extension += time.Since(t2)
-	return err
+	return a.runExtension(r, query, strand, passed, res)
 }
 
 // seedFilter is the strand front-end, the one copy every entry point
-// (alignStrand, Anchors, AlignShardUnit) runs: D-SOFT seeding over the
+// (alignStrand, Anchors, FilterShardUnit) runs: D-SOFT seeding over the
 // strand-oriented query range [qs, qe), filtering (gapped BSW or
 // ungapped X-drop), and the canonical sort of the survivors. It owns
 // the seeding and filter StageBegin/StageEnd sites, adds the two stage
 // walls to tm, and returns the range's seed/filter workload.
-func (a *Aligner) seedFilter(r *run, query []byte, strand byte, qs, qe int, tm *Timings) ([]passedAnchor, Workload, error) {
+func (a *Aligner) seedFilter(r *run, query []byte, strand byte, qs, qe int, tm *Timings) ([]ExtensionAnchor, Workload, error) {
 	if r.rec != nil {
 		r.rec.StageBegin(strand, obs.StageSeeding)
 	}
@@ -326,13 +345,17 @@ func (a *Aligner) seedFilter(r *run, query []byte, strand byte, qs, qe int, tm *
 	}, nil
 }
 
-// addWorkload accumulates the seed/filter counters of one strand.
-func addWorkload(dst *Workload, d Workload) {
-	dst.SeedHits += d.SeedHits
-	dst.Candidates += d.Candidates
-	dst.FilterTiles += d.FilterTiles
-	dst.FilterCells += d.FilterCells
-	dst.PassedFilter += d.PassedFilter
+// Add accumulates d into w: one strand's counters into a call's, one
+// shard unit's into its job's.
+func (w *Workload) Add(d Workload) {
+	w.SeedHits += d.SeedHits
+	w.Candidates += d.Candidates
+	w.FilterTiles += d.FilterTiles
+	w.FilterCells += d.FilterCells
+	w.PassedFilter += d.PassedFilter
+	w.Absorbed += d.Absorbed
+	w.ExtensionTiles += d.ExtensionTiles
+	w.ExtensionCells += d.ExtensionCells
 }
 
 // runSeeding collects the D-SOFT candidates whose query chunks lie in
@@ -425,10 +448,10 @@ func (a *Aligner) runSeeding(r *run, query []byte, strand byte, qs, qe int) ([]d
 // run. With a Recorder set, every filter invocation reports one
 // FilterTile event (verdict, cells, latency); with a nil Recorder the
 // loop takes no timestamps.
-func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand byte) (passed []passedAnchor, tiles, cells int64) {
+func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand byte) (passed []ExtensionAnchor, tiles, cells int64) {
 	workers := a.cfg.workers()
 	type part struct {
-		passed []passedAnchor
+		passed []ExtensionAnchor
 		tiles  int64
 		cells  int64
 	}
@@ -452,19 +475,19 @@ func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand
 				// and returns the extension anchor it would become: BSW's
 				// Vmax position, or the ungapped segment's end (its
 				// equivalent).
-				var tile func(an dsoft.Anchor) (passedAnchor, int)
+				var tile func(an dsoft.Anchor) (ExtensionAnchor, int)
 				switch a.cfg.Filter {
 				case FilterGapped:
 					ba := align.NewBandedAligner(a.sc, a.cfg.FilterBand)
-					tile = func(an dsoft.Anchor) (passedAnchor, int) {
+					tile = func(an dsoft.Anchor) (ExtensionAnchor, int) {
 						res := ba.FilterTile(a.target, query, an.TPos, an.QPos, a.cfg.FilterTileSize)
-						return passedAnchor{tPos: res.TPos, qPos: res.QPos, score: res.Score}, res.Cells
+						return ExtensionAnchor{TPos: res.TPos, QPos: res.QPos, Score: res.Score}, res.Cells
 					}
 				case FilterUngapped:
 					ue := align.NewUngappedExtender(a.sc, a.cfg.UngappedXDrop)
-					tile = func(an dsoft.Anchor) (passedAnchor, int) {
+					tile = func(an dsoft.Anchor) (ExtensionAnchor, int) {
 						res := ue.Extend(a.target, query, an.TPos, an.QPos, a.shape.Span)
-						return passedAnchor{tPos: res.TEnd, qPos: res.QEnd, score: res.Score}, res.Cells
+						return ExtensionAnchor{TPos: res.TEnd, QPos: res.QEnd, Score: res.Score}, res.Cells
 					}
 				default:
 					return
@@ -482,7 +505,7 @@ func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand
 					pa, cells := tile(an)
 					p.tiles++
 					p.cells += int64(cells)
-					pass := pa.score >= a.cfg.FilterThreshold
+					pass := pa.Score >= a.cfg.FilterThreshold
 					if rec != nil {
 						rec.FilterTile(strand, w, pass, int64(cells), t0, time.Since(t0))
 					}

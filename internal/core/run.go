@@ -84,7 +84,7 @@ func (r *run) end(alignments int) {
 }
 
 // newRun is the preamble of every entry point (AlignContext, Anchors,
-// AlignShardUnit): default a nil context, refuse a query shorter than
+// FilterShardUnit, ExtendAnchors): default a nil context, refuse a query shorter than
 // the seed span, start the run. The caller defers r.end.
 func (a *Aligner) newRun(ctx context.Context, query []byte) (*run, error) {
 	if ctx == nil {

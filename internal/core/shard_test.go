@@ -2,8 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
-	"math"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -52,6 +51,14 @@ func TestPlanShards(t *testing.T) {
 			t.Errorf("forward-only plan has unit %v", u)
 		}
 	}
+	// Phase 2: one whole-strand unit per strand, numbered after the plan.
+	ext := ExtensionUnits(plan)
+	if want := []ShardUnit{
+		{Seq: len(plan), Strand: '+', QEnd: 100_000, Extend: true},
+		{Seq: len(plan) + 1, Strand: '-', QEnd: 100_000, Extend: true},
+	}; !reflect.DeepEqual(ext, want) {
+		t.Errorf("extension units %v, want %v", ext, want)
+	}
 	// Degenerate unit counts still cover the query.
 	one := PlanShards(&cfg, 100, 0)
 	if len(one) != 2 || one[0].QEnd != 100 {
@@ -65,29 +72,160 @@ func TestAlignShardUnitRejectsBudgetsAndBadRanges(t *testing.T) {
 	cfg.MaxCandidates = 10
 	a := newAligner(t, p.TargetSeq(), cfg)
 	q := p.QuerySeq()
-	if _, _, err := a.AlignShardUnit(context.Background(), q, ShardUnit{Strand: '+', QStart: 0, QEnd: len(q)}); err == nil {
-		t.Error("budgeted shard unit accepted")
+	whole := ShardUnit{Strand: '+', QStart: 0, QEnd: len(q)}
+	if _, _, err := a.FilterShardUnit(context.Background(), q, whole); !errors.Is(err, ErrShardUnitRefused) {
+		t.Errorf("budgeted filter unit: err = %v, want a refusal", err)
+	}
+	if _, err := a.ExtendAnchors(context.Background(), q, '+', nil); !errors.Is(err, ErrShardUnitRefused) {
+		t.Errorf("budgeted extension unit: err = %v, want a refusal", err)
 	}
 	cfg = DefaultConfig()
 	a = newAligner(t, p.TargetSeq(), cfg)
-	if _, _, err := a.AlignShardUnit(context.Background(), q, ShardUnit{Strand: '+', QStart: 100, QEnd: 100}); err == nil {
-		t.Error("empty shard range accepted")
+	if _, _, err := a.FilterShardUnit(context.Background(), q, ShardUnit{Strand: '+', QStart: 128, QEnd: 128}); !errors.Is(err, ErrShardUnitRefused) {
+		t.Errorf("empty shard range: err = %v, want a refusal", err)
 	}
-	if _, _, err := a.AlignShardUnit(context.Background(), q, ShardUnit{Strand: '+', QStart: 0, QEnd: len(q) + 1}); err == nil {
-		t.Error("out-of-range shard accepted")
+	if _, _, err := a.FilterShardUnit(context.Background(), q, ShardUnit{Strand: '+', QStart: 0, QEnd: len(q) + 1}); !errors.Is(err, ErrShardUnitRefused) {
+		t.Errorf("out-of-range shard: err = %v, want a refusal", err)
+	}
+	for _, an := range []ExtensionAnchor{{TPos: -1}, {TPos: len(p.TargetSeq()) + 1}, {QPos: -1}, {QPos: len(q) + 1}} {
+		if _, err := a.ExtendAnchors(context.Background(), q, '+', []ExtensionAnchor{an}); !errors.Is(err, ErrShardUnitRefused) {
+			t.Errorf("anchor %+v outside the sequences: err = %v, want a refusal", an, err)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := a.AlignShardUnit(ctx, q, ShardUnit{Strand: '+', QStart: 0, QEnd: len(q)}); err == nil {
-		t.Error("cancelled shard unit returned frames")
+	if _, _, err := a.FilterShardUnit(ctx, q, whole); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled filter unit: err = %v, want context.Canceled", err)
+	}
+	anchors, err := a.Anchors(q)
+	if err != nil || len(anchors) == 0 {
+		t.Fatalf("Anchors: %d survivors, err %v", len(anchors), err)
+	}
+	if _, err := a.ExtendAnchors(ctx, q, '+', anchors); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled extension unit: err = %v, want context.Canceled", err)
 	}
 }
 
+// TestFilterShardUnitRejectsMisalignedRange: a filter unit planned under
+// another chunk size is refused, not run — an unaligned range seeds a
+// different candidate multiset. The grid is the executing aligner's own.
+func TestFilterShardUnitRejectsMisalignedRange(t *testing.T) {
+	p := testPair(t, 4000, 0.05, 0.005)
+	q := p.QuerySeq()
+	small := DefaultConfig()
+	small.DSoft.ChunkSize = DefaultConfig().DSoft.ChunkSize / 2
+	if small.DSoft.BinSize > small.DSoft.ChunkSize {
+		small.DSoft.BinSize = small.DSoft.ChunkSize
+	}
+	chunk, half := DefaultConfig().DSoft.ChunkSize, small.DSoft.ChunkSize
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		qs, qe     int
+		wantRefuse bool
+	}{
+		{"aligned", DefaultConfig(), chunk, 3 * chunk, false},
+		{"end at query end", DefaultConfig(), chunk, len(q), false},
+		{"start off grid", DefaultConfig(), chunk + 1, 3 * chunk, true},
+		{"end off grid", DefaultConfig(), chunk, 3*chunk - 1, true},
+		{"planned on a finer grid", DefaultConfig(), half, 3 * half, true},
+		{"finer grid accepts coarser plan", small, chunk, 3 * chunk, false},
+		{"finer grid, own plan", small, half, 3 * half, false},
+	} {
+		a := newAligner(t, p.TargetSeq(), tc.cfg)
+		_, _, err := a.FilterShardUnit(context.Background(), q, ShardUnit{Strand: '+', QStart: tc.qs, QEnd: tc.qe})
+		if refused := errors.Is(err, ErrShardUnitRefused); refused != tc.wantRefuse || (!refused && err != nil) {
+			t.Errorf("%s: [%d:%d) on chunk %d: err = %v, want refused = %v",
+				tc.name, tc.qs, tc.qe, tc.cfg.DSoft.ChunkSize, err, tc.wantRefuse)
+		}
+	}
+}
+
+// twoPhase pushes query through the sharded path the way the cluster
+// does: every filter unit of a unitsPerStrand plan, delivered in a
+// shuffled order with some units delivered twice (a hedged duplicate;
+// first result per seq wins), then one extension per strand over the
+// gathered anchors, themselves shuffled. It returns the HSPs in emission
+// order ('+' then '-'), the units' summed workload, and each strand's
+// gathered anchors in canonical order.
+func twoPhase(t testing.TB, a *Aligner, query []byte, unitsPerStrand int, rng *rand.Rand) ([]HSP, Workload, map[byte][]ExtensionAnchor) {
+	t.Helper()
+	oriented := map[byte][]byte{'+': query, '-': genome.ReverseComplement(query)}
+	plan := PlanShards(&a.cfg, len(query), unitsPerStrand)
+	type delivery struct {
+		unit    ShardUnit
+		anchors []ExtensionAnchor
+		wl      Workload
+	}
+	var arrivals []delivery
+	for _, u := range plan {
+		anchors, wl, err := a.FilterShardUnit(context.Background(), oriented[u.Strand], u)
+		if err != nil {
+			t.Fatalf("units=%d unit %v: %v", unitsPerStrand, u, err)
+		}
+		arrivals = append(arrivals, delivery{u, anchors, wl})
+	}
+	arrivals = append(arrivals, arrivals[rng.Intn(len(plan))], arrivals[rng.Intn(len(plan))])
+	rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
+	var total Workload
+	taken := map[int]bool{}
+	gathered := map[byte][]ExtensionAnchor{}
+	for _, d := range arrivals {
+		if taken[d.unit.Seq] {
+			continue
+		}
+		taken[d.unit.Seq] = true
+		total.Add(d.wl)
+		gathered[d.unit.Strand] = append(gathered[d.unit.Strand], d.anchors...)
+	}
+	var hsps []HSP
+	for _, x := range ExtensionUnits(plan) {
+		anchors := gathered[x.Strand]
+		rng.Shuffle(len(anchors), func(i, j int) { anchors[i], anchors[j] = anchors[j], anchors[i] })
+		res, err := a.ExtendAnchors(context.Background(), oriented[x.Strand], x.Strand, anchors)
+		if err != nil {
+			t.Fatalf("units=%d extension unit %v: %v", unitsPerStrand, x, err)
+		}
+		hsps = append(hsps, res.HSPs...)
+		total.Add(res.Workload)
+		sortAnchors(anchors)
+	}
+	return hsps, total, gathered
+}
+
+// oneShot is the reference twoPhase is held to: the HSPs in emission
+// order (the order MAF serializes), the Result, and each strand's filter
+// survivors in canonical order.
+func oneShot(t testing.TB, a *Aligner, query []byte) ([]HSP, *Result, map[byte][]ExtensionAnchor) {
+	t.Helper()
+	var emitted []HSP
+	hooked := a.cfg
+	hooked.HSPHook = func(h HSP) { emitted = append(emitted, h) }
+	ah, err := a.WithConfig(hooked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ah.Align(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passed := map[byte][]ExtensionAnchor{}
+	for strand, q := range map[byte][]byte{'+': query, '-': genome.ReverseComplement(query)} {
+		// Anchors is the whole-range front-end on whatever it is handed;
+		// TestFrontEndSharedByAllEntryPoints ties it to the strand pipeline.
+		if passed[strand], err = a.Anchors(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return emitted, res, passed
+}
+
 // TestShardMergeMatchesOneShot is the determinism property behind the
-// cluster's scatter/gather plane: for any unit decomposition, any
-// arrival order, and duplicated (hedged) unit results, merging the
-// per-unit frames reproduces the one-shot pipeline's HSP set in its
-// exact emission order.
+// cluster's two-phase shard plan, on both filters: for any unit
+// decomposition, the multiset union of the filter units' anchors is the
+// one-shot strand's survivor set, and the strand extension over that
+// union — fed in any order — reproduces the one-shot HSP stream in its
+// exact emission order and the one-shot workload to the cell.
 func TestShardMergeMatchesOneShot(t *testing.T) {
 	pair, err := evolve.Generate(evolve.Config{
 		Name: "shard", TargetName: "tgt", QueryName: "qry",
@@ -96,82 +234,44 @@ func TestShardMergeMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.BothStrands = true
-	cfg.Workers = 3
-	a := newAligner(t, pair.TargetSeq(), cfg)
+	// Half the query inverted, so both strands have alignments to find.
 	query := pair.QuerySeq()
-
-	// One-shot reference, in emission order (the order MAF serializes).
-	var want []HSP
-	hooked := cfg
-	hooked.HSPHook = func(h HSP) { want = append(want, h) }
-	ah, err := a.WithConfig(hooked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ah.Align(query); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("one-shot run emitted no HSPs")
-	}
-
-	rc := genome.ReverseComplement(query)
-	rng := rand.New(rand.NewSource(99))
-	for _, units := range []int{1, 3, 5} {
-		plan := PlanShards(&cfg, len(query), units)
-		type unitResult struct {
-			unit   ShardUnit
-			frames []ShardFrame
-			hsps   []HSP
-		}
-		var results []unitResult
-		for _, u := range plan {
-			q := query
-			if u.Strand == '-' {
-				q = rc
+	query = append(query[:len(query)/2:len(query)/2], genome.ReverseComplement(query[len(query)/2:])...)
+	for _, cfg := range []Config{DefaultConfig(), LASTZConfig()} {
+		t.Run(cfg.Filter.String(), func(t *testing.T) {
+			cfg.BothStrands = true
+			cfg.Workers = 3
+			a := newAligner(t, pair.TargetSeq(), cfg)
+			want, ref, passed := oneShot(t, a, query)
+			if want[0].Strand != '+' || want[len(want)-1].Strand != '-' || ref.Workload.Absorbed == 0 {
+				t.Fatalf("one-shot run: %d HSPs, %d anchors absorbed; the test needs both strands and absorption",
+					len(want), ref.Workload.Absorbed)
 			}
-			frames, hsps, err := a.AlignShardUnit(context.Background(), q, u)
-			if err != nil {
-				t.Fatalf("units=%d unit %v: %v", units, u, err)
+			rng := rand.New(rand.NewSource(99))
+			for _, units := range []int{1, 2, 3, 4, 7} {
+				got, wl, gathered := twoPhase(t, a, query, units, rng)
+				for _, strand := range []byte{'+', '-'} {
+					if g, p := gathered[strand], passed[strand]; len(g) != len(p) || (len(g) > 0 && !reflect.DeepEqual(g, p)) {
+						t.Fatalf("units=%d strand %c: the units' %d anchors are not the one-shot's %d survivors",
+							units, strand, len(g), len(p))
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("units=%d: %d HSPs != one-shot %d (or order differs)", units, len(got), len(want))
+				}
+				if wl != ref.Workload {
+					t.Fatalf("units=%d: workload %+v, one-shot %+v", units, wl, ref.Workload)
+				}
 			}
-			results = append(results, unitResult{u, frames, hsps})
-		}
-		// Simulate the gather: shuffled arrival with some units delivered
-		// twice (a hedged duplicate); first result per seq wins.
-		arrivals := append(append([]unitResult(nil), results...), results[rng.Intn(len(results))], results[rng.Intn(len(results))])
-		rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
-		taken := map[int]bool{}
-		frames := map[byte][]ShardFrame{}
-		hsps := map[byte][]HSP{}
-		for _, ar := range arrivals {
-			if taken[ar.unit.Seq] {
-				continue
-			}
-			taken[ar.unit.Seq] = true
-			frames[ar.unit.Strand] = append(frames[ar.unit.Strand], ar.frames...)
-			hsps[ar.unit.Strand] = append(hsps[ar.unit.Strand], ar.hsps...)
-		}
-		var got []HSP
-		for _, strand := range []byte{'+', '-'} {
-			keep, _ := MergeShardFrames(frames[strand], cfg.AbsorbBand)
-			for _, i := range keep {
-				got = append(got, hsps[strand][i])
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("units=%d: merged %d HSPs != one-shot %d (or order differs)", units, len(got), len(want))
-		}
+		})
 	}
 }
 
 // TestFrontEndSharedByAllEntryPoints: Anchors, the one-shot strand
-// pipeline and a full-range shard unit run the same seed → filter →
+// pipeline and a full-range filter unit run the same seed → filter →
 // sort front-end, so for either filter mode they see the same survivor
 // list in the same canonical order. The one-shot list is read back
-// from the strand record it journals; the unit's from its frames, with
-// He lowered so every survivor yields one.
+// from the strand record it journals.
 func TestFrontEndSharedByAllEntryPoints(t *testing.T) {
 	p := testPair(t, 6_000, 0.1, 0.01)
 	q := p.QuerySeq()
@@ -189,27 +289,13 @@ func TestFrontEndSharedByAllEntryPoints(t *testing.T) {
 			if len(anchors) == 0 {
 				t.Fatal("no filter survivors; the test needs real work")
 			}
-			want := make([]passedAnchor, len(anchors))
-			for i, an := range anchors {
-				want[i] = passedAnchor{tPos: an.TPos, qPos: an.QPos, score: an.Score}
-			}
 
-			unitCfg := cfg
-			unitCfg.ExtensionThreshold = math.MinInt32
-			au, err := a.WithConfig(unitCfg)
+			unit, _, err := a.FilterShardUnit(context.Background(), q, ShardUnit{Strand: '+', QEnd: len(q)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames, _, err := au.AlignShardUnit(context.Background(), q, ShardUnit{Strand: '+', QEnd: len(q)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			unit := make([]passedAnchor, len(frames))
-			for i, f := range frames {
-				unit[i] = passedAnchor{tPos: f.AnchorT, qPos: f.AnchorQ, score: f.FilterScore}
-			}
-			if !reflect.DeepEqual(unit, want) {
-				t.Errorf("shard unit saw %d survivors, Anchors %d (or order differs)", len(unit), len(want))
+			if !reflect.DeepEqual(unit, anchors) {
+				t.Errorf("filter unit saw %d survivors, Anchors %d (or order differs)", len(unit), len(anchors))
 			}
 
 			ckCfg := cfg
@@ -236,8 +322,8 @@ func TestFrontEndSharedByAllEntryPoints(t *testing.T) {
 			if s == nil {
 				t.Fatal("one-shot run journaled no strand record")
 			}
-			if !reflect.DeepEqual(s.anchors, want) {
-				t.Errorf("one-shot strand saw %d survivors, Anchors %d (or order differs)", len(s.anchors), len(want))
+			if !reflect.DeepEqual(s.anchors, anchors) {
+				t.Errorf("one-shot strand saw %d survivors, Anchors %d (or order differs)", len(s.anchors), len(anchors))
 			}
 		})
 	}
@@ -260,12 +346,14 @@ func (u *unitCells) AnchorEnd(strand byte, anchor int, tiles, cells int64, hsp b
 	u.Aggregate.AnchorEnd(strand, anchor, tiles, cells, hsp)
 }
 
-// TestShardUnitsReportToRecorder: the shard plane is not dark. Over a
-// PlanShards partition of one query the units' SeedShard events sum to
-// the one-shot candidate count (the seeder is shared, so this is also
-// the partition property), every extension tile is reported, and each
-// unit is bracketed by one AlignBegin/AlignEnd carrying its frame
-// count.
+// TestShardUnitsReportToRecorder: neither phase of the shard plane is
+// dark. Over a PlanShards partition of one query the filter units'
+// SeedShard and FilterTile events sum to the one-shot counts (the seeder
+// is shared, so this is also the partition property), the extension
+// units report every anchor, tile and cell of the one-shot extension —
+// no more: nothing is extended to be thrown away — and each unit of
+// either kind is bracketed by one AlignBegin/AlignEnd, the extension
+// units' carrying their alignment counts.
 func TestShardUnitsReportToRecorder(t *testing.T) {
 	p := testPair(t, 10_000, 0.1, 0.01)
 	q := p.QuerySeq()
@@ -283,117 +371,68 @@ func TestShardUnitsReportToRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := genome.ReverseComplement(q)
-	plan := PlanShards(&cfg, len(q), 3)
-	var frames int
-	for _, u := range plan {
-		uq := q
-		if u.Strand == '-' {
-			uq = rc
-		}
-		f, _, err := ar.AlignShardUnit(context.Background(), uq, u)
-		if err != nil {
-			t.Fatalf("unit %v: %v", u, err)
-		}
-		frames += len(f)
-	}
+	hsps, _, _ := twoPhase(t, ar, q, 3, rand.New(rand.NewSource(1)))
+	units := len(PlanShards(&cfg, len(q), 3)) + 2 // twoPhase runs every unit once: its duplicates are re-deliveries
 	snap := rec.Snapshot()
 	wl := oneShot.Workload
 	if snap.Seeding.SeedHits != wl.SeedHits || snap.Seeding.Candidates != wl.Candidates {
-		t.Errorf("units reported (%d hits, %d candidates), one-shot workload (%d, %d)",
+		t.Errorf("filter units reported (%d hits, %d candidates), one-shot workload (%d, %d)",
 			snap.Seeding.SeedHits, snap.Seeding.Candidates, wl.SeedHits, wl.Candidates)
 	}
-	if got := snap.Filter.TilesPassed + snap.Filter.TilesFailed; got != wl.FilterTiles {
-		t.Errorf("units reported %d filter tiles, one-shot workload %d", got, wl.FilterTiles)
+	if got := snap.Filter.TilesPassed + snap.Filter.TilesFailed; got != wl.FilterTiles || snap.Filter.TilesPassed != wl.PassedFilter {
+		t.Errorf("filter units reported %d filter tiles, %d passed; one-shot workload %d, %d",
+			got, snap.Filter.TilesPassed, wl.FilterTiles, wl.PassedFilter)
 	}
-	if snap.Extension.Anchors != wl.PassedFilter {
-		t.Errorf("units extended %d anchors, one-shot passed %d (units absorb nothing)",
-			snap.Extension.Anchors, wl.PassedFilter)
+	if snap.Extension.Anchors != wl.PassedFilter-wl.Absorbed {
+		t.Errorf("extension units extended %d anchors, one-shot %d passed − %d absorbed",
+			snap.Extension.Anchors, wl.PassedFilter, wl.Absorbed)
 	}
-	if cells := rec.anchorCells.Load(); cells == 0 || snap.Extension.Cells != cells {
-		t.Errorf("ExtensionTile cells = %d, the units' own totals = %d (want equal, > 0)",
-			snap.Extension.Cells, cells)
+	if cells := rec.anchorCells.Load(); cells != wl.ExtensionCells || snap.Extension.Cells != cells || snap.Extension.Tiles != wl.ExtensionTiles {
+		t.Errorf("ExtensionTile events: %d tiles, %d cells; per-anchor totals %d cells; one-shot %d tiles, %d cells",
+			snap.Extension.Tiles, snap.Extension.Cells, cells, wl.ExtensionTiles, wl.ExtensionCells)
 	}
-	if snap.Extension.Cells < wl.ExtensionCells {
-		t.Errorf("un-absorbed units computed %d cells, fewer than the one-shot %d",
-			snap.Extension.Cells, wl.ExtensionCells)
+	if got := rec.aligns.Load(); got != int64(units) {
+		t.Errorf("AlignBegin fired %d times for %d units", got, units)
 	}
-	if got := rec.aligns.Load(); got != int64(len(plan)) {
-		t.Errorf("AlignBegin fired %d times for %d units", got, len(plan))
-	}
-	if got := rec.hsps.Load(); got != int64(frames) {
-		t.Errorf("AlignEnd reported %d frames, units returned %d", got, frames)
+	if got := rec.hsps.Load(); got != int64(len(hsps)) || len(hsps) != len(oneShot.HSPs) {
+		t.Errorf("AlignEnd reported %d alignments, extension units returned %d, one-shot %d",
+			got, len(hsps), len(oneShot.HSPs))
 	}
 }
 
-// FuzzShardMerge drives the merge with arbitrary frame sets and checks
-// its core invariant: the kept-frame sequence (by content) is identical
-// under any permutation of the input, and every kept frame's anchor is
-// outside the footprint of the frames kept before it.
+// FuzzShardMerge drives the two-phase path over one small diverged pair
+// with arbitrary partitions (units per strand), arrival orders and
+// duplicate deliveries of filter units, and arbitrary orders of the
+// gathered anchors: none of them may change the HSP stream or the
+// workload, which are the one-shot run's.
 func FuzzShardMerge(f *testing.F) {
-	seed := make([]byte, 0, 64)
-	for _, v := range []int32{100, 5, 5, 200, 7, 9, 100, 5, 6} {
-		seed = binary.LittleEndian.AppendUint32(seed, uint32(v))
+	pair, err := evolve.Generate(evolve.Config{
+		Name: "fuzz", TargetName: "tgt", QueryName: "qry",
+		Length: 5_000, SubRate: 0.1, IndelRate: 0.01, Seed: 11,
+	})
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Add(seed, uint16(3))
-	f.Fuzz(func(t *testing.T, data []byte, permSeed uint16) {
-		var frames []ShardFrame
-		// Equal-key frames are the same extension (a pure function of
-		// its anchor), which is the merge's precondition: a repeated key
-		// is a hedged duplicate and carries the first one's content.
-		byKey := map[[3]int]ShardFrame{}
-		for len(data) >= 20 && len(frames) < 64 {
-			u := func(i int) int32 { return int32(binary.LittleEndian.Uint32(data[i:])) }
-			tStart := int(u(4) % 1_000_000)
-			if tStart < 0 {
-				tStart = -tStart
-			}
-			span := int(u(8) % 10_000)
-			if span < 0 {
-				span = -span
-			}
-			d := int(u(12) % 5_000)
-			fr := ShardFrame{
-				FilterScore: u(0) % 100_000,
-				AnchorT:     tStart + span/2,
-				AnchorQ:     tStart + span/2 - d,
-				Score:       u(16),
-				TStart:      tStart,
-				TEnd:        tStart + span,
-				DMin:        d - int(u(16)%64),
-				DMax:        d + int(u(8)%64),
-			}
-			key := [3]int{int(fr.FilterScore), fr.AnchorT, fr.AnchorQ}
-			if first, ok := byKey[key]; ok {
-				fr = first
-			} else {
-				byKey[key] = fr
-			}
-			frames = append(frames, fr)
-			data = data[20:]
+	cfg := DefaultConfig()
+	cfg.BothStrands = true
+	cfg.Workers = 2
+	a, err := NewAligner(pair.TargetSeq(), cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	query := pair.QuerySeq()
+	want, ref, _ := oneShot(f, a, query)
+	if len(want) == 0 {
+		f.Fatal("one-shot run emitted no HSPs")
+	}
+	f.Add(uint8(3), int64(3))
+	f.Fuzz(func(t *testing.T, units uint8, seed int64) {
+		got, wl, _ := twoPhase(t, a, query, int(units%16), rand.New(rand.NewSource(seed)))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("units=%d seed=%d: %d HSPs != one-shot %d (or order differs)", units%16, seed, len(got), len(want))
 		}
-		keep, absorbed := MergeShardFrames(frames, 256)
-		if len(keep)+absorbed != len(frames) {
-			t.Fatalf("kept %d + absorbed %d != %d frames", len(keep), absorbed, len(frames))
-		}
-		kept := make([]ShardFrame, len(keep))
-		for i, k := range keep {
-			kept[i] = frames[k]
-		}
-		// Permutation invariance: shuffle deterministically and re-merge.
-		perm := append([]ShardFrame(nil), frames...)
-		rng := rand.New(rand.NewSource(int64(permSeed)))
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		keep2, absorbed2 := MergeShardFrames(perm, 256)
-		if absorbed2 != absorbed {
-			t.Fatalf("absorbed %d != %d after permutation", absorbed2, absorbed)
-		}
-		kept2 := make([]ShardFrame, len(keep2))
-		for i, k := range keep2 {
-			kept2[i] = perm[k]
-		}
-		if !reflect.DeepEqual(kept, kept2) {
-			t.Fatalf("kept set differs after permutation:\n%v\nvs\n%v", kept, kept2)
+		if wl != ref.Workload {
+			t.Fatalf("units=%d seed=%d: workload %+v, one-shot %+v", units%16, seed, wl, ref.Workload)
 		}
 	})
 }

@@ -16,7 +16,15 @@ import (
 // that alphabet is rejected with its line and column number. CRLF and
 // trailing-whitespace line endings are accepted.
 func ReadFASTA(r io.Reader) ([]*Sequence, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	// An in-memory source needs no more buffer than it has bytes: a served
+	// query is a few kilobases, parsed once per job and once per shard
+	// unit, and a 1 MiB buffer for each is garbage in the size class that
+	// fragments the heap around the target indexes.
+	size := 1 << 20
+	if m, ok := r.(interface{ Len() int }); ok {
+		size = min(size, m.Len()+1)
+	}
+	br := bufio.NewReaderSize(r, size)
 	var seqs []*Sequence
 	var cur *Sequence
 	lineno := 0

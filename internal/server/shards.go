@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 
 	"darwinwga/internal/core"
@@ -9,52 +10,52 @@ import (
 )
 
 // The worker half of the cluster's per-shard scatter/gather plane.
-// POST /v1/shards executes exactly one strand/seed-shard work unit
-// synchronously: the in-flight HTTP request is the unit's lease — if
-// the coordinator gives up (timeout, worker death, hedge win
-// elsewhere) it simply abandons the response, and the unit's effects
+// POST /v1/shards executes exactly one work unit synchronously — a
+// phase-1 filter unit (a strand's chunk-aligned query range, seeded and
+// filtered) or a phase-2 extension unit (a strand's gathered anchors,
+// extended once behind the absorber). The in-flight HTTP request is the
+// unit's lease: if the coordinator gives up (timeout, worker death, hedge
+// win elsewhere) it simply abandons the response, and the unit's effects
 // are confined to this handler. Units are idempotent by construction
-// (pure functions of target fingerprint + query + unit range), which
-// is what makes coordinator-side retry, failover, and hedging safe.
+// (pure functions of target fingerprint + query + unit), which is what
+// makes coordinator-side retry, failover, and hedging safe.
 
 // ShardRequest is the POST /v1/shards body — one scatter/gather work
-// unit. The coordinator sends the full query FASTA with every unit;
-// the unit's QStart/QEnd selects the slice this worker seeds.
+// unit. The coordinator sends the full query FASTA with every unit; a
+// filter unit's QStart/QEnd selects the slice this worker seeds, an
+// extension unit (Unit.Extend) brings the strand's Anchors.
 type ShardRequest struct {
 	Target string `json:"target"`
 	// Fingerprint, when set, must match the registered target's content
 	// fingerprint — a mismatched worker answers 409 so the coordinator
-	// reroutes instead of merging frames from a different index.
+	// reroutes instead of mixing anchors from a different index.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	QueryFASTA  string `json:"query_fasta"`
 	QueryName   string `json:"query_name,omitempty"`
 	// JobSpec is the job's parameter set; a unit is all-or-nothing, so
 	// one that is Budgeted is refused.
 	core.JobSpec
-	JobID   string         `json:"job_id,omitempty"`
-	TraceID string         `json:"trace_id,omitempty"`
-	Unit    core.ShardUnit `json:"unit"`
+	JobID   string                 `json:"job_id,omitempty"`
+	TraceID string                 `json:"trace_id,omitempty"`
+	Unit    core.ShardUnit         `json:"unit"`
+	Anchors []core.ExtensionAnchor `json:"anchors,omitempty"`
 }
 
-// ShardResultFrame is one above-threshold alignment from a work unit:
-// the merge keys and absorber footprint (core.ShardFrame, inlined) plus
-// the worker-rendered MAF block. Blocks are rendered worker-side
-// because only workers hold the target bases; the coordinator's merge
-// only reorders and drops them.
-type ShardResultFrame struct {
-	core.ShardFrame
-	Block *maf.Block `json:"block"`
-}
-
-// ShardResponse is the POST /v1/shards success body.
+// ShardResponse is the POST /v1/shards success body, and what the
+// coordinator spills per settled unit: a filter unit's survivors, or an
+// extension unit's committed alignments as MAF blocks in commit order
+// (only workers hold the target bases), and its share of the workload.
 type ShardResponse struct {
-	Unit   core.ShardUnit     `json:"unit"`
-	Frames []ShardResultFrame `json:"frames"`
+	Unit     core.ShardUnit         `json:"unit"`
+	Anchors  []core.ExtensionAnchor `json:"anchors,omitempty"`
+	Blocks   []*maf.Block           `json:"blocks,omitempty"`
+	Workload core.Workload          `json:"workload"`
 }
 
-// handleShard executes one shard work unit and returns its frames.
-// Failures are plain 5xx: the coordinator owns retry policy, so the
-// worker never retries internally.
+// handleShard executes one shard work unit and returns its result. A
+// unit this worker's configuration cannot run as planned is refused with
+// 422; other failures are plain 5xx. Either way the coordinator owns
+// retry policy, so the worker never retries internally.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	if decodeBody(w, r, bodyLimit(s.cfg.MaxQueryBases), &req) != 0 {
@@ -98,8 +99,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// The same spec→config mapping job submission uses, minus the
 	// server's own default budgets and the MaxDeadline clamp (the spec
 	// carries no deadline): a unit is all-or-nothing, so mid-unit
-	// truncation would break the determinism the merge depends on. A slow
-	// unit is the coordinator's problem (hedging), not the worker's.
+	// truncation would change the job's alignment set. A slow unit is the
+	// coordinator's problem (hedging, the lease), not the worker's.
 	cfg := req.Apply(s.jobs.base)
 	cfg.MaxCandidates, cfg.MaxFilterTiles, cfg.MaxExtensionCells = 0, 0, 0
 	cfg.CheckpointDir = ""
@@ -117,23 +118,31 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if req.Unit.Strand == '-' {
 		q = genome.ReverseComplement(qBases)
 	}
-	frames, hsps, err := aligner.AlignShardUnit(r.Context(), q, req.Unit)
+	out := ShardResponse{Unit: req.Unit}
+	if req.Unit.Extend {
+		var res *core.Result
+		if res, err = aligner.ExtendAnchors(r.Context(), q, req.Unit.Strand, req.Anchors); err == nil {
+			out.Workload = res.Workload
+			br := &maf.BlockRenderer{TMap: tgt.Map, QMap: qMap, Target: tgt.Bases, Query: qBases}
+			out.Blocks = make([]*maf.Block, len(res.HSPs))
+			for i := range res.HSPs {
+				if out.Blocks[i], err = br.RenderAlignment(&res.HSPs[i].Alignment, res.HSPs[i].Strand); err != nil {
+					break
+				}
+			}
+		}
+	} else {
+		out.Anchors, out.Workload, err = aligner.FilterShardUnit(r.Context(), q, req.Unit)
+	}
 	if err != nil {
 		s.shardUnitsFailed.Inc()
-		WriteError(w, http.StatusInternalServerError, "unit %v: %v", req.Unit, err)
+		code := http.StatusInternalServerError
+		if errors.Is(err, core.ErrShardUnitRefused) {
+			code = http.StatusUnprocessableEntity
+		}
+		WriteError(w, code, "unit %v: %v", req.Unit, err)
 		return
 	}
-	br := &maf.BlockRenderer{TMap: tgt.Map, QMap: qMap, Target: tgt.Bases, Query: qBases}
-	out := make([]ShardResultFrame, len(frames))
-	for i, fr := range frames {
-		block, err := br.RenderAlignment(&hsps[i].Alignment, hsps[i].Strand)
-		if err != nil {
-			s.shardUnitsFailed.Inc()
-			WriteError(w, http.StatusInternalServerError, "rendering unit %v frame %d: %v", req.Unit, i, err)
-			return
-		}
-		out[i] = ShardResultFrame{ShardFrame: fr, Block: block}
-	}
 	s.shardUnitsServed.Inc()
-	WriteJSON(w, http.StatusOK, ShardResponse{Unit: req.Unit, Frames: out})
+	WriteJSON(w, http.StatusOK, out)
 }
