@@ -10,6 +10,14 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Every suite line that names tests (-run, -fuzz) goes through named-test:
+# go test exits 0 when a pattern matches nothing, so a renamed test would
+# silently leave its suite.
+named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
+	if [ $$st -ne 0 ]; then exit $$st; fi; \
+	if echo "$$out" | grep -qE 'no tests to run|no fuzz tests to fuzz'; then \
+		echo "named-test: a pattern matched nothing: go test $(1)"; exit 1; fi
+
 # Declared-once guard (shell only): the job contract and the worker
 # client each exist once, and this keeps the copies from growing back.
 # Fails if the job-parameter JSON tags are declared in more than one
@@ -32,6 +40,10 @@ vet:
 # file (replaced, not forked), and what the rewrite deleted — the per-row
 # direction slices, the per-row closures, the saturating subtract — stays
 # out of every non-test file of internal/align.
+# And for the reproduction layer: one GACT-X cycle model fed by the tiles
+# that ran (the averaged-shape estimate stays deleted from every Go file),
+# one hardware-model package (internal/systolic is folded into
+# internal/hw), and one HSP-to-chain-block conversion (chain.BuildHSPs).
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -58,6 +70,11 @@ check-once:
 	n=$$(grep -l 'type XDropAligner ' $$src | wc -l); \
 	if [ "$$n" -ne 1 ] || grep -nE 'saturSub|rowDirs +\[\]\[\]byte|\.rowDirs|prevV :=|prevD :=' $$src; then \
 		echo "check-once: want one X-drop kernel (XDropAligner declared in $$n files) without per-row slices, closures or saturSub"; exit 1; fi
+	@if grep -rnE --include='*.go' 'GACTXTileCyclesFromCells|avgExtensionShape' .; then \
+		echo "check-once: the averaged GACT-X estimate is back (price extension with hw.GACTXReplay)"; exit 1; fi
+	@if [ -e internal/systolic ]; then echo "check-once: internal/systolic exists (the cycle model lives in internal/hw)"; exit 1; fi
+	@n=$$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=bench '&chain.Block{' . | wc -l); \
+	if [ "$$n" -gt 1 ]; then echo "check-once: &chain.Block{ in $$n non-test files, want <= 1 (chain.BuildHSPs)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -75,9 +92,9 @@ test-race:
 # truncation/corruption sweeps, and the in-process resume/retry tests.
 # Not -short: the e2e re-execs the test binary as the CLI.
 test-resume:
-	$(GO) test -timeout 15m -run 'TestCrashResume|TestRetry' ./cmd/darwin-wga/
+	$(call named-test,-timeout 15m -run 'TestCrashResume|TestRetry' ./cmd/darwin-wga/)
 	$(GO) test -timeout 15m ./internal/checkpoint/
-	$(GO) test -timeout 15m -run 'TestResume|TestRetry|TestFailureAggregation|TestCompatCheckpoint' ./internal/core/
+	$(call named-test,-timeout 15m -run 'TestResume|TestRetry|TestFailureAggregation|TestCompatCheckpoint' ./internal/core/)
 
 # Serving suite: the in-process HTTP job-server lifecycle tests under
 # the race detector (shared-aligner concurrency, admission control,
@@ -88,7 +105,7 @@ test-resume:
 # binary as the server.
 test-serve:
 	$(GO) test -race -timeout 15m ./internal/server/
-	$(GO) test -timeout 15m -run TestServeE2E ./cmd/darwin-wga/
+	$(call named-test,-timeout 15m -run TestServeE2E ./cmd/darwin-wga/)
 
 # Observability suite: the metrics registry / tracer unit tests under
 # the race detector, the trace-vs-Workload exactness and zero-alloc
@@ -98,10 +115,10 @@ test-serve:
 # as the server.
 test-obs:
 	$(GO) test -race -timeout 10m ./internal/obs/
-	$(GO) test -timeout 15m -run 'TestTraceCoversWorkload|TestPipelineMetricsMatchWorkload|TestRecorderAllocOverheadConstant' ./internal/core/
-	$(GO) test -timeout 10m -run 'TestTileHook' ./internal/gact/
-	$(GO) test -timeout 15m -run 'TestMetricsEndpoint|TestJobStatsBlock|TestPprofGating' ./internal/server/
-	$(GO) test -timeout 15m -run 'TestTraceAndProfileFlagsE2E|TestServeObservabilityE2E' ./cmd/darwin-wga/
+	$(call named-test,-timeout 15m -run 'TestTraceCoversWorkload|TestPipelineMetricsMatchWorkload|TestRecorderAllocOverheadConstant' ./internal/core/)
+	$(call named-test,-timeout 10m -run 'TestTileHook' ./internal/gact/)
+	$(call named-test,-timeout 15m -run 'TestMetricsEndpoint|TestJobStatsBlock|TestPprofGating' ./internal/server/)
+	$(call named-test,-timeout 15m -run 'TestTraceAndProfileFlagsE2E|TestServeObservabilityE2E' ./cmd/darwin-wga/)
 
 # Cluster observability suite: the flight-recorder ring / capped-tracer
 # / federation-snapshot unit tests with the zero-alloc disabled-path
@@ -115,9 +132,9 @@ test-obs:
 # an explicit -timeout.
 test-obs-cluster:
 	$(GO) test -race -timeout 10m ./internal/obs/
-	$(GO) test -race -timeout 15m -run 'TestJobTrace|TestJobEvents|TestLatencyHistograms|TestMetricsPrometheusLint' ./internal/server/
-	$(GO) test -race -timeout 15m -run 'TestClusterTraceMergeAcrossFailover|TestClusterMetricsFederation|TestReplicationHubFollowerLags|TestStandbyReplicationLagMetrics|TestShipLagMetric' ./internal/cluster/
-	$(GO) test -timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E' ./cmd/darwin-wga/
+	$(call named-test,-race -timeout 15m -run 'TestJobTrace|TestJobEvents|TestLatencyHistograms|TestMetricsPrometheusLint' ./internal/server/)
+	$(call named-test,-race -timeout 15m -run 'TestClusterTraceMergeAcrossFailover|TestClusterMetricsFederation|TestReplicationHubFollowerLags|TestStandbyReplicationLagMetrics|TestShipLagMetric' ./internal/cluster/)
+	$(call named-test,-timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E' ./cmd/darwin-wga/)
 
 # Chaos suite: crash-only serving under the race detector — the
 # durable job store (journal round-trip, torn tails, restart recovery
@@ -129,8 +146,8 @@ test-obs-cluster:
 # the same journal/checkpoint dirs, and require the recovered job's
 # MAF byte-identical to an uninterrupted run.
 test-chaos:
-	$(GO) test -race -timeout 20m -run 'TestJobStore|TestRestart|TestWatchdog|TestBreaker|TestMemoryAdmission|TestSlowloris|TestBodyCap' ./internal/server/
-	$(GO) test -timeout 15m -run 'TestServeCrashRestartRecoversJob' ./cmd/darwin-wga/
+	$(call named-test,-race -timeout 20m -run 'TestJobStore|TestRestart|TestWatchdog|TestBreaker|TestMemoryAdmission|TestSlowloris|TestBodyCap' ./internal/server/)
+	$(call named-test,-timeout 15m -run 'TestServeCrashRestartRecoversJob' ./cmd/darwin-wga/)
 
 # Cluster suite: the coordinator/worker topology under the race
 # detector — consistent-hash ring properties, lease membership on a
@@ -152,7 +169,7 @@ test-chaos:
 # explicit -timeout so a wedged subprocess can never hang the target.
 test-cluster:
 	$(GO) test -race -timeout 15m ./internal/cluster/ ./internal/faultinject/
-	$(GO) test -timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E|TestHAWorkerFailoverResumesFromShippedE2E' ./cmd/darwin-wga/
+	$(call named-test,-timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E|TestHAWorkerFailoverResumesFromShippedE2E' ./cmd/darwin-wga/)
 
 # Index lifecycle suite: the serialized-index store under the race
 # detector (format round-trip, corruption rejection typed-error tests,
@@ -166,9 +183,9 @@ test-cluster:
 # force eviction, and the evicted target must reload from its file.
 test-index:
 	$(GO) test -race -timeout 10m ./internal/indexstore/
-	$(GO) test -race -timeout 10m -run 'TestMemoryBytes' ./internal/seed/
-	$(GO) test -race -timeout 15m -run 'TestIndex|TestResultCache|TestTargetsExpose' ./internal/server/
-	$(GO) test -timeout 15m -run 'TestIndexLifecycleE2E' ./cmd/darwin-wga/
+	$(call named-test,-race -timeout 10m -run 'TestMemoryBytes' ./internal/seed/)
+	$(call named-test,-race -timeout 15m -run 'TestIndex|TestResultCache|TestTargetsExpose' ./internal/server/)
+	$(call named-test,-timeout 15m -run 'TestIndexLifecycleE2E' ./cmd/darwin-wga/)
 
 # Shard scatter/gather suite: the core two-phase property tests (for any
 # unit count, arrival order and hedged duplicate, the filter units'
@@ -185,14 +202,7 @@ test-index:
 # -shard-dispatch (byte-identical MAF, recovery metrics), and a
 # fault-injected worker exhausting one unit's retries into a 206
 # partial result. Not -short: the e2e re-execs the test binary as
-# coordinator and workers. Every line carries an explicit -timeout, and
-# goes through named-test: go test exits 0 when a -run or -fuzz pattern
-# matches nothing, so a renamed test would silently leave the suite.
-named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
-	if [ $$st -ne 0 ]; then exit $$st; fi; \
-	if echo "$$out" | grep -qE 'no tests to run|no fuzz tests to fuzz'; then \
-		echo "named-test: a pattern matched nothing: go test $(1)"; exit 1; fi
-
+# coordinator and workers. Every line carries an explicit -timeout.
 test-shard:
 	$(call named-test,-race -timeout 15m -run 'TestPlanShards|TestAlignShardUnit|TestFilterShardUnit|TestShardMergeMatchesOneShot|TestShardUnitsReportToRecorder|TestFrontEndSharedByAllEntryPoints' ./internal/core/)
 	$(call named-test,-run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/core/)
@@ -228,13 +238,13 @@ lint:
 # kernel vs the frozen seed kernel in xdrop_seed_test.go). Corpus misses
 # fail the build; longer runs are `go test -fuzz=<name> -fuzztime=10m`.
 test-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadFASTA -fuzztime 10s ./internal/genome/
-	$(GO) test -run '^$$' -fuzz FuzzReadMAF -fuzztime 10s ./internal/maf/
-	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/checkpoint/
-	$(GO) test -run '^$$' -fuzz FuzzIndexLoad -fuzztime 10s ./internal/indexstore/
-	$(GO) test -run '^$$' -fuzz FuzzBandedVsMaskedSW -fuzztime 10s ./internal/align/
-	$(GO) test -run '^$$' -fuzz FuzzXDropUnboundedVsPrefixMax -fuzztime 10s ./internal/align/
-	$(GO) test -run '^$$' -fuzz FuzzXDropBoundedVsPrefixMax -fuzztime 10s ./internal/align/
-	$(GO) test -run '^$$' -fuzz FuzzXDropVsSeedKernel -fuzztime 10s ./internal/align/
+	$(call named-test,-run '^$$' -fuzz FuzzReadFASTA -fuzztime 10s ./internal/genome/)
+	$(call named-test,-run '^$$' -fuzz FuzzReadMAF -fuzztime 10s ./internal/maf/)
+	$(call named-test,-run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/checkpoint/)
+	$(call named-test,-run '^$$' -fuzz FuzzIndexLoad -fuzztime 10s ./internal/indexstore/)
+	$(call named-test,-run '^$$' -fuzz FuzzBandedVsMaskedSW -fuzztime 10s ./internal/align/)
+	$(call named-test,-run '^$$' -fuzz FuzzXDropUnboundedVsPrefixMax -fuzztime 10s ./internal/align/)
+	$(call named-test,-run '^$$' -fuzz FuzzXDropBoundedVsPrefixMax -fuzztime 10s ./internal/align/)
+	$(call named-test,-run '^$$' -fuzz FuzzXDropVsSeedKernel -fuzztime 10s ./internal/align/)
 
 ci: build vet check-once test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench

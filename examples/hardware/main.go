@@ -1,7 +1,8 @@
 // Hardware: model a whole genome alignment on the paper's FPGA and
 // ASIC deployments. The pipeline runs in software to record the
-// workload (filter tiles, extension tiles), then the systolic-array
-// cycle model prices that workload on each platform and derives the
+// workload (filter tiles, extension tiles) while a replay prices every
+// extension tile it executes on each platform's arrays, then the
+// systolic-array cycle model prices the filter workload and derives the
 // paper's performance/$ and performance/W improvements.
 //
 //	go run ./examples/hardware
@@ -12,7 +13,6 @@ import (
 	"log"
 
 	"darwinwga"
-	"darwinwga/internal/core"
 	"darwinwga/internal/hw"
 )
 
@@ -22,7 +22,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	aligner, err := darwinwga.NewAligner(pair.TargetSeq(), darwinwga.DefaultConfig())
+	platforms := []hw.Platform{hw.FPGA(), hw.ASIC()}
+	gactx := hw.NewGACTXReplay(platforms...)
+	alignerCfg := darwinwga.DefaultConfig()
+	alignerCfg.Extension.TileHook = gactx.Tile
+	aligner, err := darwinwga.NewAligner(pair.TargetSeq(), alignerCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,19 +37,18 @@ func main() {
 	w := res.Workload
 	fmt.Printf("workload: %d filter tiles, %d extension tiles\n\n", w.FilterTiles, w.ExtensionTiles)
 
-	pipelineCfg := core.DefaultConfig()
 	seedSec := res.Timings.Seeding.Seconds()
 	swSec := hw.IsoSensitiveSoftwareSeconds(w, 0, seedSec, res.Timings.Extension.Seconds())
 	fmt.Printf("iso-sensitive software (c4.8xlarge @ 225K tiles/s): %8.2fs\n", swSec)
 
-	for _, platform := range []hw.Platform{hw.FPGA(), hw.ASIC()} {
-		est, err := platform.Estimate(w, seedSec, pipelineCfg.FilterTileSize, pipelineCfg.FilterBand)
+	for _, platform := range platforms {
+		est, err := platform.Estimate(w, gactx, seedSec, alignerCfg.FilterTileSize, alignerCfg.FilterBand)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s\n", platform.Name)
 		fmt.Printf("  BSW throughput:    %10.2fM tiles/s\n",
-			platform.BSWThroughput(pipelineCfg.FilterTileSize, pipelineCfg.FilterBand)/1e6)
+			platform.BSWThroughput(alignerCfg.FilterTileSize, alignerCfg.FilterBand)/1e6)
 		fmt.Printf("  filter stage:      %10.3fs\n", est.FilterSeconds)
 		fmt.Printf("  extension stage:   %10.3fs\n", est.ExtensionSeconds)
 		fmt.Printf("  total runtime:     %10.3fs (%.0fx speedup over iso-sensitive software)\n",

@@ -323,6 +323,10 @@ func (x *XDropAligner) LastRowWidths(dst []int) []int {
 	return dst
 }
 
+// LastRows returns how many rows past the boundary row the most recent
+// Align call computed: one fewer than LastRowWidths has entries.
+func (x *XDropAligner) LastRows() int { return len(x.rowOff) - 2 }
+
 // traceback walks from (i,j) back to the origin through the arena's
 // ragged direction rows, into the aligner's transcript buffer.
 func (x *XDropAligner) traceback(i, j int) []EditOp {

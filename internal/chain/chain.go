@@ -8,6 +8,8 @@ package chain
 import (
 	"fmt"
 	"sort"
+
+	"darwinwga/internal/core"
 )
 
 // Block is one local alignment to be chained. Coordinates are half-open
@@ -189,6 +191,31 @@ func Build(blocks []*Block, opts Options) []Chain {
 		}
 	}
 	sort.Slice(chains, func(a, b int) bool { return chains[a].Score > chains[b].Score })
+	return chains
+}
+
+// BuildHSPs chains a pipeline run's alignments, each query strand on its
+// own, and returns all chains sorted by descending score (equal scores
+// keep '+' before '-'). A block takes its matched-base count from the HSP,
+// which the pipeline tallied when it committed the alignment.
+func BuildHSPs(hsps []core.HSP, opts Options) []Chain {
+	var byStrand [2][]*Block
+	for i := range hsps {
+		h := &hsps[i]
+		si := 0
+		if h.Strand == '-' {
+			si = 1
+		}
+		byStrand[si] = append(byStrand[si], &Block{
+			TStart: h.TStart, TEnd: h.TEnd,
+			QStart: h.QStart, QEnd: h.QEnd,
+			Score:          h.Score,
+			Matches:        h.Matches,
+			UngappedBlocks: h.UngappedBlocks(),
+		})
+	}
+	chains := append(Build(byStrand[0], opts), Build(byStrand[1], opts)...)
+	sort.SliceStable(chains, func(i, j int) bool { return chains[i].Score > chains[j].Score })
 	return chains
 }
 

@@ -53,9 +53,10 @@ type fakeWorker struct {
 	traceIDs   []string // X-Darwinwga-Trace header from each dispatch
 
 	// Script knobs, set before the worker sees traffic.
-	ignoreWait bool          // answer status reads at once, as a worker predating ?wait= would
-	bornDone   bool          // accepted jobs are terminal from the start: a result-cache hit
-	submitGate chan struct{} // when set, POST /v1/jobs blocks until it closes
+	fingerprint string        // advertised for every target at register (default testFP)
+	ignoreWait  bool          // answer status reads at once, as a worker predating ?wait= would
+	bornDone    bool          // accepted jobs are terminal from the start: a result-cache hit
+	submitGate  chan struct{} // when set, POST /v1/jobs blocks until it closes
 
 	// Scripted observability surfaces: the span buffer served at
 	// GET /v1/jobs/{id}/trace (honoring ?after) and the flight ring
@@ -319,9 +320,13 @@ func (cc *chaosCluster) register(t *testing.T, id string, w *fakeWorker, targets
 	w.mu.Lock()
 	w.clock = cc.clock
 	w.mu.Unlock()
+	fp := testFP
+	if w.fingerprint != "" {
+		fp = w.fingerprint
+	}
 	entries := make([]map[string]string, 0, len(targets))
 	for _, name := range targets {
-		entries = append(entries, map[string]string{"name": name, "fingerprint": testFP})
+		entries = append(entries, map[string]string{"name": name, "fingerprint": fp})
 	}
 	body, _ := json.Marshal(map[string]any{
 		"worker_id": id, "addr": w.srv.URL, "targets": entries,

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 
 	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
@@ -185,7 +184,7 @@ func (c *Coordinator) writeClusterMetrics(w io.Writer) {
 				fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
 				wrote = true
 			}
-			fmt.Fprintf(w, "%s{worker=%q} %g\n", fam.name, clusterLabelSafe(m.ID), fam.value(m.Snapshot))
+			fmt.Fprintf(w, "%s{worker=%q} %g\n", fam.name, obs.LabelSafe(m.ID), fam.value(m.Snapshot))
 		}
 	}
 	// Snapshot age makes staleness visible: a worker whose series froze
@@ -200,7 +199,7 @@ func (c *Coordinator) writeClusterMetrics(w io.Writer) {
 			wroteAge = true
 		}
 		fmt.Fprintf(w, "darwinwga_cluster_worker_snapshot_age_seconds{worker=%q} %g\n",
-			clusterLabelSafe(m.ID), now.Sub(m.SnapshotAt).Seconds())
+			obs.LabelSafe(m.ID), now.Sub(m.SnapshotAt).Seconds())
 	}
 	if c.hub != nil {
 		lags := c.hub.followerLags()
@@ -213,12 +212,12 @@ func (c *Coordinator) writeClusterMetrics(w io.Writer) {
 			fmt.Fprint(w, "# HELP darwinwga_standby_replication_lag_frames journal records the standby has not yet shipped\n# TYPE darwinwga_standby_replication_lag_frames gauge\n")
 			for _, id := range ids {
 				fmt.Fprintf(w, "darwinwga_standby_replication_lag_frames{standby=%q} %d\n",
-					clusterLabelSafe(id), lags[id].frames)
+					obs.LabelSafe(id), lags[id].frames)
 			}
 			fmt.Fprint(w, "# HELP darwinwga_standby_replication_lag_bytes journal payload bytes the standby has not yet shipped\n# TYPE darwinwga_standby_replication_lag_bytes gauge\n")
 			for _, id := range ids {
 				fmt.Fprintf(w, "darwinwga_standby_replication_lag_bytes{standby=%q} %d\n",
-					clusterLabelSafe(id), lags[id].bytes)
+					obs.LabelSafe(id), lags[id].bytes)
 			}
 		}
 	}
@@ -232,21 +231,7 @@ func (c *Coordinator) writeClusterMetrics(w io.Writer) {
 		fmt.Fprint(w, "# HELP darwinwga_cluster_job_ship_lag_seconds seconds since the job's worker last shipped a checkpoint segment\n# TYPE darwinwga_cluster_job_ship_lag_seconds gauge\n")
 		for _, id := range ids {
 			fmt.Fprintf(w, "darwinwga_cluster_job_ship_lag_seconds{job_id=%q} %g\n",
-				clusterLabelSafe(id), ship[id].Seconds())
+				obs.LabelSafe(id), ship[id].Seconds())
 		}
 	}
-}
-
-// clusterLabelSafe maps arbitrary ids into a conservative label-value
-// alphabet (quotes and backslashes would otherwise need escaping).
-func clusterLabelSafe(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '-', r == '.', r == ':', r == '/':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

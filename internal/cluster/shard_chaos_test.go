@@ -27,6 +27,7 @@ import (
 
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
+	"darwinwga/internal/genome"
 	"darwinwga/internal/maf"
 	"darwinwga/internal/obs"
 	"darwinwga/internal/server"
@@ -608,6 +609,73 @@ func TestShardRetryExhaustionPartialResult(t *testing.T) {
 	}
 	if want := expectedShardMAF(t, plan, map[int]bool{1: true}); body != want {
 		t.Errorf("partial MAF wrong:\ngot:\n%s\nwant:\n%s", body, want)
+	}
+}
+
+// TestShardDrainingReplicaRetriesElsewhere: a real worker that has begun
+// shutting down still holds its lease. Its POST /v1/shards answers 503,
+// which is about the worker and not the unit, so every unit whose first
+// replica it is settles on the other replica as "retried" — none fails,
+// and the draining worker loads no index back to compute one.
+func TestShardDrainingReplicaRetriesElsewhere(t *testing.T) {
+	cc := newChaosCluster(t, shardChaosConfig(nil))
+	draining, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := draining.RegisterTarget(testTarget, &genome.Assembly{Name: testTarget,
+		Seqs: []*genome.Sequence{{Name: "chr1", Bases: bytes.Repeat([]byte("ACGTTGCAAC"), 40)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := draining.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	w1 := newFakeWorkerWrapped(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/shards" {
+				draining.Handler().ServeHTTP(rw, r)
+				return
+			}
+			next.ServeHTTP(rw, r)
+		})
+	})
+	rec := &shardRecorder{}
+	w2 := newShardWorker(t, "w2", rec, nil)
+	// Replicas of one target: the job asks for the real worker's fingerprint.
+	w1.fingerprint, w2.fingerprint = tgt.Fingerprint, tgt.Fingerprint
+	cc.register(t, "w1", w1)
+	cc.register(t, "w2", w2)
+
+	id := cc.submitFASTA(t, shardTestFASTA, nil)
+	cc.pump(t, "job settles on the live replica", func() {
+		cc.heartbeat(t, "w1")
+		cc.heartbeat(t, "w2")
+	}, func() bool {
+		return cc.jobStatus(t, id).State == server.JobDone
+	})
+
+	st := cc.jobStatus(t, id)
+	if st.Shards == nil || st.Shards.Done != 6 || st.Shards.Failed != 0 {
+		t.Fatalf("shard map = %+v, want 6/6 done", st.Shards)
+	}
+	if retried, failed := cc.coord.c.shardRetried.Value(), cc.coord.c.shardFailed.Value(); retried < 1 || failed != 0 {
+		t.Errorf("retried = %d, failed = %d; want the draining replica's units retried and none failed", retried, failed)
+	}
+	for seq := 0; seq < 6; seq++ {
+		if len(rec.workersFor(seq)) == 0 {
+			t.Errorf("unit %d never reached the live replica", seq)
+		}
+	}
+	if n := draining.Registry().ResidentTargets(); n != 0 {
+		t.Errorf("the draining worker reloaded %d indexes", n)
+	}
+	code, _, body := cc.fetchMAF(t, id)
+	if code != http.StatusOK {
+		t.Fatalf("maf: HTTP %d, want 200", code)
+	}
+	if want := expectedShardMAF(t, shardTestPlan(2), nil); body != want {
+		t.Errorf("MAF after retrying past the draining replica differs:\ngot:\n%s\nwant:\n%s", body, want)
 	}
 }
 

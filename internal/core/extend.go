@@ -76,15 +76,20 @@ type anchorExtender struct {
 }
 
 // newAnchorExtender builds an extender over the strand-oriented query;
-// stop is polled before every GACT-X tile. A nil Recorder leaves TileHook
-// nil, so the extender's hot loop takes no timestamps.
+// stop is polled before every GACT-X tile. A Recorder's tile event is
+// composed with the configuration's own TileHook, which fires once per
+// tile either way; with neither, the extender's hot loop takes no
+// timestamps.
 func (a *Aligner) newAnchorExtender(r *run, query []byte, strand byte, stop func() bool) (*anchorExtender, error) {
 	x := &anchorExtender{a: a, r: r, query: query, strand: strand}
 	ecfg := a.cfg.Extension
 	ecfg.Stop = stop
-	if r.rec != nil {
-		ecfg.TileHook = func(cells int, start time.Time, dur time.Duration) {
-			r.rec.ExtensionTile(strand, x.cur, int64(cells), start, dur)
+	if user := ecfg.TileHook; r.rec != nil {
+		ecfg.TileHook = func(t gact.Tile) {
+			r.rec.ExtensionTile(strand, x.cur, int64(t.Cells), t.Start, t.Dur)
+			if user != nil {
+				user(t)
+			}
 		}
 	}
 	var err error

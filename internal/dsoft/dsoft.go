@@ -53,9 +53,6 @@ type Anchor struct {
 	QPos int
 }
 
-// Diagonal returns tpos - qpos, the anchor's diagonal.
-func (a Anchor) Diagonal() int { return a.TPos - a.QPos }
-
 // Stats reports work done during seeding; Table V's workload column
 // ("Seeds") comes from here.
 type Stats struct {

@@ -16,9 +16,19 @@ func randSeq(rng *rand.Rand, n int) []byte {
 	return out
 }
 
+// defaultShape compiles the 12-of-19 default seed pattern.
+func defaultShape(t *testing.T) *seed.Shape {
+	t.Helper()
+	sh, err := seed.ParseShape(seed.DefaultPattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
 func buildIndex(t *testing.T, target []byte) *seed.Index {
 	t.Helper()
-	ix, err := seed.BuildIndex(target, seed.DefaultShape(), seed.IndexOptions{})
+	ix, err := seed.BuildIndex(target, defaultShape(t), seed.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +68,7 @@ func TestSelfAlignmentProducesDiagonalAnchors(t *testing.T) {
 	// The main diagonal must be hit in essentially every chunk.
 	onDiag := 0
 	for _, a := range anchors {
-		if a.Diagonal() == 0 {
+		if a.TPos == a.QPos {
 			onDiag++
 		}
 	}
@@ -82,7 +92,7 @@ func TestAnchorsFindTranslocatedSegment(t *testing.T) {
 	anchors := s.Collect(query, 0, len(query), nil, &stats, nil)
 	found := false
 	for _, a := range anchors {
-		if a.Diagonal() == 1000 && a.QPos >= 1000 && a.QPos < 1400 {
+		if a.TPos-a.QPos == 1000 && a.QPos >= 1000 && a.QPos < 1400 {
 			found = true
 			break
 		}
@@ -107,7 +117,7 @@ func TestBandDeduplication(t *testing.T) {
 	seen := make(map[[2]int]int)
 	for _, a := range anchors {
 		chunk := a.QPos / p.ChunkSize
-		band := (a.Diagonal() + len(target)) / p.BinSize
+		band := (a.TPos - a.QPos + len(target)) / p.BinSize
 		seen[[2]int{chunk, band}]++
 	}
 	for k, n := range seen {
@@ -171,7 +181,7 @@ func TestTransitionsIncreaseSensitivity(t *testing.T) {
 	if len(aOn) <= len(aOff) {
 		t.Errorf("transitions: %d anchors vs %d without; expected increase", len(aOn), len(aOff))
 	}
-	wantLookups := stOff.Lookups * (seed.DefaultShape().Weight + 1)
+	wantLookups := stOff.Lookups * (defaultShape(t).Weight + 1)
 	if stOn.Lookups != wantLookups {
 		t.Errorf("lookups with transitions = %d, want %d (m+1 rule)", stOn.Lookups, wantLookups)
 	}

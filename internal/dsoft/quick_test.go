@@ -12,7 +12,7 @@ import (
 // target window at TPos matches the query window at QPos under the
 // shape (allowing one transition when enabled) — and lies in range.
 func TestQuickAnchorsAreRealSeedHits(t *testing.T) {
-	shape := seed.DefaultShape()
+	shape := defaultShape(t)
 	f := func(raw []byte, transitions bool) bool {
 		if len(raw) == 0 {
 			raw = []byte{3}

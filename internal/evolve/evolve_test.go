@@ -217,7 +217,7 @@ func TestInversionsRecordedInMap(t *testing.T) {
 			continue
 		}
 		tot++
-		if genome.ComplementBase(target[tpos]) == query[qp] {
+		if genome.ReverseComplement(target[tpos : tpos+1])[0] == query[qp] {
 			agree++
 		}
 	}
@@ -281,11 +281,14 @@ func TestMapInterval(t *testing.T) {
 }
 
 func TestStandardPairs(t *testing.T) {
-	cfgs := StandardPairs(0.002) // tiny for test speed
-	if len(cfgs) != 4 {
-		t.Fatalf("got %d pairs", len(cfgs))
+	if len(StandardPairNames) != 4 {
+		t.Fatalf("got %d pairs", len(StandardPairNames))
 	}
-	for _, cfg := range cfgs {
+	for _, name := range StandardPairNames {
+		cfg, ok := StandardPair(name, 0.002) // tiny for test speed
+		if !ok {
+			t.Fatalf("%s: not a standard pair", name)
+		}
 		if cfg.Length < 1000 {
 			t.Errorf("%s: length %d", cfg.Name, cfg.Length)
 		}
@@ -299,9 +302,6 @@ func TestStandardPairs(t *testing.T) {
 	}
 	if _, ok := StandardPair("nope", 1); ok {
 		t.Error("unknown pair accepted")
-	}
-	if ScaledQueryLen("ce11-cb4", 0.01) != 1050000 {
-		t.Errorf("ScaledQueryLen = %d", ScaledQueryLen("ce11-cb4", 0.01))
 	}
 }
 

@@ -75,28 +75,3 @@ func StandardPair(name string, scale float64) (Config, bool) {
 	cfg.Length = int(realSizesMbp[cfg.TargetName] * 1e6 * scale)
 	return cfg, true
 }
-
-// StandardPairs returns all four evaluation pair configs at the given
-// scale.
-func StandardPairs(scale float64) []Config {
-	out := make([]Config, 0, len(StandardPairNames))
-	for _, name := range StandardPairNames {
-		cfg, _ := StandardPair(name, scale)
-		out = append(out, cfg)
-	}
-	return out
-}
-
-// ScaledQueryLen returns the query assembly's Table I size scaled the
-// same way (informational; generated query length is determined by the
-// evolution process).
-func ScaledQueryLen(name string, scale float64) int {
-	cfg, ok := StandardPair(name, scale)
-	if !ok {
-		return 0
-	}
-	if scale <= 0 {
-		scale = 0.01
-	}
-	return int(realSizesMbp[cfg.QueryName] * 1e6 * scale)
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"darwinwga/internal/ortho"
 )
 
 // tinyLab runs at 1/2000 of the real genome sizes so the full suite
@@ -166,8 +168,12 @@ func TestTable5Shape(t *testing.T) {
 	if !strings.Contains(labOut(l).String(), "35.92") {
 		t.Error("Table4 missing total area")
 	}
+	labOut(l).Reset()
 	if err := Table6(l); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(labOut(l).String(), "BSW arrays (paper: 64)") {
+		t.Errorf("Table6 missing the provisioning check:\n%s", labOut(l))
 	}
 }
 
@@ -209,6 +215,39 @@ func TestFig9Renders(t *testing.T) {
 	out := labOut(l).String()
 	if !strings.Contains(out, "Darwin-WGA") {
 		t.Errorf("Fig9 output unexpected:\n%s", out)
+	}
+}
+
+// The exon view is cut out of the HSP's rendered lines by target
+// position: whatever the gaps, its target line read without them is the
+// exon itself.
+func TestExonAlignmentShowsTheExon(t *testing.T) {
+	skipIfShort(t)
+	l := tinyLab()
+	run, err := l.Run("dm6-dp4", ModeDarwin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered := 0
+	for _, e := range ortho.Classify(run.Pair, nil, ortho.DefaultParams()) {
+		labOut(l).Reset()
+		renderExonAlignment(l, run, e)
+		var tLine strings.Builder
+		for _, line := range strings.Split(labOut(l).String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "T "); ok {
+				tLine.WriteString(strings.ReplaceAll(rest, "-", ""))
+			}
+		}
+		if tLine.Len() == 0 {
+			continue // no single HSP spans this exon
+		}
+		rendered++
+		if want := string(run.Pair.TargetSeq()[e.Interval.Start:e.Interval.End]); tLine.String() != want {
+			t.Errorf("exon %d-%d: rendered target line reads\n%s\nwant\n%s", e.Interval.Start, e.Interval.End, tLine.String(), want)
+		}
+	}
+	if rendered == 0 {
+		t.Fatal("no exon was spanned by a single HSP")
 	}
 }
 

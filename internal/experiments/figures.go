@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
-	"strings"
 	"time"
 
 	"darwinwga/internal/align"
@@ -11,6 +12,7 @@ import (
 	"darwinwga/internal/evolve"
 	"darwinwga/internal/gact"
 	"darwinwga/internal/genome"
+	"darwinwga/internal/maf"
 	"darwinwga/internal/ortho"
 	"darwinwga/internal/phylo"
 	"darwinwga/internal/stats"
@@ -31,7 +33,7 @@ func Fig2(l *Lab) error {
 		if err != nil {
 			return err
 		}
-		chains := sortedChains(run.Chains)
+		chains := run.Chains
 		if len(chains) > 10 {
 			chains = chains[:10]
 		}
@@ -122,30 +124,12 @@ func Fig8(l *Lab) error {
 
 // pairSiteCounts tallies aligned columns over every HSP of a run.
 func pairSiteCounts(run *PairRun) *phylo.SiteCounts {
-	target := run.Pair.TargetSeq()
-	query := run.Pair.QuerySeq()
-	var rc []byte
 	counts := &phylo.SiteCounts{}
 	for i := range run.Result.HSPs {
-		h := &run.Result.HSPs[i]
-		q := query
-		if h.Strand == '-' {
-			if rc == nil {
-				rc = genome.ReverseComplement(query)
-			}
-			q = rc
-		}
-		ti, qi := h.TStart, h.QStart
-		for _, op := range h.Ops {
-			switch op {
-			case align.OpMatch:
-				counts.Add(target[ti], q[qi])
-				ti++
-				qi++
-			case align.OpInsert:
-				qi++
-			case align.OpDelete:
-				ti++
+		ttext, qtext := run.texts(&run.Result.HSPs[i])
+		for k := range len(ttext) {
+			if ttext[k] != '-' && qtext[k] != '-' {
+				counts.Add(ttext[k], qtext[k])
 			}
 		}
 	}
@@ -160,11 +144,7 @@ func Fig9(l *Lab) error {
 	fmt.Fprintln(out, "Figure 9: region found by Darwin-WGA, missed by LASTZ")
 	fmt.Fprintln(out)
 	for _, name := range []string{"dm6-dp4", "ce11-cb4", "dm6-droYak2", "dm6-droSim1"} {
-		dRun, err := l.Run(name, ModeDarwin)
-		if err != nil {
-			return err
-		}
-		zRun, err := l.Run(name, ModeLASTZ)
+		dRun, zRun, err := l.Both(name)
 		if err != nil {
 			return err
 		}
@@ -190,11 +170,7 @@ func Fig9(l *Lab) error {
 	// conserved region instead (the mechanism is identical: gaps flank
 	// the seed hits, so ungapped filtering drops the region).
 	for _, name := range []string{"ce11-cb4", "dm6-dp4"} {
-		dRun, err := l.Run(name, ModeDarwin)
-		if err != nil {
-			return err
-		}
-		zRun, err := l.Run(name, ModeLASTZ)
+		dRun, zRun, err := l.Both(name)
 		if err != nil {
 			return err
 		}
@@ -240,114 +216,80 @@ func findDifferentialHSP(dRun, zRun *PairRun) *core.HSP {
 	return best
 }
 
-// renderRegion prints the first maxCols columns of an HSP at base level.
-func renderRegion(l *Lab, run *PairRun, h *core.HSP, maxCols int) {
-	out := l.Out()
-	target := run.Pair.TargetSeq()
-	query := run.Pair.QuerySeq()
-	q := query
+// texts renders an HSP as its gapped target and query lines.
+func (r *PairRun) texts(h *core.HSP) (ttext, qtext string) {
+	q := r.Pair.QuerySeq()
 	if h.Strand == '-' {
-		q = genome.ReverseComplement(query)
+		r.rcOnce.Do(func() { r.rc = genome.ReverseComplement(q) })
+		q = r.rc
 	}
-	ti, qi := h.TStart, h.QStart
-	var tLine, mLine, qLine []byte
-	for _, op := range h.Ops {
-		if len(tLine) >= maxCols {
-			break
-		}
-		switch op {
-		case align.OpMatch:
-			tLine = append(tLine, target[ti])
-			qLine = append(qLine, q[qi])
-			if target[ti] == q[qi] {
-				mLine = append(mLine, '|')
-			} else {
-				mLine = append(mLine, ' ')
-			}
-			ti++
-			qi++
-		case align.OpInsert:
-			tLine = append(tLine, '-')
-			qLine = append(qLine, q[qi])
-			mLine = append(mLine, ' ')
-			qi++
-		case align.OpDelete:
-			tLine = append(tLine, target[ti])
-			qLine = append(qLine, '-')
-			mLine = append(mLine, ' ')
-			ti++
+	ops := make([]byte, len(h.Ops))
+	for k, op := range h.Ops {
+		ops[k] = byte(op)
+	}
+	return maf.RenderTexts(r.Pair.TargetSeq(), q, h.TStart, h.QStart, ops)
+}
+
+// matchBars returns the line between two gapped text lines: '|' where
+// the columns are identical, ' ' elsewhere.
+func matchBars(ttext, qtext string) []byte {
+	bars := make([]byte, len(ttext))
+	for k := range bars {
+		bars[k] = ' '
+		if ttext[k] == qtext[k] {
+			bars[k] = '|'
 		}
 	}
-	fmt.Fprintln(out)
-	for off := 0; off < len(tLine); off += 60 {
-		end := min(off+60, len(tLine))
-		fmt.Fprintf(out, "T %s\n  %s\nQ %s\n\n", tLine[off:end], mLine[off:end], qLine[off:end])
+	return bars
+}
+
+// printAligned prints gapped text lines in the Figure 9b style — target,
+// match bars, query — 60 columns at a time.
+func printAligned(out io.Writer, ttext string, bars []byte, qtext string) {
+	for off := 0; off < len(bars); off += 60 {
+		end := min(off+60, len(bars))
+		fmt.Fprintf(out, "T %s\n  %s\nQ %s\n\n", ttext[off:end], bars[off:end], qtext[off:end])
 	}
 }
 
+// renderRegion prints the first maxCols columns of an HSP at base level.
+func renderRegion(l *Lab, run *PairRun, h *core.HSP, maxCols int) {
+	ttext, qtext := run.texts(h)
+	n := min(maxCols, len(ttext))
+	fmt.Fprintln(l.Out())
+	printAligned(l.Out(), ttext[:n], matchBars(ttext[:n], qtext[:n]), qtext[:n])
+}
+
+// columnAt returns the first column of the gapped target line ttext at
+// which n target bases have been consumed.
+func columnAt(ttext string, n int) int {
+	for k := range len(ttext) {
+		if n == 0 {
+			return k
+		}
+		if ttext[k] != '-' {
+			n--
+		}
+	}
+	return len(ttext)
+}
+
 // renderExonAlignment prints the base-level view of the Darwin-WGA HSP
-// across the exon (the Figure 9b style: target, match bars, query).
+// across the exon.
 func renderExonAlignment(l *Lab, run *PairRun, e ortho.Exon) {
 	out := l.Out()
-	target := run.Pair.TargetSeq()
-	query := run.Pair.QuerySeq()
-	var rc []byte
 	for i := range run.Result.HSPs {
 		h := &run.Result.HSPs[i]
 		if h.TStart > e.Interval.Start || h.TEnd < e.Interval.End {
 			continue
 		}
-		q := query
-		if h.Strand == '-' {
-			if rc == nil {
-				rc = genome.ReverseComplement(query)
-			}
-			q = rc
-		}
-		// Walk to the exon start, then emit the aligned exon.
-		ti, qi := h.TStart, h.QStart
-		var tLine, mLine, qLine []byte
-		for _, op := range h.Ops {
-			if ti >= e.Interval.End {
-				break
-			}
-			emit := ti >= e.Interval.Start
-			switch op {
-			case align.OpMatch:
-				if emit {
-					tLine = append(tLine, target[ti])
-					qLine = append(qLine, q[qi])
-					if target[ti] == q[qi] {
-						mLine = append(mLine, '|')
-					} else {
-						mLine = append(mLine, ' ')
-					}
-				}
-				ti++
-				qi++
-			case align.OpInsert:
-				if emit {
-					tLine = append(tLine, '-')
-					qLine = append(qLine, q[qi])
-					mLine = append(mLine, ' ')
-				}
-				qi++
-			case align.OpDelete:
-				if emit {
-					tLine = append(tLine, target[ti])
-					qLine = append(qLine, '-')
-					mLine = append(mLine, ' ')
-				}
-				ti++
-			}
-		}
-		matches := strings.Count(string(mLine), "|")
+		ttext, qtext := run.texts(h)
+		lo, hi := columnAt(ttext, e.Interval.Start-h.TStart), columnAt(ttext, e.Interval.End-h.TStart)
+		ttext, qtext = ttext[lo:hi], qtext[lo:hi]
+		bars := matchBars(ttext, qtext)
 		fmt.Fprintf(out, "alignment columns %d, identity %.0f%%, HSP score %d, strand %c\n\n",
-			len(tLine), 100*float64(matches)/float64(max(len(tLine), 1)), h.Score, h.Strand)
-		for off := 0; off < len(tLine); off += 60 {
-			end := min(off+60, len(tLine))
-			fmt.Fprintf(out, "T %s\n  %s\nQ %s\n\n", tLine[off:end], mLine[off:end], qLine[off:end])
-		}
+			hi-lo, 100*float64(bytes.Count(bars, []byte("|")))/float64(max(hi-lo, 1)), h.Score, h.Strand)
+		printAligned(out, ttext, bars, qtext)
 		return
 	}
 	fmt.Fprintln(out, "(no single HSP spans the exon; it is covered by chained blocks)")

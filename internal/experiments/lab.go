@@ -16,7 +16,7 @@ import (
 	"darwinwga/internal/chain"
 	"darwinwga/internal/core"
 	"darwinwga/internal/evolve"
-	"darwinwga/internal/genome"
+	"darwinwga/internal/hw"
 )
 
 // Options configures a Lab.
@@ -105,15 +105,20 @@ const (
 
 // PairRun is one cached pipeline execution.
 type PairRun struct {
-	PairName string
-	Mode     Mode
-	Pair     *evolve.Pair
-	Config   core.Config
-	Result   *core.Result
-	Chains   []chain.Chain
+	Pair   *evolve.Pair
+	Config core.Config
+	Result *core.Result
+	// Chains are the AXTCHAIN-style chains, best first.
+	Chains []chain.Chain
+	// GACTX is the exact replay of the run's extension tiles on the FPGA's
+	// and the ASIC's arrays (Tables V and VI price extension with it).
+	GACTX *hw.GACTXReplay
 	// WallSeconds is the measured end-to-end software time (the local
 	// equivalent of Table V's runtime column).
 	WallSeconds float64
+
+	rcOnce sync.Once
+	rc     []byte // reverse complement of the query, for '-' HSPs
 }
 
 // ModeConfig returns the pipeline configuration for a mode.
@@ -142,13 +147,10 @@ func (l *Lab) Run(pairName string, mode Mode) (*PairRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := l.ModeConfig(mode)
-	run, err := ExecuteRun(p, cfg)
+	run, err := ExecuteRun(p, l.ModeConfig(mode))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s %s: %w", pairName, mode, err)
 	}
-	run.PairName = pairName
-	run.Mode = mode
 
 	l.mu.Lock()
 	l.runs[key] = run
@@ -156,10 +158,21 @@ func (l *Lab) Run(pairName string, mode Mode) (*PairRun, error) {
 	return run, nil
 }
 
-// ExecuteRun aligns a pair under cfg, measuring wall time and building
-// chains. Exposed so ablations can run non-standard configurations
-// without the cache.
+// Both returns the cached Darwin-WGA and LASTZ runs of a standard pair.
+func (l *Lab) Both(pairName string) (darwin, lastz *PairRun, err error) {
+	if darwin, err = l.Run(pairName, ModeDarwin); err == nil {
+		lastz, err = l.Run(pairName, ModeLASTZ)
+	}
+	return darwin, lastz, err
+}
+
+// ExecuteRun aligns a pair under cfg, measuring wall time, replaying the
+// extension tiles on the accelerator arrays (it owns
+// cfg.Extension.TileHook) and building chains. Exposed so ablations can
+// run non-standard configurations without the cache.
 func ExecuteRun(p *evolve.Pair, cfg core.Config) (*PairRun, error) {
+	gactx := hw.NewGACTXReplay(hw.FPGA(), hw.ASIC())
+	cfg.Extension.TileHook = gactx.Tile
 	start := time.Now()
 	aligner, err := core.NewAligner(p.TargetSeq(), cfg)
 	if err != nil {
@@ -174,42 +187,10 @@ func ExecuteRun(p *evolve.Pair, cfg core.Config) (*PairRun, error) {
 		Pair:        p,
 		Config:      cfg,
 		Result:      res,
-		Chains:      BuildChains(res.HSPs, p.TargetSeq(), p.QuerySeq()),
+		Chains:      chain.BuildHSPs(res.HSPs, chain.DefaultOptions()),
+		GACTX:       gactx,
 		WallSeconds: wall,
 	}, nil
-}
-
-// BuildChains chains HSPs per strand (AXTCHAIN post-processing).
-func BuildChains(hsps []core.HSP, target, query []byte) []chain.Chain {
-	var rc []byte
-	var byStrand [2][]*chain.Block
-	for i := range hsps {
-		h := &hsps[i]
-		q := target[:0]
-		si := 0
-		if h.Strand == '-' {
-			if rc == nil {
-				rc = genome.ReverseComplement(query)
-			}
-			q = rc
-			si = 1
-		} else {
-			q = query
-		}
-		matches, _, _ := h.Counts(target, q)
-		byStrand[si] = append(byStrand[si], &chain.Block{
-			TStart: h.TStart, TEnd: h.TEnd,
-			QStart: h.QStart, QEnd: h.QEnd,
-			Score:          h.Score,
-			Matches:        matches,
-			UngappedBlocks: h.UngappedBlocks(),
-		})
-	}
-	var chains []chain.Chain
-	for _, blocks := range byStrand {
-		chains = append(chains, chain.Build(blocks, chain.DefaultOptions())...)
-	}
-	return chains
 }
 
 // Experiment is a named, runnable reproduction of one paper artifact.

@@ -51,12 +51,12 @@ func RunFPR(l *Lab) ([]FPRResult, error) {
 	configs := []struct {
 		label string
 		cfg   core.Config
-		mode  Mode // cached real run if available
+		mode  Mode // the cached run whose real matches are the denominator
 	}{
 		{"Darwin-WGA (Hf=4000)", darwin, ModeDarwin},
 		{"LASTZ", lastz, ModeLASTZ},
-		{"Darwin-WGA (Hf=3000)", darwinLowHf, ""},
-		{"Darwin-WGA (Hf=He=1200)", darwinFloor, ""},
+		{"Darwin-WGA (Hf=3000)", darwinLowHf, ModeDarwin},
+		{"Darwin-WGA (Hf=He=1200)", darwinFloor, ModeDarwin},
 	}
 
 	var out []FPRResult
@@ -66,20 +66,11 @@ func RunFPR(l *Lab) ([]FPRResult, error) {
 		// — lowering thresholds changes the numerator (noise) by orders
 		// of magnitude but the real signal only marginally, and skipping
 		// the extra full alignment keeps the experiment affordable.
-		var real int
-		if c.mode != "" {
-			run, err := l.Run(pairName, c.mode)
-			if err != nil {
-				return nil, err
-			}
-			real = chain.TotalMatches(run.Chains)
-		} else {
-			run, err := l.Run(pairName, ModeDarwin)
-			if err != nil {
-				return nil, err
-			}
-			real = chain.TotalMatches(run.Chains)
+		run, err := l.Run(pairName, c.mode)
+		if err != nil {
+			return nil, err
 		}
+		real := chain.TotalMatches(run.Chains)
 
 		totalShuffled := 0.0
 		for rep := 0; rep < l.Options().Repeats; rep++ {
@@ -92,8 +83,7 @@ func RunFPR(l *Lab) ([]FPRResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			chains := BuildChains(res.HSPs, shuffled, p.QuerySeq())
-			totalShuffled += float64(chain.TotalMatches(chains))
+			totalShuffled += float64(chain.TotalMatches(chain.BuildHSPs(res.HSPs, chain.DefaultOptions())))
 		}
 		mean := totalShuffled / float64(l.Options().Repeats)
 		r := FPRResult{Label: c.label, RealMatches: real, ShuffledMatches: mean}

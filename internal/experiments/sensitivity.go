@@ -37,17 +37,13 @@ func RunTable3(l *Lab) (*Table3Data, error) {
 	params := ortho.DefaultParams()
 	sc := align.DefaultScoring()
 	for _, name := range evolve.StandardPairNames {
-		dRun, err := l.Run(name, ModeDarwin)
-		if err != nil {
-			return nil, err
-		}
-		zRun, err := l.Run(name, ModeLASTZ)
+		dRun, zRun, err := l.Both(name)
 		if err != nil {
 			return nil, err
 		}
 		row := Table3Row{Pair: name}
-		dTop := chain.SumTopScores(sortedChains(dRun.Chains), 10)
-		zTop := chain.SumTopScores(sortedChains(zRun.Chains), 10)
+		dTop := chain.SumTopScores(dRun.Chains, 10)
+		zTop := chain.SumTopScores(zRun.Chains, 10)
 		if zTop > 0 {
 			row.Top10DeltaPct = 100 * float64(dTop-zTop) / float64(zTop)
 		}
@@ -66,16 +62,6 @@ func RunTable3(l *Lab) (*Table3Data, error) {
 		data.Rows = append(data.Rows, row)
 	}
 	return data, nil
-}
-
-func sortedChains(chains []chain.Chain) []chain.Chain {
-	out := append([]chain.Chain{}, chains...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Score > out[j-1].Score; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Table3 renders the sensitivity comparison (paper Table III).

@@ -32,12 +32,35 @@ type Config struct {
 	// and cell budgets; nil means run to completion.
 	Stop func() bool
 	// TileHook, when non-nil, is invoked after every tile DP with the
-	// tile's cell count and its wall-clock interval. It exists for
-	// telemetry (internal/obs records per-tile spans and latency
-	// histograms through it); nil — the default — costs nothing: the
-	// hot loop takes no timestamps.
-	TileHook func(cells int, start time.Time, dur time.Duration)
+	// tile's shape and its wall-clock interval. Telemetry records per-tile
+	// spans through it and the hardware model (internal/hw) replays the
+	// tile's row windows through the systolic stripe schedule; nil — the
+	// default — costs nothing: the hot loop takes no timestamps.
+	TileHook func(Tile)
 }
+
+// Tile is what a TileHook learns about one executed tile DP. It is valid
+// only for the duration of the hook call.
+type Tile struct {
+	// Cells is the number of DP cells computed.
+	Cells int
+	// Rows is the number of DP rows computed past the boundary row (at
+	// most TileSize); RowWidths has one entry more, for row 0.
+	Rows int
+	// Committed is the length of the transcript the tile committed, after
+	// overlap truncation: 0 when the tile ended the extension without
+	// progress, at most Rows plus the tile's columns otherwise.
+	Committed int
+	// Start and Dur are the wall-clock interval of the DP.
+	Start time.Time
+	Dur   time.Duration
+
+	xa *align.XDropAligner
+}
+
+// RowWidths appends the number of cells computed in each DP row, the
+// boundary row first; they sum to Cells.
+func (t Tile) RowWidths(dst []int) []int { return t.xa.LastRowWidths(dst) }
 
 // DefaultConfig returns the paper's GACT-X defaults.
 func DefaultConfig() Config {
@@ -166,21 +189,19 @@ func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) 
 			t0 = time.Now()
 		}
 		res := e.xa.Align(tT, tQ)
+		var dur time.Duration
 		if e.cfg.TileHook != nil {
-			e.cfg.TileHook(res.Cells, t0, time.Since(t0))
+			dur = time.Since(t0)
 		}
 		stats.Tiles++
 		stats.Cells += res.Cells
 		if res.Cells > stats.MaxTileCells {
 			stats.MaxTileCells = res.Cells
 		}
-		// Extension terminates when the tile's Vmax is not positive.
-		if res.Score <= 0 {
-			break
-		}
 		// Overlap truncation: ignore the path inside the last Overlap
 		// rows/columns unless the tile was clipped by the sequence end
-		// in that dimension.
+		// in that dimension. A tile whose Vmax is not positive commits
+		// nothing.
 		coreT, coreQ := tileT, tileQ
 		if tileT == e.cfg.TileSize && ti+tileT < len(target) {
 			coreT = tileT - e.cfg.Overlap
@@ -188,9 +209,21 @@ func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) 
 		if tileQ == e.cfg.TileSize && qi+tileQ < len(query) {
 			coreQ = tileQ - e.cfg.Overlap
 		}
-		committed, di, dj := truncatePath(res.Ops, res.TEnd, res.QEnd, coreT, coreQ)
+		var committed []align.EditOp
+		di, dj := 0, 0
+		if res.Score > 0 {
+			committed, di, dj = truncatePath(res.Ops, res.TEnd, res.QEnd, coreT, coreQ)
+		}
+		if e.cfg.TileHook != nil {
+			e.cfg.TileHook(Tile{
+				Cells: res.Cells, Rows: e.xa.LastRows(), Committed: len(committed),
+				Start: t0, Dur: dur, xa: e.xa,
+			})
+		}
+		// Extension terminates when the tile's Vmax is not positive or
+		// the best path never left the origin.
 		if di == 0 && dj == 0 {
-			break // no progress: the best path never left the origin
+			break
 		}
 		ops = append(ops, committed...)
 		ti += di

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestTileHookMatchesStats checks the hook fires once per executed tile
@@ -16,11 +15,11 @@ func TestTileHookMatchesStats(t *testing.T) {
 
 	cfg := DefaultConfig()
 	var tiles, cells int64
-	cfg.TileHook = func(c int, start time.Time, dur time.Duration) {
+	cfg.TileHook = func(tl Tile) {
 		tiles++
-		cells += int64(c)
-		if start.IsZero() || dur < 0 {
-			t.Errorf("hook got start %v dur %v", start, dur)
+		cells += int64(tl.Cells)
+		if tl.Start.IsZero() || tl.Dur < 0 {
+			t.Errorf("hook got start %v dur %v", tl.Start, tl.Dur)
 		}
 	}
 	e := newExtender(t, cfg)
@@ -55,7 +54,7 @@ func TestTileHookZeroAllocDelta(t *testing.T) {
 
 	hooked := DefaultConfig()
 	var n atomic.Int64
-	hooked.TileHook = func(c int, start time.Time, dur time.Duration) { n.Add(1) }
+	hooked.TileHook = func(Tile) { n.Add(1) }
 	withHook := measure(hooked)
 
 	if base != withHook {

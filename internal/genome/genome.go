@@ -10,7 +10,6 @@ package genome
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Base codes. The hardware encodes the extended alphabet in 3 bits; codes
@@ -93,9 +92,6 @@ func DecodeBase(code byte) byte {
 	}
 	return 'N'
 }
-
-// ComplementBase returns the Watson-Crick complement of an ASCII base.
-func ComplementBase(b byte) byte { return complementTable[b] }
 
 // NormalizeBase maps an ASCII character onto the canonical {A,C,G,T,N}
 // alphabet after case folding: the IUPAC ambiguity codes
@@ -277,11 +273,4 @@ func Concat(seqs []*Sequence) (bases []byte, starts []int) {
 	}
 	starts = append(starts, len(bases))
 	return bases, starts
-}
-
-// FromString builds a single-sequence assembly from a literal string;
-// convenient in tests and examples.
-func FromString(name, bases string) *Assembly {
-	s := &Sequence{Name: name, Bases: []byte(strings.ToUpper(bases))}
-	return &Assembly{Name: name, Seqs: []*Sequence{s}}
 }

@@ -256,8 +256,12 @@ func TestPackUnpackKmer(t *testing.T) {
 	if !ok {
 		t.Fatal("PackKmer failed")
 	}
-	if got := UnpackKmer(key, len(seq)); !bytes.Equal(got, seq) {
-		t.Errorf("round trip = %s, want %s", got, seq)
+	// Two bits a base, most significant base first.
+	for i := len(seq) - 1; i >= 0; i-- {
+		if got := DecodeBase(byte(key & 3)); got != seq[i] {
+			t.Errorf("base %d unpacks to %c, want %c", i, got, seq[i])
+		}
+		key >>= 2
 	}
 	if _, ok := PackKmer([]byte("ACGN")); ok {
 		t.Error("PackKmer accepted N")
@@ -294,21 +298,6 @@ func TestPackKmerDistinct(t *testing.T) {
 	}
 }
 
-func TestCountKmers(t *testing.T) {
-	if n := CountKmers([]byte("AAAA"), 2); n != 1 {
-		t.Errorf("CountKmers(AAAA,2) = %d, want 1", n)
-	}
-	if n := CountKmers([]byte("ACGT"), 2); n != 3 {
-		t.Errorf("CountKmers(ACGT,2) = %d, want 3", n)
-	}
-	if n := CountKmers([]byte("ACNGT"), 2); n != 2 {
-		t.Errorf("CountKmers with N = %d, want 2", n)
-	}
-	if n := CountKmers([]byte("AC"), 3); n != 0 {
-		t.Errorf("CountKmers short = %d, want 0", n)
-	}
-}
-
 func TestConcat(t *testing.T) {
 	seqs := []*Sequence{
 		{Name: "a", Bases: []byte("AAA")},
@@ -328,7 +317,7 @@ func TestConcat(t *testing.T) {
 }
 
 func TestAssemblyHelpers(t *testing.T) {
-	a := FromString("test", "acgt")
+	a := &Assembly{Name: "test", Seqs: []*Sequence{{Name: "test", Bases: []byte("ACGT")}}}
 	if a.TotalLen() != 4 {
 		t.Errorf("TotalLen = %d", a.TotalLen())
 	}

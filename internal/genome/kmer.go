@@ -20,29 +20,3 @@ func PackKmer(seq []byte) (key KmerKey, ok bool) {
 	}
 	return key, true
 }
-
-// UnpackKmer renders a packed key of length k back to ASCII, most
-// significant base first.
-func UnpackKmer(key KmerKey, k int) []byte {
-	out := make([]byte, k)
-	for i := k - 1; i >= 0; i-- {
-		out[i] = decodeTable[key&3]
-		key >>= 2
-	}
-	return out
-}
-
-// CountKmers returns the number of distinct packed k-mers present in seq
-// (exact, via map). Intended for tests and diagnostics, not hot paths.
-func CountKmers(seq []byte, k int) int {
-	if k <= 0 || k > 31 || len(seq) < k {
-		return 0
-	}
-	seen := make(map[KmerKey]struct{})
-	for i := 0; i+k <= len(seq); i++ {
-		if key, ok := PackKmer(seq[i : i+k]); ok {
-			seen[key] = struct{}{}
-		}
-	}
-	return len(seen)
-}

@@ -2,7 +2,6 @@ package hw
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"darwinwga/internal/core"
@@ -92,13 +91,20 @@ func TestEstimateAndImprovementMetrics(t *testing.T) {
 		ExtensionTiles: 3_000,
 		ExtensionCells: 3_000 * 500_000,
 	}
+	// A full 1920-row tile is 60 stripes of ~1920+32 cycles on 32 PEs,
+	// 30 on 64.
+	gactx := &GACTXReplay{Tiles: 3_000, cycles: map[int]int64{32: 3_000 * 120_000, 64: 3_000 * 62_000}}
 	fpga := FPGA()
-	est, err := fpga.Estimate(w, 5.0, 320, 32)
+	est, err := fpga.Estimate(w, gactx, 5.0, 320, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.FilterSeconds <= 0 || est.ExtensionSeconds <= 0 {
+	if est.FilterSeconds <= 0 {
 		t.Fatalf("estimate: %+v", est)
+	}
+	// 3,000 tiles x 120,000 cycles over 2 arrays at 150 MHz.
+	if want := 3_000 * 120_000 / 150e6 / 2; math.Abs(est.ExtensionSeconds-want) > 1e-9 {
+		t.Errorf("extension = %vs, want %vs", est.ExtensionSeconds, want)
 	}
 	if est.TotalSeconds() < est.FilterSeconds {
 		t.Error("total < filter")
@@ -115,7 +121,7 @@ func TestEstimateAndImprovementMetrics(t *testing.T) {
 	if ppd <= 1 {
 		t.Errorf("perf/$ = %.2f, expected > 1", ppd)
 	}
-	asicEst, err := ASIC().Estimate(w, 5.0, 320, 32)
+	asicEst, err := ASIC().Estimate(w, gactx, 5.0, 320, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +132,17 @@ func TestEstimateAndImprovementMetrics(t *testing.T) {
 	if Speedup(100, 10) != 10 {
 		t.Error("Speedup arithmetic")
 	}
+	// A replay that did not watch every tile of the workload (a run
+	// resumed from a checkpoint replays anchors without running tiles)
+	// prices only part of it.
+	gactx.Tiles--
+	if _, err := fpga.Estimate(w, gactx, 5.0, 320, 32); err == nil {
+		t.Error("estimate accepted a replay that missed a tile")
+	}
 }
 
 func TestEstimateRequiresAccelerator(t *testing.T) {
-	if _, err := CPU().Estimate(core.Workload{FilterTiles: 1}, 0, 320, 32); err == nil {
+	if _, err := CPU().Estimate(core.Workload{FilterTiles: 1}, NewGACTXReplay(), 0, 320, 32); err == nil {
 		t.Error("CPU estimate should fail (no arrays)")
 	}
 }
@@ -141,14 +154,5 @@ func TestIsoSensitiveDefaultsToPaperRate(t *testing.T) {
 	}
 	if got := IsoSensitiveSoftwareSeconds(w, 450_000, 0, 0); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("explicit rate: %v, want 0.5s", got)
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	if got := FormatDuration(0.5); got != "0.500s" {
-		t.Errorf("FormatDuration(0.5) = %q", got)
-	}
-	if got := FormatDuration(3900); !strings.Contains(got, "h") {
-		t.Errorf("FormatDuration(3900) = %q", got)
 	}
 }

@@ -1,10 +1,6 @@
 package hw
 
-import (
-	"math"
-
-	"darwinwga/internal/systolic"
-)
+import "math"
 
 // MemorySystem models the accelerator's DRAM subsystem. The paper uses
 // Ramulator to estimate peak bandwidth for four DDR4-2400R x8 channels
@@ -63,11 +59,12 @@ type Demand struct {
 func (d Demand) Total() float64 { return d.BSWBytesPerSec + d.GACTXBytesPerSec }
 
 // BandwidthDemand computes the demand of a platform running flat out
-// with the given tile geometries.
-func BandwidthDemand(p Platform, filterTile, filterBand, extTile int, extCells, extRows, extTb int) Demand {
+// with the given tile geometries, its GACT-X arrays at the rate of a
+// replayed workload (extTiles tiles in extCycles cycles).
+func BandwidthDemand(p Platform, filterTile, filterBand, extTile int, extTiles, extCycles int64) Demand {
 	return Demand{
 		BSWBytesPerSec:   p.BSWThroughput(filterTile, filterBand) * float64(BSWTileBytes(filterTile)),
-		GACTXBytesPerSec: p.GACTXThroughput(extCells, extRows, extTb) * float64(GACTXTileBytes(extTile)),
+		GACTXBytesPerSec: p.GACTXThroughput(extTiles, extCycles) * float64(GACTXTileBytes(extTile)),
 	}
 }
 
@@ -75,7 +72,7 @@ func BandwidthDemand(p Platform, filterTile, filterBand, extTile int, extCells, 
 // system can feed at full rate, after reserving the GACT-X demand —
 // the paper's provisioning rule ("we provisioned the number of BSW and
 // GACT-X arrays on the ASIC to make DRAM bandwidth the bottleneck").
-func ProvisionBSWArrays(m MemorySystem, arr systolic.Array, filterTile, filterBand int, gactxDemand float64) int {
+func ProvisionBSWArrays(m MemorySystem, arr Array, filterTile, filterBand int, gactxDemand float64) int {
 	perArray := arr.BSWTileRate(filterTile, filterBand) * float64(BSWTileBytes(filterTile))
 	if perArray <= 0 {
 		return 0

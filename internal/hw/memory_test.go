@@ -1,10 +1,6 @@
 package hw
 
-import (
-	"testing"
-
-	"darwinwga/internal/systolic"
-)
+import "testing"
 
 func TestMemoryBandwidth(t *testing.T) {
 	m := DDR4x2400R4()
@@ -37,7 +33,9 @@ func TestASICIsBandwidthBound(t *testing.T) {
 	// bandwidth of the four-channel DDR4 system.
 	m := DDR4x2400R4()
 	asic := ASIC()
-	d := BandwidthDemand(asic, 320, 32, 1920, 500_000, 1920, 1920)
+	r := realReplay(t)
+	cycles, _ := r.Cycles(asic)
+	d := BandwidthDemand(asic, 320, 32, 1920, r.Tiles, cycles)
 	u := Utilization(m, d)
 	if u < 0.5 || u > 1.6 {
 		t.Errorf("ASIC bandwidth utilization = %.2f; the paper provisions for ~1.0", u)
@@ -52,9 +50,11 @@ func TestASICIsBandwidthBound(t *testing.T) {
 
 func TestProvisionBSWArrays(t *testing.T) {
 	m := DDR4x2400R4()
-	arr := systolic.Array{NPE: 64, ClockHz: 1e9}
 	asic := ASIC()
-	gactxDemand := asic.GACTXThroughput(500_000, 1920, 1920) * float64(GACTXTileBytes(1920))
+	arr := asic.Array
+	r := realReplay(t)
+	cycles, _ := r.Cycles(asic)
+	gactxDemand := asic.GACTXThroughput(r.Tiles, cycles) * float64(GACTXTileBytes(1920))
 	n := ProvisionBSWArrays(m, arr, 320, 32, gactxDemand)
 	// The paper lands on 64 arrays; the model must reproduce that scale
 	// (not 10, not 500).
@@ -65,7 +65,7 @@ func TestProvisionBSWArrays(t *testing.T) {
 	if got := ProvisionBSWArrays(m, arr, 320, 32, m.EffectiveBandwidth()*2); got != 0 {
 		t.Errorf("over-committed memory still provisioned %d arrays", got)
 	}
-	if got := ProvisionBSWArrays(m, systolic.Array{NPE: 64, ClockHz: 0}, 320, 32, 0); got != 0 {
+	if got := ProvisionBSWArrays(m, Array{NPE: 64, ClockHz: 0}, 320, 32, 0); got != 0 {
 		t.Errorf("zero-clock array provisioned %d", got)
 	}
 }
@@ -74,7 +74,9 @@ func TestFPGAWellUnderBandwidth(t *testing.T) {
 	// The FPGA's 2.1 GB/s BSW demand is far below even one DDR4
 	// channel; it is compute- (area-) bound, not bandwidth-bound.
 	m := DDR4x2400R4()
-	d := BandwidthDemand(FPGA(), 320, 32, 1920, 500_000, 1920, 1920)
+	r := realReplay(t)
+	cycles, _ := r.Cycles(FPGA())
+	d := BandwidthDemand(FPGA(), 320, 32, 1920, r.Tiles, cycles)
 	if u := Utilization(m, d); u > 0.25 {
 		t.Errorf("FPGA utilization %.2f; should be far below 1", u)
 	}

@@ -2,15 +2,14 @@
 // the c4.8xlarge CPU baseline, the f1.2xlarge FPGA (Xilinx Virtex
 // UltraScale+), and the TSMC 40nm ASIC — and derives the paper's
 // performance, cost and power comparisons (Tables IV, V and VI) from
-// the systolic cycle model plus per-unit area/power constants.
+// the systolic cycle model (systolic.go) plus per-unit area/power
+// constants.
 package hw
 
 import (
 	"fmt"
-	"time"
 
 	"darwinwga/internal/core"
-	"darwinwga/internal/systolic"
 )
 
 // Platform describes one accelerator deployment.
@@ -20,7 +19,7 @@ type Platform struct {
 	BSWArrays   int
 	GACTXArrays int
 	// Array is the per-array configuration (NPE, clock).
-	Array systolic.Array
+	Array Array
 	// PowerW is total board/chip power including DRAM (Table VI).
 	PowerW float64
 	// PricePerHour is the cloud price in dollars (0 if not sold hourly).
@@ -34,7 +33,7 @@ func FPGA() Platform {
 		Name:         "FPGA (f1.2xlarge, Virtex UltraScale+)",
 		BSWArrays:    50,
 		GACTXArrays:  2,
-		Array:        systolic.Array{NPE: 32, ClockHz: 150e6},
+		Array:        Array{NPE: 32, ClockHz: 150e6},
 		PowerW:       65,
 		PricePerHour: 1.65,
 	}
@@ -47,7 +46,7 @@ func ASIC() Platform {
 		Name:        "ASIC (TSMC 40nm)",
 		BSWArrays:   64,
 		GACTXArrays: 12,
-		Array:       systolic.Array{NPE: 64, ClockHz: 1e9},
+		Array:       Array{NPE: 64, ClockHz: 1e9},
 		PowerW:      43.34,
 	}
 }
@@ -74,19 +73,17 @@ func (p Platform) BSWThroughput(tileSize, band int) float64 {
 }
 
 // GACTXThroughput returns extension tiles/second across all GACT-X
-// arrays, given the workload's average tile shape.
-func (p Platform) GACTXThroughput(avgCells, avgRows, avgTraceback int) float64 {
-	c := p.Array.GACTXTileCyclesFromCells(avgCells, avgRows, avgTraceback)
-	if c == 0 {
+// arrays on a workload whose tiles replayed to cycles in total.
+func (p Platform) GACTXThroughput(tiles, cycles int64) float64 {
+	if cycles == 0 {
 		return 0
 	}
-	return float64(p.GACTXArrays) * p.Array.ClockHz / float64(c)
+	return float64(p.GACTXArrays) * float64(tiles) / p.Array.Seconds(cycles)
 }
 
 // WGAEstimate is a modeled end-to-end runtime for one whole genome
 // alignment on an accelerated platform.
 type WGAEstimate struct {
-	Platform Platform
 	// SeedingSeconds is software time (D-SOFT runs on the host).
 	SeedingSeconds float64
 	// FilterSeconds and ExtensionSeconds are accelerator time.
@@ -102,39 +99,28 @@ func (e WGAEstimate) TotalSeconds() float64 {
 }
 
 // Estimate models the runtime of a recorded workload on this platform.
-// seedingSeconds is the measured host seeding time; tileSize/band are
-// the filter parameters.
-func (p Platform) Estimate(w core.Workload, seedingSeconds float64, tileSize, band int) (WGAEstimate, error) {
+// gactx is the replay that watched the run's extension tiles: it must
+// have seen every one of them, which a run resumed from a checkpoint
+// (core.Result.Replayed.ExtensionTiles > 0) has not. seedingSeconds is
+// the measured host seeding time; tileSize/band are the filter
+// parameters.
+func (p Platform) Estimate(w core.Workload, gactx *GACTXReplay, seedingSeconds float64, tileSize, band int) (WGAEstimate, error) {
 	if p.BSWArrays == 0 {
 		return WGAEstimate{}, fmt.Errorf("hw: %s has no accelerator arrays", p.Name)
 	}
-	bswRate := p.BSWThroughput(tileSize, band)
-	avgCells, avgRows, avgTb := avgExtensionShape(w)
-	gactRate := p.GACTXThroughput(avgCells, avgRows, avgTb)
-	return WGAEstimate{
-		Platform:         p,
-		SeedingSeconds:   seedingSeconds,
-		FilterSeconds:    float64(w.FilterTiles) / bswRate,
-		ExtensionSeconds: float64(w.ExtensionTiles) / gactRate,
-	}, nil
-}
-
-// avgExtensionShape derives the average extension-tile shape from the
-// workload counters.
-func avgExtensionShape(w core.Workload) (cells, rows, traceback int) {
-	if w.ExtensionTiles == 0 {
-		return 1, 1, 0
+	if gactx.Tiles != w.ExtensionTiles {
+		return WGAEstimate{}, fmt.Errorf("hw: GACT-X replay saw %d tiles, the workload has %d (a resumed or retried run, or another run's replay)",
+			gactx.Tiles, w.ExtensionTiles)
 	}
-	cells = int(w.ExtensionCells / w.ExtensionTiles)
-	// Rows per tile: cells / average row width; conservatively assume
-	// the row width equals the live X-drop band, cells/rows ~ width, so
-	// rows ~ sqrt is wrong for long tiles — use tile rows = cells/width
-	// with width inferred at 4x NPE as a neutral default. The traceback
-	// walk is about one pointer per row.
-	width := 256
-	rows = max(cells/width, 1)
-	traceback = rows
-	return cells, rows, traceback
+	cycles, err := gactx.Cycles(p)
+	if err != nil {
+		return WGAEstimate{}, err
+	}
+	return WGAEstimate{
+		SeedingSeconds:   seedingSeconds,
+		FilterSeconds:    float64(w.FilterTiles) / p.BSWThroughput(tileSize, band),
+		ExtensionSeconds: p.Array.Seconds(cycles) / float64(p.GACTXArrays),
+	}, nil
 }
 
 // IsoSensitiveSoftwareSeconds is the runtime of software with the same
@@ -175,12 +161,4 @@ func Speedup(baselineSeconds, accelSeconds float64) float64 {
 		return 0
 	}
 	return baselineSeconds / accelSeconds
-}
-
-// FormatDuration renders seconds in the paper's "seconds" style.
-func FormatDuration(seconds float64) string {
-	if seconds < 1 {
-		return fmt.Sprintf("%.3fs", seconds)
-	}
-	return time.Duration(seconds * float64(time.Second)).Truncate(time.Second).String()
 }

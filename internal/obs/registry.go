@@ -212,6 +212,21 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*metric)}
 }
 
+// LabelSafe maps an arbitrary name (a target, a worker id) into a
+// conservative label-value alphabet, so it can be baked into a metric
+// name or printed in a label set without escaping quotes or backslashes.
+func LabelSafe(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '_', r == '-', r == '.', r == ':', r == '/':
+			return r
+		default:
+			return '_'
+		}
+	}, s)
+}
+
 // splitName separates the metric family from an optional baked-in
 // label set and validates both.
 func splitName(name string) (family, labels string) {

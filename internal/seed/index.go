@@ -95,11 +95,6 @@ func (ix *Index) Positions(key genome.KmerKey) []uint32 {
 	return ix.positions[lo:hi]
 }
 
-// RawPositions ignores frequency masking; diagnostics only.
-func (ix *Index) RawPositions(key genome.KmerKey) []uint32 {
-	return ix.positions[ix.starts[key]:ix.starts[key+1]]
-}
-
 // Stats summarizes the index for logging.
 func (ix *Index) Stats() (buckets, filled, totalPositions, maskedBuckets int) {
 	buckets = len(ix.starts) - 1

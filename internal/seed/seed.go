@@ -55,15 +55,6 @@ func ParseShape(pattern string) (*Shape, error) {
 	return sh, nil
 }
 
-// DefaultShape returns the compiled 12-of-19 shape.
-func DefaultShape() *Shape {
-	sh, err := ParseShape(DefaultPattern)
-	if err != nil {
-		panic(err) // the default pattern is a constant; cannot fail
-	}
-	return sh
-}
-
 // Key packs the informative bases of the window starting at pos into a
 // seed key. ok is false if the window overruns the sequence or contains
 // a non-ACGT base at an informative position.

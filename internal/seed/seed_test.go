@@ -102,7 +102,7 @@ func TestTransitionKeys(t *testing.T) {
 	want := map[genome.KmerKey]bool{exact: true, v1: true, v2: true}
 	for _, k := range keys {
 		if !want[k] {
-			t.Errorf("unexpected key %s", genome.UnpackKmer(k, 2))
+			t.Errorf("unexpected key %#x", k)
 		}
 		delete(want, k)
 	}
@@ -111,10 +111,20 @@ func TestTransitionKeys(t *testing.T) {
 	}
 }
 
+// defaultShape compiles the 12-of-19 default pattern.
+func defaultShape(t *testing.T) *Shape {
+	t.Helper()
+	sh, err := ParseShape(DefaultPattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
 func TestTransitionKeysMatchIsTransition(t *testing.T) {
 	// Property: every variant key differs from the exact key in exactly
 	// one informative position, and that difference is a transition.
-	sh := DefaultShape()
+	sh := defaultShape(t)
 	rng := rand.New(rand.NewSource(1))
 	seq := randSeq(rng, 100)
 	for pos := 0; pos+sh.Span <= len(seq); pos += 7 {
@@ -198,7 +208,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 }
 
 func TestIndexPositionsSorted(t *testing.T) {
-	sh := DefaultShape()
+	sh := defaultShape(t)
 	rng := rand.New(rand.NewSource(3))
 	seq := randSeq(rng, 5000)
 	ix, err := BuildIndex(seq, sh, IndexOptions{})
@@ -229,12 +239,9 @@ func TestIndexMaxFreqMasking(t *testing.T) {
 	if got := ix.Positions(key); got != nil {
 		t.Errorf("masked bucket returned %v", got)
 	}
-	if got := ix.RawPositions(key); len(got) != 9 {
-		t.Errorf("RawPositions = %d entries, want 9", len(got))
-	}
-	_, _, _, masked := ix.Stats()
-	if masked != 1 {
-		t.Errorf("masked buckets = %d, want 1", masked)
+	_, _, total, masked := ix.Stats()
+	if total != 9 || masked != 1 {
+		t.Errorf("index holds %d positions in %d masked buckets, want 9 in 1", total, masked)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,7 +314,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	var brk *Breaker
 	brk = NewBreaker(cfg.Clock, cfg.BreakerThreshold, cfg.BreakerCooldown, func(target string) {
-		name := fmt.Sprintf(`darwinwga_breaker_open{target="%s"}`, metricLabelSafe(target))
+		name := fmt.Sprintf(`darwinwga_breaker_open{target="%s"}`, obs.LabelSafe(target))
 		metrics.GaugeFunc(name, "circuit breaker state: 0 closed, 0.5 half-open, 1 open",
 			func() float64 { return breakerGauge[brk.State(target)] })
 	})
@@ -535,17 +534,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // breakerGauge is the /metrics encoding of a breaker state (closed = 0).
 var breakerGauge = map[string]float64{BreakerOpen: 1, BreakerHalfOpen: 0.5}
-
-// metricLabelSafe maps an arbitrary target name into the registry's
-// label-value alphabet.
-func metricLabelSafe(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '-', r == '.', r == ':', r == '/':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
-}

@@ -600,6 +600,35 @@ func TestDrainKeepsCompletedJobs(t *testing.T) {
 	}
 }
 
+// TestDrainRefusesShardUnits: once Shutdown has begun a worker turns a
+// shard unit away like a submission — 503 with Retry-After, so the
+// coordinator retries it on another replica — instead of running it
+// against an index it would have to load back into a server going away.
+func TestDrainRefusesShardUnits(t *testing.T) {
+	pair := testPair(t, "dm6-droSim1", 0.0004)
+	srv, ts := newTestServer(t, server.Config{}, nil)
+	if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
+		t.Fatalf("registering target: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	cfg := core.DefaultConfig()
+	resp, body := postJSON(t, ts.URL+"/v1/shards", server.ShardRequest{
+		Target: pair.Target.Name, QueryFASTA: fastaText(t, pair.Query), QueryName: pair.Query.Name,
+		Unit: core.PlanShards(&cfg, len(pair.Query.Seqs[0].Bases), 1)[0],
+	})
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("shard unit while draining: HTTP %d, Retry-After %q (%s); want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if n := srv.Registry().ResidentTargets(); n != 0 {
+		t.Errorf("%d target indexes resident after a refused unit, want 0", n)
+	}
+}
+
 // TestBudgetPartialTruncated submits a job with an unsatisfiable cell
 // budget: the pipeline degrades gracefully, the job completes as done,
 // and the truncation reason is surfaced in the status.

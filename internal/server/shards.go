@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net/http"
+	"strconv"
 
 	"darwinwga/internal/core"
 	"darwinwga/internal/genome"
@@ -57,6 +58,15 @@ type ShardResponse struct {
 // 422; other failures are plain 5xx. Either way the coordinator owns
 // retry policy, so the worker never retries internally.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
+	if s.jobs.Draining() {
+		// A unit runs on its request's context, which Shutdown waits for
+		// and does not cancel, against an index Shutdown has dropped or is
+		// about to. Refused like a submission, the coordinator's retry
+		// moves the unit to the next replica.
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
+		return
+	}
 	var req ShardRequest
 	if decodeBody(w, r, bodyLimit(s.cfg.MaxQueryBases), &req) != 0 {
 		return

@@ -112,15 +112,3 @@ func shufflePrefix(list []byte, rng *rand.Rand) {
 		list[i], list[j] = list[j], list[i]
 	}
 }
-
-// DoubletCounts tallies dinucleotide counts over the 5-letter alphabet;
-// tests use it to verify exact preservation.
-func DoubletCounts(seq []byte) map[[2]byte]int {
-	counts := make(map[[2]byte]int)
-	for i := 0; i+1 < len(seq); i++ {
-		a := genome.DecodeBase(genome.EncodeBase(seq[i]))
-		b := genome.DecodeBase(genome.EncodeBase(seq[i+1]))
-		counts[[2]byte{a, b}]++
-	}
-	return counts
-}

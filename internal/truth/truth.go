@@ -108,9 +108,3 @@ func Score(p *evolve.Pair, hsps []core.HSP, slop int) Metrics {
 	}
 	return m
 }
-
-// CompareModes is a convenience: score two HSP sets (e.g. Darwin-WGA
-// and LASTZ) against the same pair.
-func CompareModes(p *evolve.Pair, a, b []core.HSP, slop int) (Metrics, Metrics) {
-	return Score(p, a, slop), Score(p, b, slop)
-}

@@ -77,15 +77,3 @@ func TestEmptyHSPs(t *testing.T) {
 		t.Errorf("empty HSPs: %+v", m)
 	}
 }
-
-func TestCompareModes(t *testing.T) {
-	p := genPair(t)
-	cfg := core.DefaultConfig()
-	cfg.BothStrands = false
-	a, _ := core.NewAligner(p.TargetSeq(), cfg)
-	res, _ := a.Align(p.QuerySeq())
-	ma, mb := CompareModes(p, res.HSPs, nil, 3)
-	if ma.AlignedBases == 0 || mb.AlignedBases != 0 {
-		t.Errorf("CompareModes: %+v %+v", ma, mb)
-	}
-}

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"darwinwga/internal/chain"
 	"darwinwga/internal/core"
-	"darwinwga/internal/genome"
 	"darwinwga/internal/maf"
 )
 
@@ -97,42 +95,15 @@ func AlignAssembliesContext(ctx context.Context, target, query *Assembly, cfg Co
 	rep.Timings = res.Timings
 	rep.Truncated = res.Truncated
 	rep.FailedShards = res.FailedShards
-	rep.Chains = BuildChains(res.HSPs, rep.target, rep.query, chain.DefaultOptions())
+	rep.Chains = chain.BuildHSPs(res.HSPs, chain.DefaultOptions())
 	return rep, alignErr
 }
 
 // BuildChains chains HSPs per query strand and returns all chains
-// sorted by descending score. The sequences are needed to tally
-// matched bases and ungapped block lengths per alignment.
+// sorted by descending score. The sequences are not read: every HSP
+// carries its own matched-base count (HSP.Matches).
 func BuildChains(hsps []HSP, target, query []byte, opts chain.Options) []Chain {
-	rc := []byte(nil)
-	var byStrand [2][]*chain.Block
-	for i := range hsps {
-		h := &hsps[i]
-		q := query
-		si := 0
-		if h.Strand == '-' {
-			if rc == nil {
-				rc = genome.ReverseComplement(query)
-			}
-			q = rc
-			si = 1
-		}
-		matches, _, _ := h.Counts(target, q)
-		byStrand[si] = append(byStrand[si], &chain.Block{
-			TStart: h.TStart, TEnd: h.TEnd,
-			QStart: h.QStart, QEnd: h.QEnd,
-			Score:          h.Score,
-			Matches:        matches,
-			UngappedBlocks: h.UngappedBlocks(),
-		})
-	}
-	var chains []Chain
-	for _, blocks := range byStrand {
-		chains = append(chains, chain.Build(blocks, opts)...)
-	}
-	sort.Slice(chains, func(i, j int) bool { return chains[i].Score > chains[j].Score })
-	return chains
+	return chain.BuildHSPs(hsps, opts)
 }
 
 // TotalMatches sums matched base pairs over all chains (Table III's
