@@ -44,6 +44,12 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # that ran (the averaged-shape estimate stays deleted from every Go file),
 # one hardware-model package (internal/systolic is folded into
 # internal/hw), and one HSP-to-chain-block conversion (chain.BuildHSPs).
+# And for what a job owns: one artifact store removes files
+# (internal/server/artifacts.go is the only non-test file of
+# internal/server and internal/cluster that calls os.Remove/os.RemoveAll),
+# one function decides which jobs leave (every evictLocked calls
+# RetainWindow and counts nothing itself), and the deleted /varz's
+# renderer (WriteJSON) stays out of internal/obs.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -75,6 +81,15 @@ check-once:
 	@if [ -e internal/systolic ]; then echo "check-once: internal/systolic exists (the cycle model lives in internal/hw)"; exit 1; fi
 	@n=$$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=bench '&chain.Block{' . | wc -l); \
 	if [ "$$n" -gt 1 ]; then echo "check-once: &chain.Block{ in $$n non-test files, want <= 1 (chain.BuildHSPs)"; exit 1; fi
+	@if grep -nE --exclude='*_test.go' --exclude=artifacts.go 'os\.(Remove|RemoveAll)\(' internal/server/*.go internal/cluster/*.go; then \
+		echo "check-once: a job artifact is removed outside the artifact store (use server.Artifacts)"; exit 1; fi
+	@for f in $$(grep -lE --exclude='*_test.go' '^func \(.*\) evictLocked\(' internal/server/*.go internal/cluster/*.go); do \
+		body=$$(sed -n '/^func (.*) evictLocked(/,/^}/p' $$f); \
+		if ! echo "$$body" | grep -q 'RetainWindow(' || echo "$$body" | grep -qE '\+\+|--|Terminal\(\) *\{'; then \
+			echo "check-once: evictLocked in $$f decides retention itself (call RetainWindow)"; exit 1; fi; \
+	done
+	@if grep -rn 'WriteJSON' internal/obs; then \
+		echo "check-once: the deleted /varz's JSON renderer is back in internal/obs"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -105,6 +120,7 @@ test-resume:
 # binary as the server.
 test-serve:
 	$(GO) test -race -timeout 15m ./internal/server/
+	$(call named-test,-timeout 15m -run 'TestRetainWindow|TestEstimateJobBytesBracketsMeasuredPeak' ./internal/server/)
 	$(call named-test,-timeout 15m -run TestServeE2E ./cmd/darwin-wga/)
 
 # Observability suite: the metrics registry / tracer unit tests under
@@ -147,6 +163,7 @@ test-obs-cluster:
 # MAF byte-identical to an uninterrupted run.
 test-chaos:
 	$(call named-test,-race -timeout 20m -run 'TestJobStore|TestRestart|TestWatchdog|TestBreaker|TestMemoryAdmission|TestSlowloris|TestBodyCap' ./internal/server/)
+	$(call named-test,-race -timeout 15m -run 'TestShardArtifactStoreENOSPC|TestRetentionBounds' ./internal/cluster/)
 	$(call named-test,-timeout 15m -run 'TestServeCrashRestartRecoversJob' ./cmd/darwin-wga/)
 
 # Cluster suite: the coordinator/worker topology under the race
@@ -169,7 +186,8 @@ test-chaos:
 # explicit -timeout so a wedged subprocess can never hang the target.
 test-cluster:
 	$(GO) test -race -timeout 15m ./internal/cluster/ ./internal/faultinject/
-	$(call named-test,-timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E|TestHAWorkerFailoverResumesFromShippedE2E' ./cmd/darwin-wga/)
+	$(call named-test,-race -timeout 15m -run 'TestRetentionBounds|TestHAStandbySyncsRetainedJobsOnly' ./internal/cluster/)
+	$(call named-test,-timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E|TestHAWorkerFailoverResumesFromShippedE2E|TestCoordinatorHonoursRetainE2E' ./cmd/darwin-wga/)
 
 # Index lifecycle suite: the serialized-index store under the race
 # detector (format round-trip, corruption rejection typed-error tests,

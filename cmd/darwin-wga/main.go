@@ -214,13 +214,11 @@ func serveMain(args []string) int {
 	var (
 		registers   registerList
 		role        = fs.String("role", "standalone", "standalone, coordinator, or worker")
-		coordURL    = fs.String("coordinator", "", "coordinator base URL to register with (worker role)")
-		coordList   = fs.String("coordinators", "", "comma-separated additional coordinator URLs the worker fails over to (worker role)")
-		advertise   = fs.String("advertise", "", "base URL the coordinator dials back (worker role; default http://<bound addr>)")
+		coordURLs   = fs.String("coordinator", "", "comma-separated coordinator base URLs: the first is registered with, the rest are failed over to (worker role)")
+		advertise   = fs.String("advertise", "", "base URL peers dial this process back at: the coordinator for a worker, workers for a coordinator (default http://<bound addr>)")
 		workerID    = fs.String("worker-id", "", "stable worker identity across restarts (worker role; default the bound addr)")
 		standbyOf   = fs.String("standby-of", "", "run as a warm standby of this leader coordinator URL (coordinator role; requires -journal-dir)")
 		standbyURLs = fs.String("standbys", "", "comma-separated standby coordinator URLs advertised to workers (coordinator role)")
-		advURL      = fs.String("advertise-url", "", "base URL workers dial this coordinator back at (coordinator role; default http://<addr>)")
 		shipEvery   = fs.Duration("ship-interval", 2*time.Second, "how often a running job's checkpoint segments ship to its coordinator (worker role with -checkpoint-root)")
 		shardTgts   = fs.String("shard-dispatch", "", `comma-separated targets whose jobs scatter as per-shard work units across every worker holding the target ("*" = all targets; coordinator role)`)
 		shardUnits  = fs.Int("shard-units", 0, "work units per strand a sharded job decomposes into (coordinator role; 0 = default)")
@@ -235,7 +233,7 @@ func serveMain(args []string) int {
 		maxDeadline = fs.Duration("max-deadline", 0, "clamp (and default) for per-job soft deadlines (0 = none)")
 		retryAfter  = fs.Duration("retry-after", 2*time.Second, "Retry-After hint on 429 responses")
 		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long shutdown lets running jobs finish")
-		retain      = fs.Int("retain", 256, "finished jobs kept queryable")
+		retain      = fs.Int("retain", 256, "finished jobs kept queryable, with their artifacts and journal records (every role)")
 		ckptRoot    = fs.String("checkpoint-root", "", "per-job crash-safe journals under this directory (empty = off)")
 		journalDir  = fs.String("journal-dir", "", "durable job store: lifecycle WAL + query/MAF artifacts; replayed on startup (empty = off)")
 		stallWindow = fs.Duration("stall-window", 2*time.Minute, "cancel+retry a job with no pipeline progress for this long (0 = watchdog off)")
@@ -278,7 +276,7 @@ func serveMain(args []string) int {
 	case "coordinator":
 		return coordinatorMain(cluster.Config{
 			Addr:              *addr,
-			AdvertiseURL:      strings.TrimSuffix(*advURL, "/"),
+			AdvertiseURL:      strings.TrimSuffix(*advertise, "/"),
 			ShardDispatch:     splitURLList(*shardTgts),
 			ShardUnits:        *shardUnits,
 			Standbys:          splitURLList(*standbyURLs),
@@ -286,6 +284,7 @@ func serveMain(args []string) int {
 			LeaseTTL:          *leaseTTL,
 			DispatchTimeout:   *dispatchTO,
 			MaxQueryBases:     *maxQueryMB << 20,
+			RetainJobs:        *retain,
 			JournalDir:        *journalDir,
 			Log:               logger,
 		}, strings.TrimSuffix(*standbyOf, "/"))
@@ -293,7 +292,8 @@ func serveMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "darwin-wga serve: -role must be standalone, coordinator, or worker, got %q\n", *role)
 		return 2
 	}
-	if *role == "worker" && *coordURL == "" {
+	coordinators := splitURLList(*coordURLs)
+	if *role == "worker" && len(coordinators) == 0 {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve: -role=worker requires -coordinator")
 		return 2
 	}
@@ -368,57 +368,31 @@ func serveMain(args []string) int {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
-		return 1
-	}
-	// The bound address line is load-bearing: with -addr :0 it is how
-	// callers (and the e2e test) discover the actual port.
-	fmt.Fprintf(os.Stderr, "darwin-wga serve: listening on %s\n", ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *role == "worker" {
-		id := *workerID
+	return serveRole(*role, *addr, logger, func(ctx context.Context, ln net.Listener) {
+		if *role != "worker" {
+			return
+		}
+		id, adv := *workerID, *advertise
 		if id == "" {
 			id = ln.Addr().String()
 		}
-		adv := *advertise
 		if adv == "" {
 			adv = "http://" + ln.Addr().String()
 		}
 		agent, err := cluster.NewAgent(cluster.AgentConfig{
-			Coordinator:  strings.TrimSuffix(*coordURL, "/"),
-			Coordinators: splitURLList(*coordList),
+			Coordinator:  coordinators[0],
+			Coordinators: coordinators[1:],
 			WorkerID:     id,
 			Advertise:    adv,
 			Server:       srv,
 			Log:          logger,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
-			return 1
+			logger.Error("worker agent not started", "err", err)
+			return
 		}
-		go agent.Run(ctx) //nolint:errcheck // exits with ctx at shutdown
-	}
-	drained := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		logger.Info("signal received, draining")
-		drained <- srv.Shutdown(context.Background())
-	}()
-
-	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
-		return 1
-	}
-	if err := <-drained; err != nil {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve: drain:", err)
-		return 1
-	}
-	logger.Info("drained, exiting")
-	return 0
+		agent.Run(ctx) //nolint:errcheck // exits with ctx at shutdown
+	}, srv.Serve, func() error { return srv.Shutdown(context.Background()) })
 }
 
 // splitURLList parses a comma-separated URL list flag, dropping empties
@@ -451,35 +425,9 @@ func coordinatorMain(cfg cluster.Config, standbyOf string) int {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
-		return 1
-	}
-	// Same load-bearing line as the server roles: with -addr :0 this is
-	// how callers discover the bound port.
-	fmt.Fprintf(os.Stderr, "darwin-wga serve: listening on %s\n", ln.Addr())
-	cfg.Log.Info("serving", "addr", ln.Addr().String(), "role", "coordinator",
-		"version", obs.BuildVersion())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		cfg.Log.Info("signal received, stopping coordinator")
-		drained <- coord.Shutdown(context.Background())
-	}()
-	if err := coord.Serve(ln); err != nil {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
-		return 1
-	}
-	if err := <-drained; err != nil {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve: shutdown:", err)
-		return 1
-	}
-	cfg.Log.Info("coordinator stopped, exiting")
-	return 0
+	return serveRole("coordinator", cfg.Addr, cfg.Log, nil, coord.Serve, func() error {
+		return coord.Shutdown(context.Background())
+	})
 }
 
 // standbyMain runs the warm-standby coordinator: tail the leader's
@@ -500,43 +448,51 @@ func standbyMain(cfg cluster.Config, leaderURL string) int {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	httpSrv := &http.Server{Handler: sb.Handler()}
+	return serveRole("standby", cfg.Addr, cfg.Log, func(ctx context.Context, _ net.Listener) {
+		cfg.Log.Info("standby replicating", "leader", leaderURL)
+		if err := sb.Run(ctx); err != nil && ctx.Err() == nil {
+			cfg.Log.Error("standby replication loop", "err", err)
+		}
+	}, httpSrv.Serve, func() error {
+		return errors.Join(sb.Shutdown(context.Background()), httpSrv.Close())
+	})
+}
+
+// serveRole binds addr, announces the bound address and serves a role on
+// it until SIGINT/SIGTERM, which drains it: beside (optional) runs next
+// to the server until the signal; stop, called on it, makes serve return.
+func serveRole(role, addr string, log *slog.Logger, beside func(context.Context, net.Listener), serve func(net.Listener) error, stop func() error) int {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
+	// The bound address line is load-bearing: with -addr :0 it is how
+	// callers (and the e2e tests) discover the actual port.
 	fmt.Fprintf(os.Stderr, "darwin-wga serve: listening on %s\n", ln.Addr())
-	cfg.Log.Info("serving", "addr", ln.Addr().String(), "role", "standby",
-		"version", obs.BuildVersion())
-	cfg.Log.Info("standby replicating", "leader", leaderURL)
+	log.Info("serving", "addr", ln.Addr().String(), "role", role, "version", obs.BuildVersion())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		if err := sb.Run(ctx); err != nil && ctx.Err() == nil {
-			cfg.Log.Error("standby replication loop", "err", err)
-		}
-	}()
-	httpSrv := &http.Server{Handler: sb.Handler()}
-	drained := make(chan error, 1)
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	if beside != nil {
+		go beside(ctx, ln)
+	}
+	stopped := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		cfg.Log.Info("signal received, stopping standby")
-		err := sb.Shutdown(context.Background())
-		if cerr := httpSrv.Close(); err == nil {
-			err = cerr
-		}
-		drained <- err
+		log.Info("signal received, draining " + role)
+		stopped <- stop()
 	}()
-	if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) && ctx.Err() == nil {
+	if err := serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
-	if err := <-drained; err != nil {
+	if err := <-stopped; err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve: shutdown:", err)
 		return 1
 	}
-	cfg.Log.Info("standby stopped, exiting")
+	log.Info(role + " drained, exiting")
 	return 0
 }
 

@@ -59,8 +59,8 @@
 // Recorder implementation; the nil default is free (a benchmark-pinned
 // zero-allocation contract). NewTracer collects a Chrome trace_event
 // span tree (the CLI's -trace flag), NewPipelineMetrics folds events
-// into a MetricsRegistry served as Prometheus text and expvar JSON
-// (the server's /metrics endpoint), and MultiRecorder fans out to
+// into a MetricsRegistry served as Prometheus text (the server's
+// /metrics endpoint), and MultiRecorder fans out to
 // several at once.
 //
 // # Serving
@@ -140,7 +140,7 @@ type (
 	// (the CLI's -trace flag); load its output in Perfetto.
 	Tracer = obs.Tracer
 	// MetricsRegistry holds named counters, gauges, and histograms and
-	// renders Prometheus text or expvar-style JSON.
+	// renders them as Prometheus text.
 	MetricsRegistry = obs.Registry
 	// PipelineMetrics is a Recorder folding pipeline events into a
 	// MetricsRegistry under the darwinwga_* metric names.

@@ -289,14 +289,14 @@ func (c *Coordinator) handleMAF(w http.ResponseWriter, r *http.Request) {
 		}
 		// The job was already over: its finished MAF is unreachable.
 		terminalTries++
-		if terminalTries >= c.cfg.Retry.Attempts() {
+		if terminalTries >= workerRetry.Attempts() {
 			if !headerWritten {
 				server.WriteError(w, http.StatusBadGateway,
 					"job %s finished but its MAF is unreachable on %s", j.ID, a.WorkerAddr)
 			}
 			return
 		}
-		if c.wait(c.cfg.Retry.Backoff(terminalTries, hash64(j.ID)), r.Context().Done(), nil) != wokeTimer {
+		if c.wait(workerRetry.Backoff(terminalTries, hash64(j.ID)), r.Context().Done(), nil) != wokeTimer {
 			return
 		}
 	}
@@ -442,7 +442,7 @@ func (c *Coordinator) handleShippedList(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	segs, err := c.wal.listShipped(id)
+	segs, err := c.wal.files.Segments(ownShipped.Rel(id))
 	if err != nil {
 		server.WriteError(w, http.StatusInternalServerError, "listing shipped segments: %v", err)
 		return
@@ -463,7 +463,7 @@ func (c *Coordinator) handleShippedGet(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "bad segment name %q", seg)
 		return
 	}
-	data, err := c.wal.loadShipped(id, seg)
+	data, err := c.wal.files.Get(ownShipped.Rel(id, seg))
 	if err != nil {
 		server.WriteError(w, http.StatusNotFound, "segment %q: %v", seg, err)
 		return
@@ -492,7 +492,7 @@ func (c *Coordinator) handleShippedPut(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusRequestEntityTooLarge, "reading segment: %v", err)
 		return
 	}
-	if err := c.wal.saveShipped(id, seg, data); err != nil {
+	if err := c.wal.files.Put(ownShipped.Rel(id, seg), data); err != nil {
 		// Storage trouble (disk full) is transient from the worker's
 		// perspective: the atomic writer guarantees no corrupt segment
 		// landed, so the worker just retries the PUT after a beat.
@@ -590,15 +590,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.metrics.WritePrometheus(w) //nolint:errcheck // response committed
 }
 
-// ListenAndServe binds cfg.Addr and serves the coordinator API.
-func (c *Coordinator) ListenAndServe() error {
-	ln, err := net.Listen("tcp", c.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return c.Serve(ln)
-}
-
 // Serve runs the coordinator API on ln until Shutdown.
 func (c *Coordinator) Serve(ln net.Listener) error {
 	srv := &http.Server{
@@ -608,19 +599,9 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 	c.httpMu.Lock()
 	c.httpSrv = srv
 	c.httpMu.Unlock()
-	c.listener.mu.Lock()
-	c.listener.addr = ln.Addr().String()
-	c.listener.mu.Unlock()
 	err := srv.Serve(ln)
 	if err == http.ErrServerClosed {
 		return nil
 	}
 	return err
-}
-
-// Addr reports the bound listen address once Serve has been called.
-func (c *Coordinator) Addr() string {
-	c.listener.mu.Lock()
-	defer c.listener.mu.Unlock()
-	return c.listener.addr
 }

@@ -211,7 +211,7 @@ func (c *Coordinator) dispatchTo(j *coordJob, m *Member) (string, error) {
 	// Encoded once: every retry re-sends the same (possibly large) bytes.
 	sub, err := json.Marshal(server.SubmitRequest{
 		Target:      j.Target,
-		QueryFASTA:  j.queryFASTA,
+		QueryFASTA:  j.query(),
 		QueryName:   j.QueryName,
 		Client:      "coord/" + j.Client,
 		TraceID:     j.TraceID,
@@ -222,8 +222,8 @@ func (c *Coordinator) dispatchTo(j *coordJob, m *Member) (string, error) {
 		return "", err
 	}
 	var lastErr error
-	for attempt := 1; attempt <= c.cfg.Retry.Attempts(); attempt++ {
-		if attempt > 1 && c.wait(c.cfg.Retry.Backoff(attempt-1, hash64(j.ID+m.ID)), j.cancelCh, nil) != wokeTimer {
+	for attempt := 1; attempt <= workerRetry.Attempts(); attempt++ {
+		if attempt > 1 && c.wait(workerRetry.Backoff(attempt-1, hash64(j.ID+m.ID)), j.cancelCh, nil) != wokeTimer {
 			return "", fmt.Errorf("cluster: dispatch %w: job cancelled or coordinator shutting down", errAborted)
 		}
 		st, err := workerCall[server.JobStatus](c, workerReq{

@@ -148,7 +148,7 @@ func TestCompatWALReplay(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal", "seg-00000002.wal"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cj, state, err := openCoordJournal(dir, 0)
+	cj, state, err := openCoordJournal(dir, 0, server.CompactThreshold, nil)
 	if err != nil {
 		t.Fatalf("openCoordJournal: %v", err)
 	}

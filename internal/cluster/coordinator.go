@@ -38,9 +38,10 @@ type coordJob struct {
 	// byte-identical).
 	ckSubmitted
 
-	// queryFASTA holds the normalized query text for dispatch. With a
-	// journal it is backed by the spilled queries/<id>.fa; without one
-	// it lives only here.
+	// queryFASTA (under mu; read through query) holds the normalized
+	// query text for dispatch until the job turns terminal. With a journal
+	// it is backed by the spilled queries/<id>.fa; without one it lives
+	// only here.
 	queryFASTA string
 
 	// flight is the coordinator-side half of the job's flight recorder:
@@ -150,6 +151,13 @@ func (j *coordJob) spanSnapshot() []workerSpans {
 	return out
 }
 
+// query is the text to dispatch: empty once the job is terminal.
+func (j *coordJob) query() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.queryFASTA
+}
+
 func (j *coordJob) snapshotState() (state server.JobState, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -169,7 +177,8 @@ func (j *coordJob) dispatchCount() int {
 
 // Config parameterizes a Coordinator. The zero value is usable.
 type Config struct {
-	// Addr is the listen address (default "127.0.0.1:8052").
+	// Addr is the address the caller listens on (default
+	// "127.0.0.1:8052"); AdvertiseURL derives from it.
 	Addr string
 	// ReplicationFactor is how many replicas a target's routing
 	// considers (default 2). It bounds the preference list, not the
@@ -184,12 +193,6 @@ type Config struct {
 	// DispatchTimeout bounds each HTTP request to a worker
 	// (default 10s). Driven by Clock, so chaos tests control it.
 	DispatchTimeout time.Duration
-	// Retry shapes per-worker retries: attempts and exponential
-	// backoff with jitter (default 4 attempts, 250ms base, 5s cap).
-	Retry core.RetryPolicy
-	// MaxDispatches bounds how many assignments one job may consume
-	// across failovers before it is failed (default 5).
-	MaxDispatches int
 	// BreakerThreshold opens a worker's circuit after this many
 	// consecutive transport failures (default 3; negative = disabled).
 	BreakerThreshold int
@@ -201,10 +204,6 @@ type Config struct {
 	// JournalDir, when set, makes the coordinator crash-only: every
 	// routing decision is journaled there and restart recovers it.
 	JournalDir string
-	// SnapshotThreshold compacts the routing WAL to a snapshot record
-	// at open once it holds more than this many records (default 4096),
-	// bounding restart replay and standby sync. Requires JournalDir.
-	SnapshotThreshold int
 	// AdvertiseURL is the base URL workers use to reach this
 	// coordinator for checkpoint shipping (default "http://"+Addr).
 	AdvertiseURL string
@@ -212,8 +211,8 @@ type Config struct {
 	// coordinator's journal. They are advertised to workers in
 	// register/heartbeat responses so agents know where to fail over.
 	Standbys []string
-	// RetainJobs bounds how many terminal jobs stay queryable in
-	// memory (default 256).
+	// RetainJobs bounds how many terminal jobs stay queryable — in
+	// memory, on disk and in the journal (default 256).
 	RetainJobs int
 	// ShardDispatch lists targets whose jobs are decomposed into
 	// per-shard work units scattered across every worker advertising the
@@ -230,13 +229,6 @@ type Config struct {
 	// ShardParallel caps concurrently in-flight work units per job
 	// (default 4). Retries and hedges share the cap.
 	ShardParallel int
-	// ShardHedgeFactor sets the straggler threshold at factor × p90 of
-	// completed unit durations (default 2); a running unit past it is
-	// speculatively re-dispatched once, first result wins.
-	ShardHedgeFactor float64
-	// ShardHedgeMinDone is how many units must complete before the p90
-	// threshold is trusted (default 3).
-	ShardHedgeMinDone int
 	// IOFaults, when set, is threaded through every artifact-store write
 	// (query spills, shipped segments, shard frames, merged MAFs) — the
 	// disk-full fault seam.
@@ -250,6 +242,14 @@ type Config struct {
 	// Log receives structured operational messages (default discard).
 	Log *slog.Logger
 }
+
+// workerRetry shapes the retries of requests to one worker: attempts
+// and exponential backoff with jitter.
+var workerRetry = core.RetryPolicy{MaxAttempts: 4, BaseDelay: 250 * time.Millisecond, MaxDelay: 5 * time.Second}
+
+// maxDispatches bounds how many assignments one job may consume across
+// failovers before it is failed.
+const maxDispatches = 5
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -266,12 +266,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DispatchTimeout <= 0 {
 		c.DispatchTimeout = 10 * time.Second
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = core.RetryPolicy{MaxAttempts: 4, BaseDelay: 250 * time.Millisecond, MaxDelay: 5 * time.Second}
-	}
-	if c.MaxDispatches <= 0 {
-		c.MaxDispatches = 5
 	}
 	switch {
 	case c.BreakerThreshold == 0:
@@ -297,12 +291,6 @@ func (c Config) withDefaults() Config {
 	if c.ShardParallel <= 0 {
 		c.ShardParallel = 4
 	}
-	if c.ShardHedgeFactor <= 0 {
-		c.ShardHedgeFactor = 2
-	}
-	if c.ShardHedgeMinDone <= 0 {
-		c.ShardHedgeMinDone = 3
-	}
 	if c.AdvertiseURL == "" {
 		c.AdvertiseURL = "http://" + c.Addr
 	}
@@ -319,7 +307,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Coordinator routes jobs across registered workers. Construct with
-// New, then Serve/ListenAndServe; Shutdown stops routing (journaled
+// New, then Serve; Shutdown stops routing (journaled
 // jobs continue after the next restart — clean shutdown and crash are
 // the same path).
 type Coordinator struct {
@@ -350,17 +338,10 @@ type Coordinator struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	httpMu   sync.Mutex
-	httpSrv  *http.Server
-	listener addrHolder
+	httpMu  sync.Mutex
+	httpSrv *http.Server
 
 	c counters
-}
-
-// addrHolder remembers the bound listener address for Addr().
-type addrHolder struct {
-	mu   sync.Mutex
-	addr string
 }
 
 type counters struct {
@@ -409,13 +390,12 @@ func New(cfg Config) (*Coordinator, error) {
 	var recovered []recoveredRouting
 	c.epoch = 1
 	if cfg.JournalDir != "" {
-		wal, state, err := openCoordJournal(cfg.JournalDir, cfg.SnapshotThreshold)
+		wal, state, err := openCoordJournal(cfg.JournalDir, cfg.RetainJobs, server.CompactThreshold, cfg.IOFaults)
 		if err != nil {
 			cancel()
 			return nil, err
 		}
 		c.wal = wal
-		wal.io = cfg.IOFaults
 		recovered = state.recovered
 		// Every start — cold restart or standby promotion — bumps the
 		// fencing epoch past everything the journal (local or shipped
@@ -424,7 +404,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.epoch = state.epoch + 1
 		c.hub = newReplicationHub(state.records)
 		wal.hub = c.hub
-		if err := wal.epoch(c.epoch); err != nil {
+		if err := wal.append(ckKindEpoch, ckEpoch{Epoch: c.epoch}); err != nil {
 			wal.close()
 			cancel()
 			return nil, fmt.Errorf("cluster: journaling epoch: %w", err)
@@ -707,7 +687,6 @@ func (c *Coordinator) submit(sub ckSubmitted, fasta string) (*coordJob, error) {
 	c.mu.Lock()
 	c.jobs[j.ID] = j
 	c.order = append(c.order, j.ID)
-	c.evictLocked()
 	c.mu.Unlock()
 
 	c.wg.Add(1)
@@ -719,25 +698,19 @@ func (c *Coordinator) submit(sub ckSubmitted, fasta string) (*coordJob, error) {
 	return j, nil
 }
 
-// evictLocked drops the oldest terminal jobs past the retention cap.
+// evictLocked drops the jobs the retention window evicts (the oldest
+// terminal ones past RetainJobs; active jobs never), with everything
+// they own on disk. Requires c.mu.
 func (c *Coordinator) evictLocked() {
-	over := len(c.order) - c.cfg.RetainJobs
-	if over <= 0 {
-		return
+	keep, evict := server.RetainWindow(c.order, func(id string) bool {
+		st, _ := c.jobs[id].snapshotState()
+		return st.Terminal()
+	}, c.cfg.RetainJobs)
+	for _, id := range evict {
+		delete(c.jobs, id)
+		c.wal.retire(id, true)
 	}
-	kept := c.order[:0]
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if st, _ := j.snapshotState(); over > 0 && st.Terminal() {
-			delete(c.jobs, id)
-			c.wal.removeShipped(id)
-			c.wal.removeShards(id)
-			over--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	c.order = kept
+	c.order = keep
 }
 
 // Get returns a job by coordinator id.
@@ -774,14 +747,17 @@ func (c *Coordinator) finalize(j *coordJob, state server.JobState, errMsg string
 	j.errMsg = errMsg
 	j.finishedAt = now
 	j.parked = false
+	j.queryFASTA = "" // nothing dispatches a terminal job
 	j.broadcastLocked()
 	j.mu.Unlock()
 	if err := c.wal.finished(j, state, errMsg, now); err != nil {
 		c.log.Error("journaling terminal state failed", "job_id", j.ID, "err", err)
 	}
-	c.wal.removeShipped(j.ID)
-	c.wal.removeShardUnits(j.ID)
+	c.wal.retire(j.ID, false)
 	c.clearShipStamp(j.ID)
+	c.mu.Lock()
+	c.evictLocked()
+	c.mu.Unlock()
 	detail := string(state)
 	if errMsg != "" {
 		detail += ": " + errMsg
@@ -837,7 +813,7 @@ func (c *Coordinator) runJob(j *coordJob, tryReattach bool) {
 				continue
 			}
 		} else {
-			if j.dispatchCount() >= c.cfg.MaxDispatches {
+			if j.dispatchCount() >= maxDispatches {
 				c.finalize(j, server.JobFailed, fmt.Sprintf(
 					"failover budget exhausted after %d dispatches", j.dispatchCount()))
 				return
@@ -1030,10 +1006,10 @@ watching:
 			// the lease) cut the read short; the wait reports it at once.
 			pause = noTimer
 		case err != nil:
-			if failures++; failures >= c.cfg.Retry.Attempts() {
+			if failures++; failures >= workerRetry.Attempts() {
 				break watching
 			}
-			pause = c.cfg.Retry.Backoff(failures, hash64(j.ID))
+			pause = workerRetry.Backoff(failures, hash64(j.ID))
 		}
 		if woke := c.wait(pause, j.cancelCh, members); woke == wokeCancelled || woke == wokeShutdown {
 			return false

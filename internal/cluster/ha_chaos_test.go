@@ -114,11 +114,11 @@ func TestHAJournalShippingTracksLeader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replaying standby journal: %v", err)
 	}
-	folded, epoch, err := foldRouting(recs)
+	_, folded, epoch, err := foldRouting(recs)
 	if err != nil {
 		t.Fatalf("folding standby journal: %v", err)
 	}
-	if len(folded) != 2 || folded[0].sub.ID != id1 || folded[1].sub.ID != id2 {
+	if len(folded) != 2 || folded[0] != id1 || folded[1] != id2 {
 		t.Fatalf("standby routing state = %d jobs, want [%s %s]", len(folded), id1, id2)
 	}
 	if epoch != cc.coord.Epoch() {
@@ -331,7 +331,7 @@ func TestHASnapshotCompactionBoundsReplay(t *testing.T) {
 
 	total := 0
 	for cycle := 0; cycle < cycles; cycle++ {
-		cj, st, err := openCoordJournal(dir, threshold)
+		cj, st, err := openCoordJournal(dir, 0, threshold, nil)
 		if err != nil {
 			t.Fatalf("cycle %d open: %v", cycle, err)
 		}
@@ -357,7 +357,7 @@ func TestHASnapshotCompactionBoundsReplay(t *testing.T) {
 	}
 
 	// Final open: everything folded, nothing replayed beyond the bound.
-	cj, st, err := openCoordJournal(dir, threshold)
+	cj, st, err := openCoordJournal(dir, 0, threshold, nil)
 	if err != nil {
 		t.Fatalf("final open: %v", err)
 	}

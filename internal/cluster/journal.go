@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,10 +60,6 @@ const (
 // the atomic writer guarantees no corrupt artifact landed, which makes
 // the request safely retryable.
 var errArtifactStore = errors.New("artifact store unavailable")
-
-// defaultSnapshotThreshold is the record count past which the journal is
-// compacted to a snapshot at open.
-const defaultSnapshotThreshold = 4096
 
 type ckHeader struct {
 	Version int `json:"version"`
@@ -137,26 +133,44 @@ type recoveredRouting struct {
 	shardDone  []int
 }
 
+// What a coordinator job owns under the journal directory. Until it is
+// evicted: its spilled query (a submitted record guarantees it, and a
+// syncing standby is sent it) and its shard directory, whose result.maf
+// lets a restarted coordinator still serve the assembled MAF. While it
+// runs: the settled shard units (units/<seq>.json; journals older than
+// the two-phase plan kept frames/<seq>.json, which nothing reads — such a
+// unit is re-dispatched) and the pipeline-journal segments its worker
+// ships, which a failover replacement downloads to resume mid-pipeline.
+var (
+	ownQuery   = server.Owned{Dir: "queries", Ext: ".fa"}
+	ownShards  = server.Owned{Dir: "shards"}
+	ownUnits   = server.Owned{Dir: "shards", Sub: "units", Scratch: true}
+	ownShipped = server.Owned{Dir: "shipped", Scratch: true}
+	coordOwned = []server.Owned{ownQuery, ownShards, ownUnits, ownShipped}
+)
+
+const shardMAF = "result.maf"
+
+func unitFile(seq int) string { return fmt.Sprintf("%d.json", seq) }
+
 // coordJournal wraps a checkpoint.Journal with the locking the
 // coordinator needs (runners journal concurrently; checkpoint.Journal
-// itself is single-writer) plus the query spill directory, the shipped
-// pipeline-journal artifact store, and the replication hub every
-// appended record is published to (appends and publishes share cj.mu,
-// so hub order is WAL order).
+// itself is single-writer) plus the per-job artifact store and the
+// replication hub every appended record is published to (appends and
+// publishes share cj.mu, so hub order is WAL order).
 type coordJournal struct {
 	mu  sync.Mutex
 	j   *checkpoint.Journal
-	dir string
 	hub *replicationHub
-	// io is the artifact-store fault seam: every spill (queries, shipped
-	// segments, shard frames, merged MAFs) writes through it so tests
-	// inject ENOSPC/short writes exactly where a full disk would bite.
-	io *faultinject.IOFaults
+	// files holds what coordOwned lists; every spill writes through its
+	// fault seam, where tests inject ENOSPC and short writes.
+	files *server.Artifacts
 }
 
 // journalState is what openCoordJournal recovered: the folded per-job
-// routing histories, the highest journaled epoch, and the journal's
-// current raw records (post-compaction) for seeding the replication hub.
+// routing histories the retention window kept, the highest journaled
+// epoch, and the journal's current raw records (post-compaction) for
+// seeding the replication hub.
 type journalState struct {
 	recovered []recoveredRouting
 	epoch     uint64
@@ -164,66 +178,52 @@ type journalState struct {
 }
 
 // openCoordJournal opens (creating if needed) the coordinator WAL in
-// dir and folds every valid record into per-job routing histories, in
-// submission order. When the journal has grown past snapshotThreshold
-// records (0 = defaultSnapshotThreshold) it is compacted to a single
-// snapshot record so restart replay — and the journal a standby must
-// sync — stays bounded.
-func openCoordJournal(dir string, snapshotThreshold int) (*coordJournal, *journalState, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "queries"), 0o755); err != nil {
-		return nil, nil, err
-	}
+// dir, folds its records into per-job routing histories in submission
+// order, and applies the retention window (retain <= 0 keeps all): an
+// evicted job is not recovered, its artifacts are swept, and it is left
+// out of the snapshot the journal is compacted to past snapshotThreshold
+// records. Restart replay, the job table and the journal a standby syncs
+// are thus bounded by retain plus the active jobs, not by history.
+func openCoordJournal(dir string, retain, snapshotThreshold int, flt *faultinject.IOFaults) (*coordJournal, *journalState, error) {
 	j, recs, err := checkpoint.Open(filepath.Join(dir, "wal"), checkpoint.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: opening coordinator journal: %w", err)
 	}
-	cj := &coordJournal{j: j, dir: dir}
-	recovered, epoch, err := foldRouting(recs)
+	cj := &coordJournal{j: j, files: server.NewArtifacts(dir, flt)}
+	byID, order, epoch, err := foldRouting(recs)
 	if err != nil {
 		j.Close() //nolint:errcheck
 		return nil, nil, err
 	}
-	if snapshotThreshold <= 0 {
-		snapshotThreshold = defaultSnapshotThreshold
+	keep, evict := server.RetainWindow(order, func(id string) bool { return byID[id].finished }, retain)
+	for _, id := range evict {
+		delete(byID, id)
 	}
-	if len(recs) > snapshotThreshold {
-		recs, err = cj.compact(recovered, epoch)
-		if err != nil {
-			j.Close() //nolint:errcheck
-			return nil, nil, fmt.Errorf("cluster: compacting coordinator journal: %w", err)
-		}
+	cj.files.Sweep(coordOwned, func(id string) bool { return byID[id] != nil })
+	recovered := make([]recoveredRouting, len(keep))
+	for i, id := range keep {
+		recovered[i] = *byID[id]
 	}
-	if len(recs) == 0 {
-		hdr, err := jsonRecord(ckKindHeader, ckHeader{Version: ckVersion})
-		if err != nil {
-			j.Close() //nolint:errcheck
-			return nil, nil, err
-		}
-		if err := cj.j.Append(hdr.Kind, hdr.Payload); err != nil {
-			j.Close() //nolint:errcheck
-			return nil, nil, err
-		}
+	// A new journal gets its header; one past the threshold is rewritten
+	// as header + snapshot of the jobs that stayed.
+	hdr, err := jsonRecord(ckKindHeader, ckHeader{Version: ckVersion})
+	switch {
+	case err != nil:
+	case len(recs) == 0:
 		recs = []checkpoint.Record{hdr}
+		err = j.Append(hdr.Kind, hdr.Payload)
+	case len(recs) > snapshotThreshold:
+		var snap checkpoint.Record
+		if snap, err = jsonRecord(ckKindSnapshot, snapshotOf(recovered, epoch)); err == nil {
+			recs = []checkpoint.Record{hdr, snap}
+			err = j.Compact(recs)
+		}
+	}
+	if err != nil {
+		j.Close() //nolint:errcheck
+		return nil, nil, fmt.Errorf("cluster: rewriting coordinator journal: %w", err)
 	}
 	return cj, &journalState{recovered: recovered, epoch: epoch, records: recs}, nil
-}
-
-// compact rewrites the journal as header + snapshot and returns the new
-// raw record set.
-func (cj *coordJournal) compact(recovered []recoveredRouting, epoch uint64) ([]checkpoint.Record, error) {
-	hdr, err := jsonRecord(ckKindHeader, ckHeader{Version: ckVersion})
-	if err != nil {
-		return nil, err
-	}
-	snap, err := jsonRecord(ckKindSnapshot, snapshotOf(recovered, epoch))
-	if err != nil {
-		return nil, err
-	}
-	recs := []checkpoint.Record{hdr, snap}
-	if err := cj.j.Compact(recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
 }
 
 // snapshotOf serializes the folded routing state.
@@ -248,27 +248,25 @@ func jsonRecord(kind uint8, v any) (checkpoint.Record, error) {
 }
 
 // foldRouting replays records into routing histories keyed by job id,
-// preserving submission order, and tracks the highest journaled epoch.
+// with the submission order, and tracks the highest journaled epoch.
 // A snapshot record resets the folded state to the snapshot's — exactly
 // the semantics Compact's crash window needs.
-func foldRouting(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
-	byID := make(map[string]*recoveredRouting)
-	var order []string
-	var epoch uint64
+func foldRouting(recs []checkpoint.Record) (byID map[string]*recoveredRouting, order []string, epoch uint64, err error) {
+	byID = make(map[string]*recoveredRouting)
 	for _, rec := range recs {
 		switch rec.Kind {
 		case ckKindHeader:
 			var h ckHeader
 			if err := json.Unmarshal(rec.Payload, &h); err != nil {
-				return nil, 0, fmt.Errorf("cluster: journal header: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: journal header: %w", err)
 			}
 			if h.Version != ckVersion {
-				return nil, 0, fmt.Errorf("cluster: journal version %d, want %d", h.Version, ckVersion)
+				return nil, nil, 0, fmt.Errorf("cluster: journal version %d, want %d", h.Version, ckVersion)
 			}
 		case ckKindSubmitted:
 			var sub ckSubmitted
 			if err := json.Unmarshal(rec.Payload, &sub); err != nil {
-				return nil, 0, fmt.Errorf("cluster: submitted record: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: submitted record: %w", err)
 			}
 			if _, dup := byID[sub.ID]; !dup {
 				byID[sub.ID] = &recoveredRouting{sub: sub}
@@ -277,7 +275,7 @@ func foldRouting(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
 		case ckKindAssigned:
 			var a ckAssigned
 			if err := json.Unmarshal(rec.Payload, &a); err != nil {
-				return nil, 0, fmt.Errorf("cluster: assigned record: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: assigned record: %w", err)
 			}
 			if r, ok := byID[a.ID]; ok {
 				r.assigns = append(r.assigns, a)
@@ -285,7 +283,7 @@ func foldRouting(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
 		case ckKindFinished:
 			var f ckFinished
 			if err := json.Unmarshal(rec.Payload, &f); err != nil {
-				return nil, 0, fmt.Errorf("cluster: finished record: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: finished record: %w", err)
 			}
 			if r, ok := byID[f.ID]; ok {
 				r.finished = true
@@ -296,7 +294,7 @@ func foldRouting(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
 		case ckKindEpoch:
 			var e ckEpoch
 			if err := json.Unmarshal(rec.Payload, &e); err != nil {
-				return nil, 0, fmt.Errorf("cluster: epoch record: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: epoch record: %w", err)
 			}
 			if e.Epoch > epoch {
 				epoch = e.Epoch
@@ -304,7 +302,7 @@ func foldRouting(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
 		case ckKindShardPlan:
 			var p ckShardPlan
 			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return nil, 0, fmt.Errorf("cluster: shard plan record: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: shard plan record: %w", err)
 			}
 			if r, ok := byID[p.ID]; ok && r.shardPlan == nil {
 				r.shardPlan = p.Units
@@ -312,24 +310,15 @@ func foldRouting(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
 		case ckKindShardDone:
 			var d ckShardDone
 			if err := json.Unmarshal(rec.Payload, &d); err != nil {
-				return nil, 0, fmt.Errorf("cluster: shard done record: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: shard done record: %w", err)
 			}
-			if r, ok := byID[d.ID]; ok {
-				dup := false
-				for _, seq := range r.shardDone {
-					if seq == d.Seq {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					r.shardDone = append(r.shardDone, d.Seq)
-				}
+			if r, ok := byID[d.ID]; ok && !slices.Contains(r.shardDone, d.Seq) {
+				r.shardDone = append(r.shardDone, d.Seq)
 			}
 		case ckKindSnapshot:
 			var s ckSnapshot
 			if err := json.Unmarshal(rec.Payload, &s); err != nil {
-				return nil, 0, fmt.Errorf("cluster: snapshot record: %w", err)
+				return nil, nil, 0, fmt.Errorf("cluster: snapshot record: %w", err)
 			}
 			byID = make(map[string]*recoveredRouting)
 			order = order[:0]
@@ -351,14 +340,15 @@ func foldRouting(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
 			// Unknown kinds from a newer writer are skipped, not fatal.
 		}
 	}
-	out := make([]recoveredRouting, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
-	}
-	return out, epoch, nil
+	return byID, order, epoch, nil
 }
 
+// append journals one record and publishes it to the hub. A nil journal
+// (no JournalDir) journals nothing.
 func (cj *coordJournal) append(kind uint8, v any) error {
+	if cj == nil {
+		return nil
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -374,47 +364,25 @@ func (cj *coordJournal) append(kind uint8, v any) error {
 	return nil
 }
 
-// epoch journals a fencing-token bump.
-func (cj *coordJournal) epoch(e uint64) error {
-	if cj == nil {
-		return nil
-	}
-	return cj.append(ckKindEpoch, ckEpoch{Epoch: e})
-}
-
-// queryPath is where job id's spilled query lives.
-func (cj *coordJournal) queryPath(id string) string {
-	return filepath.Join(cj.dir, "queries", id+".fa")
-}
-
 // saveQuery durably spills the job's already-normalized FASTA text
 // before the submitted record is journaled — the spill-before-journal
 // order is the crash-safety invariant: a submitted record implies a
 // readable query.
 func (cj *coordJournal) saveQuery(id, fasta string) error {
-	return checkpoint.WriteBytesAtomic(cj.queryPath(id), cj.io, []byte(fasta))
+	return cj.files.Put(ownQuery.Rel(id), []byte(fasta))
 }
 
 // loadQuery reads back a spilled query as FASTA text for dispatch.
 func (cj *coordJournal) loadQuery(id string) (string, error) {
-	data, err := os.ReadFile(cj.queryPath(id))
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
+	data, err := cj.files.Get(ownQuery.Rel(id))
+	return string(data), err
 }
 
 func (cj *coordJournal) submitted(j *coordJob) error {
-	if cj == nil {
-		return nil
-	}
 	return cj.append(ckKindSubmitted, j.ckSubmitted)
 }
 
 func (cj *coordJournal) assigned(j *coordJob, a assignment) error {
-	if cj == nil {
-		return nil
-	}
 	return cj.append(ckKindAssigned, ckAssigned{
 		ID:          j.ID,
 		WorkerID:    a.WorkerID,
@@ -425,9 +393,6 @@ func (cj *coordJournal) assigned(j *coordJob, a assignment) error {
 }
 
 func (cj *coordJournal) finished(j *coordJob, state server.JobState, errMsg string, at time.Time) error {
-	if cj == nil {
-		return nil
-	}
 	return cj.append(ckKindFinished, ckFinished{
 		ID:    j.ID,
 		State: state,
@@ -436,110 +401,12 @@ func (cj *coordJournal) finished(j *coordJob, state server.JobState, errMsg stri
 	})
 }
 
-func (cj *coordJournal) shardPlanned(j *coordJob, units []core.ShardUnit) error {
-	if cj == nil {
-		return nil
+// retire removes what job id owns (coordOwned): what only a running job
+// needs once it is terminal, everything once it is evicted.
+func (cj *coordJournal) retire(id string, evicted bool) {
+	if cj != nil {
+		cj.files.Retire(coordOwned, id, evicted)
 	}
-	return cj.append(ckKindShardPlan, ckShardPlan{ID: j.ID, Units: units})
-}
-
-func (cj *coordJournal) shardDone(j *coordJob, seq int, worker string, at time.Time) error {
-	if cj == nil {
-		return nil
-	}
-	return cj.append(ckKindShardDone, ckShardDone{ID: j.ID, Seq: seq, WorkerID: worker, AtNS: at.UnixNano()})
-}
-
-// The shard artifact store holds each sharded job's settled unit
-// results (shards/<id>/units/<seq>.json, removed once the job is
-// terminal) and its assembled MAF (shards/<id>/result.maf, retained so a
-// restarted coordinator can still serve the result). Journals older than
-// the two-phase plan kept frames/<seq>.json instead: nothing reads that
-// name, so such a unit is re-dispatched (eviction removes the directory).
-
-func (cj *coordJournal) shardDir(id string) string {
-	return filepath.Join(cj.dir, "shards", id)
-}
-
-func (cj *coordJournal) shardUnitPath(id string, seq int) string {
-	return filepath.Join(cj.shardDir(id), "units", fmt.Sprintf("%d.json", seq))
-}
-
-func (cj *coordJournal) saveShardUnit(id string, seq int, data []byte) error {
-	path := cj.shardUnitPath(id, seq)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return checkpoint.WriteBytesAtomic(path, cj.io, data)
-}
-
-func (cj *coordJournal) loadShardUnit(id string, seq int) ([]byte, error) {
-	return os.ReadFile(cj.shardUnitPath(id, seq))
-}
-
-func (cj *coordJournal) saveShardMAF(id string, data []byte) error {
-	if err := os.MkdirAll(cj.shardDir(id), 0o755); err != nil {
-		return err
-	}
-	return checkpoint.WriteBytesAtomic(filepath.Join(cj.shardDir(id), "result.maf"), cj.io, data)
-}
-
-func (cj *coordJournal) loadShardMAF(id string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(cj.shardDir(id), "result.maf"))
-}
-
-// removeShardUnits drops a terminal job's per-unit spills; the
-// assembled result.maf stays serveable.
-func (cj *coordJournal) removeShardUnits(id string) {
-	if cj == nil {
-		return
-	}
-	os.RemoveAll(filepath.Join(cj.shardDir(id), "units")) //nolint:errcheck // best effort cleanup
-}
-
-// removeShards drops everything a sharded job spilled, merged MAF
-// included — eviction-time cleanup.
-func (cj *coordJournal) removeShards(id string) {
-	if cj == nil {
-		return
-	}
-	os.RemoveAll(cj.shardDir(id)) //nolint:errcheck // best effort cleanup
-}
-
-// The shipped-artifact store holds pipeline-journal segments workers
-// PUT for their running jobs (shipped/<coord job id>/seg-*.wal). On
-// failover the replacement worker GETs them back and resumes
-// mid-pipeline instead of recomputing.
-
-func (cj *coordJournal) shippedDir(id string) string {
-	return filepath.Join(cj.dir, "shipped", id)
-}
-
-// saveShipped stores one shipped segment atomically. The name has been
-// validated (checkpoint.IsSegmentName) by the caller.
-func (cj *coordJournal) saveShipped(id, name string, data []byte) error {
-	dir := cj.shippedDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return checkpoint.WriteBytesAtomic(filepath.Join(dir, name), cj.io, data)
-}
-
-func (cj *coordJournal) listShipped(id string) ([]checkpoint.SegmentInfo, error) {
-	return checkpoint.ListSegments(cj.shippedDir(id))
-}
-
-func (cj *coordJournal) loadShipped(id, name string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(cj.shippedDir(id), name))
-}
-
-// removeShipped drops a job's shipped segments — called when the job
-// reaches a terminal state and the pipeline journal has no further use.
-func (cj *coordJournal) removeShipped(id string) {
-	if cj == nil {
-		return
-	}
-	os.RemoveAll(cj.shippedDir(id)) //nolint:errcheck // best effort cleanup
 }
 
 func (cj *coordJournal) close() {

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -33,8 +32,9 @@ import (
 // carrying the leader's epoch and total record count (a total below the
 // follower's position means the leader's journal was compacted or
 // replaced: the follower wipes and resyncs from zero). Record frames
-// carry (index, kind, payload); submitted records additionally carry
-// the spilled query FASTA so the standby can preserve the
+// carry (index, kind, payload); submitted records — and snapshot
+// records, for the jobs in them that are still active — additionally
+// carry the spilled query FASTA so the standby can preserve the
 // spill-before-journal invariant on its own disk. Keepalive frames flow
 // when the log is idle; frame silence longer than the standby's
 // promotion window is the leader-loss signal.
@@ -50,6 +50,10 @@ type repFrame struct {
 	Kind    uint8  `json:"kind,omitempty"`
 	Payload []byte `json:"payload,omitempty"`
 	Query   []byte `json:"query,omitempty"` // submitted records: spilled FASTA
+	// Queries carries, with a snapshot record, the spilled FASTA of each
+	// job in it that is still active, by job id: a standby that syncs a
+	// compacted journal never sees their submitted records.
+	Queries map[string][]byte `json:"queries,omitempty"`
 }
 
 // replicationHub is the leader's in-memory copy of the routing WAL's
@@ -208,11 +212,25 @@ func (c *Coordinator) serveReplicate(w http.ResponseWriter, r *http.Request) {
 		recs, total, changed := c.hub.since(after)
 		for i, rec := range recs {
 			f := repFrame{Index: after + uint64(i) + 1, Kind: rec.Kind, Payload: rec.Payload}
-			if rec.Kind == ckKindSubmitted {
+			switch rec.Kind {
+			case ckKindSubmitted:
 				var sub ckSubmitted
 				if err := json.Unmarshal(rec.Payload, &sub); err == nil {
 					if q, err := c.wal.loadQuery(sub.ID); err == nil {
 						f.Query = []byte(q)
+					}
+				}
+			case ckKindSnapshot:
+				var snap ckSnapshot
+				if err := json.Unmarshal(rec.Payload, &snap); err == nil {
+					f.Queries = make(map[string][]byte)
+					for _, sj := range snap.Jobs {
+						if sj.Finished != nil {
+							continue
+						}
+						if q, err := c.wal.loadQuery(sj.Sub.ID); err == nil {
+							f.Queries[sj.Sub.ID] = []byte(q)
+						}
 					}
 				}
 			}
@@ -306,9 +324,6 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	}
 	if cfg.PromoteAfter <= 0 {
 		cfg.PromoteAfter = cfg.Coordinator.withDefaults().LeaseTTL
-	}
-	if err := os.MkdirAll(filepath.Join(cfg.JournalDir, "queries"), 0o755); err != nil {
-		return nil, err
 	}
 	j, recs, err := checkpoint.Open(filepath.Join(cfg.JournalDir, "wal"), checkpoint.Options{})
 	if err != nil {
@@ -551,12 +566,17 @@ func (s *Standby) applyRecord(f repFrame) error {
 	if f.Index != s.records+1 {
 		return fmt.Errorf("replication gap: got index %d, have %d records", f.Index, s.records)
 	}
+	queries := f.Queries
 	if f.Kind == ckKindSubmitted && len(f.Query) > 0 {
 		var sub ckSubmitted
 		if err := json.Unmarshal(f.Payload, &sub); err != nil {
 			return fmt.Errorf("shipped submitted record: %w", err)
 		}
-		if err := checkpoint.WriteBytesAtomic(filepath.Join(s.dir, "queries", sub.ID+".fa"), nil, f.Query); err != nil {
+		queries = map[string][]byte{sub.ID: f.Query}
+	}
+	files := server.NewArtifacts(s.dir, nil)
+	for id, q := range queries {
+		if err := files.Put(ownQuery.Rel(id), q); err != nil {
 			return fmt.Errorf("spilling shipped query: %w", err)
 		}
 	}

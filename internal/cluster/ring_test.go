@@ -203,7 +203,7 @@ func TestMembershipPreference(t *testing.T) {
 // back after a reopen.
 func TestCoordJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cj, state, err := openCoordJournal(dir, 0)
+	cj, state, err := openCoordJournal(dir, 0, server.CompactThreshold, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -232,7 +232,7 @@ func TestCoordJournalRoundTrip(t *testing.T) {
 	}
 	cj.close()
 
-	cj2, state2, err := openCoordJournal(dir, 0)
+	cj2, state2, err := openCoordJournal(dir, 0, server.CompactThreshold, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

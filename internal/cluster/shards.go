@@ -150,22 +150,29 @@ func (p *shardProgress) currentWorker(seq int) string {
 	return p.units[seq].Worker
 }
 
-// stragglers returns the running, not-yet-hedged units whose age has
-// reached factor × p90 of the completed durations of units of their own
-// kind, and how long until the next one's does (noTimer: none will). A
-// kind has no threshold until minDone of its units have completed:
-// hedging needs evidence of what "normal" looks like, and a cheap filter
-// unit is no evidence about an extension unit.
-func (p *shardProgress) stragglers(now time.Time, minDone int, factor float64) (due []int, next time.Duration) {
+// A running unit is a straggler — speculatively re-dispatched once,
+// first result wins — past hedgeFactor × p90 of the completed durations
+// of units of its own kind, once hedgeMinDone of them have completed.
+const (
+	hedgeFactor  = 2
+	hedgeMinDone = 3
+)
+
+// stragglers returns the running, not-yet-hedged stragglers and how long
+// until the next unit becomes one (noTimer: none will). A kind has no
+// threshold until hedgeMinDone of its units have completed: hedging
+// needs evidence of what "normal" looks like, and a cheap filter unit is
+// no evidence about an extension unit.
+func (p *shardProgress) stragglers(now time.Time) (due []int, next time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	next = noTimer
 	thr := map[bool]time.Duration{}
 	for kind, ph := range p.phases {
-		if len(ph.durs) >= minDone {
+		if len(ph.durs) >= hedgeMinDone {
 			d := slices.Clone(ph.durs)
 			slices.Sort(d)
-			thr[kind] = time.Duration(factor * float64(d[len(d)*9/10]))
+			thr[kind] = hedgeFactor * d[len(d)*9/10]
 		}
 	}
 	for seq, u := range p.units {
@@ -236,7 +243,7 @@ func fastaBaseCount(fasta string) (int, error) {
 func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 	defer c.wg.Done()
 
-	queryLen, err := fastaBaseCount(j.queryFASTA)
+	queryLen, err := fastaBaseCount(j.query())
 	if err != nil {
 		c.finalize(j, server.JobFailed, fmt.Sprintf("shard planning: %v", err))
 		return
@@ -253,7 +260,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		pcfg := core.DefaultConfig()
 		pcfg.BothStrands = !j.Spec.ForwardOnly
 		plan = core.PlanShards(&pcfg, queryLen, c.cfg.ShardUnits)
-		if err := c.wal.shardPlanned(j, plan); err != nil {
+		if err := c.wal.append(ckKindShardPlan, ckShardPlan{ID: j.ID, Units: plan}); err != nil {
 			c.log.Error("journaling shard plan failed", "job_id", j.ID, "err", err)
 		}
 	}
@@ -329,7 +336,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		stops[u.Seq] = make(chan struct{})
 		if rec != nil && slices.Contains(rec.shardDone, u.Seq) && !(u.Extend && openFilters[u.Strand] > 0) {
 			var res server.ShardResponse
-			data, err := c.wal.loadShardUnit(j.ID, u.Seq)
+			data, err := c.wal.files.Get(ownUnits.Rel(j.ID, unitFile(u.Seq)))
 			if err == nil {
 				err = json.Unmarshal(data, &res)
 			}
@@ -398,7 +405,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 	// Stragglers are looked for on every unit outcome and at the instant
 	// the next one is due: a stream of completions cannot starve the hedge.
 	for pending > 0 {
-		due, next := prog.stragglers(c.cfg.Clock.Now(), c.cfg.ShardHedgeMinDone, c.cfg.ShardHedgeFactor)
+		due, next := prog.stragglers(c.cfg.Clock.Now())
 		for _, seq := range due {
 			if stopped[seq] || runners[seq] > 1 {
 				continue
@@ -446,10 +453,11 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 		// only a restart would redo the unit.
 		if c.wal != nil {
 			if data, merr := json.Marshal(out.res); merr == nil {
-				if err := c.wal.saveShardUnit(j.ID, out.seq, data); err != nil {
+				if err := c.wal.files.Put(ownUnits.Rel(j.ID, unitFile(out.seq)), data); err != nil {
 					c.log.Warn("spilling shard result failed; a restart re-dispatches this unit",
 						"job_id", j.ID, "seq", out.seq, "err", err)
-				} else if err := c.wal.shardDone(j, out.seq, out.worker, c.cfg.Clock.Now()); err != nil {
+				} else if err := c.wal.append(ckKindShardDone, ckShardDone{ID: j.ID, Seq: out.seq, WorkerID: out.worker,
+					AtNS: c.cfg.Clock.Now().UnixNano()}); err != nil {
 					c.log.Error("journaling shard completion failed",
 						"job_id", j.ID, "seq", out.seq, "err", err)
 				}
@@ -468,7 +476,7 @@ func (c *Coordinator) runShardJob(j *coordJob, rec *recoveredRouting) {
 func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.ShardUnit, anchors []core.ExtensionAnchor,
 	hedge bool, sem chan struct{}, stop <-chan struct{}, report func(shardOutcome)) {
 	defer c.wg.Done()
-	attempts := c.cfg.Retry.Attempts()
+	attempts := workerRetry.Attempts()
 	seed := j.ID + "/" + strconv.Itoa(u.Seq)
 	if hedge {
 		seed += "/hedge"
@@ -477,7 +485,7 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 	var lastErr error
 	var lastWorker string
 	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 && c.wait(c.cfg.Retry.Backoff(attempt-1, hash64(seed)), stop, nil) != wokeTimer {
+		if attempt > 1 && c.wait(workerRetry.Backoff(attempt-1, hash64(seed)), stop, nil) != wokeTimer {
 			return
 		}
 		if c.fenced.Load() {
@@ -576,7 +584,7 @@ func (c *Coordinator) dispatchShardTo(j *coordJob, m *Member, u core.ShardUnit, 
 		body: server.ShardRequest{
 			Target:      j.Target,
 			Fingerprint: j.Fingerprint,
-			QueryFASTA:  j.queryFASTA,
+			QueryFASTA:  j.query(),
 			QueryName:   j.QueryName,
 			JobSpec:     j.Spec,
 			JobID:       j.ID,
@@ -635,7 +643,7 @@ func (c *Coordinator) finishShardJob(j *coordJob, units []core.ShardUnit,
 	}
 	j.mu.Unlock()
 	if c.wal != nil {
-		if err := c.wal.saveShardMAF(j.ID, buf.Bytes()); err != nil {
+		if err := c.wal.files.Put(ownShards.Rel(j.ID, shardMAF), buf.Bytes()); err != nil {
 			c.log.Warn("spilling merged MAF failed; result served from memory only",
 				"job_id", j.ID, "err", err)
 		}
@@ -672,7 +680,7 @@ func (c *Coordinator) serveShardMAF(w http.ResponseWriter, r *http.Request, j *c
 			server.WriteError(w, http.StatusGone, "job %s: merged MAF not retained", j.ID)
 			return
 		}
-		loaded, err := c.wal.loadShardMAF(j.ID)
+		loaded, err := c.wal.files.Get(ownShards.Rel(j.ID, shardMAF))
 		if err != nil {
 			server.WriteError(w, http.StatusBadGateway, "job %s: merged MAF artifact unreadable: %v", j.ID, err)
 			return

@@ -1,7 +1,6 @@
 // Package obs is the pipeline's observability layer: a stdlib-only
 // metrics registry (atomic counters, gauges, and fixed-bucket
-// histograms exposed in Prometheus text format and as expvar-style
-// JSON), a span recorder interface the pipeline reports into at tile
+// histograms exposed in Prometheus text format), a span recorder interface the pipeline reports into at tile
 // granularity, a Chrome trace_event exporter for one-shot runs, and a
 // lock-free per-call aggregate for serving-layer job statistics.
 //
@@ -197,8 +196,7 @@ type metric struct {
 }
 
 // Registry holds named metrics and renders them in Prometheus text
-// format (WritePrometheus) or as a flat JSON object (WriteJSON, the
-// expvar view). Registration is idempotent per name as long as the
+// format (WritePrometheus). Registration is idempotent per name as long as the
 // kind matches; a kind conflict panics (programmer error). All value
 // operations are lock-free; registration takes a mutex.
 type Registry struct {
@@ -383,66 +381,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteJSON renders the registry as one flat JSON object — the expvar
-// view: counters and gauges map to numbers, histograms to
-// {count, sum, buckets} objects keyed by upper bound.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	for _, m := range r.snapshot() {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, "%q:", m.family+m.labels)
-		switch m.kind {
-		case "counter":
-			fmt.Fprintf(&b, "%d", m.counter.Value())
-		case "gauge":
-			v := 0.0
-			if m.gaugeFn != nil {
-				v = m.gaugeFn()
-			} else {
-				v = m.gauge.Value()
-			}
-			b.WriteString(jsonFloat(v))
-		case "histogram":
-			bounds, cum := m.histogram.Buckets()
-			b.WriteString(`{"count":`)
-			fmt.Fprintf(&b, "%d", m.histogram.Count())
-			b.WriteString(`,"sum":`)
-			b.WriteString(jsonFloat(m.histogram.Sum()))
-			b.WriteString(`,"buckets":{`)
-			for i, le := range bounds {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "%q:%d", fmtFloat(le), cum[i])
-			}
-			b.WriteString("}}")
-		}
-	}
-	b.WriteString("}")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// String renders the registry as JSON, implementing the expvar.Var
-// interface so a Registry can be expvar.Publish'd directly.
-func (r *Registry) String() string {
-	var b strings.Builder
-	r.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
-}
-
-// jsonFloat renders a float as a JSON value (JSON has no Inf/NaN; they
-// degrade to 0, which only a scrape-time gauge could produce).
-func jsonFloat(v float64) string {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return "0"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -189,36 +188,6 @@ darwinwga_server_queue_depth 5
 `
 	if got := b.String(); got != want {
 		t.Errorf("prometheus exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("darwinwga_test_total", "t").Add(7)
-	reg.GaugeFunc("darwinwga_test_gauge", "t", func() float64 { return 1.5 })
-	reg.Histogram("darwinwga_test_seconds", "t", []float64{1}).Observe(0.5)
-
-	var b strings.Builder
-	if err := reg.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var v map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &v); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, b.String())
-	}
-	if v["darwinwga_test_total"] != float64(7) {
-		t.Errorf("counter in JSON = %v", v["darwinwga_test_total"])
-	}
-	if v["darwinwga_test_gauge"] != 1.5 {
-		t.Errorf("gauge in JSON = %v", v["darwinwga_test_gauge"])
-	}
-	hist, ok := v["darwinwga_test_seconds"].(map[string]any)
-	if !ok || hist["count"] != float64(1) {
-		t.Errorf("histogram in JSON = %v", v["darwinwga_test_seconds"])
-	}
-	// String() is the expvar.Var view of the same bytes.
-	if reg.String() != b.String() {
-		t.Error("String() differs from WriteJSON output")
 	}
 }
 

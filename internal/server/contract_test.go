@@ -77,7 +77,7 @@ func TestCompatJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, recovered, err := openJobStore(dir)
+	store, recovered, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
@@ -114,8 +114,8 @@ func TestCompatJournalReplay(t *testing.T) {
 			t.Errorf("%s finished state = %q, want %q", w.id, state, w.state)
 		}
 	}
-	if fin := recovered[0].fin; fin == nil || fin.Truncated != "deadline" || fin.HSPs != 7 || recovered[0].mafPath == "" {
-		t.Errorf("job-done outcome = %+v (maf %q)", fin, recovered[0].mafPath)
+	if fin := recovered[0].fin; fin == nil || fin.Truncated != "deadline" || fin.HSPs != 7 || !recovered[0].hasMAF {
+		t.Errorf("job-done outcome = %+v (maf %v)", fin, recovered[0].hasMAF)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 
 // TestMemoryAdmission drives both watermark rejections without any
 // fault injection, purely by watermark arithmetic: the job footprint
-// estimate is a fixed multiple of the query size, and the live heap is
-// megabytes, so a watermark of 1 byte forces the "job can never fit"
-// 413 while a watermark of ~2x the footprint forces the "transient
-// pressure" 429 (heap alone exceeds it, the job alone does not).
+// estimate is megabytes and the live heap holds the target's 64 MiB
+// index, so a watermark of 1 byte forces the "job can never fit" 413
+// while a watermark between the two forces the "transient pressure" 429
+// (heap alone exceeds it, the job alone does not).
 func TestMemoryAdmission(t *testing.T) {
 	pair := testPair(t, "dm6-droSim1", 0.0004)
 	body := map[string]any{
@@ -42,7 +42,10 @@ func TestMemoryAdmission(t *testing.T) {
 
 	t.Run("memory pressure 429 with constant Retry-After", func(t *testing.T) {
 		srv, ts := newTestServer(t, server.Config{
-			MemoryHighWater: 16 * int64(pair.Query.TotalLen()),
+			// Between the job's estimate (~12 MB) and the heap once the
+			// target's 64 MiB index is resident, and pinned there.
+			MemoryHighWater: 32 << 20,
+			IndexBudget:     -1,
 			RetryAfter:      7 * time.Second,
 		}, nil)
 		if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {

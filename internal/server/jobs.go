@@ -8,14 +8,11 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/genome"
@@ -346,15 +343,17 @@ func newCounters(reg *obs.Registry) counters {
 // admission (nil = disabled), and the clock drives the watchdog and
 // every timestamp so the chaos suite can freeze time.
 type Manager struct {
-	reg            *Registry
-	base           core.Config
-	maxPerClient   int
-	maxDeadline    time.Duration
-	retain         int
-	checkpointRoot string
-	shipInterval   time.Duration
-	shipClient     *http.Client
-	log            *slog.Logger
+	reg          *Registry
+	base         core.Config
+	maxPerClient int
+	maxDeadline  time.Duration
+	retain       int
+	// ckpt holds each job's pipeline checkpoint directory, named by job id
+	// (nil without a CheckpointRoot).
+	ckpt         *Artifacts
+	shipInterval time.Duration
+	shipClient   *http.Client
+	log          *slog.Logger
 
 	store        *jobStore
 	brk          *Breaker
@@ -426,7 +425,6 @@ func newManager(reg *Registry, metrics *obs.Registry, cfg Config, store *jobStor
 		maxPerClient:    cfg.MaxInFlightPerClient,
 		maxDeadline:     cfg.MaxDeadline,
 		retain:          cfg.RetainJobs,
-		checkpointRoot:  cfg.CheckpointRoot,
 		shipInterval:    cfg.ShipInterval,
 		shipClient:      &http.Client{Timeout: 30 * time.Second},
 		log:             cfg.Log,
@@ -459,8 +457,22 @@ func newManager(reg *Registry, metrics *obs.Registry, cfg Config, store *jobStor
 		misses:    metrics.Counter("darwinwga_result_cache_misses_total", "cache-enabled submissions that had to run the pipeline"),
 		evictions: metrics.Counter("darwinwga_result_cache_evictions_total", "cached MAF artifacts evicted to stay within the byte budget"),
 	}
+	if cfg.CheckpointRoot != "" {
+		m.ckpt = NewArtifacts(cfg.CheckpointRoot, nil)
+	}
 	m.recover(recovered)
 	return m
+}
+
+// retire removes what job id owns on disk (see jobFiles): its pipeline
+// checkpoint once it is terminal — the output is durable by then — and,
+// once it is evicted, its query and MAF too: on replay a finished record
+// without a MAF reads as "evicted", which is exactly what happened.
+func (m *Manager) retire(id string, evicted bool) {
+	m.ckpt.Retire(jobCheckpoint, id, evicted)
+	if m.store != nil {
+		m.store.files.Retire(jobFiles, id, evicted)
+	}
 }
 
 // RecoverySummary tallies what the startup journal replay did with
@@ -537,7 +549,7 @@ func newRecoveredJob(r *recoveredJob) *Job {
 // and spilled MAF. A record whose MAF artifact is gone was evicted
 // before the crash and stays gone.
 func (m *Manager) recoverTerminal(r *recoveredJob) {
-	if r.mafPath == "" {
+	if r.gone() {
 		m.recovery.Dropped++
 		return // evicted before the crash
 	}
@@ -548,7 +560,7 @@ func (m *Manager) recoverTerminal(r *recoveredJob) {
 		m.recovery.Dropped++
 		return
 	}
-	data, err := os.ReadFile(r.mafPath)
+	data, err := m.store.files.Get(jobMAF.Rel(r.sub.ID))
 	if err != nil {
 		m.log.Warn("job journal: finished job's MAF unreadable, dropping",
 			"job_id", r.sub.ID, "error", err)
@@ -716,13 +728,28 @@ func heapInUse() int64 {
 	return int64(ms.HeapInuse)
 }
 
-// estimateJobBytes is the admission-time estimate of one job's
-// transient heap: the concatenated query copy, its reverse complement,
-// and per-stage candidate/tile buffers. 8× the query length is
-// deliberately conservative; the shared target index is excluded
-// because it is already resident.
-func estimateJobBytes(queryBases int) int64 {
-	return 8 * int64(queryBases)
+// estimateJobBytes is the admission-time estimate of one job's peak
+// live heap beyond the resident index, from its own configuration. Fixed:
+// the extender's X-drop aligner (a traceback arena of up to (TileSize+1)²
+// bytes, twice because growing it holds both copies, and four int32 DP
+// rows), a banded aligner's four rows per filter worker, and the span
+// buffer at its cap (~620 B an event with its args, measured). Per base:
+// the query text, its concatenation and reverse complement, the spooled
+// MAF and a 16-byte candidate anchor held twice while the slice grows
+// (7-29 B/base measured between 59 and 444 kbp).
+// TestEstimateJobBytesBracketsMeasuredPeak holds the sum within [1×, 8×]
+// of the measured peak.
+func (m *Manager) estimateJobBytes(params JobParams, queryBases int) int64 {
+	cfg := m.jobConfig(params)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	tile := int64(cfg.Extension.TileSize) + 1
+	extension := 2*tile*tile + 4*4*(tile+1)
+	filter := int64(workers) * 4 * 4 * int64(cfg.FilterTileSize+1)
+	trace := int64(m.traceCap) * 640
+	return extension + filter + trace + 40*int64(queryBases)
 }
 
 // Submit admits one job or rejects it with a typed admission error.
@@ -751,7 +778,7 @@ func (m *Manager) Submit(params JobParams, query *genome.Assembly, client string
 		}
 	}
 	if m.memHighWater > 0 {
-		footprint := estimateJobBytes(query.TotalLen())
+		footprint := m.estimateJobBytes(params, query.TotalLen())
 		if footprint > m.memHighWater {
 			m.RejectedMemory.Inc()
 			m.log.Warn("job rejected", "reason", "memory", "client", client,
@@ -843,11 +870,11 @@ func (m *Manager) journalAdmission(j *Job) error {
 	if m.store == nil {
 		return nil
 	}
-	_, err := m.store.saveQuery(j.ID, j.query)
+	err := m.store.saveQuery(j.ID, j.query)
 	if err != nil {
 		err = fmt.Errorf("server: persisting query: %w", err)
 	} else if err = m.store.submitted(j); err != nil {
-		m.store.removeArtifacts(j.ID)
+		m.retire(j.ID, true)
 	}
 	if err != nil {
 		m.log.Error("job rejected", "reason", "journal", "client", j.Client, "error", err)
@@ -1114,19 +1141,19 @@ func (m *Manager) runAttempt(j *Job) bool {
 
 	cfg := m.jobConfig(j.Params)
 	restored := false
-	if m.checkpointRoot != "" {
-		cfg.CheckpointDir = filepath.Join(m.checkpointRoot, j.ID)
+	if m.ckpt != nil {
+		cfg.CheckpointDir = m.ckpt.Path(j.ID)
 		if j.Params.JournalShip != "" {
 			// A replacement worker after a failover has no local journal
 			// for this job: pull the crashed worker's shipped segments so
 			// the pipeline resumes instead of recomputing. A worker that
 			// restarted in place keeps its own (at-least-as-fresh) copy.
-			restored = m.restoreShipped(j, cfg.CheckpointDir)
+			restored = m.restoreShipped(j)
 			if restored {
 				j.flight.Record(obs.FlightEvent{At: m.clock.Now(), Type: obs.FlightFailover, Source: "worker",
 					Job: j.ID, Detail: "resumed from shipped checkpoint segments"})
 			}
-			stop := m.startShipper(j, cfg.CheckpointDir)
+			stop := m.startShipper(j)
 			defer stop()
 		}
 	}
@@ -1178,7 +1205,7 @@ func (m *Manager) runAttempt(j *Job) bool {
 		// still empty.
 		m.log.Warn("shipped checkpoint journal does not match; recomputing",
 			"job_id", j.ID, "error", alignErr)
-		if err := checkpoint.Remove(cfg.CheckpointDir); err != nil {
+		if err := m.ckpt.Remove(j.ID); err != nil {
 			m.finalize(j, JobFailed, nil, fmt.Sprintf("resetting mismatched checkpoint: %v", err))
 			return true
 		}
@@ -1219,10 +1246,8 @@ func (m *Manager) runAttempt(j *Job) bool {
 }
 
 // finalize is the single terminal path for a job that ran: record the
-// state, seal the spool, spill + journal the outcome, feed the
-// breaker, release accounting, and drop the job's per-run pipeline
-// checkpoint (its output is durable now, so the intermediate journal
-// has nothing left to protect).
+// state, seal the spool, spill + journal the outcome, retire the job's
+// per-run pipeline checkpoint, feed the breaker and release accounting.
 func (m *Manager) finalize(j *Job, state JobState, res *core.Result, msg string) {
 	now := m.clock.Now()
 	j.finish(state, res, msg, now)
@@ -1235,11 +1260,7 @@ func (m *Manager) finalize(j *Job, state JobState, res *core.Result, msg string)
 	if err := m.store.finished(j, state, msg, truncated, j.hsps.Load(), sp.contents(), now); err != nil {
 		m.log.Error("journaling job terminal state", "job_id", j.ID, "error", err)
 	}
-	if m.checkpointRoot != "" {
-		if err := checkpoint.Remove(filepath.Join(m.checkpointRoot, j.ID)); err != nil {
-			m.log.Warn("removing job pipeline checkpoint", "job_id", j.ID, "error", err)
-		}
-	}
+	m.retire(j.ID, false)
 	// A complete, untruncated success is the deterministic answer for
 	// this (target, query, config) triple: publish it to the result
 	// cache so an identical resubmission skips the pipeline. Truncated
@@ -1299,34 +1320,16 @@ func (m *Manager) releaseClient(j *Job) {
 	m.evictLocked()
 }
 
-// evictLocked drops the oldest terminal jobs beyond the retention cap,
-// so a long-lived server's job table (and the spooled MAF held by each
-// entry) stays bounded; the store's per-job artifacts go with them.
-// Requires m.mu.
+// evictLocked drops the jobs RetainWindow evicts, so a long-lived
+// server's job table (and the spooled MAF held by each entry) stays
+// bounded; what they own on disk goes with them. Requires m.mu.
 func (m *Manager) evictLocked() {
-	if m.retain <= 0 {
-		return
+	keep, evict := RetainWindow(m.order, func(id string) bool { return m.jobs[id].State().Terminal() }, m.retain)
+	for _, id := range evict {
+		delete(m.jobs, id)
+		m.retire(id, true)
 	}
-	terminal := 0
-	for _, id := range m.order {
-		if m.jobs[id].State().Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= m.retain {
-		return
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		if terminal > m.retain && m.jobs[id].State().Terminal() {
-			delete(m.jobs, id)
-			m.store.removeArtifacts(id)
-			terminal--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
+	m.order = keep
 }
 
 // Drain shuts the manager down gracefully: new submissions are

@@ -1,12 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,11 +35,12 @@ import (
 //	queries/<id>.fa  the job's query, spilled at submit (atomic rename)
 //	maf/<id>.maf     the job's final MAF, spilled at finish (atomic rename)
 //
-// The journal is append-only for the server's lifetime; artifact files
-// are deleted when the job manager evicts a job, and a finished record
-// whose artifacts are missing is treated as evicted on replay. The
-// journal itself is bounded only by segment rotation — an ops runbook
-// concern (see README), not a correctness one.
+// Artifact files are deleted when the job manager evicts a job, and a
+// finished record whose MAF is missing is treated as evicted on replay.
+// At open the retention window is applied to the folded jobs, the
+// artifacts of every job that did not stay are swept, and a journal past
+// CompactThreshold records is rewritten from the survivors' own records:
+// the WAL is bounded by the window plus the active jobs, not by history.
 
 // Job store record kinds.
 const (
@@ -90,134 +91,147 @@ type recoveredJob struct {
 	started   bool
 	startedNS int64
 	fin       *jsFinished
-	queryPath string
-	mafPath   string // non-empty only when the spilled MAF exists
+	hasMAF    bool                // the spilled MAF exists
+	recs      []checkpoint.Record // the job's own records, for compaction
 }
+
+// gone reports a finished job whose MAF is missing: evicted before the
+// crash, and it stays evicted.
+func (r *recoveredJob) gone() bool { return r.fin != nil && !r.hasMAF }
+
+// What a worker job owns on disk: its query and its final MAF under the
+// journal directory until it is evicted, and its pipeline checkpoint
+// directory (under Config.CheckpointRoot) while it runs.
+var (
+	jobQuery      = Owned{Dir: "queries", Ext: ".fa"}
+	jobMAF        = Owned{Dir: "maf", Ext: ".maf"}
+	jobFiles      = []Owned{jobQuery, jobMAF}
+	jobCheckpoint = []Owned{{Scratch: true}}
+)
 
 // jobStore owns the lifecycle journal and the per-job artifact files.
 // A nil *jobStore is valid and does nothing — the in-memory-only mode
 // every method guards for, so the manager threads it unconditionally.
 type jobStore struct {
-	dir string
+	files *Artifacts
 
 	mu sync.Mutex
 	j  *checkpoint.Journal
 }
 
 // openJobStore opens (creating if necessary) the store in dir, replays
-// the lifecycle journal, and returns the jobs it describes in original
-// submission order.
-func openJobStore(dir string) (*jobStore, []recoveredJob, error) {
-	for _, sub := range []string{dir, filepath.Join(dir, "queries"), filepath.Join(dir, "maf")} {
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, nil, err
-		}
-	}
+// the lifecycle journal and returns the jobs the retention window keeps
+// (retain <= 0: all of them), in original submission order. Artifacts
+// of every other job are swept, and a journal of more than compactAt
+// records is rewritten from the kept jobs' records.
+func openJobStore(dir string, retain, compactAt int) (*jobStore, []recoveredJob, error) {
 	j, recs, err := checkpoint.Open(dir, checkpoint.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: opening job journal: %w", err)
 	}
-	s := &jobStore{dir: dir, j: j}
-	recovered, err := s.fold(recs)
+	s := &jobStore{files: NewArtifacts(dir, nil), j: j}
+	byID, order, err := s.fold(recs)
 	if err != nil {
 		j.Close()
 		return nil, nil, err
 	}
-	if len(recs) == 0 {
-		if err := s.append(jsKindHeader, jsHeader{Version: jsVersion}); err != nil {
-			j.Close()
-			return nil, nil, err
+	// A gone job is not restorable, so it holds no slot in the window; the
+	// manager counts it as dropped.
+	keep, evict := RetainWindow(order, func(id string) bool { return byID[id].fin != nil && byID[id].hasMAF }, retain)
+	for _, id := range evict {
+		delete(byID, id)
+	}
+	s.files.Sweep(jobFiles, func(id string) bool { return byID[id] != nil && !byID[id].gone() })
+	recovered := make([]recoveredJob, 0, len(keep))
+	survivors := slices.Clone(recs[:min(1, len(recs))]) // the header
+	for _, id := range keep {
+		recovered = append(recovered, *byID[id])
+		if !byID[id].gone() {
+			survivors = append(survivors, byID[id].recs...)
 		}
+	}
+	switch {
+	case len(recs) == 0:
+		err = s.append(jsKindHeader, jsHeader{Version: jsVersion})
+	case len(recs) > compactAt:
+		err = j.Compact(survivors)
+	}
+	if err != nil {
+		j.Close()
+		return nil, nil, fmt.Errorf("server: rewriting job journal: %w", err)
 	}
 	return s, recovered, nil
 }
 
-// fold reduces the journal's records to per-job recovery state,
-// preserving submission order. Records that fail to decode end the
+// fold reduces the journal's records to per-job recovery state keyed by
+// id, plus the submission order. Records that fail to decode end the
 // fold (prefix semantics, like the pipeline's own replay): everything
-// before them is trusted.
-func (s *jobStore) fold(recs []checkpoint.Record) ([]recoveredJob, error) {
+// before them is trusted. A repeated header or submitted record — what a
+// crash inside a compaction leaves after the old records — is skipped.
+func (s *jobStore) fold(recs []checkpoint.Record) (byID map[string]*recoveredJob, order []string, err error) {
+	byID = make(map[string]*recoveredJob)
 	if len(recs) == 0 {
-		return nil, nil
+		return byID, nil, nil
 	}
 	var hdr jsHeader
 	if recs[0].Kind != jsKindHeader || json.Unmarshal(recs[0].Payload, &hdr) != nil {
-		return nil, errors.New("server: job journal does not begin with a header record")
+		return nil, nil, errors.New("server: job journal does not begin with a header record")
 	}
 	if hdr.Version != jsVersion {
-		return nil, fmt.Errorf("server: job journal version %d, this server writes %d", hdr.Version, jsVersion)
+		return nil, nil, fmt.Errorf("server: job journal version %d, this server writes %d", hdr.Version, jsVersion)
 	}
-	byID := make(map[string]*recoveredJob)
-	var order []string
+fold:
 	for _, rec := range recs[1:] {
+		var r *recoveredJob
 		switch rec.Kind {
+		case jsKindHeader:
+			continue
 		case jsKindSubmitted:
 			var sub jsSubmitted
 			if json.Unmarshal(rec.Payload, &sub) != nil || sub.ID == "" {
-				return s.collect(byID, order), nil
+				break fold
 			}
 			if sub.Params.DeadlineMS == 0 {
 				sub.Params.DeadlineMS = sub.DeadlineMS
 			}
 			if _, dup := byID[sub.ID]; dup {
-				continue // defensive; submit journals each id once
+				continue // submit journals each id once
 			}
-			byID[sub.ID] = &recoveredJob{sub: sub, queryPath: s.queryPath(sub.ID)}
+			r = &recoveredJob{sub: sub, hasMAF: s.files.Has(jobMAF.Rel(sub.ID))}
+			byID[sub.ID] = r
 			order = append(order, sub.ID)
 		case jsKindStarted:
 			var st jsStarted
 			if json.Unmarshal(rec.Payload, &st) != nil {
-				return s.collect(byID, order), nil
+				break fold
 			}
-			if r := byID[st.ID]; r != nil {
+			if r = byID[st.ID]; r != nil {
 				r.started = true
 				r.startedNS = st.StartedNS
 			}
 		case jsKindFinished:
 			var fin jsFinished
 			if json.Unmarshal(rec.Payload, &fin) != nil {
-				return s.collect(byID, order), nil
+				break fold
 			}
-			if r := byID[fin.ID]; r != nil {
-				f := fin
-				r.fin = &f
+			if r = byID[fin.ID]; r != nil {
+				r.fin = &fin
 			}
 		default:
-			return s.collect(byID, order), nil
+			break fold
+		}
+		if r != nil {
+			r.recs = append(r.recs, rec)
 		}
 	}
-	return s.collect(byID, order), nil
+	return byID, order, nil
 }
 
-// collect materializes the fold in submission order, resolving which
-// artifact files still exist.
-func (s *jobStore) collect(byID map[string]*recoveredJob, order []string) []recoveredJob {
-	out := make([]recoveredJob, 0, len(order))
-	for _, id := range order {
-		r := byID[id]
-		if p := s.mafPath(id); fileExists(p) {
-			r.mafPath = p
-		}
-		out = append(out, *r)
-	}
-	return out
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-func (s *jobStore) queryPath(id string) string {
-	return filepath.Join(s.dir, "queries", id+".fa")
-}
-
-func (s *jobStore) mafPath(id string) string {
-	return filepath.Join(s.dir, "maf", id+".maf")
-}
-
-// append marshals and durably appends one record.
+// append marshals and durably appends one record (none on a nil store).
 func (s *jobStore) append(kind uint8, v any) error {
+	if s == nil {
+		return nil
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("server: encoding job record: %w", err)
@@ -231,27 +245,18 @@ func (s *jobStore) append(kind uint8, v any) error {
 }
 
 // saveQuery spills the job's query assembly to its FASTA artifact,
-// atomically (temp + fsync + rename + dirsync), and returns the path.
-// The spilled bases round-trip exactly — the parser already normalized
-// them — which is what keeps a recovered job's pipeline-checkpoint
-// fingerprint valid.
-func (s *jobStore) saveQuery(id string, query *genome.Assembly) (string, error) {
-	path := s.queryPath(id)
-	err := checkpoint.WriteFileAtomic(path, nil, func(w io.Writer) error {
+// atomically (temp + fsync + rename + dirsync). The spilled bases
+// round-trip exactly — the parser already normalized them — which is
+// what keeps a recovered job's pipeline-checkpoint fingerprint valid.
+func (s *jobStore) saveQuery(id string, query *genome.Assembly) error {
+	return s.files.PutFunc(jobQuery.Rel(id), func(w io.Writer) error {
 		return genome.WriteFASTA(w, query.Seqs, 0)
 	})
-	if err != nil {
-		return "", err
-	}
-	return path, nil
 }
 
 // submitted journals one admitted job. Call after saveQuery: a
 // submitted record promises the query artifact exists.
 func (s *jobStore) submitted(j *Job) error {
-	if s == nil {
-		return nil
-	}
 	return s.append(jsKindSubmitted, jsSubmitted{
 		ID:        j.ID,
 		Client:    j.Client,
@@ -264,9 +269,6 @@ func (s *jobStore) submitted(j *Job) error {
 // started journals a queued → running transition. Re-journaled on every
 // watchdog retry; replay only cares that at least one exists.
 func (s *jobStore) started(j *Job, at time.Time) error {
-	if s == nil {
-		return nil
-	}
 	return s.append(jsKindStarted, jsStarted{ID: j.ID, StartedNS: at.UnixNano()})
 }
 
@@ -279,7 +281,7 @@ func (s *jobStore) finished(j *Job, state JobState, errMsg, truncated string, hs
 	if s == nil {
 		return nil
 	}
-	if err := checkpoint.WriteBytesAtomic(s.mafPath(j.ID), nil, mafBytes); err != nil {
+	if err := s.files.Put(jobMAF.Rel(j.ID), mafBytes); err != nil {
 		return fmt.Errorf("server: spilling job MAF: %w", err)
 	}
 	return s.append(jsKindFinished, jsFinished{
@@ -292,25 +294,13 @@ func (s *jobStore) finished(j *Job, state JobState, errMsg, truncated string, hs
 	})
 }
 
-// removeArtifacts deletes an evicted job's query and MAF files (best
-// effort): on replay, a finished record without artifacts reads as
-// "evicted", which is exactly what happened.
-func (s *jobStore) removeArtifacts(id string) {
-	if s == nil {
-		return
-	}
-	os.Remove(s.queryPath(id)) //nolint:errcheck
-	os.Remove(s.mafPath(id))   //nolint:errcheck
-}
-
 // loadQuery reads a recovered job's spilled query back.
 func (s *jobStore) loadQuery(r *recoveredJob) (*genome.Assembly, error) {
-	f, err := os.Open(r.queryPath)
+	data, err := s.files.Get(jobQuery.Rel(r.sub.ID))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	seqs, err := genome.ReadFASTA(f)
+	seqs, err := genome.ReadFASTA(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}

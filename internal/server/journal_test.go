@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/core"
 	"darwinwga/internal/evolve"
 	"darwinwga/internal/genome"
@@ -37,7 +40,7 @@ func storeJob(id, client string, params JobParams, created time.Time) *Job {
 // submission order.
 func TestJobStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	store, recovered, err := openJobStore(dir)
+	store, recovered, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
@@ -56,7 +59,7 @@ func TestJobStoreRoundTrip(t *testing.T) {
 		storeJob("job-evicted", "carol", params, now.Add(3*time.Second)),
 	}
 	for _, j := range jobs {
-		if _, err := store.saveQuery(j.ID, testQuery(j.QueryName)); err != nil {
+		if err := store.saveQuery(j.ID, testQuery(j.QueryName)); err != nil {
 			t.Fatalf("saveQuery(%s): %v", j.ID, err)
 		}
 		if err := store.submitted(j); err != nil {
@@ -75,10 +78,10 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	if err := store.finished(jobs[3], JobFailed, "boom", "", 0, nil, now.Add(8*time.Second)); err != nil {
 		t.Fatalf("finished: %v", err)
 	}
-	store.removeArtifacts("job-evicted")
+	store.files.Retire(jobFiles, "job-evicted", true)
 	store.close()
 
-	store2, recovered, err := openJobStore(dir)
+	store2, recovered, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -120,10 +123,10 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	if done.fin == nil || done.fin.State != string(JobDone) || done.fin.HSPs != 7 || done.fin.Truncated != "deadline" {
 		t.Errorf("job-done record = %+v", done.fin)
 	}
-	if done.mafPath == "" {
+	if !done.hasMAF {
 		t.Fatal("job-done lost its MAF artifact")
 	}
-	if data, err := os.ReadFile(done.mafPath); err != nil || !bytes.Equal(data, mafBody) {
+	if data, err := os.ReadFile(filepath.Join(dir, "maf", "job-done.maf")); err != nil || !bytes.Equal(data, mafBody) {
 		t.Errorf("job-done MAF = %q, %v; want %q", data, err, mafBody)
 	}
 
@@ -131,8 +134,8 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	if evicted.fin == nil || evicted.fin.State != string(JobFailed) || evicted.fin.Error != "boom" {
 		t.Errorf("job-evicted record = %+v", evicted.fin)
 	}
-	if evicted.mafPath != "" {
-		t.Errorf("job-evicted still has a MAF artifact at %q", evicted.mafPath)
+	if evicted.hasMAF {
+		t.Error("job-evicted still has a MAF artifact")
 	}
 }
 
@@ -150,12 +153,12 @@ func fastaRoundTrip(t *testing.T, asm *genome.Assembly) string {
 // every record before the tear and open cleanly for new writes.
 func TestJobStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
-	store, _, err := openJobStore(dir)
+	store, _, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
 	j := storeJob("job-1", "c", JobParams{Target: "tgt"}, time.Unix(1700000000, 0))
-	if _, err := store.saveQuery(j.ID, testQuery("q")); err != nil {
+	if err := store.saveQuery(j.ID, testQuery("q")); err != nil {
 		t.Fatalf("saveQuery: %v", err)
 	}
 	if err := store.submitted(j); err != nil {
@@ -176,7 +179,7 @@ func TestJobStoreTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	store2, recovered, err := openJobStore(dir)
+	store2, recovered, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -187,6 +190,129 @@ func TestJobStoreTornTail(t *testing.T) {
 	// The store must still accept appends after recovering a torn tail.
 	if err := store2.started(storeJob("job-1", "c", JobParams{}, time.Time{}), time.Unix(1700000100, 0)); err != nil {
 		t.Fatalf("append after torn-tail recovery: %v", err)
+	}
+}
+
+// TestJobStoreCompactsPastThreshold: a worker that has finished three
+// thresholds' worth of jobs reopens onto a journal holding only what the
+// retention window kept (plus the still-active job), with the evicted
+// jobs' artifacts swept; a second reopen finds the same jobs.
+func TestJobStoreCompactsPastThreshold(t *testing.T) {
+	const retain, threshold = 4, 24
+	dir := t.TempDir()
+	store, _, err := openJobStore(dir, retain, threshold)
+	if err != nil {
+		t.Fatalf("openJobStore: %v", err)
+	}
+	now := time.Unix(1700000000, 0)
+	submit := func(id string) *Job {
+		j := storeJob(id, "c", JobParams{Target: "tgt"}, now)
+		if err := store.saveQuery(j.ID, testQuery("q")); err != nil {
+			t.Fatalf("saveQuery: %v", err)
+		}
+		if err := store.submitted(j); err != nil {
+			t.Fatalf("submitted: %v", err)
+		}
+		return j
+	}
+	active := submit("job-active")
+	if err := store.started(active, now); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*threshold; i++ {
+		j := submit(fmt.Sprintf("job-%03d", i))
+		if err := store.started(j, now); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.finished(j, JobDone, "", "", 1, []byte("##maf version=1\n"), now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.close()
+
+	want := []string{"job-active", "job-068", "job-069", "job-070", "job-071"}
+	for reopen := 1; reopen <= 2; reopen++ {
+		store, recovered, err := openJobStore(dir, retain, threshold)
+		if err != nil {
+			t.Fatalf("reopen %d: %v", reopen, err)
+		}
+		store.close()
+		var got []string
+		for _, r := range recovered {
+			got = append(got, r.sub.ID)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopen %d recovered %v, want %v", reopen, got, want)
+		}
+		recs, err := checkpoint.Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) > threshold {
+			t.Errorf("reopen %d: journal holds %d records, want <= %d", reopen, len(recs), threshold)
+		}
+		for _, sub := range []string{"queries", "maf"} {
+			ents, err := os.ReadDir(filepath.Join(dir, sub))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) > retain+1 {
+				t.Errorf("reopen %d: %s/ holds %d files, want <= %d", reopen, sub, len(ents), retain+1)
+			}
+		}
+	}
+}
+
+// TestJobStoreFoldSurvivesInterruptedCompaction: a crash after the
+// compacted segment is published but before the old ones are removed
+// leaves the old records followed by a second header and the survivors'
+// records again; the fold must read that as the same jobs, and keep
+// trusting what is appended after it.
+func TestJobStoreFoldSurvivesInterruptedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := openJobStore(dir, 0, CompactThreshold)
+	if err != nil {
+		t.Fatalf("openJobStore: %v", err)
+	}
+	now := time.Unix(1700000000, 0)
+	a, b := storeJob("job-a", "c", JobParams{Target: "tgt"}, now), storeJob("job-b", "c", JobParams{Target: "tgt"}, now)
+	for _, j := range []*Job{a, b} {
+		if err := store.saveQuery(j.ID, testQuery("q")); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.submitted(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.finished(a, JobDone, "", "", 1, []byte("##maf version=1\n"), now); err != nil {
+		t.Fatal(err)
+	}
+	// The interrupted compaction's segment, then life going on.
+	if err := store.append(jsKindHeader, jsHeader{Version: jsVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.submitted(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.finished(a, JobDone, "", "", 1, []byte("##maf version=1\n"), now); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.submitted(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.started(b, now.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	store.close()
+
+	store2, recovered, err := openJobStore(dir, 0, CompactThreshold)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer store2.close()
+	if len(recovered) != 2 || recovered[0].sub.ID != "job-a" || recovered[0].fin == nil ||
+		recovered[1].sub.ID != "job-b" || recovered[1].fin != nil || !recovered[1].started {
+		t.Fatalf("recovered = %+v, want job-a finished and job-b started", recovered)
 	}
 }
 
@@ -275,14 +401,14 @@ func TestRestartRecoversQueuedJobByteIdentical(t *testing.T) {
 	// Synthesize the crashed server's journal: submitted + started, no
 	// finished record — the job was mid-run when the process died.
 	dir := t.TempDir()
-	store, _, err := openJobStore(dir)
+	store, _, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
 	created := time.Unix(1700000000, 0)
 	crashed := storeJob("job-crashed", "alice", params, created)
 	crashed.QueryName = pair.Query.Name
-	if _, err := store.saveQuery(crashed.ID, pair.Query); err != nil {
+	if err := store.saveQuery(crashed.ID, pair.Query); err != nil {
 		t.Fatalf("saveQuery: %v", err)
 	}
 	if err := store.submitted(crashed); err != nil {
@@ -349,12 +475,12 @@ func TestRestartRecoversQueuedJobByteIdentical(t *testing.T) {
 // failed job the client can observe, not vanish.
 func TestRestartFailsJobWithLostQuery(t *testing.T) {
 	dir := t.TempDir()
-	store, _, err := openJobStore(dir)
+	store, _, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
 	j := storeJob("job-lost", "alice", JobParams{Target: "tgt"}, time.Unix(1700000000, 0))
-	if _, err := store.saveQuery(j.ID, testQuery("q")); err != nil {
+	if err := store.saveQuery(j.ID, testQuery("q")); err != nil {
 		t.Fatalf("saveQuery: %v", err)
 	}
 	if err := store.submitted(j); err != nil {
@@ -389,12 +515,12 @@ func TestRestartFailsJobWithLostQuery(t *testing.T) {
 // evicted before the crash stays gone after replay.
 func TestRestartDropsEvictedJob(t *testing.T) {
 	dir := t.TempDir()
-	store, _, err := openJobStore(dir)
+	store, _, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
 	j := storeJob("job-gone", "alice", JobParams{Target: "tgt"}, time.Unix(1700000000, 0))
-	if _, err := store.saveQuery(j.ID, testQuery("q")); err != nil {
+	if err := store.saveQuery(j.ID, testQuery("q")); err != nil {
 		t.Fatalf("saveQuery: %v", err)
 	}
 	if err := store.submitted(j); err != nil {
@@ -403,7 +529,7 @@ func TestRestartDropsEvictedJob(t *testing.T) {
 	if err := store.finished(j, JobDone, "", "", 1, []byte("##maf version=1\n"), time.Unix(1700000001, 0)); err != nil {
 		t.Fatalf("finished: %v", err)
 	}
-	store.removeArtifacts(j.ID)
+	store.files.Retire(jobFiles, j.ID, true)
 	store.close()
 
 	srv, err := New(Config{JournalDir: dir})

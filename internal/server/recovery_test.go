@@ -15,7 +15,7 @@ import (
 // and in darwinwga_recovered_jobs_total{outcome}.
 func TestRecoverySummaryCountsAndMetric(t *testing.T) {
 	dir := t.TempDir()
-	store, _, err := openJobStore(dir)
+	store, _, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
@@ -27,7 +27,7 @@ func TestRecoverySummaryCountsAndMetric(t *testing.T) {
 	done := storeJob("job-restored", "c", params, now.Add(2*time.Second))
 	lost := storeJob("job-lost-query", "d", params, now.Add(3*time.Second))
 	for _, j := range []*Job{queued, running, done, lost} {
-		if _, err := store.saveQuery(j.ID, testQuery(j.QueryName)); err != nil {
+		if err := store.saveQuery(j.ID, testQuery(j.QueryName)); err != nil {
 			t.Fatalf("saveQuery(%s): %v", j.ID, err)
 		}
 		if err := store.submitted(j); err != nil {
@@ -72,9 +72,10 @@ func TestRecoverySummaryCountsAndMetric(t *testing.T) {
 		}
 	}
 	// The labeled series must render on /metrics.
-	text := srv.Metrics().String()
-	if !strings.Contains(text, "darwinwga_recovered_jobs_total") {
-		t.Errorf("metrics JSON missing darwinwga_recovered_jobs_total:\n%s", text)
+	var text strings.Builder
+	srv.Metrics().WritePrometheus(&text) //nolint:errcheck // strings.Builder never errors
+	if !strings.Contains(text.String(), `darwinwga_recovered_jobs_total{outcome="restored"} 1`) {
+		t.Errorf("/metrics text missing darwinwga_recovered_jobs_total:\n%s", text.String())
 	}
 }
 
@@ -86,13 +87,13 @@ func TestRecoverySummaryCountsAndMetric(t *testing.T) {
 func TestCancelParkedRecoveredJob(t *testing.T) {
 	pair := recoveryPair(t)
 	dir := t.TempDir()
-	store, _, err := openJobStore(dir)
+	store, _, err := openJobStore(dir, 0, CompactThreshold)
 	if err != nil {
 		t.Fatalf("openJobStore: %v", err)
 	}
 	parked := storeJob("job-parked", "alice", JobParams{Target: "tgt"}, time.Unix(1700000000, 0))
 	parked.QueryName = pair.Query.Name
-	if _, err := store.saveQuery(parked.ID, pair.Query); err != nil {
+	if err := store.saveQuery(parked.ID, pair.Query); err != nil {
 		t.Fatalf("saveQuery: %v", err)
 	}
 	if err := store.submitted(parked); err != nil {

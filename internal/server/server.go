@@ -105,13 +105,10 @@ type Config struct {
 	// repeated identical submissions are served the artifact without a
 	// pipeline run. 0 = disabled.
 	ResultCacheBytes int64
-	// ReadHeaderTimeout/ReadTimeout/IdleTimeout harden the HTTP server
-	// against slow-client resource pinning (defaults 10s / 5m / 2m;
-	// negative = disabled). The write timeout stays unset because MAF
-	// streaming responses legitimately run for the life of a job.
+	// ReadHeaderTimeout hardens the HTTP server against slow-client
+	// resource pinning (default 10s; negative = disabled), beside the
+	// fixed read and idle timeouts Serve sets.
 	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	IdleTimeout       time.Duration
 	// Clock drives the watchdog, breaker cooldowns, retry backoff, and
 	// job timestamps (default: the wall clock). The chaos tests install
 	// a faultinject.ManualClock here.
@@ -205,18 +202,6 @@ func (c Config) withDefaults() Config {
 	case c.ReadHeaderTimeout < 0:
 		c.ReadHeaderTimeout = 0
 	}
-	switch {
-	case c.ReadTimeout == 0:
-		c.ReadTimeout = 5 * time.Minute
-	case c.ReadTimeout < 0:
-		c.ReadTimeout = 0
-	}
-	switch {
-	case c.IdleTimeout == 0:
-		c.IdleTimeout = 2 * time.Minute
-	case c.IdleTimeout < 0:
-		c.IdleTimeout = 0
-	}
 	if c.ShipInterval <= 0 {
 		c.ShipInterval = 2 * time.Second
 	}
@@ -307,7 +292,7 @@ func New(cfg Config) (*Server, error) {
 	var recovered []recoveredJob
 	if cfg.JournalDir != "" {
 		var err error
-		store, recovered, err = openJobStore(cfg.JournalDir)
+		store, recovered, err = openJobStore(cfg.JournalDir, cfg.RetainJobs, CompactThreshold)
 		if err != nil {
 			return nil, err
 		}
@@ -417,7 +402,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 func (s *Server) Jobs() *Manager { return s.jobs }
 
 // Metrics exposes the server's metrics registry, so embedders can add
-// their own series or publish it via expvar.
+// their own series.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Version returns the build version published by the
@@ -488,12 +473,14 @@ func (s *Server) ListenAndServe() error {
 // against slow clients: header, read, and idle timeouts bound how long
 // a connection can pin a goroutine without making progress (request
 // bodies are additionally capped by MaxBytesReader in the handlers).
+// The write timeout stays unset because MAF streaming responses
+// legitimately run for the life of a job.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.handler,
 		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
-		ReadTimeout:       s.cfg.ReadTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
+		ReadTimeout:       5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
 	}
 	s.mu.Lock()
 	s.httpSrv = srv

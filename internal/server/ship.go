@@ -3,9 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 
 	"darwinwga/internal/checkpoint"
@@ -28,11 +28,11 @@ import (
 // longest valid record sequence, so a mid-append snapshot of the file
 // is still a usable journal.
 
-// restoreShipped downloads the job's shipped journal segments into dir
-// when no local journal exists. It reports whether anything was
-// restored; any failure leaves the job running from scratch.
-func (m *Manager) restoreShipped(j *Job, dir string) bool {
-	local, err := checkpoint.ListSegments(dir)
+// restoreShipped downloads the job's shipped journal segments into its
+// checkpoint directory when no local journal exists. It reports whether
+// anything was restored; any failure leaves the job running from scratch.
+func (m *Manager) restoreShipped(j *Job) bool {
+	local, err := m.ckpt.Segments(j.ID)
 	if err != nil || len(local) > 0 {
 		return false // keep the local (same-worker restart) journal
 	}
@@ -56,21 +56,17 @@ func (m *Manager) restoreShipped(j *Job, dir string) bool {
 	if len(listing.Segments) == 0 {
 		return false
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		m.log.Warn("creating checkpoint dir for shipped segments", "job_id", j.ID, "error", err)
-		return false
-	}
 	for _, seg := range listing.Segments {
 		if !checkpoint.IsSegmentName(seg.Name) {
 			continue
 		}
-		if err := m.downloadSegment(j, dir, seg.Name); err != nil {
+		if err := m.downloadSegment(j, seg.Name); err != nil {
 			// A partial segment set is a shorter valid journal prefix
 			// only if it's a prefix by segment order; a gap in the middle
 			// would splice unrelated records. Wipe and recompute.
 			m.log.Warn("downloading shipped segment; recomputing from scratch",
 				"job_id", j.ID, "segment", seg.Name, "error", err)
-			if rmErr := checkpoint.Remove(dir); rmErr != nil {
+			if rmErr := m.ckpt.Remove(j.ID); rmErr != nil {
 				m.log.Warn("removing partial shipped restore", "job_id", j.ID, "error", rmErr)
 			}
 			return false
@@ -82,7 +78,7 @@ func (m *Manager) restoreShipped(j *Job, dir string) bool {
 }
 
 // downloadSegment fetches one shipped segment and writes it atomically.
-func (m *Manager) downloadSegment(j *Job, dir, name string) error {
+func (m *Manager) downloadSegment(j *Job, name string) error {
 	resp, err := m.shipClient.Get(j.Params.JournalShip + "/" + name)
 	if err != nil {
 		return err
@@ -90,27 +86,23 @@ func (m *Manager) downloadSegment(j *Job, dir, name string) error {
 	defer resp.Body.Close() //nolint:errcheck
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck
-		return errHTTPStatus(resp.StatusCode)
+		return errors.New("HTTP " + http.StatusText(resp.StatusCode))
 	}
-	return checkpoint.WriteFileAtomic(filepath.Join(dir, name), nil, func(w io.Writer) error {
+	return m.ckpt.PutFunc(filepath.Join(j.ID, name), func(w io.Writer) error {
 		_, err := io.Copy(w, io.LimitReader(resp.Body, checkpoint.DefaultSegmentBytes*4))
 		return err
 	})
 }
-
-type errHTTPStatus int
-
-func (e errHTTPStatus) Error() string { return "HTTP " + http.StatusText(int(e)) }
 
 // startShipper launches the per-attempt goroutine that ships the job's
 // journal segments every shipInterval. The returned stop function
 // performs one final ship (so an orderly attempt end — e.g. a watchdog
 // retry — leaves the freshest possible state upstream) and waits for
 // the goroutine to exit.
-func (m *Manager) startShipper(j *Job, dir string) (stop func()) {
+func (m *Manager) startShipper(j *Job) (stop func()) {
 	stopCh := make(chan struct{})
 	done := make(chan struct{})
-	s := &shipper{m: m, j: j, dir: dir, sizes: make(map[string]int64)}
+	s := &shipper{m: m, j: j, sizes: make(map[string]int64)}
 	go func() {
 		defer close(done)
 		for {
@@ -134,7 +126,6 @@ func (m *Manager) startShipper(j *Job, dir string) (stop func()) {
 type shipper struct {
 	m     *Manager
 	j     *Job
-	dir   string
 	sizes map[string]int64
 	dead  bool // coordinator said the job is terminal: stop shipping
 }
@@ -146,7 +137,7 @@ func (s *shipper) shipOnce() {
 	if s.dead {
 		return
 	}
-	segs, err := checkpoint.ListSegments(s.dir)
+	segs, err := s.m.ckpt.Segments(s.j.ID)
 	if err != nil {
 		return
 	}
@@ -154,7 +145,7 @@ func (s *shipper) shipOnce() {
 		if seg.Size == s.sizes[seg.Name] {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(s.dir, seg.Name))
+		data, err := s.m.ckpt.Get(filepath.Join(s.j.ID, seg.Name))
 		if err != nil {
 			continue // rotated or removed under us; next tick re-lists
 		}
