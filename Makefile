@@ -50,6 +50,12 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # one function decides which jobs leave (every evictLocked calls
 # RetainWindow and counts nothing itself), and the deleted /varz's
 # renderer (WriteJSON) stays out of internal/obs.
+# And for placement: computed per call (rendezvous order over the live
+# holders), not maintained — no ring, virtual nodes or member clone, the
+# replica cap a constant rather than Config.ReplicationFactor /
+# -replication — and the other deleted knobs stay deleted
+# (obs.TraceIdentifier, Server.ListenAndServe, a RetryAfter field). Every
+# role serves on the one http.Server literal in server.NewHTTPServer.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -90,6 +96,14 @@ check-once:
 	done
 	@if grep -rn 'WriteJSON' internal/obs; then \
 		echo "check-once: the deleted /varz's JSON renderer is back in internal/obs"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		'buildRing|type ring |defaultVirtualNodes|func \(m \*Member\) clone|ReplicationFactor|"replication"|TraceIdentifier|^\s*RetryAfter\s' . || \
+		grep -nE --exclude='*_test.go' 'ListenAndServe' internal/server/*.go; then \
+		echo "check-once: placement is maintained again (ring, member clone, replica-cap knob) or a deleted knob is back"; exit 1; fi
+	@n=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench '&http\.Server{' . | wc -l); \
+	m=$$(sed -n '/^func NewHTTPServer(/,/^}/p' internal/server/server.go | grep -c '&http\.Server{'); \
+	if [ "$$n" -ne 1 ] || [ "$$m" -ne 1 ]; then \
+		echo "check-once: $$n http.Server literals, want 1 (server.NewHTTPServer serves every role)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -120,7 +134,7 @@ test-resume:
 # binary as the server.
 test-serve:
 	$(GO) test -race -timeout 15m ./internal/server/
-	$(call named-test,-timeout 15m -run 'TestRetainWindow|TestEstimateJobBytesBracketsMeasuredPeak' ./internal/server/)
+	$(call named-test,-timeout 15m -run 'TestRetainWindow|TestEstimateJobBytesBracketsMeasuredPeak|TestJobStoreBoundedWhileRunning' ./internal/server/)
 	$(call named-test,-timeout 15m -run TestServeE2E ./cmd/darwin-wga/)
 
 # Observability suite: the metrics registry / tracer unit tests under
@@ -157,18 +171,22 @@ test-obs-cluster:
 # with byte-identical MAF), the stuck-job watchdog on a manual clock
 # (stall → cancel → retry, exhausted retries tripping the breaker),
 # the circuit-breaker state machine, and overload hardening (memory
-# watermarks, slowloris header timeout, body caps). Then the
-# subprocess crash–restart e2e: SIGKILL `serve` mid-job, restart on
-# the same journal/checkpoint dirs, and require the recovered job's
-# MAF byte-identical to an uninterrupted run.
+# watermarks, slowloris header timeout, body caps), both lifecycle
+# journals staying bounded while the process runs, and a standby that
+# misses a leader's rewrite resyncing exactly, without ever giving up the
+# journal it holds before the new one is complete. Then the subprocess
+# crash–restart e2e: SIGKILL `serve` mid-job, restart on the same
+# journal/checkpoint dirs, and require the recovered job's MAF
+# byte-identical to an uninterrupted run; and a standby coordinator
+# closing a connection whose headers never finish.
 test-chaos:
 	$(call named-test,-race -timeout 20m -run 'TestJobStore|TestRestart|TestWatchdog|TestBreaker|TestMemoryAdmission|TestSlowloris|TestBodyCap' ./internal/server/)
-	$(call named-test,-race -timeout 15m -run 'TestShardArtifactStoreENOSPC|TestRetentionBounds' ./internal/cluster/)
-	$(call named-test,-timeout 15m -run 'TestServeCrashRestartRecoversJob' ./cmd/darwin-wga/)
+	$(call named-test,-race -timeout 15m -run 'TestShardArtifactStoreENOSPC|TestRetentionBounds|TestHAStandbyResyncs|TestHAStandbyKeepsJournal' ./internal/cluster/)
+	$(call named-test,-timeout 15m -run 'TestServeCrashRestartRecoversJob|TestStandbySlowlorisHeaderTimeoutE2E' ./cmd/darwin-wga/)
 
 # Cluster suite: the coordinator/worker topology under the race
-# detector — consistent-hash ring properties, lease membership on a
-# manual clock, per-worker circuit breakers, the routing WAL
+# detector — rendezvous placement properties, lease membership on a
+# manual clock (heartbeats racing placement readers), per-worker circuit breakers, the routing WAL
 # round-trip, and the ManualClock + flaky-transport chaos tests
 # (lease-expiry failover, retry exhaustion opening a breaker then
 # parking, partition failover, all-replicas-down degradation,
@@ -186,7 +204,7 @@ test-chaos:
 # explicit -timeout so a wedged subprocess can never hang the target.
 test-cluster:
 	$(GO) test -race -timeout 15m ./internal/cluster/ ./internal/faultinject/
-	$(call named-test,-race -timeout 15m -run 'TestRetentionBounds|TestHAStandbySyncsRetainedJobsOnly' ./internal/cluster/)
+	$(call named-test,-race -timeout 15m -run 'TestRingOrder|TestRendezvous|TestMembership|TestRetentionBounds|TestHAStandby' ./internal/cluster/)
 	$(call named-test,-timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E|TestHAWorkerFailoverResumesFromShippedE2E|TestCoordinatorHonoursRetainE2E' ./cmd/darwin-wga/)
 
 # Index lifecycle suite: the serialized-index store under the race

@@ -83,7 +83,6 @@ func TestClusterFailoverE2E(t *testing.T) {
 	coordArgs := func(addr string) []string {
 		return []string{
 			"serve", "-role=coordinator", "-addr", addr,
-			"-replication", "2",
 			"-lease-ttl", "3s",
 			"-journal-dir", journalDir,
 		}

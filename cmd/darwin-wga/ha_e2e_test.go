@@ -102,7 +102,6 @@ func TestHALeaderFailoverE2E(t *testing.T) {
 	// themselves at URLs that survive their own restarts.
 	leaderCmd, leaderGot, leaderLog := spawnServe(t, []string{
 		"serve", "-role=coordinator", "-addr", leaderAddr,
-		"-replication", "1",
 		"-lease-ttl", "3s",
 		"-journal-dir", filepath.Join(dir, "leader-journal"),
 		"-standbys", standbyBase,
@@ -241,7 +240,6 @@ func TestHAWorkerFailoverResumesFromShippedE2E(t *testing.T) {
 	coordJournal := filepath.Join(dir, "coord-journal")
 	_, coordGot, coordLog := spawnServe(t, []string{
 		"serve", "-role=coordinator", "-addr", coordAddr,
-		"-replication", "2",
 		"-lease-ttl", "3s",
 		"-journal-dir", coordJournal,
 	})
@@ -385,6 +383,50 @@ func TestHAWorkerFailoverResumesFromShippedE2E(t *testing.T) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestStandbySlowlorisHeaderTimeoutE2E: a warm standby serves on the
+// listener it keeps after promotion, so it carries the coordinator's
+// slow-client hardening. A connection that never finishes its request
+// headers is closed once the 10 s header timeout passes, instead of
+// pinning a goroutine for as long as the client likes.
+func TestStandbySlowlorisHeaderTimeoutE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess standby e2e is not -short")
+	}
+	dir := t.TempDir()
+	// The leader never answers and the lease TTL outlasts the test: the
+	// process stays an unpromoted standby throughout.
+	_, base, _ := spawnServe(t, []string{
+		"serve", "-role=coordinator", "-addr", "127.0.0.1:0",
+		"-standby-of", "http://" + freePort(t),
+		"-lease-ttl", "1h",
+		"-journal-dir", filepath.Join(dir, "standby-journal"),
+	})
+	waitHTTP(t, base+"/healthz", http.StatusOK, 30*time.Second)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: slow\r\nX-Drip")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(30 * time.Second)) //nolint:errcheck
+	buf := make([]byte, 256)
+	for {
+		if _, err := conn.Read(buf); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("standby kept a connection with unfinished headers open for %s", time.Since(start).Round(time.Second))
+			}
+			break // closed by the standby
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 20*time.Second {
+		t.Errorf("connection closed after %s; the header timeout is 10s", elapsed.Round(time.Second))
 	}
 }
 

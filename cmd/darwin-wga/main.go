@@ -68,6 +68,7 @@ import (
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/obs"
+	"darwinwga/internal/server"
 	"darwinwga/internal/stats"
 )
 
@@ -222,7 +223,6 @@ func serveMain(args []string) int {
 		shipEvery   = fs.Duration("ship-interval", 2*time.Second, "how often a running job's checkpoint segments ship to its coordinator (worker role with -checkpoint-root)")
 		shardTgts   = fs.String("shard-dispatch", "", `comma-separated targets whose jobs scatter as per-shard work units across every worker holding the target ("*" = all targets; coordinator role)`)
 		shardUnits  = fs.Int("shard-units", 0, "work units per strand a sharded job decomposes into (coordinator role; 0 = default)")
-		replication = fs.Int("replication", 2, "replicas considered per target (coordinator role)")
 		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "worker lease lifetime without a heartbeat (coordinator role)")
 		dispatchTO  = fs.Duration("dispatch-timeout", 10*time.Second, "per-request timeout talking to workers (coordinator role)")
 		addr        = fs.String("addr", "127.0.0.1:8053", "listen address (host:port, port 0 picks a free port)")
@@ -231,7 +231,6 @@ func serveMain(args []string) int {
 		maxInflight = fs.Int("max-inflight", 8, "per-client queued+running job cap (-1 = unlimited)")
 		maxQueryMB  = fs.Int("max-query-mb", 64, "largest accepted query in MiB of bases")
 		maxDeadline = fs.Duration("max-deadline", 0, "clamp (and default) for per-job soft deadlines (0 = none)")
-		retryAfter  = fs.Duration("retry-after", 2*time.Second, "Retry-After hint on 429 responses")
 		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long shutdown lets running jobs finish")
 		retain      = fs.Int("retain", 256, "finished jobs kept queryable, with their artifacts and journal records (every role)")
 		ckptRoot    = fs.String("checkpoint-root", "", "per-job crash-safe journals under this directory (empty = off)")
@@ -275,18 +274,17 @@ func serveMain(args []string) int {
 	case "standalone", "worker":
 	case "coordinator":
 		return coordinatorMain(cluster.Config{
-			Addr:              *addr,
-			AdvertiseURL:      strings.TrimSuffix(*advertise, "/"),
-			ShardDispatch:     splitURLList(*shardTgts),
-			ShardUnits:        *shardUnits,
-			Standbys:          splitURLList(*standbyURLs),
-			ReplicationFactor: *replication,
-			LeaseTTL:          *leaseTTL,
-			DispatchTimeout:   *dispatchTO,
-			MaxQueryBases:     *maxQueryMB << 20,
-			RetainJobs:        *retain,
-			JournalDir:        *journalDir,
-			Log:               logger,
+			Addr:            *addr,
+			AdvertiseURL:    strings.TrimSuffix(*advertise, "/"),
+			ShardDispatch:   splitURLList(*shardTgts),
+			ShardUnits:      *shardUnits,
+			Standbys:        splitURLList(*standbyURLs),
+			LeaseTTL:        *leaseTTL,
+			DispatchTimeout: *dispatchTO,
+			MaxQueryBases:   *maxQueryMB << 20,
+			RetainJobs:      *retain,
+			JournalDir:      *journalDir,
+			Log:             logger,
 		}, strings.TrimSuffix(*standbyOf, "/"))
 	default:
 		fmt.Fprintf(os.Stderr, "darwin-wga serve: -role must be standalone, coordinator, or worker, got %q\n", *role)
@@ -325,14 +323,12 @@ func serveMain(args []string) int {
 	// mode too — the SIGKILL-restart e2e test uses it to die mid-job.
 	pipeline.CheckpointFaults = crashFaultsFromEnv()
 	srv, err := darwinwga.NewServer(darwinwga.ServerConfig{
-		Addr:                 *addr,
 		Pipeline:             pipeline,
 		JobWorkers:           *jobWorkers,
 		QueueDepth:           *queueDepth,
 		MaxInFlightPerClient: *maxInflight,
 		MaxQueryBases:        *maxQueryMB << 20,
 		MaxDeadline:          *maxDeadline,
-		RetryAfter:           *retryAfter,
 		DrainGrace:           *drainGrace,
 		RetainJobs:           *retain,
 		CheckpointRoot:       *ckptRoot,
@@ -448,7 +444,9 @@ func standbyMain(cfg cluster.Config, leaderURL string) int {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: sb.Handler()}
+	// The standby serves the full coordinator API after promotion, on the
+	// same listener and with the same slow-client timeouts.
+	httpSrv := server.NewHTTPServer(sb.Handler(), 10*time.Second)
 	return serveRole("standby", cfg.Addr, cfg.Log, func(ctx context.Context, _ net.Listener) {
 		cfg.Log.Info("standby replicating", "leader", leaderURL)
 		if err := sb.Run(ctx); err != nil && ctx.Err() == nil {

@@ -215,10 +215,10 @@ func MultiRecorder(recs ...Recorder) Recorder { return obs.Multi(recs...) }
 
 // NewServer builds an alignment job server over the pipeline and
 // starts its workers: register targets with Server.RegisterTarget, then
-// serve Server.Handler (or call Server.ListenAndServe) and drain with
-// Server.Shutdown. When cfg.JournalDir is set, NewServer also replays
-// the durable job journal and re-queues every job a previous process
-// left unfinished (the only error path). See the internal/server
+// serve Server.Handler on your own mux (or Server.Serve on a listener)
+// and drain with Server.Shutdown. When cfg.JournalDir is set, NewServer
+// also replays the durable job journal and re-queues every job a
+// previous process left unfinished (the only error path). See the internal/server
 // package documentation for the HTTP API.
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 

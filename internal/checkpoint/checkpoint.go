@@ -191,17 +191,10 @@ func (j *Journal) Append(kind uint8, payload []byte) error {
 	if j.closed {
 		return errors.New("checkpoint: append to closed journal")
 	}
-	if len(payload) > maxPayload {
-		return fmt.Errorf("checkpoint: payload %d bytes exceeds limit %d", len(payload), maxPayload)
+	frame, err := encodeFrame(kind, payload)
+	if err != nil {
+		return err
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	frame[4] = kind
-	crc := crc32.Update(0, castagnoli, frame[4:5])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(frame[5:9], crc)
-	copy(frame[frameHeader:], payload)
-
 	if err := j.writeDurably(frame); err != nil {
 		j.repairTail()
 		return err
@@ -211,6 +204,21 @@ func (j *Journal) Append(kind uint8, payload []byte) error {
 		return j.rotate()
 	}
 	return nil
+}
+
+// encodeFrame frames one record.
+func encodeFrame(kind uint8, payload []byte) ([]byte, error) {
+	if len(payload) > maxPayload {
+		return nil, fmt.Errorf("checkpoint: payload %d bytes exceeds limit %d", len(payload), maxPayload)
+	}
+	frame := make([]byte, frameHeader+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	frame[4] = kind
+	crc := crc32.Update(0, castagnoli, frame[4:5])
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.LittleEndian.PutUint32(frame[5:9], crc)
+	copy(frame[frameHeader:], payload)
+	return frame, nil
 }
 
 func (j *Journal) writeDurably(frame []byte) error {
@@ -273,14 +281,16 @@ func (j *Journal) openSegment() error {
 }
 
 // Compact atomically replaces the journal's contents with the given
-// records (typically a snapshot of the folded state): they are appended
-// to a fresh segment and made durable, and only then are the older
-// segments removed. Crash windows are safe by construction — a crash
-// before the new segment is published leaves the old records intact; a
-// crash after it is published but before the old segments are removed
-// leaves old records followed by the snapshot, which a fold that resets
-// its state at a snapshot record replays to the same result. The
-// journal stays open for appending after the snapshot.
+// records (typically a snapshot of the folded state): they are written
+// into the next segment, which is published whole — temp file, fsync,
+// rename — and only then are the older segments removed. Crash windows
+// are safe by construction — a crash before the new segment is
+// published leaves the old records intact; a crash after it is published
+// but before the old segments are removed leaves the old records
+// followed by all of the new ones, which a fold that restarts at the new
+// records' first (a snapshot, a header) replays to the same result. An
+// error before publication leaves the journal as it was, still open for
+// appending; after success it appends after the new records.
 func (j *Journal) Compact(records []Record) error {
 	if j.closed {
 		return errors.New("checkpoint: compact on closed journal")
@@ -289,27 +299,46 @@ func (j *Journal) Compact(records []Record) error {
 	if err != nil {
 		return err
 	}
-	// Seal the active segment and bring up a fresh one for the snapshot.
+	// The old records must be durable before a segment can follow them:
+	// with NoSync they may still be buffered.
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
-	if err := j.f.Close(); err != nil {
-		return err
-	}
-	j.seq++
-	if err := j.openSegment(); err != nil {
-		return err
-	}
-	for _, r := range records {
-		if err := j.Append(r.Kind, r.Payload); err != nil {
+	path := filepath.Join(j.dir, segName(j.seq+1))
+	size := int64(len(magic))
+	err = WriteFileAtomic(path, j.opts.Faults, func(w io.Writer) error {
+		if _, err := io.WriteString(w, magic); err != nil {
 			return err
 		}
-	}
-	// With NoSync the snapshot records may still be buffered; the old
-	// segments must not disappear before their replacement is durable.
-	if err := j.sync(); err != nil {
+		for _, r := range records {
+			frame, err := encodeFrame(r.Kind, r.Payload)
+			if err == nil {
+				_, err = w.Write(frame)
+			}
+			if err != nil {
+				return err
+			}
+			size += int64(len(frame))
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err == nil {
+		if _, err = f.Seek(size, io.SeekStart); err != nil {
+			f.Close() //nolint:errcheck
+		}
+	}
+	if err != nil {
+		// Appending to the old segment now would order records before
+		// the published one: refuse further appends instead.
+		j.Close() //nolint:errcheck
+		return err
+	}
+	j.f.Close() //nolint:errcheck // synced above
+	j.f, j.seq, j.size = f, j.seq+1, size
 	for _, seg := range old {
 		if err := os.Remove(filepath.Join(j.dir, seg)); err != nil {
 			return err

@@ -1,10 +1,13 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"darwinwga/internal/faultinject"
 )
 
 // TestCompactReplacesContents: after Compact the journal replays exactly
@@ -174,6 +177,51 @@ func TestCompactCrashWindowKeepsOldSegments(t *testing.T) {
 	}
 	if err := j2.Append(1, []byte("alive")); err != nil {
 		t.Fatalf("append after crash-window reopen: %v", err)
+	}
+}
+
+// TestCompactFaultLeavesJournal: a Compact that fails before its
+// segment is published — at the write, the fsync or the rename — leaves
+// the journal's records and its writer as they were: the next append
+// lands after the old records, and a retried Compact succeeds.
+func TestCompactFaultLeavesJournal(t *testing.T) {
+	for _, op := range []string{faultinject.OpWrite, faultinject.OpSync, faultinject.OpRename} {
+		t.Run(op, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _, err := Open(dir, Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := testRecords(5)
+			appendAll(t, j, recs)
+			j.Close()
+			faults := faultinject.NewIO(faultinject.IORule{Op: op, Hit: 1, Action: faultinject.IOErr})
+			if j, _, err = Open(dir, Options{NoSync: true, Faults: faults}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Compact([]Record{{Kind: 9, Payload: []byte("snap")}}); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("Compact under a %s fault = %v, want the injected error", op, err)
+			}
+			after := Record{Kind: 2, Payload: []byte("after")}
+			appendAll(t, j, []Record{after})
+			j.Close()
+			got, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRecords(t, got, append(recs, after))
+
+			if j, _, err = Open(dir, Options{NoSync: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Compact([]Record{{Kind: 9, Payload: []byte("snap")}}); err != nil {
+				t.Fatalf("retried Compact: %v", err)
+			}
+			j.Close()
+			if got, _ := Replay(dir); len(got) != 1 || string(got[0].Payload) != "snap" {
+				t.Fatalf("after the retried Compact the journal holds %d records, want the snapshot", len(got))
+			}
+		})
 	}
 }
 

@@ -122,7 +122,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, "unknown target %q: no worker has ever advertised it", req.Target)
 		return
 	}
-	if len(c.ms.replicasFor(req.Target, c.cfg.ReplicationFactor)) == 0 {
+	if len(c.ms.replicasFor(req.Target, 1)) == 0 {
 		// Graceful degradation: the target is known to the cluster but
 		// every worker holding it is dead right now.
 		c.c.noReplica503.Inc()
@@ -592,10 +592,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // Serve runs the coordinator API on ln until Shutdown.
 func (c *Coordinator) Serve(ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           c.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := server.NewHTTPServer(c.handler, 10*time.Second)
 	c.httpMu.Lock()
 	c.httpSrv = srv
 	c.httpMu.Unlock()

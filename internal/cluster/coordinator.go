@@ -180,10 +180,6 @@ type Config struct {
 	// Addr is the address the caller listens on (default
 	// "127.0.0.1:8052"); AdvertiseURL derives from it.
 	Addr string
-	// ReplicationFactor is how many replicas a target's routing
-	// considers (default 2). It bounds the preference list, not the
-	// number of workers that may hold the target.
-	ReplicationFactor int
 	// LeaseTTL is how long a worker lives without a heartbeat
 	// (default 10s).
 	LeaseTTL time.Duration
@@ -251,12 +247,14 @@ var workerRetry = core.RetryPolicy{MaxAttempts: 4, BaseDelay: 250 * time.Millise
 // failovers before it is failed.
 const maxDispatches = 5
 
+// routedReplicas caps the preference list whole-job dispatch walks: the
+// first two holders in rendezvous order, not every worker that holds the
+// target. Shard units spread over every holder.
+const routedReplicas = 2
+
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:8052"
-	}
-	if c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = 2
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * time.Second
@@ -396,14 +394,13 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 		c.wal = wal
+		c.hub = wal.hub
 		recovered = state.recovered
 		// Every start — cold restart or standby promotion — bumps the
 		// fencing epoch past everything the journal (local or shipped
 		// from the old leader) has seen, and journals the bump so it
 		// replicates onward.
 		c.epoch = state.epoch + 1
-		c.hub = newReplicationHub(state.records)
-		wal.hub = c.hub
 		if err := wal.append(ckKindEpoch, ckEpoch{Epoch: c.epoch}); err != nil {
 			wal.close()
 			cancel()
@@ -919,7 +916,7 @@ func (c *Coordinator) dispatch(j *coordJob) (assignment, error) {
 		return assignment{}, errNoReplica
 	}
 	prev, _ := j.lastAssignment()
-	replicas := c.ms.preference(j.Target, c.cfg.ReplicationFactor, 0, prev.WorkerID)
+	replicas := c.ms.preference(j.Target, routedReplicas, 0, prev.WorkerID)
 	var refused *workerHTTPError
 	refusals := 0
 	for _, m := range replicas {
@@ -992,7 +989,7 @@ watching:
 				return true
 			}
 		}
-		if _, live := c.ms.alive(a.WorkerID); !live {
+		if !c.ms.alive(a.WorkerID) {
 			c.log.Warn("worker lease gone while watching", "job_id", j.ID, "worker", a.WorkerID)
 			c.recordFlight(j, obs.FlightLeaseExpired, a.WorkerID, "lease expired mid-watch")
 			break

@@ -335,9 +335,9 @@ func TestHASnapshotCompactionBoundsReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d open: %v", cycle, err)
 		}
-		if len(st.records) > threshold {
+		if cj.hub.total() > threshold {
 			t.Fatalf("cycle %d: %d records survived open, want <= %d (compaction)",
-				cycle, len(st.records), threshold)
+				cycle, cj.hub.total(), threshold)
 		}
 		if len(st.recovered) != total {
 			t.Fatalf("cycle %d: recovered %d jobs, want %d", cycle, len(st.recovered), total)
@@ -370,8 +370,8 @@ func TestHASnapshotCompactionBoundsReplay(t *testing.T) {
 			t.Fatalf("job %s lost its terminal state through compaction", r.sub.ID)
 		}
 	}
-	if len(st.records) > threshold {
-		t.Errorf("final replay = %d records, want <= %d", len(st.records), threshold)
+	if cj.hub.total() > threshold {
+		t.Errorf("final replay = %d records, want <= %d", cj.hub.total(), threshold)
 	}
 }
 

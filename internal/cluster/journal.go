@@ -20,7 +20,9 @@ import (
 // into the job table, and unfinished jobs either reattach to the worker
 // they were on or re-dispatch to a surviving replica. Record kinds:
 //
-//	1 header    — store version
+//	1 header    — store version; begins a journal, so a fold restarts at
+//	              one (records before it belong to the journal it
+//	              replaced — what a crash inside Compact leaves)
 //	2 submitted — job accepted: id, target, spec, client; the query has
 //	              already been spilled to queries/<id>.fa (the spill is
 //	              ordered before the record, so a submitted record
@@ -156,74 +158,93 @@ func unitFile(seq int) string { return fmt.Sprintf("%d.json", seq) }
 // coordJournal wraps a checkpoint.Journal with the locking the
 // coordinator needs (runners journal concurrently; checkpoint.Journal
 // itself is single-writer) plus the per-job artifact store and the
-// replication hub every appended record is published to (appends and
-// publishes share cj.mu, so hub order is WAL order).
+// replication hub: the hub holds the journal's records, and every append
+// and rewrite happens under cj.mu, so hub order is WAL order.
 type coordJournal struct {
+	// files holds what coordOwned lists; every spill writes through its
+	// fault seam, where tests inject ENOSPC and short writes.
+	files  *server.Artifacts
+	retain int
+	// compactAt is the record count past which the journal is rewritten
+	// as header + snapshot (server.CompactThreshold; in-package tests
+	// lower it).
+	compactAt int
+
 	mu  sync.Mutex
 	j   *checkpoint.Journal
 	hub *replicationHub
-	// files holds what coordOwned lists; every spill writes through its
-	// fault seam, where tests inject ENOSPC and short writes.
-	files *server.Artifacts
 }
 
 // journalState is what openCoordJournal recovered: the folded per-job
-// routing histories the retention window kept, the highest journaled
-// epoch, and the journal's current raw records (post-compaction) for
-// seeding the replication hub.
+// routing histories the retention window kept, and the highest
+// journaled epoch.
 type journalState struct {
 	recovered []recoveredRouting
 	epoch     uint64
-	records   []checkpoint.Record
 }
 
 // openCoordJournal opens (creating if needed) the coordinator WAL in
 // dir, folds its records into per-job routing histories in submission
 // order, and applies the retention window (retain <= 0 keeps all): an
 // evicted job is not recovered, its artifacts are swept, and it is left
-// out of the snapshot the journal is compacted to past snapshotThreshold
-// records. Restart replay, the job table and the journal a standby syncs
+// out of the snapshot the journal is rewritten to past compactAt
+// records — at open and, through append, while the coordinator runs.
+// Restart replay, the job table, the hub and the journal a standby syncs
 // are thus bounded by retain plus the active jobs, not by history.
-func openCoordJournal(dir string, retain, snapshotThreshold int, flt *faultinject.IOFaults) (*coordJournal, *journalState, error) {
+func openCoordJournal(dir string, retain, compactAt int, flt *faultinject.IOFaults) (*coordJournal, *journalState, error) {
 	j, recs, err := checkpoint.Open(filepath.Join(dir, "wal"), checkpoint.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: opening coordinator journal: %w", err)
 	}
-	cj := &coordJournal{j: j, files: server.NewArtifacts(dir, flt)}
-	byID, order, epoch, err := foldRouting(recs)
+	cj := &coordJournal{files: server.NewArtifacts(dir, flt), retain: retain, compactAt: compactAt,
+		j: j, hub: newReplicationHub(recs)}
+	recovered, epoch, err := cj.compactLocked(recs)
+	if err == nil && len(recs) == 0 {
+		err = cj.append(ckKindHeader, ckHeader{Version: ckVersion})
+	}
 	if err != nil {
 		j.Close() //nolint:errcheck
 		return nil, nil, err
 	}
-	keep, evict := server.RetainWindow(order, func(id string) bool { return byID[id].finished }, retain)
-	for _, id := range evict {
-		delete(byID, id)
+	kept := make(map[string]bool, len(recovered))
+	for _, r := range recovered {
+		kept[r.sub.ID] = true
 	}
-	cj.files.Sweep(coordOwned, func(id string) bool { return byID[id] != nil })
-	recovered := make([]recoveredRouting, len(keep))
+	cj.files.Sweep(coordOwned, func(id string) bool { return kept[id] })
+	return cj, &journalState{recovered: recovered, epoch: epoch}, nil
+}
+
+// compactLocked folds recs — the whole journal — and applies the
+// retention window, returning the kept jobs' routing histories and the
+// highest epoch. Once the journal holds more than compactAt records it is
+// rewritten as header + snapshot of the kept jobs — two records, however
+// wide the window — and the hub is reseeded with the two, which restarts
+// every open replication stream from zero. Requires cj.mu (or sole
+// ownership, at open).
+func (cj *coordJournal) compactLocked(recs []checkpoint.Record) ([]recoveredRouting, uint64, error) {
+	byID, order, epoch, err := foldRouting(recs)
+	if err != nil {
+		return nil, 0, err
+	}
+	keep, _ := server.RetainWindow(order, func(id string) bool { return byID[id].finished }, cj.retain)
+	kept := make([]recoveredRouting, len(keep))
 	for i, id := range keep {
-		recovered[i] = *byID[id]
+		kept[i] = *byID[id]
 	}
-	// A new journal gets its header; one past the threshold is rewritten
-	// as header + snapshot of the jobs that stayed.
-	hdr, err := jsonRecord(ckKindHeader, ckHeader{Version: ckVersion})
-	switch {
-	case err != nil:
-	case len(recs) == 0:
-		recs = []checkpoint.Record{hdr}
-		err = j.Append(hdr.Kind, hdr.Payload)
-	case len(recs) > snapshotThreshold:
-		var snap checkpoint.Record
-		if snap, err = jsonRecord(ckKindSnapshot, snapshotOf(recovered, epoch)); err == nil {
-			recs = []checkpoint.Record{hdr, snap}
-			err = j.Compact(recs)
-		}
+	if len(recs) <= cj.compactAt {
+		return kept, epoch, nil
+	}
+	hdr, err1 := jsonRecord(ckKindHeader, ckHeader{Version: ckVersion})
+	snap, err2 := jsonRecord(ckKindSnapshot, snapshotOf(kept, epoch))
+	rewrite := []checkpoint.Record{hdr, snap}
+	if err = errors.Join(err1, err2); err == nil {
+		err = cj.j.Compact(rewrite)
 	}
 	if err != nil {
-		j.Close() //nolint:errcheck
-		return nil, nil, fmt.Errorf("cluster: rewriting coordinator journal: %w", err)
+		return nil, 0, fmt.Errorf("cluster: rewriting coordinator journal: %w", err)
 	}
-	return cj, &journalState{recovered: recovered, epoch: epoch, records: recs}, nil
+	cj.hub.reseed(rewrite)
+	return kept, epoch, nil
 }
 
 // snapshotOf serializes the folded routing state.
@@ -249,8 +270,10 @@ func jsonRecord(kind uint8, v any) (checkpoint.Record, error) {
 
 // foldRouting replays records into routing histories keyed by job id,
 // with the submission order, and tracks the highest journaled epoch.
-// A snapshot record resets the folded state to the snapshot's — exactly
-// the semantics Compact's crash window needs.
+// A header record empties the folded state and a snapshot record resets
+// it to the snapshot's — exactly the semantics Compact's crash window
+// needs, whether the replacement journal leads with a snapshot (a
+// rewrite) or not (a standby adopting its leader's journal).
 func foldRouting(recs []checkpoint.Record) (byID map[string]*recoveredRouting, order []string, epoch uint64, err error) {
 	byID = make(map[string]*recoveredRouting)
 	for _, rec := range recs {
@@ -263,6 +286,8 @@ func foldRouting(recs []checkpoint.Record) (byID map[string]*recoveredRouting, o
 			if h.Version != ckVersion {
 				return nil, nil, 0, fmt.Errorf("cluster: journal version %d, want %d", h.Version, ckVersion)
 			}
+			byID = make(map[string]*recoveredRouting)
+			order = order[:0]
 		case ckKindSubmitted:
 			var sub ckSubmitted
 			if err := json.Unmarshal(rec.Payload, &sub); err != nil {
@@ -343,23 +368,33 @@ func foldRouting(recs []checkpoint.Record) (byID map[string]*recoveredRouting, o
 	return byID, order, epoch, nil
 }
 
-// append journals one record and publishes it to the hub. A nil journal
-// (no JournalDir) journals nothing.
+// append journals one record. A nil journal (no JournalDir) journals
+// nothing.
 func (cj *coordJournal) append(kind uint8, v any) error {
 	if cj == nil {
 		return nil
 	}
-	payload, err := json.Marshal(v)
+	rec, err := jsonRecord(kind, v)
 	if err != nil {
 		return err
 	}
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
-	if err := cj.j.Append(kind, payload); err != nil {
+	return cj.appendLocked(rec)
+}
+
+// appendLocked journals rec, publishes it to the hub and, once the
+// journal is due, rewrites it. The record is durable whether or not the
+// rewrite succeeds: a failed one leaves the longer journal in place and
+// the next append retries it. Requires cj.mu.
+func (cj *coordJournal) appendLocked(rec checkpoint.Record) error {
+	if err := cj.j.Append(rec.Kind, rec.Payload); err != nil {
 		return err
 	}
-	if cj.hub != nil {
-		cj.hub.publish(checkpoint.Record{Kind: kind, Payload: payload})
+	cj.hub.publish(rec)
+	if cj.hub.total() > uint64(cj.compactAt) {
+		recs, _, _, _ := cj.hub.since(repPos{})
+		cj.compactLocked(recs) //nolint:errcheck // best effort; see above
 	}
 	return nil
 }

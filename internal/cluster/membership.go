@@ -1,6 +1,19 @@
+// Package cluster provides the sharded coordinator/worker topology on
+// top of the embedded alignment server: workers register which target
+// indexes they hold and keep a lease alive with heartbeats; a
+// coordinator places jobs by rendezvous hashing on the target's content
+// fingerprint, proxies status and MAF streaming, journals every routing
+// decision through the checkpoint WAL so its own restart is crash-only,
+// and fails jobs over to surviving replicas when a worker dies
+// mid-flight. Because the pipeline is deterministic, a failed-over job
+// produces MAF byte-identical to an uninterrupted run — which is also
+// what lets the MAF proxy splice a stream across a failover.
 package cluster
 
 import (
+	"cmp"
+	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -9,7 +22,24 @@ import (
 	"darwinwga/internal/obs"
 )
 
-// Member is one registered worker as the coordinator sees it.
+// hash64 is the FNV-64a digest of key: placement weights and backoff
+// jitter seeds.
+func hash64(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key)) //nolint:errcheck // hash.Hash never errors
+	return h.Sum64()
+}
+
+// weight is worker's rendezvous (highest-random-weight) score for a
+// placement key. Each worker's score depends on the key and its own id
+// only, so adding or removing a worker never reorders the others.
+func weight(key, worker string) uint64 {
+	return faultinject.SplitMix64(hash64(key) ^ hash64(worker))
+}
+
+// Member is one registered worker as the coordinator sees it. A
+// published *Member is immutable: register builds one and heartbeat
+// replaces it with a renewed copy, so readers share the pointer.
 type Member struct {
 	ID   string
 	Addr string // base URL, e.g. "http://127.0.0.1:9001"
@@ -29,36 +59,17 @@ type Member struct {
 	SnapshotAt time.Time
 }
 
-// clone returns a snapshot safe to hand outside the lock.
-func (m *Member) clone() *Member {
-	c := *m
-	c.Targets = make(map[string]string, len(m.Targets))
-	for k, v := range m.Targets {
-		c.Targets[k] = v
-	}
-	c.Serialized = make(map[string]bool, len(m.Serialized))
-	for k, v := range m.Serialized {
-		c.Serialized[k] = v
-	}
-	if m.Snapshot != nil {
-		snap := *m.Snapshot
-		c.Snapshot = &snap
-	}
-	return &c
-}
-
 // membership is the coordinator's lease table: who is alive, what they
-// hold, and when their lease runs out. Every mutation rebuilds the
-// consistent-hash ring and broadcasts a change notification (the spool
-// pattern: close the channel, swap in a fresh one) so parked job
-// runners re-evaluate their replica sets.
+// hold, and when their lease runs out. Every registration and expiry
+// broadcasts a change notification (the spool pattern: close the
+// channel, swap in a fresh one) so parked job runners re-evaluate their
+// replica sets.
 type membership struct {
 	clock faultinject.Clock
 	ttl   time.Duration
 
 	mu      sync.Mutex
 	members map[string]*Member
-	ring    *ring
 	changed chan struct{}
 	// knownTargets remembers every target fingerprint any worker ever
 	// advertised, surviving worker death. It is what distinguishes "no
@@ -72,7 +83,6 @@ func newMembership(clock faultinject.Clock, ttl time.Duration) *membership {
 		clock:        clock,
 		ttl:          ttl,
 		members:      make(map[string]*Member),
-		ring:         buildRing(nil, 0),
 		changed:      make(chan struct{}),
 		knownTargets: make(map[string]string),
 	}
@@ -91,53 +101,31 @@ func (ms *membership) broadcastLocked() {
 	ms.changed = make(chan struct{})
 }
 
-// rebuildLocked recomputes the ring from the current member set.
-func (ms *membership) rebuildLocked() {
-	ids := make([]string, 0, len(ms.members))
-	for id := range ms.members {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	ms.ring = buildRing(ids, 0)
-}
-
 // register adds or refreshes a worker. Re-registering an existing ID
 // replaces its address and target set (the worker restarted). serialized
 // marks which of those targets the worker holds as serialized index
-// files; nil means none. Returns whether the worker was new.
+// files; nil means none. The member keeps both maps, so the caller must
+// not write them afterwards. Returns whether the worker was new.
 func (ms *membership) register(id, addr string, targets map[string]string, serialized map[string]bool) bool {
 	now := ms.clock.Now()
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	_, existed := ms.members[id]
-	m := &Member{
-		ID:           id,
-		Addr:         addr,
-		Targets:      make(map[string]string, len(targets)),
-		Serialized:   make(map[string]bool, len(serialized)),
-		RegisteredAt: now,
-		ExpiresAt:    now.Add(ms.ttl),
-	}
+	ms.members[id] = &Member{ID: id, Addr: addr, Targets: targets, Serialized: serialized,
+		RegisteredAt: now, ExpiresAt: now.Add(ms.ttl)}
 	for name, fp := range targets {
-		m.Targets[name] = fp
 		ms.knownTargets[name] = fp
 	}
-	for name, ok := range serialized {
-		if _, holds := m.Targets[name]; holds && ok {
-			m.Serialized[name] = true
-		}
-	}
-	ms.members[id] = m
-	ms.rebuildLocked()
 	ms.broadcastLocked()
 	return !existed
 }
 
 // heartbeat renews a worker's lease and stores the metrics snapshot the
 // worker piggybacked on the renewal (nil leaves the previous snapshot in
-// place, so a heartbeat from an old agent doesn't blank the series).
-// False means the coordinator does not know this worker (it expired, or
-// the coordinator restarted) and the worker must re-register.
+// place, so a heartbeat from an old agent doesn't blank the series) —
+// in a fresh copy of the member, never in the published one. False
+// means the coordinator does not know this worker (it expired, or the
+// coordinator restarted) and the worker must re-register.
 func (ms *membership) heartbeat(id string, snap *obs.WorkerSnapshot) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -145,12 +133,14 @@ func (ms *membership) heartbeat(id string, snap *obs.WorkerSnapshot) bool {
 	if !ok {
 		return false
 	}
+	renewed := *m
 	now := ms.clock.Now()
-	m.ExpiresAt = now.Add(ms.ttl)
+	renewed.ExpiresAt = now.Add(ms.ttl)
 	if snap != nil {
-		m.Snapshot = snap
-		m.SnapshotAt = now
+		renewed.Snapshot = snap
+		renewed.SnapshotAt = now
 	}
+	ms.members[id] = &renewed
 	return true
 }
 
@@ -168,31 +158,26 @@ func (ms *membership) sweep(now time.Time) []string {
 	}
 	if len(dead) > 0 {
 		sort.Strings(dead)
-		ms.rebuildLocked()
 		ms.broadcastLocked()
 	}
 	return dead
 }
 
-// alive reports whether a worker currently holds a live lease, and
-// returns its current snapshot.
-func (ms *membership) alive(id string) (*Member, bool) {
+// alive reports whether a worker currently holds a live lease.
+func (ms *membership) alive(id string) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	m, ok := ms.members[id]
-	if !ok {
-		return nil, false
-	}
-	return m.clone(), true
+	_, ok := ms.members[id]
+	return ok
 }
 
-// list returns a snapshot of all live members sorted by ID.
+// list returns all live members sorted by ID.
 func (ms *membership) list() []*Member {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	out := make([]*Member, 0, len(ms.members))
 	for _, m := range ms.members {
-		out = append(out, m.clone())
+		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -237,41 +222,37 @@ func (ms *membership) knownTargetNames() []string {
 	return out
 }
 
-// replicasFor returns up to rf live workers holding target, in
-// consistent-hash preference order keyed on the target's fingerprint.
-// Keying on content rather than name means renaming an assembly does
-// not reshuffle placement, and two workers advertising different bases
-// under one name hash to where each fingerprint's replicas belong.
+// replicasFor returns up to rf (0 = every) live workers holding target,
+// highest rendezvous weight first (ties by id) for the target's
+// fingerprint — the name when none is known. A pure function of the
+// fingerprint and the live holders, computed per call: keying on content
+// rather than name means renaming an assembly does not reshuffle
+// placement, and a worker's arrival or departure moves only the
+// fingerprints it wins or held first.
 func (ms *membership) replicasFor(target string, rf int) []*Member {
 	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	fp := ms.knownTargets[target]
-	key := fp
-	if key == "" {
-		key = target
-	}
+	key := cmp.Or(ms.knownTargets[target], target)
 	var out []*Member
-	for _, id := range ms.ring.order(key) {
-		m, ok := ms.members[id]
-		if !ok {
-			continue
+	for _, m := range ms.members {
+		if _, holds := m.Targets[target]; holds {
+			out = append(out, m)
 		}
-		if _, holds := m.Targets[target]; !holds {
-			continue
-		}
-		out = append(out, m.clone())
-		if rf > 0 && len(out) >= rf {
-			break
-		}
+	}
+	ms.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Member) int {
+		return cmp.Or(cmp.Compare(weight(key, b.ID), weight(key, a.ID)), cmp.Compare(a.ID, b.ID))
+	})
+	if rf > 0 && len(out) > rf {
+		out = out[:rf]
 	}
 	return out
 }
 
-// preference orders target's replicas for one placement decision: ring
-// order limited to rf (0 = every holder), with avoid — the worker a
-// failover, retry or hedge is moving away from — taken out and the rest
-// rotated by rotate (how shard units spread across the fleet and retries
-// move on), then avoid appended last: it stays eligible only when
+// preference orders target's replicas for one placement decision:
+// rendezvous order limited to rf (0 = every holder), with avoid — the
+// worker a failover, retry or hedge is moving away from — taken out and
+// the rest rotated by rotate (how shard units spread across the fleet and
+// retries move on), then avoid appended last: it stays eligible only when
 // nothing else is. The rotation runs over the non-avoided replicas only,
 // or an offset landing on the demoted tail would re-pick the very worker
 // being escaped. Callers take the first entry their breaker allows.

@@ -391,12 +391,14 @@ func TestStandbyReplicationLagMetrics(t *testing.T) {
 	}
 
 	// Leader-side view: the follower registered itself under a stable id
-	// and shows as caught up.
-	_, body := cc.getFront(t, "/metrics/cluster")
+	// and shows as caught up. Polled: the job's assignment may be journaled
+	// after the catch-up above, and the leader records a shipped position
+	// only after the flush that delivered it.
 	caughtUp := `darwinwga_standby_replication_lag_frames{standby="standby:` + filepathBase(sbDir) + `"} 0`
-	if !strings.Contains(string(body), caughtUp) {
-		t.Errorf("/metrics/cluster missing %q:\n%s", caughtUp, body)
-	}
+	waitReal(t, "/metrics/cluster shows "+caughtUp, func() bool {
+		_, body := cc.getFront(t, "/metrics/cluster")
+		return strings.Contains(string(body), caughtUp)
+	})
 
 	// Standby dies; leader keeps journaling. Its lag entry persists and
 	// goes nonzero.
@@ -408,7 +410,7 @@ func TestStandbyReplicationLagMetrics(t *testing.T) {
 		lag := cc.coord.hub.followerLags()["standby:"+filepathBase(sbDir)]
 		return lag.frames > before.frames
 	})
-	_, body = cc.getFront(t, "/metrics/cluster")
+	_, body := cc.getFront(t, "/metrics/cluster")
 	text := string(body)
 	prefix := `darwinwga_standby_replication_lag_frames{standby="standby:` + filepathBase(sbDir) + `"} `
 	var got string

@@ -3,14 +3,17 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -22,26 +25,34 @@ import (
 	"darwinwga/internal/server"
 )
 
-// Journal shipping: a warm standby tails the leader's routing WAL over
-// a chunked HTTP stream (GET /cluster/v1/replicate?after=N) and applies
-// every record into its own WAL, so at promotion time its journal — and
-// therefore its recovered routing state — matches the leader's up to
-// the last shipped record.
+// Journal shipping: a warm standby tails the leader's routing WAL over a
+// chunked HTTP stream (GET /cluster/v1/replicate?after=N&chain=H) and
+// applies every record into its own WAL, so at promotion time its
+// journal — and therefore its recovered routing state — matches the
+// leader's up to the last shipped record.
 //
-// The stream is newline-delimited JSON. The first frame is a hello
-// carrying the leader's epoch and total record count (a total below the
-// follower's position means the leader's journal was compacted or
-// replaced: the follower wipes and resyncs from zero). Record frames
-// carry (index, kind, payload); submitted records — and snapshot
-// records, for the jobs in them that are still active — additionally
-// carry the spilled query FASTA so the standby can preserve the
-// spill-before-journal invariant on its own disk. Keepalive frames flow
-// when the log is idle; frame silence longer than the standby's
-// promotion window is the leader-loss signal.
+// The follower names its position by record count and chain hash (the
+// hash of every record it holds, in order), so the leader can tell
+// exactly whether those records are a prefix of its own journal. The
+// stream is newline-delimited JSON. The first frame is a hello carrying
+// the leader's epoch and total record count. When the follower's records
+// are not a prefix — the leader's journal was rewritten or replaced
+// since they were shipped — the hello says reset and the stream ships
+// the whole journal from index 1; a leader that rewrites its journal
+// while running sends the same reset hello on every open stream. The
+// follower keeps its own journal until it holds every record a reset
+// announced, then swaps it in with one Compact. Record frames carry
+// (index, kind, payload); submitted records — and snapshot records, for
+// the jobs in them that are still active — additionally carry the
+// spilled query FASTA so the standby can preserve the spill-before-
+// journal invariant on its own disk. Keepalive frames flow when the log
+// is idle; frame silence longer than the standby's promotion window is
+// the leader-loss signal.
 
 // repFrame is one line of the replication stream.
 type repFrame struct {
 	Hello bool   `json:"hello,omitempty"`
+	Reset bool   `json:"reset,omitempty"` // hello: what follows replaces the follower's journal
 	KA    bool   `json:"ka,omitempty"`
 	Epoch uint64 `json:"epoch,omitempty"`
 	Total uint64 `json:"total,omitempty"`
@@ -57,15 +68,17 @@ type repFrame struct {
 }
 
 // replicationHub is the leader's in-memory copy of the routing WAL's
-// record sequence, seeded from the journal at startup and appended to
-// under the journal's own lock (so hub order is WAL order). Streams
-// read from it by index. The hub also tracks each follower's shipped
-// position — records and payload bytes — which is what the
-// replication-lag gauges on /metrics/cluster are computed from.
+// record sequence, seeded from the journal at startup, appended to under
+// the journal's own lock (so hub order is WAL order) and reseeded when
+// the journal is rewritten. Streams read from it by position. The hub
+// also tracks each follower's shipped position — records and payload
+// bytes — which is what the replication-lag gauges on /metrics/cluster
+// are computed from.
 type replicationHub struct {
 	mu      sync.Mutex
 	recs    []checkpoint.Record
 	cum     []uint64 // cum[i] = payload bytes of recs[:i+1]
+	chain   []uint64 // chain[i] = chain hash of recs[:i+1]
 	changed chan struct{}
 	// followers maps a follower id (the ?follower= the standby sends, or
 	// its remote address) to the last position its stream acknowledged by
@@ -87,29 +100,74 @@ type replLag struct {
 }
 
 func newReplicationHub(seed []checkpoint.Record) *replicationHub {
-	recs := make([]checkpoint.Record, len(seed))
-	copy(recs, seed)
-	h := &replicationHub{recs: recs, changed: make(chan struct{}), followers: make(map[string]followerPos)}
-	h.cum = make([]uint64, len(recs))
-	var sum uint64
-	for i, rec := range recs {
-		sum += uint64(len(rec.Payload))
-		h.cum[i] = sum
-	}
+	h := &replicationHub{changed: make(chan struct{}), followers: make(map[string]followerPos)}
+	h.appendLocked(seed...)
 	return h
+}
+
+// repPos is a position in a replicated record sequence: the number of
+// records before it and their chain hash, which tells one sequence's
+// prefix from another's of the same length.
+type repPos struct {
+	n     uint64
+	chain uint64
+}
+
+// next is the position after rec.
+func (p repPos) next(rec checkpoint.Record) repPos {
+	h := fnv.New64a()
+	var b [9]byte
+	binary.LittleEndian.PutUint64(b[:8], p.chain)
+	b[8] = rec.Kind
+	h.Write(b[:])        //nolint:errcheck // hash.Hash never errors
+	h.Write(rec.Payload) //nolint:errcheck
+	return repPos{n: p.n + 1, chain: h.Sum64()}
+}
+
+// posAfter is the position after recs.
+func posAfter(recs []checkpoint.Record) repPos {
+	var p repPos
+	for _, rec := range recs {
+		p = p.next(rec)
+	}
+	return p
+}
+
+// appendLocked adds records and wakes every stream. Requires h.mu (or
+// sole ownership).
+func (h *replicationHub) appendLocked(recs ...checkpoint.Record) {
+	for _, rec := range recs {
+		n := uint64(len(h.recs))
+		h.cum = append(h.cum, h.bytesAtLocked(n)+uint64(len(rec.Payload)))
+		h.chain = append(h.chain, h.posLocked(n).next(rec).chain)
+		h.recs = append(h.recs, rec)
+	}
+	close(h.changed)
+	h.changed = make(chan struct{})
 }
 
 func (h *replicationHub) publish(rec checkpoint.Record) {
 	h.mu.Lock()
-	h.recs = append(h.recs, rec)
-	var prev uint64
-	if n := len(h.cum); n > 0 {
-		prev = h.cum[n-1]
-	}
-	h.cum = append(h.cum, prev+uint64(len(rec.Payload)))
-	close(h.changed)
-	h.changed = make(chan struct{})
+	h.appendLocked(rec)
 	h.mu.Unlock()
+}
+
+// reseed replaces the records with a rewritten journal's. Every open
+// stream then finds its position gone and restarts from zero (see
+// serveReplicate).
+func (h *replicationHub) reseed(recs []checkpoint.Record) {
+	h.mu.Lock()
+	h.recs, h.cum, h.chain = nil, nil, nil
+	h.appendLocked(recs...)
+	h.mu.Unlock()
+}
+
+// posLocked is the position after the first n records. Requires h.mu.
+func (h *replicationHub) posLocked(n uint64) repPos {
+	if n == 0 {
+		return repPos{}
+	}
+	return repPos{n: n, chain: h.chain[n-1]}
 }
 
 // bytesAtLocked returns the cumulative payload bytes of the first n
@@ -152,18 +210,18 @@ func (h *replicationHub) followerLags() map[string]replLag {
 	return out
 }
 
-// since returns the records after position `after` (a record count), the
-// current total, and a channel closed on the next publish.
-func (h *replicationHub) since(after uint64) ([]checkpoint.Record, uint64, <-chan struct{}) {
+// since returns the records after p, the position after them, and a
+// channel closed on the next publish or reseed. ok is false, with no
+// records, when the hub's records do not extend p: the journal was
+// rewritten or replaced since p was taken.
+func (h *replicationHub) since(p repPos) (recs []checkpoint.Record, end repPos, ok bool, changed <-chan struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	total := uint64(len(h.recs))
-	if after >= total {
-		return nil, total, h.changed
+	if p.n > total || h.posLocked(p.n) != p {
+		return nil, repPos{}, false, h.changed
 	}
-	out := make([]checkpoint.Record, total-after)
-	copy(out, h.recs[after:])
-	return out, total, h.changed
+	return slices.Clone(h.recs[p.n:]), h.posLocked(total), true, h.changed
 }
 
 func (h *replicationHub) total() uint64 {
@@ -178,14 +236,16 @@ func (c *Coordinator) serveReplicate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
 		return
 	}
-	var after uint64
-	if s := r.URL.Query().Get("after"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, "bad after offset %q", s)
-			return
+	var pos repPos
+	for name, v := range map[string]*uint64{"after": &pos.n, "chain": &pos.chain} {
+		if s := r.URL.Query().Get(name); s != "" {
+			u, err := strconv.ParseUint(s, 10, 64)
+			if err != nil {
+				server.WriteError(w, http.StatusBadRequest, "bad %s %q", name, s)
+				return
+			}
+			*v = u
 		}
-		after = v
 	}
 	// The follower's stable identity keys its replication-lag series; a
 	// standby that reconnects under the same id resumes the same series
@@ -202,16 +262,28 @@ func (c *Coordinator) serveReplicate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(repFrame{Hello: true, Epoch: c.epoch, Total: c.hub.total()}); err != nil {
+	recs, end, ok, changed := c.hub.since(pos)
+	// hello opens the stream, and restarts it from zero whenever pos is
+	// not (or no longer) a prefix of the hub's records.
+	hello := func() error {
+		if !ok {
+			pos = repPos{}
+			recs, end, _, changed = c.hub.since(pos)
+		}
+		if err := enc.Encode(repFrame{Hello: true, Reset: !ok, Epoch: c.epoch, Total: end.n}); err != nil {
+			return err
+		}
+		fl.Flush()
+		c.hub.observeFollower(follower, pos.n)
+		return nil
+	}
+	if hello() != nil {
 		return
 	}
-	fl.Flush()
-	c.hub.observeFollower(follower, after)
 	keepalive := c.cfg.LeaseTTL / 3
 	for {
-		recs, total, changed := c.hub.since(after)
 		for i, rec := range recs {
-			f := repFrame{Index: after + uint64(i) + 1, Kind: rec.Kind, Payload: rec.Payload}
+			f := repFrame{Index: pos.n + uint64(i) + 1, Kind: rec.Kind, Payload: rec.Payload}
 			switch rec.Kind {
 			case ckKindSubmitted:
 				var sub ckSubmitted
@@ -240,22 +312,27 @@ func (c *Coordinator) serveReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(recs) > 0 {
 			fl.Flush()
-			after = total
-			c.hub.observeFollower(follower, after)
-			continue
-		}
-		select {
-		case <-changed:
-		case <-c.cfg.Clock.After(keepalive):
-			// Keepalives carry the current total so an idle follower can
-			// keep its own lag gauge honest without a record flowing.
-			if err := enc.Encode(repFrame{KA: true, Epoch: c.epoch, Total: c.hub.total()}); err != nil {
+			pos = end
+			c.hub.observeFollower(follower, pos.n)
+		} else {
+			select {
+			case <-changed:
+			case <-c.cfg.Clock.After(keepalive):
+				// Keepalives carry the current total so an idle follower can
+				// keep its own lag gauge honest without a record flowing.
+				if err := enc.Encode(repFrame{KA: true, Epoch: c.epoch, Total: c.hub.total()}); err != nil {
+					return
+				}
+				fl.Flush()
+			case <-r.Context().Done():
+				return
+			case <-c.ctx.Done():
 				return
 			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		case <-c.ctx.Done():
+		}
+		// A journal rewritten under this stream leaves pos naming records
+		// that no longer exist: the stream restarts with a reset hello.
+		if recs, end, ok, changed = c.hub.since(pos); !ok && hello() != nil {
 			return
 		}
 	}
@@ -295,11 +372,15 @@ type Standby struct {
 	log     *slog.Logger
 	metrics *obs.Registry
 
-	j       *checkpoint.Journal
-	dir     string
-	records uint64
+	dir string
 
-	mu          sync.Mutex
+	mu  sync.Mutex
+	j   *checkpoint.Journal
+	pos repPos // of the records j holds
+	// resync, while non-nil, collects a leader journal that does not
+	// extend j's records; it replaces them once it holds resyncTo records.
+	resync      []checkpoint.Record
+	resyncTo    uint64
 	lastFrame   time.Time
 	epoch       uint64 // last epoch seen from the leader
 	leaderTotal uint64 // leader's record count, from hello/keepalive frames
@@ -336,7 +417,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 		metrics:    obs.NewRegistry(),
 		j:          j,
 		dir:        cfg.JournalDir,
-		records:    uint64(len(recs)),
+		pos:        posAfter(recs),
 		lastFrame:  cfg.Clock.Now(),
 		promotedCh: make(chan struct{}),
 	}
@@ -357,10 +438,10 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 func (s *Standby) LagFrames() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.leaderTotal <= s.records {
+	if s.leaderTotal <= s.pos.n {
 		return 0
 	}
-	return s.leaderTotal - s.records
+	return s.leaderTotal - s.pos.n
 }
 
 // followerID is the stable identity the standby announces on its
@@ -373,7 +454,7 @@ func (s *Standby) followerID() string {
 func (s *Standby) Records() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.records
+	return s.pos.n
 }
 
 // Promoted returns the promoted coordinator, or nil before promotion.
@@ -428,12 +509,8 @@ func (s *Standby) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if err != nil {
-			attempt++
-			s.log.Warn("replication stream lost", "leader", s.cfg.LeaderURL, "err", err, "attempt", attempt)
-		} else {
-			attempt = 0
-		}
+		attempt++
+		s.log.Warn("replication stream lost", "leader", s.cfg.LeaderURL, "err", err, "attempt", attempt)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -461,7 +538,7 @@ func (s *Standby) stampFrame(epoch, leaderTotal uint64) {
 }
 
 // tailOnce opens one replication stream and consumes it until it breaks
-// or the watchdog cancels it for silence.
+// or the watchdog cancels it for silence; it returns why it ended.
 func (s *Standby) tailOnce(ctx context.Context) error {
 	reqCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -490,9 +567,12 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		}
 	}()
 
+	s.mu.Lock()
+	pos := s.pos
+	s.mu.Unlock()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet,
-		s.cfg.LeaderURL+"/cluster/v1/replicate?after="+strconv.FormatUint(s.Records(), 10)+
-			"&follower="+url.QueryEscape(s.followerID()), nil)
+		s.cfg.LeaderURL+"/cluster/v1/replicate?after="+strconv.FormatUint(pos.n, 10)+
+			"&chain="+strconv.FormatUint(pos.chain, 10)+"&follower="+url.QueryEscape(s.followerID()), nil)
 	if err != nil {
 		return err
 	}
@@ -500,10 +580,10 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()              //nolint:errcheck
-	}()
+	// Close, never drain: the leader keeps the stream open for as long as
+	// it lives, so draining a stream this side abandons (a bad frame, a
+	// gap) would wait out the promotion window.
+	defer resp.Body.Close() //nolint:errcheck
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("leader replied %d", resp.StatusCode)
 	}
@@ -529,18 +609,11 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		s.stampFrame(f.Epoch, leaderTotal)
 		switch {
 		case f.Hello:
-			if !first {
+			if !first && !f.Reset {
 				return errors.New("hello frame mid-stream")
 			}
-			if f.Total < s.Records() {
-				// The leader's journal shrank past our position — it was
-				// compacted or replaced. Resync from zero.
-				s.log.Warn("leader journal behind local copy; resyncing",
-					"leader_total", f.Total, "local", s.Records())
-				if err := s.resetJournal(); err != nil {
-					return err
-				}
-				return nil // reconnect with after=0
+			if err := s.hello(f); err != nil {
+				return err
 			}
 		case f.KA:
 			// Liveness only; already stamped.
@@ -563,8 +636,12 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 func (s *Standby) applyRecord(f repFrame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f.Index != s.records+1 {
-		return fmt.Errorf("replication gap: got index %d, have %d records", f.Index, s.records)
+	have := s.pos.n
+	if s.resync != nil {
+		have = uint64(len(s.resync))
+	}
+	if f.Index != have+1 {
+		return fmt.Errorf("replication gap: got index %d, have %d records", f.Index, have)
 	}
 	queries := f.Queries
 	if f.Kind == ckKindSubmitted && len(f.Query) > 0 {
@@ -580,34 +657,49 @@ func (s *Standby) applyRecord(f repFrame) error {
 			return fmt.Errorf("spilling shipped query: %w", err)
 		}
 	}
-	if err := s.j.Append(f.Kind, f.Payload); err != nil {
+	rec := checkpoint.Record{Kind: f.Kind, Payload: f.Payload}
+	if s.resync != nil {
+		s.resync = append(s.resync, rec)
+		return s.adoptLocked()
+	}
+	if err := s.j.Append(rec.Kind, rec.Payload); err != nil {
 		return err
 	}
-	s.records++
+	s.pos = s.pos.next(rec)
 	return nil
 }
 
-// resetJournal wipes the local WAL so the next connect resyncs from 0.
-func (s *Standby) resetJournal() error {
+// hello takes a hello frame's total as the leader's and, on a reset,
+// starts collecting the leader's journal to replace the local one.
+func (s *Standby) hello(f repFrame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.j.Close(); err != nil {
-		return err
+	s.leaderTotal, s.resync = f.Total, nil
+	if !f.Reset {
+		return nil
 	}
-	walDir := filepath.Join(s.dir, "wal")
-	if err := checkpoint.Remove(walDir); err != nil {
-		return err
+	s.log.Warn("leader journal does not extend the local copy; resyncing",
+		"leader_total", f.Total, "local", s.pos.n)
+	s.resync, s.resyncTo = []checkpoint.Record{}, f.Total
+	return s.adoptLocked()
+}
+
+// adoptLocked swaps the collected leader journal in once it holds every
+// record the reset announced. Until then the local journal stays whole,
+// so a leader lost mid-resync leaves a standby that promotes on its older
+// copy rather than on nothing. Compact publishes the new records
+// atomically; a crash before it removes the old ones leaves a journal
+// that foldRouting reads from the new header on, and whose position
+// matches no leader prefix, so the next hello resets again. Requires
+// s.mu.
+func (s *Standby) adoptLocked() error {
+	if uint64(len(s.resync)) < s.resyncTo {
+		return nil
 	}
-	j, recs, err := checkpoint.Open(walDir, checkpoint.Options{})
-	if err != nil {
-		return err
+	if err := s.j.Compact(s.resync); err != nil {
+		return fmt.Errorf("adopting the leader's journal: %w", err)
 	}
-	if len(recs) != 0 {
-		j.Close() //nolint:errcheck
-		return fmt.Errorf("journal not empty after reset: %d records", len(recs))
-	}
-	s.j = j
-	s.records = 0
+	s.pos, s.resync = posAfter(s.resync), nil
 	return nil
 }
 
@@ -622,7 +714,7 @@ func (s *Standby) promote() error {
 	}
 	cfg := s.cfg.Coordinator
 	cfg.JournalDir = s.dir
-	records, lastEpoch := s.records, s.epoch
+	records, lastEpoch := s.pos.n, s.epoch
 	s.mu.Unlock()
 
 	coord, err := New(cfg)

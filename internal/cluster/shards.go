@@ -526,7 +526,7 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 			c.c.shardDispatched.Inc()
 			c.recordFlight(j, obs.FlightShardDispatched, m.ID, name)
 		case attempt > 1:
-			if _, live := c.ms.alive(lastWorker); lastWorker != "" && !live && m.ID != lastWorker {
+			if lastWorker != "" && !c.ms.alive(lastWorker) && m.ID != lastWorker {
 				c.c.shardFailedOver.Inc()
 				c.recordFlight(j, obs.FlightShardFailedOver, m.ID,
 					fmt.Sprintf("%s: worker %s lost; attempt %d", name, lastWorker, attempt))

@@ -124,19 +124,6 @@ type Config struct {
 	// it is excluded from the checkpoint fingerprint.
 	Recorder obs.Recorder
 
-	// TraceID and JobID carry the distributed-trace identity assigned
-	// at job admission (cluster mode propagates it coordinator → worker
-	// on the X-Darwinwga-Trace header). When TraceID is non-empty and
-	// the Recorder implements obs.TraceIdentifier (the Tracer does,
-	// including through obs.Multi), AlignContext and the shard-unit entry points hand
-	// the identity to the recorder once at call start, so the recorded
-	// span tree is taggable back to the cluster-wide trace. Observe-only: like
-	// Recorder itself, both are excluded from the checkpoint
-	// fingerprint, so a resumed job keeps its journal regardless of
-	// trace identity.
-	TraceID string
-	JobID   string
-
 	// HSPHook, when non-nil, is invoked from the extension stage's
 	// orchestration goroutine each time a final alignment is produced —
 	// including alignments replayed from a checkpoint journal — in the

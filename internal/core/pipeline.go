@@ -141,7 +141,7 @@ func (a *Aligner) AlignContext(ctx context.Context, query []byte) (*Result, erro
 		return nil, err
 	}
 	res := &Result{}
-	r.span(&a.cfg, len(query))
+	r.span(len(query))
 	defer func() { r.end(len(res.HSPs)) }()
 	if a.cfg.CheckpointDir != "" {
 		ck, err := openCheckpoint(r, &a.cfg, a.target, query)
@@ -238,7 +238,7 @@ func (a *Aligner) ExtendAnchors(ctx context.Context, query []byte, strand byte, 
 	}
 	res := &Result{}
 	kept := 0 // a failed call reports no alignments
-	r.span(&a.cfg, len(query))
+	r.span(len(query))
 	defer func() { r.end(kept) }()
 	err = a.runExtension(r, query, strand, passed, res)
 	if err == nil {

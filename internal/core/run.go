@@ -61,14 +61,11 @@ type run struct {
 // cap is far above what a debuggable report needs.
 const maxRecordedFailures = 16
 
-// span opens the Recorder's top-level align span over bases query bases,
-// handing the recorder the call's trace identity first; end closes it.
-func (r *run) span(cfg *Config, bases int) {
+// span opens the Recorder's top-level align span over bases query bases;
+// end closes it.
+func (r *run) span(bases int) {
 	if r.rec == nil {
 		return
-	}
-	if ti, ok := r.rec.(obs.TraceIdentifier); ok && cfg.TraceID != "" {
-		ti.Identify(cfg.TraceID, cfg.JobID)
 	}
 	r.spanStart = time.Now()
 	r.rec.AlignBegin(bases)

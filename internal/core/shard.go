@@ -158,7 +158,7 @@ func (a *Aligner) FilterShardUnit(ctx context.Context, query []byte, u ShardUnit
 	if err != nil {
 		return nil, Workload{}, err
 	}
-	r.span(&a.cfg, u.QEnd-u.QStart)
+	r.span(u.QEnd - u.QStart)
 	defer r.end(0)
 	passed, wl, err := a.seedFilter(r, query, u.Strand, u.QStart, u.QEnd, new(Timings))
 	if err == nil {

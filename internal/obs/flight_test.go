@@ -119,9 +119,6 @@ func TestTracerIdentityOnRootSpan(t *testing.T) {
 	if ev[0].Args["trace_id"] != "tr-xyz" || ev[0].Args["job_id"] != "job-9" {
 		t.Errorf("root span args = %v", ev[0].Args)
 	}
-	if id, job := tr.Identity(); id != "tr-xyz" || job != "job-9" {
-		t.Errorf("Identity = %q, %q", id, job)
-	}
 }
 
 // TestWorkerSnapshotHitRatio covers the zero-lookup and mixed cases.

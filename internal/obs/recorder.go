@@ -81,27 +81,9 @@ type Recorder interface {
 	ExtensionTile(strand byte, anchor int, cells int64, start time.Time, dur time.Duration)
 }
 
-// TraceIdentifier is the optional side-interface a Recorder implements
-// to accept a distributed-trace identity (Tracer does). The pipeline
-// type-asserts for it when core.Config.TraceID is set; recorders that
-// don't care simply don't implement it.
-type TraceIdentifier interface {
-	Identify(traceID, jobID string)
-}
-
 // multi fans every event out to several recorders in order.
 type multi struct {
 	recs []Recorder
-}
-
-// Identify forwards the trace identity to every child that accepts it,
-// so a Tracer wrapped in a Multi still gets tagged.
-func (m *multi) Identify(traceID, jobID string) {
-	for _, r := range m.recs {
-		if ti, ok := r.(TraceIdentifier); ok {
-			ti.Identify(traceID, jobID)
-		}
-	}
 }
 
 // Multi combines recorders; nil entries are dropped. It returns nil

@@ -69,13 +69,6 @@ func (t *Tracer) Identify(traceID, jobID string) {
 	t.mu.Unlock()
 }
 
-// Identity returns the ids set by Identify.
-func (t *Tracer) Identity() (traceID, jobID string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traceID, t.jobID
-}
-
 // Dropped returns how many events the cap discarded.
 func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()

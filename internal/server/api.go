@@ -168,28 +168,21 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// coldRetryAfterSecs is the Retry-After hint before any job has waited
+// in the queue.
+const coldRetryAfterSecs = 2
+
 // retryAfterSecs derives the Retry-After hint from observed load: the
 // p90 of the queue-wait histogram, rounded up to whole seconds and
 // clamped to [1s, 10m]. Before any job has waited (empty histogram)
-// it falls back to the configured constant — so the hint tracks how
-// long rejected clients would actually have queued, instead of a
-// number picked at deploy time.
+// it falls back to coldRetryAfterSecs — so the hint tracks how long
+// rejected clients would actually have queued, instead of a number
+// picked at deploy time.
 func (s *Server) retryAfterSecs() int {
 	if p90 := s.jobs.queueWait.Quantile(0.90); p90 > 0 {
-		secs := int(math.Ceil(p90))
-		if secs < 1 {
-			secs = 1
-		}
-		if secs > 600 {
-			secs = 600
-		}
-		return secs
+		return min(max(int(math.Ceil(p90)), 1), 600)
 	}
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return coldRetryAfterSecs
 }
 
 // writeBusy answers an admission rejection: 429 with Retry-After.

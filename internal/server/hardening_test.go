@@ -46,7 +46,6 @@ func TestMemoryAdmission(t *testing.T) {
 			// target's 64 MiB index is resident, and pinned there.
 			MemoryHighWater: 32 << 20,
 			IndexBudget:     -1,
-			RetryAfter:      7 * time.Second,
 		}, nil)
 		if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
 			t.Fatalf("register: %v", err)
@@ -56,10 +55,9 @@ func TestMemoryAdmission(t *testing.T) {
 			t.Fatalf("HTTP %d, want 429 (%s)", resp.StatusCode, data)
 		}
 		// No job has ever been dequeued, so the queue-wait histogram is
-		// empty and the adaptive hint must fall back to the configured
-		// constant.
-		if ra := resp.Header.Get("Retry-After"); ra != "7" {
-			t.Errorf("Retry-After = %q, want \"7\" (configured fallback)", ra)
+		// empty and the adaptive hint must fall back to the 2 s constant.
+		if ra := resp.Header.Get("Retry-After"); ra != "2" {
+			t.Errorf("Retry-After = %q, want \"2\" (cold-start constant)", ra)
 		}
 	})
 

@@ -1157,10 +1157,6 @@ func (m *Manager) runAttempt(j *Job) bool {
 			defer stop()
 		}
 	}
-	// The trace identity rides the pipeline config so the tracer's root
-	// align span (and a coordinator's merged view) carries it.
-	cfg.TraceID = j.Params.TraceID
-	cfg.JobID = j.ID
 	// Fan pipeline telemetry out to the server-wide registry, the job's
 	// own aggregate (the status endpoint's "stats" block), the
 	// watchdog's progress stamp, and — when tracing is enabled — the

@@ -37,10 +37,11 @@ import (
 //
 // Artifact files are deleted when the job manager evicts a job, and a
 // finished record whose MAF is missing is treated as evicted on replay.
-// At open the retention window is applied to the folded jobs, the
-// artifacts of every job that did not stay are swept, and a journal past
-// CompactThreshold records is rewritten from the survivors' own records:
-// the WAL is bounded by the window plus the active jobs, not by history.
+// At open the retention window is applied to the folded jobs and the
+// artifacts of every job that did not stay are swept; at open and
+// whenever appends take it past CompactThreshold records, the journal is
+// rewritten from the survivors' own records: the WAL is bounded by the
+// window plus the active jobs, not by history or uptime.
 
 // Job store record kinds.
 const (
@@ -113,55 +114,80 @@ var (
 // A nil *jobStore is valid and does nothing — the in-memory-only mode
 // every method guards for, so the manager threads it unconditionally.
 type jobStore struct {
-	files *Artifacts
+	files  *Artifacts
+	retain int
+	// compactAt is the record count past which the journal is rewritten
+	// from the retained jobs' own records (CompactThreshold; in-package
+	// tests lower it).
+	compactAt int
 
-	mu sync.Mutex
-	j  *checkpoint.Journal
+	mu      sync.Mutex
+	j       *checkpoint.Journal
+	records int // records in the journal
+	kept    int // records the last rewrite kept (0 before the first)
 }
 
 // openJobStore opens (creating if necessary) the store in dir, replays
 // the lifecycle journal and returns the jobs the retention window keeps
 // (retain <= 0: all of them), in original submission order. Artifacts
 // of every other job are swept, and a journal of more than compactAt
-// records is rewritten from the kept jobs' records.
+// records is rewritten from the kept jobs' records — at open and, through
+// append, while the server runs.
 func openJobStore(dir string, retain, compactAt int) (*jobStore, []recoveredJob, error) {
 	j, recs, err := checkpoint.Open(dir, checkpoint.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: opening job journal: %w", err)
 	}
-	s := &jobStore{files: NewArtifacts(dir, nil), j: j}
-	byID, order, err := s.fold(recs)
+	s := &jobStore{files: NewArtifacts(dir, nil), retain: retain, compactAt: compactAt, j: j, records: len(recs)}
+	recovered, err := s.compactLocked(recs)
+	if err == nil && len(recs) == 0 {
+		err = s.append(jsKindHeader, jsHeader{Version: jsVersion})
+	}
 	if err != nil {
 		j.Close()
 		return nil, nil, err
 	}
-	// A gone job is not restorable, so it holds no slot in the window; the
-	// manager counts it as dropped.
-	keep, evict := RetainWindow(order, func(id string) bool { return byID[id].fin != nil && byID[id].hasMAF }, retain)
-	for _, id := range evict {
-		delete(byID, id)
+	stays := make(map[string]bool, len(recovered))
+	for _, r := range recovered {
+		stays[r.sub.ID] = !r.gone()
 	}
-	s.files.Sweep(jobFiles, func(id string) bool { return byID[id] != nil && !byID[id].gone() })
-	recovered := make([]recoveredJob, 0, len(keep))
-	survivors := slices.Clone(recs[:min(1, len(recs))]) // the header
-	for _, id := range keep {
-		recovered = append(recovered, *byID[id])
-		if !byID[id].gone() {
-			survivors = append(survivors, byID[id].recs...)
-		}
-	}
-	switch {
-	case len(recs) == 0:
-		err = s.append(jsKindHeader, jsHeader{Version: jsVersion})
-	case len(recs) > compactAt:
-		err = j.Compact(survivors)
-	}
-	if err != nil {
-		j.Close()
-		return nil, nil, fmt.Errorf("server: rewriting job journal: %w", err)
-	}
+	s.files.Sweep(jobFiles, func(id string) bool { return stays[id] })
 	return s, recovered, nil
 }
+
+// compactLocked folds recs — the whole journal — and applies the
+// retention window, returning the kept jobs in submission order (a gone
+// job is not restorable, so it holds no slot in the window; the manager
+// counts it as dropped). Once the journal holds more than compactAt
+// records, and at least twice what the last rewrite kept (so a window
+// wider than the threshold still costs amortized O(1) per append), it is
+// rewritten as the header plus the kept jobs' own records. Requires s.mu
+// (or sole ownership, at open).
+func (s *jobStore) compactLocked(recs []checkpoint.Record) ([]recoveredJob, error) {
+	byID, order, err := s.fold(recs)
+	if err != nil {
+		return nil, err
+	}
+	keep, _ := RetainWindow(order, func(id string) bool { return byID[id].fin != nil && byID[id].hasMAF }, s.retain)
+	kept := make([]recoveredJob, len(keep))
+	survivors := slices.Clone(recs[:min(1, len(recs))]) // the header
+	for i, id := range keep {
+		kept[i] = *byID[id]
+		if !kept[i].gone() {
+			survivors = append(survivors, kept[i].recs...)
+		}
+	}
+	if s.dueLocked() {
+		if err := s.j.Compact(survivors); err != nil {
+			return nil, fmt.Errorf("server: rewriting job journal: %w", err)
+		}
+		s.records, s.kept = len(survivors), len(survivors)
+	}
+	return kept, nil
+}
+
+// dueLocked reports whether the journal is due a rewrite.
+func (s *jobStore) dueLocked() bool { return s.records > max(s.compactAt, 2*s.kept) }
 
 // fold reduces the journal's records to per-job recovery state keyed by
 // id, plus the submission order. Records that fail to decode end the
@@ -227,7 +253,10 @@ fold:
 	return byID, order, nil
 }
 
-// append marshals and durably appends one record (none on a nil store).
+// append marshals and durably appends one record (none on a nil store),
+// then rewrites the journal from its own directory once it is due. The
+// record is durable whether or not the rewrite succeeds: a failed one
+// leaves the longer journal in place and the next append retries it.
 func (s *jobStore) append(kind uint8, v any) error {
 	if s == nil {
 		return nil
@@ -240,6 +269,11 @@ func (s *jobStore) append(kind uint8, v any) error {
 	defer s.mu.Unlock()
 	if err := s.j.Append(kind, payload); err != nil {
 		return fmt.Errorf("server: journaling job record: %w", err)
+	}
+	if s.records++; s.dueLocked() {
+		if recs, err := checkpoint.Replay(s.j.Dir()); err == nil {
+			s.compactLocked(recs) //nolint:errcheck // best effort; see above
+		}
 	}
 	return nil
 }

@@ -263,6 +263,67 @@ func TestJobStoreCompactsPastThreshold(t *testing.T) {
 	}
 }
 
+// TestJobStoreBoundedWhileRunning: a worker that never restarts keeps
+// its journal bounded too. Three rounds of 60 finished jobs through a
+// store with a window of 5 and a threshold of 50 never leave more than 51
+// records in the WAL, and a reopen finds the window plus the active job.
+func TestJobStoreBoundedWhileRunning(t *testing.T) {
+	const retain, threshold, rounds, perRound = 5, 50, 3, 60
+	dir := t.TempDir()
+	store, _, err := openJobStore(dir, retain, threshold)
+	if err != nil {
+		t.Fatalf("openJobStore: %v", err)
+	}
+	now := time.Unix(1700000000, 0)
+	submit := func(id string) *Job {
+		j := storeJob(id, "c", JobParams{Target: "tgt"}, now)
+		if err := store.saveQuery(j.ID, testQuery("q")); err != nil {
+			t.Fatalf("saveQuery: %v", err)
+		}
+		if err := store.submitted(j); err != nil {
+			t.Fatalf("submitted: %v", err)
+		}
+		if err := store.started(j, now); err != nil {
+			t.Fatalf("started: %v", err)
+		}
+		return j
+	}
+	submit("job-active")
+	most := 0
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < perRound; i++ {
+			j := submit(fmt.Sprintf("job-%d-%02d", round, i))
+			if err := store.finished(j, JobDone, "", "", 1, []byte("##maf version=1\n"), now); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := checkpoint.Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			most = max(most, len(recs))
+		}
+	}
+	store.close()
+	if most > threshold+1 {
+		t.Errorf("the journal reached %d records over %d jobs, want <= %d", most, rounds*perRound, threshold+1)
+	}
+	t.Logf("largest journal over %d finished jobs: %d records", rounds*perRound, most)
+
+	store, recovered, err := openJobStore(dir, retain, threshold)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	store.close()
+	var got []string
+	for _, r := range recovered {
+		got = append(got, r.sub.ID)
+	}
+	want := []string{"job-active", "job-2-55", "job-2-56", "job-2-57", "job-2-58", "job-2-59"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reopen recovered %v, want %v", got, want)
+	}
+}
+
 // TestJobStoreFoldSurvivesInterruptedCompaction: a crash after the
 // compacted segment is published but before the old ones are removed
 // leaves the old records followed by a second header and the survivors'

@@ -21,10 +21,6 @@ import (
 // Config parameterizes a Server. The zero value is usable: defaults
 // are applied by New.
 type Config struct {
-	// Addr is the listen address for ListenAndServe (default
-	// "127.0.0.1:8053"). Embedders that mount Handler themselves can
-	// ignore it.
-	Addr string
 	// Pipeline is the base alignment configuration jobs inherit;
 	// per-job parameters override the per-call knobs. The zero value
 	// means core.DefaultConfig(). Its SeedPattern/SeedMaxFreq shape
@@ -46,8 +42,6 @@ type Config struct {
 	// MaxDeadline clamps (and, when a job asks for none, imposes) the
 	// per-job soft deadline. 0 = no cap.
 	MaxDeadline time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 2s).
-	RetryAfter time.Duration
 	// DrainGrace bounds how long Shutdown lets running jobs finish
 	// before cancelling them (default 30s).
 	DrainGrace time.Duration
@@ -107,7 +101,7 @@ type Config struct {
 	ResultCacheBytes int64
 	// ReadHeaderTimeout hardens the HTTP server against slow-client
 	// resource pinning (default 10s; negative = disabled), beside the
-	// fixed read and idle timeouts Serve sets.
+	// fixed read and idle timeouts of NewHTTPServer.
 	ReadHeaderTimeout time.Duration
 	// Clock drives the watchdog, breaker cooldowns, retry backoff, and
 	// job timestamps (default: the wall clock). The chaos tests install
@@ -139,9 +133,6 @@ type Config struct {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.Addr == "" {
-		c.Addr = "127.0.0.1:8053"
-	}
 	if c.Pipeline.SeedPattern == "" {
 		c.Pipeline = core.DefaultConfig()
 	}
@@ -159,9 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueryBases <= 0 {
 		c.MaxQueryBases = 64 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 30 * time.Second
@@ -230,8 +218,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the embedded alignment service: registry + job manager +
-// HTTP API. Construct with New, register targets, then either serve
-// the Handler yourself or call ListenAndServe; Shutdown drains.
+// HTTP API. Construct with New, register targets, then either mount the
+// Handler yourself or call Serve; Shutdown drains.
 type Server struct {
 	cfg     Config
 	reg     *Registry
@@ -253,9 +241,8 @@ type Server struct {
 	shardUnitsServed *obs.Counter
 	shardUnitsFailed *obs.Counter
 
-	mu       sync.Mutex
-	httpSrv  *http.Server
-	listener net.Listener
+	mu      sync.Mutex
+	httpSrv *http.Server
 }
 
 // ObserveClusterEpoch raises the worker's high-water cluster epoch.
@@ -448,43 +435,28 @@ func (s *Server) RegisterTarget(name string, asm *genome.Assembly) (*Target, err
 // httptest server.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Addr returns the bound listen address once ListenAndServe has
-// started ("" before).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
-}
-
-// ListenAndServe binds cfg.Addr and serves until Shutdown. It returns
-// http.ErrServerClosed after a clean shutdown, like net/http.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve serves the API on ln until Shutdown. The server is hardened
-// against slow clients: header, read, and idle timeouts bound how long
-// a connection can pin a goroutine without making progress (request
-// bodies are additionally capped by MaxBytesReader in the handlers).
-// The write timeout stays unset because MAF streaming responses
-// legitimately run for the life of a job.
-func (s *Server) Serve(ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
+// NewHTTPServer is the http.Server every role serves its handler on,
+// hardened against slow clients: headerTimeout for the request headers,
+// five minutes for a whole request and two idle between requests bound
+// how long a connection can pin a goroutine without making progress
+// (request bodies are additionally capped by MaxBytesReader in the
+// handlers). The write timeout stays unset because MAF streams and the
+// replication stream legitimately run for as long as their job or
+// follower does.
+func NewHTTPServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
 		ReadTimeout:       5 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+}
+
+// Serve serves the API on ln until Shutdown.
+func (s *Server) Serve(ln net.Listener) error {
+	srv := NewHTTPServer(s.handler, s.cfg.ReadHeaderTimeout)
 	s.mu.Lock()
 	s.httpSrv = srv
-	s.listener = ln
 	s.mu.Unlock()
 	s.log.Info("serving", "addr", ln.Addr().String(), "version", s.version)
 	return srv.Serve(ln)

@@ -353,7 +353,6 @@ func TestAdmissionControl(t *testing.T) {
 		JobWorkers:           1,
 		QueueDepth:           1,
 		MaxInFlightPerClient: 2,
-		RetryAfter:           3 * time.Second,
 	}, release)
 	if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
 		t.Fatalf("registering target: %v", err)
@@ -385,7 +384,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	// Job 1 was already picked up, so the queue-wait histogram has one
 	// (sub-second) sample and the adaptive hint — ceil(p90), floored at
-	// 1s — applies instead of the configured 3s constant.
+	// 1s — applies instead of the 2s cold-start constant.
 	if ra := resp3.Header.Get("Retry-After"); ra != "1" {
 		t.Errorf("Retry-After = %q, want \"1\" (adaptive p90)", ra)
 	}

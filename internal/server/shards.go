@@ -116,8 +116,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	cfg.CheckpointDir = ""
 	cfg.HSPHook = nil
 	cfg.Recorder = s.jobs.pipe
-	cfg.TraceID = req.TraceID
-	cfg.JobID = req.JobID
 	aligner, err := shared.WithConfig(cfg)
 	if err != nil {
 		s.shardUnitsFailed.Inc()
