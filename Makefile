@@ -56,6 +56,10 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # -replication — and the other deleted knobs stay deleted
 # (obs.TraceIdentifier, Server.ListenAndServe, a RetryAfter field). Every
 # role serves on the one http.Server literal in server.NewHTTPServer.
+# And for timers: derived, not configured — the coordinator's from
+# LeaseTTL, the worker's from StallWindow — so the knobs they replaced
+# (fields and serve/one-shot flags) stay out of every non-test Go file
+# outside bench/.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -104,6 +108,12 @@ check-once:
 	m=$$(sed -n '/^func NewHTTPServer(/,/^}/p' internal/server/server.go | grep -c '&http\.Server{'); \
 	if [ "$$n" -ne 1 ] || [ "$$m" -ne 1 ]; then \
 		echo "check-once: $$n http.Server literals, want 1 (server.NewHTTPServer serves every role)"; exit 1; fi
+	@if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		'SweepInterval|DispatchTimeout|StallTick|StallRetries|StallRetryDelay|ShipInterval|PromoteAfter' . || \
+		grep -nw --exclude='*_test.go' 'RequestTimeout' internal/cluster/*.go || \
+		grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		'dispatch-timeout|stall-retries|stall-retry-delay|breaker-threshold|breaker-cooldown|ship-interval|retry-delay|retry-max-delay' .; then \
+		echo "check-once: a removed timer knob is back (derive it from LeaseTTL or StallWindow, or make it a constant)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -199,13 +209,14 @@ test-chaos:
 # SIGKILLs a leader with a live warm standby (promotion must finish
 # the job under its original id) and a shipping worker mid-pipeline
 # (the replacement must resume from the shipped checkpoints with a
-# nonzero replayed workload). Not -short: the e2e re-execs the test
+# nonzero replayed workload); and a coordinator on port 0 must hand its
+# workers a checkpoint-ship URL that answers. Not -short: the e2e re-execs the test
 # binary as coordinator, standby, and workers. Every line carries an
 # explicit -timeout so a wedged subprocess can never hang the target.
 test-cluster:
 	$(GO) test -race -timeout 15m ./internal/cluster/ ./internal/faultinject/
 	$(call named-test,-race -timeout 15m -run 'TestRingOrder|TestRendezvous|TestMembership|TestRetentionBounds|TestHAStandby' ./internal/cluster/)
-	$(call named-test,-timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E|TestHAWorkerFailoverResumesFromShippedE2E|TestCoordinatorHonoursRetainE2E' ./cmd/darwin-wga/)
+	$(call named-test,-timeout 20m -run 'TestClusterFailoverE2E|TestHALeaderFailoverE2E|TestHAWorkerFailoverResumesFromShippedE2E|TestCoordinatorHonoursRetainE2E|TestCoordinatorPortZeroShipURLE2E' ./cmd/darwin-wga/)
 
 # Index lifecycle suite: the serialized-index store under the race
 # detector (format round-trip, corruption rejection typed-error tests,

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,6 +31,17 @@ func TestCLIExitCodes(t *testing.T) {
 		{"serve malformed register", []string{"serve", "-register", "no-equals-sign"}, 2},
 		{"serve stray positional", []string{"serve", "stray"}, 2},
 		{"serve missing fasta", []string{"serve", "-register", "t=/does/not/exist.fa"}, 1},
+		// Removed knobs: their values now derive from -lease-ttl and
+		// -stall-window or are constants, and a script still passing one
+		// must fail loudly rather than think it tuned something.
+		{"serve removed dispatch-timeout", []string{"serve", "-dispatch-timeout", "5s"}, 2},
+		{"serve removed stall-retries", []string{"serve", "-stall-retries", "2"}, 2},
+		{"serve removed stall-retry-delay", []string{"serve", "-stall-retry-delay", "1s"}, 2},
+		{"serve removed breaker-threshold", []string{"serve", "-breaker-threshold", "0"}, 2},
+		{"serve removed breaker-cooldown", []string{"serve", "-breaker-cooldown", "30s"}, 2},
+		{"serve removed ship-interval", []string{"serve", "-ship-interval", "100ms"}, 2},
+		{"removed retry-delay", []string{"-retries", "1", "-retry-delay", "1ms"}, 2},
+		{"removed retry-max-delay", []string{"-retries", "1", "-retry-max-delay", "10ms"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,6 +50,53 @@ func TestCLIExitCodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeFlagSet pins the names `serve` accepts, so a new flag shows
+// up here as a reviewed diff. Timers are not flags: each role derives
+// its own from -lease-ttl or -stall-window.
+func TestServeFlagSet(t *testing.T) {
+	want := []string{
+		"addr", "advertise", "checkpoint-root", "coordinator", "drain-grace",
+		"index-budget-mb", "index-dir", "job-workers", "journal-dir", "lease-ttl",
+		"log-format", "max-deadline", "max-inflight", "max-query-mb", "mem-highwater-mb",
+		"pprof", "queue", "register", "result-cache-mb", "retain",
+		"role", "seed-pattern", "shard-dispatch", "shard-units", "stall-window",
+		"standby-of", "standbys", "trace-events", "worker-id", "workers",
+	}
+	usage := captureStderr(t, func() {
+		if code := cliMain([]string{"serve", "-help"}); code != 2 {
+			t.Errorf("serve -help exited %d, want 2", code)
+		}
+	})
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`).FindAllStringSubmatch(usage, -1) {
+		got = append(got, m[1])
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("serve flags (%d):\n  %v\nwant (%d):\n  %v", len(got), got, len(want), want)
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected and returns what it wrote.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- string(data)
+	}()
+	orig := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = orig }()
+	f()
+	w.Close() //nolint:errcheck // the reader sees EOF
+	return <-out
 }
 
 func TestPrintVersion(t *testing.T) {

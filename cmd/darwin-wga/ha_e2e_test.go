@@ -37,8 +37,8 @@ func freePort(t *testing.T) string {
 // one-shot reference MAF every HA outcome must match byte for byte. The
 // pair is sized so the job aligns for several seconds: that is the
 // window in which the tests kill a leader or a worker "mid-job" — the
-// shipped-checkpoint test needs a first HSP plus a few ship intervals to
-// fit well inside it.
+// shipped-checkpoint test needs a first HSP plus a ship after it (the
+// cadence is a fifth of the lease TTL) to fit well inside it.
 func haTestPair(t *testing.T, dir string) (pair *evolve.Pair, tPath, queryFASTA string, ref []byte) {
 	t.Helper()
 	cfg, ok := evolve.StandardPair("dm6-droSim1", 0.0008)
@@ -233,19 +233,14 @@ func TestHAWorkerFailoverResumesFromShippedE2E(t *testing.T) {
 	dir := t.TempDir()
 	pair, tPath, queryFASTA, ref := haTestPair(t, dir)
 
-	// The coordinator needs a real (pre-bound) address: its advertise
-	// URL is baked into every dispatched job's journal_ship URL.
-	coordAddr := freePort(t)
-	coordBase := "http://" + coordAddr
+	// Port 0: every dispatched job's journal_ship URL names the port the
+	// coordinator actually bound. Workers ship every TTL/5 = 600ms.
 	coordJournal := filepath.Join(dir, "coord-journal")
-	_, coordGot, coordLog := spawnServe(t, []string{
-		"serve", "-role=coordinator", "-addr", coordAddr,
+	_, coordBase, coordLog := spawnServe(t, []string{
+		"serve", "-role=coordinator", "-addr", "127.0.0.1:0",
 		"-lease-ttl", "3s",
 		"-journal-dir", coordJournal,
 	})
-	if coordGot != coordBase {
-		t.Fatalf("coordinator bound %s, want %s", coordGot, coordBase)
-	}
 	waitHTTP(t, coordBase+"/healthz", http.StatusOK, 30*time.Second)
 
 	workerArgs := func(id string) []string {
@@ -256,7 +251,6 @@ func TestHAWorkerFailoverResumesFromShippedE2E(t *testing.T) {
 			"-register", pair.Target.Name + "=" + tPath,
 			"-job-workers", "1",
 			"-checkpoint-root", filepath.Join(dir, "ckpt-"+id),
-			"-ship-interval", "100ms",
 		}
 	}
 	w1Cmd, w1Base, w1Log := spawnServe(t, workerArgs("w1"))
@@ -282,9 +276,9 @@ func TestHAWorkerFailoverResumesFromShippedE2E(t *testing.T) {
 
 	// Wait for real pipeline progress on the assigned worker (at least
 	// one emitted HSP means at least one extension-anchor outcome is in
-	// the journal), then for a shipped segment carrying it to land in
-	// the coordinator's artifact store. Killing any earlier would ship a
-	// header-only journal, and the resume — while correct — would have
+	// the journal), then for a ship after it to land in the coordinator's
+	// artifact store. Killing any earlier would leave a header-only
+	// journal upstream, and the resume — while correct — would have
 	// nothing to replay.
 	victimJob := clusterStatus(t, coordBase, st.ID).Worker
 	if victimJob == nil {
@@ -306,11 +300,25 @@ func TestHAWorkerFailoverResumesFromShippedE2E(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// A few -ship-interval (100ms) ticks to get the progress upstream.
-	time.Sleep(400 * time.Millisecond)
 	shippedGlob := filepath.Join(coordJournal, "shipped", st.ID, "seg-*.wal")
-	if segs, _ := filepath.Glob(shippedGlob); len(segs) == 0 {
-		t.Fatalf("no shipped segments under %s; coordinator log:\n%s", shippedGlob, coordLog.String())
+	shippedBytes := func() int64 {
+		segs, _ := filepath.Glob(shippedGlob)
+		var n int64
+		for _, seg := range segs {
+			if fi, err := os.Stat(seg); err == nil {
+				n += fi.Size()
+			}
+		}
+		return n
+	}
+	for before, shipDeadline := shippedBytes(), time.Now().Add(time.Minute); shippedBytes() <= before; {
+		if st := clusterStatus(t, coordBase, st.ID); st.State == "done" || st.State == "failed" {
+			t.Fatalf("job reached %q before its progress was shipped; shorten -lease-ttl", st.State)
+		}
+		if time.Now().After(shipDeadline) {
+			t.Fatalf("no ship under %s after the first HSP; coordinator log:\n%s", shippedGlob, coordLog.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	victim, victimLog := w1Cmd, w1Log

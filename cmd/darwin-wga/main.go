@@ -26,8 +26,8 @@
 // With -checkpoint <dir> the pipeline journals its progress to a
 // crash-safe write-ahead log in <dir>; a killed run rerun with the same
 // flags resumes from the journal and produces byte-identical output.
-// -retries (with -retry-delay/-retry-max-delay backoff) re-runs failed
-// pipeline shards before degrading to a partial result. The final MAF
+// -retries re-runs failed pipeline shards (after a backoff from 100ms
+// doubling to 5s) before degrading to a partial result. The final MAF
 // is written atomically: to <out>.tmp first, fsynced, then renamed over
 // <out>, so an existing output file is never left half-overwritten.
 //
@@ -87,8 +87,6 @@ type options struct {
 	timeout               time.Duration
 	checkpointDir         string
 	retries               int
-	retryDelay            time.Duration
-	retryMaxDelay         time.Duration
 	tracePath             string
 	cpuProfile            string
 	memProfile            string
@@ -152,9 +150,7 @@ func alignMain(args []string) int {
 	fs.IntVar(&opts.topChains, "top", 10, "number of top chains to summarize")
 	fs.DurationVar(&opts.timeout, "timeout", 0, "soft wall-clock budget; on expiry the partial result is still written (0 = none)")
 	fs.StringVar(&opts.checkpointDir, "checkpoint", "", "journal progress to this directory; a killed run rerun with the same flags resumes from it")
-	fs.IntVar(&opts.retries, "retries", 0, "re-run a failed pipeline shard up to this many extra times before dropping it (0 = fail the call on first shard failure)")
-	fs.DurationVar(&opts.retryDelay, "retry-delay", 100*time.Millisecond, "base backoff before a shard retry (doubles per attempt, with jitter)")
-	fs.DurationVar(&opts.retryMaxDelay, "retry-max-delay", 5*time.Second, "cap on the per-retry backoff delay")
+	fs.IntVar(&opts.retries, "retries", 0, "re-run a failed pipeline shard up to this many extra times, after a jittered backoff from 100ms doubling to 5s, before dropping it (0 = fail the call on first shard failure)")
 	fs.StringVar(&opts.tracePath, "trace", "", "write a Chrome trace_event JSON span tree of the run here (open in Perfetto or about://tracing)")
 	fs.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run here")
 	fs.StringVar(&opts.memProfile, "memprofile", "", "write a pprof heap profile (taken after the run) here")
@@ -220,11 +216,9 @@ func serveMain(args []string) int {
 		workerID    = fs.String("worker-id", "", "stable worker identity across restarts (worker role; default the bound addr)")
 		standbyOf   = fs.String("standby-of", "", "run as a warm standby of this leader coordinator URL (coordinator role; requires -journal-dir)")
 		standbyURLs = fs.String("standbys", "", "comma-separated standby coordinator URLs advertised to workers (coordinator role)")
-		shipEvery   = fs.Duration("ship-interval", 2*time.Second, "how often a running job's checkpoint segments ship to its coordinator (worker role with -checkpoint-root)")
 		shardTgts   = fs.String("shard-dispatch", "", `comma-separated targets whose jobs scatter as per-shard work units across every worker holding the target ("*" = all targets; coordinator role)`)
 		shardUnits  = fs.Int("shard-units", 0, "work units per strand a sharded job decomposes into (coordinator role; 0 = default)")
-		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "worker lease lifetime without a heartbeat (coordinator role)")
-		dispatchTO  = fs.Duration("dispatch-timeout", 10*time.Second, "per-request timeout talking to workers (coordinator role)")
+		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "worker lease lifetime without a heartbeat; every coordinator timer, and a worker's checkpoint-ship cadence, is a fraction of it (coordinator role)")
 		addr        = fs.String("addr", "127.0.0.1:8053", "listen address (host:port, port 0 picks a free port)")
 		jobWorkers  = fs.Int("job-workers", 2, "jobs aligned concurrently")
 		queueDepth  = fs.Int("queue", 16, "submission queue depth; a full queue answers 429")
@@ -235,11 +229,7 @@ func serveMain(args []string) int {
 		retain      = fs.Int("retain", 256, "finished jobs kept queryable, with their artifacts and journal records (every role)")
 		ckptRoot    = fs.String("checkpoint-root", "", "per-job crash-safe journals under this directory (empty = off)")
 		journalDir  = fs.String("journal-dir", "", "durable job store: lifecycle WAL + query/MAF artifacts; replayed on startup (empty = off)")
-		stallWindow = fs.Duration("stall-window", 2*time.Minute, "cancel+retry a job with no pipeline progress for this long (0 = watchdog off)")
-		stallRetry  = fs.Int("stall-retries", 1, "re-runs allowed per stalled job before it fails (0 = none)")
-		stallDelay  = fs.Duration("stall-retry-delay", time.Second, "pause before re-running a stalled job")
-		brkThresh   = fs.Int("breaker-threshold", 5, "consecutive job failures tripping a target's circuit breaker (0 = breaker off)")
-		brkCooldown = fs.Duration("breaker-cooldown", 30*time.Second, "how long a tripped breaker rejects before probing")
+		stallWindow = fs.Duration("stall-window", 2*time.Minute, "cancel and re-run once a job with no pipeline progress for this long (0 = watchdog off)")
 		memHighMB   = fs.Int64("mem-highwater-mb", 0, "reject submissions that would push the heap past this many MiB (0 = off)")
 		indexDir    = fs.String("index-dir", "", "directory of serialized target indexes (<name>.dwx, written by darwin-wga index build); matching files load near-instantly instead of rebuilding")
 		indexBudMB  = fs.Int64("index-budget-mb", 0, "evict least-recently-used idle target indexes past this many MiB resident (0 = half of -mem-highwater-mb, -1 = eviction off)")
@@ -274,18 +264,15 @@ func serveMain(args []string) int {
 	case "standalone", "worker":
 	case "coordinator":
 		return coordinatorMain(cluster.Config{
-			Addr:            *addr,
-			AdvertiseURL:    strings.TrimSuffix(*advertise, "/"),
-			ShardDispatch:   splitURLList(*shardTgts),
-			ShardUnits:      *shardUnits,
-			Standbys:        splitURLList(*standbyURLs),
-			LeaseTTL:        *leaseTTL,
-			DispatchTimeout: *dispatchTO,
-			MaxQueryBases:   *maxQueryMB << 20,
-			RetainJobs:      *retain,
-			JournalDir:      *journalDir,
-			Log:             logger,
-		}, strings.TrimSuffix(*standbyOf, "/"))
+			ShardDispatch: splitURLList(*shardTgts),
+			ShardUnits:    *shardUnits,
+			Standbys:      splitURLList(*standbyURLs),
+			LeaseTTL:      *leaseTTL,
+			MaxQueryBases: *maxQueryMB << 20,
+			RetainJobs:    *retain,
+			JournalDir:    *journalDir,
+			Log:           logger,
+		}, *addr, *advertise, strings.TrimSuffix(*standbyOf, "/"))
 	default:
 		fmt.Fprintf(os.Stderr, "darwin-wga serve: -role must be standalone, coordinator, or worker, got %q\n", *role)
 		return 2
@@ -308,13 +295,7 @@ func serveMain(args []string) int {
 	if *indexBudMB < 0 {
 		indexBudget = -1
 	}
-	// On the CLI "0" reads as "off"; the library uses 0 for "default"
-	// and negatives for "off", so map explicitly.
-	for _, z := range []*int{stallRetry, brkThresh} {
-		if *z <= 0 {
-			*z = -1
-		}
-	}
+	// -stall-window 0 reads as "off"; the library spells that negative.
 	if *stallWindow <= 0 {
 		*stallWindow = -1
 	}
@@ -334,16 +315,11 @@ func serveMain(args []string) int {
 		CheckpointRoot:       *ckptRoot,
 		JournalDir:           *journalDir,
 		StallWindow:          *stallWindow,
-		StallRetries:         *stallRetry,
-		StallRetryDelay:      *stallDelay,
-		BreakerThreshold:     *brkThresh,
-		BreakerCooldown:      *brkCooldown,
 		MemoryHighWater:      *memHighMB << 20,
 		IndexDir:             *indexDir,
 		IndexBudget:          indexBudget,
 		ResultCacheBytes:     *resCacheMB << 20,
 		TraceEventCap:        *traceCap,
-		ShipInterval:         *shipEvery,
 		ShardFaults:          shardFaultsFromEnv(),
 		Log:                  logger,
 		EnablePprof:          *enablePprof,
@@ -364,22 +340,24 @@ func serveMain(args []string) int {
 		}
 	}
 
-	return serveRole(*role, *addr, logger, func(ctx context.Context, ln net.Listener) {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
+		return 1
+	}
+	return serveRole(*role, ln, logger, func(ctx context.Context) {
 		if *role != "worker" {
 			return
 		}
-		id, adv := *workerID, *advertise
+		id := *workerID
 		if id == "" {
 			id = ln.Addr().String()
-		}
-		if adv == "" {
-			adv = "http://" + ln.Addr().String()
 		}
 		agent, err := cluster.NewAgent(cluster.AgentConfig{
 			Coordinator:  coordinators[0],
 			Coordinators: coordinators[1:],
 			WorkerID:     id,
-			Advertise:    adv,
+			Advertise:    advertiseURL(*advertise, ln),
 			Server:       srv,
 			Log:          logger,
 		})
@@ -404,6 +382,16 @@ func splitURLList(s string) []string {
 	return out
 }
 
+// advertiseURL is the base URL peers dial this process back at:
+// -advertise when set, else the address it is actually bound to (with
+// -addr :0, only the listener knows the port).
+func advertiseURL(advertise string, ln net.Listener) string {
+	if advertise != "" {
+		return strings.TrimSuffix(advertise, "/")
+	}
+	return "http://" + ln.Addr().String()
+}
+
 // coordinatorMain runs the cluster coordinator until SIGINT/SIGTERM.
 // Shutdown is crash-only: in-flight jobs are not failed, they are
 // journaled and resume on the next start exactly as after a crash.
@@ -411,17 +399,29 @@ func splitURLList(s string) []string {
 // leader's routing WAL, serves 503 (pointing at the leader) until the
 // replication stream goes silent past the lease TTL, then promotes
 // itself to a full coordinator on the same address with a higher
-// fencing epoch.
-func coordinatorMain(cfg cluster.Config, standbyOf string) int {
-	if standbyOf != "" {
-		return standbyMain(cfg, standbyOf)
+// fencing epoch. Either way it binds addr first: workers are handed
+// checkpoint-ship URLs under the advertised address.
+func coordinatorMain(cfg cluster.Config, addr, advertise, standbyOf string) int {
+	if standbyOf != "" && cfg.JournalDir == "" {
+		fmt.Fprintln(os.Stderr, "darwin-wga serve: -standby-of requires -journal-dir")
+		return 2
 	}
-	coord, err := cluster.New(cfg)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
-	return serveRole("coordinator", cfg.Addr, cfg.Log, nil, coord.Serve, func() error {
+	cfg.AdvertiseURL = advertiseURL(advertise, ln)
+	if standbyOf != "" {
+		return standbyMain(cfg, standbyOf, ln)
+	}
+	coord, err := cluster.New(cfg)
+	if err != nil {
+		ln.Close() //nolint:errcheck // exiting on the construction error
+		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
+		return 1
+	}
+	return serveRole("coordinator", ln, cfg.Log, nil, coord.Serve, func() error {
 		return coord.Shutdown(context.Background())
 	})
 }
@@ -429,25 +429,17 @@ func coordinatorMain(cfg cluster.Config, standbyOf string) int {
 // standbyMain runs the warm-standby coordinator: tail the leader's
 // journal, promote on silence, keep serving on the same listener
 // throughout (503 before promotion, the full coordinator API after).
-func standbyMain(cfg cluster.Config, leaderURL string) int {
-	if cfg.JournalDir == "" {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve: -standby-of requires -journal-dir")
-		return 2
-	}
-	sb, err := cluster.NewStandby(cluster.StandbyConfig{
-		LeaderURL:   leaderURL,
-		JournalDir:  cfg.JournalDir,
-		Coordinator: cfg,
-		Log:         cfg.Log,
-	})
+func standbyMain(cfg cluster.Config, leaderURL string, ln net.Listener) int {
+	sb, err := cluster.NewStandby(cluster.StandbyConfig{LeaderURL: leaderURL, Coordinator: cfg})
 	if err != nil {
+		ln.Close() //nolint:errcheck // exiting on the construction error
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
 	}
 	// The standby serves the full coordinator API after promotion, on the
 	// same listener and with the same slow-client timeouts.
 	httpSrv := server.NewHTTPServer(sb.Handler(), 10*time.Second)
-	return serveRole("standby", cfg.Addr, cfg.Log, func(ctx context.Context, _ net.Listener) {
+	return serveRole("standby", ln, cfg.Log, func(ctx context.Context) {
 		cfg.Log.Info("standby replicating", "leader", leaderURL)
 		if err := sb.Run(ctx); err != nil && ctx.Err() == nil {
 			cfg.Log.Error("standby replication loop", "err", err)
@@ -457,15 +449,10 @@ func standbyMain(cfg cluster.Config, leaderURL string) int {
 	})
 }
 
-// serveRole binds addr, announces the bound address and serves a role on
-// it until SIGINT/SIGTERM, which drains it: beside (optional) runs next
-// to the server until the signal; stop, called on it, makes serve return.
-func serveRole(role, addr string, log *slog.Logger, beside func(context.Context, net.Listener), serve func(net.Listener) error, stop func() error) int {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
-		return 1
-	}
+// serveRole announces the bound address and serves a role on ln until
+// SIGINT/SIGTERM, which drains it: beside (optional) runs next to the
+// server until the signal; stop, called on it, makes serve return.
+func serveRole(role string, ln net.Listener, log *slog.Logger, beside func(context.Context), serve func(net.Listener) error, stop func() error) int {
 	// The bound address line is load-bearing: with -addr :0 it is how
 	// callers (and the e2e tests) discover the actual port.
 	fmt.Fprintf(os.Stderr, "darwin-wga serve: listening on %s\n", ln.Addr())
@@ -474,7 +461,7 @@ func serveRole(role, addr string, log *slog.Logger, beside func(context.Context,
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if beside != nil {
-		go beside(ctx, ln)
+		go beside(ctx)
 	}
 	stopped := make(chan error, 1)
 	go func() {
@@ -521,10 +508,6 @@ func run(ctx context.Context, opts options) error {
 		return fmt.Errorf("-timeout must be non-negative, got %v", opts.timeout)
 	case opts.retries < 0:
 		return fmt.Errorf("-retries must be non-negative, got %d", opts.retries)
-	case opts.retryDelay < 0:
-		return fmt.Errorf("-retry-delay must be non-negative, got %v", opts.retryDelay)
-	case opts.retryMaxDelay < 0:
-		return fmt.Errorf("-retry-max-delay must be non-negative, got %v", opts.retryMaxDelay)
 	}
 
 	if opts.cpuProfile != "" {
@@ -581,8 +564,8 @@ func run(ctx context.Context, opts options) error {
 	if opts.retries > 0 {
 		cfg.Retry = darwinwga.RetryPolicy{
 			MaxAttempts: opts.retries + 1,
-			BaseDelay:   opts.retryDelay,
-			MaxDelay:    opts.retryMaxDelay,
+			BaseDelay:   100 * time.Millisecond,
+			MaxDelay:    5 * time.Second,
 		}
 	}
 	cfg.CheckpointFaults = crashFaultsFromEnv()

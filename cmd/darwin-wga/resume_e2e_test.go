@@ -140,8 +140,7 @@ func TestRetryFlagSurvivesTransientJournalFaults(t *testing.T) {
 	}
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.maf")
-	args := append(e2eArgs(out, filepath.Join(dir, "ckpt")),
-		"-retries", "2", "-retry-delay", "1ms", "-retry-max-delay", "10ms")
+	args := append(e2eArgs(out, filepath.Join(dir, "ckpt")), "-retries", "2")
 	// The 3rd checkpoint write (the first anchor record) fails once with
 	// a transient error; the journal truncates the torn frame and the
 	// retry policy re-appends it.
@@ -158,21 +157,8 @@ func TestRetryFlagSurvivesTransientJournalFaults(t *testing.T) {
 }
 
 func TestRetryFlagValidation(t *testing.T) {
-	ctx := context.Background()
-	base := options{pairName: "dm6-droSim1", scale: 0.001, topChains: 3}
-	o := base
-	o.retries = -1
-	if err := run(ctx, o); err == nil {
+	o := options{pairName: "dm6-droSim1", scale: 0.001, topChains: 3, retries: -1}
+	if err := run(context.Background(), o); err == nil {
 		t.Error("negative -retries accepted")
-	}
-	o = base
-	o.retryDelay = -1
-	if err := run(ctx, o); err == nil {
-		t.Error("negative -retry-delay accepted")
-	}
-	o = base
-	o.retryMaxDelay = -1
-	if err := run(ctx, o); err == nil {
-		t.Error("negative -retry-max-delay accepted")
 	}
 }

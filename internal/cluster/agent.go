@@ -35,20 +35,18 @@ type AgentConfig struct {
 	Advertise string
 	// Server supplies the target registry the agent advertises.
 	Server *server.Server
-	// Retry shapes register retries (default 0 = retry forever with
-	// backoff capped by the policy's MaxDelay; default policy 250ms
-	// base, 5s cap).
-	Retry core.RetryPolicy
 	// Transport is the HTTP transport to the coordinator (default
 	// http.DefaultTransport); the chaos tests inject faults here.
 	Transport http.RoundTripper
-	// RequestTimeout bounds each register/heartbeat call (default 5s).
-	RequestTimeout time.Duration
 	// Clock drives heartbeat cadence and backoff (default wall clock).
 	Clock faultinject.Clock
 	// Log receives agent messages (default discard).
 	Log *slog.Logger
 }
+
+// registerRetry shapes the agent's re-register backoff: retried forever,
+// from 250ms doubling to a 5s cap.
+var registerRetry = core.RetryPolicy{BaseDelay: 250 * time.Millisecond, MaxDelay: 5 * time.Second}
 
 // Agent keeps one worker registered with the coordinator: it registers
 // the worker's target set, then renews the lease with heartbeats at a
@@ -62,9 +60,10 @@ type Agent struct {
 	clock  faultinject.Clock
 	log    *slog.Logger
 
-	mu     sync.Mutex
-	coords []string // known coordinator URLs, configured + learned
-	cur    int      // index of the coordinator currently registered with
+	mu       sync.Mutex
+	coords   []string      // known coordinator URLs, configured + learned
+	cur      int           // index of the coordinator currently registered with
+	leaseTTL time.Duration // the last lease TTL granted (0 = none yet)
 }
 
 // NewAgent validates the config and returns an agent ready to Run.
@@ -81,12 +80,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: agent needs the worker server")
 	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = core.RetryPolicy{BaseDelay: 250 * time.Millisecond, MaxDelay: 5 * time.Second}
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = http.DefaultTransport
 	}
@@ -98,7 +91,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:    cfg,
-		client: &http.Client{Transport: cfg.Transport, Timeout: cfg.RequestTimeout},
+		client: &http.Client{Transport: cfg.Transport},
 		clock:  cfg.Clock,
 		log:    cfg.Log,
 	}
@@ -158,15 +151,14 @@ var errCoordinatorUnreachable = errors.New("cluster: coordinator unreachable")
 func (a *Agent) Run(ctx context.Context) error {
 	attempt := 0
 	for {
-		ttl, err := a.register(ctx)
-		if err != nil {
+		if err := a.register(ctx); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			attempt++
 			a.rotate()
 			a.log.Warn("register failed; backing off", "worker", a.cfg.WorkerID, "err", err)
-			if !a.sleep(ctx, a.cfg.Retry.Backoff(attempt, hash64(a.cfg.WorkerID))) {
+			if !a.sleep(ctx, registerRetry.Backoff(attempt, hash64(a.cfg.WorkerID))) {
 				return ctx.Err()
 			}
 			continue
@@ -175,8 +167,8 @@ func (a *Agent) Run(ctx context.Context) error {
 		// every heartbeat answered 404 (coordinator flapping) must keep
 		// escalating its backoff. Only a healthy heartbeat run resets it.
 		a.log.Info("registered with coordinator",
-			"worker", a.cfg.WorkerID, "coordinator", a.coordinator(), "lease_ttl", ttl)
-		healthy, err := a.heartbeatLoop(ctx, ttl)
+			"worker", a.cfg.WorkerID, "coordinator", a.coordinator(), "lease_ttl", a.lease())
+		healthy, err := a.heartbeatLoop(ctx)
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -192,23 +184,20 @@ func (a *Agent) Run(ctx context.Context) error {
 			attempt = 0
 		}
 		attempt++
-		if !a.sleep(ctx, a.cfg.Retry.Backoff(attempt, hash64(a.cfg.WorkerID))) {
+		if !a.sleep(ctx, registerRetry.Backoff(attempt, hash64(a.cfg.WorkerID))) {
 			return ctx.Err()
 		}
 	}
 }
 
-// heartbeatLoop renews the lease at ttl/3 until the coordinator stops
-// recognizing the worker or ctx ends. healthy reports whether at least
-// one heartbeat succeeded (so Run can reset its backoff).
-func (a *Agent) heartbeatLoop(ctx context.Context, ttl time.Duration) (healthy bool, _ error) {
-	interval := ttl / 3
-	if interval <= 0 {
-		interval = time.Second
-	}
+// heartbeatLoop renews the lease at a third of its TTL until the
+// coordinator stops recognizing the worker or ctx ends. healthy reports
+// whether at least one heartbeat succeeded (so Run can reset its
+// backoff).
+func (a *Agent) heartbeatLoop(ctx context.Context) (healthy bool, _ error) {
 	misses := 0
 	for {
-		if !a.sleep(ctx, interval) {
+		if !a.sleep(ctx, a.lease()/3) {
 			return healthy, ctx.Err()
 		}
 		code, err := a.heartbeat(ctx)
@@ -247,42 +236,65 @@ func (a *Agent) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// lease is the lease TTL the coordinator last granted, or the default
+// one before any grant.
+func (a *Agent) lease() time.Duration {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.leaseTTL > 0 {
+		return a.leaseTTL
+	}
+	return defaultLeaseTTL
+}
+
+// requestTimeout bounds one register or heartbeat call: half a lease, so
+// a call that hangs gives up with time left to renew (5s before the
+// first grant).
+func (a *Agent) requestTimeout() time.Duration { return a.lease() / 2 }
+
 // post sends one JSON request to the current coordinator and returns
-// the HTTP status plus, on 200, the lease it granted — whose epoch and
-// standby set are fed back into the worker: the epoch arms the server's
-// stale-epoch gate, and advertised standbys extend the failover list.
-func (a *Agent) post(ctx context.Context, path string, body any) (int, leaseGrant, error) {
-	var grant leaseGrant
+// the HTTP status. The lease a 200 grants is fed back into the worker:
+// the epoch arms the server's stale-epoch gate, the TTL paces the
+// agent's requests and the server's checkpoint shipping, and advertised
+// standbys extend the failover list.
+func (a *Agent) post(ctx context.Context, path string, body any) (int, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
-		return 0, grant, err
+		return 0, err
 	}
+	ctx, cancel := context.WithTimeout(ctx, a.requestTimeout())
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.coordinator()+path, bytes.NewReader(payload))
 	if err != nil {
-		return 0, grant, err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := a.client.Do(req)
 	if err != nil {
-		return 0, grant, err
+		return 0, err
 	}
 	defer drainClose(resp)
 	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, grant, nil
+		return resp.StatusCode, nil
 	}
+	var grant leaseGrant
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&grant); err != nil {
-		return resp.StatusCode, grant, err
+		return resp.StatusCode, err
 	}
-	if grant.Epoch > 0 {
-		a.cfg.Server.ObserveClusterEpoch(grant.Epoch)
+	ttl := time.Duration(grant.LeaseTTLMS) * time.Millisecond
+	if ttl > 0 {
+		a.mu.Lock()
+		a.leaseTTL = ttl
+		a.mu.Unlock()
 	}
+	a.cfg.Server.ObserveClusterEpoch(grant.Epoch, ttl)
 	a.mergeCoordinators(grant.Coordinators)
-	return resp.StatusCode, grant, nil
+	return resp.StatusCode, nil
 }
 
-// register advertises the worker's targets and returns the granted
-// lease TTL.
-func (a *Agent) register(ctx context.Context) (time.Duration, error) {
+// register advertises the worker's targets; the lease it is granted
+// lands in a.leaseTTL (see post).
+func (a *Agent) register(ctx context.Context) error {
 	body := registerBody{WorkerID: a.cfg.WorkerID, Addr: a.cfg.Advertise}
 	for _, t := range a.cfg.Server.Registry().List() {
 		body.Targets = append(body.Targets, registerTarget{
@@ -291,18 +303,11 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 			Serialized:  t.SerializedIndex(),
 		})
 	}
-	code, grant, err := a.post(ctx, "/cluster/v1/register", body)
-	if err != nil {
-		return 0, err
+	code, err := a.post(ctx, "/cluster/v1/register", body)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("cluster: register HTTP %d", code)
 	}
-	if code != http.StatusOK {
-		return 0, fmt.Errorf("cluster: register HTTP %d", code)
-	}
-	ttl := time.Duration(grant.LeaseTTLMS) * time.Millisecond
-	if ttl <= 0 {
-		ttl = 10 * time.Second
-	}
-	return ttl, nil
+	return err
 }
 
 // heartbeat renews the lease once, returning the HTTP status. Each
@@ -313,7 +318,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 // flows at ttl/3. An undecodable 200 still renewed the lease.
 func (a *Agent) heartbeat(ctx context.Context) (int, error) {
 	snap := a.cfg.Server.Snapshot()
-	code, _, err := a.post(ctx, "/cluster/v1/heartbeat", heartbeatBody{WorkerID: a.cfg.WorkerID, Snapshot: &snap})
+	code, err := a.post(ctx, "/cluster/v1/heartbeat", heartbeatBody{WorkerID: a.cfg.WorkerID, Snapshot: &snap})
 	if code == http.StatusOK {
 		err = nil
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -285,23 +286,30 @@ func newChaosCluster(t *testing.T, mutate func(*Config)) *chaosCluster {
 	t.Helper()
 	clock := faultinject.NewManualClock(time.Unix(1700000000, 0))
 	tr := faultinject.NewTransport(http.DefaultTransport, nil)
+	// The front door is bound before the coordinator exists, as the CLI
+	// binds its listener: workers are handed ship URLs under it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
-		LeaseTTL:         10 * time.Second,
-		SweepInterval:    2 * time.Second,
-		DispatchTimeout:  5 * time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  30 * time.Second,
-		Transport:        tr,
-		Clock:            clock,
+		LeaseTTL:     10 * time.Second,
+		AdvertiseURL: "http://" + ln.Addr().String(),
+		Transport:    tr,
+		Clock:        clock,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	coord, err := New(cfg)
 	if err != nil {
+		ln.Close() //nolint:errcheck
 		t.Fatalf("cluster.New: %v", err)
 	}
-	front := httptest.NewServer(coord.Handler())
+	front := httptest.NewUnstartedServer(coord.Handler())
+	front.Listener.Close() //nolint:errcheck // replaced by the pre-bound one
+	front.Listener = ln
+	front.Start()
 	t.Cleanup(front.Close)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -788,8 +796,11 @@ func TestChaosWorkerIgnoringWaitIsPaced(t *testing.T) {
 	if got := w.statusGetCount(); got != 1 {
 		t.Fatalf("%d status reads with the clock standing still, want 1", got)
 	}
+	// Four windows outlast the lease: the worker heartbeats (which wakes
+	// no held read) so the watch stays on it.
 	for reads := 2; reads <= 4; reads++ {
-		cc.clock.Advance(cc.coord.holdFor())
+		cc.heartbeat(t, "w1")
+		cc.clock.Advance(cc.coord.cfg.holdFor())
 		waitReal(t, "one more read per window", func() bool { return w.statusGetCount() == reads })
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -797,7 +808,8 @@ func TestChaosWorkerIgnoringWaitIsPaced(t *testing.T) {
 		t.Errorf("%d status reads after 3 windows, want 4", got)
 	}
 	w.finishAll()
-	cc.clock.Advance(cc.coord.holdFor())
+	cc.heartbeat(t, "w1")
+	cc.clock.Advance(cc.coord.cfg.holdFor())
 	waitReal(t, "job done on the next read", func() bool {
 		return cc.jobStatus(t, id).State == server.JobDone
 	})

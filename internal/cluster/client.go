@@ -45,7 +45,7 @@ var errAborted = errors.New("aborted")
 // doRequestTimeout performs one HTTP request against a worker with the
 // timeout driven by the coordinator's Clock — not a context deadline —
 // so ManualClock chaos tests control exactly when a slow worker "times
-// out". Control-plane calls run under cfg.DispatchTimeout; a shard work
+// out". Control-plane calls run under cfg.requestTimeout(); a shard work
 // unit runs under its own, much longer lease (cfg.ShardLease), because
 // the in-flight request is the unit's execution. cancelCh and wake (either
 // may be nil) abort the request early.
@@ -113,7 +113,7 @@ type workerReq struct {
 	traceID string          // X-Darwinwga-Trace, when set
 	cancel  <-chan struct{} // aborts the request early; nil never fires
 	wake    <-chan struct{} // likewise: what a held read gives way to
-	timeout time.Duration   // 0 = cfg.DispatchTimeout
+	timeout time.Duration   // 0 = cfg.requestTimeout()
 	want    int             // the success status
 }
 
@@ -167,7 +167,7 @@ func workerCall[T any](c *Coordinator, rq workerReq) (out T, err error) {
 	}
 	timeout := rq.timeout
 	if timeout == 0 {
-		timeout = c.cfg.DispatchTimeout
+		timeout = c.cfg.requestTimeout()
 	}
 	resp, err := c.doRequestTimeout(req, rq.cancel, rq.wake, timeout)
 	if err != nil {

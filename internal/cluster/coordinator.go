@@ -177,31 +177,20 @@ func (j *coordJob) dispatchCount() int {
 
 // Config parameterizes a Coordinator. The zero value is usable.
 type Config struct {
-	// Addr is the address the caller listens on (default
-	// "127.0.0.1:8052"); AdvertiseURL derives from it.
-	Addr string
 	// LeaseTTL is how long a worker lives without a heartbeat
-	// (default 10s).
+	// (default 10s). The lease sweep, the per-request timeout to
+	// workers, the held status read and the per-worker breaker's
+	// cooldown derive from it (see sweepEvery and the methods after
+	// it), and a standby promotes after this much silence.
 	LeaseTTL time.Duration
-	// SweepInterval is how often expired leases are collected
-	// (default LeaseTTL/4).
-	SweepInterval time.Duration
-	// DispatchTimeout bounds each HTTP request to a worker
-	// (default 10s). Driven by Clock, so chaos tests control it.
-	DispatchTimeout time.Duration
-	// BreakerThreshold opens a worker's circuit after this many
-	// consecutive transport failures (default 3; negative = disabled).
-	BreakerThreshold int
-	// BreakerCooldown is the open interval before a half-open probe
-	// (default 15s).
-	BreakerCooldown time.Duration
 	// MaxQueryBases rejects oversized queries up front (default 64 MiB).
 	MaxQueryBases int
 	// JournalDir, when set, makes the coordinator crash-only: every
 	// routing decision is journaled there and restart recovers it.
 	JournalDir string
 	// AdvertiseURL is the base URL workers use to reach this
-	// coordinator for checkpoint shipping (default "http://"+Addr).
+	// coordinator for checkpoint shipping: the address it is actually
+	// served on. Empty = workers are not asked to ship.
 	AdvertiseURL string
 	// Standbys lists the base URLs of warm standbys replicating this
 	// coordinator's journal. They are advertised to workers in
@@ -229,11 +218,12 @@ type Config struct {
 	// (query spills, shipped segments, shard frames, merged MAFs) — the
 	// disk-full fault seam.
 	IOFaults *faultinject.IOFaults
-	// Transport is the HTTP transport used to reach workers (default
-	// http.DefaultTransport). The chaos tests install a
-	// faultinject.Transport here.
+	// Transport is the HTTP transport used to reach workers, and a
+	// standby's leader (default http.DefaultTransport). The chaos tests
+	// install a faultinject.Transport here.
 	Transport http.RoundTripper
-	// Clock drives leases, timeouts, and backoff (default wall clock).
+	// Clock drives leases, timeouts, backoff and a standby's promotion
+	// window (default wall clock).
 	Clock faultinject.Clock
 	// Log receives structured operational messages (default discard).
 	Log *slog.Logger
@@ -252,27 +242,38 @@ const maxDispatches = 5
 // target. Shard units spread over every holder.
 const routedReplicas = 2
 
+// defaultLeaseTTL is the lease TTL of a Config that sets none, and the
+// one an agent assumes before its first grant.
+const defaultLeaseTTL = 10 * time.Second
+
+// workerBreakerThreshold is how many consecutive transport failures open
+// a worker's circuit breaker.
+const workerBreakerThreshold = 3
+
+// The coordinator's timers, each a fraction of the lease TTL.
+
+// sweepEvery is how often expired leases are collected: an expiry is
+// acted on at most a quarter of a lease late.
+func (c Config) sweepEvery() time.Duration { return c.LeaseTTL / 4 }
+
+// requestTimeout bounds one control-plane request to a worker: a worker
+// silent for a whole lease is as good as lost. Driven by Clock, so the
+// chaos tests control it.
+func (c Config) requestTimeout() time.Duration { return c.LeaseTTL }
+
+// holdFor is how long one held status read stays open: the heartbeat
+// cadence, and short enough of requestTimeout that the worker's own
+// timer answers before the coordinator would call the silence a failure.
+func (c Config) holdFor() time.Duration { return c.LeaseTTL / 3 }
+
+// breakerCooldown is how long an open worker breaker refuses dispatches
+// before a half-open probe: longer than a lease, so a worker that died
+// has been swept before it is probed.
+func (c Config) breakerCooldown() time.Duration { return c.LeaseTTL * 3 / 2 }
+
 func (c Config) withDefaults() Config {
-	if c.Addr == "" {
-		c.Addr = "127.0.0.1:8052"
-	}
 	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 10 * time.Second
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.LeaseTTL / 4
-	}
-	if c.DispatchTimeout <= 0 {
-		c.DispatchTimeout = 10 * time.Second
-	}
-	switch {
-	case c.BreakerThreshold == 0:
-		c.BreakerThreshold = 3
-	case c.BreakerThreshold < 0:
-		c.BreakerThreshold = 0
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 15 * time.Second
+		c.LeaseTTL = defaultLeaseTTL
 	}
 	if c.MaxQueryBases <= 0 {
 		c.MaxQueryBases = 64 << 20
@@ -288,9 +289,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShardParallel <= 0 {
 		c.ShardParallel = 4
-	}
-	if c.AdvertiseURL == "" {
-		c.AdvertiseURL = "http://" + c.Addr
 	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
@@ -373,7 +371,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		ms:      newMembership(cfg.Clock, cfg.LeaseTTL),
-		brk:     server.NewBreaker(cfg.Clock, cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
+		brk:     server.NewBreaker(cfg.Clock, workerBreakerThreshold, cfg.breakerCooldown(), nil),
 		metrics: obs.NewRegistry(),
 		client:  &http.Client{Transport: cfg.Transport},
 		log:     cfg.Log,
@@ -490,9 +488,10 @@ func (c *Coordinator) Fenced() bool { return c.fenced.Load() }
 
 // shipURLFor is the base URL a worker ships job id's pipeline-journal
 // segments to (and a failover replacement downloads them from). Empty
-// without a journal: shipping needs the artifact store.
+// without a journal, which shipping needs for its artifact store, and
+// without an advertised URL to reach it at.
 func (c *Coordinator) shipURLFor(id string) string {
-	if c.wal == nil {
+	if c.wal == nil || c.cfg.AdvertiseURL == "" {
 		return ""
 	}
 	return c.cfg.AdvertiseURL + "/cluster/v1/jobs/" + id + "/journal"
@@ -545,7 +544,7 @@ func (c *Coordinator) sweeper() {
 		select {
 		case <-c.ctx.Done():
 			return
-		case <-c.cfg.Clock.After(c.cfg.SweepInterval):
+		case <-c.cfg.Clock.After(c.cfg.sweepEvery()):
 		}
 		dead := c.ms.sweep(c.cfg.Clock.Now())
 		for _, id := range dead {
@@ -952,13 +951,6 @@ func (c *Coordinator) dispatch(j *coordJob) (assignment, error) {
 	return assignment{}, errNoReplica
 }
 
-// holdFor is how long one held status read stays open: the heartbeat
-// cadence, and short enough of DispatchTimeout that the worker's own
-// timer answers before the coordinator would call the silence a failure.
-func (c *Coordinator) holdFor() time.Duration {
-	return min(c.cfg.LeaseTTL/3, c.cfg.DispatchTimeout/2)
-}
-
 // watch follows the assignment until its worker reports a terminal
 // state (true: the worker's verdict is the job's, finalized here) or it
 // gives up (false): the worker is lost — lease expired, or status reads
@@ -975,7 +967,7 @@ func (c *Coordinator) holdFor() time.Duration {
 func (c *Coordinator) watch(j *coordJob, a assignment) bool {
 	failures := 0
 	sink := j.spanSink(a)
-	hold := c.holdFor()
+	hold := c.cfg.holdFor()
 watching:
 	for {
 		members := c.ms.changedCh()

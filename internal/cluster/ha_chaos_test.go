@@ -61,23 +61,14 @@ func waitReal(t *testing.T, what string, cond func() bool) {
 // newStandbyFor tails cc's coordinator from its own journal dir on its
 // own manual clock (never advanced while the leader lives, so the
 // standby cannot spuriously promote; advanced by the test to simulate
-// the silence window after a leader death).
-func newStandbyFor(t *testing.T, cc *chaosCluster, dir string, promoteAfter time.Duration) (*Standby, *faultinject.ManualClock) {
+// the silence window after a leader death). leaseTTL is the lease the
+// standby promotes with, and so its promotion window.
+func newStandbyFor(t *testing.T, cc *chaosCluster, dir string, leaseTTL time.Duration) (*Standby, *faultinject.ManualClock) {
 	t.Helper()
 	sbClock := faultinject.NewManualClock(time.Unix(1700000000, 0))
 	sb, err := NewStandby(StandbyConfig{
-		LeaderURL:    cc.front.URL,
-		JournalDir:   dir,
-		PromoteAfter: promoteAfter,
-		Clock:        sbClock,
-		Coordinator: Config{
-			LeaseTTL:         10 * time.Second,
-			SweepInterval:    2 * time.Second,
-			DispatchTimeout:  5 * time.Second,
-			BreakerThreshold: 3,
-			BreakerCooldown:  30 * time.Second,
-			Clock:            sbClock,
-		},
+		LeaderURL:   cc.front.URL,
+		Coordinator: Config{LeaseTTL: leaseTTL, JournalDir: dir, Clock: sbClock},
 	})
 	if err != nil {
 		t.Fatalf("NewStandby: %v", err)
@@ -383,9 +374,6 @@ func TestHASnapshotCompactionBoundsReplay(t *testing.T) {
 func TestHAShippedSegmentsFollowFailover(t *testing.T) {
 	dir := t.TempDir()
 	cc := newChaosCluster(t, func(cfg *Config) { cfg.JournalDir = dir })
-	// httptest picks the address after New, so point the advertised ship
-	// URL at the front door before any dispatch can read it.
-	cc.coord.cfg.AdvertiseURL = cc.front.URL
 
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
 	cc.register(t, "w1", w1)

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -342,23 +341,13 @@ func (c *Coordinator) serveReplicate(w http.ResponseWriter, r *http.Request) {
 type StandbyConfig struct {
 	// LeaderURL is the base URL of the coordinator to replicate.
 	LeaderURL string
-	// JournalDir is where the shipped journal lands. Required — a
-	// standby exists to hold a durable copy.
-	JournalDir string
-	// PromoteAfter is how long the replication stream may go silent
-	// (no record, no keepalive, no reconnect) before the standby
-	// declares the leader dead and promotes (default: the coordinator
-	// config's lease TTL, after defaults).
-	PromoteAfter time.Duration
-	// Coordinator is the configuration the standby promotes with;
-	// JournalDir is overridden with the standby's own.
+	// Coordinator is the configuration the standby promotes with, and
+	// the one it replicates under: the shipped journal lands in its
+	// JournalDir (required — a standby exists to hold a durable copy),
+	// its Transport reaches the leader, its Clock and Log serve the
+	// standby too, and a replication stream silent (no record, no
+	// keepalive, no reconnect) for its LeaseTTL means the leader is dead.
 	Coordinator Config
-	// Transport reaches the leader (default http.DefaultTransport).
-	Transport http.RoundTripper
-	// Clock drives reconnect backoff and the promotion window.
-	Clock faultinject.Clock
-	// Log receives operational messages.
-	Log *slog.Logger
 }
 
 // Standby tails a leader's routing WAL into a local journal and
@@ -369,6 +358,7 @@ type StandbyConfig struct {
 type Standby struct {
 	cfg     StandbyConfig
 	client  *http.Client
+	clock   faultinject.Clock
 	log     *slog.Logger
 	metrics *obs.Registry
 
@@ -391,34 +381,24 @@ type Standby struct {
 
 // NewStandby opens (creating if needed) the standby's local journal.
 func NewStandby(cfg StandbyConfig) (*Standby, error) {
-	if cfg.JournalDir == "" {
-		return nil, errors.New("cluster: standby requires JournalDir")
+	cfg.Coordinator = cfg.Coordinator.withDefaults()
+	if cfg.Coordinator.JournalDir == "" {
+		return nil, errors.New("cluster: standby requires Coordinator.JournalDir")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = faultinject.RealClock()
-	}
-	if cfg.Transport == nil {
-		cfg.Transport = http.DefaultTransport
-	}
-	if cfg.Log == nil {
-		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if cfg.PromoteAfter <= 0 {
-		cfg.PromoteAfter = cfg.Coordinator.withDefaults().LeaseTTL
-	}
-	j, recs, err := checkpoint.Open(filepath.Join(cfg.JournalDir, "wal"), checkpoint.Options{})
+	j, recs, err := checkpoint.Open(filepath.Join(cfg.Coordinator.JournalDir, "wal"), checkpoint.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening standby journal: %w", err)
 	}
 	s := &Standby{
 		cfg:        cfg,
-		client:     &http.Client{Transport: cfg.Transport},
-		log:        cfg.Log,
+		client:     &http.Client{Transport: cfg.Coordinator.Transport},
+		clock:      cfg.Coordinator.Clock,
+		log:        cfg.Coordinator.Log,
 		metrics:    obs.NewRegistry(),
 		j:          j,
-		dir:        cfg.JournalDir,
+		dir:        cfg.Coordinator.JournalDir,
 		pos:        posAfter(recs),
-		lastFrame:  cfg.Clock.Now(),
+		lastFrame:  cfg.Coordinator.Clock.Now(),
 		promotedCh: make(chan struct{}),
 	}
 	obs.RegisterBuildInfo(s.metrics)
@@ -494,7 +474,7 @@ func (s *Standby) Handler() http.Handler {
 // Run tails the leader until promotion (returns nil) or ctx ends. The
 // promotion decision is frame silence: records, keepalives, and even
 // failed reconnect attempts that reach the leader all count as life;
-// only PromoteAfter without any of them promotes.
+// a lease TTL without any of them promotes.
 func (s *Standby) Run(ctx context.Context) error {
 	retry := core.RetryPolicy{MaxAttempts: 0, BaseDelay: 250 * time.Millisecond, MaxDelay: 2 * time.Second}
 	attempt := 0
@@ -502,7 +482,7 @@ func (s *Standby) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if s.silentFor() >= s.cfg.PromoteAfter {
+		if s.silentFor() >= s.promoteAfter() {
 			return s.promote()
 		}
 		err := s.tailOnce(ctx)
@@ -514,20 +494,25 @@ func (s *Standby) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-s.cfg.Clock.After(retry.Backoff(attempt+1, hash64(s.cfg.LeaderURL))):
+		case <-s.clock.After(retry.Backoff(attempt+1, hash64(s.cfg.LeaderURL))):
 		}
 	}
 }
 
+// promoteAfter is the promotion window: a leader whose replication
+// stream has been silent for a lease is as dead as a worker that missed
+// one.
+func (s *Standby) promoteAfter() time.Duration { return s.cfg.Coordinator.LeaseTTL }
+
 func (s *Standby) silentFor() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cfg.Clock.Now().Sub(s.lastFrame)
+	return s.clock.Now().Sub(s.lastFrame)
 }
 
 func (s *Standby) stampFrame(epoch, leaderTotal uint64) {
 	s.mu.Lock()
-	s.lastFrame = s.cfg.Clock.Now()
+	s.lastFrame = s.clock.Now()
 	if epoch > s.epoch {
 		s.epoch = epoch
 	}
@@ -548,18 +533,15 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 	watchdogDone := make(chan struct{})
 	defer close(watchdogDone)
 	go func() {
-		tick := s.cfg.PromoteAfter / 4
-		if tick <= 0 {
-			tick = time.Second
-		}
+		tick := s.promoteAfter() / 4
 		for {
 			select {
 			case <-watchdogDone:
 				return
 			case <-reqCtx.Done():
 				return
-			case <-s.cfg.Clock.After(tick):
-				if s.silentFor() >= s.cfg.PromoteAfter {
+			case <-s.clock.After(tick):
+				if s.silentFor() >= s.promoteAfter() {
 					cancel()
 					return
 				}
@@ -712,12 +694,10 @@ func (s *Standby) promote() error {
 		s.mu.Unlock()
 		return err
 	}
-	cfg := s.cfg.Coordinator
-	cfg.JournalDir = s.dir
 	records, lastEpoch := s.pos.n, s.epoch
 	s.mu.Unlock()
 
-	coord, err := New(cfg)
+	coord, err := New(s.cfg.Coordinator)
 	if err != nil {
 		return fmt.Errorf("cluster: standby promotion: %w", err)
 	}

@@ -509,7 +509,7 @@ func (c *Coordinator) runShardUnit(j *coordJob, prog *shardProgress, u core.Shar
 			// cool-down so a target nobody holds still consumes an
 			// attempt and the unit eventually fails.
 			lastErr = fmt.Errorf("no live replica holds target %q", j.Target)
-			deadline := c.cfg.Clock.Now().Add(c.cfg.LeaseTTL + c.cfg.BreakerCooldown)
+			deadline := c.cfg.Clock.Now().Add(c.cfg.LeaseTTL + c.cfg.breakerCooldown())
 			for m == nil && c.cfg.Clock.Now().Before(deadline) {
 				if woke := c.wait(c.cfg.LeaseTTL, stop, changed); woke == wokeCancelled || woke == wokeShutdown {
 					return

@@ -22,9 +22,6 @@ import (
 // A failure reported while a key is fully open is ignored: it comes
 // from work admitted before the trip and says nothing new, so it does
 // not extend the cooldown.
-//
-// A nil *Breaker admits everything and records nothing — the disabled
-// mode, threaded unconditionally like the job store.
 type Breaker struct {
 	clock     faultinject.Clock
 	threshold int
@@ -49,14 +46,11 @@ type breakerEntry struct {
 	probing  bool      // half-open: a probe is in flight
 }
 
-// NewBreaker builds a breaker; threshold <= 0 disables it (returns
-// nil). onNew, when non-nil, runs once per key on first sight, under
-// the breaker's lock — the server registers the key's state gauge
-// there.
+// NewBreaker builds a breaker that trips after threshold consecutive
+// failures and stays open for cooldown. onNew, when non-nil, runs once
+// per key on first sight, under the breaker's lock — the server
+// registers the key's state gauge there.
 func NewBreaker(clock faultinject.Clock, threshold int, cooldown time.Duration, onNew func(key string)) *Breaker {
-	if threshold <= 0 {
-		return nil
-	}
 	return &Breaker{
 		clock:     clock,
 		threshold: threshold,
@@ -98,9 +92,6 @@ func (b *Breaker) stateOf(e *breakerEntry) string {
 // is admitted and then never runs the work must Release so the
 // half-open state does not wedge.
 func (b *Breaker) Allow(key string) (retryAfter time.Duration, ok bool) {
-	if b == nil {
-		return 0, true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entry(key)
@@ -119,9 +110,6 @@ func (b *Breaker) Allow(key string) (retryAfter time.Duration, ok bool) {
 // Success records a working outcome: the breaker closes and the
 // failure streak resets.
 func (b *Breaker) Success(key string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	*b.entry(key) = breakerEntry{}
@@ -132,9 +120,6 @@ func (b *Breaker) Success(key string) {
 // while closed, or any failure while half-open (the probe failed:
 // reopen for a fresh cooldown).
 func (b *Breaker) Failure(key string) (tripped bool) {
-	if b == nil {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entry(key)
@@ -154,9 +139,6 @@ func (b *Breaker) Failure(key string) (tripped bool) {
 // admitted work never ran, or was cancelled before it could prove
 // anything.
 func (b *Breaker) Release(key string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e, ok := b.keys[key]; ok {
@@ -167,9 +149,6 @@ func (b *Breaker) Release(key string) {
 // Forget drops a key's state (a worker deregistered or died; a
 // re-registration starts clean).
 func (b *Breaker) Forget(key string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(b.keys, key)
@@ -177,9 +156,6 @@ func (b *Breaker) Forget(key string) {
 
 // State reports key's effective state; a key never seen is closed.
 func (b *Breaker) State(key string) string {
-	if b == nil {
-		return BreakerClosed
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.stateOf(b.keys[key])
@@ -187,9 +163,6 @@ func (b *Breaker) State(key string) string {
 
 // States snapshots every known key's effective state, for /readyz.
 func (b *Breaker) States() map[string]string {
-	if b == nil {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make(map[string]string, len(b.keys))
@@ -202,9 +175,6 @@ func (b *Breaker) States() map[string]string {
 // OpenCount reports how many keys are fully open (half-open admits
 // probes, so it does not count).
 func (b *Breaker) OpenCount() int {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0

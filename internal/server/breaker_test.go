@@ -15,30 +15,7 @@ import (
 func newTestBreaker(t *testing.T, threshold int, cooldown time.Duration) (*Breaker, *faultinject.ManualClock) {
 	t.Helper()
 	mc := faultinject.NewManualClock(time.Unix(1700000000, 0))
-	b := NewBreaker(mc, threshold, cooldown, nil)
-	if b == nil {
-		t.Fatal("NewBreaker returned nil for an enabled configuration")
-	}
-	return b, mc
-}
-
-func TestBreakerDisabled(t *testing.T) {
-	if b := NewBreaker(faultinject.RealClock(), 0, time.Second, nil); b != nil {
-		t.Fatal("threshold 0 should disable the breaker")
-	}
-	// Every method must be safe on the nil (disabled) breaker.
-	var b *Breaker
-	if _, ok := b.Allow("tgt"); !ok {
-		t.Error("nil breaker rejected a job")
-	}
-	b.Failure("tgt")
-	b.Release("tgt")
-	if b.State("tgt") == BreakerOpen {
-		t.Error("nil breaker reports open")
-	}
-	if b.States() != nil {
-		t.Error("nil breaker reports states")
-	}
+	return NewBreaker(mc, threshold, cooldown, nil), mc
 }
 
 func TestBreakerTripCooldownProbeClose(t *testing.T) {

@@ -18,7 +18,7 @@ func TestEpochGateFencing(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer srv.Shutdown(context.Background()) //nolint:errcheck
-	srv.ObserveClusterEpoch(5)
+	srv.ObserveClusterEpoch(5, 0)
 
 	do := func(epoch string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
@@ -65,7 +65,7 @@ func TestEpochGateFencing(t *testing.T) {
 	}
 
 	// Epochs never move backward.
-	srv.ObserveClusterEpoch(2)
+	srv.ObserveClusterEpoch(2, 0)
 	if got := srv.ClusterEpoch(); got != 6 {
 		t.Errorf("ClusterEpoch = %d after observing lower value, want 6", got)
 	}

@@ -340,7 +340,7 @@ func newCounters(reg *obs.Registry) counters {
 // worker pool that drains it. Admission control happens in Submit;
 // execution in runJob; drain in Drain. The store journals lifecycle
 // transitions (nil = in-memory only), the breaker gates per-target
-// admission (nil = disabled), and the clock drives the watchdog and
+// admission, and the clock drives the watchdog and
 // every timestamp so the chaos suite can freeze time.
 type Manager struct {
 	reg          *Registry
@@ -350,18 +350,17 @@ type Manager struct {
 	retain       int
 	// ckpt holds each job's pipeline checkpoint directory, named by job id
 	// (nil without a CheckpointRoot).
-	ckpt         *Artifacts
-	shipInterval time.Duration
-	shipClient   *http.Client
-	log          *slog.Logger
+	ckpt       *Artifacts
+	shipClient *http.Client
+	// leaseTTL is the last coordinator lease TTL the worker's agent
+	// observed, in nanoseconds (0 = none yet); shipEvery follows it.
+	leaseTTL atomic.Int64
+	log      *slog.Logger
 
 	store        *jobStore
 	brk          *Breaker
 	clock        faultinject.Clock
 	stallWindow  time.Duration
-	stallTick    time.Duration
-	stallRetries int
-	stallBackoff time.Duration
 	memHighWater int64
 	memUsage     func() int64
 	// rcache serves repeated identical submissions their finished MAF
@@ -425,16 +424,12 @@ func newManager(reg *Registry, metrics *obs.Registry, cfg Config, store *jobStor
 		maxPerClient:    cfg.MaxInFlightPerClient,
 		maxDeadline:     cfg.MaxDeadline,
 		retain:          cfg.RetainJobs,
-		shipInterval:    cfg.ShipInterval,
 		shipClient:      &http.Client{Timeout: 30 * time.Second},
 		log:             cfg.Log,
 		store:           store,
 		brk:             brk,
 		clock:           cfg.Clock,
 		stallWindow:     cfg.StallWindow,
-		stallTick:       cfg.StallTick,
-		stallRetries:    cfg.StallRetries,
-		stallBackoff:    cfg.StallRetryDelay,
 		memHighWater:    cfg.MemoryHighWater,
 		memUsage:        heapInUse,
 		rcache:          newResultCache(cfg.ResultCacheBytes),
@@ -1077,13 +1072,11 @@ func (m *Manager) prepareRetry(j *Job) bool {
 	j.flight.Record(obs.FlightEvent{At: m.clock.Now(), Type: obs.FlightStallRetry, Source: "worker",
 		Job: j.ID, Detail: fmt.Sprintf("attempt %d after stall", attempt)})
 	m.log.Warn("retrying stalled job", "job_id", j.ID, "attempt", attempt,
-		"backoff", m.stallBackoff)
-	if m.stallBackoff > 0 {
-		select {
-		case <-m.clock.After(m.stallBackoff):
-		case <-m.drainCh:
-		case <-j.runCtx().Done():
-		}
+		"backoff", stallRetryDelay)
+	select {
+	case <-m.clock.After(stallRetryDelay):
+	case <-m.drainCh:
+	case <-j.runCtx().Done():
 	}
 	if j.cancelRequested.Load() || m.Draining() {
 		m.finalize(j, JobCancelled, nil, "cancelled during stall-retry backoff")
@@ -1211,7 +1204,7 @@ func (m *Manager) runAttempt(j *Job) bool {
 		// The watchdog cancelled this attempt. Retry if the budget
 		// allows; otherwise the stall is the job's terminal failure,
 		// which also feeds the target's circuit breaker.
-		if j.attemptNum() <= m.stallRetries {
+		if j.attemptNum() <= stallRetries {
 			return false
 		}
 		m.finalize(j, JobFailed, res, fmt.Sprintf(

@@ -61,22 +61,10 @@ type Config struct {
 	JournalDir string
 	// StallWindow is how long a running job may go without any pipeline
 	// progress (telemetry events) before the watchdog cancels it for
-	// retry (default 2m; negative = watchdog disabled).
+	// retry (default 2m; negative = watchdog disabled). The watchdog
+	// sweeps every StallWindow/4; a stalled job is re-run once, a second
+	// later.
 	StallWindow time.Duration
-	// StallTick is the watchdog sweep interval (default StallWindow/4).
-	StallTick time.Duration
-	// StallRetries is how many times a stalled job is re-run before it
-	// is failed (default 1; negative = no retries).
-	StallRetries int
-	// StallRetryDelay is the pause before re-running a stalled job
-	// (default 1s).
-	StallRetryDelay time.Duration
-	// BreakerThreshold trips a target's circuit breaker after this many
-	// consecutive job failures (default 5; negative = breaker disabled).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker rejects submissions
-	// before admitting a probe job (default 30s).
-	BreakerCooldown time.Duration
 	// MemoryHighWater, when > 0, rejects submissions whose estimated
 	// footprint would push the heap past this many bytes: oversize jobs
 	// get 413, transient pressure gets 429. 0 = disabled.
@@ -115,11 +103,6 @@ type Config struct {
 	// server's handler. Off by default: the profiling endpoints expose
 	// internals and cost CPU while profiling, so they are opt-in.
 	EnablePprof bool
-	// ShipInterval is how often a running job's checkpoint-journal
-	// segments are shipped to its coordinator's artifact store, for
-	// jobs submitted with a journal_ship URL (default 2s). Requires
-	// CheckpointRoot.
-	ShipInterval time.Duration
 	// TraceEventCap bounds each job's pipeline-span buffer, served at
 	// GET /v1/jobs/{id}/trace (default 4096 events; negative disables
 	// per-job tracing — jobs then run with a nil tracer at zero cost).
@@ -163,35 +146,11 @@ func (c Config) withDefaults() Config {
 	case c.StallWindow < 0:
 		c.StallWindow = 0 // watchdog disabled
 	}
-	if c.StallTick <= 0 {
-		c.StallTick = c.StallWindow / 4
-	}
-	switch {
-	case c.StallRetries == 0:
-		c.StallRetries = 1
-	case c.StallRetries < 0:
-		c.StallRetries = 0
-	}
-	if c.StallRetryDelay == 0 {
-		c.StallRetryDelay = time.Second
-	}
-	switch {
-	case c.BreakerThreshold == 0:
-		c.BreakerThreshold = 5
-	case c.BreakerThreshold < 0:
-		c.BreakerThreshold = 0 // breaker disabled
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
 	switch {
 	case c.ReadHeaderTimeout == 0:
 		c.ReadHeaderTimeout = 10 * time.Second
 	case c.ReadHeaderTimeout < 0:
 		c.ReadHeaderTimeout = 0
-	}
-	if c.ShipInterval <= 0 {
-		c.ShipInterval = 2 * time.Second
 	}
 	switch {
 	case c.TraceEventCap == 0:
@@ -245,9 +204,14 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// ObserveClusterEpoch raises the worker's high-water cluster epoch.
-// Lower values are ignored: epochs only move forward.
-func (s *Server) ObserveClusterEpoch(e uint64) {
+// ObserveClusterEpoch takes in what a coordinator's lease grant says:
+// the fencing epoch raises the worker's high-water cluster epoch (lower
+// values are ignored: epochs only move forward), and a positive lease
+// TTL sets the checkpoint-ship cadence (see Manager.shipEvery).
+func (s *Server) ObserveClusterEpoch(e uint64, leaseTTL time.Duration) {
+	if leaseTTL > 0 {
+		s.jobs.leaseTTL.Store(int64(leaseTTL))
+	}
 	for {
 		cur := s.clusterEpoch.Load()
 		if e <= cur || s.clusterEpoch.CompareAndSwap(cur, e) {
@@ -285,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	var brk *Breaker
-	brk = NewBreaker(cfg.Clock, cfg.BreakerThreshold, cfg.BreakerCooldown, func(target string) {
+	brk = NewBreaker(cfg.Clock, targetBreakerThreshold, targetBreakerCooldown, func(target string) {
 		name := fmt.Sprintf(`darwinwga_breaker_open{target="%s"}`, obs.LabelSafe(target))
 		metrics.GaugeFunc(name, "circuit breaker state: 0 closed, 0.5 half-open, 1 open",
 			func() float64 { return breakerGauge[brk.State(target)] })
@@ -343,7 +307,7 @@ func (s *Server) epochGate(next http.Handler) http.Handler {
 				WriteError(w, http.StatusConflict, "stale cluster epoch %d (current %d)", e, cur)
 				return
 			}
-			s.ObserveClusterEpoch(e)
+			s.ObserveClusterEpoch(e, 0)
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -490,6 +454,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.reg.releaseIdle()
 	return drainErr
 }
+
+// A target whose jobs fail targetBreakerThreshold times running
+// (watchdog stalls past their retry included) rejects submissions for
+// targetBreakerCooldown, then admits one probe job.
+const (
+	targetBreakerThreshold = 5
+	targetBreakerCooldown  = 30 * time.Second
+)
 
 // breakerGauge is the /metrics encoding of a breaker state (closed = 0).
 var breakerGauge = map[string]float64{BreakerOpen: 1, BreakerHalfOpen: 0.5}

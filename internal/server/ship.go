@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"time"
 
 	"darwinwga/internal/checkpoint"
 )
@@ -94,8 +95,23 @@ func (m *Manager) downloadSegment(j *Job, name string) error {
 	})
 }
 
+// assumedLeaseTTL is the lease TTL shipping paces itself by before the
+// worker's agent has observed a grant: the coordinator's default.
+const assumedLeaseTTL = 10 * time.Second
+
+// shipEvery is the checkpoint-ship cadence: a fifth of the coordinator's
+// lease TTL, so the progress a failover replacement resumes from is at
+// most a fraction of a lease old when the worker is declared lost.
+func (m *Manager) shipEvery() time.Duration {
+	ttl := time.Duration(m.leaseTTL.Load())
+	if ttl <= 0 {
+		ttl = assumedLeaseTTL
+	}
+	return ttl / 5
+}
+
 // startShipper launches the per-attempt goroutine that ships the job's
-// journal segments every shipInterval. The returned stop function
+// journal segments every shipEvery. The returned stop function
 // performs one final ship (so an orderly attempt end — e.g. a watchdog
 // retry — leaves the freshest possible state upstream) and waits for
 // the goroutine to exit.
@@ -109,7 +125,7 @@ func (m *Manager) startShipper(j *Job) (stop func()) {
 			select {
 			case <-stopCh:
 				return
-			case <-m.clock.After(m.shipInterval):
+			case <-m.clock.After(m.shipEvery()):
 				s.shipOnce()
 			}
 		}

@@ -130,10 +130,8 @@ func TestJobResumesFromShippedCheckpoints(t *testing.T) {
 	seedPartialJournal(t, pair, seedDir)
 	store := newFakeArtifactStore(t, seedDir)
 
-	srv, ts := newTestServer(t, server.Config{
-		CheckpointRoot: t.TempDir(),
-		ShipInterval:   10 * time.Millisecond,
-	}, nil)
+	srv, ts := newTestServer(t, server.Config{CheckpointRoot: t.TempDir()}, nil)
+	srv.ObserveClusterEpoch(1, 50*time.Millisecond) // ship every 10ms
 	if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
 		t.Fatalf("registering target: %v", err)
 	}
@@ -194,10 +192,8 @@ func TestJobRecomputesOnShippedMismatch(t *testing.T) {
 	}
 	store := newFakeArtifactStore(t, seedDir)
 
-	srv, ts := newTestServer(t, server.Config{
-		CheckpointRoot: t.TempDir(),
-		ShipInterval:   50 * time.Millisecond,
-	}, nil)
+	srv, ts := newTestServer(t, server.Config{CheckpointRoot: t.TempDir()}, nil)
+	srv.ObserveClusterEpoch(1, 250*time.Millisecond) // ship every 50ms
 	if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
 		t.Fatalf("registering target: %v", err)
 	}
@@ -233,10 +229,8 @@ func TestShipperFreshRunAgainstEmptyStore(t *testing.T) {
 	store := newFakeArtifactStore(t, t.TempDir()) // store has nothing
 
 	checkpointRoot := t.TempDir()
-	srv, ts := newTestServer(t, server.Config{
-		CheckpointRoot: checkpointRoot,
-		ShipInterval:   10 * time.Millisecond,
-	}, nil)
+	srv, ts := newTestServer(t, server.Config{CheckpointRoot: checkpointRoot}, nil)
+	srv.ObserveClusterEpoch(1, 50*time.Millisecond) // ship every 10ms
 	if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
 		t.Fatalf("registering target: %v", err)
 	}

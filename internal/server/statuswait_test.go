@@ -61,9 +61,11 @@ func TestStatusBlockingRead(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			mc := faultinject.NewManualClock(time.Unix(1700000000, 0))
-			hook, unwedge := wedgeOnce()
+			var w wedge
+			w.arm()
+			unwedge := w.release
 			pipeline := core.DefaultConfig()
-			pipeline.FaultHook = hook
+			pipeline.FaultHook = w.hook
 			srv, err := New(Config{Pipeline: pipeline, JobWorkers: 1, Clock: mc, StallWindow: -1})
 			if err != nil {
 				t.Fatalf("New: %v", err)

@@ -17,15 +17,15 @@ import (
 // healthy alignment emits these continuously; a wedged one (deadlocked
 // accelerator shim, livelocked worker, pathological input) goes silent.
 //
-// The watchdog goroutine wakes every stallTick, and any running job
-// whose stamp is older than stallWindow is declared stalled: the event
-// is counted, a full goroutine stack dump goes to the log (the
-// post-mortem for "what was it doing?"), and the job's context is
-// cancelled. The worker running the job notices the stall flag and —
-// within the retry budget — resets the job (fresh spool, fresh
-// context, fresh aggregate) and runs it again after a backoff; a job
-// that exhausts its retries fails, which feeds the per-target circuit
-// breaker.
+// The watchdog goroutine wakes every stallTick (a quarter of the stall
+// window), and any running job whose stamp is older than stallWindow is
+// declared stalled: the event is counted, a full goroutine stack dump
+// goes to the log (the post-mortem for "what was it doing?"), and the
+// job's context is cancelled. The worker running the job notices the
+// stall flag and — stallRetries times — resets the job (fresh spool,
+// fresh context, fresh aggregate) and runs it again after
+// stallRetryDelay; a job that stalls once more fails, which feeds the
+// per-target circuit breaker.
 //
 // All timing goes through faultinject.Clock, so the chaos suite drives
 // stall detection with a ManualClock: park, advance, assert — no
@@ -62,6 +62,16 @@ func (p *progressRecorder) ExtensionTile(byte, int, int64, time.Time, time.Durat
 	p.stamp()
 }
 
+// A stalled job is re-run stallRetries times, each after stallRetryDelay.
+const (
+	stallRetries    = 1
+	stallRetryDelay = time.Second
+)
+
+// stallTick is the watchdog's sweep interval: a stall is noticed at most
+// a quarter of the window late.
+func (m *Manager) stallTick() time.Duration { return m.stallWindow / 4 }
+
 // watchdog is the supervision loop; one per manager, started alongside
 // the workers and stopped by Drain.
 func (m *Manager) watchdog() {
@@ -70,7 +80,7 @@ func (m *Manager) watchdog() {
 		select {
 		case <-m.drainCh:
 			return
-		case <-m.clock.After(m.stallTick):
+		case <-m.clock.After(m.stallTick()):
 		}
 		m.sweepStalled()
 	}

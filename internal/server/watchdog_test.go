@@ -6,35 +6,67 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"darwinwga/internal/core"
+	"darwinwga/internal/evolve"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/maf"
 )
 
 // Deterministic chaos tests for the stuck-job watchdog and the
-// manager-level breaker path. The wedge is a faultinject gate parked
-// inside the pipeline's FaultHook, and all supervision timing runs on a
-// faultinject.ManualClock: the test parks the watchdog, advances time
-// past the stall window, and asserts — no wall-clock sleeps decide the
-// outcome. (The gate must be released explicitly: cancelling a job's
-// context does not unpark a goroutine blocked in a FaultHook.)
+// manager-level breaker path. The wedge is a gate parked inside the
+// pipeline's FaultHook, and all supervision timing runs on a
+// faultinject.ManualClock: the test advances time by the derived
+// amounts (a stall tick, the stall-retry delay, the breaker cooldown)
+// and asserts — no wall-clock sleeps decide the outcome. (The gate must
+// be released explicitly: cancelling a job's context does not unpark a
+// goroutine blocked in a FaultHook.)
 
-// wedgeOnce returns a FaultHook that blocks the first seeding-stage
-// entry on a gate, plus the gate's idempotent release.
-func wedgeOnce() (hook func(string, int), release func()) {
-	hold := make(chan struct{})
-	var once sync.Once
-	var tripped atomic.Bool
-	hook = func(stage string, shard int) {
-		if stage == core.StageSeeding && tripped.CompareAndSwap(false, true) {
-			<-hold
-		}
+// wedge parks every seeding-stage entry of one job attempt: arm it
+// before the attempt starts, release it once the watchdog has stalled
+// the attempt. Entries while disarmed pass straight through, so the
+// released attempt's stragglers and any later attempt run freely.
+type wedge struct {
+	mu      sync.Mutex
+	hold    chan struct{}
+	entered bool
+}
+
+func (w *wedge) hook(stage string, _ int) {
+	if stage != core.StageSeeding {
+		return
 	}
-	return hook, func() { once.Do(func() { close(hold) }) }
+	w.mu.Lock()
+	hold := w.hold
+	w.entered = w.entered || hold != nil
+	w.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
+}
+
+func (w *wedge) arm() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.hold, w.entered = make(chan struct{}), false
+}
+
+func (w *wedge) release() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.hold != nil {
+		close(w.hold)
+		w.hold = nil
+	}
+}
+
+// parked reports whether the armed attempt has reached the wedge.
+func (w *wedge) parked() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.entered
 }
 
 // waitUntil polls cond with a real-time timeout; the manual clock only
@@ -50,53 +82,75 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestWatchdogStallRetrySucceeds wedges a job's first attempt, lets the
-// watchdog declare it stalled, and requires the retry to run to
-// completion with a complete, verified MAF stream.
-func TestWatchdogStallRetrySucceeds(t *testing.T) {
-	pair := recoveryPair(t)
-	mc := faultinject.NewManualClock(time.Unix(1700000000, 0))
-	hook, release := wedgeOnce()
-	defer release()
-	pipeline := core.DefaultConfig()
-	pipeline.FaultHook = hook
+// advanceUntil moves the manual clock in steps until cond holds.
+func advanceUntil(t *testing.T, mc *faultinject.ManualClock, step time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out advancing the clock until %s", what)
+		}
+		mc.Advance(step)
+		time.Sleep(time.Millisecond)
+	}
+}
 
-	srv, err := New(Config{
-		Pipeline:         pipeline,
-		JobWorkers:       1,
-		Clock:            mc,
-		StallWindow:      time.Minute,
-		StallTick:        15 * time.Second,
-		StallRetries:     1,
-		StallRetryDelay:  -1, // retry immediately; no timer juggling
-		BreakerThreshold: -1, // breaker covered separately
-	})
+// stallAttempt lets the watchdog stall j's wedged attempt — a stall
+// tick at a time — and then releases the wedge so the attempt returns.
+func stallAttempt(t *testing.T, srv *Server, mc *faultinject.ManualClock, w *wedge, j *Job) {
+	t.Helper()
+	waitUntil(t, "the attempt to reach the wedge", w.parked)
+	advanceUntil(t, mc, srv.Jobs().stallTick(), "the watchdog flags the stall", j.stalled.Load)
+	w.release()
+}
+
+// elapseRetryDelay moves the clock past a scheduled stall-retry delay,
+// once: the re-run must not age on the manual clock while it runs.
+func elapseRetryDelay(mc *faultinject.ManualClock) {
+	mc.WaitForTimers(2) // the watchdog's tick and the retry delay
+	mc.Advance(stallRetryDelay)
+}
+
+func newWatchdogServer(t *testing.T, mc *faultinject.ManualClock, w *wedge) (*Server, *evolve.Pair) {
+	t.Helper()
+	pair := recoveryPair(t)
+	pipeline := core.DefaultConfig()
+	pipeline.FaultHook = w.hook
+	srv, err := New(Config{Pipeline: pipeline, JobWorkers: 1, Clock: mc, StallWindow: time.Minute})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer shutdownServer(t, srv)
+	t.Cleanup(func() { shutdownServer(t, srv) })
 	if _, err := srv.RegisterTarget("tgt", pair.Target); err != nil {
 		t.Fatalf("register: %v", err)
 	}
+	return srv, pair
+}
 
+// TestWatchdogStallRetrySucceeds wedges a job's first attempt, lets the
+// watchdog declare it stalled, and requires the retry — a stall-retry
+// delay later — to run to completion with a complete, verified MAF
+// stream.
+func TestWatchdogStallRetrySucceeds(t *testing.T) {
+	mc := faultinject.NewManualClock(time.Unix(1700000000, 0))
+	var w wedge
+	defer w.release()
+	srv, pair := newWatchdogServer(t, mc, &w)
+
+	w.arm()
 	j, err := srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice")
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitUntil(t, "the job to start running", func() bool { return j.State() == JobRunning })
-
-	// Park → advance past the stall window → the sweep must declare the
-	// wedged job stalled and cancel its attempt.
-	mc.WaitForTimers(1)
-	mc.Advance(time.Minute)
-	waitUntil(t, "the watchdog to flag the stall", func() bool { return j.stalled.Load() })
+	stallAttempt(t, srv, mc, &w, j)
 	if got := srv.Jobs().Stalled.Value(); got != 1 {
 		t.Errorf("stalled counter = %d, want 1", got)
 	}
 
-	// Unwedge: attempt 1 returns cancelled+stalled, the worker retries
-	// on the spot, and attempt 2 (gate already tripped) runs through.
-	release()
+	// Attempt 1 returns cancelled+stalled; the retry waits out the delay
+	// and (the wedge disarmed) runs through.
+	waitUntil(t, "the retry to be scheduled", func() bool { return srv.Jobs().Retried.Value() == 1 })
+	elapseRetryDelay(mc)
 	waitUntil(t, "the retried job to finish", func() bool { return j.State().Terminal() })
 	if st := j.State(); st != JobDone {
 		j.mu.Lock()
@@ -107,9 +161,6 @@ func TestWatchdogStallRetrySucceeds(t *testing.T) {
 	if got := j.attemptNum(); got != 2 {
 		t.Errorf("attempts = %d, want 2", got)
 	}
-	if got := srv.Jobs().Retried.Value(); got != 1 {
-		t.Errorf("retried counter = %d, want 1", got)
-	}
 	blocks, complete, err := maf.ReadVerified(bytes.NewReader(j.spoolRef().contents()))
 	if err != nil || !complete {
 		t.Fatalf("retried job MAF: complete=%v err=%v", complete, err)
@@ -119,58 +170,41 @@ func TestWatchdogStallRetrySucceeds(t *testing.T) {
 	}
 }
 
-// TestWatchdogExhaustedRetriesTripBreaker is the failure half: no retry
-// budget, so the stall is terminal; the failure trips the target's
-// breaker (visible in /readyz), the cooldown re-admits a probe, and the
-// probe's success closes the breaker again.
+// TestWatchdogExhaustedRetriesTripBreaker is the failure half: a job
+// that stalls on its attempt and on its one retry fails, and the target's
+// breaker trips at its fifth consecutive such failure (visible in
+// /readyz); the cooldown re-admits a probe, and the probe's success
+// closes the breaker again.
 func TestWatchdogExhaustedRetriesTripBreaker(t *testing.T) {
-	pair := recoveryPair(t)
 	mc := faultinject.NewManualClock(time.Unix(1700000000, 0))
-	hook, release := wedgeOnce()
-	defer release()
-	pipeline := core.DefaultConfig()
-	pipeline.FaultHook = hook
+	var w wedge
+	defer w.release()
+	srv, pair := newWatchdogServer(t, mc, &w)
 
-	srv, err := New(Config{
-		Pipeline:         pipeline,
-		JobWorkers:       1,
-		Clock:            mc,
-		StallWindow:      time.Minute,
-		StallTick:        15 * time.Second,
-		StallRetries:     -1, // stall is immediately terminal
-		StallRetryDelay:  -1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  5 * time.Minute,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer shutdownServer(t, srv)
-	if _, err := srv.RegisterTarget("tgt", pair.Target); err != nil {
-		t.Fatalf("register: %v", err)
+	for i := 1; i <= targetBreakerThreshold; i++ {
+		w.arm()
+		j, err := srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice")
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		stallAttempt(t, srv, mc, &w, j)
+		waitUntil(t, "the retry to be scheduled", func() bool { return srv.Jobs().Retried.Value() == int64(i) })
+		w.arm() // the previous attempt has returned: this one wedges the retry
+		elapseRetryDelay(mc)
+		stallAttempt(t, srv, mc, &w, j)
+		waitUntil(t, "the stalled job to fail", func() bool { return j.State().Terminal() })
+		if st := j.State(); st != JobFailed {
+			t.Fatalf("job %d state = %q, want failed (retry budget spent)", i, st)
+		}
 	}
 
-	j, err := srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice")
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	waitUntil(t, "the job to start running", func() bool { return j.State() == JobRunning })
-	mc.WaitForTimers(1)
-	mc.Advance(time.Minute)
-	waitUntil(t, "the watchdog to flag the stall", func() bool { return j.stalled.Load() })
-	release()
-	waitUntil(t, "the stalled job to fail", func() bool { return j.State().Terminal() })
-	if st := j.State(); st != JobFailed {
-		t.Fatalf("job state = %q, want failed (no retry budget)", st)
-	}
-
-	// The terminal stall tripped the only target's breaker: submissions
-	// bounce with the cooldown hint and /readyz goes unready.
+	// The fifth terminal stall tripped the only target's breaker:
+	// submissions bounce with the cooldown hint and /readyz goes unready.
 	if _, err := srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("submit against open breaker: err = %v, want ErrBreakerOpen", err)
 	}
 	var boe *breakerOpenError
-	_, err = srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice")
+	_, err := srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice")
 	if !errors.As(err, &boe) || boe.retryAfter <= 0 {
 		t.Fatalf("breaker rejection carries no cooldown hint: %v", err)
 	}
@@ -180,9 +214,9 @@ func TestWatchdogExhaustedRetriesTripBreaker(t *testing.T) {
 		t.Errorf("/readyz with every breaker open: HTTP %d, want 503 (%s)", rr.Code, rr.Body)
 	}
 
-	// Cooldown elapses: the probe job is admitted, succeeds (the gate
-	// only ever wedged the first attempt), and closes the breaker.
-	mc.Advance(5 * time.Minute)
+	// Cooldown elapses: the probe job is admitted, succeeds (the wedge is
+	// disarmed), and closes the breaker.
+	mc.Advance(targetBreakerCooldown)
 	probe, err := srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice")
 	if err != nil {
 		t.Fatalf("probe submit after cooldown: %v", err)
