@@ -60,6 +60,13 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # LeaseTTL, the worker's from StallWindow — so the knobs they replaced
 # (fields and serve/one-shot flags) stay out of every non-test Go file
 # outside bench/.
+# And for the pipeline layer: both tile kernels score coded tiles (no
+# Scoring.Score call in banded.go or xdrop.go), both filters return
+# align.FilterResult (UngappedResult stays deleted), the kernels' dead
+# outputs and helpers (MaxRowWidth, max2/max3, D-SOFT's emit map) stay
+# out, seeding and PlanShards cut on the one span rule (shardSpan, not
+# the old "/chunk + 1) * chunk"), and pipeline.go holds at most one
+# sync.WaitGroup (run.fanOut is the fan-out).
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -114,6 +121,14 @@ check-once:
 		grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
 		'dispatch-timeout|stall-retries|stall-retry-delay|breaker-threshold|breaker-cooldown|ship-interval|retry-delay|retry-max-delay' .; then \
 		echo "check-once: a removed timer knob is back (derive it from LeaseTTL or StallWindow, or make it a constant)"; exit 1; fi
+	@if grep -n 'Score(' internal/align/banded.go internal/align/xdrop.go; then \
+		echo "check-once: a tile kernel scores bytes (score the coded tile against the aligner's subRows)"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude-dir=bench 'type UngappedResult|MaxRowWidth|func max[23]\(' . || \
+		grep -rnE 'emit +map\[|emit: *make\(' internal/dsoft || \
+		grep -rnF --include='*.go' --exclude-dir=bench '/chunk + 1) * chunk' .; then \
+		echo "check-once: a deleted pipeline output, helper or span rule is back (FilterResult, builtin max, shardSpan)"; exit 1; fi
+	@n=$$(grep -c 'sync\.WaitGroup' internal/core/pipeline.go); \
+	if [ "$$n" -gt 1 ]; then echo "check-once: $$n sync.WaitGroup in internal/core/pipeline.go, want <= 1 (run.fanOut)"; exit 1; fi
 
 test:
 	$(GO) test ./...

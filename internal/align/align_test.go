@@ -292,9 +292,10 @@ func TestUngappedExtendPerfect(t *testing.T) {
 	seq := randSeq(rng, 200)
 	u := NewUngappedExtender(sc, 340)
 	res := u.Extend(seq, seq, 100, 100, 19)
-	if res.TStart != 0 || res.TEnd != 200 {
-		t.Errorf("perfect extension = [%d,%d), want [0,200)", res.TStart, res.TEnd)
+	if res.TPos != 200 || res.QPos != 200 {
+		t.Errorf("perfect extension ends at (%d,%d), want (200,200)", res.TPos, res.QPos)
 	}
+	// The whole sequence's score: the segment also starts at 0.
 	var want int32
 	for _, b := range seq {
 		want += sc.Score(b, b)
@@ -312,12 +313,16 @@ func TestUngappedExtendStopsAtDivergence(t *testing.T) {
 	copy(query[150:250], target[150:250]) // 100 bp identical island
 	u := NewUngappedExtender(sc, 340)
 	res := u.Extend(target, query, 200, 200, 19)
-	if res.TStart > 150 || res.TEnd < 250 {
-		t.Errorf("island not covered: [%d,%d)", res.TStart, res.TEnd)
+	var island int32
+	for i := 150; i < 250; i++ {
+		island += sc.Score(target[i], query[i])
 	}
-	// Extension should stop well before the sequence ends.
-	if res.TStart < 100 || res.TEnd > 300 {
-		t.Errorf("extension ran away: [%d,%d)", res.TStart, res.TEnd)
+	if res.TPos < 250 || res.Score < island {
+		t.Errorf("island not covered: segment ends at %d, scores %d < island %d", res.TPos, res.Score, island)
+	}
+	// Extension should stop well before either sequence end.
+	if res.TPos > 300 || res.Cells > 200 {
+		t.Errorf("extension ran away: segment ends at %d after %d cells", res.TPos, res.Cells)
 	}
 }
 
@@ -395,9 +400,9 @@ func bruteBestPrefix(sc *Scoring, target, query []byte) int32 {
 				d[i][0] = v[i][0]
 				iRow = negInf
 			default:
-				iRow = max2(v[i][j-1]-sc.GapOpen, iRow-sc.GapExtend)
-				d[i][j] = max2(v[i-1][j]-sc.GapOpen, d[i-1][j]-sc.GapExtend)
-				v[i][j] = max3(v[i-1][j-1]+sc.Score(target[i-1], query[j-1]), d[i][j], iRow)
+				iRow = max(v[i][j-1]-sc.GapOpen, iRow-sc.GapExtend)
+				d[i][j] = max(v[i-1][j]-sc.GapOpen, d[i-1][j]-sc.GapExtend)
+				v[i][j] = max(v[i-1][j-1]+sc.Score(target[i-1], query[j-1]), d[i][j], iRow)
 			}
 			if v[i][j] > best {
 				best = v[i][j]

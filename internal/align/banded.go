@@ -1,18 +1,24 @@
 package align
 
+import "darwinwga/internal/genome"
+
 // Banded Smith-Waterman — the gapped filtering kernel (Section III-C).
 // A tile of TileSize bases from each sequence is laid out with the seed
 // hit at its center; only cells within Band of the tile's main diagonal
 // are computed. The kernel is score-only (the hardware BSW array emits
 // just Vmax and its position), and reports the number of DP cells it
-// computed so the performance model can account workload.
+// computed so the performance model can account workload. Like the
+// GACT-X kernel it scores a coded tile: the query tile is mapped to base
+// codes once per call and each row takes the substitution row of its
+// target base, built once per aligner.
 
-// FilterResult is the outcome of one gapped-filter tile.
+// FilterResult is the outcome of one filter tile, gapped or ungapped.
 type FilterResult struct {
-	// Score is Vmax, the best local score inside the band.
+	// Score is Vmax, the best local score inside the band, or the best
+	// ungapped segment's score.
 	Score int32
-	// TPos and QPos are the coordinates (within the tile) of Vmax,
-	// exclusive ends of the best local alignment: the extension anchor.
+	// TPos and QPos are the exclusive ends of that best alignment (within
+	// the tile for Align): the extension anchor.
 	TPos int
 	QPos int
 	// Cells is the number of DP cells computed.
@@ -23,8 +29,10 @@ type FilterResult struct {
 // buffers. Not safe for concurrent use; create one per worker.
 type BandedAligner struct {
 	sc   *Scoring
+	sub  subRows
 	band int
 
+	qc          []uint8
 	vPrev, vCur []int32
 	dPrev, dCur []int32
 }
@@ -32,14 +40,8 @@ type BandedAligner struct {
 // NewBandedAligner returns an aligner with band radius band (the paper's
 // B, default 32).
 func NewBandedAligner(sc *Scoring, band int) *BandedAligner {
-	if band < 1 {
-		band = 1
-	}
-	return &BandedAligner{sc: sc, band: band}
+	return &BandedAligner{sc: sc, sub: sc.rows(), band: band}
 }
-
-// Band returns the band radius.
-func (b *BandedAligner) Band() int { return b.band }
 
 // Align runs banded SW over target×query (each at most the tile size)
 // and returns the maximum local score with its position. Cells outside
@@ -60,9 +62,11 @@ func (b *BandedAligner) Align(target, query []byte) FilterResult {
 	vCur := b.vCur[:width]
 	dPrev := b.dPrev[:width]
 	dCur := b.dCur[:width]
+	b.qc = genome.AppendCodes(b.qc[:0], query)
+	qc := b.qc
 
 	res := FilterResult{}
-	sc := b.sc
+	gapOpen, gapExt := b.sc.GapOpen, b.sc.GapExtend
 	band := b.band
 
 	// Row 0: only columns within the band of i=0 need initializing, plus
@@ -88,14 +92,11 @@ func (b *BandedAligner) Align(target, query []byte) FilterResult {
 			dPrev[hi] = negInf
 		}
 		iRow := negInf
-		tb := target[i-1]
+		sub := &b.sub[genome.Code(target[i-1])]
 		for j := lo; j <= hi; j++ {
-			iRow = max2(vCur[j-1]-sc.GapOpen, iRow-sc.GapExtend)
-			dCur[j] = max2(vPrev[j]-sc.GapOpen, dPrev[j]-sc.GapExtend)
-			v := max3(vPrev[j-1]+sc.Score(tb, query[j-1]), dCur[j], iRow)
-			if v < 0 {
-				v = 0
-			}
+			iRow = max(vCur[j-1]-gapOpen, iRow-gapExt)
+			dCur[j] = max(vPrev[j]-gapOpen, dPrev[j]-gapExt)
+			v := max(vPrev[j-1]+sub[qc[j-1]&7], dCur[j], iRow, 0)
 			vCur[j] = v
 			if v > res.Score {
 				res.Score = v

@@ -26,15 +26,38 @@ func oracleMax(v int64, rest ...int64) int64 {
 	return v
 }
 
-// fuzzBases maps arbitrary fuzz bytes onto the kernels' alphabet, capped
-// at oracleMaxLen bases.
+// sprinkle overwrites a few positions with what real input carries
+// beside ACGT: N, soft-masked lower case, and a byte outside the IUPAC
+// alphabet (which Scoring.Score reads as N).
+func sprinkle(rng *rand.Rand, seq []byte) {
+	for k := rng.Intn(4); k > 0 && len(seq) > 0; k-- {
+		i := rng.Intn(len(seq))
+		switch rng.Intn(3) {
+		case 0:
+			seq[i] = 'N'
+		case 1:
+			seq[i] |= 0x20
+		default:
+			seq[i] = '*'
+		}
+	}
+}
+
+// fuzzAlphabet is ACGTN plus what real input carries beside them, as
+// sprinkle adds it: soft-masked lower case and a byte outside the IUPAC
+// alphabet. The kernels fold a coded tile; the oracles score bytes with
+// Scoring.Score, so every fuzzer pins the one fold against the other.
+const fuzzAlphabet = "ACGTNacgtn*"
+
+// fuzzBases maps arbitrary fuzz bytes onto fuzzAlphabet, capped at
+// oracleMaxLen bases.
 func fuzzBases(raw []byte) []byte {
 	if len(raw) > oracleMaxLen {
 		raw = raw[:oracleMaxLen]
 	}
 	out := make([]byte, len(raw))
 	for i, b := range raw {
-		out[i] = "ACGTN"[int(b)%5]
+		out[i] = fuzzAlphabet[int(b)%len(fuzzAlphabet)]
 	}
 	return out
 }
@@ -43,7 +66,7 @@ func fuzzBases(raw []byte) []byte {
 func fuzzRaw(seq []byte) []byte {
 	out := make([]byte, len(seq))
 	for i, b := range seq {
-		out[i] = byte(bytes.IndexByte([]byte("ACGTN"), b))
+		out[i] = byte(bytes.IndexByte([]byte(fuzzAlphabet), b))
 	}
 	return out
 }
@@ -61,6 +84,8 @@ func addOracleSeeds(f *testing.F) {
 		if rng.Intn(4) == 0 {
 			query = randSeq(rng, rng.Intn(oracleMaxLen+1))
 		}
+		sprinkle(rng, target)
+		sprinkle(rng, query)
 		f.Add(fuzzRaw(target), fuzzRaw(query), uint8(rng.Intn(256)))
 	}
 }

@@ -54,16 +54,23 @@ func DefaultScoring() *Scoring {
 	return s
 }
 
-// Score returns the substitution score of two ASCII bases.
+// Score returns the substitution score of two ASCII bases, folded by
+// genome.Code. The tile kernels score coded tiles against subRows
+// instead; this is the byte-level accessor everything else uses.
 func (s *Scoring) Score(a, b byte) int32 {
-	ca, cb := genome.EncodeBase(a), genome.EncodeBase(b)
-	if ca == 0xFF {
-		ca = genome.CodeN
+	return s.Sub[genome.Code(a)][genome.Code(b)]
+}
+
+// subRows is the substitution matrix with each row padded to eight
+// entries, so that a kernel's row[code&7] needs no bounds check. Each
+// tile kernel builds it once per aligner.
+type subRows [genome.AlphabetSize][8]int32
+
+func (s *Scoring) rows() (r subRows) {
+	for a := range s.Sub {
+		copy(r[a][:], s.Sub[a][:])
 	}
-	if cb == 0xFF {
-		cb = genome.CodeN
-	}
-	return s.Sub[ca][cb]
+	return r
 }
 
 // GapCost returns the total cost (positive) of a gap of length n.
@@ -95,13 +102,3 @@ func (s *Scoring) Validate() error {
 }
 
 const negInf = int32(-1 << 29) // effectively -infinity, safe from overflow
-
-// max2 and max3 are tiny helpers the DP kernels share.
-func max2(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max3(a, b, c int32) int32 { return max2(max2(a, b), c) }

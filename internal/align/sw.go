@@ -189,10 +189,10 @@ func NeedlemanWunsch(sc *Scoring, target, query []byte) int32 {
 		iRow := negInf
 		tb := target[i-1]
 		for j := 1; j <= m; j++ {
-			iRow = max2(vCur[j-1]-sc.GapOpen, iRow-sc.GapExtend)
-			dCur[j] = max2(vPrev[j]-sc.GapOpen, dPrev[j]-sc.GapExtend)
+			iRow = max(vCur[j-1]-sc.GapOpen, iRow-sc.GapExtend)
+			dCur[j] = max(vPrev[j]-sc.GapOpen, dPrev[j]-sc.GapExtend)
 			diag := vPrev[j-1] + sc.Score(tb, query[j-1])
-			vCur[j] = max3(diag, dCur[j], iRow)
+			vCur[j] = max(diag, dCur[j], iRow)
 		}
 		vPrev, vCur = vCur, vPrev
 		dPrev, dCur = dCur, dPrev

@@ -7,17 +7,6 @@ package align
 // XDrop below the best seen. This is the 200×-faster-but-less-sensitive
 // filter that Darwin-WGA's gapped filter replaces.
 
-// UngappedResult is the outcome of one ungapped filter invocation.
-type UngappedResult struct {
-	// Score is the best total score of the extended ungapped segment.
-	Score int32
-	// TStart/TEnd and QStart/QEnd delimit the best segment (half open).
-	TStart, TEnd int
-	QStart, QEnd int
-	// Cells is the number of diagonal positions scored (workload).
-	Cells int
-}
-
 // UngappedExtender performs ungapped X-drop extension.
 type UngappedExtender struct {
 	sc    *Scoring
@@ -32,10 +21,11 @@ func NewUngappedExtender(sc *Scoring, xdrop int32) *UngappedExtender {
 
 // Extend extends along the diagonal through (tPos,qPos) — typically a
 // seed hit's start — covering seedLen bases to the right before further
-// extension. It returns the best-scoring ungapped segment containing the
-// seed span.
-func (u *UngappedExtender) Extend(target, query []byte, tPos, qPos, seedLen int) UngappedResult {
-	res := UngappedResult{TStart: tPos, TEnd: tPos, QStart: qPos, QEnd: qPos}
+// extension. It scores the best ungapped segment containing the seed span
+// and reports the segment's end as the extension anchor, in the shape of
+// a gapped filter tile.
+func (u *UngappedExtender) Extend(target, query []byte, tPos, qPos, seedLen int) FilterResult {
+	var res FilterResult
 	sc, xdrop := u.sc, u.xdrop
 
 	// Right extension from the seed start (covers the seed itself).
@@ -61,26 +51,20 @@ func (u *UngappedExtender) Extend(target, query []byte, tPos, qPos, seedLen int)
 			best += sc.Score(target[tPos+k], query[qPos+k])
 		}
 	}
-	res.TEnd = tPos + bestLen
-	res.QEnd = qPos + bestLen
+	res.TPos = tPos + bestLen
+	res.QPos = qPos + bestLen
 	rightScore := best
 
 	run, best = 0, 0
-	bestLen = 0
 	maxLeft := min(tPos, qPos)
 	for k := 1; k <= maxLeft; k++ {
 		run += sc.Score(target[tPos-k], query[qPos-k])
 		res.Cells++
-		if run > best {
-			best = run
-			bestLen = k
-		}
+		best = max(best, run)
 		if run < best-xdrop {
 			break
 		}
 	}
-	res.TStart = tPos - bestLen
-	res.QStart = qPos - bestLen
 	res.Score = rightScore + best
 	return res
 }

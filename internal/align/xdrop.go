@@ -24,16 +24,16 @@ package align
 //  4. Ties prefer diag, then up on strict >, then left on strict >;
 //     the gap-extend flags are set on strict >; Vmax is the first strict
 //     maximum in row-major order, starting from 0 at the origin.
-//  5. Cells, MaxRowWidth and LastRowWidths are outputs (the extension
-//     cell budget, core.extension_cells, the systolic cycle model) and
-//     must match to the unit.
+//  5. Cells and LastRowWidths are outputs (the extension cell budget,
+//     core.extension_cells, the systolic cycle model) and must match to
+//     the unit.
 //
 // Layout. The query tile is mapped to base codes once per call and each
-// row takes one substitution row for its target base, so a cell pays one
-// table load. The two DP rows of V and D carry a negInf sentinel just
-// outside the previous row's window [start, end] — at V[start-1],
-// V[end+1] and D[end+1] — so a cell reads its neighbours without range
-// checks. Out-of-window values are therefore not clamped: a dead value
+// row takes the substitution row of its target base, built once per
+// aligner, so a cell pays one table load. The two DP rows of V and D
+// carry a negInf sentinel just outside the previous row's window
+// [start, end] — at V[start-1], V[end+1] and D[end+1] — so a cell reads
+// its neighbours without range checks. Out-of-window values are therefore not clamped: a dead value
 // drifts from negInf by at most the substitution and gap scores summed
 // along a tile (under 2*10^6 at the 1920-base tile, against
 // negInf = -2^29), so it still compares below every value a real path
@@ -57,16 +57,14 @@ type XDropResult struct {
 	Ops []EditOp
 	// Cells is the number of DP cells computed.
 	Cells int
-	// MaxRowWidth is the widest computed row (diagnostic: how far the
-	// computation wandered from the diagonal).
-	MaxRowWidth int
 }
 
 // XDropAligner runs gapped X-drop tiles with reusable buffers; a warm
 // aligner allocates nothing. Not safe for concurrent use.
 type XDropAligner struct {
-	sc *Scoring
-	y  int32
+	sc  *Scoring
+	sub subRows
+	y   int32
 
 	// DP rows of V and D, indexed by column, one slot wider than the
 	// widest row so that the sentinel after the last column fits.
@@ -87,19 +85,7 @@ type XDropAligner struct {
 // NewXDropAligner returns an aligner with drop threshold y (the paper's
 // Y, default 9430; at most 1<<28, which no tile can reach).
 func NewXDropAligner(sc *Scoring, y int32) *XDropAligner {
-	return &XDropAligner{sc: sc, y: y}
-}
-
-// Y returns the drop threshold.
-func (x *XDropAligner) Y() int32 { return x.y }
-
-// baseCode is the code Scoring.Score gives an ASCII base: lower case
-// folds, anything outside ACGT is N.
-func baseCode(b byte) uint8 {
-	if c := genome.EncodeBase(b); c != 0xFF {
-		return c
-	}
-	return genome.CodeN
+	return &XDropAligner{sc: sc, sub: sc.rows(), y: y}
 }
 
 // Align extends from the origin of target×query. Both slices are one
@@ -119,17 +105,8 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 		x.rowLo, x.rowOff = make([]int32, n+1), make([]int32, n+2)
 	}
 	rowLo, rowOff := x.rowLo[:n+1], x.rowOff[:n+2]
-	qc := x.qc[:0]
-	for _, b := range query {
-		qc = append(qc, baseCode(b))
-	}
-	x.qc = qc
-	// Substitution rows padded to eight entries: sub[code&7] needs no
-	// bounds check.
-	var subs [genome.AlphabetSize][8]int32
-	for a := range sc.Sub {
-		copy(subs[a][:], sc.Sub[a][:])
-	}
+	x.qc = genome.AppendCodes(x.qc[:0], query)
+	qc := x.qc
 	arenaMax := (n + 1) * (m + 1)
 
 	// Row 0: the origin plus leading insertions along the query.
@@ -154,7 +131,6 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 	vPrev[prevEnd+1], dPrev[prevEnd+1] = negInf, negInf
 	rowLo[0], rowOff[0] = 0, 0
 	off := prevEnd + 1
-	maxWidth := off
 	rows := 1
 
 	var vmax int32
@@ -165,7 +141,7 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 		if need := off + m - rowStart + 1; need > len(tb) {
 			tb = x.growArena(off, need, arenaMax)
 		}
-		sub := &subs[baseCode(target[i-1])]
+		sub := &x.sub[genome.Code(target[i-1])]
 		first := -1 // first alive column of this row
 		vLeft, iRow := negInf, negInf
 		j := rowStart
@@ -225,10 +201,8 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 			}
 		}
 
-		width := rowEnd - rowStart + 1
 		rowLo[i], rowOff[i] = int32(rowStart), int32(off)
-		off += width
-		maxWidth = max(maxWidth, width)
+		off += rowEnd - rowStart + 1
 		rows = i + 1
 		if first < 0 {
 			break // entire row below (Vmax - Y): X-drop termination
@@ -248,7 +222,7 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 	return XDropResult{
 		Score: vmax, TEnd: bestI, QEnd: bestJ,
 		Ops:   x.traceback(bestI, bestJ),
-		Cells: off, MaxRowWidth: maxWidth,
+		Cells: off,
 	}
 }
 

@@ -336,6 +336,12 @@ func (c *Config) Validate() error {
 	if err := c.DSoft.Validate(); err != nil {
 		return err
 	}
+	if c.Filter != FilterGapped && c.Filter != FilterUngapped {
+		return fmt.Errorf("core: unknown filter mode %v", c.Filter)
+	}
+	if c.FilterBand < 1 {
+		return fmt.Errorf("core: filter band %d must be at least 1", c.FilterBand)
+	}
 	if c.FilterTileSize < 2*c.FilterBand {
 		return fmt.Errorf("core: filter tile %d smaller than band span %d", c.FilterTileSize, 2*c.FilterBand)
 	}

@@ -58,6 +58,16 @@ func TestConfigs(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("tile smaller than band accepted")
 	}
+	bad = DefaultConfig()
+	bad.FilterBand = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("filter band 0 accepted")
+	}
+	bad = DefaultConfig()
+	bad.Filter = FilterUngapped + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("unknown filter mode accepted")
+	}
 }
 
 func TestSelfAlignment(t *testing.T) {

@@ -60,8 +60,9 @@ func (o *anchorOutcome) keep(h HSP) {
 
 // anchorExtender executes extension anchors one at a time on one
 // goroutine. It owns the GACT-X extender and everything around an Extend
-// call: the anchor and tile Recorder events, the FaultHook, panic
-// containment and retry, the He test, the match count and the footprint.
+// call: the anchor and tile Recorder events, runShard (the FaultHook,
+// panic containment and retry), the He test, the match count and the
+// footprint.
 type anchorExtender struct {
 	a      *Aligner
 	r      *run
@@ -109,9 +110,6 @@ func (x *anchorExtender) extend(i int, p ExtensionAnchor) anchorOutcome {
 	var aln align.Alignment
 	ok := r.runShard(StageExtension, i, func() {
 		x.st = gact.Stats{}
-		if r.hook != nil {
-			r.hook(StageExtension, i)
-		}
 		aln = x.ext.Extend(a.target, x.query, p.TPos, p.QPos, &x.st)
 	}, nil)
 	o := anchorOutcome{failed: !ok}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"darwinwga/internal/genome"
 	"darwinwga/internal/obs"
@@ -142,6 +144,34 @@ func TestTraceCoversWorkload(t *testing.T) {
 	}
 	if snap.Extension.HSPs != int64(len(res.HSPs)) {
 		t.Errorf("aggregate hsps = %d, result = %d", snap.Extension.HSPs, len(res.HSPs))
+	}
+}
+
+// seedShards is an Aggregate that also counts SeedShard events.
+type seedShards struct {
+	obs.Aggregate
+	n atomic.Int64
+}
+
+func (s *seedShards) SeedShard(byte, int, int64, int64, time.Time, time.Duration) { s.n.Add(1) }
+
+// TestSeedingSpansEveryWorker: a query of an exact multiple of workers ×
+// k × ChunkSize bases is cut into one seeding shard per worker, each
+// reporting a SeedShard event — none is left empty.
+func TestSeedingSpansEveryWorker(t *testing.T) {
+	p := testPair(t, 4000, 0.05, 0.005)
+	cfg := obsTestConfig()
+	cfg.BothStrands = false
+	for _, k := range []int{1, 3} {
+		rec := &seedShards{}
+		cfg.Recorder = rec
+		a := newAligner(t, p.TargetSeq(), cfg)
+		if _, err := a.Align(p.QuerySeq()[:cfg.Workers*k*cfg.DSoft.ChunkSize]); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.n.Load(); got != int64(cfg.Workers) {
+			t.Errorf("%d × %d × %d bases: %d SeedShard events, want %d", cfg.Workers, k, cfg.DSoft.ChunkSize, got, cfg.Workers)
+		}
 	}
 }
 

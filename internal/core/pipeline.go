@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"darwinwga/internal/align"
@@ -314,7 +313,7 @@ func (a *Aligner) seedFilter(r *run, query []byte, strand byte, qs, qe int, tm *
 		r.rec.StageBegin(strand, obs.StageSeeding)
 	}
 	t0 := time.Now()
-	anchors, seedStats := a.runSeeding(r, query, strand, qs, qe)
+	anchors, seedHits, candidates := a.runSeeding(r, query, strand, qs, qe)
 	tm.Seeding += time.Since(t0)
 	if r.rec != nil {
 		r.rec.StageEnd(strand, obs.StageSeeding)
@@ -337,8 +336,8 @@ func (a *Aligner) seedFilter(r *run, query []byte, strand byte, qs, qe int, tm *
 	}
 	sortAnchors(passed)
 	return passed, Workload{
-		SeedHits:     int64(seedStats.SeedHits),
-		Candidates:   int64(seedStats.Candidates),
+		SeedHits:     seedHits,
+		Candidates:   candidates,
 		FilterTiles:  filterTiles,
 		FilterCells:  filterCells,
 		PassedFilter: int64(len(passed)),
@@ -360,174 +359,109 @@ func (w *Workload) Add(d Workload) {
 
 // runSeeding collects the D-SOFT candidates whose query chunks lie in
 // [qs, qe) — the whole query is [0, len(query)); a shard unit passes
-// its chunk-aligned range — sharding the range across workers and
-// concatenating their candidates. D-SOFT band counting never straddles
-// a chunk boundary, so the candidates of a chunk-aligned range are the
+// its chunk-aligned range — fanning the range out in whole chunks and
+// concatenating the workers' candidates, and returns them with the
+// seed-hit and candidate counts. D-SOFT band counting never straddles a
+// chunk boundary, so the candidates of a chunk-aligned range are the
 // corresponding slice of a whole-query run. Workers poll cancellation
-// and the candidate budget every seedBlockChunks chunks; a worker
-// panic is contained and recorded on the run.
-func (a *Aligner) runSeeding(r *run, query []byte, strand byte, qs, qe int) ([]dsoft.Anchor, dsoft.Stats) {
+// and the candidate budget every seedBlockChunks chunks.
+func (a *Aligner) runSeeding(r *run, query []byte, strand byte, qs, qe int) (anchors []dsoft.Anchor, seedHits, candidates int64) {
 	seeder, err := dsoft.NewSeeder(a.index, a.cfg.DSoft)
 	if err != nil {
 		// Params were validated in NewAligner; unreachable.
 		panic(err)
 	}
-	workers := a.cfg.workers()
 	chunk := a.cfg.DSoft.ChunkSize
-	// Shard boundaries land on chunk boundaries so band counting within
-	// a chunk never straddles workers.
-	shard := ((qe-qs)/workers/chunk + 1) * chunk
 	block := seedBlockChunks * chunk
-
 	type part struct {
 		anchors []dsoft.Anchor
 		stats   dsoft.Stats
 	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start := qs + w*shard
-		if start >= qe {
-			break
+	parts := make([]part, r.workers)
+	r.fanOut(StageSeeding, qe-qs, chunk, func(w, lo, hi int) {
+		var t0 time.Time
+		if r.rec != nil {
+			t0 = time.Now()
 		}
-		end := min(start+shard, qe)
-		wg.Add(1)
-		go func(w, start, end int) {
-			defer wg.Done()
-			body := func() {
-				if r.hook != nil {
-					r.hook(StageSeeding, w)
-				}
-				scratch := dsoft.NewScratch()
-				p := &parts[w]
-				for bs := start; bs < end; bs += block {
-					if r.seedingStopped() {
-						return
-					}
-					be := min(bs+block, end)
-					before := p.stats.Candidates
-					p.anchors = seeder.Collect(query, bs, be, p.anchors, &p.stats, scratch)
-					if r.noteCandidates(p.stats.Candidates - before) {
-						return
-					}
-				}
+		p, scratch := &parts[w], dsoft.NewScratch()
+		for bs := qs + lo; bs < qs+hi && !r.seedingStopped(); bs += block {
+			before := p.stats.Candidates
+			p.anchors = seeder.Collect(query, bs, min(bs+block, qs+hi), p.anchors, &p.stats, scratch)
+			if r.noteCandidates(p.stats.Candidates - before) {
+				break
 			}
-			// A failed attempt's partial candidates are discarded and
-			// refunded against the budget before the shard is re-run.
-			reset := func() {
-				r.candidates.Add(-int64(parts[w].stats.Candidates))
-				parts[w] = part{}
+		}
+		if r.rec != nil {
+			r.rec.SeedShard(strand, w, int64(p.stats.SeedHits), int64(p.stats.Candidates), t0, time.Since(t0))
+		}
+	}, func(w int) {
+		// A failed attempt's partial candidates are discarded and refunded
+		// against the budget before the shard is re-run.
+		r.candidates.Add(-int64(parts[w].stats.Candidates))
+		parts[w] = part{}
+	})
+	for _, p := range parts {
+		anchors = append(anchors, p.anchors...)
+		seedHits += int64(p.stats.SeedHits)
+		candidates += int64(p.stats.Candidates)
+	}
+	return anchors, seedHits, candidates
+}
+
+// newFilter returns a fresh kernel of the configured filter and the size
+// it takes — BSW's tile edge, or the ungapped filter's seed span: both
+// score a candidate into one FilterResult, whose end is the extension
+// anchor.
+func (a *Aligner) newFilter() (func(target, query []byte, tPos, qPos, size int) align.FilterResult, int) {
+	if a.cfg.Filter == FilterUngapped {
+		return align.NewUngappedExtender(a.sc, a.cfg.UngappedXDrop).Extend, a.shape.Span
+	}
+	return align.NewBandedAligner(a.sc, a.cfg.FilterBand).FilterTile, a.cfg.FilterTileSize
+}
+
+// runFilter scores every anchor with the configured filter, fanned out
+// evenly across workers, and returns the survivors. Cancellation and the
+// tile budget are polled per tile. With a Recorder set, every filter
+// invocation reports one FilterTile event (verdict, cells, latency);
+// with a nil Recorder the loop takes no timestamps.
+func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand byte) (passed []ExtensionAnchor, tiles, cells int64) {
+	type part struct {
+		passed       []ExtensionAnchor
+		tiles, cells int64
+	}
+	parts := make([]part, r.workers)
+	r.fanOut(StageFilter, len(anchors), 1, func(w, lo, hi int) {
+		filter, size := a.newFilter()
+		p := &parts[w]
+		var t0 time.Time
+		for _, an := range anchors[lo:hi] {
+			if r.stop() || !r.takeFilterTile() {
+				return
 			}
-			var t0 time.Time
 			if r.rec != nil {
 				t0 = time.Now()
 			}
-			ok := r.runShard(StageSeeding, w, body, reset)
-			if ok && r.rec != nil {
-				st := &parts[w].stats
-				r.rec.SeedShard(strand, w, int64(st.SeedHits), int64(st.Candidates), t0, time.Since(t0))
+			res := filter(a.target, query, an.TPos, an.QPos, size)
+			p.tiles++
+			p.cells += int64(res.Cells)
+			pass := res.Score >= a.cfg.FilterThreshold
+			if r.rec != nil {
+				r.rec.FilterTile(strand, w, pass, int64(res.Cells), t0, time.Since(t0))
 			}
-		}(w, start, end)
-	}
-	wg.Wait()
-	var anchors []dsoft.Anchor
-	var stats dsoft.Stats
-	for w := range parts {
-		anchors = append(anchors, parts[w].anchors...)
-		stats.QueryPositions += parts[w].stats.QueryPositions
-		stats.Lookups += parts[w].stats.Lookups
-		stats.SeedHits += parts[w].stats.SeedHits
-		stats.Candidates += parts[w].stats.Candidates
-	}
-	return anchors, stats
-}
-
-// runFilter scores every anchor with the configured filter across
-// workers and returns the survivors. Cancellation and the tile budget
-// are polled per tile; a worker panic is contained and recorded on the
-// run. With a Recorder set, every filter invocation reports one
-// FilterTile event (verdict, cells, latency); with a nil Recorder the
-// loop takes no timestamps.
-func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand byte) (passed []ExtensionAnchor, tiles, cells int64) {
-	workers := a.cfg.workers()
-	type part struct {
-		passed []ExtensionAnchor
-		tiles  int64
-		cells  int64
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	shard := (len(anchors) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start := w * shard
-		if start >= len(anchors) {
-			break
+			if pass {
+				p.passed = append(p.passed, ExtensionAnchor{TPos: res.TPos, QPos: res.QPos, Score: res.Score})
+			}
 		}
-		end := min(start+shard, len(anchors))
-		wg.Add(1)
-		go func(w int, anchors []dsoft.Anchor) {
-			defer wg.Done()
-			body := func() {
-				if r.hook != nil {
-					r.hook(StageFilter, w)
-				}
-				// tile scores one candidate with the configured filter
-				// and returns the extension anchor it would become: BSW's
-				// Vmax position, or the ungapped segment's end (its
-				// equivalent).
-				var tile func(an dsoft.Anchor) (ExtensionAnchor, int)
-				switch a.cfg.Filter {
-				case FilterGapped:
-					ba := align.NewBandedAligner(a.sc, a.cfg.FilterBand)
-					tile = func(an dsoft.Anchor) (ExtensionAnchor, int) {
-						res := ba.FilterTile(a.target, query, an.TPos, an.QPos, a.cfg.FilterTileSize)
-						return ExtensionAnchor{TPos: res.TPos, QPos: res.QPos, Score: res.Score}, res.Cells
-					}
-				case FilterUngapped:
-					ue := align.NewUngappedExtender(a.sc, a.cfg.UngappedXDrop)
-					tile = func(an dsoft.Anchor) (ExtensionAnchor, int) {
-						res := ue.Extend(a.target, query, an.TPos, an.QPos, a.shape.Span)
-						return ExtensionAnchor{TPos: res.TEnd, QPos: res.QEnd, Score: res.Score}, res.Cells
-					}
-				default:
-					return
-				}
-				rec := r.rec
-				var t0 time.Time
-				p := &parts[w]
-				for _, an := range anchors {
-					if r.stop() || !r.takeFilterTile() {
-						return
-					}
-					if rec != nil {
-						t0 = time.Now()
-					}
-					pa, cells := tile(an)
-					p.tiles++
-					p.cells += int64(cells)
-					pass := pa.Score >= a.cfg.FilterThreshold
-					if rec != nil {
-						rec.FilterTile(strand, w, pass, int64(cells), t0, time.Since(t0))
-					}
-					if pass {
-						p.passed = append(p.passed, pa)
-					}
-				}
-			}
-			// A failed attempt's survivors are discarded and its tile
-			// reservations refunded before the shard is re-run.
-			reset := func() {
-				r.filterTiles.Add(-parts[w].tiles)
-				parts[w] = part{}
-			}
-			r.runShard(StageFilter, w, body, reset)
-		}(w, anchors[start:end])
-	}
-	wg.Wait()
-	for w := range parts {
-		passed = append(passed, parts[w].passed...)
-		tiles += parts[w].tiles
-		cells += parts[w].cells
+	}, func(w int) {
+		// A failed attempt's survivors are discarded and its tile
+		// reservations refunded before the shard is re-run.
+		r.filterTiles.Add(-parts[w].tiles)
+		parts[w] = part{}
+	})
+	for _, p := range parts {
+		passed = append(passed, p.passed...)
+		tiles += p.tiles
+		cells += p.cells
 	}
 	return passed, tiles, cells
 }

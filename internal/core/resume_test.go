@@ -417,15 +417,20 @@ func TestResumeReplaysDegradedShards(t *testing.T) {
 // independent of worker count and scheduling.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	p := testPair(t, 15000, 0.08, 0.005)
-	var base *Result
-	for _, workers := range []int{1, 3} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		res := mustAlign(t, p.TargetSeq(), p.QuerySeq(), cfg)
-		if base == nil {
-			base = res
-			continue
+	chunk := DefaultConfig().DSoft.ChunkSize
+	// The whole query, and one of an exact multiple of 3 workers × chunk,
+	// which every worker seeds a part of.
+	for _, query := range [][]byte{p.QuerySeq(), p.QuerySeq()[:len(p.QuerySeq())/(3*chunk)*3*chunk]} {
+		var base *Result
+		for _, workers := range []int{1, 3} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			res := mustAlign(t, p.TargetSeq(), query, cfg)
+			if base == nil {
+				base = res
+				continue
+			}
+			wantSameOutcome(t, res, base)
 		}
-		wantSameOutcome(t, res, base)
 	}
 }

@@ -32,6 +32,7 @@ type run struct {
 	hspHook   func(HSP)
 	rec       obs.Recorder // nil = telemetry off (the zero-cost path)
 	retry     RetryPolicy
+	workers   int         // the most goroutines a fanOut starts
 	ck        *ckptWriter // nil when checkpointing is off
 	spanStart time.Time   // when span opened the Recorder's align span; zero = none
 
@@ -97,6 +98,7 @@ func (a *Aligner) newRun(ctx context.Context, query []byte) (*run, error) {
 		hspHook:        a.cfg.HSPHook,
 		rec:            a.cfg.Recorder,
 		retry:          a.cfg.Retry,
+		workers:        a.cfg.workers(),
 		maxCandidates:  a.cfg.MaxCandidates,
 		maxFilterTiles: a.cfg.MaxFilterTiles,
 		maxExtCells:    a.cfg.MaxExtensionCells,
@@ -295,17 +297,36 @@ func (r *run) err() error {
 	}
 }
 
+// fanOut is the worker fan-out of the seeding and filter stages: it cuts
+// the items [0, n) into spans of shardSpan(n, r.workers, unit) and runs
+// span w as body(w, lo, hi) on a goroutine of its own under runShard,
+// reset(w) discarding a failed attempt's partial state first. It
+// returns once every span has finished; w < r.workers.
+func (r *run) fanOut(stage string, n, unit int, body func(w, lo, hi int), reset func(w int)) {
+	span := shardSpan(n, r.workers, unit)
+	var wg sync.WaitGroup
+	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+span {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hi := min(lo+span, n)
+			r.runShard(stage, w, func() { body(w, lo, hi) }, func() { reset(w) })
+		}()
+	}
+	wg.Wait()
+}
+
 // runShard executes one unit of stage work — a seeding or filter worker
-// shard, or one extension anchor — with panic containment and the
-// run's retry policy. body is re-run verbatim on retry; reset (may be
-// nil) discards the failed attempt's partial state first. It reports
-// whether the shard ultimately succeeded; on false, the shard was
-// either recorded as fatal (no retry policy: the run is halted) or
-// degraded (retry exhausted: the run continues without it).
+// shard, or one extension anchor — behind the FaultHook, with panic
+// containment and the run's retry policy. body is re-run verbatim on
+// retry; reset (may be nil) discards the failed attempt's partial state
+// first. It reports whether the shard ultimately succeeded; on false,
+// the shard was either recorded as fatal (no retry policy: the run is
+// halted) or degraded (retry exhausted: the run continues without it).
 func (r *run) runShard(stage string, shard int, body, reset func()) bool {
 	attempts := r.retry.attempts()
 	for attempt := 1; ; attempt++ {
-		se := runAttempt(stage, shard, body)
+		se := r.attempt(stage, shard, body)
 		if se == nil {
 			return true
 		}
@@ -324,13 +345,17 @@ func (r *run) runShard(stage string, shard int, body, reset func()) bool {
 	}
 }
 
-// runAttempt runs body once, converting a panic into a *StageError.
-func runAttempt(stage string, shard int, body func()) (se *StageError) {
+// attempt calls the FaultHook and then body, once, converting a panic in
+// either into a *StageError.
+func (r *run) attempt(stage string, shard int, body func()) (se *StageError) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			se = toStageError(stage, shard, rec)
 		}
 	}()
+	if r.hook != nil {
+		r.hook(stage, shard)
+	}
 	body()
 	return nil
 }

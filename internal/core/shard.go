@@ -62,16 +62,7 @@ func (u ShardUnit) String() string {
 // pure function of (config, queryLen, unitsPerStrand): a coordinator
 // can recompute it after a restart and get the same unit identities.
 func PlanShards(cfg *Config, queryLen, unitsPerStrand int) []ShardUnit {
-	if unitsPerStrand < 1 {
-		unitsPerStrand = 1
-	}
-	chunk := cfg.DSoft.ChunkSize
-	if chunk <= 0 {
-		chunk = 1
-	}
-	// Same boundary rule as the pipeline's internal seeding shards:
-	// ceil-ish division rounded up to a whole chunk.
-	span := (queryLen/unitsPerStrand/chunk + 1) * chunk
+	span := shardSpan(queryLen, max(unitsPerStrand, 1), max(cfg.DSoft.ChunkSize, 1))
 	strands := []byte{'+'}
 	if cfg.BothStrands {
 		strands = append(strands, '-')
@@ -90,6 +81,17 @@ func PlanShards(cfg *Config, queryLen, unitsPerStrand int) []ShardUnit {
 		}
 	}
 	return plan
+}
+
+// shardSpan is the one rule that cuts n items into at most parts
+// contiguous shards on a grid of unit items: each takes
+// ceil(ceil(n/unit)/parts) units, so no shard is left empty that need
+// not be. Seeding cuts its query range with it on the D-SOFT chunk (band
+// counting then never straddles two workers), PlanShards a query into
+// filter units the same way, and the filter cuts its candidates (unit 1).
+func shardSpan(n, parts, unit int) int {
+	units := (n + unit - 1) / unit
+	return (units + parts - 1) / parts * unit
 }
 
 // ExtensionUnits derives a filter plan's phase-2 units: one per strand,

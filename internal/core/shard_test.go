@@ -64,6 +64,15 @@ func TestPlanShards(t *testing.T) {
 	if len(one) != 2 || one[0].QEnd != 100 {
 		t.Errorf("unitsPerStrand=0 plan: %v", one)
 	}
+	// An exact multiple of units × chunk leaves no unit empty: 640 bases
+	// in 10 units are ten units of one chunk each.
+	var ten []ShardUnit
+	for i := 0; i < 10; i++ {
+		ten = append(ten, ShardUnit{Seq: i, Strand: '+', QStart: i * chunk, QEnd: (i + 1) * chunk})
+	}
+	if got := PlanShards(&fwd, 10*chunk, 10); !reflect.DeepEqual(got, ten) {
+		t.Errorf("%d bases in 10 units: plan %v, want ten units of one chunk", 10*chunk, got)
+	}
 }
 
 func TestAlignShardUnitRejectsBudgetsAndBadRanges(t *testing.T) {

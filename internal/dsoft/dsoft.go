@@ -89,26 +89,22 @@ func NewSeeder(ix *seed.Index, params Params) (*Seeder, error) {
 	return &Seeder{ix: ix, params: params}, nil
 }
 
-// Params returns the seeder's parameters.
-func (s *Seeder) Params() Params { return s.params }
-
 // Scratch holds reusable per-worker state for Collect.
 type Scratch struct {
 	keys   []genome.KmerKey
 	counts map[int]int // band id -> hit count (reset per chunk)
-	emit   map[int]bool
 }
 
 // NewScratch allocates scratch for one worker.
 func NewScratch() *Scratch {
-	return &Scratch{counts: make(map[int]int), emit: make(map[int]bool)}
+	return &Scratch{counts: make(map[int]int)}
 }
 
 // Collect appends candidate anchors for query[qStart:qEnd) (one or more
 // whole chunks) to dst and returns it, accumulating statistics in stats.
 // Candidates are deduplicated per diagonal band: at most one anchor per
 // band per chunk, following the paper's "at most 1 seed hit is extended
-// per diagonal band".
+// per diagonal band": a band emits when its count reaches the threshold.
 func (s *Seeder) Collect(query []byte, qStart, qEnd int, dst []Anchor, stats *Stats, scratch *Scratch) []Anchor {
 	if scratch == nil {
 		scratch = NewScratch()
@@ -123,7 +119,6 @@ func (s *Seeder) Collect(query []byte, qStart, qEnd int, dst []Anchor, stats *St
 		chunkEnd := min(chunkStart+p.ChunkSize, qEnd)
 		// Reset per-chunk band state.
 		clear(scratch.counts)
-		clear(scratch.emit)
 		for qPos := chunkStart; qPos < chunkEnd; qPos += p.Stride {
 			if qPos+shape.Span > len(query) {
 				break
@@ -142,8 +137,7 @@ func (s *Seeder) Collect(query []byte, qStart, qEnd int, dst []Anchor, stats *St
 					band := (int(tPos) - qPos + tLen) / p.BinSize
 					c := scratch.counts[band] + 1
 					scratch.counts[band] = c
-					if c >= p.Threshold && !scratch.emit[band] {
-						scratch.emit[band] = true
+					if c == p.Threshold {
 						dst = append(dst, Anchor{TPos: int(tPos), QPos: qPos})
 						stats.Candidates++
 					}

@@ -132,9 +132,6 @@ func NewExtender(sc *align.Scoring, cfg Config) (*Extender, error) {
 	}, nil
 }
 
-// Config returns the extender's configuration.
-func (e *Extender) Config() Config { return e.cfg }
-
 // Extend grows an alignment from the anchor (tAnchor, qAnchor) leftward
 // and rightward (Figure 4c) and returns the stitched alignment in
 // forward coordinates. The anchor is the exclusive end of the left

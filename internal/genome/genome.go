@@ -5,7 +5,7 @@
 //
 // Sequences are stored as upper-case ASCII bytes. The package never
 // allocates in per-base hot paths; callers that need packed codes use
-// Encode/EncodeTo with reusable buffers.
+// Encode, or AppendCodes with a reusable buffer.
 package genome
 
 import (
@@ -180,24 +180,21 @@ func ReverseComplementInPlace(seq []byte) {
 	}
 }
 
-// Encode converts ASCII bases to 3-bit codes in a new slice. Invalid
-// characters become CodeN.
-func Encode(seq []byte) []byte {
-	out := make([]byte, len(seq))
-	EncodeTo(out, seq)
-	return out
-}
+// Code returns the base code an ASCII byte is scored as: lower case
+// folds, and every byte outside ACGT is CodeN. It is the one fold the
+// scoring model and the alignment kernels share.
+func Code(b byte) byte { return min(encodeTable[b], CodeN) }
 
-// EncodeTo converts ASCII bases into dst, which must be at least
-// len(seq) long. Invalid characters become CodeN.
-func EncodeTo(dst, seq []byte) {
-	for i, b := range seq {
-		code := encodeTable[b]
-		if code == 0xFF {
-			code = CodeN
-		}
-		dst[i] = code
+// Encode converts ASCII bases to 3-bit codes (Code) in a new slice.
+func Encode(seq []byte) []byte { return AppendCodes(make([]byte, 0, len(seq)), seq) }
+
+// AppendCodes appends the codes (Code) of seq to dst and returns it;
+// kernels pass a reusable buffer.
+func AppendCodes(dst, seq []byte) []byte {
+	for _, b := range seq {
+		dst = append(dst, Code(b))
 	}
+	return dst
 }
 
 // Decode converts 3-bit codes back to ASCII bases.

@@ -177,4 +177,20 @@ func TestDisabledInstrumentationAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = f.Total() }); n != 0 {
 		t.Errorf("nil FlightRecorder.Total allocates %g per op, want 0", n)
 	}
+	tr := NewTracerCapped(1)
+	tr.AlignBegin(1)
+	now := time.Now()
+	for name, leaf := range map[string]func(){
+		"SeedShard":     func() { tr.SeedShard('+', 0, 1, 1, now, time.Millisecond) },
+		"FilterTile":    func() { tr.FilterTile('+', 0, true, 1, now, time.Millisecond) },
+		"AnchorSkipped": func() { tr.AnchorSkipped('+', 0) },
+		"ExtensionTile": func() { tr.ExtensionTile('+', 0, 1, now, time.Millisecond) },
+	} {
+		if n := testing.AllocsPerRun(100, leaf); n != 0 {
+			t.Errorf("capped-out Tracer.%s allocates %g per op, want 0", name, n)
+		}
+	}
+	if got := tr.Dropped(); got != 4*101 { // AllocsPerRun's warm-up call included
+		t.Errorf("capped-out tracer dropped %d leaf events, want %d", got, 4*101)
+	}
 }

@@ -92,6 +92,19 @@ func (t *Tracer) append(e Event) {
 	t.mu.Unlock()
 }
 
+// full counts an event as dropped if the cap is already reached, so the
+// per-tile leaf events skip building their args for nothing. An event
+// that passes it and meets a cap filled meanwhile is dropped by append.
+func (t *Tracer) full() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cap > 0 && len(t.events) >= t.cap {
+		t.dropped++
+		return true
+	}
+	return false
+}
+
 // begin emits a B event at now on tid.
 func (t *Tracer) begin(name string, tid int, args map[string]any) {
 	t.append(Event{Name: name, Ph: "B", Ts: t.micros(time.Now()), Tid: tid, Args: args})
@@ -156,6 +169,9 @@ func (t *Tracer) StageEnd(strand byte, stage Stage) {
 
 // SeedShard implements Recorder.
 func (t *Tracer) SeedShard(strand byte, shard int, seedHits, candidates int64, start time.Time, dur time.Duration) {
+	if t.full() {
+		return
+	}
 	t.complete("seed-shard", 1+shard, start, dur, map[string]any{
 		"strand":     string(strand),
 		"shard":      shard,
@@ -166,6 +182,9 @@ func (t *Tracer) SeedShard(strand byte, shard int, seedHits, candidates int64, s
 
 // FilterTile implements Recorder.
 func (t *Tracer) FilterTile(strand byte, shard int, pass bool, cells int64, start time.Time, dur time.Duration) {
+	if t.full() {
+		return
+	}
 	t.complete("filter-tile", 1+shard, start, dur, map[string]any{
 		"strand": string(strand),
 		"pass":   pass,
@@ -181,6 +200,9 @@ func (t *Tracer) AnchorBegin(strand byte, anchor int) {
 // AnchorSkipped implements Recorder: an instant event marking an
 // anchor absorbed by an earlier alignment's coverage.
 func (t *Tracer) AnchorSkipped(strand byte, anchor int) {
+	if t.full() {
+		return
+	}
 	t.append(Event{
 		Name: "anchor-absorbed", Ph: "i", Ts: t.micros(time.Now()), Tid: 0,
 		Args: map[string]any{"strand": string(strand), "index": anchor},
@@ -194,6 +216,9 @@ func (t *Tracer) AnchorEnd(strand byte, anchor int, tiles, cells int64, hsp bool
 
 // ExtensionTile implements Recorder.
 func (t *Tracer) ExtensionTile(strand byte, anchor int, cells int64, start time.Time, dur time.Duration) {
+	if t.full() {
+		return
+	}
 	t.complete("gact-tile", 0, start, dur, map[string]any{
 		"strand": string(strand),
 		"anchor": anchor,

@@ -95,22 +95,6 @@ func (ix *Index) Positions(key genome.KmerKey) []uint32 {
 	return ix.positions[lo:hi]
 }
 
-// Stats summarizes the index for logging.
-func (ix *Index) Stats() (buckets, filled, totalPositions, maskedBuckets int) {
-	buckets = len(ix.starts) - 1
-	for k := 0; k < buckets; k++ {
-		n := int(ix.starts[k+1] - ix.starts[k])
-		if n > 0 {
-			filled++
-		}
-		if ix.maxFreq > 0 && n > ix.maxFreq {
-			maskedBuckets++
-		}
-	}
-	totalPositions = len(ix.positions)
-	return
-}
-
 // MemoryBytes estimates the index's resident size. It counts slice
 // capacity, not length: the backing arrays are what the heap holds, and
 // eviction decisions made from this number must reflect real footprint.

@@ -239,9 +239,10 @@ func TestIndexMaxFreqMasking(t *testing.T) {
 	if got := ix.Positions(key); got != nil {
 		t.Errorf("masked bucket returned %v", got)
 	}
-	_, _, total, masked := ix.Stats()
-	if total != 9 || masked != 1 {
-		t.Errorf("index holds %d positions in %d masked buckets, want 9 in 1", total, masked)
+	// Masking hides the bucket from lookups; the table still holds it.
+	starts, positions := ix.RawParts()
+	if n := starts[key+1] - starts[key]; len(positions) != 9 || n != 9 {
+		t.Errorf("index holds %d positions, %d in the masked bucket, want 9 and 9", len(positions), n)
 	}
 }
 
@@ -257,9 +258,8 @@ func TestIndexSkipsN(t *testing.T) {
 	if len(pos) != 2 || pos[0] != 0 || pos[1] != 4 {
 		t.Errorf("positions = %v, want [0 4]", pos)
 	}
-	_, _, total, _ := ix.Stats()
-	if total != 2 { // windows covering N contribute nothing
-		t.Errorf("total positions = %d, want 2", total)
+	if _, positions := ix.RawParts(); len(positions) != 2 { // windows covering N contribute nothing
+		t.Errorf("total positions = %d, want 2", len(positions))
 	}
 }
 
@@ -271,15 +271,21 @@ func TestIndexStatsAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buckets, filled, total, _ := ix.Stats()
-	if buckets != 256 {
+	starts, positions := ix.RawParts()
+	if buckets := len(starts) - 1; buckets != 256 {
 		t.Errorf("buckets = %d, want 256", buckets)
 	}
-	if total != len(seq)-sh.Span+1 {
-		t.Errorf("total = %d, want %d", total, len(seq)-sh.Span+1)
+	if len(positions) != len(seq)-sh.Span+1 {
+		t.Errorf("total = %d, want %d", len(positions), len(seq)-sh.Span+1)
 	}
-	if filled == 0 || filled > buckets {
-		t.Errorf("filled = %d", filled)
+	filled := 0
+	for k := 0; k < 256; k++ {
+		if len(ix.Positions(genome.KmerKey(k))) > 0 {
+			filled++
+		}
+	}
+	if filled == 0 {
+		t.Error("no bucket filled")
 	}
 	if ix.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes <= 0")
