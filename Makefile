@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet check-once test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
+.PHONY: all build vet check-once bench-kernels test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
 
 all: build
 
@@ -67,6 +67,11 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # out, seeding and PlanShards cut on the one span rule (shardSpan, not
 # the old "/chunk + 1) * chunk"), and pipeline.go holds at most one
 # sync.WaitGroup (run.fanOut is the fan-out).
+# And for the BSW filter kernel: BandedAligner is declared in one non-test
+# file of internal/align (rewritten in place, not forked), banded.go keeps
+# no []int32 DP rows (the rows are (V, D) cells), and no second Align body
+# survives: BandedAligner has its two methods (Align, FilterTile) and no
+# non-test function of internal/align is an old, seed or fallback copy.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -129,6 +134,13 @@ check-once:
 		echo "check-once: a deleted pipeline output, helper or span rule is back (FilterResult, builtin max, shardSpan)"; exit 1; fi
 	@n=$$(grep -c 'sync\.WaitGroup' internal/core/pipeline.go); \
 	if [ "$$n" -gt 1 ]; then echo "check-once: $$n sync.WaitGroup in internal/core/pipeline.go, want <= 1 (run.fanOut)"; exit 1; fi
+	@src=$$(ls internal/align/*.go | grep -v _test.go); \
+	n=$$(grep -l 'type BandedAligner ' $$src | wc -l); \
+	m=$$(cat $$src | grep -cE '^func \(\w+ \*?BandedAligner\) '); \
+	if [ "$$n" -ne 1 ] || [ "$$m" -ne 2 ] || \
+		grep -nE '\[\]int32|\b(vPrev|dPrev|vCur|dCur)\b' internal/align/banded.go || \
+		grep -nE '^func (\([^)]*\) )?(\w*(Old|Seed|Legacy|Slow|Fallback)|(old|seed|legacy|slow|fallback)[A-Z])\w*\(' $$src; then \
+		echo "check-once: want one BSW kernel (BandedAligner declared in $$n files with $$m methods, want 1 and 2: Align, FilterTile) on (V, D) cell rows, no []int32 rows, no second Align body"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -272,6 +284,13 @@ test-shard:
 	$(call named-test,-race -timeout 15m -run 'TestShard' ./internal/cluster/)
 	$(call named-test,-timeout 20m -run 'TestShardDispatchFailoverE2E|TestShardPartialResultE2E' ./cmd/darwin-wga/)
 
+# Kernel benchmarks at their own layer: DP cells/s of the BSW filter tile
+# (320x320, band 32; noise and homologous) and the GACT-X tile, fixed
+# seeds, five runs each. Compare revisions by building each side with
+# `go test -c` and alternating the binaries on one box.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'BandedTile|XDropTile' -count 5 ./internal/align
+
 # Benchmark self-tests: bench/ is a module of its own (it imports
 # internal/... through a replace directive), so `go test ./...` never
 # builds it and a signature change in internal/core, internal/server or
@@ -291,14 +310,15 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 		else echo "lint: govulncheck not installed; skipping"; fi
 
-# Fuzz smoke: ten seconds per parser on the three crash-recovery
+# Fuzz smoke: ten seconds per parser on the four crash-recovery
 # attack surfaces — FASTA queries (the spill the job store replays),
-# MAF streams (the recovered artifacts), and WAL segments (arbitrary
-# torn tails must recover and stay appendable) — and ten per kernel
-# differential (BSW vs masked Smith-Waterman; X-drop vs the prefix
-# maximum, unbounded and with a drop threshold that prunes; the X-drop
-# kernel vs the frozen seed kernel in xdrop_seed_test.go). Corpus misses
-# fail the build; longer runs are `go test -fuzz=<name> -fuzztime=10m`.
+# MAF streams (the recovered artifacts), WAL segments (arbitrary torn
+# tails must recover and stay appendable) and serialized indexes — and
+# ten per kernel differential (BSW vs masked Smith-Waterman; X-drop vs
+# the prefix maximum, unbounded and with a drop threshold that prunes;
+# the X-drop kernel vs the frozen seed kernel in xdrop_seed_test.go).
+# Corpus misses fail the build; longer runs are
+# `go test -fuzz=<name> -fuzztime=10m`.
 test-fuzz:
 	$(call named-test,-run '^$$' -fuzz FuzzReadFASTA -fuzztime 10s ./internal/genome/)
 	$(call named-test,-run '^$$' -fuzz FuzzReadMAF -fuzztime 10s ./internal/maf/)

@@ -286,6 +286,23 @@ func TestFilterTileAtBoundary(t *testing.T) {
 	}
 }
 
+// TestFilterTileOddSize: an odd tile is as wide as it says. Away from
+// both sequence ends a 321 tile is 321×321, so it computes that tile's
+// in-band cells (the seed tile dropped its last base on each side).
+func TestFilterTileOddSize(t *testing.T) {
+	const tile, band = 321, 32
+	rng := rand.New(rand.NewSource(61))
+	target, query := randSeq(rng, 2000), randSeq(rng, 2000)
+	want := 0
+	for i := 1; i <= tile; i++ {
+		want += min(tile, i+band) - max(1, i-band) + 1
+	}
+	res := NewBandedAligner(DefaultScoring(), band).FilterTile(target, query, 1000, 1000, tile)
+	if res.Cells != want {
+		t.Errorf("321 tile computed %d cells, want %d (a 321x321 tile at band %d)", res.Cells, want, band)
+	}
+}
+
 func TestUngappedExtendPerfect(t *testing.T) {
 	sc := DefaultScoring()
 	rng := rand.New(rand.NewSource(9))
@@ -544,5 +561,20 @@ func TestXDropAlignAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(5, func() { xa.Align(target, query) }); n != 0 {
 			t.Errorf("Y %d: warm Align allocates %.0f times per call, want 0", y, n)
 		}
+	}
+}
+
+// TestBandedAlignAllocFree: the DP rows and the coded query tile belong
+// to the aligner, so a warm aligner allocates nothing per tile.
+func TestBandedAlignAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	target := randSeq(rng, 1000)
+	query := mutate(rng, target, 0.1, 0.02)
+	ba := NewBandedAligner(DefaultScoring(), 32)
+	if res := ba.FilterTile(target, query, 500, 500, 320); res.Score <= 0 {
+		t.Fatalf("warm-up tile found nothing: %+v", res)
+	}
+	if n := testing.AllocsPerRun(5, func() { ba.FilterTile(target, query, 500, 500, 320) }); n != 0 {
+		t.Errorf("warm FilterTile allocates %.0f times per tile, want 0", n)
 	}
 }

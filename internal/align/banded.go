@@ -7,10 +7,24 @@ import "darwinwga/internal/genome"
 // hit at its center; only cells within Band of the tile's main diagonal
 // are computed. The kernel is score-only (the hardware BSW array emits
 // just Vmax and its position), and reports the number of DP cells it
-// computed so the performance model can account workload. Like the
-// GACT-X kernel it scores a coded tile: the query tile is mapped to base
-// codes once per call and each row takes the substitution row of its
-// target base, built once per aligner.
+// computed so the performance model can account workload.
+//
+// Layout. Like the GACT-X kernel it scores a coded tile: the query tile
+// is mapped to base codes once per call and each row takes the
+// substitution row of its target base, built once per aligner. The DP is
+// two rows of (V, D) cells; a row's in-band cells run in bswRow over
+// slices cut to the row's length, so the loop has no bounds checks. V
+// diagonally above a cell is the previous cell's V above, so it stays in
+// a register, as do I and V to the left. bswRow returns the row's
+// maximum through the builtin max, so no cell branches on Vmax. The row
+// loop decides Vmax once per row: only a row whose maximum is strictly
+// above the running Vmax moves it, to the row's first column that
+// reaches it. Every cell of the earlier rows is at most the old Vmax and
+// the row's cells before that column are below the row maximum, so that
+// column is the first strict maximum in row-major order — the cell a
+// per-cell strict update would choose. Computing two tiles per loop
+// iteration was also tried and is slower (DESIGN.md, "BSW filter
+// kernel").
 
 // FilterResult is the outcome of one filter tile, gapped or ungapped.
 type FilterResult struct {
@@ -26,16 +40,22 @@ type FilterResult struct {
 }
 
 // BandedAligner computes banded Smith-Waterman tiles with reusable
-// buffers. Not safe for concurrent use; create one per worker.
+// buffers; a warm aligner allocates nothing. Not safe for concurrent use;
+// create one per worker.
 type BandedAligner struct {
 	sc   *Scoring
 	sub  subRows
 	band int
 
-	qc          []uint8
-	vPrev, vCur []int32
-	dPrev, dCur []int32
+	qc []uint8
+	// prev and cur are the DP rows, indexed by column.
+	prev, cur []cell
 }
+
+// cell is one DP cell: V and D, the gap in the query ("up"), which is
+// all the next row reads. I, the gap in the target, runs along the row
+// in a register.
+type cell struct{ v, d int32 }
 
 // NewBandedAligner returns an aligner with band radius band (the paper's
 // B, default 32).
@@ -51,17 +71,10 @@ func (b *BandedAligner) Align(target, query []byte) FilterResult {
 	if n == 0 || m == 0 {
 		return FilterResult{}
 	}
-	width := m + 1
-	if cap(b.vPrev) < width {
-		b.vPrev = make([]int32, width)
-		b.vCur = make([]int32, width)
-		b.dPrev = make([]int32, width)
-		b.dCur = make([]int32, width)
+	if cap(b.prev) < m+1 {
+		b.prev, b.cur = make([]cell, m+1), make([]cell, m+1)
 	}
-	vPrev := b.vPrev[:width]
-	vCur := b.vCur[:width]
-	dPrev := b.dPrev[:width]
-	dCur := b.dCur[:width]
+	prev, cur := b.prev[:m+1], b.cur[:m+1]
 	b.qc = genome.AppendCodes(b.qc[:0], query)
 	qc := b.qc
 
@@ -69,59 +82,76 @@ func (b *BandedAligner) Align(target, query []byte) FilterResult {
 	gapOpen, gapExt := b.sc.GapOpen, b.sc.GapExtend
 	band := b.band
 
-	// Row 0: only columns within the band of i=0 need initializing, plus
-	// one guard column on each side that row 1 may read.
-	hi0 := min(m, band+1)
-	for j := 0; j <= hi0; j++ {
-		vPrev[j] = 0
-		dPrev[j] = negInf
+	// Row 0 and column 0 read as empty: V=0, no open gap. Row 0 needs
+	// only the columns row 1 reads; column 0 is never computed, so both
+	// rows keep it.
+	for j := range min(m, band+1) + 1 {
+		prev[j] = cell{0, negInf}
 	}
+	cur[0] = cell{0, negInf}
 	for i := 1; i <= n; i++ {
 		lo := max(1, i-band)
 		hi := min(m, i+band)
 		if lo > hi {
 			break
 		}
-		// Guard cells just outside the band read as empty. A cell (i-1, j)
-		// that row i-1 never computed (j above its window top) must read
-		// as a fresh local start: V=0, no open gap.
-		vCur[lo-1] = 0
-		dCur[lo-1] = negInf
-		if prevHi := min(m, i-1+band); prevHi < hi {
-			vPrev[hi] = 0
-			dPrev[hi] = negInf
+		// A cell (i-1, hi) above the previous row's window top must read
+		// as a fresh local start.
+		if hi > i-1+band {
+			prev[hi] = cell{0, negInf}
 		}
-		iRow := negInf
-		sub := &b.sub[genome.Code(target[i-1])]
-		for j := lo; j <= hi; j++ {
-			iRow = max(vCur[j-1]-gapOpen, iRow-gapExt)
-			dCur[j] = max(vPrev[j]-gapOpen, dPrev[j]-gapExt)
-			v := max(vPrev[j-1]+sub[qc[j-1]&7], dCur[j], iRow, 0)
-			vCur[j] = v
-			if v > res.Score {
-				res.Score = v
-				res.TPos = i
-				res.QPos = j
+		row := cur[lo : hi+1]
+		rowMax := bswRow(row, prev[lo:hi+1], prev[lo-1].v, qc[lo-1:hi],
+			&b.sub[genome.Code(target[i-1])], gapOpen, gapExt)
+		// Vmax is the first strict maximum in row-major order: a row
+		// moves it only when its own maximum is strictly higher, and
+		// then at the row's first column that reaches it.
+		if rowMax > res.Score {
+			k := 0
+			for row[k].v != rowMax {
+				k++
 			}
+			res.Score, res.TPos, res.QPos = rowMax, i, lo+k
 		}
 		res.Cells += hi - lo + 1
-		vPrev, vCur = vCur, vPrev
-		dPrev, dCur = dCur, dPrev
+		prev, cur = cur, prev
 	}
 	return res
 }
 
+// bswRow computes one row's in-band cells: cur is this row's window, up
+// the previous row's cells above it and q the query codes under it, all
+// cut to one length so the loop runs without bounds checks. vDiag enters
+// as V diagonally above the first cell and thereafter is the previous
+// cell's up.v; the cell left of the window reads as empty (V=0, no open
+// gap). It returns the row's maximum V, folded with the builtin max so
+// no cell branches on it.
+func bswRow(cur, up []cell, vDiag int32, q []uint8, sub *[8]int32, gapOpen, gapExt int32) int32 {
+	up, q = up[:len(cur)], q[:len(cur)]
+	var vLeft, rowMax int32
+	iRow := negInf
+	for k := range cur {
+		u := up[k]
+		iRow = max(vLeft-gapOpen, iRow-gapExt)
+		d := max(u.v-gapOpen, u.d-gapExt)
+		v := max(vDiag+sub[q[k]&7], d, iRow, 0)
+		cur[k] = cell{v, d}
+		vDiag, vLeft = u.v, v
+		rowMax = max(rowMax, v)
+	}
+	return rowMax
+}
+
 // FilterTile carves the gapped-filter tile around a seed hit at
-// (tPos, qPos) in (target, query): tileSize bases with the hit at the
-// center (clipped at sequence boundaries), then runs banded SW. The
+// (tPos, qPos) in (target, query): tileSize bases from each sequence
+// starting tileSize/2 before the hit, so the hit sits at the center, and
+// clipped at the sequence boundaries; then it runs banded SW. The
 // returned result's TPos/QPos are translated to absolute sequence
 // coordinates.
 func (b *BandedAligner) FilterTile(target, query []byte, tPos, qPos, tileSize int) FilterResult {
-	half := tileSize / 2
-	t0 := max(0, tPos-half)
-	t1 := min(len(target), tPos+half)
-	q0 := max(0, qPos-half)
-	q1 := min(len(query), qPos+half)
+	t0, q0 := tPos-tileSize/2, qPos-tileSize/2
+	t1, q1 := min(len(target), t0+tileSize), min(len(query), q0+tileSize)
+	t0, q0 = max(0, t0), max(0, q0)
 	res := b.Align(target[t0:t1], query[q0:q1])
 	res.TPos += t0
 	res.QPos += q0

@@ -92,9 +92,10 @@ func addOracleSeeds(f *testing.F) {
 
 // maskedSmithWaterman is affine-gap local alignment over the whole
 // (n+1)x(m+1) matrix in which every cell outside |i-j| <= band — and the
-// zeroth row and column — reads V=0, D=I=-inf. It returns the maximum V
-// and the first cell, in row-major order, that attains it.
-func maskedSmithWaterman(sc *Scoring, target, query []byte, band int) (best int64, bi, bj int) {
+// zeroth row and column — reads V=0, D=I=-inf. It returns the maximum V,
+// the first cell, in row-major order, that attains it, and the number of
+// in-band cells (1 <= i <= n, 1 <= j <= m, |i-j| <= band).
+func maskedSmithWaterman(sc *Scoring, target, query []byte, band int) (best int64, bi, bj, cells int) {
 	n, m := len(target), len(query)
 	open, ext := int64(sc.GapOpen), int64(sc.GapExtend)
 	V := make([][]int64, n+1)
@@ -107,6 +108,7 @@ func maskedSmithWaterman(sc *Scoring, target, query []byte, band int) (best int6
 				D[i][j], I[i][j] = oracleNegInf, oracleNegInf
 				continue
 			}
+			cells++
 			D[i][j] = oracleMax(V[i-1][j]-open, D[i-1][j]-ext)
 			I[i][j] = oracleMax(V[i][j-1]-open, I[i][j-1]-ext)
 			sub := int64(sc.Score(target[i-1], query[j-1]))
@@ -116,12 +118,12 @@ func maskedSmithWaterman(sc *Scoring, target, query []byte, band int) (best int6
 			}
 		}
 	}
-	return best, bi, bj
+	return best, bi, bj, cells
 }
 
 // FuzzBandedVsMaskedSW: inside its band the BSW filter kernel is exactly
 // Smith-Waterman — same Vmax, same first-maximum position — not merely
-// bounded by it.
+// bounded by it, and it computes exactly the in-band cells.
 func FuzzBandedVsMaskedSW(f *testing.F) {
 	addOracleSeeds(f)
 	sc := DefaultScoring()
@@ -129,12 +131,47 @@ func FuzzBandedVsMaskedSW(f *testing.F) {
 		target, query := fuzzBases(rawT), fuzzBases(rawQ)
 		band := 1 + int(rawBand)%40
 		got := NewBandedAligner(sc, band).Align(target, query)
-		score, ti, qi := maskedSmithWaterman(sc, target, query, band)
-		if int64(got.Score) != score || got.TPos != ti || got.QPos != qi {
-			t.Fatalf("band %d target %s query %s:\nbanded kernel %d at (%d,%d)\nmasked SW     %d at (%d,%d)",
-				band, target, query, got.Score, got.TPos, got.QPos, score, ti, qi)
+		score, ti, qi, cells := maskedSmithWaterman(sc, target, query, band)
+		if int64(got.Score) != score || got.TPos != ti || got.QPos != qi || got.Cells != cells {
+			t.Fatalf("band %d target %s query %s:\nbanded kernel %d at (%d,%d), %d cells\nmasked SW     %d at (%d,%d), %d cells",
+				band, target, query, got.Score, got.TPos, got.QPos, got.Cells, score, ti, qi, cells)
 		}
 	})
+}
+
+// TestFilterTileVsMaskedSW holds FilterTile at the production shape —
+// 320-base tiles, band 32, which the fuzzer's 96-base cap never reaches
+// — to the oracle on seeded homologous and noise pairs with N runs,
+// including tiles clipped at either sequence end (so n != m).
+func TestFilterTileVsMaskedSW(t *testing.T) {
+	const tile, band = 320, 32
+	sc := DefaultScoring()
+	ba := NewBandedAligner(sc, band)
+	rng := rand.New(rand.NewSource(59))
+	for pair := 0; pair < 6; pair++ {
+		target := randSeq(rng, 900)
+		query := randSeq(rng, 900)
+		if pair%2 == 0 {
+			query = mutate(rng, target, 0.15, 0.04)
+		}
+		for _, seq := range [][]byte{target, query} {
+			at := rng.Intn(len(seq) - 40)
+			copy(seq[at:], bytes.Repeat([]byte("N"), 5+rng.Intn(30)))
+			sprinkle(rng, seq)
+		}
+		end := min(len(target), len(query))
+		for _, hit := range [][2]int{{450, 450}, {30, 90}, {120, 10}, {end - 20, end - 100}, {end - 140, end - 5}} {
+			tPos, qPos := hit[0], hit[1]
+			got := ba.FilterTile(target, query, tPos, qPos, tile)
+			t0, q0 := max(0, tPos-tile/2), max(0, qPos-tile/2)
+			t1, q1 := min(len(target), tPos-tile/2+tile), min(len(query), qPos-tile/2+tile)
+			score, ti, qi, cells := maskedSmithWaterman(sc, target[t0:t1], query[q0:q1], band)
+			if int64(got.Score) != score || got.TPos != t0+ti || got.QPos != q0+qi || got.Cells != cells {
+				t.Fatalf("pair %d hit (%d,%d), tile %dx%d: FilterTile %d at (%d,%d), %d cells; masked SW %d at (%d,%d), %d cells",
+					pair, tPos, qPos, t1-t0, q1-q0, got.Score, got.TPos, got.QPos, got.Cells, score, t0+ti, q0+qi, cells)
+			}
+		}
+	}
 }
 
 // prefixMax is global-from-origin affine alignment over the whole matrix

@@ -727,8 +727,9 @@ func heapInUse() int64 {
 // live heap beyond the resident index, from its own configuration. Fixed:
 // the extender's X-drop aligner (a traceback arena of up to (TileSize+1)²
 // bytes, twice because growing it holds both copies, and four int32 DP
-// rows), a banded aligner's four rows per filter worker, and the span
-// buffer at its cap (~620 B an event with its args, measured). Per base:
+// rows), a banded aligner's two rows of (V, D) pairs per filter worker
+// (16 B per column), and the span buffer at its cap (~620 B an event
+// with its args, measured). Per base:
 // the query text, its concatenation and reverse complement, the spooled
 // MAF and a 16-byte candidate anchor held twice while the slice grows
 // (7-29 B/base measured between 59 and 444 kbp).
