@@ -72,6 +72,10 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # no []int32 DP rows (the rows are (V, D) cells), and no second Align body
 # survives: BandedAligner has its two methods (Align, FilterTile) and no
 # non-test function of internal/align is an old, seed or fallback copy.
+# And for the seed index: Index is declared once in internal/seed (one
+# rank-addressed layout, no dense fallback beside it), and no non-test
+# file there allocates a table of TableSize()+1 entries (the deleted
+# dense bucket-start table).
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -141,6 +145,10 @@ check-once:
 		grep -nE '\[\]int32|\b(vPrev|dPrev|vCur|dCur)\b' internal/align/banded.go || \
 		grep -nE '^func (\([^)]*\) )?(\w*(Old|Seed|Legacy|Slow|Fallback)|(old|seed|legacy|slow|fallback)[A-Z])\w*\(' $$src; then \
 		echo "check-once: want one BSW kernel (BandedAligner declared in $$n files with $$m methods, want 1 and 2: Align, FilterTile) on (V, D) cell rows, no []int32 rows, no second Align body"; exit 1; fi
+	@src=$$(ls internal/seed/*.go | grep -v _test.go); \
+	n=$$(cat $$src | grep -c '^type Index struct'); \
+	if [ "$$n" -ne 1 ] || grep -nE 'make\([^)]*(\bsize|TableSize\(\)) *\+ *1\b' $$src; then \
+		echo "check-once: want one seed index layout (type Index struct declared $$n times, want 1) and no 4^Weight+1-entry table"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -285,11 +293,14 @@ test-shard:
 	$(call named-test,-timeout 20m -run 'TestShardDispatchFailoverE2E|TestShardPartialResultE2E' ./cmd/darwin-wga/)
 
 # Kernel benchmarks at their own layer: DP cells/s of the BSW filter tile
-# (320x320, band 32; noise and homologous) and the GACT-X tile, fixed
+# (320x320, band 32; noise and homologous) and the GACT-X tile, and the
+# seed index's build (bp/s) and lookup (ns/lookup, through TransitionKeys
+# as D-SOFT does) on random 55 kbp, 1.8 Mbp and 16 Mbp targets; fixed
 # seeds, five runs each. Compare revisions by building each side with
 # `go test -c` and alternating the binaries on one box.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BandedTile|XDropTile' -count 5 ./internal/align
+	$(GO) test -run '^$$' -bench 'IndexBuild|IndexLookup' -count 5 ./internal/seed
 
 # Benchmark self-tests: bench/ is a module of its own (it imports
 # internal/... through a replace directive), so `go test ./...` never

@@ -19,12 +19,16 @@ import (
 
 	"darwinwga"
 	"darwinwga/internal/evolve"
+	"darwinwga/internal/seed"
 )
 
-// e2eSeedPattern is a 9-of-13 spaced seed: dense enough to stay fast on
-// the tiny e2e assemblies, sparse enough that each serialized index is
-// only ~1 MiB — so a 1 MiB -index-budget-mb forces real LRU eviction.
-const e2eSeedPattern = "1101101011011"
+// e2eSeedPattern is the default 12-of-19 seed. An index is sized by the
+// keys its target holds plus a 2 MiB presence bitmap at weight 12, so
+// each fixture's index is over 1 MiB — and a 1 MiB -index-budget-mb
+// forces real LRU eviction (the test checks the sizes before relying on
+// it). A 9-of-13 seed's indexes weigh a few hundred KB on these
+// fixtures, and the budget would evict nothing.
+const e2eSeedPattern = seed.DefaultPattern
 
 // scrapeCounter fetches /metrics and returns series's value (0 when the
 // series is absent).
@@ -207,6 +211,12 @@ func TestIndexLifecycleE2E(t *testing.T) {
 			if len(tgt.Fingerprint) != 16 || tgt.IndexMemoryBytes <= 0 || !tgt.SerializedIndex {
 				t.Fatalf("target %s: fingerprint %q, indexMemoryBytes %d, serialized_index %v",
 					tgt.Name, tgt.Fingerprint, tgt.IndexMemoryBytes, tgt.SerializedIndex)
+			}
+			// Phase 4 relies on the 1 MiB budget being smaller than
+			// either index.
+			if tgt.IndexMemoryBytes <= 1<<20 {
+				t.Fatalf("target %s: indexMemoryBytes %d, want > 1 MiB for the budget to force eviction",
+					tgt.Name, tgt.IndexMemoryBytes)
 			}
 		}
 	}

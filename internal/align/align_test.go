@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -561,6 +562,28 @@ func TestXDropAlignAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(5, func() { xa.Align(target, query) }); n != 0 {
 			t.Errorf("Y %d: warm Align allocates %.0f times per call, want 0", y, n)
 		}
+	}
+}
+
+// TestXDropArenaGrowthBounded: a cold aligner's traceback arena grows by
+// at least doubling, so the bytes one cold 1920-base tile allocates stay
+// within 2.5× the arena it ends with (growth in +25 % steps from one row
+// allocated about five times the final arena).
+func TestXDropArenaGrowthBounded(t *testing.T) {
+	targets, queries := benchTiles(19, 1, 1920, true)
+	xa := NewXDropAligner(DefaultScoring(), 9430)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := xa.Align(targets[0], queries[0])
+	runtime.ReadMemStats(&after)
+	if res.Score <= 0 {
+		t.Fatalf("tile found nothing: %+v", res)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	arena := uint64(len(xa.tb))
+	if allocated > arena*5/2 {
+		t.Errorf("cold tile allocated %d bytes for a %d-byte arena (%.2f×), want <= 2.5×",
+			allocated, arena, float64(allocated)/float64(arena))
 	}
 }
 

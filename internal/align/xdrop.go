@@ -275,12 +275,14 @@ func xdropSegment(vc, dc, vDiag, vUp, dUp []int32, q, dirs []byte, sub *[8]int32
 }
 
 // growArena returns the traceback arena reallocated to hold need bytes —
-// the most the row about to be computed can take — plus a quarter, but
-// never more than limit, the whole tile; the first used bytes are kept.
-// The arena never shrinks, so after its largest tile an aligner stops
-// allocating.
+// the most the row about to be computed can take — plus a quarter, and
+// at least double its current size, but never more than limit, the whole
+// tile; the first used bytes are kept. Doubling keeps what a cold tile
+// allocates near twice its final arena (growth by a quarter allocated
+// about five times it). The arena never shrinks, so after its largest
+// tile an aligner stops allocating.
 func (x *XDropAligner) growArena(used, need, limit int) []byte {
-	grown := make([]byte, min(need+need/4, limit))
+	grown := make([]byte, min(max(need+need/4, 2*len(x.tb)), limit))
 	copy(grown, x.tb[:used])
 	x.tb = grown
 	return grown

@@ -232,3 +232,33 @@ func TestCollectAppendsToDst(t *testing.T) {
 		t.Error("Collect did not append to dst")
 	}
 }
+
+// TestCollectWarmAllocFree: a warm Collect into a pre-sized dst allocates
+// nothing, even over a query whose N runs leave windows without a key —
+// the key buffer must survive those windows, not be dropped and regrown.
+func TestCollectWarmAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	target := randSeq(rng, 5000)
+	query := append([]byte{}, target[1000:3000]...)
+	for _, at := range []int{100, 400, 401, 900, 1500} {
+		for i := at; i < at+25; i++ {
+			query[i] = 'N'
+		}
+	}
+	s, err := NewSeeder(buildIndex(t, target), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := NewScratch()
+	var st Stats
+	dst := s.Collect(query, 0, len(query), nil, &st, scratch)
+	if len(dst) == 0 {
+		t.Fatal("warm-up found no anchors")
+	}
+	dst = make([]Anchor, 0, 2*len(dst))
+	if n := testing.AllocsPerRun(5, func() {
+		dst = s.Collect(query, 0, len(query), dst[:0], &st, scratch)
+	}); n != 0 {
+		t.Errorf("warm Collect allocates %.0f times per call, want 0", n)
+	}
+}

@@ -2,6 +2,8 @@ package indexstore
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -17,6 +19,13 @@ func FuzzIndexLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	for _, name := range []string{"golden.dwx", "golden_v1.dwx"} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fixture)
+	}
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("DWGAIDX\x01"))
 	f.Add([]byte{})

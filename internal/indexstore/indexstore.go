@@ -10,15 +10,19 @@
 //	offset 0: magic "DWGAIDX\x01" (8 bytes; the trailing byte doubles
 //	          as the container version and changes only if the framing
 //	          itself changes)
-//	then three sections, each framed exactly like a checkpoint WAL
-//	record:
+//	then four sections, in this order, each framed exactly like a
+//	checkpoint WAL record:
 //
 //	  u32 payload length | u8 kind | u32 CRC32-C over (kind ++ payload) | payload
 //
 //	  kind 1: header JSON (Header below) — format version, seed shape,
 //	          frequency mask, target length and content fingerprint,
 //	          table geometry
-//	  kind 2: bucket-start table, raw u32s
+//	  kind 4: key presence bitmap, raw u64s (one bit per seed key,
+//	          padded to whole 64-byte lines; the rank samples are
+//	          derived on load)
+//	  kind 2: bucket-start table, raw u32s (one entry per present key,
+//	          plus one)
 //	  kind 3: position table, raw u32s
 //
 // Readers validate magic, format version, per-section CRCs, section
@@ -35,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 
 	"darwinwga/internal/checkpoint"
@@ -44,7 +49,7 @@ import (
 // FormatVersion is the serialization format version. Bump it on any
 // incompatible change to Header or section encoding; loaders reject
 // other versions with ErrVersion.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic identifies an index file. The final byte is the container
 // version: it guards the framing, while FormatVersion (inside the
@@ -56,6 +61,7 @@ const (
 	kindHeader    = 1
 	kindStarts    = 2
 	kindPositions = 3
+	kindPresent   = 4
 )
 
 // Typed load failures. Callers match with errors.Is.
@@ -85,8 +91,9 @@ type Header struct {
 	// concatenated target bases — the same fingerprint the server
 	// registry and cluster layer key on.
 	TargetFingerprint string `json:"target_fingerprint"`
-	Buckets           int    `json:"buckets"`
-	Positions         int    `json:"positions"`
+	// Buckets is the number of present (non-empty) seed keys.
+	Buckets   int `json:"buckets"`
+	Positions int `json:"positions"`
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -107,8 +114,8 @@ func Encode(ix *seed.Index, targetFP string) ([]byte, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("indexstore: nil index")
 	}
-	starts, positions := ix.RawParts()
-	hdr := Header{
+	present, starts, positions := ix.RawParts()
+	return encodeParts(Header{
 		FormatVersion:     FormatVersion,
 		SeedPattern:       ix.Shape().Pattern,
 		MaxFreq:           ix.MaxFreq(),
@@ -116,16 +123,21 @@ func Encode(ix *seed.Index, targetFP string) ([]byte, error) {
 		TargetFingerprint: targetFP,
 		Buckets:           len(starts) - 1,
 		Positions:         len(positions),
-	}
+	}, present, starts, positions)
+}
+
+// encodeParts frames hdr and the three tables.
+func encodeParts(hdr Header, present []uint64, starts, positions []uint32) ([]byte, error) {
 	hdrJSON, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, err
 	}
-	size := len(magic) +
-		frameSize(len(hdrJSON)) + frameSize(4*len(starts)) + frameSize(4*len(positions))
+	size := len(magic) + frameSize(len(hdrJSON)) + frameSize(8*len(present)) +
+		frameSize(4*len(starts)) + frameSize(4*len(positions))
 	out := make([]byte, 0, size)
 	out = append(out, magic...)
 	out = appendFrame(out, kindHeader, hdrJSON)
+	out = appendFrame(out, kindPresent, u64Bytes(present))
 	out = appendFrame(out, kindStarts, u32Bytes(starts))
 	out = appendFrame(out, kindPositions, u32Bytes(positions))
 	return out, nil
@@ -148,63 +160,66 @@ func Decode(data []byte) (*seed.Index, *Header, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
 		return nil, nil, ErrBadMagic
 	}
-	rest := data[len(magic):]
-
-	kind, payload, rest, err := readFrame(rest)
+	hdr, rest, err := readHeaderFrame(data[len(magic):])
 	if err != nil {
 		return nil, nil, err
 	}
-	if kind != kindHeader {
-		return nil, nil, fmt.Errorf("%w: first section has kind %d, want header", ErrCorrupt, kind)
-	}
-	var hdr Header
-	if err := json.Unmarshal(payload, &hdr); err != nil {
-		return nil, nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
-	}
 	if hdr.FormatVersion != FormatVersion {
-		return nil, &hdr, fmt.Errorf("%w: file has version %d, this build reads %d",
+		return nil, hdr, fmt.Errorf("%w: file has version %d, this build reads %d",
 			ErrVersion, hdr.FormatVersion, FormatVersion)
 	}
 	shape, err := seed.ParseShape(hdr.SeedPattern)
 	if err != nil {
-		return nil, &hdr, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, hdr, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+
+	kind, payload, rest, err := readFrame(rest)
+	if err != nil {
+		return nil, hdr, err
+	}
+	if kind != kindPresent {
+		return nil, hdr, fmt.Errorf("%w: second section has kind %d, want presence bitmap", ErrCorrupt, kind)
+	}
+	if len(payload)%8 != 0 {
+		return nil, hdr, fmt.Errorf("%w: presence bitmap is %d bytes, not whole words", ErrCorrupt, len(payload))
+	}
+	present := bytesU64(payload)
 
 	kind, payload, rest, err = readFrame(rest)
 	if err != nil {
-		return nil, &hdr, err
+		return nil, hdr, err
 	}
 	if kind != kindStarts {
-		return nil, &hdr, fmt.Errorf("%w: second section has kind %d, want starts", ErrCorrupt, kind)
+		return nil, hdr, fmt.Errorf("%w: third section has kind %d, want starts", ErrCorrupt, kind)
 	}
 	if len(payload) != 4*(hdr.Buckets+1) {
-		return nil, &hdr, fmt.Errorf("%w: starts section is %d bytes, header says %d buckets",
+		return nil, hdr, fmt.Errorf("%w: starts section is %d bytes, header says %d buckets",
 			ErrCorrupt, len(payload), hdr.Buckets)
 	}
 	starts := bytesU32(payload)
 
 	kind, payload, rest, err = readFrame(rest)
 	if err != nil {
-		return nil, &hdr, err
+		return nil, hdr, err
 	}
 	if kind != kindPositions {
-		return nil, &hdr, fmt.Errorf("%w: third section has kind %d, want positions", ErrCorrupt, kind)
+		return nil, hdr, fmt.Errorf("%w: fourth section has kind %d, want positions", ErrCorrupt, kind)
 	}
 	if len(payload) != 4*hdr.Positions {
-		return nil, &hdr, fmt.Errorf("%w: positions section is %d bytes, header says %d positions",
+		return nil, hdr, fmt.Errorf("%w: positions section is %d bytes, header says %d positions",
 			ErrCorrupt, len(payload), hdr.Positions)
 	}
 	positions := bytesU32(payload)
 	if len(rest) != 0 {
-		return nil, &hdr, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(rest))
+		return nil, hdr, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(rest))
 	}
 
-	ix, err := seed.IndexFromParts(shape, hdr.TargetLen, starts, positions,
+	ix, err := seed.IndexFromParts(shape, hdr.TargetLen, present, starts, positions,
 		seed.IndexOptions{MaxFreq: hdr.MaxFreq})
 	if err != nil {
-		return nil, &hdr, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, hdr, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return ix, &hdr, nil
+	return ix, hdr, nil
 }
 
 // Load reads and validates an index file.
@@ -216,29 +231,54 @@ func Load(path string) (*seed.Index, *Header, error) {
 	return Decode(data)
 }
 
-// ReadHeader reads only the framed header of an index file — enough for
-// inspect/verify tooling and for the registry to decide whether the
-// file matches before paying for the table load.
+// maxHeaderBytes caps the header length ReadHeader accepts: a real
+// header is a few hundred bytes of JSON, and a larger claim is damage.
+const maxHeaderBytes = 64 << 10
+
+// ReadHeader reads only the magic and the framed header of an index file
+// — enough for inspect/verify tooling and for the registry to decide
+// whether the file matches before paying for the table load. A header
+// frame claiming more than maxHeaderBytes fails with ErrCorrupt before
+// anything is allocated for it.
 func ReadHeader(path string) (*Header, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
+	defer f.Close() //nolint:errcheck // read-only
+	buf := make([]byte, len(magic)+9)
+	if _, err := io.ReadFull(f, buf[:len(magic)]); err != nil || string(buf[:len(magic)]) != string(magic) {
 		return nil, ErrBadMagic
 	}
-	kind, payload, _, err := readFrame(data[len(magic):])
+	if _, err := io.ReadFull(f, buf[len(magic):]); err != nil {
+		return nil, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
+	}
+	n := binary.LittleEndian.Uint32(buf[len(magic):])
+	if n > maxHeaderBytes {
+		return nil, fmt.Errorf("%w: header frame claims %d bytes, limit %d", ErrCorrupt, n, maxHeaderBytes)
+	}
+	frame := append(buf[len(magic):], make([]byte, n)...)
+	if _, err := io.ReadFull(f, frame[9:]); err != nil {
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	}
+	hdr, _, err := readHeaderFrame(frame)
+	return hdr, err
+}
+
+// readHeaderFrame parses the header frame off the front of data.
+func readHeaderFrame(data []byte) (*Header, []byte, error) {
+	kind, payload, rest, err := readFrame(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if kind != kindHeader {
-		return nil, fmt.Errorf("%w: first section has kind %d, want header", ErrCorrupt, kind)
+		return nil, nil, fmt.Errorf("%w: first section has kind %d, want header", ErrCorrupt, kind)
 	}
 	var hdr Header
 	if err := json.Unmarshal(payload, &hdr); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
-	return &hdr, nil
+	return &hdr, rest, nil
 }
 
 // LoadForTarget loads an index file and additionally requires it to
@@ -304,6 +344,25 @@ func u32Bytes(v []uint32) []byte {
 	out := make([]byte, 4*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(out[4*i:], x)
+	}
+	return out
+}
+
+// u64Bytes renders a u64 slice as little-endian bytes.
+func u64Bytes(v []uint64) []byte {
+	out := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(out[8*i:], x)
+	}
+	return out
+}
+
+// bytesU64 parses little-endian bytes back into u64s. len(b) must be a
+// multiple of 8.
+func bytesU64(b []byte) []uint64 {
+	out := make([]uint64, len(b)/8)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
 }

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"darwinwga/internal/seed"
@@ -62,9 +64,7 @@ func TestRoundTrip(t *testing.T) {
 		hdr.MaxFreq != 8 || hdr.TargetFingerprint != fp || hdr.TargetLen != ix.TargetLen() {
 		t.Fatalf("header mismatch: %+v", hdr)
 	}
-	ws, wp := ix.RawParts()
-	gs, gp := got.RawParts()
-	if !reflect.DeepEqual(ws, gs) || !reflect.DeepEqual(wp, gp) {
+	if !sameTables(ix, got) {
 		t.Fatal("decoded tables differ from originals")
 	}
 	if got.MaxFreq() != ix.MaxFreq() || got.TargetLen() != ix.TargetLen() ||
@@ -202,8 +202,9 @@ func TestWrongFingerprintAndConfig(t *testing.T) {
 	}
 }
 
-// TestGeometryLies corrupts header geometry fields with valid CRCs; the
-// cross-checks against section sizes must reject them.
+// TestGeometryLies corrupts header geometry fields and the tables
+// themselves with valid CRCs; the cross-checks against section sizes and
+// the table invariants seed.IndexFromParts enforces must reject each one.
 func TestGeometryLies(t *testing.T) {
 	ix, _, fp := buildTestIndex(t)
 	data, err := Encode(ix, fp)
@@ -224,6 +225,73 @@ func TestGeometryLies(t *testing.T) {
 		mutate(&hdr)
 		if _, _, err := Decode(reframe(t, data, hdr)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s lie: error %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// Table lies: each mutation keeps the framing and the header's
+	// section sizes consistent, so only IndexFromParts can catch it.
+	type parts struct {
+		hdr               Header
+		present           []uint64
+		starts, positions []uint32
+	}
+	partsOf := func(ix *seed.Index, hdr Header) parts {
+		p, s, pos := ix.RawParts()
+		hdr.Buckets, hdr.Positions = len(s)-1, len(pos)
+		return parts{hdr, slices.Clone(p), slices.Clone(s), slices.Clone(pos)}
+	}
+	// A weight-3 shape has 64 keys in a bitmap padded to a whole line,
+	// so a bit beyond the table can be set.
+	smallShape, err := seed.ParseShape("1101")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := seed.BuildIndex(goldenTarget(), smallShape, seed.IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallHdr := *base
+	smallHdr.SeedPattern, smallHdr.MaxFreq = "1101", 0
+	for _, tc := range []struct {
+		name, want string
+		lie        func() parts
+	}{
+		{"bit-beyond-table", "beyond table size", func() parts {
+			p := partsOf(small, smallHdr)
+			p.present[3] |= 1
+			return p
+		}},
+		{"popcount", "presence bitmap holds", func() parts {
+			p := partsOf(ix, *base)
+			w := slices.IndexFunc(p.present, func(w uint64) bool { return w != 0 })
+			p.present[w] &= p.present[w] - 1 // clear the lowest set bit
+			return p
+		}},
+		{"empty-bucket", "does not increase", func() parts {
+			p := partsOf(ix, *base)
+			p.starts[2] = p.starts[1]
+			return p
+		}},
+		{"last-start", "positions given", func() parts {
+			p := partsOf(ix, *base)
+			p.positions = p.positions[:len(p.positions)-1]
+			p.hdr.Positions--
+			return p
+		}},
+		{"position-past-target", "beyond target length", func() parts {
+			p := partsOf(ix, *base)
+			p.positions[0] = uint32(p.hdr.TargetLen)
+			return p
+		}},
+	} {
+		p := tc.lie()
+		enc, err := encodeParts(p.hdr, p.present, p.starts, p.positions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Decode(enc)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s lie: error %v, want ErrCorrupt mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -255,11 +323,70 @@ func TestGoldenFixture(t *testing.T) {
 	if hdr.TargetFingerprint != fp {
 		t.Fatalf("golden fingerprint %s, fixture target fingerprints to %s", hdr.TargetFingerprint, fp)
 	}
-	ws, wp := ix.RawParts()
-	gs, gp := got.RawParts()
-	if !reflect.DeepEqual(ws, gs) || !reflect.DeepEqual(wp, gp) {
+	if !sameTables(ix, got) {
 		t.Fatal("golden fixture tables differ from a fresh deterministic build")
 	}
+}
+
+// TestGoldenV1Rejected keeps the last version-1 fixture (dense
+// 4^Weight+1-entry starts table, no presence bitmap): it must fail with
+// ErrVersion, which the server registry turns into a rebuild.
+func TestGoldenV1Rejected(t *testing.T) {
+	path := filepath.Join("testdata", "golden_v1.dwx")
+	if _, _, err := Load(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 fixture: error %v, want ErrVersion", err)
+	}
+	hdr, err := ReadHeader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.FormatVersion != 1 {
+		t.Fatalf("v1 fixture header says version %d", hdr.FormatVersion)
+	}
+}
+
+// TestReadHeaderCapsHeaderLength: ReadHeader reads the magic and the
+// header frame only, and a frame claiming more than maxHeaderBytes is
+// corrupt before anything is allocated for it.
+func TestReadHeaderCapsHeaderLength(t *testing.T) {
+	dir := t.TempDir()
+	huge := append([]byte{}, magic...)
+	huge = binary.LittleEndian.AppendUint32(huge, maxHeaderBytes+1)
+	huge = append(huge, kindHeader, 0, 0, 0, 0)
+	path := filepath.Join(dir, "huge.dwx")
+	if err := os.WriteFile(path, huge, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHeader(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("header frame claiming %d bytes: error %v, want ErrCorrupt", maxHeaderBytes+1, err)
+	}
+
+	// A valid header followed by a torn table still inspects: the
+	// tables are not read.
+	ix, _, fp := buildTestIndex(t)
+	data, err := Encode(ix, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrEnd := len(magic) + frameSize(int(binary.LittleEndian.Uint32(data[len(magic):])))
+	path = filepath.Join(dir, "torn.dwx")
+	if err := os.WriteFile(path, data[:hdrEnd+3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := ReadHeader(path)
+	if err != nil {
+		t.Fatalf("ReadHeader on a file torn after its header: %v", err)
+	}
+	if hdr.TargetFingerprint != fp {
+		t.Fatalf("fingerprint %s, want %s", hdr.TargetFingerprint, fp)
+	}
+}
+
+// sameTables reports whether two indexes hold identical tables.
+func sameTables(a, b *seed.Index) bool {
+	ap, as, apos := a.RawParts()
+	bp, bs, bpos := b.RawParts()
+	return reflect.DeepEqual(ap, bp) && reflect.DeepEqual(as, bs) && reflect.DeepEqual(apos, bpos)
 }
 
 func TestFingerprintBasesFormat(t *testing.T) {
@@ -278,13 +405,6 @@ func ReadHeaderBytes(data []byte) (*Header, error) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, ErrBadMagic
 	}
-	_, payload, _, err := readFrame(data[len(magic):])
-	if err != nil {
-		return nil, err
-	}
-	var hdr Header
-	if err := json.Unmarshal(payload, &hdr); err != nil {
-		return nil, err
-	}
-	return &hdr, nil
+	hdr, _, err := readHeaderFrame(data[len(magic):])
+	return hdr, err
 }

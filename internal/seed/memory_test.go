@@ -10,7 +10,7 @@ import (
 // must charge for backing-array capacity, not slice length, because
 // capacity is what the heap actually holds.
 func TestMemoryBytesCountsCapacity(t *testing.T) {
-	sh, err := ParseShape("10011") // weight 3 -> 65 starts entries
+	sh, err := ParseShape("10011") // weight 3 -> 64 keys, one padded line
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,16 +18,19 @@ func TestMemoryBytesCountsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starts := make([]uint32, size+1, 4*(size+1))
-	positions := make([]uint32, 0, 1024)
-	ix, err := IndexFromParts(sh, 100, starts, positions, IndexOptions{})
+	present := make([]uint64, presentWords(size), 4*presentWords(size))
+	present[0] = 1 << 5
+	starts := make([]uint32, 2, 64)
+	starts[1] = 3
+	positions := make([]uint32, 3, 1024)
+	ix, err := IndexFromParts(sh, 100, present, starts, positions, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 4*cap(starts) + 4*cap(positions)
+	want := 8*cap(present) + 4*cap(ix.ranks) + 4*cap(starts) + 4*cap(positions)
 	if got := ix.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want capacity-based %d (len-based would be %d)",
-			got, want, 4*len(starts)+4*len(positions))
+			got, want, 8*len(present)+4*len(ix.ranks)+4*len(starts)+4*len(positions))
 	}
 }
 
@@ -37,9 +40,11 @@ func TestMemoryBytesTracksHeapGrowth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a multi-MB index; not -short")
 	}
-	// Weight 10 -> 4^10+1 starts entries (~4MB) plus ~1M positions
-	// (~4MB): large enough that allocator slop and test-framework noise
-	// are small relative to the index itself.
+	// Weight 10 over 1M windows -> a 128 KiB bitmap, ~660K present keys'
+	// starts (~2.6MB) and ~1M positions (~4MB): large enough that
+	// allocator slop and test-framework noise are small relative to the
+	// index itself, and the build's transient key array (~4MB) is gone
+	// by the second measurement.
 	sh, err := ParseShape("1110110101111")
 	if err != nil {
 		t.Fatal(err)

@@ -75,11 +75,12 @@ func (sh *Shape) Key(seq []byte, pos int) (key genome.KmerKey, ok bool) {
 // TransitionKeys appends to buf the exact key plus, for each informative
 // position, the key with that base replaced by its transition partner
 // (A<->G, C<->T): Weight+1 keys total, matching the paper's "(m+1) times
-// more computation" accounting. Returns nil if the window has no key.
+// more computation" accounting. Returns buf unchanged if the window has
+// no key, so a caller reusing buf keeps its capacity across N runs.
 func (sh *Shape) TransitionKeys(seq []byte, pos int, buf []genome.KmerKey) []genome.KmerKey {
 	key, ok := sh.Key(seq, pos)
 	if !ok {
-		return nil
+		return buf
 	}
 	buf = append(buf, key)
 	for i := range sh.onePos {

@@ -177,33 +177,69 @@ func TestBuildIndexFindsAllOccurrences(t *testing.T) {
 	}
 }
 
+// TestIndexMatchesBruteForce compares every key's bucket against a map
+// built window by window: weights 1-3 (tables smaller than one bitmap
+// word or one line) and larger, targets with N runs, with and without
+// MaxFreq masking.
 func TestIndexMatchesBruteForce(t *testing.T) {
-	sh, _ := ParseShape("1101")
 	rng := rand.New(rand.NewSource(2))
-	seq := randSeq(rng, 2000)
-	ix, err := BuildIndex(seq, sh, IndexOptions{})
+	plain := randSeq(rng, 2000)
+	withN := randSeq(rng, 2000)
+	for _, run := range [][2]int{{0, 3}, {100, 40}, {700, 1}, {1990, 10}} {
+		for i := run[0]; i < run[0]+run[1]; i++ {
+			withN[i] = 'N'
+		}
+	}
+	for _, pattern := range []string{"1", "11", "101", "1101", "110101011", "1110100111"} {
+		sh, err := ParseShape(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range [][]byte{plain, withN} {
+			for _, maxFreq := range []int{0, 3, 40} {
+				checkIndexAgainstBruteForce(t, sh, seq, maxFreq)
+			}
+		}
+	}
+}
+
+func checkIndexAgainstBruteForce(t *testing.T, sh *Shape, seq []byte, maxFreq int) {
+	t.Helper()
+	ix, err := BuildIndex(seq, sh, IndexOptions{MaxFreq: maxFreq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Brute force: collect positions per key.
 	brute := make(map[genome.KmerKey][]uint32)
+	total := 0
 	for p := 0; p+sh.Span <= len(seq); p++ {
 		if k, ok := sh.Key(seq, p); ok {
 			brute[k] = append(brute[k], uint32(p))
+			total++
 		}
 	}
 	size, _ := sh.TableSize()
 	for k := 0; k < size; k++ {
 		got := ix.Positions(genome.KmerKey(k))
 		want := brute[genome.KmerKey(k)]
+		if maxFreq > 0 && len(want) > maxFreq {
+			want = nil
+		}
 		if len(got) != len(want) {
-			t.Fatalf("key %d: %d positions, want %d", k, len(got), len(want))
+			t.Fatalf("%s maxfreq %d key %d: %d positions, want %d", sh.Pattern, maxFreq, k, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("key %d: positions %v, want %v", k, got, want)
+				t.Fatalf("%s maxfreq %d key %d: positions %v, want %v", sh.Pattern, maxFreq, k, got, want)
 			}
 		}
+	}
+	present, starts, positions := ix.RawParts()
+	if len(starts) != len(brute)+1 || len(positions) != total {
+		t.Fatalf("%s: %d starts and %d positions, want %d and %d",
+			sh.Pattern, len(starts), len(positions), len(brute)+1, total)
+	}
+	if _, err := IndexFromParts(sh, len(seq), present, starts, positions, IndexOptions{MaxFreq: maxFreq}); err != nil {
+		t.Fatalf("%s: built parts rejected: %v", sh.Pattern, err)
 	}
 }
 
@@ -239,10 +275,12 @@ func TestIndexMaxFreqMasking(t *testing.T) {
 	if got := ix.Positions(key); got != nil {
 		t.Errorf("masked bucket returned %v", got)
 	}
-	// Masking hides the bucket from lookups; the table still holds it.
-	starts, positions := ix.RawParts()
-	if n := starts[key+1] - starts[key]; len(positions) != 9 || n != 9 {
-		t.Errorf("index holds %d positions, %d in the masked bucket, want 9 and 9", len(positions), n)
+	// Masking hides the bucket from lookups; the table still holds it:
+	// "AA" is the one present key, and its bucket has all nine positions.
+	present, starts, positions := ix.RawParts()
+	if present[0] != 1<<key || len(starts) != 2 || starts[1]-starts[0] != 9 || len(positions) != 9 {
+		t.Errorf("index holds bitmap %#x, starts %v, %d positions; want key %d alone with 9 positions",
+			present[0], starts, len(positions), key)
 	}
 }
 
@@ -258,7 +296,7 @@ func TestIndexSkipsN(t *testing.T) {
 	if len(pos) != 2 || pos[0] != 0 || pos[1] != 4 {
 		t.Errorf("positions = %v, want [0 4]", pos)
 	}
-	if _, positions := ix.RawParts(); len(positions) != 2 { // windows covering N contribute nothing
+	if _, _, positions := ix.RawParts(); len(positions) != 2 { // windows covering N contribute nothing
 		t.Errorf("total positions = %d, want 2", len(positions))
 	}
 }
@@ -271,9 +309,9 @@ func TestIndexStatsAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starts, positions := ix.RawParts()
-	if buckets := len(starts) - 1; buckets != 256 {
-		t.Errorf("buckets = %d, want 256", buckets)
+	present, starts, positions := ix.RawParts()
+	if len(present) != 8 { // 256 keys: four words, padded to one line
+		t.Errorf("bitmap = %d words, want 8", len(present))
 	}
 	if len(positions) != len(seq)-sh.Span+1 {
 		t.Errorf("total = %d, want %d", len(positions), len(seq)-sh.Span+1)
@@ -284,8 +322,9 @@ func TestIndexStatsAndMemory(t *testing.T) {
 			filled++
 		}
 	}
-	if filled == 0 {
-		t.Error("no bucket filled")
+	if filled == 0 || filled != len(starts)-1 {
+		t.Errorf("%d buckets filled, starts has %d entries; want one start per filled bucket plus one",
+			filled, len(starts))
 	}
 	if ix.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes <= 0")

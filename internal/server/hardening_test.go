@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +18,11 @@ import (
 
 // TestMemoryAdmission drives both watermark rejections without any
 // fault injection, purely by watermark arithmetic: the job footprint
-// estimate is megabytes and the live heap holds the target's 64 MiB
-// index, so a watermark of 1 byte forces the "job can never fit" 413
-// while a watermark between the two forces the "transient pressure" 429
-// (heap alone exceeds it, the job alone does not).
+// estimate is megabytes, so a watermark of 1 byte forces the "job can
+// never fit" 413, while a watermark between the estimate and a live heap
+// the test inflates with its own ballast forces the "transient pressure"
+// 429 (heap alone exceeds it, the job alone does not). The target's
+// index is a few MB, too small to lift the heap past the watermark.
 func TestMemoryAdmission(t *testing.T) {
 	pair := testPair(t, "dm6-droSim1", 0.0004)
 	body := map[string]any{
@@ -41,14 +43,24 @@ func TestMemoryAdmission(t *testing.T) {
 	})
 
 	t.Run("memory pressure 429 with constant Retry-After", func(t *testing.T) {
+		const highWater = 32 << 20
 		srv, ts := newTestServer(t, server.Config{
 			// Between the job's estimate (~12 MB) and the heap once the
-			// target's 64 MiB index is resident, and pinned there.
-			MemoryHighWater: 32 << 20,
+			// ballast below is live; the index is pinned resident.
+			MemoryHighWater: highWater,
 			IndexBudget:     -1,
 		}, nil)
 		if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
 			t.Fatalf("register: %v", err)
+		}
+		// Pointer-free, so the collector never scans it; live until the
+		// submission has been judged.
+		ballast := make([]byte, 2*highWater)
+		defer runtime.KeepAlive(ballast)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc <= highWater {
+			t.Fatalf("HeapAlloc %d with ballast, want > MemoryHighWater %d", ms.HeapAlloc, highWater)
 		}
 		resp, data := submitRaw(t, ts.URL, body)
 		if resp.StatusCode != http.StatusTooManyRequests {

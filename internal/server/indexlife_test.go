@@ -140,7 +140,8 @@ func TestIndexPinBlocksEviction(t *testing.T) {
 
 // TestIndexDirLoadsSerializedIndex pre-builds a .dwx file and verifies a
 // server pointed at the directory loads it instead of rebuilding — and
-// that a corrupted file degrades to a rebuild, not a failure.
+// that a corrupted or version-1 file degrades to a rebuild, not a
+// failure.
 func TestIndexDirLoadsSerializedIndex(t *testing.T) {
 	pair := testPair(t, "dm6-droSim1", 0.0004)
 	cfg := lifecycleConfig()
@@ -192,6 +193,25 @@ func TestIndexDirLoadsSerializedIndex(t *testing.T) {
 	}
 	if !tgt2.Resident() {
 		t.Fatalf("rebuild fallback left target non-resident")
+	}
+
+	// A version-1 file (the dense starts table this build no longer
+	// reads) fails with ErrVersion, and registration rebuilds.
+	v1, err := os.ReadFile(filepath.Join("..", "indexstore", "testdata", "golden_v1.dwx"))
+	if err != nil {
+		t.Fatalf("reading v1 fixture: %v", err)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatalf("installing v1 index file: %v", err)
+	}
+	srv3, _ := newTestServer(t, server.Config{Pipeline: cfg, IndexDir: dir}, nil)
+	tgt3, err := srv3.RegisterTarget(pair.Target.Name, pair.Target)
+	if err != nil {
+		t.Fatalf("registering with a v1 index file must rebuild, got: %v", err)
+	}
+	if tgt3.IndexFromFile() || !tgt3.Resident() {
+		t.Fatalf("v1 index file: IndexFromFile %v, Resident %v; want a resident rebuild",
+			tgt3.IndexFromFile(), tgt3.Resident())
 	}
 }
 

@@ -450,7 +450,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.jobs.store.close()
 	// Nor does anything need an index any more. Whatever still holds this
 	// server (an embedder, a handler mounted on someone else's listener)
-	// must not keep 64 MiB and up per target resident with it.
+	// must not keep every target's index (megabytes and up, growing
+	// with the target) resident with it.
 	s.reg.releaseIdle()
 	return drainErr
 }
