@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet check-once bench-kernels test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
+.PHONY: all build vet check-once kernel-diff bench-kernels test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
 
 all: build
 
@@ -76,6 +76,11 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # rank-addressed layout, no dense fallback beside it), and no non-test
 # file there allocates a table of TableSize()+1 entries (the deleted
 # dense bucket-start table).
+# And for kernel identity: one mechanism, TestKernelDigest in
+# internal/align/kernel_digest_test.go (the file kernel-diff copies),
+# checks the tile kernels against the golden file and any revision; the
+# frozen X-drop kernel (seedXDropAligner, xdrop_seed_test.go) stays
+# deleted.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -149,6 +154,9 @@ check-once:
 	n=$$(cat $$src | grep -c '^type Index struct'); \
 	if [ "$$n" -ne 1 ] || grep -nE 'make\([^)]*(\bsize|TableSize\(\)) *\+ *1\b' $$src; then \
 		echo "check-once: want one seed index layout (type Index struct declared $$n times, want 1) and no 4^Weight+1-entry table"; exit 1; fi
+	@if grep -rnE --include='*.go' 'seedXDropAligner' . || [ -e internal/align/xdrop_seed_test.go ] || \
+		! grep -qs '^func TestKernelDigest(' internal/align/kernel_digest_test.go; then \
+		echo "check-once: want one kernel-identity check (TestKernelDigest in internal/align/kernel_digest_test.go) and no frozen X-drop kernel"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -292,6 +300,15 @@ test-shard:
 	$(call named-test,-race -timeout 15m -run 'TestShard' ./internal/cluster/)
 	$(call named-test,-timeout 20m -run 'TestShardDispatchFailoverE2E|TestShardPartialResultE2E' ./cmd/darwin-wga/)
 
+# Kernel identity against any revision: TestKernelDigest's tile stream
+# (BSW, ungapped filter, GACT-X at five Ys) through REV's kernels and the
+# working tree's, batch digests compared; on a difference the first
+# differing tile is printed as a Go test case. REV defaults to HEAD, so
+# a clean tree must report identical (CI runs that, to keep the tool
+# working). Staged under .bench_build/kernel-diff/.
+kernel-diff:
+	bash scripts/kernel-diff.sh $(or $(REV),HEAD)
+
 # Kernel benchmarks at their own layer: DP cells/s of the BSW filter tile
 # (320x320, band 32; noise and homologous) and the GACT-X tile, and the
 # seed index's build (bp/s) and lookup (ns/lookup, through TransitionKeys
@@ -325,10 +342,11 @@ lint:
 # attack surfaces — FASTA queries (the spill the job store replays),
 # MAF streams (the recovered artifacts), WAL segments (arbitrary torn
 # tails must recover and stay appendable) and serialized indexes — and
-# ten per kernel differential (BSW vs masked Smith-Waterman; X-drop vs
+# ten per kernel oracle (BSW vs masked Smith-Waterman; X-drop vs
 # the prefix maximum, unbounded and with a drop threshold that prunes;
-# the X-drop kernel vs the frozen seed kernel in xdrop_seed_test.go).
-# Corpus misses fail the build; longer runs are
+# a reused X-drop aligner vs a fresh one at the production thresholds).
+# Kernel identity across revisions is TestKernelDigest and kernel-diff,
+# not a fuzzer. Corpus misses fail the build; longer runs are
 # `go test -fuzz=<name> -fuzztime=10m`.
 test-fuzz:
 	$(call named-test,-run '^$$' -fuzz FuzzReadFASTA -fuzztime 10s ./internal/genome/)
@@ -340,4 +358,4 @@ test-fuzz:
 	$(call named-test,-run '^$$' -fuzz FuzzXDropBoundedVsPrefixMax -fuzztime 10s ./internal/align/)
 	$(call named-test,-run '^$$' -fuzz FuzzXDropVsSeedKernel -fuzztime 10s ./internal/align/)
 
-ci: build vet check-once test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench
+ci: build vet check-once kernel-diff test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench

@@ -37,7 +37,12 @@ func TestClusterFailoverE2E(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	cfg, ok := evolve.StandardPair("dm6-droSim1", 0.0004)
+	// Sized so a job aligns for about three seconds: the phase-1 kill
+	// waits for the coordinator's first span drain, which comes a third
+	// of a lease (1 s) after dispatch, and the job must still be running
+	// then. At half this size a job took 1.1 s, and a faster run could
+	// finish before the kill and never fail over.
+	cfg, ok := evolve.StandardPair("dm6-droSim1", 0.0008)
 	if !ok {
 		t.Fatal("unknown pair dm6-droSim1")
 	}

@@ -6,35 +6,6 @@ import (
 	"testing"
 )
 
-func randSeq(rng *rand.Rand, n int) []byte {
-	const bases = "ACGT"
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = bases[rng.Intn(4)]
-	}
-	return out
-}
-
-// mutate produces a noisy copy of seq with the given substitution and
-// indel rates.
-func mutate(rng *rand.Rand, seq []byte, subRate, indelRate float64) []byte {
-	const bases = "ACGT"
-	out := make([]byte, 0, len(seq))
-	for _, b := range seq {
-		r := rng.Float64()
-		switch {
-		case r < indelRate/2: // deletion
-		case r < indelRate: // insertion
-			out = append(out, bases[rng.Intn(4)], b)
-		case r < indelRate+subRate:
-			out = append(out, bases[rng.Intn(4)])
-		default:
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 func TestDefaultScoring(t *testing.T) {
 	sc := DefaultScoring()
 	if err := sc.Validate(); err != nil {
@@ -391,45 +362,9 @@ func TestXDropExactMatch(t *testing.T) {
 	}
 }
 
-// bruteBestPrefix computes max over all (i,j) of the best global
-// alignment score of target[:i] vs query[:j] — the oracle for X-drop
-// with an unbounded drop threshold.
-func bruteBestPrefix(sc *Scoring, target, query []byte) int32 {
-	n, m := len(target), len(query)
-	v := make([][]int32, n+1)
-	d := make([][]int32, n+1)
-	for i := range v {
-		v[i] = make([]int32, m+1)
-		d[i] = make([]int32, m+1)
-	}
-	best := int32(0)
-	for i := 0; i <= n; i++ {
-		var iRow int32 = negInf
-		for j := 0; j <= m; j++ {
-			switch {
-			case i == 0 && j == 0:
-				v[0][0] = 0
-				d[0][0] = negInf
-			case i == 0:
-				v[0][j] = -sc.GapCost(j)
-				d[0][j] = negInf
-			case j == 0:
-				v[i][0] = -sc.GapCost(i)
-				d[i][0] = v[i][0]
-				iRow = negInf
-			default:
-				iRow = max(v[i][j-1]-sc.GapOpen, iRow-sc.GapExtend)
-				d[i][j] = max(v[i-1][j]-sc.GapOpen, d[i-1][j]-sc.GapExtend)
-				v[i][j] = max(v[i-1][j-1]+sc.Score(target[i-1], query[j-1]), d[i][j], iRow)
-			}
-			if v[i][j] > best {
-				best = v[i][j]
-			}
-		}
-	}
-	return best
-}
-
+// TestXDropMatchesBruteForceWithLargeY: with a threshold no tile
+// reaches, X-drop is the brute-force prefix maximum (prefixMax, the
+// fuzzers' int64 oracle).
 func TestXDropMatchesBruteForceWithLargeY(t *testing.T) {
 	sc := DefaultScoring()
 	rng := rand.New(rand.NewSource(23))
@@ -437,9 +372,9 @@ func TestXDropMatchesBruteForceWithLargeY(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		target := randSeq(rng, 30+rng.Intn(60))
 		query := mutate(rng, target, 0.15, 0.05)
-		want := bruteBestPrefix(sc, target, query)
+		want, _, _ := prefixMax(sc, target, query)
 		res := xa.Align(target, query)
-		if res.Score != want {
+		if int64(res.Score) != want {
 			t.Fatalf("trial %d: xdrop %d, brute force %d", trial, res.Score, want)
 		}
 	}

@@ -3,6 +3,7 @@ package align
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,10 +13,7 @@ import (
 // with banded.go or xdrop.go: a kernel rewrite must keep agreeing with
 // these, cell for cell. If one disagrees, the kernel is what is wrong.
 
-const (
-	oracleNegInf = int64(-1) << 40
-	oracleMaxLen = 96
-)
+const oracleNegInf = int64(-1) << 40
 
 func oracleMax(v int64, rest ...int64) int64 {
 	for _, r := range rest {
@@ -26,34 +24,17 @@ func oracleMax(v int64, rest ...int64) int64 {
 	return v
 }
 
-// sprinkle overwrites a few positions with what real input carries
-// beside ACGT: N, soft-masked lower case, and a byte outside the IUPAC
-// alphabet (which Scoring.Score reads as N).
-func sprinkle(rng *rand.Rand, seq []byte) {
-	for k := rng.Intn(4); k > 0 && len(seq) > 0; k-- {
-		i := rng.Intn(len(seq))
-		switch rng.Intn(3) {
-		case 0:
-			seq[i] = 'N'
-		case 1:
-			seq[i] |= 0x20
-		default:
-			seq[i] = '*'
-		}
-	}
-}
-
 // fuzzAlphabet is ACGTN plus what real input carries beside them, as
 // sprinkle adds it: soft-masked lower case and a byte outside the IUPAC
 // alphabet. The kernels fold a coded tile; the oracles score bytes with
 // Scoring.Score, so every fuzzer pins the one fold against the other.
 const fuzzAlphabet = "ACGTNacgtn*"
 
-// fuzzBases maps arbitrary fuzz bytes onto fuzzAlphabet, capped at
-// oracleMaxLen bases.
-func fuzzBases(raw []byte) []byte {
-	if len(raw) > oracleMaxLen {
-		raw = raw[:oracleMaxLen]
+// fuzzBases maps arbitrary fuzz bytes onto fuzzAlphabet, capped at n
+// bases.
+func fuzzBases(raw []byte, n int) []byte {
+	if len(raw) > n {
+		raw = raw[:n]
 	}
 	out := make([]byte, len(raw))
 	for i, b := range raw {
@@ -71,22 +52,12 @@ func fuzzRaw(seq []byte) []byte {
 	return out
 }
 
-// addOracleSeeds seeds a (target, query, knob) fuzz target with related
-// pairs — a noisy copy is what exercises gaps and the band edge — so a
-// plain `go test` already runs a few hundred differential cases.
+// addOracleSeeds seeds a (target, query, knob) fuzz target with
+// oracleCorpus, so a plain `go test` already runs a few hundred
+// differential cases.
 func addOracleSeeds(f *testing.F) {
-	f.Add([]byte{}, []byte{}, uint8(0))
-	f.Add(fuzzRaw([]byte("ACGTACGTNACGT")), fuzzRaw([]byte("ACGTCGTNAACGT")), uint8(3))
-	rng := rand.New(rand.NewSource(41))
-	for k := 0; k < 300; k++ {
-		target := randSeq(rng, rng.Intn(oracleMaxLen+1))
-		query := mutate(rng, target, 0.2*rng.Float64(), 0.15*rng.Float64())
-		if rng.Intn(4) == 0 {
-			query = randSeq(rng, rng.Intn(oracleMaxLen+1))
-		}
-		sprinkle(rng, target)
-		sprinkle(rng, query)
-		f.Add(fuzzRaw(target), fuzzRaw(query), uint8(rng.Intn(256)))
+	for _, p := range oracleCorpus() {
+		f.Add(fuzzRaw(p.target), fuzzRaw(p.query), p.knob)
 	}
 }
 
@@ -128,7 +99,7 @@ func FuzzBandedVsMaskedSW(f *testing.F) {
 	addOracleSeeds(f)
 	sc := DefaultScoring()
 	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, rawBand uint8) {
-		target, query := fuzzBases(rawT), fuzzBases(rawQ)
+		target, query := fuzzBases(rawT, oracleMaxLen), fuzzBases(rawQ, oracleMaxLen)
 		band := 1 + int(rawBand)%40
 		got := NewBandedAligner(sc, band).Align(target, query)
 		score, ti, qi, cells := maskedSmithWaterman(sc, target, query, band)
@@ -220,13 +191,7 @@ func prefixMax(sc *Scoring, target, query []byte) (best int64, bi, bj int) {
 func checkXDropVsPrefixMax(t *testing.T, sc *Scoring, target, query []byte, y int32) XDropResult {
 	t.Helper()
 	res := NewXDropAligner(sc, y).Align(target, query)
-	aln := Alignment{Score: res.Score, TEnd: res.TEnd, QEnd: res.QEnd, Ops: res.Ops}
-	if err := aln.CheckConsistency(len(target), len(query)); err != nil {
-		t.Fatalf("Y %d target %s query %s: %v", y, target, query, err)
-	}
-	if got := aln.Rescore(sc, target, query); got != res.Score {
-		t.Fatalf("Y %d target %s query %s: Rescore %d, Score %d (%s)", y, target, query, got, res.Score, aln.CIGAR())
-	}
+	checkXDropPath(t, sc, target, query, y, res)
 	want, wi, wj := prefixMax(sc, target, query)
 	if int64(res.Score) > want {
 		t.Fatalf("Y %d target %s query %s: xdrop score %d beats the prefix maximum %d", y, target, query, res.Score, want)
@@ -238,6 +203,19 @@ func checkXDropVsPrefixMax(t *testing.T, sc *Scoring, target, query []byte, y in
 	return res
 }
 
+// checkXDropPath fails unless res's transcript is a consistent path from
+// the origin to (TEnd, QEnd) that rescores to res.Score.
+func checkXDropPath(t *testing.T, sc *Scoring, target, query []byte, y int32, res XDropResult) {
+	t.Helper()
+	aln := Alignment{Score: res.Score, TEnd: res.TEnd, QEnd: res.QEnd, Ops: res.Ops}
+	if err := aln.CheckConsistency(len(target), len(query)); err != nil {
+		t.Fatalf("Y %d target %s query %s: %v", y, target, query, err)
+	}
+	if got := aln.Rescore(sc, target, query); got != res.Score {
+		t.Fatalf("Y %d target %s query %s: Rescore %d, Score %d (%s)", y, target, query, got, res.Score, aln.CIGAR())
+	}
+}
+
 // FuzzXDropUnboundedVsPrefixMax: with a drop threshold nothing can reach,
 // the X-drop kernel prunes nothing and is exact — it visits every cell,
 // its score is the global-from-origin prefix maximum at that maximum's
@@ -246,7 +224,7 @@ func FuzzXDropUnboundedVsPrefixMax(f *testing.F) {
 	addOracleSeeds(f)
 	sc := DefaultScoring()
 	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, _ uint8) {
-		target, query := fuzzBases(rawT), fuzzBases(rawQ)
+		target, query := fuzzBases(rawT, oracleMaxLen), fuzzBases(rawQ, oracleMaxLen)
 		res := checkXDropVsPrefixMax(t, sc, target, query, 1<<28)
 		if want := (len(target) + 1) * (len(query) + 1); res.Cells != want {
 			t.Fatalf("target %s query %s: %d cells, want the full matrix %d", target, query, res.Cells, want)
@@ -266,6 +244,121 @@ func FuzzXDropBoundedVsPrefixMax(f *testing.F) {
 	addOracleSeeds(f)
 	sc := DefaultScoring()
 	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, knob uint8) {
-		checkXDropVsPrefixMax(t, sc, fuzzBases(rawT), fuzzBases(rawQ), 50+8*int32(knob))
+		checkXDropVsPrefixMax(t, sc, fuzzBases(rawT, oracleMaxLen), fuzzBases(rawQ, oracleMaxLen), 50+8*int32(knob))
 	})
+}
+
+// FuzzXDropVsSeedKernel: at the production thresholds (digestYs) and up
+// to 512 bases — long enough, at Y down to 50, for rows to start and stop
+// many times — an X-drop aligner reused across inputs, as a worker reuses
+// one, returns what a fresh aligner returns: the whole result and every
+// row width, in both operand orders. The row widths sum to Cells, and
+// the transcript is a consistent path that rescores to Score. The
+// fuzzer once compared the kernel with a frozen copy of the seed
+// revision's kernel; TestKernelDigest holds the kernel to those outputs
+// now, and this keeps the checks that need no second kernel.
+func FuzzXDropVsSeedKernel(f *testing.F) {
+	addOracleSeeds(f)
+	sc := DefaultScoring()
+	reused := make([]*XDropAligner, len(digestYs))
+	for k, y := range digestYs {
+		reused[k] = NewXDropAligner(sc, y)
+	}
+	f.Fuzz(func(t *testing.T, rawT, rawQ []byte, ySel uint8) {
+		k := int(ySel) % len(digestYs)
+		y, xa := digestYs[k], reused[k]
+		target, query := fuzzBases(rawT, 512), fuzzBases(rawQ, 512)
+		for _, p := range [][2][]byte{{target, query}, {query, target}} {
+			fresh := NewXDropAligner(sc, y)
+			want, got := fresh.Align(p[0], p[1]), xa.Align(p[0], p[1])
+			wantW, gotW := fresh.LastRowWidths(nil), xa.LastRowWidths(nil)
+			if got.Score != want.Score || got.TEnd != want.TEnd || got.QEnd != want.QEnd || got.Cells != want.Cells ||
+				!slices.Equal(got.Ops, want.Ops) || !slices.Equal(gotW, wantW) {
+				a, b := Alignment{Ops: got.Ops}, Alignment{Ops: want.Ops}
+				t.Fatalf("Y %d target %s query %s:\nreused %d at (%d,%d) cells %d %s widths %v\nfresh  %d at (%d,%d) cells %d %s widths %v",
+					y, p[0], p[1], got.Score, got.TEnd, got.QEnd, got.Cells, a.CIGAR(), gotW,
+					want.Score, want.TEnd, want.QEnd, want.Cells, b.CIGAR(), wantW)
+			}
+			cells := 0
+			for _, w := range gotW {
+				cells += w
+			}
+			if cells != got.Cells {
+				t.Fatalf("Y %d target %s query %s: row widths %v sum to %d, Cells %d", y, p[0], p[1], gotW, cells, got.Cells)
+			}
+			checkXDropPath(t, sc, p[0], p[1], y, got)
+		}
+	})
+}
+
+// ungappedOracle is the rule UngappedExtender.Extend follows, computed
+// from whole prefix-sum arrays in int64. Each direction's X-drop scan
+// reads bases until the first prefix more than xdrop below the best
+// prefix so far, that one included. The segment ends at the first
+// strict maximum above 0 of the right prefixes read, or, if that is
+// fewer than seedLen bases, at the seed's end (or the sequence's, if
+// sooner); it starts at the best left prefix read, or at the hit if none
+// is positive.
+func ungappedOracle(sc *Scoring, target, query []byte, tPos, qPos, seedLen int, xdrop int64) (score int64, end, cells int) {
+	prefixes := func(n, dir int) []int64 {
+		p := make([]int64, n+1)
+		for k := 1; k <= n; k++ {
+			i := dir*k - (dir+1)/2 // rightward the base at tPos+k-1, leftward at tPos-k
+			p[k] = p[k-1] + int64(sc.Score(target[tPos+i], query[qPos+i]))
+		}
+		return p
+	}
+	// scanned is how many prefixes past p[0] the scan reads.
+	scanned := func(p []int64) int {
+		best := int64(0)
+		for k := 1; k < len(p); k++ {
+			best = oracleMax(best, p[k])
+			if p[k] < best-xdrop {
+				return k
+			}
+		}
+		return len(p) - 1
+	}
+	right := prefixes(min(len(target)-tPos, len(query)-qPos), 1)
+	left := prefixes(min(tPos, qPos), -1)
+	nr, nl := scanned(right), scanned(left)
+	for k := 1; k <= nr; k++ {
+		if right[k] > right[end] {
+			end = k
+		}
+	}
+	if end < seedLen {
+		end = min(seedLen, len(right)-1)
+	}
+	return right[end] + slices.Max(left[:nl+1]), end, nr + nl
+}
+
+// TestUngappedExtendVsOracle holds the ungapped filter to its rule —
+// score, anchor, cells — on the digest's filter pairs, at the production
+// X-drop and unbounded. The first case is one where the rule and "the
+// best segment containing the seed span" part: the right prefix maximum
+// lies inside the seed, so the segment ends at the seed's end, 1187 at
+// 21, though ending at 22 would score 1287.
+func TestUngappedExtendVsOracle(t *testing.T) {
+	sc := DefaultScoring()
+	tiles := []kernelTile{{"ungapped", 0, "GGCGGTCCCTATTTTGATGGTG", "GACGGTCTCTAATTAGATGGAG", 2, 2}}
+	for rng := rand.New(rand.NewSource(67)); len(tiles) < 80000; {
+		tiles = filterCase(rng, tiles)
+	}
+	for _, xdrop := range []int64{340, 1 << 30} {
+		ue := NewUngappedExtender(sc, int32(xdrop))
+		for i, tile := range tiles {
+			if tile.kernel != "ungapped" {
+				continue
+			}
+			target, query := []byte(tile.target), []byte(tile.query)
+			got := ue.Extend(target, query, tile.tPos, tile.qPos, 19)
+			score, end, cells := ungappedOracle(sc, target, query, tile.tPos, tile.qPos, 19, xdrop)
+			if int64(got.Score) != score || got.TPos != tile.tPos+end || got.QPos != tile.qPos+end || got.Cells != cells ||
+				i == 0 && (got.Score != 1187 || got.TPos != 21) {
+				t.Fatalf("X-drop %d, %s: Extend %d at (%d,%d), %d cells; oracle %d at (%d,%d), %d cells",
+					xdrop, tile.literal(), got.Score, got.TPos, got.QPos, got.Cells, score, tile.tPos+end, tile.qPos+end, cells)
+			}
+		}
+	}
 }

@@ -20,10 +20,16 @@ func NewUngappedExtender(sc *Scoring, xdrop int32) *UngappedExtender {
 }
 
 // Extend extends along the diagonal through (tPos,qPos) — typically a
-// seed hit's start — covering seedLen bases to the right before further
-// extension. It scores the best ungapped segment containing the seed span
-// and reports the segment's end as the extension anchor, in the shape of
-// a gapped filter tile.
+// seed hit's start — by an X-drop scan in each direction, and reports
+// the segment's score and its end, the extension anchor, in the shape of
+// a gapped filter tile. The rightward scan starts at the hit and the
+// segment ends at its best prefix (the first strict maximum above 0),
+// unless that end falls short of seedLen bases: then the segment ends at
+// the seed's end (or the sequence's), whatever it scores there. The
+// segment starts at the leftward scan's best prefix (none if no prefix
+// is positive). This is not always the best segment containing the
+// seed span: when the right prefix maximum lies inside the seed, an end
+// past the seed can score more. Cells counts the bases both scans read.
 func (u *UngappedExtender) Extend(target, query []byte, tPos, qPos, seedLen int) FilterResult {
 	var res FilterResult
 	sc, xdrop := u.sc, u.xdrop

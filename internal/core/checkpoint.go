@@ -249,7 +249,7 @@ func (w *ckptWriter) append(kind uint8, v any) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding checkpoint record: %w", err)
 	}
-	attempts := w.run.retry.attempts()
+	attempts := w.run.retry.Attempts()
 	for attempt := 1; ; attempt++ {
 		err = w.j.Append(kind, payload)
 		if err == nil {

@@ -187,17 +187,14 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
-// attempts normalizes MaxAttempts to at least one attempt.
-func (p RetryPolicy) attempts() int {
+// Attempts returns the total attempt budget, normalized to at least
+// one.
+func (p RetryPolicy) Attempts() int {
 	if p.MaxAttempts < 1 {
 		return 1
 	}
 	return p.MaxAttempts
 }
-
-// Attempts returns the total attempt budget, normalized to at least
-// one.
-func (p RetryPolicy) Attempts() int { return p.attempts() }
 
 // Backoff returns the delay to wait after failed attempt `attempt`
 // (1-based): BaseDelay·2^(attempt-1) capped at MaxDelay with
@@ -206,12 +203,6 @@ func (p RetryPolicy) Attempts() int { return p.attempts() }
 // cluster coordinator's per-worker request retries) share one backoff
 // shape.
 func (p RetryPolicy) Backoff(attempt int, seed uint64) time.Duration {
-	return p.delay(attempt, seed)
-}
-
-// delay returns the backoff to sleep after failed attempt `attempt`
-// (1-based), jittered deterministically by seed.
-func (p RetryPolicy) delay(attempt int, seed uint64) time.Duration {
 	if p.BaseDelay <= 0 {
 		return 0
 	}

@@ -324,7 +324,7 @@ func (r *run) fanOut(stage string, n, unit int, body func(w, lo, hi int), reset 
 // the shard was either recorded as fatal (no retry policy: the run is
 // halted) or degraded (retry exhausted: the run continues without it).
 func (r *run) runShard(stage string, shard int, body, reset func()) bool {
-	attempts := r.retry.attempts()
+	attempts := r.retry.Attempts()
 	for attempt := 1; ; attempt++ {
 		se := r.attempt(stage, shard, body)
 		if se == nil {
@@ -365,7 +365,7 @@ func (r *run) attempt(stage string, shard int, body func()) (se *StageError) {
 // fatal failure elsewhere) before or during the wait — retrying then
 // would only delay the return.
 func (r *run) backoff(stage string, shard, attempt int) bool {
-	d := r.retry.delay(attempt, backoffSeed(stage, shard, attempt))
+	d := r.retry.Backoff(attempt, backoffSeed(stage, shard, attempt))
 	if d <= 0 {
 		return !r.stopSlow()
 	}

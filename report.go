@@ -117,7 +117,7 @@ func (r *Report) TopChainScores(k int) []int64 { return chain.TopScores(r.Chains
 // the top 10).
 func (r *Report) SumTopChainScores(k int) int64 { return chain.SumTopScores(r.Chains, k) }
 
-// Renderer returns the MAF block renderer over this report's
+// renderer returns the MAF block renderer over this report's
 // concatenated coordinate space — the same renderer the serving layer
 // uses to stream blocks.
 func (r *Report) renderer() *maf.BlockRenderer {
