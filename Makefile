@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet check-once kernel-diff bench-kernels test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
+.PHONY: all build vet check-once kernel-diff bench-kernels bench-smoke test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench lint ci
 
 all: build
 
@@ -37,9 +37,10 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # frame merge (MergeShardFrames, ShardFrame) and the absorber-free unit
 # extension (AlignShardUnit) stay deleted from every non-test file.
 # And for the GACT-X tile kernel: XDropAligner is declared in one non-test
-# file (replaced, not forked), and what the rewrite deleted — the per-row
-# direction slices, the per-row closures, the saturating subtract — stays
-# out of every non-test file of internal/align.
+# file (replaced, not forked), and what the rewrites deleted — the per-row
+# direction slices, the per-row closures, the saturating subtract, the
+# four []int32 rows (vPrev/dPrev/vCur/dCur) — stays out of every non-test
+# file of internal/align (the rows: out of xdrop.go).
 # And for the reproduction layer: one GACT-X cycle model fed by the tiles
 # that ran (the averaged-shape estimate stays deleted from every Go file),
 # one hardware-model package (internal/systolic is folded into
@@ -109,8 +110,9 @@ check-once:
 		echo "check-once: the frame merge or the un-absorbed unit extension is back (a strand is extended once: core.ExtendAnchors)"; exit 1; fi
 	@src=$$(ls internal/align/*.go | grep -v _test.go); \
 	n=$$(grep -l 'type XDropAligner ' $$src | wc -l); \
-	if [ "$$n" -ne 1 ] || grep -nE 'saturSub|rowDirs +\[\]\[\]byte|\.rowDirs|prevV :=|prevD :=' $$src; then \
-		echo "check-once: want one X-drop kernel (XDropAligner declared in $$n files) without per-row slices, closures or saturSub"; exit 1; fi
+	if [ "$$n" -ne 1 ] || grep -nE 'saturSub|rowDirs +\[\]\[\]byte|\.rowDirs|prevV :=|prevD :=' $$src || \
+		grep -nE '\b(vPrev|dPrev|vCur|dCur)\b' internal/align/xdrop.go; then \
+		echo "check-once: want one X-drop kernel (XDropAligner declared in $$n files) on (V, D) cell rows, without per-row slices, closures or saturSub"; exit 1; fi
 	@if grep -rnE --include='*.go' 'GACTXTileCyclesFromCells|avgExtensionShape' .; then \
 		echo "check-once: the averaged GACT-X estimate is back (price extension with hw.GACTXReplay)"; exit 1; fi
 	@if [ -e internal/systolic ]; then echo "check-once: internal/systolic exists (the cycle model lives in internal/hw)"; exit 1; fi
@@ -327,6 +329,17 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'BandedTile|XDropTile' -count 5 ./internal/align
 	$(GO) test -run '^$$' -bench 'IndexBuild|IndexLookup' -count 5 ./internal/seed
 
+# Kernel benchmark smoke: one iteration of each kernel benchmark, so
+# `make bench-kernels` cannot rot unseen (go test compiles benchmarks but
+# never runs them). -run '^$$' makes go test warn "no tests to run", so
+# instead of named-test each benchmark is checked to have run.
+bench-smoke:
+	@out=$$($(GO) test -run '^$$' -bench 'BandedTile|XDropTile|IndexLookup' -benchtime 1x ./internal/align ./internal/seed 2>&1); \
+	st=$$?; echo "$$out"; if [ $$st -ne 0 ]; then exit $$st; fi; \
+	for b in BandedTile/noise BandedTile/homologous XDropTile IndexLookup; do \
+		if ! echo "$$out" | grep -q "^Benchmark$$b"; then echo "bench-smoke: Benchmark$$b did not run"; exit 1; fi; \
+	done
+
 # Benchmark self-tests: bench/ is a module of its own (it imports
 # internal/... through a replace directive), so `go test ./...` never
 # builds it and a signature change in internal/core, internal/server or
@@ -366,4 +379,4 @@ test-fuzz:
 	$(call named-test,-run '^$$' -fuzz FuzzXDropBoundedVsPrefixMax -fuzztime 10s ./internal/align/)
 	$(call named-test,-run '^$$' -fuzz FuzzXDropVsSeedKernel -fuzztime 10s ./internal/align/)
 
-ci: build vet check-once kernel-diff test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench
+ci: build vet check-once kernel-diff bench-smoke test test-race test-resume test-serve test-obs test-obs-cluster test-chaos test-cluster test-index test-shard test-fuzz test-bench

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -49,6 +51,57 @@ func TestCLIExitCodes(t *testing.T) {
 				t.Errorf("cliMain(%q) = %d, want %d", tc.args, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestOutOntoFIFO: -out naming an existing path that is not a regular
+// file writes into it rather than renaming a temporary file over it. The
+// reader at the other end of a FIFO receives the same MAF a regular
+// -out file gets, and the path is still a FIFO afterwards.
+func TestOutOntoFIFO(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-pair", "dm6-droSim1", "-scale", "0.0004", "-forward-only", "-out"}
+	regular := filepath.Join(dir, "regular.maf")
+	if code := cliMain(append(args, regular)); code != 0 {
+		t.Fatalf("run into a regular file: exit %d", code)
+	}
+	want, err := os.ReadFile(regular)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fifo := filepath.Join(dir, "out.fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		r, err := os.Open(fifo)
+		if err != nil {
+			got <- nil
+			return
+		}
+		defer r.Close()
+		data, _ := io.ReadAll(r)
+		got <- data
+	}()
+	// The test holds a write end of its own across the run, so the
+	// reader sees EOF once it lets go, whatever the run did to the path.
+	hold, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := cliMain(append(args, fifo))
+	hold.Close()
+	data := <-got
+	if code != 0 {
+		t.Errorf("run into a FIFO: exit %d", code)
+	}
+	if !bytes.Equal(data, want) {
+		t.Errorf("the FIFO's reader got %d bytes, want the %d-byte MAF a regular -out file gets", len(data), len(want))
+	}
+	if fi, err := os.Lstat(fifo); err != nil || fi.Mode().Type() != os.ModeNamedPipe {
+		t.Errorf("after the run %s is %v (%v), want it still a FIFO", fifo, fi.Mode().Type(), err)
 	}
 }
 

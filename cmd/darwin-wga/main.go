@@ -594,7 +594,7 @@ func run(ctx context.Context, opts options) error {
 	}
 
 	if opts.outPath != "" {
-		if err := checkpoint.WriteFileAtomic(opts.outPath, nil, rep.WriteMAF); err != nil {
+		if err := writeOut(opts.outPath, rep.WriteMAF); err != nil {
 			return err
 		}
 	} else if err := rep.WriteMAF(os.Stdout); err != nil {
@@ -626,6 +626,26 @@ func run(ctx context.Context, opts options) error {
 		fmt.Fprintf(os.Stderr, "chain %2d: score %s\n", i+1, stats.Comma(s))
 	}
 	return alignErr
+}
+
+// writeOut writes the MAF to path: atomically (a temporary file renamed
+// over it) when path is a regular file or does not exist yet, and
+// straight into it when it exists and is not a regular file — a FIFO or
+// a device such as /dev/null — which a rename would replace with a
+// regular file.
+func writeOut(path string, body func(io.Writer) error) error {
+	if fi, err := os.Stat(path); err != nil || fi.Mode().IsRegular() {
+		return checkpoint.WriteFileAtomic(path, nil, body)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = body(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeTrace stores the collected span tree as Chrome trace_event JSON.

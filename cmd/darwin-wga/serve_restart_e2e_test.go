@@ -25,7 +25,9 @@ import (
 // spawnServe re-execs this test binary as `darwin-wga serve` (via the
 // resume e2e's TestMain hook), waits for the bound-address line on
 // stderr, and returns the process handle, the HTTP base URL, and the
-// captured child log.
+// captured child log. A child whose stderr ends before that line has
+// exited (a bind failure, a bad flag): the test fails at once with its
+// log and exit status.
 func spawnServe(t *testing.T, args []string, extraEnv ...string) (*exec.Cmd, string, *bytes.Buffer) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
@@ -41,8 +43,10 @@ func spawnServe(t *testing.T, args []string, extraEnv ...string) (*exec.Cmd, str
 	t.Cleanup(func() { cmd.Process.Kill() }) //nolint:errcheck // backstop for early failures
 
 	addrCh := make(chan string, 1)
+	eof := make(chan struct{})
 	childLog := &bytes.Buffer{}
 	go func() {
+		defer close(eof)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -58,6 +62,15 @@ func spawnServe(t *testing.T, args []string, extraEnv ...string) (*exec.Cmd, str
 	select {
 	case a := <-addrCh:
 		return cmd, "http://" + a, childLog
+	case <-eof:
+		select {
+		case a := <-addrCh: // announced, then stopped at once
+			return cmd, "http://" + a, childLog
+		default:
+		}
+		err := cmd.Wait()
+		t.Fatalf("server exited before reporting its address (%v); log:\n%s", err, childLog.String())
+		return nil, "", nil
 	case <-time.After(2 * time.Minute):
 		t.Fatalf("server never reported its address; log:\n%s", childLog.String())
 		return nil, "", nil

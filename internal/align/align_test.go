@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -519,6 +520,63 @@ func TestXDropArenaGrowthBounded(t *testing.T) {
 	if allocated > arena*5/2 {
 		t.Errorf("cold tile allocated %d bytes for a %d-byte arena (%.2f×), want <= 2.5×",
 			allocated, arena, float64(allocated)/float64(arena))
+	}
+}
+
+// TestXDropArenaPacked: the traceback arena holds two cells per byte.
+// After a tile on a fresh aligner it spans at least the tile's cells at
+// 4 bits each and at most the whole (n+1)×(m+1) tile at 4 bits each.
+func TestXDropArenaPacked(t *testing.T) {
+	sc := DefaultScoring()
+	targets, queries := benchTiles(19, 2, 1920, true)
+	rng := rand.New(rand.NewSource(59))
+	for range 4 {
+		target, query := homologPair(rng, 1+rng.Intn(400))
+		targets, queries = append(targets, target), append(queries, query)
+	}
+	for k := range targets {
+		for _, y := range digestYs {
+			target, query := targets[k], queries[k]
+			xa := NewXDropAligner(sc, y)
+			res := xa.Align(target, query)
+			lo, hi := (res.Cells+1)/2, ((len(target)+1)*(len(query)+1)+1)/2
+			if got := len(xa.tb); got < lo || got > hi {
+				t.Errorf("tile %d (%d×%d) at Y %d: %d cells in a %d-byte arena, want %d to %d bytes",
+					k, len(target), len(query), y, res.Cells, got, lo, hi)
+			}
+		}
+	}
+}
+
+// TestXDropOddRowOffsets: a row that starts at an odd cell of the arena
+// puts its first direction nibble in the high half of the byte the row
+// before ends in. On a pruned tile where half the rows do, and most of
+// them start mid-row, the traceback is the byte-per-cell arena's: the
+// score, end, cell count and transcript below are what the kernel gave
+// before the arena was packed, and the transcript is a consistent path
+// that rescores to the score.
+func TestXDropOddRowOffsets(t *testing.T) {
+	sc := DefaultScoring()
+	rng := rand.New(rand.NewSource(53))
+	target := randSeq(rng, 240)
+	query := mutate(rng, target, 0.05, 0.03)
+	const y = 943
+	xa := NewXDropAligner(sc, y)
+	res := xa.Align(target, query)
+	odd := 0
+	for i := range len(xa.rowOff) - 1 {
+		if xa.rowOff[i]&1 == 1 && xa.rowLo[i] > 0 {
+			odd++
+		}
+	}
+	if rows := len(xa.rowOff) - 1; odd < rows/4 {
+		t.Fatalf("%d of %d rows start mid-row at an odd cell; the tile no longer exercises the shared bytes", odd, rows)
+	}
+	checkXDropPath(t, sc, target, query, y, res)
+	got := fmt.Sprintf("score %d at (%d,%d) cells %d ops %s",
+		res.Score, res.TEnd, res.QEnd, res.Cells, (&Alignment{Ops: res.Ops}).CIGAR())
+	if want := "score 15761 at (240,233) cells 8207 ops 13M1D17M1D7M8D41M4D82M10I49M3D14M"; got != want {
+		t.Errorf("got  %s\nwant %s", got, want)
 	}
 }
 

@@ -49,16 +49,21 @@ func BenchmarkBandedTile(b *testing.B) {
 }
 
 // BenchmarkXDropTile is the GACT-X extension tile: 1920 bases of a
-// homologous pair at the default drop threshold.
+// homologous pair at the default drop threshold. arena-B/cell is the
+// traceback arena a tile fills, in bytes per computed cell (1 for a
+// byte-per-cell arena).
 func BenchmarkXDropTile(b *testing.B) {
 	sc := DefaultScoring()
 	targets, queries := benchTiles(19, 4, 1920, true)
 	xa := NewXDropAligner(sc, 9430)
-	cells := 0
+	cells, filled := 0, 0
 	b.ResetTimer()
 	for i := range b.N {
 		k := i % len(targets)
-		cells += xa.Align(targets[k], queries[k]).Cells
+		c := xa.Align(targets[k], queries[k]).Cells
+		cells += c
+		filled += nibbleBytes(c)
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+	b.ReportMetric(float64(filled)/float64(cells), "arena-B/cell")
 }

@@ -30,20 +30,34 @@ package align
 //
 // Layout. The query tile is mapped to base codes once per call and each
 // row takes the substitution row of its target base, built once per
-// aligner, so a cell pays one table load. The two DP rows of V and D
-// carry a negInf sentinel just outside the previous row's window
-// [start, end] — at V[start-1], V[end+1] and D[end+1] — so a cell reads
-// its neighbours without range checks. Out-of-window values are therefore not clamped: a dead value
-// drifts from negInf by at most the substitution and gap scores summed
-// along a tile (under 2*10^6 at the 1920-base tile, against
-// negInf = -2^29), so it still compares below every value a real path
-// can have and below Vmax - Y for any Y up to 2^28; DESIGN.md ("GACT-X
-// tile kernel") has the argument. Traceback walks only cells and gap
-// states on the best path, which are real, so a dead cell's direction
-// byte is never read. Direction bytes live in one arena per aligner, one
-// byte per computed cell, reused across calls.
+// aligner, so a cell pays one table load. The DP is two rows of {V, D}
+// cells (as in the BSW kernel); a cell loads the cell above once, and V
+// diagonally above it is the previous cell's V above, held in a
+// register. The rows carry a negInf sentinel just outside the previous
+// row's window [start, end] — at V[start-1] and at both halves of
+// cell end+1 — so a cell reads its neighbours without range checks.
+// Out-of-window values are therefore not clamped: a dead value drifts
+// from negInf by at most the substitution and gap scores summed along a
+// tile (under 2*10^6 at the 1920-base tile, against negInf = -2^29), so
+// it still compares below every value a real path can have and below
+// Vmax - Y for any Y up to 2^28; DESIGN.md ("GACT-X tile kernel") has
+// the argument. The cell loop tests nothing against Vmax - Y: after it,
+// Vmax moves to the first cell that reaches the new maximum, and a scan
+// that replays the running Vmax from the loop's entry finds the first
+// alive cell, stopping at the first hit, so rule 2 holds as a per-cell
+// test would apply it. Traceback walks only cells and gap states on the
+// best path, which are real, so a dead cell's direction is never read.
+// Directions are 4 bits a cell (the 2-bit V pointer and the I and D
+// extend flags, the paper's width): a row is computed into a byte per
+// cell, then packed two cells a byte into one arena per aligner, reused
+// across calls; rows are addressed in cells, so a row may start in the
+// high half of the byte its predecessor ends in.
 
-import "darwinwga/internal/genome"
+import (
+	"encoding/binary"
+
+	"darwinwga/internal/genome"
+)
 
 // XDropResult is the outcome of one gapped X-drop tile.
 type XDropResult struct {
@@ -66,16 +80,22 @@ type XDropAligner struct {
 	sub subRows
 	y   int32
 
-	// DP rows of V and D, indexed by column, one slot wider than the
-	// widest row so that the sentinel after the last column fits.
-	vPrev, vCur []int32
-	dPrev, dCur []int32
+	// prev and cur are the DP rows of (V, D) cells, indexed by column,
+	// one slot wider than the widest row so that the sentinel after the
+	// last column fits.
+	prev, cur []cell
 	// qc is the query tile as base codes.
 	qc []uint8
+	// dirs holds the direction nibbles of the row being computed, one
+	// byte per cell from the row's first column, until the row is packed
+	// into the arena.
+	dirs []byte
 
-	// Traceback arena: row i's direction bytes are tb[rowOff[i]:rowOff[i+1]]
-	// and its first column is rowLo[i]; rowOff is left holding one entry
-	// more than the last call computed rows.
+	// Traceback arena: cell c's direction nibble is the low half of
+	// tb[c/2] for even c and the high half for odd c. Row i's cells are
+	// rowOff[i] to rowOff[i+1]-1 and its first column is rowLo[i];
+	// rowOff is left holding one entry more than the last call computed
+	// rows.
 	tb     []byte
 	rowLo  []int32
 	rowOff []int32
@@ -88,6 +108,10 @@ func NewXDropAligner(sc *Scoring, y int32) *XDropAligner {
 	return &XDropAligner{sc: sc, sub: sc.rows(), y: y}
 }
 
+// nibbleBytes is the number of arena bytes that hold the direction
+// nibbles of the given number of cells, two to a byte.
+func nibbleBytes(cells int) int { return (cells + 1) / 2 }
+
 // Align extends from the origin of target×query. Both slices are one
 // tile (or less) long. Rows index the target, columns the query.
 func (x *XDropAligner) Align(target, query []byte) XDropResult {
@@ -95,40 +119,38 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 	sc, y := x.sc, x.y
 	gapOpen, gapExt := sc.GapOpen, sc.GapExtend
 
-	if cap(x.vPrev) < m+2 {
-		x.vPrev, x.vCur = make([]int32, m+2), make([]int32, m+2)
-		x.dPrev, x.dCur = make([]int32, m+2), make([]int32, m+2)
+	if cap(x.prev) < m+2 {
+		x.prev, x.cur, x.dirs = make([]cell, m+2), make([]cell, m+2), make([]byte, m+1)
 	}
-	vPrev, vCur := x.vPrev[:m+2], x.vCur[:m+2]
-	dPrev, dCur := x.dPrev[:m+2], x.dCur[:m+2]
+	prev, cur, dirs := x.prev[:m+2], x.cur[:m+2], x.dirs[:m+1]
 	if cap(x.rowLo) < n+1 {
 		x.rowLo, x.rowOff = make([]int32, n+1), make([]int32, n+2)
 	}
 	rowLo, rowOff := x.rowLo[:n+1], x.rowOff[:n+2]
 	x.qc = genome.AppendCodes(x.qc[:0], query)
 	qc := x.qc
-	arenaMax := (n + 1) * (m + 1)
+	arenaMax := nibbleBytes((n + 1) * (m + 1))
 
 	// Row 0: the origin plus leading insertions along the query.
 	tb := x.tb
-	if len(tb) < m+1 {
-		tb = x.growArena(0, m+1, arenaMax)
+	if need := nibbleBytes(m + 1); len(tb) < need {
+		tb = x.growArena(0, need, arenaMax)
 	}
-	vPrev[0], dPrev[0], tb[0] = 0, negInf, dirNone
+	prev[0], dirs[0] = cell{0, negInf}, dirNone
 	prevEnd := 0
 	for j := 1; j <= m; j++ {
 		v := -sc.GapCost(j)
 		if v < -y {
 			break
 		}
-		vPrev[j], dPrev[j] = v, negInf
-		tb[j] = dirLeft
+		prev[j], dirs[j] = cell{v, negInf}, dirLeft
 		if j > 1 {
-			tb[j] = dirLeft | flagIExtend
+			dirs[j] = dirLeft | flagIExtend
 		}
 		prevEnd = j
 	}
-	vPrev[prevEnd+1], dPrev[prevEnd+1] = negInf, negInf
+	prev[prevEnd+1] = cell{negInf, negInf}
+	packNibbles(tb, 0, dirs[:prevEnd+1])
 	rowLo[0], rowOff[0] = 0, 0
 	off := prevEnd + 1
 	rows := 1
@@ -138,8 +160,8 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 	bestI, bestJ := 0, 0
 	rowStart := 0 // first alive column of the previous row
 	for i := 1; i <= n; i++ {
-		if need := off + m - rowStart + 1; need > len(tb) {
-			tb = x.growArena(off, need, arenaMax)
+		if need := nibbleBytes(off + m - rowStart + 1); need > len(tb) {
+			tb = x.growArena(nibbleBytes(off), need, arenaMax)
 		}
 		sub := &x.sub[genome.Code(target[i-1])]
 		first := -1 // first alive column of this row
@@ -149,10 +171,9 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 			// Column 0: leading deletions along the target, never a new
 			// maximum.
 			v := -sc.GapCost(i)
-			vCur[0], dCur[0] = v, v
-			tb[off] = dirUp
+			cur[0], dirs[0] = cell{v, v}, dirUp
 			if i > 1 {
-				tb[off] = dirUp | flagDExtend
+				dirs[0] = dirUp | flagDExtend
 			}
 			if v >= thr {
 				first = 0
@@ -165,16 +186,27 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 		// prevEnd+1) can feed.
 		hiA := min(prevEnd+1, m)
 		if cnt := hiA - j + 1; cnt > 0 {
-			var bestK, firstK int
-			vLeft, iRow, vmax, bestK, firstK = xdropSegment(
-				vCur[j:j+cnt], dCur[j:j+cnt], vPrev[j-1:j-1+cnt], vPrev[j:j+cnt], dPrev[j:j+cnt],
-				qc[j-1:j-1+cnt], tb[off+j-rowStart:][:cnt], sub,
-				gapOpen, gapExt, y, vLeft, iRow, vmax)
-			if bestK >= 0 {
-				bestI, bestJ, thr = i, j+bestK, vmax-y
+			row, vmaxIn := cur[j:j+cnt], vmax
+			vLeft, iRow, vmax = xdropSegment(row, prev[j:j+cnt], prev[j-1].v,
+				qc[j-1:j-1+cnt], dirs[j-rowStart:][:cnt], sub[:], gapOpen, gapExt, vLeft, iRow, vmax)
+			if vmax > vmaxIn {
+				// Vmax moved, to the segment's first cell that reaches it.
+				k := 0
+				for row[k].v != vmax {
+					k++
+				}
+				bestI, bestJ, thr = i, j+k, vmax-y
 			}
-			if first < 0 && firstK >= 0 {
-				first = j + firstK
+			if first < 0 {
+				// The first alive cell, against the running Vmax
+				// replayed from the segment's entry.
+				run := vmaxIn
+				for k, c := range row {
+					if run = max(run, c.v); c.v >= run-y {
+						first = j + k
+						break
+					}
+				}
 			}
 		}
 		rowEnd := hiA
@@ -192,7 +224,7 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 				if extI > openI {
 					iRow, dir = extI, dirLeft|flagIExtend
 				}
-				vCur[j], dCur[j], tb[off+j-rowStart] = iRow, negInf, dir
+				cur[j], dirs[j-rowStart] = cell{iRow, negInf}, dir
 				vLeft = iRow
 				rowEnd = j
 				if iRow < thr {
@@ -201,6 +233,7 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 			}
 		}
 
+		packNibbles(tb, off, dirs[:rowEnd-rowStart+1])
 		rowLo[i], rowOff[i] = int32(rowStart), int32(off)
 		off += rowEnd - rowStart + 1
 		rows = i + 1
@@ -208,13 +241,12 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 			break // entire row below (Vmax - Y): X-drop termination
 		}
 		// Sentinels around this row's window for the next row to read.
-		vCur[rowEnd+1], dCur[rowEnd+1] = negInf, negInf
+		cur[rowEnd+1] = cell{negInf, negInf}
 		if rowStart > 0 {
-			vCur[rowStart-1] = negInf
+			cur[rowStart-1].v = negInf
 		}
 		prevEnd, rowStart = rowEnd, first
-		vPrev, vCur = vCur, vPrev
-		dPrev, dCur = dCur, dPrev
+		prev, cur = cur, prev
 	}
 	rowOff[rows] = int32(off)
 	x.rowOff = rowOff[:rows+1]
@@ -227,51 +259,73 @@ func (x *XDropAligner) Align(target, query []byte) XDropResult {
 }
 
 // xdropSegment computes one run of cells that all read the previous row:
-// vc, dc and dirs are this row's V, D and direction bytes, vDiag, vUp and
-// dUp the previous row's V diagonally above and V and D above, q the
-// query codes under them — all cut to one length, so the loop runs
-// without bounds checks. vLeft and iRow enter as V and I of the cell to
-// the left and leave as those of the last cell; vmax is the running
-// maximum. bestK is the cell that last raised vmax and firstK the first
-// alive cell, each -1 if there is none. It is a function of its own so
-// that the loop's live values compete for registers with nothing else.
-func xdropSegment(vc, dc, vDiag, vUp, dUp []int32, q, dirs []byte, sub *[8]int32,
-	gapOpen, gapExt, y, vLeft, iRow, vmax int32) (_, _, _ int32, bestK, firstK int) {
-	bestK, firstK = -1, -1
-	thr := vmax - y
-	vDiag, vUp, dUp, dc = vDiag[:len(vc)], vUp[:len(vc)], dUp[:len(vc)], dc[:len(vc)]
-	q, dirs = q[:len(vc)], dirs[:len(vc)]
-	for k := range vc {
+// cur and dirs are this row's cells and direction nibbles, up the
+// previous row's cells above them and q the query codes under them — all
+// cut to one length, so the loop runs without bounds checks. vDiag
+// enters as V diagonally above the first cell and thereafter is the
+// previous cell's up.v, held in a register. vLeft and iRow enter as V
+// and I of the cell to the left and leave as those of the last cell;
+// vmax enters as Vmax and leaves folded with every cell through the
+// builtin max, so no cell branches on it (Align finds the cell). sub is
+// the target base's substitution row, cut to eight so q&7 needs no
+// bounds check. It is a function of its own so that the loop's live
+// values compete for registers with nothing else.
+func xdropSegment(cur, up []cell, vDiag int32, q, dirs []byte, sub []int32,
+	gapOpen, gapExt, vLeft, iRow, vmax int32) (_, _, _ int32) {
+	cur, q, dirs, sub = cur[:len(up)], q[:len(up)], dirs[:len(up)], sub[:8]
+	for k, u := range up {
 		openI, extI := vLeft-gapOpen, iRow-gapExt
 		iRow = max(openI, extI)
 		var flags byte
 		if extI > openI {
 			flags = flagIExtend
 		}
-		openD, extD := vUp[k]-gapOpen, dUp[k]-gapExt
+		openD, extD := u.v-gapOpen, u.d-gapExt
 		d := max(openD, extD)
 		if extD > openD {
 			flags |= flagDExtend
 		}
-		dc[k] = d
-		diag := vDiag[k] + sub[q[k]&7]
+		diag := vDiag + sub[q[k]&7]
 		v, dir := max(diag, d), dirDiag
 		if d > diag {
 			dir = dirUp
 		}
 		if iRow > v {
-			v, dir = iRow, dirLeft
+			dir = dirLeft
 		}
-		vc[k], dirs[k] = v, dir|flags
-		vLeft = v
-		if v > vmax {
-			vmax, thr, bestK = v, v-y, k
-		}
-		if firstK < 0 && v >= thr {
-			firstK = k
-		}
+		v = max(v, iRow)
+		cur[k], dirs[k] = cell{v, d}, dir|flags
+		vDiag, vLeft = u.v, v
+		vmax = max(vmax, v)
 	}
-	return vLeft, iRow, vmax, bestK, firstK
+	return vLeft, iRow, vmax
+}
+
+// packNibbles stores the direction bytes d as the nibbles of arena cells
+// off, off+1, ...: a row that starts at an odd cell first fills the high
+// half of the byte the previous row ends in, then the rest go two to a
+// byte.
+func packNibbles(tb []byte, off int, d []byte) {
+	if off&1 == 1 && len(d) > 0 {
+		tb[off>>1] = tb[off>>1]&0xf | d[0]<<4
+		off, d = off+1, d[1:]
+	}
+	out := tb[off>>1:][:nibbleBytes(len(d))]
+	for len(d) >= 8 {
+		// Eight bytes, each below 16, fold into four.
+		w := binary.LittleEndian.Uint64(d)
+		w = (w | w>>4) & 0x00ff00ff00ff00ff
+		w = (w | w>>8) & 0x0000ffff0000ffff
+		binary.LittleEndian.PutUint32(out, uint32(w|w>>16))
+		d, out = d[8:], out[4:]
+	}
+	k := 0
+	for ; k+1 < len(d); k += 2 {
+		out[k>>1] = d[k] | d[k+1]<<4
+	}
+	if k < len(d) {
+		out[k>>1] = d[k]
+	}
 }
 
 // growArena returns the traceback arena reallocated to hold need bytes —
@@ -309,10 +363,11 @@ func (x *XDropAligner) traceback(i, j int) []EditOp {
 	rev := x.ops[:0]
 	state := 0
 	for i > 0 || j > 0 {
-		cell := x.tb[int(x.rowOff[i])+j-int(x.rowLo[i])]
+		c := int(x.rowOff[i]) + j - int(x.rowLo[i])
+		dir := x.tb[c>>1] >> (c & 1 << 2) & 0xf
 		switch state {
 		case 0:
-			switch cell & dirVMask {
+			switch dir & dirVMask {
 			case dirDiag:
 				rev = append(rev, OpMatch)
 				i--
@@ -326,14 +381,14 @@ func (x *XDropAligner) traceback(i, j int) []EditOp {
 			}
 		case 1:
 			rev = append(rev, OpInsert)
-			ext := cell&flagIExtend != 0
+			ext := dir&flagIExtend != 0
 			j--
 			if !ext {
 				state = 0
 			}
 		case 2:
 			rev = append(rev, OpDelete)
-			ext := cell&flagDExtend != 0
+			ext := dir&flagDExtend != 0
 			i--
 			if !ext {
 				state = 0

@@ -69,7 +69,9 @@ func DefaultConfig() Config {
 
 // GACTConfig returns a classic-GACT configuration whose tile size is the
 // largest that fits the given traceback memory at 4 bits per cell
-// (Section VI-D: 2 MB -> 2048, 1 MB -> 1448, 512 KB -> 1024).
+// (Section VI-D: 2 MB -> 2048, 1 MB -> 1448, 512 KB -> 1024). The
+// software kernel stores the same 4 bits per cell, so a tile of this
+// size fits its traceback arena in tracebackBytes too.
 func GACTConfig(tracebackBytes int, overlap int) Config {
 	cells := tracebackBytes * 2 // 4 bits per cell
 	tile := 1
@@ -102,7 +104,10 @@ type Stats struct {
 	MaxTileCells int
 }
 
-// TracebackBytes returns the traceback memory high-water mark in bytes.
+// TracebackBytes returns the traceback memory high-water mark in bytes:
+// the hardware's, and the bytes of align.XDropAligner's arena the
+// largest tile filled, both at 4 bits per cell. (The arena itself grows
+// in steps, so it may hold up to twice that.)
 func (s Stats) TracebackBytes() int { return (s.MaxTileCells + 1) / 2 }
 
 // Extender extends anchors into full alignments. Not safe for

@@ -726,10 +726,11 @@ func heapInUse() int64 {
 // estimateJobBytes is the admission-time estimate of one job's peak
 // live heap beyond the resident index, from its own configuration. Fixed:
 // the extender's X-drop aligner (a traceback arena of up to (TileSize+1)²
-// bytes, twice because growing it holds both copies, and four int32 DP
-// rows), a banded aligner's two rows of (V, D) pairs per filter worker
-// (16 B per column), and the span buffer at its cap (~620 B an event
-// with its args, measured). Per base:
+// cells at 4 bits each, twice because growing it holds both copies; two
+// rows of (V, D) pairs and a row of direction bytes), a banded aligner's
+// two rows of (V, D) pairs per filter worker (16 B per column), and the
+// span buffer at its cap (~620 B an event with its args, measured). Per
+// base:
 // the query text, its concatenation and reverse complement, the spooled
 // MAF and a 16-byte candidate anchor held twice while the slice grows
 // (7-29 B/base measured between 59 and 444 kbp).
@@ -742,7 +743,7 @@ func (m *Manager) estimateJobBytes(params JobParams, queryBases int) int64 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	tile := int64(cfg.Extension.TileSize) + 1
-	extension := 2*tile*tile + 4*4*(tile+1)
+	extension := tile*tile + 2*8*(tile+1) + tile
 	filter := int64(workers) * 4 * 4 * int64(cfg.FilterTileSize+1)
 	trace := int64(m.traceCap) * 640
 	return extension + filter + trace + 40*int64(queryBases)
@@ -1240,6 +1241,14 @@ func (m *Manager) runAttempt(j *Job) bool {
 // per-run pipeline checkpoint, feed the breaker and release accounting.
 func (m *Manager) finalize(j *Job, state JobState, res *core.Result, msg string) {
 	now := m.clock.Now()
+	// The event goes in before the state turns terminal, so a reader
+	// that sees the terminal status finds it in /events.
+	detail := string(state)
+	if msg != "" {
+		detail += ": " + msg
+	}
+	j.flight.Record(obs.FlightEvent{At: now, Type: obs.FlightFinished, Source: "worker",
+		Job: j.ID, Detail: detail})
 	j.finish(state, res, msg, now)
 	sp := j.spoolRef()
 	sp.close()
@@ -1273,12 +1282,6 @@ func (m *Manager) finalize(j *Job, state JobState, res *core.Result, msg string)
 		m.Failed.Inc()
 		m.log.Warn("job failed", "job_id", j.ID, "client", j.Client, "error", msg)
 	}
-	detail := string(state)
-	if msg != "" {
-		detail += ": " + msg
-	}
-	j.flight.Record(obs.FlightEvent{At: now, Type: obs.FlightFinished, Source: "worker",
-		Job: j.ID, Detail: detail})
 	// Cancellations are the client's doing: they free a probe slot but
 	// count as neither success nor failure.
 	switch state {

@@ -11,6 +11,7 @@ import (
 
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
+	"darwinwga/internal/obs"
 )
 
 // TestStatusBlockingRead pins GET /v1/jobs/{id}?wait=: answered the
@@ -142,4 +143,57 @@ func TestStatusBlockingRead(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTerminalStatusFollowsFinishedEvent: a reader that sees a job's
+// status turn terminal finds the finished event in /events at once,
+// because the event is recorded before the state flips. The journal
+// makes the rest of finalize (spilling the MAF, appending the WAL
+// record) slow enough that an event recorded after it shows here.
+func TestTerminalStatusFollowsFinishedEvent(t *testing.T) {
+	pair := recoveryPair(t)
+	srv, err := New(Config{Pipeline: core.DefaultConfig(), JournalDir: t.TempDir(), JobWorkers: 1, StallWindow: -1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer shutdownServer(t, srv)
+	if _, err := srv.RegisterTarget("tgt", pair.Target); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	j, err := srv.Jobs().Submit(JobParams{Target: "tgt"}, pair.Query, "alice")
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	get := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	for deadline := time.Now().Add(2 * time.Minute); ; {
+		var st JobStatus
+		if err := json.Unmarshal(get("/v1/jobs/"+j.ID), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 2m", st.State)
+		}
+	}
+	var doc struct {
+		Events []obs.FlightEvent `json:"events"`
+	}
+	if err := json.Unmarshal(get("/v1/jobs/"+j.ID+"/events"), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.Events {
+		if ev.Type == obs.FlightFinished {
+			return
+		}
+	}
+	t.Fatalf("status is terminal, yet /events has no %q event: %+v", obs.FlightFinished, doc.Events)
 }
