@@ -340,7 +340,7 @@ func serveMain(args []string) int {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := listen(*addr, logger)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1
@@ -367,6 +367,32 @@ func serveMain(args []string) int {
 		}
 		agent.Run(ctx) //nolint:errcheck // exits with ctx at shutdown
 	}, srv.Serve, func() error { return srv.Shutdown(context.Background()) })
+}
+
+// listenAttempts and listenRetryDelay bound how long serve waits for an
+// explicit -addr port that is still in use: a process restarted on its
+// predecessor's address can find the port held for a moment (the killed
+// process not yet reaped, or the port lent to an outgoing connection as
+// its ephemeral source port). 40 tries 250 ms apart wait 10 s at most.
+const (
+	listenAttempts   = 40
+	listenRetryDelay = 250 * time.Millisecond
+)
+
+// listen binds addr. EADDRINUSE on an explicit (non-zero) port is
+// retried, logged each time, until listenAttempts; any other error, and
+// any error on port 0, is returned at once.
+func listen(addr string, log *slog.Logger) (net.Listener, error) {
+	_, port, _ := net.SplitHostPort(addr)
+	explicit := port != "" && port != "0"
+	for attempt := 1; ; attempt++ {
+		ln, err := net.Listen("tcp", addr)
+		if err == nil || !explicit || !errors.Is(err, syscall.EADDRINUSE) || attempt == listenAttempts {
+			return ln, err
+		}
+		log.Warn("address in use; retrying", "addr", addr, "attempt", attempt, "of", listenAttempts, "retry_in", listenRetryDelay)
+		time.Sleep(listenRetryDelay)
+	}
 }
 
 // splitURLList parses a comma-separated URL list flag, dropping empties
@@ -406,7 +432,7 @@ func coordinatorMain(cfg cluster.Config, addr, advertise, standbyOf string) int 
 		fmt.Fprintln(os.Stderr, "darwin-wga serve: -standby-of requires -journal-dir")
 		return 2
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listen(addr, cfg.Log)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga serve:", err)
 		return 1

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -249,4 +250,44 @@ func recoveredCounterPositive(metrics string) bool {
 		}
 	}
 	return false
+}
+
+// TestServeRetriesAddrInUse: `serve` on an explicit -addr whose port is
+// still held waits for it instead of exiting with "address already in
+// use" — what a process restarted on a crashed one's address meets. A
+// listener holds the port for 300 ms; the server must log the retry
+// and then come up on that very port.
+func TestServeRetriesAddrInUse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess serve e2e is not -short")
+	}
+	hold, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := hold.Addr().String()
+	release := time.AfterFunc(300*time.Millisecond, func() { hold.Close() }) //nolint:errcheck
+	defer release.Stop()
+
+	cmd, base, childLog := spawnServe(t, []string{"serve", "-addr", addr})
+	if base != "http://"+addr {
+		t.Fatalf("server bound %s, want %s", base, addr)
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() //nolint:errcheck
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz: HTTP %d", resp.StatusCode)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("server exited non-zero after SIGTERM: %v", err)
+	}
+	if !strings.Contains(childLog.String(), "address in use; retrying") {
+		t.Errorf("server came up without logging a retry; log:\n%s", childLog.String())
+	}
 }

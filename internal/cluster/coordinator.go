@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -114,13 +116,15 @@ func (j *coordJob) broadcastLocked() {
 
 // workerSpans is one assignment's collected trace buffer: the events
 // fetched so far (cursor = len(Events) at the worker's numbering) plus
-// the identity needed to label them in the merged trace.
+// the identity needed to label them in the merged trace. The
+// coordinator only relays the events, so each stays the worker's JSON,
+// compacted, until a merged trace is served (mergedTrace).
 type workerSpans struct {
 	WorkerID    string
 	WorkerJobID string
 	Dropped     int64
 	Replayed    bool // a later attempt: re-executed workload after failover
-	Events      []obs.Event
+	Events      []json.RawMessage
 }
 
 // spanSink returns (creating on first use) the span buffer for one
@@ -145,7 +149,7 @@ func (j *coordJob) spanSnapshot() []workerSpans {
 	out := make([]workerSpans, 0, len(j.spans))
 	for _, ws := range j.spans {
 		c := *ws
-		c.Events = append([]obs.Event(nil), ws.Events...)
+		c.Events = append([]json.RawMessage(nil), ws.Events...)
 		out = append(out, c)
 	}
 	return out
@@ -1022,16 +1026,37 @@ func (c *Coordinator) pollSpans(j *coordJob, a assignment, sink *workerSpans) {
 	j.spanMu.Lock()
 	after := len(sink.Events)
 	j.spanMu.Unlock()
-	ex, err := jobCall[obs.TraceExport](c, a, j.cancelCh, nil, http.MethodGet, "/trace?after="+strconv.Itoa(after))
+	ex, err := jobCall[spanDelta](c, a, j.cancelCh, nil, http.MethodGet, "/trace?after="+strconv.Itoa(after))
 	if err != nil {
 		return
 	}
+	compactEvents(ex.Events)
 	j.spanMu.Lock()
 	defer j.spanMu.Unlock()
 	if have := len(sink.Events) - after; have < len(ex.Events) {
 		sink.Events = append(sink.Events, ex.Events[have:]...)
 	}
 	sink.Dropped = max(sink.Dropped, ex.Dropped)
+}
+
+// spanDelta is the part of a worker's obs.TraceExport that pollSpans
+// keeps, with the events left undecoded.
+type spanDelta struct {
+	Dropped int64             `json:"dropped"`
+	Events  []json.RawMessage `json:"events"`
+}
+
+// compactEvents replaces each event with an exact-size copy stripped of
+// the worker's indentation: the buffer lives as long as the job is
+// retained.
+func compactEvents(events []json.RawMessage) {
+	var buf bytes.Buffer
+	for i, raw := range events {
+		buf.Reset()
+		if json.Compact(&buf, raw) == nil {
+			events[i] = bytes.Clone(buf.Bytes())
+		}
+	}
 }
 
 // stampShip records that a worker just shipped a checkpoint segment

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,7 +55,8 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // mergedTrace flattens the job's per-assignment span buffers into one
 // Chrome trace_event list: one pid per assignment, a process_name
 // metadata event naming the worker, and replayed attribution on every
-// event of a post-failover attempt.
+// event of a post-failover attempt. Each stored event is decoded here,
+// into a fresh Event the replayed mark can be added to.
 func (c *Coordinator) mergedTrace(j *coordJob) []obs.Event {
 	spans := j.spanSnapshot()
 	out := make([]obs.Event, 0, 16)
@@ -85,17 +87,17 @@ func (c *Coordinator) mergedTrace(j *coordJob) []obs.Event {
 				Args: map[string]any{"dropped": ws.Dropped, "worker": ws.WorkerID},
 			})
 		}
-		for _, e := range ws.Events {
+		for _, raw := range ws.Events {
+			var e obs.Event
+			if json.Unmarshal(raw, &e) != nil {
+				continue
+			}
 			e.Pid = pid
 			if ws.Replayed {
-				// Copy-on-write: the Args maps are shared with the stored
-				// buffer, which later polls keep appending next to.
-				args := make(map[string]any, len(e.Args)+1)
-				for k, v := range e.Args {
-					args[k] = v
+				if e.Args == nil {
+					e.Args = make(map[string]any, 1)
 				}
-				args["replayed"] = true
-				e.Args = args
+				e.Args["replayed"] = true
 			}
 			out = append(out, e)
 		}

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -260,12 +262,66 @@ func TestPollSpansConcurrentDrainsAbsorbOnce(t *testing.T) {
 
 	got := j.spanSnapshot()[0].Events
 	if len(got) != len(events) {
-		t.Fatalf("sink holds %d events after two concurrent drains, want %d: %+v", len(got), len(events), got)
+		t.Fatalf("sink holds %d events after two concurrent drains, want %d: %s", len(got), len(events), got)
 	}
-	for i, e := range got {
+	for i, raw := range got {
+		var e obs.Event
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("sink event %d: %v", i, err)
+		}
 		if e.Name != events[i].Name {
 			t.Errorf("sink event %d = %q, want %q", i, e.Name, events[i].Name)
 		}
+	}
+}
+
+// TestMergedTraceGolden: two assignments' canned worker exports — the
+// second a failover replay, the first with dropped spans — merge into
+// exactly the trace the coordinator served when it still decoded every
+// event at drain time (testdata/compat/merged_trace.golden.json was
+// written by that tree). Names, phases, tids, pids, args keys, number
+// formatting and the replayed marks are all pinned by the bytes.
+func TestMergedTraceGolden(t *testing.T) {
+	cc := newChaosCluster(t, nil)
+	exports := []string{
+		`{"trace_id": "tr-golden", "job_id": "wj-1", "total": 6, "dropped": 3, "events": [
+		  {"name": "align", "ph": "B", "ts": 0.512, "pid": 0, "tid": 0, "args": {"job_id": "wj-1", "query_len": 52000, "trace_id": "tr-golden"}},
+		  {"name": "strand +", "ph": "B", "ts": 1.25, "pid": 0, "tid": 0},
+		  {"name": "seeding", "ph": "B", "ts": 2, "pid": 0, "tid": 0, "args": {"strand": "+"}},
+		  {"name": "seed-shard", "ph": "X", "ts": 2.001, "dur": 1234.567, "pid": 0, "tid": 1, "args": {"candidates": 4, "seed_hits": 1099511627776, "shard": 0, "strand": "+"}},
+		  {"name": "filter-tile", "ph": "X", "ts": 1300.3, "dur": 0.25, "pid": 0, "tid": 2, "args": {"cells": 102400, "pass": true, "strand": "+"}},
+		  {"name": "seeding", "ph": "E", "ts": 1400.000001, "pid": 0, "tid": 0}
+		]}`,
+		`{"trace_id": "tr-golden", "job_id": "wj-2", "total": 7, "events": [
+		  {"name": "align", "ph": "B", "ts": 0.1, "pid": 0, "tid": 0, "args": {"job_id": "wj-2", "query_len": 52000, "trace_id": "tr-golden"}},
+		  {"name": "anchor", "ph": "B", "ts": 5e-3, "pid": 0, "tid": 0, "args": {"index": 3, "strand": "-"}},
+		  {"name": "gact-tile", "ph": "X", "ts": 77.5, "dur": 12.125, "pid": 0, "tid": 0, "args": {"anchor": 3, "cells": 8589934592, "strand": "-"}},
+		  {"name": "anchor", "ph": "E", "ts": 90, "pid": 0, "tid": 0, "args": {"cells": 8589934592, "hsp": false, "tiles": 1}},
+		  {"name": "anchor-absorbed", "ph": "i", "ts": 91.75, "pid": 0, "tid": 0, "args": {"index": 4, "strand": "-"}},
+		  {"name": "strand -", "ph": "E", "cat": "pipeline", "ts": 100, "pid": 0, "tid": 0},
+		  {"name": "align", "ph": "E", "ts": 123456.789, "pid": 0, "tid": 0, "args": {"hsps": 2}}
+		]}`,
+	}
+	j := newCoordJob(ckSubmitted{ID: "cj-golden", TraceID: "tr-golden"})
+	for i, body := range exports {
+		stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			io.WriteString(rw, body) //nolint:errcheck
+		}))
+		defer stub.Close()
+		n := strconv.Itoa(i + 1)
+		a := assignment{WorkerID: "w" + n, WorkerAddr: stub.URL, WorkerJobID: "wj-" + n}
+		cc.coord.pollSpans(j, a, j.spanSink(a))
+	}
+	got, err := json.MarshalIndent(cc.coord.mergedTrace(j), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "compat", "merged_trace.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Errorf("merged trace differs from the golden file:\n got %s\nwant %s", got, want)
 	}
 }
 

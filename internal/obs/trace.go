@@ -33,19 +33,66 @@ type Event struct {
 //
 // Every leaf event carries the stage counters as args (seed_hits,
 // candidates, cells, pass), so the trace aggregates back to exactly
-// the run's Result.Workload. A Tracer records every event it is
-// handed; traces of large runs are large, so it is meant for one-shot
-// diagnostic runs (the CLI's -trace flag), not for always-on serving.
+// the run's Result.Workload.
+//
+// Storage: each Recorder call appends one rec — a kind byte, the
+// strand byte, one flag, the tid, ts and dur in ns, and up to three
+// counters: 48 B, fixed-size and pointer-free. So the buffer is never
+// scanned by the garbage collector, and once its slice has grown an
+// event costs one lock and no allocation. The Chrome Events, with
+// their names and args maps (about 466 B an event retained), are built
+// only when the trace is read (Events, Export, Write). This is what
+// lets a server keep a capped Tracer on every job and in its history.
 type Tracer struct {
 	zero time.Time
 	cap  int // 0 = unbounded (the one-shot CLI contract)
 
 	mu      sync.Mutex
-	events  []Event
+	recs    []rec
+	ids     []identity // the ids each AlignBegin captured, indexed by its rec
 	dropped int64
 	traceID string
 	jobID   string
 }
+
+// TraceEventBytes bounds the heap a capped Tracer keeps per event once
+// its buffer is full: the 48-byte rec plus the slice's growth headroom
+// (60 B measured at a cap of 4096; TestTracerRetainedBytes holds it).
+// Admission control charges it per event of a job's trace cap.
+const TraceEventBytes = 64
+
+// recKind names the Recorder call a rec came from.
+type recKind uint8
+
+const (
+	kindAlignBegin recKind = iota
+	kindAlignEnd
+	kindStrandBegin
+	kindStrandEnd
+	kindStageBegin
+	kindStageEnd
+	kindSeedShard
+	kindFilterTile
+	kindAnchorBegin
+	kindAnchorSkipped
+	kindAnchorEnd
+	kindExtensionTile
+)
+
+// rec is one recorded event as the buffer holds it; event renders it.
+// n holds the kind's counters in the order event reads them; flag is a
+// filter tile's pass or an anchor's hsp.
+type rec struct {
+	ts, dur int64 // ns: ts from the tracer's zero, dur of an X event
+	n       [3]int64
+	tid     int32
+	kind    recKind
+	strand  byte
+	flag    bool
+}
+
+// identity is the trace and job id an AlignBegin captured.
+type identity struct{ traceID, jobID string }
 
 // NewTracer returns an empty tracer; timestamps are relative to now.
 func NewTracer() *Tracer {
@@ -76,161 +123,180 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// micros converts an absolute time to trace microseconds.
-func (t *Tracer) micros(at time.Time) float64 {
-	return float64(at.Sub(t.zero)) / float64(time.Microsecond)
+// since is an absolute time in ns from the tracer's zero.
+func (t *Tracer) since(at time.Time) int64 {
+	return int64(at.Sub(t.zero))
 }
 
-func (t *Tracer) append(e Event) {
+// add appends r, or counts it as dropped once the cap is reached.
+func (t *Tracer) add(r rec) {
 	t.mu.Lock()
-	if t.cap > 0 && len(t.events) >= t.cap {
-		t.dropped++
-		t.mu.Unlock()
-		return
-	}
-	t.events = append(t.events, e)
+	t.addLocked(r)
 	t.mu.Unlock()
 }
 
-// full counts an event as dropped if the cap is already reached, so the
-// per-tile leaf events skip building their args for nothing. An event
-// that passes it and meets a cap filled meanwhile is dropped by append.
-func (t *Tracer) full() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cap > 0 && len(t.events) >= t.cap {
+func (t *Tracer) addLocked(r rec) {
+	if t.cap > 0 && len(t.recs) >= t.cap {
 		t.dropped++
-		return true
+		return
 	}
-	return false
-}
-
-// begin emits a B event at now on tid.
-func (t *Tracer) begin(name string, tid int, args map[string]any) {
-	t.append(Event{Name: name, Ph: "B", Ts: t.micros(time.Now()), Tid: tid, Args: args})
-}
-
-// end emits an E event at now on tid.
-func (t *Tracer) end(name string, tid int, args map[string]any) {
-	t.append(Event{Name: name, Ph: "E", Ts: t.micros(time.Now()), Tid: tid, Args: args})
-}
-
-// complete emits an X event covering [start, start+dur) on tid.
-func (t *Tracer) complete(name string, tid int, start time.Time, dur time.Duration, args map[string]any) {
-	t.append(Event{
-		Name: name, Ph: "X",
-		Ts:  t.micros(start),
-		Dur: float64(dur) / float64(time.Microsecond),
-		Tid: tid, Args: args,
-	})
+	t.recs = append(t.recs, r)
 }
 
 // AlignBegin implements Recorder. When Identify has been called, the
-// root span carries the trace/job identity in its args — the map is
-// allocated here regardless, so the tagging is free.
+// root span carries the trace/job identity in its args.
 func (t *Tracer) AlignBegin(qLen int) {
-	args := map[string]any{"query_len": qLen}
+	r := rec{kind: kindAlignBegin, ts: t.since(time.Now()), n: [3]int64{int64(qLen)}}
 	t.mu.Lock()
-	traceID, jobID := t.traceID, t.jobID
+	if t.traceID != "" || t.jobID != "" {
+		t.ids = append(t.ids, identity{t.traceID, t.jobID})
+		r.n[1] = int64(len(t.ids)) // 0 = no identity
+	}
+	t.addLocked(r)
 	t.mu.Unlock()
-	if traceID != "" {
-		args["trace_id"] = traceID
-	}
-	if jobID != "" {
-		args["job_id"] = jobID
-	}
-	t.begin("align", 0, args)
 }
 
 // AlignEnd implements Recorder.
 func (t *Tracer) AlignEnd(hsps int, dur time.Duration) {
-	t.end("align", 0, map[string]any{"hsps": hsps})
+	t.add(rec{kind: kindAlignEnd, ts: t.since(time.Now()), n: [3]int64{int64(hsps)}})
 }
 
 // StrandBegin implements Recorder.
 func (t *Tracer) StrandBegin(strand byte) {
-	t.begin("strand "+string(strand), 0, nil)
+	t.add(rec{kind: kindStrandBegin, ts: t.since(time.Now()), strand: strand})
 }
 
 // StrandEnd implements Recorder.
 func (t *Tracer) StrandEnd(strand byte) {
-	t.end("strand "+string(strand), 0, nil)
+	t.add(rec{kind: kindStrandEnd, ts: t.since(time.Now()), strand: strand})
 }
 
 // StageBegin implements Recorder.
 func (t *Tracer) StageBegin(strand byte, stage Stage) {
-	t.begin(stage.String(), 0, map[string]any{"strand": string(strand)})
+	t.add(rec{kind: kindStageBegin, ts: t.since(time.Now()), strand: strand, n: [3]int64{int64(stage)}})
 }
 
 // StageEnd implements Recorder.
 func (t *Tracer) StageEnd(strand byte, stage Stage) {
-	t.end(stage.String(), 0, nil)
+	t.add(rec{kind: kindStageEnd, ts: t.since(time.Now()), strand: strand, n: [3]int64{int64(stage)}})
 }
 
 // SeedShard implements Recorder.
 func (t *Tracer) SeedShard(strand byte, shard int, seedHits, candidates int64, start time.Time, dur time.Duration) {
-	if t.full() {
-		return
-	}
-	t.complete("seed-shard", 1+shard, start, dur, map[string]any{
-		"strand":     string(strand),
-		"shard":      shard,
-		"seed_hits":  seedHits,
-		"candidates": candidates,
-	})
+	t.add(rec{kind: kindSeedShard, ts: t.since(start), dur: int64(dur), tid: int32(1 + shard), strand: strand,
+		n: [3]int64{int64(shard), seedHits, candidates}})
 }
 
 // FilterTile implements Recorder.
 func (t *Tracer) FilterTile(strand byte, shard int, pass bool, cells int64, start time.Time, dur time.Duration) {
-	if t.full() {
-		return
-	}
-	t.complete("filter-tile", 1+shard, start, dur, map[string]any{
-		"strand": string(strand),
-		"pass":   pass,
-		"cells":  cells,
-	})
+	t.add(rec{kind: kindFilterTile, ts: t.since(start), dur: int64(dur), tid: int32(1 + shard), strand: strand,
+		n: [3]int64{cells}, flag: pass})
 }
 
 // AnchorBegin implements Recorder.
 func (t *Tracer) AnchorBegin(strand byte, anchor int) {
-	t.begin("anchor", 0, map[string]any{"strand": string(strand), "index": anchor})
+	t.add(rec{kind: kindAnchorBegin, ts: t.since(time.Now()), strand: strand, n: [3]int64{int64(anchor)}})
 }
 
 // AnchorSkipped implements Recorder: an instant event marking an
 // anchor absorbed by an earlier alignment's coverage.
 func (t *Tracer) AnchorSkipped(strand byte, anchor int) {
-	if t.full() {
-		return
-	}
-	t.append(Event{
-		Name: "anchor-absorbed", Ph: "i", Ts: t.micros(time.Now()), Tid: 0,
-		Args: map[string]any{"strand": string(strand), "index": anchor},
-	})
+	t.add(rec{kind: kindAnchorSkipped, ts: t.since(time.Now()), strand: strand, n: [3]int64{int64(anchor)}})
 }
 
 // AnchorEnd implements Recorder.
 func (t *Tracer) AnchorEnd(strand byte, anchor int, tiles, cells int64, hsp bool) {
-	t.end("anchor", 0, map[string]any{"tiles": tiles, "cells": cells, "hsp": hsp})
+	t.add(rec{kind: kindAnchorEnd, ts: t.since(time.Now()), strand: strand, n: [3]int64{tiles, cells}, flag: hsp})
 }
 
-// ExtensionTile implements Recorder.
+// ExtensionTile implements Recorder. GACT-X runs on the orchestration
+// goroutine, so its tiles are on tid 0.
 func (t *Tracer) ExtensionTile(strand byte, anchor int, cells int64, start time.Time, dur time.Duration) {
-	if t.full() {
-		return
+	t.add(rec{kind: kindExtensionTile, ts: t.since(start), dur: int64(dur), strand: strand,
+		n: [3]int64{int64(anchor), cells}})
+}
+
+// event renders one rec as the Chrome event it stands for. ids is the
+// tracer's identity slice as of the snapshot.
+func event(r rec, ids []identity) Event {
+	e := Event{
+		Ts:  float64(r.ts) / float64(time.Microsecond),
+		Dur: float64(r.dur) / float64(time.Microsecond),
+		Tid: int(r.tid),
 	}
-	t.complete("gact-tile", 0, start, dur, map[string]any{
-		"strand": string(strand),
-		"anchor": anchor,
-		"cells":  cells,
-	})
+	strand := string(r.strand)
+	switch r.kind {
+	case kindAlignBegin:
+		e.Name, e.Ph = "align", "B"
+		e.Args = map[string]any{"query_len": int(r.n[0])}
+		if r.n[1] > 0 {
+			id := ids[r.n[1]-1]
+			if id.traceID != "" {
+				e.Args["trace_id"] = id.traceID
+			}
+			if id.jobID != "" {
+				e.Args["job_id"] = id.jobID
+			}
+		}
+	case kindAlignEnd:
+		e.Name, e.Ph = "align", "E"
+		e.Args = map[string]any{"hsps": int(r.n[0])}
+	case kindStrandBegin:
+		e.Name, e.Ph = "strand "+strand, "B"
+	case kindStrandEnd:
+		e.Name, e.Ph = "strand "+strand, "E"
+	case kindStageBegin:
+		e.Name, e.Ph = Stage(r.n[0]).String(), "B"
+		e.Args = map[string]any{"strand": strand}
+	case kindStageEnd:
+		e.Name, e.Ph = Stage(r.n[0]).String(), "E"
+	case kindSeedShard:
+		e.Name, e.Ph = "seed-shard", "X"
+		e.Args = map[string]any{
+			"strand":     strand,
+			"shard":      int(r.n[0]),
+			"seed_hits":  r.n[1],
+			"candidates": r.n[2],
+		}
+	case kindFilterTile:
+		e.Name, e.Ph = "filter-tile", "X"
+		e.Args = map[string]any{"strand": strand, "pass": r.flag, "cells": r.n[0]}
+	case kindAnchorBegin:
+		e.Name, e.Ph = "anchor", "B"
+		e.Args = map[string]any{"strand": strand, "index": int(r.n[0])}
+	case kindAnchorSkipped:
+		e.Name, e.Ph = "anchor-absorbed", "i"
+		e.Args = map[string]any{"strand": strand, "index": int(r.n[0])}
+	case kindAnchorEnd:
+		e.Name, e.Ph = "anchor", "E"
+		e.Args = map[string]any{"tiles": r.n[0], "cells": r.n[1], "hsp": r.flag}
+	case kindExtensionTile:
+		e.Name, e.Ph = "gact-tile", "X"
+		e.Args = map[string]any{"strand": strand, "anchor": int(r.n[0]), "cells": r.n[1]}
+	}
+	return e
+}
+
+// render builds the Chrome events of recs; nil when there are none.
+// The buffer and ids are append-only, so a slice of them taken under
+// the lock stays valid to render after it is released.
+func render(recs []rec, ids []identity) []Event {
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make([]Event, len(recs))
+	for i, r := range recs {
+		out[i] = event(r, ids)
+	}
+	return out
 }
 
 // Events returns a snapshot of the collected events.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	recs, ids := t.recs, t.ids
+	t.mu.Unlock()
+	return render(recs, ids)
 }
 
 // TraceExport is the span-buffer envelope a worker serves at
@@ -247,17 +313,13 @@ type TraceExport struct {
 }
 
 // Export snapshots the events past cursor `after` (0 = everything)
-// together with the tracer's identity.
+// together with the tracer's identity. Only those events are rendered.
 func (t *Tracer) Export(after int) TraceExport {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	ex := TraceExport{TraceID: t.traceID, JobID: t.jobID, Total: len(t.events), Dropped: t.dropped}
-	if after < 0 {
-		after = 0
-	}
-	if after < len(t.events) {
-		ex.Events = append([]Event(nil), t.events[after:]...)
-	}
+	ex := TraceExport{TraceID: t.traceID, JobID: t.jobID, Total: len(t.recs), Dropped: t.dropped}
+	recs, ids := t.recs[min(max(after, 0), len(t.recs)):], t.ids
+	t.mu.Unlock()
+	ex.Events = render(recs, ids)
 	return ex
 }
 
@@ -265,12 +327,9 @@ func (t *Tracer) Export(after int) TraceExport {
 // form, {"traceEvents": [...]}), loadable in about://tracing and
 // Perfetto.
 func (t *Tracer) Write(w io.Writer) error {
-	t.mu.Lock()
-	events := append([]Event(nil), t.events...)
-	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{
-		"traceEvents":     events,
+		"traceEvents":     t.Events(),
 		"displayTimeUnit": "ms",
 	})
 }

@@ -729,7 +729,8 @@ func heapInUse() int64 {
 // cells at 4 bits each, twice because growing it holds both copies; two
 // rows of (V, D) pairs and a row of direction bytes), a banded aligner's
 // two rows of (V, D) pairs per filter worker (16 B per column), and the
-// span buffer at its cap (~620 B an event with its args, measured). Per
+// span buffer at its cap (obs.TraceEventBytes an event: a 48-byte
+// record plus growth headroom, 60 B measured at the 4096 cap). Per
 // base:
 // the query text, its concatenation and reverse complement, the spooled
 // MAF and a 16-byte candidate anchor held twice while the slice grows
@@ -745,7 +746,7 @@ func (m *Manager) estimateJobBytes(params JobParams, queryBases int) int64 {
 	tile := int64(cfg.Extension.TileSize) + 1
 	extension := tile*tile + 2*8*(tile+1) + tile
 	filter := int64(workers) * 4 * 4 * int64(cfg.FilterTileSize+1)
-	trace := int64(m.traceCap) * 640
+	trace := int64(m.traceCap) * obs.TraceEventBytes
 	return extension + filter + trace + 40*int64(queryBases)
 }
 
