@@ -86,6 +86,10 @@ named-test = @out=$$($(GO) test $(1) 2>&1); st=$$?; echo "$$out"; \
 # re-sorted (no func sortHSPs in non-test internal/core), and the root
 # Report keeps no second copy of it (no mafOrder, no emitted field, no
 # HSPHook wrapper in AlignAssembliesContext).
+# And for budgets: one ledger in internal/core (run.go's budget, charged
+# and closed by charge/admits), so the hand-rolled per-stage copies stay
+# out of its non-test files; and one frame codec (checkpoint.AppendFrame/
+# ReadFrame), so one CRC-32C table exists in non-test Go outside bench/.
 check-once:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'json:"max_filter_tiles' . | wc -l); \
 	if [ "$$n" -ne 1 ]; then echo "check-once: job-parameter JSON tags declared in $$n non-test files, want 1 (core.JobSpec)"; exit 1; fi
@@ -167,6 +171,10 @@ check-once:
 		grep -nE 'mafOrder|^\s*emitted\s|\.emitted\b' report.go || \
 		sed -n '/^func AlignAssembliesContext(/,/^}/p' report.go | grep -nE 'HSPHook\s*='; then \
 		echo "check-once: a second HSP order is back (Result.HSPs is the commit order; the Report keeps no copy and wraps no hook)"; exit 1; fi
+	@if grep -nE 'noteCandidates|takeFilterTile|extCellsExceeded|seedExhausted|filterExhausted|extExhausted' $$(ls internal/core/*.go | grep -v _test.go); then \
+		echo "check-once: a hand-rolled budget copy is back in internal/core (charge and admit through the run's ledger)"; exit 1; fi
+	@n=$$(grep -rnF --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'crc32.MakeTable(crc32.Castagnoli)' . | wc -l); \
+	if [ "$$n" -gt 1 ]; then echo "check-once: $$n CRC-32C tables in non-test Go, want 1 (frame with checkpoint.AppendFrame/ReadFrame)"; exit 1; fi
 
 test:
 	$(GO) test ./...

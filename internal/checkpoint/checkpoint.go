@@ -39,11 +39,13 @@ import (
 const magic = "DWGAWAL1"
 
 // Frame layout: u32-LE payload length, u8 kind, u32-LE CRC32-Castagnoli
-// over (kind ‖ payload), then the payload.
+// over (kind ‖ payload), then the payload. AppendFrame and ReadFrame are
+// its one codec, shared with internal/indexstore's sections.
 const frameHeader = 4 + 1 + 4
 
-// maxPayload bounds a frame so a corrupt length field cannot make the
-// reader attempt a giant allocation.
+// maxPayload bounds the record Append and Compact accept. It is a rule of
+// the journal, not of the frame: ReadFrame checks a length only against the
+// bytes present, and an index section may be far larger.
 const maxPayload = 64 << 20
 
 // DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
@@ -206,19 +208,48 @@ func (j *Journal) Append(kind uint8, payload []byte) error {
 	return nil
 }
 
-// encodeFrame frames one record.
+// encodeFrame frames one record under the journal's size rule.
 func encodeFrame(kind uint8, payload []byte) ([]byte, error) {
 	if len(payload) > maxPayload {
 		return nil, fmt.Errorf("checkpoint: payload %d bytes exceeds limit %d", len(payload), maxPayload)
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	frame[4] = kind
-	crc := crc32.Update(0, castagnoli, frame[4:5])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(frame[5:9], crc)
-	copy(frame[frameHeader:], payload)
-	return frame, nil
+	return AppendFrame(make([]byte, 0, FrameSize(len(payload))), kind, payload), nil
+}
+
+// FrameSize is the encoded size of a frame carrying n payload bytes.
+func FrameSize(n int) int { return frameHeader + n }
+
+// AppendFrame appends one frame of kind carrying payload to dst and
+// returns the extended slice.
+func AppendFrame(dst []byte, kind uint8, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, kind)
+	crc := crc32.Update(0, castagnoli, dst[len(dst)-1:])
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Update(crc, castagnoli, payload))
+	return append(dst, payload...)
+}
+
+// ReadFrame decodes the frame at the front of data: its kind, its
+// payload (aliasing data) and the bytes after it. The length field is
+// checked against the bytes present before it is used, so a damaged one
+// can never drive an allocation or an out-of-range slice; a payload
+// whose CRC does not match is an error.
+func ReadFrame(data []byte) (kind uint8, payload, rest []byte, err error) {
+	if len(data) < frameHeader {
+		return 0, nil, nil, fmt.Errorf("truncated frame header (%d bytes)", len(data))
+	}
+	n := binary.LittleEndian.Uint32(data[0:4])
+	kind = data[4]
+	body := data[frameHeader:]
+	if uint64(n) > uint64(len(body)) {
+		return 0, nil, nil, fmt.Errorf("frame claims %d payload bytes, %d remain", n, len(body))
+	}
+	payload = body[:n]
+	crc := crc32.Update(0, castagnoli, data[4:5])
+	if crc32.Update(crc, castagnoli, payload) != binary.LittleEndian.Uint32(data[5:9]) {
+		return 0, nil, nil, fmt.Errorf("CRC mismatch in frame of kind %d", kind)
+	}
+	return kind, payload, body[n:], nil
 }
 
 func (j *Journal) writeDurably(frame []byte) error {
@@ -498,29 +529,16 @@ func replaySegment(path string) (records []Record, valid int64, torn error) {
 		return nil, 0, fmt.Errorf("bad segment magic")
 	}
 	off := int64(len(magic))
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return records, off, nil
-		}
-		if len(rest) < frameHeader {
-			return records, off, fmt.Errorf("torn frame header at offset %d", off)
-		}
-		n := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		if n > maxPayload || frameHeader+n > int64(len(rest)) {
-			return records, off, fmt.Errorf("torn frame at offset %d (payload %d bytes)", off, n)
-		}
-		kind := rest[4]
-		want := binary.LittleEndian.Uint32(rest[5:9])
-		payload := rest[frameHeader : frameHeader+n]
-		crc := crc32.Update(0, castagnoli, rest[4:5])
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != want {
-			return records, off, fmt.Errorf("bad frame CRC at offset %d", off)
+	for rest := data[off:]; len(rest) > 0; {
+		kind, payload, next, err := ReadFrame(rest)
+		if err != nil {
+			return records, off, fmt.Errorf("torn frame at offset %d: %w", off, err)
 		}
 		records = append(records, Record{Kind: kind, Payload: append([]byte(nil), payload...)})
-		off += frameHeader + n
+		off += int64(len(rest) - len(next))
+		rest = next
 	}
+	return records, off, nil
 }
 
 // segmentFiles lists the journal's segments in append order. When

@@ -70,21 +70,25 @@ type anchorExtender struct {
 	strand byte
 	ext    *gact.Extender
 	// cur is the anchor in flight (the TileHook reads it), st its running
-	// stats (the serial driver's cell budget reads them mid-Extend); both
-	// hooks run inside the extender's own Extend call.
+	// stats (the stop poll reads them mid-Extend); both hooks run inside
+	// the extender's own Extend call.
 	cur int
 	st  gact.Stats
 }
 
-// newAnchorExtender builds an extender over the strand-oriented query;
-// stop is polled before every GACT-X tile. A Recorder's tile event is
+// newAnchorExtender builds an extender over the strand-oriented query.
+// Before every GACT-X tile it polls the run's stop and the cell budget:
+// extension stops before a tile once the committed cells plus the anchor
+// in flight's exceed MaxExtensionCells. A Recorder's tile event is
 // composed with the configuration's own TileHook, which fires once per
 // tile either way; with neither, the extender's hot loop takes no
 // timestamps.
-func (a *Aligner) newAnchorExtender(r *run, query []byte, strand byte, stop func() bool) (*anchorExtender, error) {
+func (a *Aligner) newAnchorExtender(r *run, query []byte, strand byte) (*anchorExtender, error) {
 	x := &anchorExtender{a: a, r: r, query: query, strand: strand}
 	ecfg := a.cfg.Extension
-	ecfg.Stop = stop
+	ecfg.Stop = func() bool {
+		return r.stopSlow() || !r.admits(&r.extBudget, r.extBudget.charge(0)+int64(x.st.Cells))
+	}
 	if user := ecfg.TileHook; r.rec != nil {
 		ecfg.TileHook = func(t gact.Tile) {
 			r.rec.ExtensionTile(strand, x.cur, int64(t.Cells), t.Start, t.Dur)
@@ -139,11 +143,7 @@ func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []Exten
 		defer r.rec.StageEnd(strand, obs.StageExtension)
 	}
 	defer func(t0 time.Time) { res.Timings.Extension += time.Since(t0) }(time.Now())
-	var x *anchorExtender
-	x, err := a.newAnchorExtender(r, query, strand, func() bool {
-		// The budget counts committed cells plus the anchor in flight.
-		return r.stopSlow() || r.extCellsExceeded(res.Workload.ExtensionCells+int64(x.st.Cells))
-	})
+	x, err := a.newAnchorExtender(r, query, strand)
 	if err != nil {
 		return err
 	}
@@ -157,7 +157,7 @@ func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []Exten
 			r.commit(res, absorb, i, &journaled[i], true)
 			continue
 		}
-		if r.extensionStopped() {
+		if r.stopSlow() || !r.extBudget.open() {
 			break
 		}
 		var o anchorOutcome
@@ -180,7 +180,7 @@ func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []Exten
 			// this call's partial Result but must not be journaled — a
 			// resumed run recomputes this anchor in full instead of
 			// replaying the stub.
-			stopped = r.extensionStopped()
+			stopped = r.stopSlow() || !r.extBudget.open()
 		}
 		if !stopped {
 			if err := r.ck.recordAnchor(strand, i, &o); err != nil {
@@ -195,13 +195,13 @@ func (a *Aligner) runExtension(r *run, query []byte, strand byte, passed []Exten
 	return nil
 }
 
-// commit folds the outcome of anchor i into the Result and the absorber:
-// the only writer of Result.HSPs and of Workload's and Replayed's
-// extension counters, and the pipeline's only caller of cover. The live
-// loop passes an outcome it has just journaled, resume the one the
-// journal held (replayed), so a replayed record reproduces the live
-// mutation — and the coverage later anchors are checked against — by
-// construction.
+// commit folds the outcome of anchor i into the Result, the absorber and
+// the cell budget: the only writer of Result.HSPs and of Workload's and
+// Replayed's extension counters, the only charge of extension cells, and
+// the pipeline's only caller of cover. The live loop passes an outcome it
+// has just journaled, resume the one the journal held (replayed), so a
+// replayed record reproduces the live mutation — and the coverage and
+// budget later anchors are checked against — by construction.
 func (r *run) commit(res *Result, absorb *absorber, i int, o *anchorOutcome, replayed bool) {
 	tally := func(wl *Workload) {
 		wl.ExtensionTiles += o.tiles
@@ -211,6 +211,7 @@ func (r *run) commit(res *Result, absorb *absorber, i int, o *anchorOutcome, rep
 		}
 	}
 	tally(&res.Workload)
+	r.extBudget.charge(o.cells)
 	if replayed {
 		tally(&res.Replayed)
 	}

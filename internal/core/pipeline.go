@@ -19,13 +19,15 @@ const seedBlockChunks = 8
 
 // Aligner owns the prebuilt target index and immutable configuration;
 // it is safe to call Align from multiple goroutines (each call runs its
-// own worker pool over private scratch state).
+// own worker pool over private scratch state, and the D-SOFT seeder is
+// safe for concurrent use).
 type Aligner struct {
 	cfg    Config
 	sc     *align.Scoring
 	target []byte
 	index  *seed.Index
 	shape  *seed.Shape
+	seeder *dsoft.Seeder
 }
 
 // NewAligner indexes the target under cfg.
@@ -41,7 +43,7 @@ func NewAligner(target []byte, cfg Config) (*Aligner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Aligner{cfg: cfg, sc: cfg.scoring(), target: target, index: ix, shape: shape}, nil
+	return NewAlignerWithIndex(target, cfg, ix)
 }
 
 // NewAlignerWithIndex builds an Aligner around an index constructed
@@ -49,13 +51,15 @@ func NewAligner(target []byte, cfg Config) (*Aligner, error) {
 // the index build entirely. The index must have been built over target
 // under the same seed shape and frequency mask cfg describes; those
 // invariants are validated here because a mismatched index silently
-// produces wrong seeds, not errors.
+// produces wrong seeds, not errors. NewAligner and WithConfig build
+// through it.
 func NewAlignerWithIndex(target []byte, cfg Config, ix *seed.Index) (*Aligner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if ix == nil {
-		return nil, fmt.Errorf("core: NewAlignerWithIndex needs a non-nil index")
+	seeder, err := dsoft.NewSeeder(ix, cfg.DSoft)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	shape := ix.Shape()
 	if shape.Pattern != cfg.SeedPattern {
@@ -70,7 +74,7 @@ func NewAlignerWithIndex(target []byte, cfg Config, ix *seed.Index) (*Aligner, e
 		return nil, fmt.Errorf("core: index covers %d bases, target has %d",
 			ix.TargetLen(), len(target))
 	}
-	return &Aligner{cfg: cfg, sc: cfg.scoring(), target: target, index: ix, shape: shape}, nil
+	return &Aligner{cfg: cfg, sc: cfg.scoring(), target: target, index: ix, shape: shape, seeder: seeder}, nil
 }
 
 // Config returns the aligner's configuration.
@@ -97,14 +101,7 @@ func (a *Aligner) IndexMemoryBytes() int { return a.index.MemoryBytes() }
 // concurrent use. This is the serving-layer primitive: one expensive
 // index, many differently-budgeted calls.
 func (a *Aligner) WithConfig(cfg Config) (*Aligner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.SeedPattern != a.cfg.SeedPattern || cfg.SeedMaxFreq != a.cfg.SeedMaxFreq {
-		return nil, fmt.Errorf("core: WithConfig cannot change the index-shaping fields (seed %q maxfreq %d -> %q %d); build a new Aligner",
-			a.cfg.SeedPattern, a.cfg.SeedMaxFreq, cfg.SeedPattern, cfg.SeedMaxFreq)
-	}
-	return &Aligner{cfg: cfg, sc: cfg.scoring(), target: a.target, index: a.index, shape: a.shape}, nil
+	return NewAlignerWithIndex(a.target, cfg, a.index)
 }
 
 // Align runs the full pipeline for a query. When cfg.BothStrands is set
@@ -119,10 +116,11 @@ func (a *Aligner) Align(query []byte) (*Result, error) {
 // Cancellation is checked at tile granularity in every stage, so a
 // cancelled context stops the call within one tile's worth of work per
 // worker; the partial Result (tagged TruncatedCancelled) is returned
-// together with ctx.Err(). Budget exhaustion — Config.MaxCandidates,
-// MaxFilterTiles, MaxExtensionCells, or Deadline — is graceful
-// degradation, not an error: the call stops starting new work and
-// returns the partial Result with Result.Truncated set and a nil error.
+// together with ctx.Err(), even when a budget closed first. Budget
+// exhaustion — Config.MaxCandidates, MaxFilterTiles, MaxExtensionCells,
+// or Deadline — is graceful degradation, not an error: the call stops
+// starting new work and returns the partial Result with
+// Result.Truncated set and a nil error.
 // A panic in any stage is contained and surfaces as a *StageError
 // (under Config.Retry the failing shard is re-run first, and a shard
 // that exhausts its attempts degrades the Result instead of failing
@@ -160,16 +158,14 @@ func (a *Aligner) AlignContext(ctx context.Context, query []byte) (*Result, erro
 			return nil, err
 		}
 	}
-	// A cancellation the watcher has not yet delivered is still a
-	// cancellation: callers handed a cancelled context must get ctx.Err()
-	// back deterministically.
-	if r.ctx.Err() != nil {
-		r.truncate(TruncatedCancelled)
-	}
 	res.Truncated = r.truncation()
 	res.FailedShards = r.failedShards()
-	if res.Truncated == TruncatedCancelled {
-		return res, r.ctx.Err()
+	// Cancellation is a hard stop, not a budget: a caller whose context
+	// was cancelled gets ctx.Err() back, whatever closed before it and
+	// whether or not the watcher has delivered it yet.
+	if err := r.ctx.Err(); err != nil {
+		res.Truncated = TruncatedCancelled
+		return res, err
 	}
 	return res, nil
 }
@@ -249,11 +245,7 @@ func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) er
 		passed = s.anchors
 		res.Workload.Add(s.workload)
 		res.Replayed.Add(s.workload)
-		r.candidates.Add(s.workload.Candidates)
-		r.filterTiles.Add(s.workload.FilterTiles)
-		if s.truncated != "" {
-			r.truncate(s.truncated)
-		}
+		r.replayStrand(s.workload, s.truncated)
 	} else {
 		var wl Workload
 		var err error
@@ -264,12 +256,13 @@ func (a *Aligner) alignStrand(r *run, query []byte, strand byte, res *Result) er
 		res.Workload.Add(wl)
 		// Journal the strand's anchor set — unless the run is stopping,
 		// in which case the set is incomplete and must be recomputed on
-		// resume. Budget truncation is journaled with it: the truncated
-		// set is final, and a resumed run must reproduce it rather than
-		// widen it.
+		// resume — with what shaped it: a seeding or filter budget
+		// closing or a dropped shard, which a resumed run must reproduce
+		// rather than widen. (Replaying the anchor outcomes reproduces
+		// the extension budget's closure.)
 		if r.ck != nil && !r.stopSlow() {
 			trunc := r.truncation()
-			if trunc != TruncatedMaxCandidates && trunc != TruncatedMaxFilterTiles && trunc != TruncatedShardFailures {
+			if trunc == r.extBudget.reason {
 				trunc = ""
 			}
 			if err := r.ck.recordStrand(strand, passed, wl, trunc); err != nil {
@@ -343,13 +336,9 @@ func (w *Workload) Add(d Workload) {
 // seed-hit and candidate counts. D-SOFT band counting never straddles a
 // chunk boundary, so the candidates of a chunk-aligned range are the
 // corresponding slice of a whole-query run. Workers poll cancellation
-// and the candidate budget every seedBlockChunks chunks.
+// and the candidate budget every seedBlockChunks chunks; seeding stops
+// once the budget has no room for one more candidate.
 func (a *Aligner) runSeeding(r *run, query []byte, strand byte, qs, qe int) (anchors []dsoft.Anchor, seedHits, candidates int64) {
-	seeder, err := dsoft.NewSeeder(a.index, a.cfg.DSoft)
-	if err != nil {
-		// Params were validated in NewAligner; unreachable.
-		panic(err)
-	}
 	chunk := a.cfg.DSoft.ChunkSize
 	block := seedBlockChunks * chunk
 	type part struct {
@@ -363,10 +352,10 @@ func (a *Aligner) runSeeding(r *run, query []byte, strand byte, qs, qe int) (anc
 			t0 = time.Now()
 		}
 		p, scratch := &parts[w], dsoft.NewScratch()
-		for bs := qs + lo; bs < qs+hi && !r.seedingStopped(); bs += block {
+		for bs := qs + lo; bs < qs+hi && !r.stop() && r.seedBudget.open(); bs += block {
 			before := p.stats.Candidates
-			p.anchors = seeder.Collect(query, bs, min(bs+block, qs+hi), p.anchors, &p.stats, scratch)
-			if r.noteCandidates(p.stats.Candidates - before) {
+			p.anchors = a.seeder.Collect(query, bs, min(bs+block, qs+hi), p.anchors, &p.stats, scratch)
+			if !r.admits(&r.seedBudget, r.seedBudget.charge(int64(p.stats.Candidates-before))+1) {
 				break
 			}
 		}
@@ -376,7 +365,7 @@ func (a *Aligner) runSeeding(r *run, query []byte, strand byte, qs, qe int) (anc
 	}, func(w int) {
 		// A failed attempt's partial candidates are discarded and refunded
 		// against the budget before the shard is re-run.
-		r.candidates.Add(-int64(parts[w].stats.Candidates))
+		r.seedBudget.charge(-int64(parts[w].stats.Candidates))
 		parts[w] = part{}
 	})
 	for _, p := range parts {
@@ -400,7 +389,8 @@ func (a *Aligner) newFilter() (func(target, query []byte, tPos, qPos, size int) 
 
 // runFilter scores every anchor with the configured filter, fanned out
 // evenly across workers, and returns the survivors. Cancellation and the
-// tile budget are polled per tile. With a Recorder set, every filter
+// tile budget are polled per tile: a tile is reserved before it runs, so
+// exactly MaxFilterTiles tiles run. With a Recorder set, every filter
 // invocation reports one FilterTile event (verdict, cells, latency);
 // with a nil Recorder the loop takes no timestamps.
 func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand byte) (passed []ExtensionAnchor, tiles, cells int64) {
@@ -414,7 +404,7 @@ func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand
 		p := &parts[w]
 		var t0 time.Time
 		for _, an := range anchors[lo:hi] {
-			if r.stop() || !r.takeFilterTile() {
+			if r.stop() || !r.reserve(&r.filterBudget) {
 				return
 			}
 			if r.rec != nil {
@@ -434,7 +424,7 @@ func (a *Aligner) runFilter(r *run, query []byte, anchors []dsoft.Anchor, strand
 	}, func(w int) {
 		// A failed attempt's survivors are discarded and its tile
 		// reservations refunded before the shard is re-run.
-		r.filterTiles.Add(-parts[w].tiles)
+		r.filterBudget.charge(-parts[w].tiles)
 		parts[w] = part{}
 	})
 	for _, p := range parts {

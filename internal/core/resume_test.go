@@ -90,12 +90,46 @@ func emitted(cfg *Config) *[]HSP {
 
 // TestResumeMidExtension kills a run (via injected cancellation) at every
 // extension anchor in turn, resumes it from the journal, and checks the
-// combined outcome — alignments, workload, and the order the HSPHook saw
-// them in — is identical to an uninterrupted run.
+// combined outcome — alignments, workload, truncation, and the order the
+// HSPHook saw them in — is identical to an uninterrupted run. It does so
+// without a budget and under each stage's budget at half the '+'
+// strand's work, so the budget closes where a resumed run must close it
+// again; the cancellation landing after it must still come back as
+// context.Canceled (interruptAt). The budgeted runs use one worker: with
+// more, which seeding blocks run before the budget closes depends on
+// scheduling.
 func TestResumeMidExtension(t *testing.T) {
 	p := testPair(t, 15000, 0.08, 0.005)
+	resumeAtEveryAnchor(t, p, resumeConfig, "")
 
-	cleanCfg := resumeConfig(t.TempDir())
+	fwdCfg := resumeConfig(t.TempDir())
+	fwdCfg.BothStrands = false
+	fwd := mustAlign(t, p.TargetSeq(), p.QuerySeq(), fwdCfg).Workload
+	for _, tc := range []struct {
+		reason TruncationReason
+		budget func(*Config)
+	}{
+		{TruncatedMaxCandidates, func(c *Config) { c.MaxCandidates = fwd.Candidates / 2 }},
+		{TruncatedMaxFilterTiles, func(c *Config) { c.MaxFilterTiles = fwd.FilterTiles / 2 }},
+		{TruncatedMaxExtensionCells, func(c *Config) { c.MaxExtensionCells = fwd.ExtensionCells / 2 }},
+	} {
+		t.Run(string(tc.reason), func(t *testing.T) {
+			resumeAtEveryAnchor(t, p, func(dir string) Config {
+				cfg := resumeConfig(dir)
+				cfg.Workers = 1
+				tc.budget(&cfg)
+				return cfg
+			}, tc.reason)
+		})
+	}
+}
+
+// resumeAtEveryAnchor is TestResumeMidExtension under one configuration:
+// an uninterrupted run, which must end truncated for want, then one
+// subtest per extension anchor it ran.
+func resumeAtEveryAnchor(t *testing.T, p *evolve.Pair, config func(dir string) Config, want TruncationReason) {
+	t.Helper()
+	cleanCfg := config(t.TempDir())
 	cleanOrder := emitted(&cleanCfg)
 	var extended atomic.Int64
 	cleanCfg.FaultHook = func(stage string, _ int) {
@@ -104,7 +138,14 @@ func TestResumeMidExtension(t *testing.T) {
 		}
 	}
 	clean := mustAlign(t, p.TargetSeq(), p.QuerySeq(), cleanCfg)
-	if len(clean.HSPs) < 3 {
+	if clean.Truncated != want {
+		t.Fatalf("uninterrupted run: Truncated = %q, want %q", clean.Truncated, want)
+	}
+	minHSPs := 3
+	if want != "" {
+		minHSPs = 1 // a budget at half the '+' strand's work keeps fewer
+	}
+	if len(clean.HSPs) < minHSPs {
 		t.Fatalf("test pair too easy: only %d HSPs", len(clean.HSPs))
 	}
 	// Replayed accounting: a fresh run restored nothing.
@@ -115,10 +156,10 @@ func TestResumeMidExtension(t *testing.T) {
 	for hit := 1; hit <= int(extended.Load()); hit++ {
 		t.Run(fmt.Sprintf("anchor%d", hit), func(t *testing.T) {
 			dir := t.TempDir()
-			interruptAt(t, p, resumeConfig(dir), hit)
+			interruptAt(t, p, config(dir), hit)
 
 			// Resumed run: same config, target, query, and journal directory.
-			cfg := resumeConfig(dir)
+			cfg := config(dir)
 			order := emitted(&cfg)
 			resumed := mustAlign(t, p.TargetSeq(), p.QuerySeq(), cfg)
 			wantSameOutcome(t, resumed, clean)

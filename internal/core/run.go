@@ -36,25 +36,87 @@ type run struct {
 	ck        *ckptWriter // nil when checkpointing is off
 	spanStart time.Time   // when span opened the Recorder's align span; zero = none
 
-	maxCandidates  int64
-	maxFilterTiles int64
-	maxExtCells    int64
-
-	candidates  atomic.Int64
-	filterTiles atomic.Int64
-
 	// halted flips once on the first hard stop so hot loops can poll
-	// cheaply; the per-stage flags flip when that stage's budget runs
-	// out.
-	halted          atomic.Bool
-	seedExhausted   atomic.Bool
-	filterExhausted atomic.Bool
-	extExhausted    atomic.Bool
+	// cheaply.
+	halted atomic.Bool
+	// The ledger: one budget per stage, in the units of the paper's
+	// workload (Table V) — D-SOFT candidates, filter tiles, GACT-X cells.
+	seedBudget, filterBudget, extBudget budget
 
 	mu       sync.Mutex
-	reason   TruncationReason
-	failures []*StageError // fatal contained failures (capped)
-	degraded []*StageError // shards dropped after retry exhaustion (capped)
+	reason   TruncationReason // first soft stop: a budget closing, the deadline, a dropped shard
+	failures []*StageError    // fatal contained failures (capped)
+	degraded []*StageError    // shards dropped after retry exhaustion (capped)
+}
+
+// budget is one stage's line of the run's ledger: the work charged to
+// the stage against its Config cap (limit; 0 = unlimited, and then
+// nothing is recorded), and whether the stage has stopped admitting
+// work under it. charge is the only writer of used, admits of closed; a
+// budget closes once, recording reason as the run's truncation, and a
+// later refund does not reopen it.
+type budget struct {
+	limit  int64
+	reason TruncationReason
+	used   atomic.Int64
+	closed atomic.Bool
+}
+
+// open reports whether the stage may still start work under b: beside
+// the run's halted flag, the one budget state the stages poll.
+func (b *budget) open() bool { return !b.closed.Load() }
+
+// charge adds n units to b — work a stage did or reserved; a negative n
+// refunds work a failed attempt discarded — and returns b's new use
+// (charge(0) reads it).
+func (b *budget) charge(n int64) int64 {
+	if b.limit == 0 {
+		return 0
+	}
+	return b.used.Add(n)
+}
+
+// admits reports whether use — what b has been charged plus whatever
+// the stage is about to start — stays within b's limit. The first use
+// that does not closes b. Each stage keeps its own admission rule by
+// what it counts in use: seeding asks for room for one more candidate
+// after every block, a filter tile is charged before it runs, and
+// extension adds the anchor in flight's cells before every tile.
+func (r *run) admits(b *budget, use int64) bool {
+	if b.limit == 0 || use <= b.limit {
+		return true
+	}
+	if b.closed.CompareAndSwap(false, true) {
+		r.truncate(b.reason)
+	}
+	return false
+}
+
+// reserve charges one unit to b before the work it stands for runs and
+// refunds it if b refuses, so exactly b.limit units are ever reserved.
+func (r *run) reserve(b *budget) bool {
+	if b.limit == 0 {
+		return true
+	}
+	if r.admits(b, b.charge(1)) {
+		return true
+	}
+	b.charge(-1)
+	return false
+}
+
+// replayStrand charges a journaled strand's seeding and filter work to
+// the ledger and closes what the strand's live run had closed, so a
+// resumed run stops admitting work where the uninterrupted run stopped.
+// The journaled reason goes first: it was the run's first truncation
+// when the strand finished.
+func (r *run) replayStrand(wl Workload, trunc TruncationReason) {
+	r.truncate(trunc)
+	r.admits(&r.seedBudget, r.seedBudget.charge(wl.Candidates)+1)
+	r.filterBudget.charge(wl.FilterTiles)
+	if trunc == r.filterBudget.reason {
+		r.reserve(&r.filterBudget) // the reservation the live run was refused
+	}
 }
 
 // maxRecordedFailures caps the per-run failure lists so a pathological
@@ -92,16 +154,16 @@ func (a *Aligner) newRun(ctx context.Context, query []byte) (*run, error) {
 		return nil, fmt.Errorf("core: query shorter than the seed span (%d < %d)", len(query), a.shape.Span)
 	}
 	r := &run{
-		ctx:            ctx,
-		soft:           ctx,
-		hook:           a.cfg.FaultHook,
-		hspHook:        a.cfg.HSPHook,
-		rec:            a.cfg.Recorder,
-		retry:          a.cfg.Retry,
-		workers:        a.cfg.workers(),
-		maxCandidates:  a.cfg.MaxCandidates,
-		maxFilterTiles: a.cfg.MaxFilterTiles,
-		maxExtCells:    a.cfg.MaxExtensionCells,
+		ctx:          ctx,
+		soft:         ctx,
+		hook:         a.cfg.FaultHook,
+		hspHook:      a.cfg.HSPHook,
+		rec:          a.cfg.Recorder,
+		retry:        a.cfg.Retry,
+		workers:      a.cfg.workers(),
+		seedBudget:   budget{limit: a.cfg.MaxCandidates, reason: TruncatedMaxCandidates},
+		filterBudget: budget{limit: a.cfg.MaxFilterTiles, reason: TruncatedMaxFilterTiles},
+		extBudget:    budget{limit: a.cfg.MaxExtensionCells, reason: TruncatedMaxExtensionCells},
 	}
 	cancelTimer := context.CancelFunc(func() {})
 	if a.cfg.Deadline > 0 {
@@ -118,11 +180,12 @@ func (a *Aligner) newRun(ctx context.Context, query []byte) (*run, error) {
 	return r, nil
 }
 
-// observeStop records why the soft context ended and halts all work.
+// observeStop halts all work and records the deadline when it, not the
+// caller, ended the soft context. A cancellation is not recorded: it is
+// a hard stop, which AlignContext reads off the caller's context
+// whatever else stopped the run first.
 func (r *run) observeStop() {
-	if r.ctx.Err() != nil {
-		r.truncate(TruncatedCancelled)
-	} else {
+	if r.ctx.Err() == nil {
 		r.truncate(TruncatedDeadline)
 	}
 	r.halted.Store(true)
@@ -170,69 +233,6 @@ func (r *run) truncation() TruncationReason {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.reason
-}
-
-// seedingStopped reports whether the seeding stage should stop starting
-// new chunk blocks.
-func (r *run) seedingStopped() bool {
-	return r.stop() || r.seedExhausted.Load()
-}
-
-// noteCandidates charges n emitted candidates against the seeding
-// budget and reports whether the budget is now exhausted.
-func (r *run) noteCandidates(n int) bool {
-	if n > 0 {
-		r.candidates.Add(int64(n))
-	}
-	if r.maxCandidates <= 0 {
-		return false
-	}
-	if r.candidates.Load() >= r.maxCandidates {
-		r.truncate(TruncatedMaxCandidates)
-		r.seedExhausted.Store(true)
-		return true
-	}
-	return false
-}
-
-// takeFilterTile reserves one filter-tile budget slot; false means the
-// filter budget is exhausted and the tile must not run. The
-// reservation is exact: precisely MaxFilterTiles tiles ever run.
-func (r *run) takeFilterTile() bool {
-	if r.maxFilterTiles <= 0 {
-		return true
-	}
-	if r.filterExhausted.Load() {
-		return false
-	}
-	if r.filterTiles.Add(1) > r.maxFilterTiles {
-		r.filterTiles.Add(-1)
-		r.truncate(TruncatedMaxFilterTiles)
-		r.filterExhausted.Store(true)
-		return false
-	}
-	return true
-}
-
-// extensionStopped reports whether the extension stage should stop
-// starting new anchors or tiles. Anchors and GACT-X tiles are coarse
-// units of work, so the authoritative check is affordable here.
-func (r *run) extensionStopped() bool {
-	return r.stopSlow() || r.extExhausted.Load()
-}
-
-// extCellsExceeded checks the cumulative extension-cell count against
-// the budget, recording the truncation on first excess.
-func (r *run) extCellsExceeded(cells int64) bool {
-	if r.extExhausted.Load() {
-		return true
-	}
-	if r.maxExtCells <= 0 || cells <= r.maxExtCells {
-		return false
-	}
-	r.truncate(TruncatedMaxExtensionCells)
-	r.extExhausted.Store(true)
-	return true
 }
 
 // toStageError converts a recovered panic value into a *StageError.

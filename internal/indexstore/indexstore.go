@@ -10,8 +10,8 @@
 //	offset 0: magic "DWGAIDX\x01" (8 bytes; the trailing byte doubles
 //	          as the container version and changes only if the framing
 //	          itself changes)
-//	then four sections, in this order, each framed exactly like a
-//	checkpoint WAL record:
+//	then four sections, in this order, each a checkpoint WAL frame
+//	(checkpoint.AppendFrame / checkpoint.ReadFrame):
 //
 //	  u32 payload length | u8 kind | u32 CRC32-C over (kind ++ payload) | payload
 //
@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
@@ -96,8 +95,6 @@ type Header struct {
 	Positions int `json:"positions"`
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // FingerprintBases returns the canonical content fingerprint for target
 // bases: FNV-64a over the concatenated sequence, as 16 hex digits. The
 // server registry, checkpoint layer, and cluster membership all key on
@@ -132,14 +129,14 @@ func encodeParts(hdr Header, present []uint64, starts, positions []uint32) ([]by
 	if err != nil {
 		return nil, err
 	}
-	size := len(magic) + frameSize(len(hdrJSON)) + frameSize(8*len(present)) +
-		frameSize(4*len(starts)) + frameSize(4*len(positions))
+	size := len(magic) + checkpoint.FrameSize(len(hdrJSON)) + checkpoint.FrameSize(8*len(present)) +
+		checkpoint.FrameSize(4*len(starts)) + checkpoint.FrameSize(4*len(positions))
 	out := make([]byte, 0, size)
 	out = append(out, magic...)
-	out = appendFrame(out, kindHeader, hdrJSON)
-	out = appendFrame(out, kindPresent, u64Bytes(present))
-	out = appendFrame(out, kindStarts, u32Bytes(starts))
-	out = appendFrame(out, kindPositions, u32Bytes(positions))
+	out = checkpoint.AppendFrame(out, kindHeader, hdrJSON)
+	out = checkpoint.AppendFrame(out, kindPresent, u64Bytes(present))
+	out = checkpoint.AppendFrame(out, kindStarts, u32Bytes(starts))
+	out = checkpoint.AppendFrame(out, kindPositions, u32Bytes(positions))
 	return out, nil
 }
 
@@ -246,7 +243,7 @@ func ReadHeader(path string) (*Header, error) {
 		return nil, err
 	}
 	defer f.Close() //nolint:errcheck // read-only
-	buf := make([]byte, len(magic)+9)
+	buf := make([]byte, len(magic)+checkpoint.FrameSize(0))
 	if _, err := io.ReadFull(f, buf[:len(magic)]); err != nil || string(buf[:len(magic)]) != string(magic) {
 		return nil, ErrBadMagic
 	}
@@ -258,7 +255,7 @@ func ReadHeader(path string) (*Header, error) {
 		return nil, fmt.Errorf("%w: header frame claims %d bytes, limit %d", ErrCorrupt, n, maxHeaderBytes)
 	}
 	frame := append(buf[len(magic):], make([]byte, n)...)
-	if _, err := io.ReadFull(f, frame[9:]); err != nil {
+	if _, err := io.ReadFull(f, frame[checkpoint.FrameSize(0):]); err != nil {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	hdr, _, err := readHeaderFrame(frame)
@@ -302,41 +299,14 @@ func LoadForTarget(path, wantFP, seedPattern string, maxFreq int) (*seed.Index, 
 	return ix, hdr, nil
 }
 
-// frameSize returns the on-disk size of one framed section.
-func frameSize(payloadLen int) int { return 4 + 1 + 4 + payloadLen }
-
-// appendFrame appends one WAL-style frame:
-// u32 len | u8 kind | u32 crc32c(kind ++ payload) | payload.
-func appendFrame(out []byte, kind byte, payload []byte) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, kind)
-	crc := crc32.Update(0, castagnoli, []byte{kind})
-	crc = crc32.Update(crc, castagnoli, payload)
-	out = binary.LittleEndian.AppendUint32(out, crc)
-	return append(out, payload...)
-}
-
-// readFrame parses one frame off the front of data, verifying the CRC.
-// Length fields are validated against the bytes actually present, so a
-// hostile length can never drive an allocation or out-of-range slice.
+// readFrame parses one section frame off the front of data; any damage
+// is ErrCorrupt.
 func readFrame(data []byte) (kind byte, payload, rest []byte, err error) {
-	if len(data) < 9 {
-		return 0, nil, nil, fmt.Errorf("%w: truncated frame header (%d bytes)", ErrCorrupt, len(data))
+	kind, payload, rest, err = checkpoint.ReadFrame(data)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	n := binary.LittleEndian.Uint32(data[0:4])
-	kind = data[4]
-	want := binary.LittleEndian.Uint32(data[5:9])
-	body := data[9:]
-	if uint64(n) > uint64(len(body)) {
-		return 0, nil, nil, fmt.Errorf("%w: frame claims %d payload bytes, %d remain", ErrCorrupt, n, len(body))
-	}
-	payload = body[:n]
-	crc := crc32.Update(0, castagnoli, data[4:5])
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != want {
-		return 0, nil, nil, fmt.Errorf("%w: CRC mismatch in section kind %d", ErrCorrupt, kind)
-	}
-	return kind, payload, body[n:], nil
+	return kind, payload, rest, nil
 }
 
 // u32Bytes renders a u32 slice as little-endian bytes.

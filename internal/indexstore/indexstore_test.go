@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"darwinwga/internal/checkpoint"
 	"darwinwga/internal/seed"
 )
 
@@ -161,7 +162,7 @@ func reframe(t *testing.T, data []byte, hdr Header) []byte {
 		t.Fatal(err)
 	}
 	out := append([]byte{}, magic...)
-	out = appendFrame(out, kindHeader, hdrJSON)
+	out = checkpoint.AppendFrame(out, kindHeader, hdrJSON)
 	return append(out, tail...)
 }
 
@@ -368,7 +369,7 @@ func TestReadHeaderCapsHeaderLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdrEnd := len(magic) + frameSize(int(binary.LittleEndian.Uint32(data[len(magic):])))
+	hdrEnd := len(magic) + checkpoint.FrameSize(int(binary.LittleEndian.Uint32(data[len(magic):])))
 	path = filepath.Join(dir, "torn.dwx")
 	if err := os.WriteFile(path, data[:hdrEnd+3], 0o644); err != nil {
 		t.Fatal(err)

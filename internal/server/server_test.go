@@ -659,6 +659,60 @@ func TestBudgetPartialTruncated(t *testing.T) {
 	}
 }
 
+// TestCancelAfterBudgetClosed: a budget that closed first does not turn a
+// later cancellation into success. The job's filter-tile budget closes
+// on the '+' strand, the pipeline is then held in extension, and a
+// DELETE must end the job cancelled, not done.
+func TestCancelAfterBudgetClosed(t *testing.T) {
+	pair := testPair(t, "dm6-droSim1", 0.0004)
+	hold, release := gate()
+	extending := make(chan struct{})
+	var once sync.Once
+	pipeline := core.DefaultConfig()
+	pipeline.FaultHook = func(stage string, shard int) {
+		if stage == core.StageExtension {
+			once.Do(func() { close(extending) })
+			<-hold
+		}
+	}
+	srv, ts := newTestServer(t, server.Config{Pipeline: pipeline, JobWorkers: 1}, release)
+	if _, err := srv.RegisterTarget(pair.Target.Name, pair.Target); err != nil {
+		t.Fatalf("registering target: %v", err)
+	}
+	resp, st := submit(t, ts.URL, map[string]any{
+		"target":           pair.Target.Name,
+		"query_fasta":      fastaText(t, pair.Query),
+		"query_name":       pair.Query.Name,
+		"max_filter_tiles": 20,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	select {
+	case <-extending:
+	case <-time.After(3 * time.Minute):
+		t.Fatal("the pipeline never reached extension")
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr.Body.Close()
+	release()
+
+	final := waitTerminal(t, ts.URL, st.ID)
+	if final.State != "cancelled" {
+		t.Fatalf("state %q (err %q, truncated %q), want cancelled", final.State, final.Error, final.Truncated)
+	}
+	if final.Truncated != string(core.TruncatedCancelled) {
+		t.Errorf("truncated = %q, want %q", final.Truncated, core.TruncatedCancelled)
+	}
+}
+
 // TestHTTPValidationAndRegistration covers the small endpoints: health
 // and readiness, HTTP target registration (including the 409 on a
 // duplicate), request validation, and the up-front oversize rejection.
