@@ -175,6 +175,11 @@ check-once:
 		echo "check-once: a hand-rolled budget copy is back in internal/core (charge and admit through the run's ledger)"; exit 1; fi
 	@n=$$(grep -rnF --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'crc32.MakeTable(crc32.Castagnoli)' . | wc -l); \
 	if [ "$$n" -gt 1 ]; then echo "check-once: $$n CRC-32C tables in non-test Go, want 1 (frame with checkpoint.AppendFrame/ReadFrame)"; exit 1; fi
+	@if sed -n '/^type Config struct/,/^}/p' internal/gact/gact.go | grep -nE '^\s*Stop\b' || \
+		grep -nE '\.(Stop|TileHook) *=[^=]' $$(ls internal/core/*.go | grep -v _test.go); then \
+		echo "check-once: per-call extension state is configuration again (bind the run's stop and tile observer with gact.Extender.Bind)"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'NeedlemanWunsch' .; then \
+		echo "check-once: the deleted NeedlemanWunsch oracle is back"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -147,29 +147,6 @@ func TestSmithWatermanRescoreProperty(t *testing.T) {
 	}
 }
 
-func TestNeedlemanWunsch(t *testing.T) {
-	sc := DefaultScoring()
-	seq := []byte("ACGTACGT")
-	var matchScore int32
-	for _, b := range seq {
-		matchScore += sc.Score(b, b)
-	}
-	if got := NeedlemanWunsch(sc, seq, seq); got != matchScore {
-		t.Errorf("NW identical = %d, want %d", got, matchScore)
-	}
-	// Global alignment of a sequence against itself plus a 2-base tail:
-	// matches minus one gap of length 2.
-	longer := append(append([]byte{}, seq...), 'G', 'G')
-	want := matchScore - sc.GapCost(2)
-	if got := NeedlemanWunsch(sc, longer, seq); got != want {
-		t.Errorf("NW with tail = %d, want %d", got, want)
-	}
-	// NW of empty vs non-empty is a pure gap.
-	if got := NeedlemanWunsch(sc, seq, nil); got != -sc.GapCost(len(seq)) {
-		t.Errorf("NW vs empty = %d, want %d", got, -sc.GapCost(len(seq)))
-	}
-}
-
 func TestBandedMatchesFullSWNearDiagonal(t *testing.T) {
 	sc := DefaultScoring()
 	rng := rand.New(rand.NewSource(7))

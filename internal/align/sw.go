@@ -166,36 +166,3 @@ func tracebackLocal(dirs []byte, width, i, j int) []EditOp {
 	ReverseOps(rev)
 	return rev
 }
-
-// NeedlemanWunsch computes the optimal global alignment score of target
-// and query under sc (affine gaps, end gaps charged). It is used as a
-// scoring oracle in tests; no traceback.
-func NeedlemanWunsch(sc *Scoring, target, query []byte) int32 {
-	n, m := len(target), len(query)
-	vPrev := make([]int32, m+1)
-	vCur := make([]int32, m+1)
-	dPrev := make([]int32, m+1)
-	dCur := make([]int32, m+1)
-
-	vPrev[0] = 0
-	dPrev[0] = negInf
-	for j := 1; j <= m; j++ {
-		vPrev[j] = -sc.GapCost(j)
-		dPrev[j] = negInf
-	}
-	for i := 1; i <= n; i++ {
-		vCur[0] = -sc.GapCost(i)
-		dCur[0] = negInf
-		iRow := negInf
-		tb := target[i-1]
-		for j := 1; j <= m; j++ {
-			iRow = max(vCur[j-1]-sc.GapOpen, iRow-sc.GapExtend)
-			dCur[j] = max(vPrev[j]-sc.GapOpen, dPrev[j]-sc.GapExtend)
-			diag := vPrev[j-1] + sc.Score(tb, query[j-1])
-			vCur[j] = max(diag, dCur[j], iRow)
-		}
-		vPrev, vCur = vCur, vPrev
-		dPrev, dCur = dCur, dPrev
-	}
-	return vPrev[m]
-}

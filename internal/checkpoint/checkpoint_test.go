@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -241,29 +242,47 @@ func TestCorruptSealedSegment(t *testing.T) {
 	}
 }
 
-// TestAppendRetryAfterInjectedError: a failed append leaves the journal
-// clean (no torn frame), and retrying the same append succeeds without
-// duplicating records.
+// TestAppendRetryAfterInjectedError: a failed append leaves the active
+// segment at its last acknowledged offset (no torn frame), and retrying
+// it lands the record once. The sync case runs with fsync on: the frame
+// is written in full and its fsync fails.
 func TestAppendRetryAfterInjectedError(t *testing.T) {
-	for _, action := range []faultinject.IOAction{faultinject.IOErr, faultinject.IOShortWrite} {
-		t.Run(action.String(), func(t *testing.T) {
+	cases := []struct {
+		name   string
+		rule   faultinject.IORule
+		noSync bool
+	}{
+		{"error", faultinject.IORule{Op: faultinject.OpWrite, Hit: 3, Action: faultinject.IOErr}, true},
+		{"short-write", faultinject.IORule{Op: faultinject.OpWrite, Hit: 3, Action: faultinject.IOShortWrite, Short: 5}, true},
+		{"sync-error", faultinject.IORule{Op: faultinject.OpSync, Hit: 3, Action: faultinject.IOErr}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			faults := faultinject.NewIO(faultinject.IORule{
-				Op: faultinject.OpWrite, Hit: 3, Action: action, Short: 5,
-			})
-			j, _, err := Open(dir, Options{NoSync: true, Faults: faults})
+			j, _, err := Open(dir, Options{NoSync: tc.noSync, Faults: faultinject.NewIO(tc.rule)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			recs := testRecords(4)
 			var failed int
 			for i, r := range recs {
-				err := j.Append(r.Kind, r.Payload)
+				before, err := j.f.Seek(0, io.SeekCurrent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = j.Append(r.Kind, r.Payload)
 				if err != nil {
 					if !errors.Is(err, faultinject.ErrInjected) {
 						t.Fatalf("Append(%d): unexpected error class: %v", i, err)
 					}
 					failed++
+					fi, err := j.f.Stat()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fi.Size() != before {
+						t.Fatalf("Append(%d) failed and left the segment at %d bytes, want %d", i, fi.Size(), before)
+					}
 					if err := j.Append(r.Kind, r.Payload); err != nil {
 						t.Fatalf("Append(%d) retry: %v", i, err)
 					}

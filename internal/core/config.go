@@ -251,8 +251,10 @@ func LASTZConfig() Config {
 // JobSpec is the per-job parameter set, as every surface carries it: the
 // CLI's flags, a POST /v1/jobs or /v1/shards body, the worker's job
 // journal and the coordinator's routing WAL. It is declared once so a
-// job runs with the same knobs wherever it lands; zero values inherit
-// the base configuration it is applied to.
+// job runs with the same knobs wherever it lands. Zero values inherit
+// the base configuration it is applied to, except ForwardOnly and
+// DeadlineMS, which set BothStrands and Deadline outright: a zero spec
+// aligns both strands with no deadline whatever the base says.
 type JobSpec struct {
 	// Ungapped switches to the LASTZ baseline: the ungapped filter and
 	// LASTZConfig's thresholds (the CLI's -ungapped).

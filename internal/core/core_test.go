@@ -418,6 +418,13 @@ func TestJobSpecApply(t *testing.T) {
 	if got := (JobSpec{}).Apply(base).MaxFilterTiles; got != 99 {
 		t.Errorf("zero budget cleared the base's: MaxFilterTiles = %d, want 99", got)
 	}
+	// ForwardOnly and DeadlineMS are set outright: a zero spec over a
+	// forward-only base with a deadline aligns both strands, undeadlined.
+	base.BothStrands, base.Deadline = false, time.Minute
+	if got := (JobSpec{}).Apply(base); !got.BothStrands || got.Deadline != 0 {
+		t.Errorf("zero spec over a forward-only, deadlined base: BothStrands %v, Deadline %v, want true, 0",
+			got.BothStrands, got.Deadline)
+	}
 }
 
 // TestStrandSymmetry: the two strands run one pipeline. Aligning the

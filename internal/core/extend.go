@@ -69,37 +69,34 @@ type anchorExtender struct {
 	query  []byte
 	strand byte
 	ext    *gact.Extender
-	// cur is the anchor in flight (the TileHook reads it), st its running
-	// stats (the stop poll reads them mid-Extend); both hooks run inside
-	// the extender's own Extend call.
+	// cur is the anchor in flight (the tile observer reads it), st its
+	// running stats (the stop poll reads them mid-Extend); both callbacks
+	// run inside the extender's own Extend call.
 	cur int
 	st  gact.Stats
 }
 
-// newAnchorExtender builds an extender over the strand-oriented query.
-// Before every GACT-X tile it polls the run's stop and the cell budget:
-// extension stops before a tile once the committed cells plus the anchor
-// in flight's exceed MaxExtensionCells. A Recorder's tile event is
-// composed with the configuration's own TileHook, which fires once per
-// tile either way; with neither, the extender's hot loop takes no
-// timestamps.
+// newAnchorExtender builds an extender over the strand-oriented query
+// from the configuration as it stands and binds the run to it: before
+// every GACT-X tile it polls the run's stop and the cell budget
+// (extension stops before a tile once the committed cells plus the
+// anchor in flight's exceed MaxExtensionCells), and with a Recorder set
+// it reports every tile as an ExtensionTile event, ahead of the
+// configuration's own TileHook.
 func (a *Aligner) newAnchorExtender(r *run, query []byte, strand byte) (*anchorExtender, error) {
-	x := &anchorExtender{a: a, r: r, query: query, strand: strand}
-	ecfg := a.cfg.Extension
-	ecfg.Stop = func() bool {
+	ext, err := gact.NewExtender(a.sc, a.cfg.Extension)
+	if err != nil {
+		return nil, err
+	}
+	x := &anchorExtender{a: a, r: r, query: query, strand: strand, ext: ext}
+	var observe func(gact.Tile)
+	if r.rec != nil {
+		observe = func(t gact.Tile) { r.rec.ExtensionTile(strand, x.cur, int64(t.Cells), t.Start, t.Dur) }
+	}
+	ext.Bind(func() bool {
 		return r.stopSlow() || !r.admits(&r.extBudget, r.extBudget.charge(0)+int64(x.st.Cells))
-	}
-	if user := ecfg.TileHook; r.rec != nil {
-		ecfg.TileHook = func(t gact.Tile) {
-			r.rec.ExtensionTile(strand, x.cur, int64(t.Cells), t.Start, t.Dur)
-			if user != nil {
-				user(t)
-			}
-		}
-	}
-	var err error
-	x.ext, err = gact.NewExtender(a.sc, ecfg)
-	return x, err
+	}, observe)
+	return x, nil
 }
 
 // extend runs anchor i of the strand's canonical order to its outcome.

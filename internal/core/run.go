@@ -202,9 +202,10 @@ func (r *run) stop() bool {
 // stopSlow is the authoritative form of stop: it additionally checks
 // the soft context directly, so a cancellation or deadline that the
 // asynchronous watcher has not yet delivered is still observed. It is
-// used at coarse granularity — stage and strand boundaries, extension
-// anchors — where the channel poll's cost is amortized, which is what
-// makes cancellation deterministic at those boundaries (e.g. a context
+// used where the channel poll's cost is amortized — stage and strand
+// boundaries, extension anchors, and before every GACT-X tile (the
+// extender's bound stop), whose DP dwarfs it — which is what makes
+// cancellation deterministic at those boundaries (e.g. a context
 // cancelled during filtering never starts the extension stage).
 func (r *run) stopSlow() bool {
 	if r.halted.Load() {

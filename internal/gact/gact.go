@@ -15,8 +15,11 @@ import (
 	"darwinwga/internal/align"
 )
 
-// Config parameterizes an Extender. Zero values select the paper's
-// Table IIb defaults via DefaultConfig.
+// Config parameterizes an Extender: the paper's Table IIb parameters
+// and the caller's own tile hook. Zero values select the defaults via
+// DefaultConfig. What stops or watches one run's extensions (its
+// cancellation, cell budget and telemetry) is not configuration; it is
+// bound per call with Extender.Bind.
 type Config struct {
 	// TileSize is Te, the maximum tile edge in bases (default 1920).
 	TileSize int
@@ -26,21 +29,17 @@ type Config struct {
 	// Y is the X-drop threshold inside a tile (default 9430). Y <= 0
 	// means unbounded: full-tile DP, i.e. classic GACT.
 	Y int32
-	// Stop, when non-nil, is polled before every tile DP; returning
-	// true abandons the extension at the current tile boundary, keeping
-	// the transcript committed so far. Callers use it for cancellation
-	// and cell budgets; nil means run to completion.
-	Stop func() bool
 	// TileHook, when non-nil, is invoked after every tile DP with the
-	// tile's shape and its wall-clock interval. Telemetry records per-tile
-	// spans through it and the hardware model (internal/hw) replays the
-	// tile's row windows through the systolic stripe schedule; nil — the
-	// default — costs nothing: the hot loop takes no timestamps.
+	// tile's shape and its wall-clock interval, after the observer
+	// bound with Extender.Bind. The hardware model (internal/hw)
+	// installs one to replay each tile's row windows through the
+	// systolic stripe schedule; with neither set — the default — the
+	// hot loop takes no timestamps.
 	TileHook func(Tile)
 }
 
-// Tile is what a TileHook learns about one executed tile DP. It is valid
-// only for the duration of the hook call.
+// Tile is what a TileHook or bound observer learns about one executed
+// tile DP. It is valid only for the duration of the call.
 type Tile struct {
 	// Cells is the number of DP cells computed.
 	Cells int
@@ -117,6 +116,10 @@ type Extender struct {
 	cfg Config
 	xa  *align.XDropAligner
 
+	// stop and observe are the per-call binding (Bind).
+	stop    func() bool
+	observe func(Tile)
+
 	// revT and revQ hold the current tile of a left extension, reversed.
 	revT, revQ []byte
 }
@@ -135,6 +138,16 @@ func NewExtender(sc *align.Scoring, cfg Config) (*Extender, error) {
 		sc: sc, cfg: cfg, xa: align.NewXDropAligner(sc, y),
 		revT: make([]byte, 0, cfg.TileSize), revQ: make([]byte, 0, cfg.TileSize),
 	}, nil
+}
+
+// Bind sets what stops and watches the Extend calls that follow, until
+// the next Bind. stop is polled before every tile DP; returning true
+// abandons the extension at that tile boundary, keeping the transcript
+// committed so far. observe is invoked after every tile DP, before the
+// configuration's TileHook. Either may be nil: no stop runs to
+// completion, no observer costs nothing.
+func (e *Extender) Bind(stop func() bool, observe func(Tile)) {
+	e.stop, e.observe = stop, observe
 }
 
 // Extend grows an alignment from the anchor (tAnchor, qAnchor) leftward
@@ -170,9 +183,10 @@ func (e *Extender) Extend(target, query []byte, tAnchor, qAnchor int, stats *Sta
 // not the length of the prefix. It returns the committed transcript (in
 // reading direction) and the distances advanced.
 func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) (ops []align.EditOp, dT, dQ int) {
+	timed := e.observe != nil || e.cfg.TileHook != nil
 	ti, qi := 0, 0
 	for ti < len(target) || qi < len(query) {
-		if e.cfg.Stop != nil && e.cfg.Stop() {
+		if e.stop != nil && e.stop() {
 			break
 		}
 		tileT := min(e.cfg.TileSize, len(target)-ti)
@@ -187,12 +201,12 @@ func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) 
 			tT, tQ = e.revT, e.revQ
 		}
 		var t0 time.Time
-		if e.cfg.TileHook != nil {
+		if timed {
 			t0 = time.Now()
 		}
 		res := e.xa.Align(tT, tQ)
 		var dur time.Duration
-		if e.cfg.TileHook != nil {
+		if timed {
 			dur = time.Since(t0)
 		}
 		stats.Tiles++
@@ -216,11 +230,17 @@ func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) 
 		if res.Score > 0 {
 			committed, di, dj = truncatePath(res.Ops, res.TEnd, res.QEnd, coreT, coreQ)
 		}
-		if e.cfg.TileHook != nil {
-			e.cfg.TileHook(Tile{
+		if timed {
+			tl := Tile{
 				Cells: res.Cells, Rows: e.xa.LastRows(), Committed: len(committed),
 				Start: t0, Dur: dur, xa: e.xa,
-			})
+			}
+			if e.observe != nil {
+				e.observe(tl)
+			}
+			if e.cfg.TileHook != nil {
+				e.cfg.TileHook(tl)
+			}
 		}
 		// Extension terminates when the tile's Vmax is not positive or
 		// the best path never left the origin.

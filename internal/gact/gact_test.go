@@ -2,6 +2,7 @@ package gact
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"darwinwga/internal/align"
@@ -272,6 +273,27 @@ func TestExtenderReuse(t *testing.T) {
 		if a.TSpan() != len(seq) {
 			t.Fatalf("iteration %d: span %d", i, a.TSpan())
 		}
+	}
+
+	// A binding holds until the next Bind, and rebinding to nil leaves an
+	// extender that extends exactly as a fresh, unbound one does.
+	target := randSeq(rng, 20000)
+	query := mutate(rng, target, 0.10, 0.01)
+	qpos := 10000 - approxShift(target, query, 10000)
+	var want Stats
+	wantAln := newExtender(t, DefaultConfig()).Extend(target, query, 10000, qpos, &want)
+	var observed int
+	e.Bind(func() bool { return false }, func(Tile) { observed++ })
+	for i, bound := range []bool{true, false} {
+		var st Stats
+		aln := e.Extend(target, query, 10000, qpos, &st)
+		if !reflect.DeepEqual(aln, wantAln) || st != want {
+			t.Errorf("extend %d (bound %v): %+v with %+v, want %+v with %+v", i, bound, aln, st, wantAln, want)
+		}
+		e.Bind(nil, nil)
+	}
+	if observed != want.Tiles {
+		t.Errorf("bound observer saw %d tiles, want %d (the bound extend only)", observed, want.Tiles)
 	}
 }
 

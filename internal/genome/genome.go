@@ -102,16 +102,6 @@ func NormalizeBase(b byte) (canon byte, ok bool) {
 	return c, c != 0
 }
 
-// IsTransition reports whether two ASCII bases form a transition pair
-// (A<->G or C<->T). Identical bases are not transitions.
-func IsTransition(a, b byte) bool {
-	ca, cb := encodeTable[a], encodeTable[b]
-	if ca >= CodeN || cb >= CodeN {
-		return false
-	}
-	return ca != cb && ca^2 == cb
-}
-
 // Sequence is a named nucleotide sequence, e.g. one chromosome of an
 // assembly. Bases holds upper-case ASCII over {A,C,G,T,N}.
 type Sequence struct {

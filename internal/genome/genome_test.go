@@ -31,21 +31,6 @@ func TestEncodeDecodeBase(t *testing.T) {
 	}
 }
 
-func TestTransitionPairs(t *testing.T) {
-	trans := [][2]byte{{'A', 'G'}, {'G', 'A'}, {'C', 'T'}, {'T', 'C'}}
-	for _, p := range trans {
-		if !IsTransition(p[0], p[1]) {
-			t.Errorf("IsTransition(%q,%q) = false, want true", p[0], p[1])
-		}
-	}
-	notTrans := [][2]byte{{'A', 'A'}, {'A', 'C'}, {'A', 'T'}, {'G', 'C'}, {'G', 'T'}, {'N', 'A'}, {'A', 'N'}, {'N', 'N'}}
-	for _, p := range notTrans {
-		if IsTransition(p[0], p[1]) {
-			t.Errorf("IsTransition(%q,%q) = true, want false", p[0], p[1])
-		}
-	}
-}
-
 func TestReverseComplement(t *testing.T) {
 	in := []byte("ACGTN")
 	want := []byte("NACGT")

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,6 +51,26 @@ func TestJobConfigAppliesSpec(t *testing.T) {
 	for ms, want := range map[int64]time.Duration{0: time.Second, 90: 90 * time.Millisecond, 5000: time.Second} {
 		if got := m.jobConfig(JobParams{JobSpec: core.JobSpec{DeadlineMS: ms}}).Deadline; got != want {
 			t.Errorf("MaxDeadline 1s, deadline_ms %d: Deadline = %v, want %v", ms, got, want)
+		}
+	}
+}
+
+// TestNewRefusesBaseCheckpointDir: every job inherits the base
+// pipeline, so a base CheckpointDir would journal every job into one
+// directory and fail each job after the first against the first's
+// journal. New refuses it, naming the server's per-job knob, also when
+// the rest of the base is zero and defaults would replace it.
+func TestNewRefusesBaseCheckpointDir(t *testing.T) {
+	withDefaults := core.DefaultConfig()
+	withDefaults.CheckpointDir = t.TempDir()
+	for _, base := range []core.Config{withDefaults, {CheckpointDir: t.TempDir()}} {
+		srv, err := New(Config{Pipeline: base, CheckpointRoot: t.TempDir(), StallWindow: -1})
+		if err == nil {
+			srv.Shutdown(context.Background())
+			t.Fatalf("New accepted Pipeline.CheckpointDir %q", base.CheckpointDir)
+		}
+		if !strings.Contains(err.Error(), "CheckpointRoot") {
+			t.Errorf("New: %v, want an error naming CheckpointRoot", err)
 		}
 	}
 }

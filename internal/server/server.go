@@ -24,7 +24,9 @@ type Config struct {
 	// Pipeline is the base alignment configuration jobs inherit;
 	// per-job parameters override the per-call knobs. The zero value
 	// means core.DefaultConfig(). Its SeedPattern/SeedMaxFreq shape
-	// every target index built by this server.
+	// every target index built by this server. Its CheckpointDir must
+	// be empty (New refuses one): every job would journal into that one
+	// directory; CheckpointRoot gives each job its own.
 	Pipeline core.Config
 	// JobWorkers is the number of jobs aligned concurrently
 	// (default 2). Each job additionally parallelizes internally per
@@ -227,6 +229,9 @@ func (s *Server) ClusterEpoch() uint64 { return s.clusterEpoch.Load() }
 // set), and starts its job workers — recovered unfinished jobs are
 // already queued when New returns.
 func New(cfg Config) (*Server, error) {
+	if cfg.Pipeline.CheckpointDir != "" {
+		return nil, fmt.Errorf("server: Pipeline.CheckpointDir %q would hold every job's journal; set CheckpointRoot, which gives each job its own", cfg.Pipeline.CheckpointDir)
+	}
 	cfg = cfg.withDefaults()
 	reg := NewRegistry()
 	metrics := obs.NewRegistry()

@@ -113,7 +113,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// coordinator's problem (hedging, the lease), not the worker's.
 	cfg := req.Apply(s.jobs.base)
 	cfg.MaxCandidates, cfg.MaxFilterTiles, cfg.MaxExtensionCells = 0, 0, 0
-	cfg.CheckpointDir = ""
 	cfg.HSPHook = nil
 	cfg.Recorder = s.jobs.pipe
 	aligner, err := shared.WithConfig(cfg)
