@@ -287,7 +287,8 @@ test-cluster:
 # Index lifecycle suite: the serialized-index store under the race
 # detector (format round-trip, corruption rejection typed-error tests,
 # the checked-in golden fixture), the capacity-accounted index memory
-# estimator, and the server-side lifecycle — LRU eviction against the
+# estimator, the concurrent build against its brute-force oracle and
+# across worker counts, and the server-side lifecycle — LRU eviction against the
 # index budget, pinning, transparent reload, serialized-index startup
 # loads, and the fingerprint-keyed result cache (repeat submissions
 # served byte-identical with "cached": true). Then the subprocess e2e:
@@ -296,7 +297,7 @@ test-cluster:
 # force eviction, and the evicted target must reload from its file.
 test-index:
 	$(GO) test -race -timeout 10m ./internal/indexstore/
-	$(call named-test,-race -timeout 10m -run 'TestMemoryBytes' ./internal/seed/)
+	$(call named-test,-race -timeout 10m -run 'TestMemoryBytes|TestIndexMatchesBruteForce|TestIndexWorkersIndependent' ./internal/seed/)
 	$(call named-test,-race -timeout 15m -run 'TestIndex|TestResultCache|TestTargetsExpose' ./internal/server/)
 	$(call named-test,-timeout 15m -run 'TestIndexLifecycleE2E' ./cmd/darwin-wga/)
 
@@ -342,14 +343,14 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'BandedTile|XDropTile' -count 5 ./internal/align
 	$(GO) test -run '^$$' -bench 'IndexBuild|IndexLookup' -count 5 ./internal/seed
 
-# Kernel benchmark smoke: one iteration of each kernel benchmark, so
+# Kernel benchmark smoke: one iteration of each kernel and index benchmark, so
 # `make bench-kernels` cannot rot unseen (go test compiles benchmarks but
 # never runs them). -run '^$$' makes go test warn "no tests to run", so
 # instead of named-test each benchmark is checked to have run.
 bench-smoke:
-	@out=$$($(GO) test -run '^$$' -bench 'BandedTile|XDropTile|IndexLookup' -benchtime 1x ./internal/align ./internal/seed 2>&1); \
+	@out=$$($(GO) test -run '^$$' -bench 'BandedTile|XDropTile|IndexBuild|IndexLookup' -benchtime 1x ./internal/align ./internal/seed 2>&1); \
 	st=$$?; echo "$$out"; if [ $$st -ne 0 ]; then exit $$st; fi; \
-	for b in BandedTile/noise BandedTile/homologous XDropTile IndexLookup; do \
+	for b in BandedTile/noise BandedTile/homologous XDropTile IndexBuild IndexLookup; do \
 		if ! echo "$$out" | grep -q "^Benchmark$$b"; then echo "bench-smoke: Benchmark$$b did not run"; exit 1; fi; \
 	done
 
@@ -378,7 +379,8 @@ lint:
 # tails must recover and stay appendable) and serialized indexes — and
 # ten per kernel oracle (BSW vs masked Smith-Waterman; X-drop vs
 # the prefix maximum, unbounded and with a drop threshold that prunes;
-# a reused X-drop aligner vs a fresh one at the production thresholds).
+# a reused X-drop aligner vs a fresh one at the production thresholds),
+# and ten for the concurrent index build vs its brute-force tables.
 # Kernel identity across revisions is TestKernelDigest and kernel-diff,
 # not a fuzzer. Corpus misses fail the build; longer runs are
 # `go test -fuzz=<name> -fuzztime=10m`.
@@ -387,6 +389,7 @@ test-fuzz:
 	$(call named-test,-run '^$$' -fuzz FuzzReadMAF -fuzztime 10s ./internal/maf/)
 	$(call named-test,-run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/checkpoint/)
 	$(call named-test,-run '^$$' -fuzz FuzzIndexLoad -fuzztime 10s ./internal/indexstore/)
+	$(call named-test,-run '^$$' -fuzz FuzzBuildIndex -fuzztime 10s ./internal/seed/)
 	$(call named-test,-run '^$$' -fuzz FuzzBandedVsMaskedSW -fuzztime 10s ./internal/align/)
 	$(call named-test,-run '^$$' -fuzz FuzzXDropUnboundedVsPrefixMax -fuzztime 10s ./internal/align/)
 	$(call named-test,-run '^$$' -fuzz FuzzXDropBoundedVsPrefixMax -fuzztime 10s ./internal/align/)

@@ -30,7 +30,7 @@ type Aligner struct {
 	seeder *dsoft.Seeder
 }
 
-// NewAligner indexes the target under cfg.
+// NewAligner indexes the target under cfg, on cfg's worker count.
 func NewAligner(target []byte, cfg Config) (*Aligner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -39,7 +39,7 @@ func NewAligner(target []byte, cfg Config) (*Aligner, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := seed.BuildIndex(target, shape, seed.IndexOptions{MaxFreq: cfg.SeedMaxFreq})
+	ix, err := seed.BuildIndex(target, shape, seed.IndexOptions{MaxFreq: cfg.SeedMaxFreq, Workers: cfg.workers()})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,9 @@ package seed
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"darwinwga/internal/genome"
 )
@@ -42,6 +45,9 @@ type IndexOptions struct {
 	// MaxFreq masks seed keys occurring more than this many times in the
 	// target (0 disables masking).
 	MaxFreq int
+	// Workers is the number of goroutines BuildIndex sorts on
+	// (0 = GOMAXPROCS). The index is the same for every value.
+	Workers int
 }
 
 // presentWords is the bitmap length for a table of size keys: one bit
@@ -51,7 +57,33 @@ func presentWords(size int) int {
 	return (size + lineBits - 1) / lineBits * lineWords
 }
 
+// prefixBits is the number of high key bits BuildIndex buckets by. The
+// rest, the suffix, must fit a uint16, and unless there is one bucket a
+// bucket's keys must fill whole bitmap words (at least 6 suffix bits),
+// so that no two buckets share a word. Past that, at most 4096 buckets
+// (all a weight-16 shape gets is 65536): enough to share out among
+// workers, few enough that the scatter's write cursors stay in cache,
+// and a 4096-key suffix count fits L1.
+func prefixBits(weight int) uint {
+	return uint(max(2*weight-16, min(max(2*weight-6, 0), 12)))
+}
+
 // BuildIndex constructs the position table for target under the shape.
+// It is a stable two-level counting sort of the window positions by key,
+// on opts.Workers goroutines:
+//  1. each worker counts the key prefixes of a contiguous range of
+//     windows;
+//  2. each worker computes those keys again and scatters every position,
+//     with its key suffix, into its prefix bucket at the worker's offset,
+//     so a bucket's positions ascend whatever the worker count;
+//  3. the workers share out the buckets: each bucket sets its keys'
+//     present bits and counts them, and after one prefix sum over the
+//     buckets each counting-sorts itself by suffix and writes its own
+//     starts.
+//
+// Nothing per window outlives a pass but the positions and a uint16
+// suffix each, and nothing 4^Weight-sized is allocated but the bitmap.
+// The tables are the same for every worker count.
 func BuildIndex(target []byte, shape *Shape, opts IndexOptions) (*Index, error) {
 	size, err := shape.TableSize()
 	if err != nil {
@@ -60,59 +92,223 @@ func BuildIndex(target []byte, shape *Shape, opts IndexOptions) (*Index, error) 
 	if len(target) > 1<<31 {
 		return nil, fmt.Errorf("seed: target longer than 2^31 bases")
 	}
-	ix := &Index{
+	windows := max(len(target)-shape.Span+1, 0)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(min(workers, windows), 1)
+	pb := prefixBits(shape.Weight)
+	buckets := 1 << pb
+	b := &indexBuild{
+		target:      target,
+		shape:       shape,
+		windows:     windows,
+		workers:     workers,
+		sufBits:     uint(2*shape.Weight) - pb,
+		buckets:     buckets,
+		counts:      make([][]uint32, workers),
+		bucketStart: make([]uint32, buckets+1),
+		keyStart:    make([]uint32, buckets+1),
+		present:     make([]uint64, presentWords(size)),
+	}
+	parallel(workers, b.countPrefixes)
+	nPos := b.bucketOffsets()
+	b.positions = make([]uint32, nPos)
+	b.suffixes = make([]uint16, nPos)
+	parallel(workers, b.scatter)
+	parallel(workers, b.markPresent)
+	distinct := b.keyOffsets()
+	b.starts = make([]uint32, distinct+1)
+	b.starts[distinct] = uint32(nPos)
+	b.next.Store(0) // the buckets are claimed a second time
+	parallel(workers, b.sortBuckets)
+	return &Index{
 		shape:     shape,
-		present:   make([]uint64, presentWords(size)),
+		present:   b.present,
+		ranks:     rankSamples(b.present),
+		starts:    b.starts,
+		positions: b.positions,
 		maxFreq:   opts.MaxFreq,
 		targetLen: len(target),
+	}, nil
+}
+
+// bucketBatch is how many prefix buckets a worker claims at a time in
+// pass 3.
+const bucketBatch = 16
+
+// indexBuild is one BuildIndex call's shared state. Workers write
+// disjoint parts of every slice: their own counts, their own cursors'
+// slots of positions and suffixes, and their own buckets' bitmap words
+// and starts entries.
+type indexBuild struct {
+	target           []byte
+	shape            *Shape
+	windows, workers int
+	sufBits          uint
+	buckets          int
+
+	// counts[w][p] is worker w's number of windows with key prefix p,
+	// then its next slot in bucket p.
+	counts [][]uint32
+	// bucketStart[p] is bucket p's first slot in positions; keyStart[p]
+	// is the rank of its first present key. Both end with the total.
+	bucketStart, keyStart []uint32
+	next                  atomic.Int64 // next bucket batch to claim
+
+	present   []uint64
+	suffixes  []uint16
+	positions []uint32
+	starts    []uint32
+}
+
+// parallel runs fn(0) .. fn(n-1) on n goroutines, one on the caller's,
+// and returns when all have.
+func parallel(n int, fn func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for w := 1; w < n; w++ {
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
 	}
-	// Each window's key is computed once. A weight-16 key fills all 32
-	// bits, so windows without a key are marked in their own bitmap.
-	windows := max(len(target)-shape.Span+1, 0)
-	keys := make([]uint32, windows)
-	valid := make([]uint64, (windows+63)/64)
-	nPos := 0
-	for pos := range keys {
-		if key, ok := shape.Key(target, pos); ok {
-			keys[pos] = uint32(key)
-			valid[pos>>6] |= 1 << (pos & 63)
-			ix.present[key>>6] |= 1 << (key & 63)
-			nPos++
+	fn(0)
+	wg.Wait()
+}
+
+// windowRange is worker w's contiguous share of the window starts.
+func (b *indexBuild) windowRange(w int) (lo, hi int) {
+	return b.windows * w / b.workers, b.windows * (w + 1) / b.workers
+}
+
+// countPrefixes is pass 1 for worker w.
+func (b *indexBuild) countPrefixes(w int) {
+	counts := make([]uint32, b.buckets)
+	lo, hi := b.windowRange(w)
+	b.shape.eachKey(b.target, lo, hi, func(_ int, key uint32) {
+		counts[key>>b.sufBits]++
+	})
+	b.counts[w] = counts
+}
+
+// bucketOffsets turns the workers' counts into write cursors, bucket by
+// bucket and within a bucket worker by worker, and returns the number of
+// positions.
+func (b *indexBuild) bucketOffsets() int {
+	var off uint32
+	for p := range b.buckets {
+		b.bucketStart[p] = off
+		for _, counts := range b.counts {
+			counts[p], off = off, off+counts[p]
 		}
 	}
-	ix.ranks = rankSamples(ix.present)
-	distinct := int(ix.ranks[len(ix.ranks)-1])
-	// Replace each key by its rank and count bucket sizes into
-	// starts[r+1].
-	ix.starts = make([]uint32, distinct+1)
-	counts := ix.starts[1:]
-	for pos := range keys {
-		if valid[pos>>6]&(1<<(pos&63)) != 0 {
-			r := ix.rank(keys[pos])
-			keys[pos] = r
-			counts[r]++
+	b.bucketStart[b.buckets] = off
+	return int(off)
+}
+
+// scatter is pass 2 for worker w: every position and its key suffix go
+// to the worker's next slot in their prefix bucket.
+func (b *indexBuild) scatter(w int) {
+	next := b.counts[w]
+	sufMask := uint32(1)<<b.sufBits - 1
+	lo, hi := b.windowRange(w)
+	b.shape.eachKey(b.target, lo, hi, func(pos int, key uint32) {
+		p := key >> b.sufBits
+		i := next[p]
+		b.positions[i] = uint32(pos)
+		b.suffixes[i] = uint16(key & sufMask)
+		next[p] = i + 1
+	})
+}
+
+// eachBucket calls fn with every prefix bucket a worker claims, in
+// batches, until none is left.
+func (b *indexBuild) eachBucket(fn func(p int)) {
+	for {
+		lo := int(b.next.Add(bucketBatch)) - bucketBatch
+		if lo >= b.buckets {
+			return
+		}
+		for p := lo; p < min(lo+bucketBatch, b.buckets); p++ {
+			fn(p)
 		}
 	}
-	// Prefix-sum counts into bucket ends.
-	var sum uint32
-	for r := range counts {
-		sum += counts[r]
-		counts[r] = sum
-	}
-	ix.positions = make([]uint32, nPos)
-	// Fill backwards within each bucket so positions end up ascending.
-	for pos := len(keys) - 1; pos >= 0; pos-- {
-		if valid[pos>>6]&(1<<(pos&63)) != 0 {
-			r := keys[pos]
-			counts[r]--
-			ix.positions[counts[r]] = uint32(pos)
+}
+
+// bucketWords is bucket p's span of bitmap words. A bucket's first key
+// starts a word (its suffix has at least 6 bits, or it is the only
+// bucket), so bit s of the span is the bucket's suffix s.
+func (b *indexBuild) bucketWords(p int) []uint64 {
+	lo := p << b.sufBits >> 6
+	return b.present[lo : lo+max(1<<b.sufBits>>6, 1)]
+}
+
+// markPresent is pass 3's first half: each claimed bucket sets its keys'
+// bits and stores its number of distinct keys in keyStart[p].
+func (b *indexBuild) markPresent(int) {
+	b.eachBucket(func(p int) {
+		words := b.bucketWords(p)
+		for _, s := range b.suffixes[b.bucketStart[p]:b.bucketStart[p+1]] {
+			words[s>>6] |= 1 << (s & 63)
 		}
+		n := 0
+		for _, x := range words {
+			n += bits.OnesCount64(x)
+		}
+		b.keyStart[p] = uint32(n)
+	})
+}
+
+// keyOffsets prefix-sums the buckets' distinct-key counts into their
+// first ranks and returns the number of present keys.
+func (b *indexBuild) keyOffsets() int {
+	var r uint32
+	for p, n := range b.keyStart[:b.buckets] {
+		b.keyStart[p] = r
+		r += n
 	}
-	// After the backward fill starts[r+1] holds bucket r's start, so
-	// shift every entry down one slot and close the last bucket.
-	copy(ix.starts, counts)
-	ix.starts[distinct] = uint32(nPos)
-	return ix, nil
+	b.keyStart[b.buckets] = r
+	return int(r)
+}
+
+// sortBuckets is pass 3's second half: each claimed bucket
+// counting-sorts its positions by suffix, stably, through worker-local
+// scratch, and writes its keys' starts.
+func (b *indexBuild) sortBuckets(int) {
+	count := make([]uint32, 1<<b.sufBits)
+	var scratch []uint32
+	b.eachBucket(func(p int) {
+		lo, hi := b.bucketStart[p], b.bucketStart[p+1]
+		if lo == hi {
+			return
+		}
+		sufs := b.suffixes[lo:hi]
+		scratch = append(scratch[:0], b.positions[lo:hi]...)
+		for _, s := range sufs {
+			count[s]++
+		}
+		// Present keys in ascending order: each gets its starts entry,
+		// and its count becomes its write cursor.
+		r, off := b.keyStart[p], lo
+		for i, x := range b.bucketWords(p) {
+			for x != 0 {
+				s := i*64 + bits.TrailingZeros64(x)
+				x &= x - 1
+				b.starts[r] = off
+				r++
+				count[s], off = off, off+count[s]
+			}
+		}
+		for i, s := range sufs {
+			b.positions[count[s]] = scratch[i]
+			count[s]++
+		}
+		for _, s := range sufs {
+			count[s] = 0
+		}
+	})
 }
 
 // rankSamples returns one sample per line of present — the set bits in

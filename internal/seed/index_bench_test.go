@@ -3,6 +3,7 @@ package seed
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"darwinwga/internal/genome"
@@ -11,7 +12,9 @@ import (
 // Index benchmarks at their own layer, on random targets of three sizes
 // under the default 12-of-19 shape: a 55 kbp target (almost every key
 // absent), 1.8 Mbp (the benchmark's largest target) and 16 Mbp (most
-// keys present). `make bench-kernels` runs them.
+// keys present). `make bench-kernels` runs them. BenchmarkIndexBuild
+// runs on GOMAXPROCS workers and reports bytes allocated per target base
+// beside B/op.
 
 var benchTargetSizes = []int{55_000, 1_800_000, 16_000_000}
 
@@ -39,6 +42,9 @@ func BenchmarkIndexBuild(b *testing.B) {
 	for _, n := range benchTargetSizes {
 		b.Run(fmt.Sprintf("%dbp", n), func(b *testing.B) {
 			target := benchTarget(n)
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for range b.N {
 				ix, err := BuildIndex(target, sh, IndexOptions{MaxFreq: 30})
@@ -47,7 +53,10 @@ func BenchmarkIndexBuild(b *testing.B) {
 				}
 				benchIndexSink = ix
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "bp/s")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(n)/float64(b.N), "B/base")
 		})
 	}
 }

@@ -43,8 +43,8 @@ func TestMemoryBytesTracksHeapGrowth(t *testing.T) {
 	// Weight 10 over 1M windows -> a 128 KiB bitmap, ~660K present keys'
 	// starts (~2.6MB) and ~1M positions (~4MB): large enough that
 	// allocator slop and test-framework noise are small relative to the
-	// index itself, and the build's transient key array (~4MB) is gone
-	// by the second measurement.
+	// index itself, and the build's transient suffix array (~2MB) and
+	// sort scratch are gone by the second measurement.
 	sh, err := ParseShape("1110110101111")
 	if err != nil {
 		t.Fatal(err)

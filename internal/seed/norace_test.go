@@ -1,0 +1,5 @@
+//go:build !race
+
+package seed
+
+const raceEnabled = false

@@ -26,6 +26,18 @@ type Shape struct {
 	Weight int
 
 	onePos []int // offsets of informative positions
+	// runs are the shape's runs of consecutive informative positions,
+	// for packing a key out of a 2-bit rolling window (Span <= 32), and
+	// infoMask has bit Span-1-j set for each informative offset j.
+	runs     []keyRun
+	infoMask uint64
+}
+
+// keyRun moves one run of consecutive informative bases from a rolling
+// window into a key: (window >> in) & mask, shifted left by out.
+type keyRun struct {
+	in, out uint
+	mask    uint64
 }
 
 // ParseShape validates and compiles a seed pattern. A pattern must start
@@ -52,6 +64,25 @@ func ParseShape(pattern string) (*Shape, error) {
 	if sh.Weight > 31 {
 		return nil, fmt.Errorf("seed: weight %d exceeds 31", sh.Weight)
 	}
+	// The window holds base j of a window at bits 2*(Span-1-j) and the
+	// key holds informative base t at bits 2*(Weight-1-t); a run ending
+	// at offset j and informative index t is one shift, mask and shift.
+	for t := 0; t < sh.Weight; t++ {
+		j := sh.onePos[t]
+		sh.infoMask |= 1 << uint(sh.Span-1-j)
+		if t+1 < sh.Weight && sh.onePos[t+1] == j+1 {
+			continue
+		}
+		n := 1
+		for n <= t && sh.onePos[t-n] == j-n {
+			n++
+		}
+		sh.runs = append(sh.runs, keyRun{
+			in:   uint(2 * (sh.Span - 1 - j)),
+			out:  uint(2 * (sh.Weight - 1 - t)),
+			mask: 1<<uint(2*n) - 1,
+		})
+	}
 	return sh, nil
 }
 
@@ -70,6 +101,51 @@ func (sh *Shape) Key(seq []byte, pos int) (key genome.KmerKey, ok bool) {
 		key = key<<2 | genome.KmerKey(code)
 	}
 	return key, true
+}
+
+// eachKey calls fn with every window start in [lo, hi), in ascending
+// order, whose window has a key, and with that key; it yields exactly
+// what Key does for each position. A shape spanning at most 32 bases
+// rolls one base at a time into a 2-bit window and packs the key from
+// the shape's runs; a longer one calls Key per window.
+func (sh *Shape) eachKey(seq []byte, lo, hi int, fn func(pos int, key uint32)) {
+	if lo >= hi {
+		return
+	}
+	if sh.Span > 32 {
+		for pos := lo; pos < hi; pos++ {
+			if key, ok := sh.Key(seq, pos); ok {
+				fn(pos, uint32(key))
+			}
+		}
+		return
+	}
+	// win holds the last bases' codes two bits each, newest lowest; bad
+	// has a bit per base, set when it is not ACGT. Bits above the span
+	// are stale and never read.
+	var win, bad uint64
+	roll := func(b byte) {
+		c := genome.EncodeBase(b)
+		win = win<<2 | uint64(c&3)
+		bad <<= 1
+		if c > genome.CodeT {
+			bad |= 1
+		}
+	}
+	for _, b := range seq[lo : lo+sh.Span-1] {
+		roll(b)
+	}
+	for pos, b := range seq[lo+sh.Span-1 : hi+sh.Span-1] {
+		roll(b)
+		if bad&sh.infoMask != 0 {
+			continue
+		}
+		var key uint64
+		for _, r := range sh.runs {
+			key |= win >> r.in & r.mask << r.out
+		}
+		fn(lo+pos, uint32(key))
+	}
 }
 
 // TransitionKeys appends to buf the exact key plus, for each informative

@@ -2,6 +2,7 @@ package seed
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"darwinwga/internal/genome"
@@ -121,9 +122,10 @@ func defaultShape(t *testing.T) *Shape {
 	return sh
 }
 
-func TestTransitionKeysMatchIsTransition(t *testing.T) {
-	// Property: every variant key differs from the exact key in exactly
-	// one informative position, and that difference is a transition.
+// TestTransitionKeysFlipOneBaseToItsTransition checks that every
+// variant key differs from the exact key in exactly one informative
+// position, and that the difference is a transition.
+func TestTransitionKeysFlipOneBaseToItsTransition(t *testing.T) {
 	sh := defaultShape(t)
 	rng := rand.New(rand.NewSource(1))
 	seq := randSeq(rng, 100)
@@ -134,12 +136,9 @@ func TestTransitionKeysMatchIsTransition(t *testing.T) {
 		}
 		exact := keys[0]
 		for _, k := range keys[1:] {
-			diff := exact ^ k
 			// Exactly one 2-bit group set, and its value is 2 (the
 			// transition flip).
-			if diff == 0 || diff&(diff-1)>>1&diff != 0 {
-				// crude check below instead
-			}
+			diff := exact ^ k
 			cnt := 0
 			for s := uint(0); s < uint(2*sh.Weight); s += 2 {
 				g := (diff >> s) & 3
@@ -180,7 +179,9 @@ func TestBuildIndexFindsAllOccurrences(t *testing.T) {
 // TestIndexMatchesBruteForce compares every key's bucket against a map
 // built window by window: weights 1-3 (tables smaller than one bitmap
 // word or one line) and larger, targets with N runs, with and without
-// MaxFreq masking.
+// MaxFreq masking. The default 12-of-19 shape and a weight-16 one, whose
+// 4^W keys cannot be walked, are compared table by table on 120 kbp
+// targets with N runs, lower-case bases and tandem repeats.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	plain := randSeq(rng, 2000)
@@ -200,6 +201,19 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 				checkIndexAgainstBruteForce(t, sh, seq, maxFreq)
 			}
 		}
+	}
+	large := [][]byte{repeatTarget(rng, 120_000), repeatTarget(rng, 150_000)}
+	for _, seq := range large {
+		checkPartsAgainstBruteForce(t, defaultShape(t), seq, 0, 30)
+	}
+	if !skipWeight16(t) {
+		sh, err := ParseShape(weight16Pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One target: each weight-16 build holds a 512 MiB bitmap.
+		checkPartsAgainstBruteForce(t, sh, large[0], 0, 30)
+		debug.FreeOSMemory()
 	}
 }
 

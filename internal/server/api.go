@@ -580,7 +580,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	t, err := s.reg.Register(req.Name, asm, s.cfg.Pipeline)
 	if err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already registered") {
+		if errors.Is(err, ErrTargetExists) {
 			code = http.StatusConflict
 		}
 		WriteError(w, code, "%v", err)

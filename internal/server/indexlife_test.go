@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -329,5 +330,28 @@ func TestTargetsExposeIndexLifecycleFields(t *testing.T) {
 	}
 	if got.SerializedIndex {
 		t.Fatalf("serialized_index = true without an index dir")
+	}
+}
+
+// TestIndexRegisterRefusesDuplicateBeforeIndexing registers a name, then
+// registers it again under a seed pattern that cannot be indexed: the
+// second call must fail on the name, with ErrTargetExists and the old
+// message, before it pays for (and here trips over) an index build.
+func TestIndexRegisterRefusesDuplicateBeforeIndexing(t *testing.T) {
+	asm := &genome.Assembly{Name: "t", Seqs: []*genome.Sequence{
+		{Name: "chr1", Bases: []byte("ACGTACGTTGCAACGTAGCTAGCTAGGATCCATGACGTTTAGC")},
+	}}
+	reg := server.NewRegistry()
+	if _, err := reg.Register("t", asm, core.DefaultConfig()); err != nil {
+		t.Fatalf("first register: %v", err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.SeedPattern = "11111111111111111" // weight 17: no direct-addressed table
+	_, err := reg.Register("t", asm, cfg)
+	if !errors.Is(err, server.ErrTargetExists) {
+		t.Fatalf("duplicate register: err = %v, want ErrTargetExists", err)
+	}
+	if want := `server: target "t" already registered`; err.Error() != want {
+		t.Fatalf("duplicate register: message %q, want %q", err, want)
 	}
 }

@@ -148,6 +148,14 @@ func NewRegistry() *Registry {
 	}
 }
 
+// ErrTargetExists is wrapped by Register's error for a name already
+// registered.
+var ErrTargetExists = errors.New("already registered")
+
+func errTargetExists(name string) error {
+	return fmt.Errorf("server: target %q %w", name, ErrTargetExists)
+}
+
 // IndexFileName is the serialized-index filename convention inside an
 // index directory: <target name>.dwx.
 func IndexFileName(name string) string { return name + ".dwx" }
@@ -157,14 +165,18 @@ func IndexFileName(name string) string { return name + ".dwx" }
 // assembly's fingerprint and cfg's seed parameters, else by building
 // it. cfg supplies the index-shaping parameters (SeedPattern,
 // SeedMaxFreq); per-job knobs are rebound later with WithConfig.
-// Registering a name twice is an error — targets are immutable once
-// published.
+// Registering a name twice is an error wrapping ErrTargetExists —
+// targets are immutable once published — and is refused before any
+// indexing work.
 func (r *Registry) Register(name string, asm *genome.Assembly, cfg core.Config) (*Target, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: empty target name")
 	}
 	if asm == nil || len(asm.Seqs) == 0 {
 		return nil, fmt.Errorf("server: target %q has no sequences", name)
+	}
+	if _, ok := r.Get(name); ok {
+		return nil, errTargetExists(name)
 	}
 	bases, m, err := maf.ConcatAssembly(name, asm.Seqs)
 	if err != nil {
@@ -194,10 +206,11 @@ func (r *Registry) Register(name string, asm *genome.Assembly, cfg core.Config) 
 	if err != nil {
 		return nil, fmt.Errorf("server: indexing target %q: %w", name, err)
 	}
+	// A concurrent registration may have taken the name meanwhile.
 	r.mu.Lock()
 	if _, dup := r.targets[name]; dup {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("server: target %q already registered", name)
+		return nil, errTargetExists(name)
 	}
 	r.targets[name] = t
 	r.mu.Unlock()

@@ -662,13 +662,17 @@ func TestBudgetPartialTruncated(t *testing.T) {
 // TestCancelAfterBudgetClosed: a budget that closed first does not turn a
 // later cancellation into success. The job's filter-tile budget closes
 // on the '+' strand, the pipeline is then held in extension, and a
-// DELETE must end the job cancelled, not done.
+// DELETE must end the job cancelled, not done. One worker: with several,
+// which 20 tiles the budget admits depends on how the filter goroutines
+// interleave, and when none of them passes there is no extension to
+// hold the pipeline in.
 func TestCancelAfterBudgetClosed(t *testing.T) {
 	pair := testPair(t, "dm6-droSim1", 0.0004)
 	hold, release := gate()
 	extending := make(chan struct{})
 	var once sync.Once
 	pipeline := core.DefaultConfig()
+	pipeline.Workers = 1
 	pipeline.FaultHook = func(stage string, shard int) {
 		if stage == core.StageExtension {
 			once.Do(func() { close(extending) })
