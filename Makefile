@@ -164,6 +164,14 @@ check-once:
 	n=$$(cat $$src | grep -c '^type Index struct'); \
 	if [ "$$n" -ne 1 ] || grep -nE 'make\([^)]*(\bsize|TableSize\(\)) *\+ *1\b' $$src; then \
 		echo "check-once: want one seed index layout (type Index struct declared $$n times, want 1) and no 4^Weight+1-entry table"; exit 1; fi
+	@if grep -nwE 'Threshold|Stride' $$(ls internal/dsoft/*.go | grep -v _test.go) || \
+		grep -rnE --include='*.go' --exclude='*_test.go' 'type KmerKey|PackKmer' . || \
+		grep -nE 'func \(\w+ \*?Shape\) Key\(' $$(ls internal/seed/*.go | grep -v _test.go); then \
+		echo "check-once: a retired seeding knob or key path is back (D-SOFT is first hit per band per chunk; keys leave a sequence through Shape.EachKey)"; exit 1; fi
+	@bad=$$(awk '/^func /{f=$$0} /Span *>|(Errorf|errors\.New)\(.*([Ww]eight|[Ss]pan)/{print FILENAME":"FNR": "$$0" [in "f"]"}' \
+		$$(ls internal/seed/*.go | grep -v _test.go) | grep -vF '[in func ParseShape('); \
+	if [ -n "$$bad" ]; then echo "$$bad"; \
+		echo "check-once: a span test or a weight/span error outside seed.ParseShape (a shape is checked against the key and the index once)"; exit 1; fi
 	@if grep -rnE --include='*.go' 'seedXDropAligner' . || [ -e internal/align/xdrop_seed_test.go ] || \
 		! grep -qs '^func TestKernelDigest(' internal/align/kernel_digest_test.go; then \
 		echo "check-once: want one kernel-identity check (TestKernelDigest in internal/align/kernel_digest_test.go) and no frozen X-drop kernel"; exit 1; fi

@@ -33,6 +33,10 @@ func TestCLIExitCodes(t *testing.T) {
 		{"serve malformed register", []string{"serve", "-register", "no-equals-sign"}, 2},
 		{"serve stray positional", []string{"serve", "stray"}, 2},
 		{"serve missing fasta", []string{"serve", "-register", "t=/does/not/exist.fa"}, 1},
+		// A seed pattern ParseShape refuses is a bad flag value.
+		{"serve invalid seed-pattern", []string{"serve", "-seed-pattern", "0110"}, 2},
+		{"index build weight-17 seed-pattern", []string{"index", "build", "-target", "/does/not/exist.fa",
+			"-out", "/does/not/exist.dwx", "-seed-pattern", "11111111111111111"}, 2},
 		// Removed knobs: their values now derive from -lease-ttl and
 		// -stall-window or are constants, and a script still passing one
 		// must fail loudly rather than think it tuned something.

@@ -64,17 +64,17 @@ func indexBuildMain(args []string) int {
 		fs.Usage()
 		return 2
 	}
+	shape, err := seed.ParseShape(*pattern)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "darwin-wga index build:", err)
+		return 2
+	}
 	asm, err := genome.ReadFASTAFile(*targetPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darwin-wga index build:", err)
 		return 1
 	}
 	bases, _ := genome.Concat(asm.Seqs)
-	shape, err := seed.ParseShape(*pattern)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "darwin-wga index build:", err)
-		return 2
-	}
 	start := time.Now()
 	ix, err := seed.BuildIndex(bases, shape, seed.IndexOptions{MaxFreq: *maxFreq})
 	if err != nil {

@@ -68,6 +68,7 @@ import (
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
 	"darwinwga/internal/obs"
+	"darwinwga/internal/seed"
 	"darwinwga/internal/server"
 	"darwinwga/internal/stats"
 )
@@ -248,6 +249,13 @@ func serveMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "darwin-wga serve: unexpected argument %q\n", fs.Arg(0))
 		fs.Usage()
 		return 2
+	}
+	if *seedPattern != "" {
+		if _, err := seed.ParseShape(*seedPattern); err != nil {
+			fmt.Fprintln(os.Stderr, "darwin-wga serve: -seed-pattern:", err)
+			fs.Usage()
+			return 2
+		}
 	}
 	var logger *slog.Logger
 	switch *logFormat {

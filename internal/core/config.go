@@ -370,11 +370,15 @@ func (c *Config) Validate() error {
 // the wall-clock Deadline (a deadline-truncated run is inherently
 // non-reproducible). Resource budgets are included: they shape the
 // result.
+//
+// The dsoft term keeps the bytes of the D-SOFT parameters printed with
+// %+v when they still carried a hit threshold and a query stride, both
+// always 1, so journals and cached results written then still match.
 func (c *Config) fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "seed=%q maxfreq=%d dsoft=%+v filter=%d ftile=%d fband=%d hf=%d xdrop=%d",
-		c.SeedPattern, c.SeedMaxFreq, c.DSoft, c.Filter, c.FilterTileSize, c.FilterBand,
-		c.FilterThreshold, c.UngappedXDrop)
+	fmt.Fprintf(h, "seed=%q maxfreq=%d dsoft={ChunkSize:%d BinSize:%d Threshold:1 Transitions:%t Stride:1} filter=%d ftile=%d fband=%d hf=%d xdrop=%d",
+		c.SeedPattern, c.SeedMaxFreq, c.DSoft.ChunkSize, c.DSoft.BinSize, c.DSoft.Transitions,
+		c.Filter, c.FilterTileSize, c.FilterBand, c.FilterThreshold, c.UngappedXDrop)
 	fmt.Fprintf(h, " ext=%d/%d/%d he=%d absorb=%d strands=%t",
 		c.Extension.TileSize, c.Extension.Overlap, c.Extension.Y,
 		c.ExtensionThreshold, c.AbsorbBand, c.BothStrands)

@@ -2,15 +2,14 @@
 // Darwin-WGA (Section III-B). The query genome is divided into chunks;
 // for each chunk, seed hits against the target are grouped into diagonal
 // bands (a band is the intersection of a target bin with the chunk, see
-// Figure 4a). A band whose hit count reaches the threshold h produces at
-// most one candidate anchor, which downstream stages filter with banded
-// Smith-Waterman.
+// Figure 4a). The first seed hit in a band becomes that band's one
+// candidate anchor for the chunk, which downstream stages filter with
+// banded Smith-Waterman.
 package dsoft
 
 import (
 	"fmt"
 
-	"darwinwga/internal/genome"
 	"darwinwga/internal/seed"
 )
 
@@ -22,25 +21,19 @@ type Params struct {
 	ChunkSize int
 	// BinSize is the target bin (diagonal band) width b.
 	BinSize int
-	// Threshold is h: a band needs at least this many seed hits before
-	// it emits a candidate.
-	Threshold int
 	// Transitions enables one transition substitution in the seed
 	// (Weight+1 lookups per query position).
 	Transitions bool
-	// Stride samples query seed positions every Stride bases (1 = every
-	// position).
-	Stride int
 }
 
 // DefaultParams returns the defaults used throughout the evaluation.
 func DefaultParams() Params {
-	return Params{ChunkSize: 64, BinSize: 64, Threshold: 1, Transitions: true, Stride: 1}
+	return Params{ChunkSize: 64, BinSize: 64, Transitions: true}
 }
 
 // Validate checks parameter sanity.
 func (p Params) Validate() error {
-	if p.ChunkSize < 1 || p.BinSize < 1 || p.Threshold < 1 || p.Stride < 1 {
+	if p.ChunkSize < 1 || p.BinSize < 1 {
 		return fmt.Errorf("dsoft: parameters must be positive: %+v", p)
 	}
 	return nil
@@ -91,20 +84,22 @@ func NewSeeder(ix *seed.Index, params Params) (*Seeder, error) {
 
 // Scratch holds reusable per-worker state for Collect.
 type Scratch struct {
-	keys   []genome.KmerKey
-	counts map[int]int // band id -> hit count (reset per chunk)
+	keys  []uint32
+	bands map[int]struct{} // bands that have emitted in the current chunk
 }
 
 // NewScratch allocates scratch for one worker.
 func NewScratch() *Scratch {
-	return &Scratch{counts: make(map[int]int)}
+	return &Scratch{bands: make(map[int]struct{})}
 }
 
 // Collect appends candidate anchors for query[qStart:qEnd) (one or more
 // whole chunks) to dst and returns it, accumulating statistics in stats.
-// Candidates are deduplicated per diagonal band: at most one anchor per
-// band per chunk, following the paper's "at most 1 seed hit is extended
-// per diagonal band": a band emits when its count reaches the threshold.
+// Candidates are deduplicated per diagonal band: following the paper's
+// "at most 1 seed hit is extended per diagonal band", the first hit in a
+// band in a chunk is its anchor. Anchors ascend by query position; at
+// one position the exact key's hits come before its transitions', each
+// key's in ascending target position.
 func (s *Seeder) Collect(query []byte, qStart, qEnd int, dst []Anchor, stats *Stats, scratch *Scratch) []Anchor {
 	if scratch == nil {
 		scratch = NewScratch()
@@ -112,38 +107,35 @@ func (s *Seeder) Collect(query []byte, qStart, qEnd int, dst []Anchor, stats *St
 	p := s.params
 	shape := s.ix.Shape()
 	tLen := s.ix.TargetLen()
-	if qEnd > len(query) {
-		qEnd = len(query)
-	}
-	for chunkStart := qStart; chunkStart < qEnd; chunkStart += p.ChunkSize {
-		chunkEnd := min(chunkStart+p.ChunkSize, qEnd)
-		// Reset per-chunk band state.
-		clear(scratch.counts)
-		for qPos := chunkStart; qPos < chunkEnd; qPos += p.Stride {
-			if qPos+shape.Span > len(query) {
-				break
-			}
-			stats.QueryPositions++
-			scratch.keys = scratch.keys[:0]
-			if p.Transitions {
-				scratch.keys = shape.TransitionKeys(query, qPos, scratch.keys)
-			} else if key, ok := shape.Key(query, qPos); ok {
-				scratch.keys = append(scratch.keys, key)
-			}
-			for _, key := range scratch.keys {
-				stats.Lookups++
-				for _, tPos := range s.ix.Positions(key) {
-					stats.SeedHits++
-					band := (int(tPos) - qPos + tLen) / p.BinSize
-					c := scratch.counts[band] + 1
-					scratch.counts[band] = c
-					if c == p.Threshold {
-						dst = append(dst, Anchor{TPos: int(tPos), QPos: qPos})
-						stats.Candidates++
-					}
+	// Every window that starts in range and fits the query is examined,
+	// N windows included.
+	qEnd = min(qEnd, len(query)-shape.Span+1)
+	stats.QueryPositions += max(qEnd-qStart, 0)
+	chunk := -1
+	shape.EachKey(query, qStart, qEnd, func(qPos int, key uint32) {
+		if c := (qPos - qStart) / p.ChunkSize; c != chunk {
+			chunk = c
+			clear(scratch.bands)
+		}
+		keys := scratch.keys[:0]
+		if p.Transitions {
+			keys = shape.Transitions(key, keys)
+		} else {
+			keys = append(keys, key)
+		}
+		scratch.keys = keys
+		for _, key := range keys {
+			stats.Lookups++
+			for _, tPos := range s.ix.Positions(key) {
+				stats.SeedHits++
+				band := (int(tPos) - qPos + tLen) / p.BinSize
+				if _, seen := scratch.bands[band]; !seen {
+					scratch.bands[band] = struct{}{}
+					dst = append(dst, Anchor{TPos: int(tPos), QPos: qPos})
+					stats.Candidates++
 				}
 			}
 		}
-	}
+	})
 	return dst
 }

@@ -2,8 +2,11 @@ package dsoft
 
 import (
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 
+	"darwinwga/internal/genome"
 	"darwinwga/internal/seed"
 )
 
@@ -130,31 +133,6 @@ func TestBandDeduplication(t *testing.T) {
 	}
 }
 
-func TestThresholdSuppressesSparseBands(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	target := randSeq(rng, 4000)
-	query := randSeq(rng, 4000)
-	// With random sequences, isolated chance hits exist; requiring h=3
-	// hits per band should suppress nearly all of them.
-	ix := buildIndex(t, target)
-	p1 := DefaultParams()
-	p1.Transitions = false
-	p1.Threshold = 1
-	s1, _ := NewSeeder(ix, p1)
-	var st1 Stats
-	a1 := s1.Collect(query, 0, len(query), nil, &st1, nil)
-
-	p3 := p1
-	p3.Threshold = 3
-	s3, _ := NewSeeder(ix, p3)
-	var st3 Stats
-	a3 := s3.Collect(query, 0, len(query), nil, &st3, nil)
-
-	if len(a3) > len(a1)/2 {
-		t.Errorf("threshold 3 kept %d of %d anchors; expected strong suppression", len(a3), len(a1))
-	}
-}
-
 func TestTransitionsIncreaseSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	target := randSeq(rng, 2000)
@@ -184,24 +162,6 @@ func TestTransitionsIncreaseSensitivity(t *testing.T) {
 	wantLookups := stOff.Lookups * (defaultShape(t).Weight + 1)
 	if stOn.Lookups != wantLookups {
 		t.Errorf("lookups with transitions = %d, want %d (m+1 rule)", stOn.Lookups, wantLookups)
-	}
-}
-
-func TestStrideReducesWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	target := randSeq(rng, 2000)
-	ix := buildIndex(t, target)
-	p := DefaultParams()
-	p.Stride = 4
-	s, _ := NewSeeder(ix, p)
-	var st Stats
-	s.Collect(target, 0, len(target), nil, &st, nil)
-	p1 := DefaultParams()
-	s1, _ := NewSeeder(ix, p1)
-	var st1 Stats
-	s1.Collect(target, 0, len(target), nil, &st1, nil)
-	if st.QueryPositions*3 > st1.QueryPositions {
-		t.Errorf("stride 4 examined %d positions vs %d at stride 1", st.QueryPositions, st1.QueryPositions)
 	}
 }
 
@@ -260,5 +220,153 @@ func TestCollectWarmAllocFree(t *testing.T) {
 		dst = s.Collect(query, 0, len(query), dst[:0], &st, scratch)
 	}); n != 0 {
 		t.Errorf("warm Collect allocates %.0f times per call, want 0", n)
+	}
+}
+
+// windowKey reads the key of the window at pos base by base from the
+// shape's pattern: informative bases first one highest, 2 bits each.
+func windowKey(sh *seed.Shape, seq []byte, pos int) (key uint32, ok bool) {
+	for j := range sh.Span {
+		if sh.Pattern[j] != '1' {
+			continue
+		}
+		c := genome.EncodeBase(seq[pos+j])
+		if c > genome.CodeT {
+			return 0, false
+		}
+		key = key<<2 | uint32(c)
+	}
+	return key, true
+}
+
+// transition is a base's transition partner (A<->G, C<->T).
+var transition = map[byte]byte{'A': 'G', 'G': 'A', 'C': 'T', 'T': 'C', 'a': 'g', 'g': 'a', 'c': 't', 't': 'c'}
+
+// oracleCollect is D-SOFT window by window: every window start in
+// [qStart, qEnd) that fits the query is examined; its exact key and then,
+// with transitions, the key of the window with each informative base in
+// turn replaced by its transition partner are looked up, and the first
+// hit in each band in each chunk is an anchor.
+func oracleCollect(ix *seed.Index, p Params, query []byte, qStart, qEnd int) ([]Anchor, Stats) {
+	sh := ix.Shape()
+	var anchors []Anchor
+	var st Stats
+	var emitted map[int]bool
+	for qPos := qStart; qPos < qEnd && qPos+sh.Span <= len(query); qPos++ {
+		if (qPos-qStart)%p.ChunkSize == 0 {
+			emitted = map[int]bool{}
+		}
+		st.QueryPositions++
+		key, ok := windowKey(sh, query, qPos)
+		if !ok {
+			continue
+		}
+		keys := []uint32{key}
+		if p.Transitions {
+			for j := range sh.Span {
+				if sh.Pattern[j] != '1' {
+					continue
+				}
+				w := append([]byte(nil), query[qPos:qPos+sh.Span]...)
+				w[j] = transition[w[j]]
+				k, _ := windowKey(sh, w, 0)
+				keys = append(keys, k)
+			}
+		}
+		for _, k := range keys {
+			st.Lookups++
+			for _, tPos := range ix.Positions(k) {
+				st.SeedHits++
+				band := (int(tPos) - qPos + ix.TargetLen()) / p.BinSize
+				if !emitted[band] {
+					emitted[band] = true
+					anchors = append(anchors, Anchor{TPos: int(tPos), QPos: qPos})
+					st.Candidates++
+				}
+			}
+		}
+	}
+	return anchors, st
+}
+
+// seqWithNoise is a random sequence of n bases with N runs and
+// lower-case stretches.
+func seqWithNoise(rng *rand.Rand, n int) []byte {
+	seq := randSeq(rng, n)
+	for i := 0; i < n/400; i++ {
+		at := rng.Intn(n)
+		for j := at; j < min(at+1+rng.Intn(30), n); j++ {
+			seq[j] = 'N'
+		}
+	}
+	for i := 0; i < n/300; i++ {
+		at := rng.Intn(n)
+		for j := at; j < min(at+rng.Intn(80), n); j++ {
+			seq[j] |= 0x20
+		}
+	}
+	return seq
+}
+
+// TestCollectMatchesWindowOracle: Collect must equal oracleCollect in
+// anchor order and in all four Stats counters for the default shape,
+// weights 1 and 16 and a 32-base span, over targets and queries with N
+// runs and lower case, chunk-aligned and ragged ranges (one past the
+// query's end), ChunkSize 64 and 32, with and without transitions. The
+// weight-16 index holds a 512 MiB bitmap, so -short leaves it out.
+func TestCollectMatchesWindowOracle(t *testing.T) {
+	patterns := []string{seed.DefaultPattern, "1", "1111011110111101111", "11010000000000000000000000001011"}
+	for _, pattern := range patterns {
+		sh, err := seed.ParseShape(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.Weight == 16 && testing.Short() {
+			t.Log("skipping the weight-16 shape (512 MiB bitmap) under -short")
+			continue
+		}
+		// Weight 1 has four keys: a short target keeps its buckets small.
+		n := 30_000
+		if sh.Weight == 1 {
+			n = 1_500
+		}
+		rng := rand.New(rand.NewSource(int64(len(pattern))))
+		target := seqWithNoise(rng, n)
+		query := seqWithNoise(rng, n/4)
+		for at := 0; at+80 <= len(query); at += 300 {
+			from := rng.Intn(n - 80)
+			copy(query[at:at+80], target[from:from+80])
+		}
+		ix, err := seed.BuildIndex(target, sh, seed.IndexOptions{MaxFreq: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{64, 32} {
+			for _, transitions := range []bool{true, false} {
+				p := DefaultParams()
+				p.ChunkSize, p.Transitions = chunk, transitions
+				s, err := NewSeeder(ix, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range [][2]int{{0, len(query)}, {chunk, 5 * chunk}, {37, len(query) - 11}, {2 * chunk, len(query) + 500}} {
+					var st Stats
+					got := s.Collect(query, r[0], r[1], nil, &st, NewScratch())
+					want, wantSt := oracleCollect(ix, p, query, r[0], r[1])
+					if st != wantSt {
+						t.Fatalf("%s chunk %d transitions %t range %v: stats %+v, want %+v",
+							pattern, chunk, transitions, r, st, wantSt)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s chunk %d transitions %t range %v: %d anchors differ from the oracle's %d",
+							pattern, chunk, transitions, r, len(got), len(want))
+					}
+					if len(want) == 0 && r[1]-r[0] > 1000 {
+						t.Fatalf("%s range %v: no anchors, the case checks nothing", pattern, r)
+					}
+				}
+			}
+		}
+		debug.FreeOSMemory()
 	}
 }

@@ -2,6 +2,7 @@ package dsoft
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,25 +45,18 @@ func TestQuickAnchorsAreRealSeedHits(t *testing.T) {
 				a.QPos < 0 || a.QPos+shape.Span > len(query) {
 				return false
 			}
-			tKey, ok1 := shape.Key(target, a.TPos)
-			if !ok1 {
+			tKey, ok1 := windowKey(shape, target, a.TPos)
+			qKey, ok2 := windowKey(shape, query, a.QPos)
+			if !ok1 || !ok2 {
 				return false
 			}
 			if !transitions {
-				qKey, ok2 := shape.Key(query, a.QPos)
-				if !ok2 || qKey != tKey {
+				if qKey != tKey {
 					return false
 				}
 				continue
 			}
-			found := false
-			for _, qKey := range shape.TransitionKeys(query, a.QPos, nil) {
-				if qKey == tKey {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(shape.Transitions(qKey, nil), tKey) {
 				return false
 			}
 		}

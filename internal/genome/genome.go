@@ -1,7 +1,7 @@
 // Package genome provides the fundamental sequence representation used
 // throughout Darwin-WGA: nucleotide sequences over the extended DNA
 // alphabet {A, C, G, T, N}, their 3-bit codes (matching the encoding the
-// hardware stores in BRAM), FASTA input/output, and k-mer utilities.
+// hardware stores in BRAM), and FASTA input/output.
 //
 // Sequences are stored as upper-case ASCII bytes. The package never
 // allocates in per-base hot paths; callers that need packed codes use

@@ -235,54 +235,6 @@ func TestNormalizeBase(t *testing.T) {
 	}
 }
 
-func TestPackUnpackKmer(t *testing.T) {
-	seq := []byte("ACGTACGTACGT")
-	key, ok := PackKmer(seq)
-	if !ok {
-		t.Fatal("PackKmer failed")
-	}
-	// Two bits a base, most significant base first.
-	for i := len(seq) - 1; i >= 0; i-- {
-		if got := DecodeBase(byte(key & 3)); got != seq[i] {
-			t.Errorf("base %d unpacks to %c, want %c", i, got, seq[i])
-		}
-		key >>= 2
-	}
-	if _, ok := PackKmer([]byte("ACGN")); ok {
-		t.Error("PackKmer accepted N")
-	}
-	long := bytes.Repeat([]byte("A"), 32)
-	if _, ok := PackKmer(long); ok {
-		t.Error("PackKmer accepted 32-mer")
-	}
-}
-
-func TestPackKmerDistinct(t *testing.T) {
-	// All 4^6 6-mers must pack to distinct keys.
-	seen := make(map[KmerKey]bool)
-	var gen func(prefix []byte)
-	gen = func(prefix []byte) {
-		if len(prefix) == 6 {
-			key, ok := PackKmer(prefix)
-			if !ok {
-				t.Fatalf("PackKmer(%s) failed", prefix)
-			}
-			if seen[key] {
-				t.Fatalf("duplicate key for %s", prefix)
-			}
-			seen[key] = true
-			return
-		}
-		for _, b := range []byte("ACGT") {
-			gen(append(prefix, b))
-		}
-	}
-	gen(nil)
-	if len(seen) != 4096 {
-		t.Errorf("distinct keys = %d, want 4096", len(seen))
-	}
-}
-
 func TestConcat(t *testing.T) {
 	seqs := []*Sequence{
 		{Name: "a", Bases: []byte("AAA")},

@@ -253,6 +253,14 @@ func TestGeometryLies(t *testing.T) {
 	}
 	smallHdr := *base
 	smallHdr.SeedPattern, smallHdr.MaxFreq = "1101", 0
+	// pairStart is where the first bucket with two positions starts.
+	pairStart := func(starts []uint32) uint32 {
+		r := 0
+		for starts[r+1]-starts[r] < 2 {
+			r++
+		}
+		return starts[r]
+	}
 	for _, tc := range []struct {
 		name, want string
 		lie        func() parts
@@ -282,6 +290,23 @@ func TestGeometryLies(t *testing.T) {
 		{"position-past-target", "beyond target length", func() parts {
 			p := partsOf(ix, *base)
 			p.positions[0] = uint32(p.hdr.TargetLen)
+			return p
+		}},
+		{"last-window-overrun", "beyond target length", func() parts {
+			p := partsOf(ix, *base)
+			p.positions[len(p.positions)-1] = uint32(p.hdr.TargetLen - ix.Shape().Span + 1)
+			return p
+		}},
+		{"bucket-not-ascending", "do not ascend", func() parts {
+			p := partsOf(ix, *base)
+			i := pairStart(p.starts)
+			p.positions[i], p.positions[i+1] = p.positions[i+1], p.positions[i]
+			return p
+		}},
+		{"bucket-repeats-position", "do not ascend", func() parts {
+			p := partsOf(ix, *base)
+			i := pairStart(p.starts)
+			p.positions[i+1] = p.positions[i]
 			return p
 		}},
 	} {

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"darwinwga/internal/genome"
 )
 
 // lineWords is the number of bitmap words per 64-byte cache line; each
@@ -85,10 +83,6 @@ func prefixBits(weight int) uint {
 // suffix each, and nothing 4^Weight-sized is allocated but the bitmap.
 // The tables are the same for every worker count.
 func BuildIndex(target []byte, shape *Shape, opts IndexOptions) (*Index, error) {
-	size, err := shape.TableSize()
-	if err != nil {
-		return nil, err
-	}
 	if len(target) > 1<<31 {
 		return nil, fmt.Errorf("seed: target longer than 2^31 bases")
 	}
@@ -110,7 +104,7 @@ func BuildIndex(target []byte, shape *Shape, opts IndexOptions) (*Index, error) 
 		counts:      make([][]uint32, workers),
 		bucketStart: make([]uint32, buckets+1),
 		keyStart:    make([]uint32, buckets+1),
-		present:     make([]uint64, presentWords(size)),
+		present:     make([]uint64, presentWords(shape.TableSize())),
 	}
 	parallel(workers, b.countPrefixes)
 	nPos := b.bucketOffsets()
@@ -187,7 +181,7 @@ func (b *indexBuild) windowRange(w int) (lo, hi int) {
 func (b *indexBuild) countPrefixes(w int) {
 	counts := make([]uint32, b.buckets)
 	lo, hi := b.windowRange(w)
-	b.shape.eachKey(b.target, lo, hi, func(_ int, key uint32) {
+	b.shape.EachKey(b.target, lo, hi, func(_ int, key uint32) {
 		counts[key>>b.sufBits]++
 	})
 	b.counts[w] = counts
@@ -214,7 +208,7 @@ func (b *indexBuild) scatter(w int) {
 	next := b.counts[w]
 	sufMask := uint32(1)<<b.sufBits - 1
 	lo, hi := b.windowRange(w)
-	b.shape.eachKey(b.target, lo, hi, func(pos int, key uint32) {
+	b.shape.EachKey(b.target, lo, hi, func(pos int, key uint32) {
 		p := key >> b.sufBits
 		i := next[p]
 		b.positions[i] = uint32(pos)
@@ -348,11 +342,11 @@ func (ix *Index) TargetLen() int { return ix.targetLen }
 // Positions returns the target positions whose seed window hashes to
 // key, in ascending order. Absent keys and buckets masked by MaxFreq
 // return nil.
-func (ix *Index) Positions(key genome.KmerKey) []uint32 {
+func (ix *Index) Positions(key uint32) []uint32 {
 	if ix.present[key>>6]&(1<<(key&63)) == 0 {
 		return nil
 	}
-	r := ix.rank(uint32(key))
+	r := ix.rank(key)
 	lo, hi := ix.starts[r], ix.starts[r+1]
 	if ix.maxFreq > 0 && int(hi-lo) > ix.maxFreq {
 		return nil
@@ -383,14 +377,12 @@ func (ix *Index) RawParts() (present []uint64, starts, positions []uint32) {
 // validating the structural invariants BuildIndex guarantees: the bitmap
 // has the shape's padded length and no bit beyond TableSize, its
 // popcount is len(starts)-1, starts begins at 0, increases strictly (no
-// present bucket is empty) and ends at len(positions), and every position
-// lies inside the target. The slices are adopted, not copied; the rank
-// samples are derived.
+// present bucket is empty) and ends at len(positions), every position
+// starts a window that fits the target, and each key's positions
+// strictly ascend. The slices are adopted, not copied; the rank samples
+// are derived.
 func IndexFromParts(shape *Shape, targetLen int, present []uint64, starts, positions []uint32, opts IndexOptions) (*Index, error) {
-	size, err := shape.TableSize()
-	if err != nil {
-		return nil, err
-	}
+	size := shape.TableSize()
 	if want := presentWords(size); len(present) != want {
 		return nil, fmt.Errorf("seed: presence bitmap has %d words, want %d for shape %q",
 			len(present), want, shape.Pattern)
@@ -418,9 +410,15 @@ func IndexFromParts(shape *Shape, targetLen int, present []uint64, starts, posit
 	if targetLen < 0 {
 		return nil, fmt.Errorf("seed: negative target length %d", targetLen)
 	}
-	for _, p := range positions {
-		if int(p) >= targetLen {
-			return nil, fmt.Errorf("seed: position %d beyond target length %d", p, targetLen)
+	for r := range len(starts) - 1 {
+		bucket := positions[starts[r]:starts[r+1]]
+		for i, p := range bucket {
+			if int(p) > targetLen-shape.Span {
+				return nil, fmt.Errorf("seed: window at position %d ends beyond target length %d", p, targetLen)
+			}
+			if i > 0 && p <= bucket[i-1] {
+				return nil, fmt.Errorf("seed: positions of bucket %d do not ascend at position %d", r, p)
+			}
 		}
 	}
 	return &Index{

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"darwinwga/internal/genome"
 )
 
 // Index benchmarks at their own layer, on random targets of three sizes
@@ -62,8 +60,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkIndexLookup looks up every transition key of every window of
-// a 200 kbp random query (2.6 M keys), through TransitionKeys and then
-// Positions as D-SOFT does, and reports ns per lookup.
+// a 200 kbp random query (2.6 M keys), through EachKey, Transitions and
+// then Positions as D-SOFT does, and reports ns per lookup.
 func BenchmarkIndexLookup(b *testing.B) {
 	sh, err := ParseShape(DefaultPattern)
 	if err != nil {
@@ -76,17 +74,17 @@ func BenchmarkIndexLookup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var keys []genome.KmerKey
+			var keys []uint32
 			lookups, hits := 0, 0
 			b.ResetTimer()
 			for range b.N {
-				for pos := 0; pos+sh.Span <= len(query); pos++ {
-					keys = sh.TransitionKeys(query, pos, keys[:0])
+				sh.EachKey(query, 0, len(query)-sh.Span+1, func(_ int, key uint32) {
+					keys = sh.Transitions(key, keys[:0])
 					for _, k := range keys {
 						hits += len(ix.Positions(k))
 					}
 					lookups += len(keys)
-				}
+				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lookups), "ns/lookup")
 			b.ReportMetric(float64(hits)/float64(lookups), "hits/lookup")

@@ -14,15 +14,13 @@ func TestMemoryBytesCountsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, err := sh.TableSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := sh.TableSize()
 	present := make([]uint64, presentWords(size), 4*presentWords(size))
 	present[0] = 1 << 5
 	starts := make([]uint32, 2, 64)
 	starts[1] = 3
 	positions := make([]uint32, 3, 1024)
+	positions[1], positions[2] = 1, 2 // one key's positions ascend
 	ix, err := IndexFromParts(sh, 100, present, starts, positions, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)

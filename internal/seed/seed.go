@@ -25,10 +25,9 @@ type Shape struct {
 	// Weight is the number of informative ('1') positions.
 	Weight int
 
-	onePos []int // offsets of informative positions
 	// runs are the shape's runs of consecutive informative positions,
-	// for packing a key out of a 2-bit rolling window (Span <= 32), and
-	// infoMask has bit Span-1-j set for each informative offset j.
+	// for packing a key out of a 2-bit rolling window, and infoMask has
+	// bit Span-1-j set for each informative offset j.
 	runs     []keyRun
 	infoMask uint64
 }
@@ -41,8 +40,9 @@ type keyRun struct {
 }
 
 // ParseShape validates and compiles a seed pattern. A pattern must start
-// and end with '1' and have weight between 1 and 31 (keys are packed 2
-// bits per informative base into a uint64).
+// and end with '1', have weight at most 16 and span at most 32. It is
+// the one place a shape is checked against what a key and the index can
+// hold.
 func ParseShape(pattern string) (*Shape, error) {
 	if len(pattern) == 0 {
 		return nil, fmt.Errorf("seed: empty pattern")
@@ -50,31 +50,36 @@ func ParseShape(pattern string) (*Shape, error) {
 	if pattern[0] != '1' || pattern[len(pattern)-1] != '1' {
 		return nil, fmt.Errorf("seed: pattern %q must start and end with '1'", pattern)
 	}
-	sh := &Shape{Pattern: pattern, Span: len(pattern)}
+	var ones []int // offsets of informative positions
 	for i, c := range pattern {
 		switch c {
 		case '1':
-			sh.onePos = append(sh.onePos, i)
+			ones = append(ones, i)
 		case '0':
 		default:
 			return nil, fmt.Errorf("seed: pattern %q has invalid character %q", pattern, c)
 		}
 	}
-	sh.Weight = len(sh.onePos)
-	if sh.Weight > 31 {
-		return nil, fmt.Errorf("seed: weight %d exceeds 31", sh.Weight)
+	sh := &Shape{Pattern: pattern, Span: len(pattern), Weight: len(ones)}
+	// A key packs 2 bits per informative base into a uint32 and the
+	// index holds a presence bit per key; a window is one uint64 of
+	// 2-bit codes.
+	if sh.Weight > 16 {
+		return nil, fmt.Errorf("seed: pattern %q has weight %d, more than 16", pattern, sh.Weight)
+	}
+	if sh.Span > 32 {
+		return nil, fmt.Errorf("seed: pattern %q spans %d bases, more than 32", pattern, sh.Span)
 	}
 	// The window holds base j of a window at bits 2*(Span-1-j) and the
 	// key holds informative base t at bits 2*(Weight-1-t); a run ending
 	// at offset j and informative index t is one shift, mask and shift.
-	for t := 0; t < sh.Weight; t++ {
-		j := sh.onePos[t]
+	for t, j := range ones {
 		sh.infoMask |= 1 << uint(sh.Span-1-j)
-		if t+1 < sh.Weight && sh.onePos[t+1] == j+1 {
+		if t+1 < sh.Weight && ones[t+1] == j+1 {
 			continue
 		}
 		n := 1
-		for n <= t && sh.onePos[t-n] == j-n {
+		for n <= t && ones[t-n] == j-n {
 			n++
 		}
 		sh.runs = append(sh.runs, keyRun{
@@ -86,38 +91,16 @@ func ParseShape(pattern string) (*Shape, error) {
 	return sh, nil
 }
 
-// Key packs the informative bases of the window starting at pos into a
-// seed key. ok is false if the window overruns the sequence or contains
-// a non-ACGT base at an informative position.
-func (sh *Shape) Key(seq []byte, pos int) (key genome.KmerKey, ok bool) {
-	if pos < 0 || pos+sh.Span > len(seq) {
-		return 0, false
-	}
-	for _, off := range sh.onePos {
-		code := genome.EncodeBase(seq[pos+off])
-		if code >= genome.CodeN {
-			return 0, false
-		}
-		key = key<<2 | genome.KmerKey(code)
-	}
-	return key, true
-}
-
-// eachKey calls fn with every window start in [lo, hi), in ascending
-// order, whose window has a key, and with that key; it yields exactly
-// what Key does for each position. A shape spanning at most 32 bases
-// rolls one base at a time into a 2-bit window and packs the key from
-// the shape's runs; a longer one calls Key per window.
-func (sh *Shape) eachKey(seq []byte, lo, hi int, fn func(pos int, key uint32)) {
+// EachKey calls fn with every window start in [lo, hi), in ascending
+// order, whose window has a key, and with that key: the window's
+// informative bases, first one highest, 2 bits each (A=0, C=1, G=2,
+// T=3, either case). A window with a non-ACGT base at an informative
+// position has no key. Every window must fit: hi <= len(seq)-Span+1.
+// It rolls one base at a time into a 2-bit window and packs the key from
+// the shape's runs; it is the only way a key leaves a sequence, for the
+// target's index and the query's lookups alike.
+func (sh *Shape) EachKey(seq []byte, lo, hi int, fn func(pos int, key uint32)) {
 	if lo >= hi {
-		return
-	}
-	if sh.Span > 32 {
-		for pos := lo; pos < hi; pos++ {
-			if key, ok := sh.Key(seq, pos); ok {
-				fn(pos, uint32(key))
-			}
-		}
 		return
 	}
 	// win holds the last bases' codes two bits each, newest lowest; bad
@@ -148,32 +131,22 @@ func (sh *Shape) eachKey(seq []byte, lo, hi int, fn func(pos int, key uint32)) {
 	}
 }
 
-// TransitionKeys appends to buf the exact key plus, for each informative
-// position, the key with that base replaced by its transition partner
-// (A<->G, C<->T): Weight+1 keys total, matching the paper's "(m+1) times
-// more computation" accounting. Returns buf unchanged if the window has
-// no key, so a caller reusing buf keeps its capacity across N runs.
-func (sh *Shape) TransitionKeys(seq []byte, pos int, buf []genome.KmerKey) []genome.KmerKey {
-	key, ok := sh.Key(seq, pos)
-	if !ok {
-		return buf
-	}
+// Transitions appends to buf key plus, for each informative position
+// from the first, the key with that base replaced by its transition
+// partner (A<->G, C<->T): Weight+1 keys in all, matching the paper's
+// "(m+1) times more computation" accounting.
+func (sh *Shape) Transitions(key uint32, buf []uint32) []uint32 {
 	buf = append(buf, key)
-	for i := range sh.onePos {
-		// Informative position i occupies bits [2*(Weight-1-i), +2). The
-		// transition partner is code^2.
-		shift := uint(2 * (sh.Weight - 1 - i))
-		buf = append(buf, key^(genome.KmerKey(2)<<shift))
+	// Informative position i occupies bits [2*(Weight-1-i), +2); the
+	// transition partner is code^2.
+	for shift := 2 * (sh.Weight - 1); shift >= 0; shift -= 2 {
+		buf = append(buf, key^(2<<uint(shift)))
 	}
 	return buf
 }
 
-// TableSize returns the number of buckets a position table for this
-// shape needs (4^Weight). It errors for weights that would not fit in
-// memory (> 16 informative positions).
-func (sh *Shape) TableSize() (int, error) {
-	if sh.Weight > 16 {
-		return 0, fmt.Errorf("seed: weight %d too large for a direct-addressed table", sh.Weight)
-	}
-	return 1 << (2 * sh.Weight), nil
+// TableSize returns the number of keys a shape has (4^Weight), the
+// number of presence bits a position table for it holds.
+func (sh *Shape) TableSize() int {
+	return 1 << (2 * sh.Weight)
 }

@@ -3,6 +3,8 @@ package seed
 import (
 	"math/rand"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 
 	"darwinwga/internal/genome"
@@ -17,6 +19,33 @@ func randSeq(rng *rand.Rand, n int) []byte {
 	return out
 }
 
+// windowKey reads the key of the window at pos base by base from the
+// shape's pattern: informative bases first one highest, 2 bits each. It
+// is the reference EachKey and the index are checked against.
+func windowKey(sh *Shape, seq []byte, pos int) (key uint32, ok bool) {
+	for j := range sh.Span {
+		if sh.Pattern[j] != '1' {
+			continue
+		}
+		c := genome.EncodeBase(seq[pos+j])
+		if c > genome.CodeT {
+			return 0, false
+		}
+		key = key<<2 | uint32(c)
+	}
+	return key, true
+}
+
+// oneKey reads the key of the one window at pos through EachKey.
+func oneKey(sh *Shape, seq []byte, pos int) (key uint32, ok bool) {
+	sh.EachKey(seq, pos, pos+1, func(_ int, k uint32) { key, ok = k, true })
+	return key, ok
+}
+
+// TestParseShape: the default shape's span and weight, and every
+// refusal but the weight limit (TestTableSizeLimit): a pattern that does
+// not start and end with '1', another character, the empty pattern and
+// span 33 (a window is one uint64 of 2-bit codes). Span 32 parses.
 func TestParseShape(t *testing.T) {
 	sh, err := ParseShape(DefaultPattern)
 	if err != nil {
@@ -25,27 +54,51 @@ func TestParseShape(t *testing.T) {
 	if sh.Span != 19 || sh.Weight != 12 {
 		t.Errorf("span/weight = %d/%d, want 19/12", sh.Span, sh.Weight)
 	}
-	if _, err := ParseShape("0110"); err == nil {
-		t.Error("pattern starting with 0 accepted")
+	for _, tc := range []struct{ pattern, want string }{
+		{"0110", "must start and end with '1'"},
+		{"1abc1", "invalid character"},
+		{"", "empty pattern"},
+		{"1" + strings.Repeat("0", 31) + "1", "spans 33 bases, more than 32"},
+	} {
+		if _, err := ParseShape(tc.pattern); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseShape(%q): error %v, want one mentioning %q", tc.pattern, err, tc.want)
+		}
 	}
-	if _, err := ParseShape("1abc1"); err == nil {
-		t.Error("invalid characters accepted")
+	if _, err := ParseShape("1" + strings.Repeat("0", 30) + "1"); err != nil {
+		t.Errorf("span 32: %v", err)
 	}
-	if _, err := ParseShape(""); err == nil {
-		t.Error("empty pattern accepted")
+}
+
+// TestTableSizeLimit: a key is at most 32 bits and the index holds a
+// presence bit per key, so weight 16 is the largest table. ParseShape
+// refuses weight 17, and TableSize of a parsed shape is 4^weight.
+func TestTableSizeLimit(t *testing.T) {
+	if _, err := ParseShape(strings.Repeat("1", 17)); err == nil || !strings.Contains(err.Error(), "weight 17, more than 16") {
+		t.Errorf("weight 17: error %v, want one mentioning the limit", err)
+	}
+	for _, pattern := range []string{DefaultPattern, weight16Pattern, "1" + strings.Repeat("0", 30) + "1"} {
+		sh, err := ParseShape(pattern)
+		if err != nil {
+			t.Errorf("ParseShape(%q): %v", pattern, err)
+			continue
+		}
+		if got, want := sh.TableSize(), 1<<(2*sh.Weight); got != want {
+			t.Errorf("%q: TableSize = %d, want %d", pattern, got, want)
+		}
+	}
+	if sh, _ := ParseShape(weight16Pattern); sh.TableSize() != 1<<32 {
+		t.Errorf("weight 16: TableSize = %d, want 2^32", sh.TableSize())
 	}
 }
 
 func TestShapeKeyContiguous(t *testing.T) {
 	sh, _ := ParseShape("1111")
-	seq := []byte("ACGTACGT")
-	key, ok := sh.Key(seq, 0)
+	key, ok := oneKey(sh, []byte("ACGTACGT"), 0)
 	if !ok {
 		t.Fatal("no key")
 	}
-	want, _ := genome.PackKmer([]byte("ACGT"))
-	if key != want {
-		t.Errorf("key = %x, want %x", key, want)
+	if want := uint32(0b00_01_10_11); key != want { // A C G T
+		t.Errorf("key = %#x, want %#x", key, want)
 	}
 }
 
@@ -53,21 +106,20 @@ func TestShapeKeySpaced(t *testing.T) {
 	sh, _ := ParseShape("101")
 	seq := []byte("AXGTC")
 	// Position 1: window "XGT" has informative bases X and T; X invalid.
-	if _, ok := sh.Key(seq, 1); ok {
+	if _, ok := oneKey(sh, seq, 1); ok {
 		t.Error("key over invalid base accepted")
 	}
 	// Position 2: window "GTC" -> informative G, C.
-	key, ok := sh.Key(seq, 2)
+	key, ok := oneKey(sh, seq, 2)
 	if !ok {
 		t.Fatal("no key at position 2")
 	}
-	want, _ := genome.PackKmer([]byte("GC"))
-	if key != want {
-		t.Errorf("key = %x, want %x", key, want)
+	if want := uint32(0b10_01); key != want { // G C
+		t.Errorf("key = %#x, want %#x", key, want)
 	}
 	// Don't-care positions must not influence the key.
-	a, _ := sh.Key([]byte("GAC"), 0)
-	b, _ := sh.Key([]byte("GTC"), 0)
+	a, _ := oneKey(sh, []byte("GAC"), 0)
+	b, _ := oneKey(sh, []byte("GTC"), 0)
 	if a != b {
 		t.Error("don't-care position changed the key")
 	}
@@ -75,40 +127,33 @@ func TestShapeKeySpaced(t *testing.T) {
 
 func TestShapeKeyBounds(t *testing.T) {
 	sh, _ := ParseShape("111")
-	seq := []byte("ACGT")
-	if _, ok := sh.Key(seq, 1); !ok {
-		t.Error("last valid window rejected")
+	var got []int
+	sh.EachKey([]byte("ACGT"), 0, 2, func(pos int, _ uint32) { got = append(got, pos) })
+	if !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("windows of ACGT = %v, want [0 1] (the last one fits)", got)
 	}
-	if _, ok := sh.Key(seq, 2); ok {
-		t.Error("overrunning window accepted")
-	}
-	if _, ok := sh.Key(seq, -1); ok {
-		t.Error("negative position accepted")
-	}
-	if _, ok := sh.Key([]byte("ACN"), 0); ok {
+	sh.EachKey([]byte("ACGT"), 2, 2, func(pos int, _ uint32) { t.Errorf("empty range yields window %d", pos) })
+	if _, ok := oneKey(sh, []byte("ACN"), 0); ok {
 		t.Error("window with N accepted")
+	}
+	if _, ok := oneKey(sh, []byte("acg"), 0); !ok {
+		t.Error("lower-case window rejected")
 	}
 }
 
+// TestTransitionKeys: Transitions emits the key, then the key with each
+// informative base flipped to its transition partner, first base first.
 func TestTransitionKeys(t *testing.T) {
 	sh, _ := ParseShape("11")
-	seq := []byte("AC")
-	keys := sh.TransitionKeys(seq, 0, nil)
-	if len(keys) != 3 { // exact + 2 single-transition variants
-		t.Fatalf("got %d keys, want 3", len(keys))
+	key, _ := oneKey(sh, []byte("AC"), 0)
+	keys := sh.Transitions(key, nil)
+	want := []uint32{
+		0b00_01, // AC
+		0b10_01, // GC: A->G at position 0
+		0b00_11, // AT: C->T at position 1
 	}
-	exact, _ := genome.PackKmer([]byte("AC"))
-	v1, _ := genome.PackKmer([]byte("GC")) // A->G at position 0
-	v2, _ := genome.PackKmer([]byte("AT")) // C->T at position 1
-	want := map[genome.KmerKey]bool{exact: true, v1: true, v2: true}
-	for _, k := range keys {
-		if !want[k] {
-			t.Errorf("unexpected key %#x", k)
-		}
-		delete(want, k)
-	}
-	if len(want) != 0 {
-		t.Errorf("missing keys: %v", want)
+	if !slices.Equal(keys, want) {
+		t.Errorf("Transitions(AC) = %#x, want %#x", keys, want)
 	}
 }
 
@@ -129,16 +174,15 @@ func TestTransitionKeysFlipOneBaseToItsTransition(t *testing.T) {
 	sh := defaultShape(t)
 	rng := rand.New(rand.NewSource(1))
 	seq := randSeq(rng, 100)
-	for pos := 0; pos+sh.Span <= len(seq); pos += 7 {
-		keys := sh.TransitionKeys(seq, pos, nil)
-		if keys == nil {
-			continue
+	sh.EachKey(seq, 0, len(seq)-sh.Span+1, func(_ int, key uint32) {
+		keys := sh.Transitions(key, nil)
+		if len(keys) != sh.Weight+1 || keys[0] != key {
+			t.Fatalf("%d keys starting %#x, want %d starting with the exact key %#x", len(keys), keys[0], sh.Weight+1, key)
 		}
-		exact := keys[0]
 		for _, k := range keys[1:] {
 			// Exactly one 2-bit group set, and its value is 2 (the
 			// transition flip).
-			diff := exact ^ k
+			diff := key ^ k
 			cnt := 0
 			for s := uint(0); s < uint(2*sh.Weight); s += 2 {
 				g := (diff >> s) & 3
@@ -153,7 +197,7 @@ func TestTransitionKeysFlipOneBaseToItsTransition(t *testing.T) {
 				t.Fatalf("variant differs in %d positions, want 1", cnt)
 			}
 		}
-	}
+	})
 }
 
 func TestBuildIndexFindsAllOccurrences(t *testing.T) {
@@ -163,7 +207,7 @@ func TestBuildIndexFindsAllOccurrences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, _ := sh.Key([]byte("ACG"), 0)
+	key, _ := oneKey(sh, []byte("ACG"), 0)
 	pos := ix.Positions(key)
 	want := []uint32{0, 3, 6}
 	if len(pos) != len(want) {
@@ -223,18 +267,17 @@ func checkIndexAgainstBruteForce(t *testing.T, sh *Shape, seq []byte, maxFreq in
 	if err != nil {
 		t.Fatal(err)
 	}
-	brute := make(map[genome.KmerKey][]uint32)
+	brute := make(map[uint32][]uint32)
 	total := 0
 	for p := 0; p+sh.Span <= len(seq); p++ {
-		if k, ok := sh.Key(seq, p); ok {
+		if k, ok := windowKey(sh, seq, p); ok {
 			brute[k] = append(brute[k], uint32(p))
 			total++
 		}
 	}
-	size, _ := sh.TableSize()
-	for k := 0; k < size; k++ {
-		got := ix.Positions(genome.KmerKey(k))
-		want := brute[genome.KmerKey(k)]
+	for k := range uint32(sh.TableSize()) {
+		got := ix.Positions(k)
+		want := brute[k]
 		if maxFreq > 0 && len(want) > maxFreq {
 			want = nil
 		}
@@ -265,10 +308,9 @@ func TestIndexPositionsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, _ := sh.TableSize()
 	checked := 0
-	for k := 0; k < size && checked < 10000; k += 997 {
-		pos := ix.Positions(genome.KmerKey(k))
+	for k := 0; k < sh.TableSize() && checked < 10000; k += 997 {
+		pos := ix.Positions(uint32(k))
 		for i := 1; i < len(pos); i++ {
 			if pos[i-1] >= pos[i] {
 				t.Fatalf("key %d positions not ascending: %v", k, pos)
@@ -285,7 +327,7 @@ func TestIndexMaxFreqMasking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, _ := sh.Key([]byte("AA"), 0)
+	key, _ := oneKey(sh, []byte("AA"), 0)
 	if got := ix.Positions(key); got != nil {
 		t.Errorf("masked bucket returned %v", got)
 	}
@@ -305,7 +347,7 @@ func TestIndexSkipsN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, _ := sh.Key([]byte("ACG"), 0)
+	key, _ := oneKey(sh, []byte("ACG"), 0)
 	pos := ix.Positions(key)
 	if len(pos) != 2 || pos[0] != 0 || pos[1] != 4 {
 		t.Errorf("positions = %v, want [0 4]", pos)
@@ -332,7 +374,7 @@ func TestIndexStatsAndMemory(t *testing.T) {
 	}
 	filled := 0
 	for k := 0; k < 256; k++ {
-		if len(ix.Positions(genome.KmerKey(k))) > 0 {
+		if len(ix.Positions(uint32(k))) > 0 {
 			filled++
 		}
 	}
@@ -345,12 +387,5 @@ func TestIndexStatsAndMemory(t *testing.T) {
 	}
 	if ix.TargetLen() != 1000 {
 		t.Errorf("TargetLen = %d", ix.TargetLen())
-	}
-}
-
-func TestTableSizeLimit(t *testing.T) {
-	sh, _ := ParseShape("11111111111111111") // weight 17
-	if _, err := sh.TableSize(); err == nil {
-		t.Error("weight 17 table accepted")
 	}
 }

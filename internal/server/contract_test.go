@@ -75,6 +75,22 @@ func TestNewRefusesBaseCheckpointDir(t *testing.T) {
 	}
 }
 
+// TestNewRefusesInvalidPipeline: a base pipeline that Validate refuses,
+// here a seed pattern that cannot be indexed, fails New instead of
+// serving a process that refuses every target it is given.
+func TestNewRefusesInvalidPipeline(t *testing.T) {
+	base := core.DefaultConfig()
+	base.SeedPattern = "0110"
+	srv, err := New(Config{Pipeline: base, StallWindow: -1})
+	if err == nil {
+		srv.Shutdown(context.Background())
+		t.Fatal("New accepted seed pattern 0110")
+	}
+	if !strings.Contains(err.Error(), "must start and end with '1'") {
+		t.Errorf("New: %v, want the seed pattern's error", err)
+	}
+}
+
 // TestCompatJournalReplay replays the parent-written job journal:
 // ids, order, lifecycle and every parameter — including the deadline
 // the parent journaled beside params, not inside it — must come back.

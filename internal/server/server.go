@@ -233,6 +233,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: Pipeline.CheckpointDir %q would hold every job's journal; set CheckpointRoot, which gives each job its own", cfg.Pipeline.CheckpointDir)
 	}
 	cfg = cfg.withDefaults()
+	if err := cfg.Pipeline.Validate(); err != nil {
+		return nil, fmt.Errorf("server: invalid Pipeline: %w", err)
+	}
 	reg := NewRegistry()
 	metrics := obs.NewRegistry()
 	reg.indexDir = cfg.IndexDir
