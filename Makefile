@@ -186,6 +186,12 @@ check-once:
 	@if sed -n '/^type Config struct/,/^}/p' internal/gact/gact.go | grep -nE '^\s*Stop\b' || \
 		grep -nE '\.(Stop|TileHook) *=[^=]' $$(ls internal/core/*.go | grep -v _test.go); then \
 		echo "check-once: per-call extension state is configuration again (bind the run's stop and tile observer with gact.Extender.Bind)"; exit 1; fi
+	@if grep -n 'TileHook' $$(ls internal/gact/*.go | grep -v _test.go); then \
+		echo "check-once: a tile hook is back in internal/gact (the observer bound with Extender.Bind is the only tile callback; core.Config.TileHook composes through it)"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'MaxTileCells|TracebackBytes\(\)|LastRows' .; then \
+		echo "check-once: a deleted GACT-X output is back (Stats.MaxTileCells, Stats.TracebackBytes, XDropAligner.LastRows; an observer reads a tile's cells and row widths)"; exit 1; fi
+	@n=$$(sed -n '/^func (e \*Extender) extendDir(/,/^}/p' internal/gact/gact.go | grep -cE '([Oo]bserve|[Hh]ook)[A-Za-z]*\('); \
+	if [ "$$n" -ne 1 ]; then echo "check-once: $$n tile callback calls in gact.Extender.extendDir, want 1 (e.observe)"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'NeedlemanWunsch' .; then \
 		echo "check-once: the deleted NeedlemanWunsch oracle is back"; exit 1; fi
 

@@ -2,10 +2,12 @@ package darwinwga_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"darwinwga"
+	"darwinwga/internal/genome"
 	"darwinwga/internal/maf"
 )
 
@@ -110,6 +112,82 @@ func TestAlignAssembliesMultiSequence(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "tgt.chrB") {
 		t.Error("MAF missing chrB alignment")
+	}
+}
+
+// TestMAFBlocksStopAtSequenceJunctions: the pipeline aligns concatenated
+// assemblies with nothing between member sequences, so GACT-X extends
+// straight across a junction. A query homologous to the last 5 kbp of
+// chrA followed by the first 5 kbp of chrB must come out as blocks that
+// each lie inside their own sequence, chrB's included, on either strand
+// and whichever line (target or query) holds the junction.
+func TestMAFBlocksStopAtSequenceJunctions(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ACGT"[rng.Intn(4)]
+		}
+		return b
+	}
+	mutate := func(src []byte) []byte {
+		out := append([]byte(nil), src...)
+		for i := range out {
+			if rng.Float64() < 0.05 {
+				out[i] = "ACGT"[(strings.IndexByte("ACGT", out[i])+1+rng.Intn(3))%4]
+			}
+		}
+		return out
+	}
+	chrA, chrB := random(20000), random(20000)
+	junction := append(append([]byte(nil), chrA[15000:]...), chrB[:5000]...)
+	pair := &darwinwga.Assembly{Name: "t", Seqs: []*darwinwga.Sequence{{Name: "chrA", Bases: chrA}, {Name: "chrB", Bases: chrB}}}
+	mA, mB := mutate(chrA), mutate(chrB)
+	rc := genome.ReverseComplement
+
+	for _, tc := range []struct {
+		name          string
+		target, query *darwinwga.Assembly
+		strand        byte
+		crossing      string // the line whose blocks must name both sequences
+	}{
+		{"target junction +", pair, &darwinwga.Assembly{Name: "q", Seqs: []*darwinwga.Sequence{{Name: "j", Bases: mutate(junction)}}}, '+', "t."},
+		{"target junction -", pair, &darwinwga.Assembly{Name: "q", Seqs: []*darwinwga.Sequence{{Name: "j", Bases: rc(mutate(junction))}}}, '-', "t."},
+		{"query junction +", &darwinwga.Assembly{Name: "t", Seqs: []*darwinwga.Sequence{{Name: "j", Bases: junction}}},
+			&darwinwga.Assembly{Name: "q", Seqs: []*darwinwga.Sequence{{Name: "chrA", Bases: mA}, {Name: "chrB", Bases: mB}}}, '+', "q."},
+		{"query junction -", &darwinwga.Assembly{Name: "t", Seqs: []*darwinwga.Sequence{{Name: "j", Bases: junction}}},
+			&darwinwga.Assembly{Name: "q", Seqs: []*darwinwga.Sequence{{Name: "chrB", Bases: rc(mB)}, {Name: "chrA", Bases: rc(mA)}}}, '-', "q."},
+	} {
+		rep, err := darwinwga.AlignAssemblies(tc.target, tc.query, darwinwga.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteMAF(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		blocks, err := maf.Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		seen := map[string]bool{}
+		for i, b := range blocks {
+			if b.TStart < 0 || b.TStart+b.TSize > b.TSrc || b.QStart < 0 || b.QStart+b.QSize > b.QSrc {
+				t.Errorf("%s: block %d runs past its sequence: s %s %d %d %d / s %s %d %d %c %d",
+					tc.name, i, b.TName, b.TStart, b.TSize, b.TSrc, b.QName, b.QStart, b.QSize, b.QStrand, b.QSrc)
+			}
+			if b.Score <= 0 {
+				t.Errorf("%s: block %d scores %d", tc.name, i, b.Score)
+			}
+			if b.QStrand == tc.strand {
+				seen[b.TName], seen[b.QName] = true, true
+			}
+		}
+		for _, name := range []string{tc.crossing + "chrA", tc.crossing + "chrB"} {
+			if !seen[name] {
+				t.Errorf("%s: no %c-strand block on %s; blocks: %d", tc.name, tc.strand, name, len(blocks))
+			}
+		}
 	}
 }
 

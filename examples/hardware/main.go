@@ -25,7 +25,7 @@ func main() {
 	platforms := []hw.Platform{hw.FPGA(), hw.ASIC()}
 	gactx := hw.NewGACTXReplay(platforms...)
 	alignerCfg := darwinwga.DefaultConfig()
-	alignerCfg.Extension.TileHook = gactx.Tile
+	alignerCfg.TileHook = gactx.Tile
 	aligner, err := darwinwga.NewAligner(pair.TargetSeq(), alignerCfg)
 	if err != nil {
 		log.Fatal(err)

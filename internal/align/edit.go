@@ -67,8 +67,9 @@ func (a *Alignment) Identity(target, query []byte) float64 {
 	return float64(m) / float64(m+mm)
 }
 
-// Rescore recomputes the alignment score from the transcript; useful as a
-// consistency oracle in tests.
+// Rescore recomputes the alignment score from the transcript: the
+// extender's final score, the score of a MAF block cut at a sequence
+// junction, and a consistency oracle in tests.
 func (a *Alignment) Rescore(sc *Scoring, target, query []byte) int32 {
 	var score int32
 	ti, qi := a.TStart, a.QStart

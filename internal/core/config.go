@@ -137,6 +137,18 @@ type Config struct {
 	// fingerprint: it observes the result, it cannot change it.
 	HSPHook func(HSP)
 
+	// TileHook, when non-nil, is invoked after every GACT-X tile DP with
+	// the tile's shape (cells, row widths, committed transcript length)
+	// and its wall-clock interval, after the Recorder's ExtensionTile
+	// event. The hardware model (hw.GACTXReplay) installs one to replay
+	// each tile through the systolic stripe schedule. Tiles of anchors
+	// replayed from a checkpoint journal are not re-executed and not
+	// seen. It is called one tile at a time from the call's extension
+	// stage, so it need not lock, but it belongs to one call: do not share
+	// it between concurrent calls. Like HSPHook it observes the run and
+	// cannot change it, so it is excluded from the checkpoint fingerprint.
+	TileHook func(gact.Tile)
+
 	// Retry is the per-shard retry policy. With MaxAttempts > 1, a
 	// shard that fails with a contained error (a worker panic, e.g. an
 	// injected fault) is re-run with exponential backoff instead of
@@ -365,8 +377,8 @@ func (c *Config) Validate() error {
 // pipeline's output, so a checkpoint journal is only resumed under the
 // configuration that wrote it. Operational knobs that cannot change
 // the alignment set — Workers (anchor order is canonicalized), Retry,
-// FaultHook, Recorder, the checkpoint settings themselves — are
-// excluded, as is
+// FaultHook, Recorder, HSPHook, TileHook, the checkpoint settings
+// themselves — are excluded, as is
 // the wall-clock Deadline (a deadline-truncated run is inherently
 // non-reproducible). Resource budgets are included: they shape the
 // result.

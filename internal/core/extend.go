@@ -80,9 +80,10 @@ type anchorExtender struct {
 // from the configuration as it stands and binds the run to it: before
 // every GACT-X tile it polls the run's stop and the cell budget
 // (extension stops before a tile once the committed cells plus the
-// anchor in flight's exceed MaxExtensionCells), and with a Recorder set
-// it reports every tile as an ExtensionTile event, ahead of the
-// configuration's own TileHook.
+// anchor in flight's exceed MaxExtensionCells), and after every tile its
+// one observer reports the tile to the Recorder as an ExtensionTile
+// event and then to the run's TileHook. With neither set no observer is
+// bound, and the extender takes no timestamps.
 func (a *Aligner) newAnchorExtender(r *run, query []byte, strand byte) (*anchorExtender, error) {
 	ext, err := gact.NewExtender(a.sc, a.cfg.Extension)
 	if err != nil {
@@ -90,8 +91,15 @@ func (a *Aligner) newAnchorExtender(r *run, query []byte, strand byte) (*anchorE
 	}
 	x := &anchorExtender{a: a, r: r, query: query, strand: strand, ext: ext}
 	var observe func(gact.Tile)
-	if r.rec != nil {
-		observe = func(t gact.Tile) { r.rec.ExtensionTile(strand, x.cur, int64(t.Cells), t.Start, t.Dur) }
+	if r.rec != nil || r.tileHook != nil {
+		observe = func(t gact.Tile) {
+			if r.rec != nil {
+				r.rec.ExtensionTile(strand, x.cur, int64(t.Cells), t.Start, t.Dur)
+			}
+			if r.tileHook != nil {
+				r.tileHook(t)
+			}
+		}
 	}
 	ext.Bind(func() bool {
 		return r.stopSlow() || !r.admits(&r.extBudget, r.extBudget.charge(0)+int64(x.st.Cells))

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"darwinwga/internal/gact"
 	"darwinwga/internal/obs"
 )
 
@@ -30,6 +31,7 @@ type run struct {
 	stopTimer context.CancelFunc
 	hook      func(stage string, shard int)
 	hspHook   func(HSP)
+	tileHook  func(gact.Tile)
 	rec       obs.Recorder // nil = telemetry off (the zero-cost path)
 	retry     RetryPolicy
 	workers   int         // the most goroutines a fanOut starts
@@ -158,6 +160,7 @@ func (a *Aligner) newRun(ctx context.Context, query []byte) (*run, error) {
 		soft:         ctx,
 		hook:         a.cfg.FaultHook,
 		hspHook:      a.cfg.HSPHook,
+		tileHook:     a.cfg.TileHook,
 		rec:          a.cfg.Recorder,
 		retry:        a.cfg.Retry,
 		workers:      a.cfg.workers(),

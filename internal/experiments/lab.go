@@ -167,12 +167,12 @@ func (l *Lab) Both(pairName string) (darwin, lastz *PairRun, err error) {
 }
 
 // ExecuteRun aligns a pair under cfg, measuring wall time, replaying the
-// extension tiles on the accelerator arrays (it owns
-// cfg.Extension.TileHook) and building chains. Exposed so ablations can
+// extension tiles on the accelerator arrays (it owns cfg.TileHook) and
+// building chains. Exposed so ablations can
 // run non-standard configurations without the cache.
 func ExecuteRun(p *evolve.Pair, cfg core.Config) (*PairRun, error) {
 	gactx := hw.NewGACTXReplay(hw.FPGA(), hw.ASIC())
-	cfg.Extension.TileHook = gactx.Tile
+	cfg.TileHook = gactx.Tile
 	start := time.Now()
 	aligner, err := core.NewAligner(p.TargetSeq(), cfg)
 	if err != nil {

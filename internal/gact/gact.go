@@ -15,11 +15,11 @@ import (
 	"darwinwga/internal/align"
 )
 
-// Config parameterizes an Extender: the paper's Table IIb parameters
-// and the caller's own tile hook. Zero values select the defaults via
-// DefaultConfig. What stops or watches one run's extensions (its
-// cancellation, cell budget and telemetry) is not configuration; it is
-// bound per call with Extender.Bind.
+// Config parameterizes an Extender with the paper's Table IIb
+// parameters; DefaultConfig returns their defaults. It is a comparable
+// value. What stops or watches one run's extensions (its cancellation,
+// cell budget, telemetry and hardware replay) is not configuration; it
+// is bound per call with Extender.Bind.
 type Config struct {
 	// TileSize is Te, the maximum tile edge in bases (default 1920).
 	TileSize int
@@ -29,26 +29,17 @@ type Config struct {
 	// Y is the X-drop threshold inside a tile (default 9430). Y <= 0
 	// means unbounded: full-tile DP, i.e. classic GACT.
 	Y int32
-	// TileHook, when non-nil, is invoked after every tile DP with the
-	// tile's shape and its wall-clock interval, after the observer
-	// bound with Extender.Bind. The hardware model (internal/hw)
-	// installs one to replay each tile's row windows through the
-	// systolic stripe schedule; with neither set — the default — the
-	// hot loop takes no timestamps.
-	TileHook func(Tile)
 }
 
-// Tile is what a TileHook or bound observer learns about one executed
-// tile DP. It is valid only for the duration of the call.
+// Tile is what the observer bound with Extender.Bind learns about one
+// executed tile DP. It is valid only for the duration of the call.
 type Tile struct {
 	// Cells is the number of DP cells computed.
 	Cells int
-	// Rows is the number of DP rows computed past the boundary row (at
-	// most TileSize); RowWidths has one entry more, for row 0.
-	Rows int
 	// Committed is the length of the transcript the tile committed, after
 	// overlap truncation: 0 when the tile ended the extension without
-	// progress, at most Rows plus the tile's columns otherwise.
+	// progress, at most its rows past the boundary row plus its columns
+	// otherwise.
 	Committed int
 	// Start and Dur are the wall-clock interval of the DP.
 	Start time.Time
@@ -58,7 +49,8 @@ type Tile struct {
 }
 
 // RowWidths appends the number of cells computed in each DP row, the
-// boundary row first; they sum to Cells.
+// boundary row first (at most TileSize rows follow it); they sum to
+// Cells.
 func (t Tile) RowWidths(dst []int) []int { return t.xa.LastRowWidths(dst) }
 
 // DefaultConfig returns the paper's GACT-X defaults.
@@ -98,16 +90,7 @@ type Stats struct {
 	Tiles int
 	// Cells is the total DP cells computed across tiles.
 	Cells int
-	// MaxTileCells is the largest single-tile cell count — the traceback
-	// memory high-water mark (at 4 bits per cell).
-	MaxTileCells int
 }
-
-// TracebackBytes returns the traceback memory high-water mark in bytes:
-// the hardware's, and the bytes of align.XDropAligner's arena the
-// largest tile filled, both at 4 bits per cell. (The arena itself grows
-// in steps, so it may hold up to twice that.)
-func (s Stats) TracebackBytes() int { return (s.MaxTileCells + 1) / 2 }
 
 // Extender extends anchors into full alignments. Not safe for
 // concurrent use; create one per worker.
@@ -143,9 +126,11 @@ func NewExtender(sc *align.Scoring, cfg Config) (*Extender, error) {
 // Bind sets what stops and watches the Extend calls that follow, until
 // the next Bind. stop is polled before every tile DP; returning true
 // abandons the extension at that tile boundary, keeping the transcript
-// committed so far. observe is invoked after every tile DP, before the
-// configuration's TileHook. Either may be nil: no stop runs to
-// completion, no observer costs nothing.
+// committed so far. observe is invoked after every tile DP with the
+// tile's shape and wall-clock interval; it is the extender's only tile
+// callback, so a caller with several watchers composes them into one.
+// Either may be nil: no stop runs to completion, and with no observer
+// the hot loop takes no timestamps.
 func (e *Extender) Bind(stop func() bool, observe func(Tile)) {
 	e.stop, e.observe = stop, observe
 }
@@ -183,7 +168,6 @@ func (e *Extender) Extend(target, query []byte, tAnchor, qAnchor int, stats *Sta
 // not the length of the prefix. It returns the committed transcript (in
 // reading direction) and the distances advanced.
 func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) (ops []align.EditOp, dT, dQ int) {
-	timed := e.observe != nil || e.cfg.TileHook != nil
 	ti, qi := 0, 0
 	for ti < len(target) || qi < len(query) {
 		if e.stop != nil && e.stop() {
@@ -201,19 +185,16 @@ func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) 
 			tT, tQ = e.revT, e.revQ
 		}
 		var t0 time.Time
-		if timed {
+		if e.observe != nil {
 			t0 = time.Now()
 		}
 		res := e.xa.Align(tT, tQ)
 		var dur time.Duration
-		if timed {
+		if e.observe != nil {
 			dur = time.Since(t0)
 		}
 		stats.Tiles++
 		stats.Cells += res.Cells
-		if res.Cells > stats.MaxTileCells {
-			stats.MaxTileCells = res.Cells
-		}
 		// Overlap truncation: ignore the path inside the last Overlap
 		// rows/columns unless the tile was clipped by the sequence end
 		// in that dimension. A tile whose Vmax is not positive commits
@@ -230,17 +211,8 @@ func (e *Extender) extendDir(target, query []byte, reversed bool, stats *Stats) 
 		if res.Score > 0 {
 			committed, di, dj = truncatePath(res.Ops, res.TEnd, res.QEnd, coreT, coreQ)
 		}
-		if timed {
-			tl := Tile{
-				Cells: res.Cells, Rows: e.xa.LastRows(), Committed: len(committed),
-				Start: t0, Dur: dur, xa: e.xa,
-			}
-			if e.observe != nil {
-				e.observe(tl)
-			}
-			if e.cfg.TileHook != nil {
-				e.cfg.TileHook(tl)
-			}
+		if e.observe != nil {
+			e.observe(Tile{Cells: res.Cells, Committed: len(committed), Start: t0, Dur: dur, xa: e.xa})
 		}
 		// Extension terminates when the tile's Vmax is not positive or
 		// the best path never left the origin.

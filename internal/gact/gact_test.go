@@ -57,6 +57,12 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := NewExtender(align.DefaultScoring(), Config{TileSize: 0}); err == nil {
 		t.Error("NewExtender accepted invalid config")
 	}
+	// Config is a comparable value (the three Table IIb parameters and
+	// nothing per call), so it can key a map of extenders; this line stops
+	// compiling if a func or slice field is added.
+	if DefaultConfig() != DefaultConfig() || DefaultConfig() == GACTConfig(2<<20, 128) {
+		t.Error("Config values do not compare by their parameters")
+	}
 }
 
 func TestGACTConfigTileFromMemory(t *testing.T) {
@@ -215,16 +221,21 @@ func TestGACTXUsesLessMemoryThanGACT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	target := randSeq(rng, 6000)
 	query := mutate(rng, target, 0.08, 0.01)
-	gactx := newExtender(t, DefaultConfig())
-	var stX Stats
-	aX := gactx.Extend(target, query, 3000, 3000-approxShift(target, query, 3000), &stX)
+	// The traceback memory a tile needs is its cell count at 4 bits a
+	// cell; the bound observer sees the largest.
+	extend := func(cfg Config) (align.Alignment, Stats, int) {
+		e := newExtender(t, cfg)
+		maxTile := 0
+		e.Bind(nil, func(tl Tile) { maxTile = max(maxTile, tl.Cells) })
+		var st Stats
+		a := e.Extend(target, query, 3000, 3000-approxShift(target, query, 3000), &st)
+		return a, st, maxTile
+	}
+	aX, stX, maxX := extend(DefaultConfig())
+	aG, stG, maxG := extend(GACTConfig(2<<20, 128))
 
-	gact := newExtender(t, GACTConfig(2<<20, 128))
-	var stG Stats
-	aG := gact.Extend(target, query, 3000, 3000-approxShift(target, query, 3000), &stG)
-
-	if stX.MaxTileCells >= stG.MaxTileCells {
-		t.Errorf("GACT-X max tile cells %d >= GACT %d; X-drop should prune", stX.MaxTileCells, stG.MaxTileCells)
+	if maxX >= maxG {
+		t.Errorf("GACT-X max tile cells %d >= GACT %d; X-drop should prune", maxX, maxG)
 	}
 	if stX.Cells >= stG.Cells {
 		t.Errorf("GACT-X total cells %d >= GACT %d", stX.Cells, stG.Cells)
@@ -253,13 +264,6 @@ func TestTruncatePath(t *testing.T) {
 	kept, di, dj = truncatePath(ops, 1, 4, 3, 3)
 	if dj != 3 || di != 0 || len(kept) != 3 {
 		t.Errorf("insert truncation: %d,(%d,%d)", len(kept), di, dj)
-	}
-}
-
-func TestStatsTracebackBytes(t *testing.T) {
-	s := Stats{MaxTileCells: 100}
-	if got := s.TracebackBytes(); got != 50 {
-		t.Errorf("TracebackBytes = %d, want 50", got)
 	}
 }
 

@@ -6,45 +6,33 @@ import (
 	"testing"
 )
 
-// TestTileHookMatchesStats checks the bound observer and the
-// configuration's hook each fire once per executed tile, the observer
-// first, with the same cell counts Stats accumulates, and that a bound
-// stop ends the extension at the tile boundary it turns true at.
+// TestTileHookMatchesStats checks the bound observer fires once per
+// executed tile with the same cell counts Stats accumulates and a
+// wall-clock interval, and that a bound stop ends the extension at the
+// tile boundary it turns true at.
 func TestTileHookMatchesStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	target := randSeq(rng, 20000)
 	query := mutate(rng, target, 0.10, 0.01)
 	qpos := 10000 - approxShift(target, query, 10000)
 
-	cfg := DefaultConfig()
-	var tiles, cells, observed, observedCells int64
-	cfg.TileHook = func(tl Tile) {
+	var tiles, cells int64
+	e := newExtender(t, DefaultConfig())
+	e.Bind(nil, func(tl Tile) {
 		tiles++
 		cells += int64(tl.Cells)
-		if tiles != observed {
-			t.Errorf("hook saw tile %d before the bound observer (%d)", tiles, observed)
-		}
 		if tl.Start.IsZero() || tl.Dur < 0 {
-			t.Errorf("hook got start %v dur %v", tl.Start, tl.Dur)
+			t.Errorf("observer got start %v dur %v", tl.Start, tl.Dur)
 		}
-	}
-	e := newExtender(t, cfg)
-	e.Bind(nil, func(tl Tile) {
-		observed++
-		observedCells += int64(tl.Cells)
 	})
 	var st Stats
 	e.Extend(target, query, 10000, qpos, &st)
 	if tiles != int64(st.Tiles) || cells != int64(st.Cells) {
-		t.Errorf("hook saw %d tiles / %d cells, Stats has %d / %d",
+		t.Errorf("bound observer saw %d tiles / %d cells, Stats has %d / %d",
 			tiles, cells, st.Tiles, st.Cells)
 	}
-	if observed != int64(st.Tiles) || observedCells != int64(st.Cells) {
-		t.Errorf("bound observer saw %d tiles / %d cells, Stats has %d / %d",
-			observed, observedCells, st.Tiles, st.Cells)
-	}
 	if tiles == 0 {
-		t.Fatal("hook never fired")
+		t.Fatal("observer never fired")
 	}
 
 	// A bound stop polled before every tile: turning true after k tiles
@@ -61,8 +49,8 @@ func TestTileHookMatchesStats(t *testing.T) {
 }
 
 // TestTileHookZeroAllocDelta pins the zero-alloc contract of the tile
-// hot path: running the same extension with an allocation-free hook
-// must cost exactly the same allocations as running with a nil hook,
+// hot path: running the same extension with an allocation-free observer
+// bound must cost exactly the same allocations as running with none,
 // proving the instrumentation branch itself never allocates per tile.
 func TestTileHookZeroAllocDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -70,33 +58,17 @@ func TestTileHookZeroAllocDelta(t *testing.T) {
 	query := mutate(rng, target, 0.10, 0.01)
 	qpos := 10000 - approxShift(target, query, 10000)
 
-	measure := func(cfg Config) float64 {
-		e := newExtender(t, cfg)
+	e := newExtender(t, DefaultConfig())
+	measure := func() float64 {
 		return testing.AllocsPerRun(10, func() {
 			e.Extend(target, query, 10000, qpos, nil)
 		})
 	}
-	base := measure(DefaultConfig())
+	base := measure()
 
-	hooked := DefaultConfig()
-	var n atomic.Int64
-	hooked.TileHook = func(Tile) { n.Add(1) }
-	withHook := measure(hooked)
-
-	if base != withHook {
-		t.Errorf("tile hook changed allocations: nil hook %.1f allocs/op, hook %.1f", base, withHook)
-	}
-	if n.Load() == 0 {
-		t.Fatal("hook never fired during measurement")
-	}
-
-	// The same for an allocation-free observer bound to the extender.
 	var bound atomic.Int64
-	e := newExtender(t, DefaultConfig())
 	e.Bind(nil, func(Tile) { bound.Add(1) })
-	withObserver := testing.AllocsPerRun(10, func() {
-		e.Extend(target, query, 10000, qpos, nil)
-	})
+	withObserver := measure()
 	if base != withObserver {
 		t.Errorf("bound observer changed allocations: none %.1f allocs/op, observer %.1f", base, withObserver)
 	}

@@ -109,13 +109,6 @@ type Sequence struct {
 	Bases []byte
 }
 
-// Len returns the number of bases.
-func (s *Sequence) Len() int { return len(s.Bases) }
-
-// Sub returns the half-open interval [start, end) of the sequence as a
-// sub-slice (no copy). It panics if the interval is out of range.
-func (s *Sequence) Sub(start, end int) []byte { return s.Bases[start:end] }
-
 // Validate checks that every byte is a valid extended-alphabet character
 // and upper-cases the sequence in place.
 func (s *Sequence) Validate() error {

@@ -8,7 +8,7 @@ import (
 	"darwinwga/internal/gact"
 )
 
-// extendRealPair runs one GACT-X extension with hook installed over a
+// extendRealPair runs one GACT-X extension with hook bound over a
 // homologous pair a few tiles long (~10% substitutions, 1% indels): the
 // tiles every test of the replay prices.
 func extendRealPair(t *testing.T, hook func(gact.Tile)) gact.Stats {
@@ -31,12 +31,11 @@ func extendRealPair(t *testing.T, hook func(gact.Tile)) gact.Stats {
 			query = append(query, b)
 		}
 	}
-	cfg := gact.DefaultConfig()
-	cfg.TileHook = hook
-	e, err := gact.NewExtender(align.DefaultScoring(), cfg)
+	e, err := gact.NewExtender(align.DefaultScoring(), gact.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Bind(nil, hook)
 	var st gact.Stats
 	if aln := e.Extend(target, query, 0, 0, &st); aln.Score <= 0 {
 		t.Fatal("pair did not align")

@@ -15,7 +15,7 @@ import (
 func replayedAlign(ctx context.Context, t *testing.T, p *evolve.Pair, cfg core.Config) (*GACTXReplay, *core.Result, error) {
 	t.Helper()
 	r := NewGACTXReplay(FPGA(), ASIC())
-	cfg.Extension.TileHook = r.Tile
+	cfg.TileHook = r.Tile
 	a, err := core.NewAligner(p.TargetSeq(), cfg)
 	if err != nil {
 		t.Fatal(err)

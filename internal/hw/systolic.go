@@ -85,9 +85,9 @@ func (a Array) GACTXTileCycles(rowWidths []int, tracebackLen int) int64 {
 func (a Array) Seconds(cycles int64) float64 { return float64(cycles) / a.ClockHz }
 
 // GACTXReplay prices a run's extension stage exactly: installed as the
-// run's gact.Config.TileHook, it replays every GACT-X tile the run
-// executes through the stripe schedule of each platform's array and keeps
-// only the running totals. The totals are a function of the tiles alone,
+// run's core.Config.TileHook (or bound as a gact.Extender's observer), it
+// replays every GACT-X tile the run executes through the stripe schedule
+// of each platform's array and keeps only the running totals. The totals are a function of the tiles alone,
 // so they do not depend on core.Config.Workers; anchors a resumed run
 // replays from its checkpoint execute no tiles, so the totals of such a
 // run cover only what it computed itself and Platform.Estimate refuses
@@ -111,7 +111,8 @@ func NewGACTXReplay(platforms ...Platform) *GACTXReplay {
 	return r
 }
 
-// Tile is the gact.Config.TileHook.
+// Tile is the per-tile hook: core.Config.TileHook or the observer of
+// gact.Extender.Bind.
 func (r *GACTXReplay) Tile(t gact.Tile) {
 	r.Tiles++
 	r.widths = t.RowWidths(r.widths[:0])

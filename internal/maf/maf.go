@@ -31,8 +31,9 @@ type Block struct {
 	QText   string
 }
 
-// Validate checks the block's internal consistency: equal text lengths
-// and size fields matching the non-gap character counts.
+// Validate checks the block's internal consistency: equal text lengths,
+// size fields matching the non-gap character counts, and each line's
+// interval inside its source sequence.
 func (b *Block) Validate() error {
 	if len(b.TText) != len(b.QText) {
 		return fmt.Errorf("maf: text lengths differ: %d vs %d", len(b.TText), len(b.QText))
@@ -42,6 +43,12 @@ func (b *Block) Validate() error {
 	}
 	if n := countNonGap(b.QText); n != b.QSize {
 		return fmt.Errorf("maf: query size %d != non-gap count %d", b.QSize, n)
+	}
+	if b.TStart < 0 || b.TStart+b.TSize > b.TSrc {
+		return fmt.Errorf("maf: target interval %d+%d outside its %d-base source %s", b.TStart, b.TSize, b.TSrc, b.TName)
+	}
+	if b.QStart < 0 || b.QStart+b.QSize > b.QSrc {
+		return fmt.Errorf("maf: query interval %d+%d outside its %d-base source %s", b.QStart, b.QSize, b.QSrc, b.QName)
 	}
 	if b.QStrand != '+' && b.QStrand != '-' {
 		return fmt.Errorf("maf: bad strand %q", b.QStrand)

@@ -71,6 +71,16 @@ func (m *SeqMap) Locate(pos int) (name string, off, size int) {
 	return m.Assembly + "." + m.Names[i], m.Starts[i], m.Starts[i+1] - m.Starts[i]
 }
 
+// end returns the end of the member sequence holding pos, in forward
+// space or, with rc, in reverse-complement space: the first position a
+// transcript starting at pos may not consume within that member.
+func (m *SeqMap) end(pos int, rc bool) int {
+	if rc {
+		return m.Total() - m.Starts[m.locate(m.Total()-1-pos)]
+	}
+	return m.Starts[m.locate(pos)+1]
+}
+
 // LocateRC is Locate for a position in reverse-complement space:
 // sequence k's block occupies [L-end_k, L-start_k), with sequences in
 // reverse order. The returned offset is the sequence's start in RC
@@ -91,6 +101,9 @@ type BlockRenderer struct {
 	// Target and Query are the concatenated sequences; Query is the
 	// '+'-strand orientation.
 	Target, Query []byte
+	// Scoring scores the pieces of an alignment RenderAlignment cuts at a
+	// sequence junction (nil = align.DefaultScoring()); pass the run's.
+	Scoring *align.Scoring
 
 	rcOnce sync.Once
 	rc     []byte // reverse complement of Query, built on first '-' block
@@ -102,16 +115,83 @@ func (br *BlockRenderer) rcQuery() []byte {
 	return br.rc
 }
 
-// RenderAlignment builds the MAF block for one pipeline alignment on the
+// RenderAlignment builds the MAF blocks for one pipeline alignment on the
 // given query strand. The one-shot writer, the worker's stream and the
 // shard handler all render through it, which is what keeps their
 // outputs byte-identical.
-func (br *BlockRenderer) RenderAlignment(a *align.Alignment, strand byte) (*Block, error) {
-	ops := make([]byte, len(a.Ops))
-	for k, op := range a.Ops {
-		ops[k] = byte(op)
+//
+// An alignment within one target and one query sequence is one block
+// with the alignment's own score. The pipeline aligns concatenated
+// assemblies (genome.Concat puts nothing between members), so an
+// extension can run across a junction; such an alignment is cut wherever
+// its transcript crosses into the next member on either line, each piece
+// is rescored under Scoring, and a piece that consumes no base on one
+// line or scores <= 0 is dropped.
+func (br *BlockRenderer) RenderAlignment(a *align.Alignment, strand byte) ([]*Block, error) {
+	pieces := br.split(a, strand)
+	q := br.Query
+	if strand == '-' {
+		q = br.rcQuery()
 	}
-	return br.Render(int64(a.Score), strand, a.TStart, a.QStart, ops)
+	blocks := make([]*Block, 0, len(pieces))
+	for i := range pieces {
+		p := &pieces[i]
+		score := p.Score
+		if len(pieces) > 1 {
+			if p.TEnd == p.TStart || p.QEnd == p.QStart {
+				continue
+			}
+			if score = p.Rescore(br.scoring(), br.Target, q); score <= 0 {
+				continue
+			}
+		}
+		ops := make([]byte, len(p.Ops))
+		for k, op := range p.Ops {
+			ops[k] = byte(op)
+		}
+		b, err := br.Render(int64(score), strand, p.TStart, p.QStart, ops)
+		if err != nil {
+			return nil, err
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks, nil
+}
+
+// split cuts a at every op that would consume a base past the end of the
+// member sequence its piece started in, on the target or (in the
+// strand's space) the query. An alignment that crosses no junction is
+// returned whole, score and all; pieces carry no score.
+func (br *BlockRenderer) split(a *align.Alignment, strand byte) []align.Alignment {
+	rc := strand == '-'
+	var pieces []align.Alignment
+	from, t0, q0 := 0, a.TStart, a.QStart
+	tEnd, qEnd := br.TMap.end(t0, false), br.QMap.end(q0, rc)
+	ti, qi := t0, q0
+	for k, op := range a.Ops {
+		if op != align.OpInsert && ti >= tEnd || op != align.OpDelete && qi >= qEnd {
+			pieces = append(pieces, align.Alignment{TStart: t0, TEnd: ti, QStart: q0, QEnd: qi, Ops: a.Ops[from:k]})
+			from, t0, q0 = k, ti, qi
+			tEnd, qEnd = br.TMap.end(t0, false), br.QMap.end(q0, rc)
+		}
+		if op != align.OpInsert {
+			ti++
+		}
+		if op != align.OpDelete {
+			qi++
+		}
+	}
+	if pieces == nil {
+		return []align.Alignment{*a}
+	}
+	return append(pieces, align.Alignment{TStart: t0, TEnd: ti, QStart: q0, QEnd: qi, Ops: a.Ops[from:]})
+}
+
+func (br *BlockRenderer) scoring() *align.Scoring {
+	if br.Scoring != nil {
+		return br.Scoring
+	}
+	return align.DefaultScoring()
 }
 
 // Render builds the MAF block for one alignment. ops is the edit

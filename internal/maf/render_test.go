@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"darwinwga/internal/align"
 	"darwinwga/internal/genome"
 )
 
@@ -174,5 +175,87 @@ func TestStreamWriterMatchesBatchWriter(t *testing.T) {
 	blocks, complete, err := ReadVerified(bytes.NewReader(stream.Bytes()))
 	if err != nil || !complete || len(blocks) != 2 {
 		t.Errorf("ReadVerified(stream): %d blocks complete=%v err=%v", len(blocks), complete, err)
+	}
+}
+
+// TestRenderAlignmentCutsAtJunctions: a transcript that runs from one
+// member sequence into the next (a concatenated assembly has no
+// separator) renders as one block per member, each inside its source and
+// rescored; a piece that consumes no base on one line, or scores <= 0,
+// is dropped, and an alignment within one member stays one block with
+// its own score.
+func TestRenderAlignmentCutsAtJunctions(t *testing.T) {
+	c1, c2, c3 := "ACGTACGTAC", "GG", "TTGCATGCAA"
+	tMap, err := NewSeqMap("tgt", []string{"c1", "c2", "c3"}, []int{0, 10, 12, 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qMap, err := NewSeqMap("qry", []string{"s1", "s2"}, []int{0, 10, 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renderer := func(query string) *BlockRenderer {
+		return &BlockRenderer{TMap: tMap, QMap: qMap, Target: []byte(c1 + c2 + c3), Query: []byte(query)}
+	}
+	m10 := strings.Repeat("M", 10)
+	aln := func(score int32, ops string) *align.Alignment {
+		a := &align.Alignment{Score: score, Ops: []align.EditOp(ops)}
+		for _, op := range a.Ops {
+			if op != align.OpInsert {
+				a.TEnd++
+			}
+			if op != align.OpDelete {
+				a.QEnd++
+			}
+		}
+		return a
+	}
+	match := int64(align.DefaultScoring().Score('A', 'A'))
+
+	// c1 against s1, c2 deleted (no query base: dropped), c3 against s2:
+	// the cut on the target line also lands on the query junction. On
+	// the '-' strand the query line is cut where the reverse-complemented
+	// query crosses from s2 into s1.
+	junction := aln(1, m10+"DD"+m10)
+	for _, tc := range []struct {
+		strand byte
+		query  string
+		qNames [2]string
+	}{
+		{'+', c1 + c3, [2]string{"qry.s1", "qry.s2"}},
+		{'-', string(genome.ReverseComplement([]byte(c1 + c3))), [2]string{"qry.s2", "qry.s1"}},
+	} {
+		blocks, err := renderer(tc.query).RenderAlignment(junction, tc.strand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blocks) != 2 {
+			t.Fatalf("%c: got %d blocks, want c1 and c3: %+v", tc.strand, len(blocks), blocks)
+		}
+		for i, want := range []struct{ t, text string }{{"tgt.c1", c1}, {"tgt.c3", c3}} {
+			b := blocks[i]
+			if b.TName != want.t || b.QName != tc.qNames[i] || b.TStart != 0 || b.QStart != 0 ||
+				b.TText != want.text || b.QText != want.text || b.QSrc != 10 || b.QStrand != tc.strand {
+				t.Errorf("%c block %d: %+v, want %s/%s over %q", tc.strand, i, b, want.t, tc.qNames[i], want.text)
+			}
+			if b.Score < 9*match {
+				t.Errorf("%c block %d scores %d, want its 10 matches rescored", tc.strand, i, b.Score)
+			}
+		}
+	}
+
+	// The piece over c2 is two mismatches, scores <= 0 and is dropped.
+	blocks, err := renderer(c1+"TTTTTTTTTT").RenderAlignment(aln(1, m10+"MM"), '+')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) != 1 || blocks[0].TName != "tgt.c1" {
+		t.Errorf("mismatch-only piece kept: %+v", blocks)
+	}
+
+	// Within one member: one block, the alignment's own score.
+	blocks, err = renderer(c1+c3).RenderAlignment(aln(77, "MMMM"), '+')
+	if err != nil || len(blocks) != 1 || blocks[0].Score != 77 {
+		t.Errorf("single-member alignment: %+v, %v", blocks, err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"darwinwga/internal/core"
 	"darwinwga/internal/faultinject"
+	"darwinwga/internal/gact"
 	"darwinwga/internal/obs"
 )
 
@@ -72,6 +73,22 @@ func TestNewRefusesBaseCheckpointDir(t *testing.T) {
 		if !strings.Contains(err.Error(), "CheckpointRoot") {
 			t.Errorf("New: %v, want an error naming CheckpointRoot", err)
 		}
+	}
+}
+
+// TestNewRefusesBaseTileHook: every job inherits the base pipeline, so
+// a base TileHook (say an hw.GACTXReplay, which does not lock) would be
+// called from concurrently running jobs. New refuses it.
+func TestNewRefusesBaseTileHook(t *testing.T) {
+	base := core.DefaultConfig()
+	base.TileHook = func(gact.Tile) {}
+	srv, err := New(Config{Pipeline: base, StallWindow: -1})
+	if err == nil {
+		srv.Shutdown(context.Background())
+		t.Fatal("New accepted a base Pipeline.TileHook")
+	}
+	if !strings.Contains(err.Error(), "TileHook") {
+		t.Errorf("New: %v, want an error naming TileHook", err)
 	}
 }
 

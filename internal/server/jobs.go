@@ -1164,15 +1164,17 @@ func (m *Manager) runAttempt(j *Job) bool {
 		recs = append(recs, j.tracer)
 	}
 	cfg.Recorder = obs.Multi(recs...)
-	br := &maf.BlockRenderer{TMap: tgt.Map, QMap: qMap, Target: tgt.Bases, Query: qBases}
+	br := &maf.BlockRenderer{TMap: tgt.Map, QMap: qMap, Target: tgt.Bases, Query: qBases, Scoring: cfg.Scoring}
 	var streamErr error
 	cfg.HSPHook = func(h core.HSP) {
 		if streamErr != nil {
 			return
 		}
-		block, err := br.RenderAlignment(&h.Alignment, h.Strand)
-		if err == nil {
-			err = sw.Write(block)
+		blocks, err := br.RenderAlignment(&h.Alignment, h.Strand)
+		for _, b := range blocks {
+			if err == nil {
+				err = sw.Write(b)
+			}
 		}
 		if err != nil {
 			streamErr = err

@@ -232,6 +232,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Pipeline.CheckpointDir != "" {
 		return nil, fmt.Errorf("server: Pipeline.CheckpointDir %q would hold every job's journal; set CheckpointRoot, which gives each job its own", cfg.Pipeline.CheckpointDir)
 	}
+	if cfg.Pipeline.TileHook != nil {
+		return nil, fmt.Errorf("server: Pipeline.TileHook would observe every job's tiles from concurrently running jobs; it belongs to one call")
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Pipeline.Validate(); err != nil {
 		return nil, fmt.Errorf("server: invalid Pipeline: %w", err)

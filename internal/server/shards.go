@@ -130,12 +130,13 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		var res *core.Result
 		if res, err = aligner.ExtendAnchors(r.Context(), q, req.Unit.Strand, req.Anchors); err == nil {
 			out.Workload = res.Workload
-			br := &maf.BlockRenderer{TMap: tgt.Map, QMap: qMap, Target: tgt.Bases, Query: qBases}
-			out.Blocks = make([]*maf.Block, len(res.HSPs))
+			br := &maf.BlockRenderer{TMap: tgt.Map, QMap: qMap, Target: tgt.Bases, Query: qBases, Scoring: cfg.Scoring}
 			for i := range res.HSPs {
-				if out.Blocks[i], err = br.RenderAlignment(&res.HSPs[i].Alignment, res.HSPs[i].Strand); err != nil {
+				var blocks []*maf.Block
+				if blocks, err = br.RenderAlignment(&res.HSPs[i].Alignment, res.HSPs[i].Strand); err != nil {
 					break
 				}
+				out.Blocks = append(out.Blocks, blocks...)
 			}
 		}
 	} else {

@@ -35,10 +35,11 @@ type Report struct {
 	// Config.Retry when Truncated is TruncatedShardFailures.
 	FailedShards []*StageError
 
-	target []byte
-	query  []byte
-	tMap   *maf.SeqMap
-	qMap   *maf.SeqMap
+	target  []byte
+	query   []byte
+	tMap    *maf.SeqMap
+	qMap    *maf.SeqMap
+	scoring *Scoring // the run's, for MAF blocks cut at a sequence junction
 }
 
 // AlignAssemblies aligns a query assembly against a target assembly:
@@ -60,7 +61,7 @@ func AlignAssemblies(target, query *Assembly, cfg Config) (*Report, error) {
 // A caller-provided cfg.HSPHook fires for each alignment as it is
 // produced, in Report.HSPs' order.
 func AlignAssembliesContext(ctx context.Context, target, query *Assembly, cfg Config) (*Report, error) {
-	rep := &Report{TargetName: target.Name, QueryName: query.Name}
+	rep := &Report{TargetName: target.Name, QueryName: query.Name, scoring: cfg.Scoring}
 	var err error
 	if rep.target, rep.tMap, err = maf.ConcatAssembly(target.Name, target.Seqs); err != nil {
 		return nil, err
@@ -107,7 +108,7 @@ func (r *Report) SumTopChainScores(k int) int64 { return chain.SumTopScores(r.Ch
 // concatenated coordinate space — the same renderer the serving layer
 // uses to stream blocks.
 func (r *Report) renderer() *maf.BlockRenderer {
-	return &maf.BlockRenderer{TMap: r.tMap, QMap: r.qMap, Target: r.target, Query: r.query}
+	return &maf.BlockRenderer{TMap: r.tMap, QMap: r.qMap, Target: r.target, Query: r.query, Scoring: r.scoring}
 }
 
 // WriteMAF writes every HSP as a pairwise MAF block with per-sequence
@@ -116,12 +117,14 @@ func (r *Report) WriteMAF(w io.Writer) error {
 	mw := maf.NewWriter(w)
 	br := r.renderer()
 	for i, h := range r.HSPs {
-		block, err := br.RenderAlignment(&h.Alignment, h.Strand)
+		blocks, err := br.RenderAlignment(&h.Alignment, h.Strand)
 		if err != nil {
-			return fmt.Errorf("darwinwga: rendering MAF block %d: %w", i, err)
+			return fmt.Errorf("darwinwga: rendering MAF for HSP %d: %w", i, err)
 		}
-		if err := mw.Write(block); err != nil {
-			return fmt.Errorf("darwinwga: writing MAF block %d: %w", i, err)
+		for _, b := range blocks {
+			if err := mw.Write(b); err != nil {
+				return fmt.Errorf("darwinwga: writing MAF for HSP %d: %w", i, err)
+			}
 		}
 	}
 	// Close (not Flush) appends the maf.Trailer marker so downstream
